@@ -41,7 +41,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
@@ -50,6 +49,7 @@ import (
 	"riskbench/internal/mpi"
 	"riskbench/internal/portfolio"
 	"riskbench/internal/premia"
+	"riskbench/internal/risk"
 	"riskbench/internal/telemetry"
 )
 
@@ -225,28 +225,13 @@ func runSelfTest(ctx context.Context, workers int, reg *telemetry.Registry) {
 		fatalf("%v", err)
 	}
 	opts := farm.Options{Strategy: farm.SerializedLoad, Telemetry: reg}
-	wopts := opts
-	wopts.LocalSpans = true // workers share the process registry
-	world := mpi.NewLocalWorld(workers + 1)
-	defer world.Close()
-	var wg sync.WaitGroup
-	for r := 1; r <= workers; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			if err := farm.RunWorker(world.Comm(rank), farm.LiveExecutor{}, nil, wopts); err != nil {
-				fmt.Fprintf(os.Stderr, "worker %d: %v\n", rank, err)
-			}
-		}(r)
-	}
 	root := reg.StartTrace("bench.run")
 	start := time.Now()
-	results, err := farm.RunMaster(telemetry.ContextWithTrace(ctx, root.Context()), world.Comm(0), tasks, farm.LiveLoader{}, opts)
+	results, err := farm.Local{}.Run(telemetry.ContextWithTrace(ctx, root.Context()), tasks, opts, workers)
 	if err != nil {
 		fatalf("master: %v", err)
 	}
 	root.End()
-	wg.Wait()
 	elapsed := time.Since(start)
 
 	methodOf := map[string]string{}
@@ -326,26 +311,11 @@ func runLive(ctx context.Context, pfName string, n, workers int, stratName, tran
 		store = ms
 	}
 	opts := farm.Options{Strategy: strat, BatchSize: batch, Telemetry: reg}
-	var wg sync.WaitGroup
-	var master mpi.Comm
-	var closeWorld func()
+	var backend risk.FarmBackend
 	if transport == "" || transport == "local" {
 		// The default shape: a goroutine world with shared mailboxes, no
 		// framing, workers writing spans into the process registry.
-		wopts := opts
-		wopts.LocalSpans = true // workers share the process registry
-		world := mpi.NewLocalWorld(workers + 1)
-		closeWorld = world.Close
-		for r := 1; r <= workers; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				if err := farm.RunWorker(world.Comm(rank), farm.LiveExecutor{}, store, wopts); err != nil {
-					fmt.Fprintf(os.Stderr, "worker %d: %v\n", rank, err)
-				}
-			}(r)
-		}
-		master = world.Comm(0)
+		backend = farm.Local{Store: store}
 	} else {
 		// A framed hub world on the chosen transport: goroutine workers
 		// dial through the real wire, negotiate the protocol per
@@ -354,45 +324,19 @@ func runLive(ctx context.Context, pfName string, n, workers int, stratName, tran
 		if _, err := mpi.LookupTransport(transport); err != nil {
 			fatalf("%v (or \"local\")", err)
 		}
-		hub, err := mpi.ListenHubWith("", workers+1, mpi.WorldOptions{Transport: transport})
-		if err != nil {
-			fatalf("%v", err)
+		if strat == farm.NFSLoad {
+			fatalf("the nfs strategy needs -transport local: framed workers carry no store")
 		}
-		closeWorld = func() { hub.Close() }
-		// Workers dial from their own goroutines: the hub only accepts
-		// connections inside WaitWorkers, so dialing before it runs would
-		// deadlock on the handshake reply.
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				c, err := mpi.DialHubWith(hub.Addr(), mpi.WorldOptions{Transport: transport})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "worker %d: dial %s hub: %v\n", i+1, transport, err)
-					return
-				}
-				defer c.Close()
-				wopts := opts
-				wopts.Telemetry = telemetry.New() // spans travel by frame, not shared memory
-				if err := farm.RunWorker(c, farm.LiveExecutor{}, store, wopts); err != nil {
-					fmt.Fprintf(os.Stderr, "worker %d: %v\n", i+1, err)
-				}
-			}(i)
-		}
-		if err := hub.WaitWorkers(); err != nil {
-			fatalf("%v", err)
-		}
-		master = hub
+		fresh := func(int) *telemetry.Registry { return telemetry.New() }
+		backend = &risk.NetBackend{Transport: transport, Spawn: risk.GoNetWorkers(fresh, 0)}
 	}
-	defer closeWorld()
 	root := reg.StartTrace("bench.run")
 	start := time.Now()
-	results, err := farm.RunMaster(telemetry.ContextWithTrace(ctx, root.Context()), master, tasks, farm.LiveLoader{}, opts)
+	results, err := backend.Run(telemetry.ContextWithTrace(ctx, root.Context()), tasks, opts, workers)
 	if err != nil {
 		fatalf("master: %v", err)
 	}
 	root.End()
-	wg.Wait()
 	elapsed := time.Since(start)
 	sum := 0.0
 	for _, r := range results {

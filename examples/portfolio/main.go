@@ -1,7 +1,8 @@
 // Portfolio valuation on a live local farm: the paper's Fig. 4–5 workflow
 // end-to-end — generate a portfolio of problem files, farm it over worker
-// goroutines with the Robin-Hood scheduler, and compare the three
-// communication strategies on real computations.
+// goroutines with the Robin-Hood scheduler (farm.Local runs the whole
+// round in process), and compare the three communication strategies on
+// real computations.
 package main
 
 import (
@@ -9,11 +10,9 @@ import (
 	"fmt"
 	"log"
 	"runtime"
-	"sync"
 	"time"
 
 	"riskbench/internal/farm"
-	"riskbench/internal/mpi"
 	"riskbench/internal/portfolio"
 )
 
@@ -36,25 +35,11 @@ func main() {
 	fmt.Printf("pricing %d claims on %d live workers\n\n", len(tasks), workers)
 
 	for _, strat := range []farm.Strategy{farm.FullLoad, farm.NFSLoad, farm.SerializedLoad} {
-		opts := farm.Options{Strategy: strat}
-		world := mpi.NewLocalWorld(workers + 1)
-		var wg sync.WaitGroup
-		for r := 1; r <= workers; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				if err := farm.RunWorker(world.Comm(rank), farm.LiveExecutor{}, store, opts); err != nil {
-					log.Printf("worker %d: %v", rank, err)
-				}
-			}(r)
-		}
 		start := time.Now()
-		results, err := farm.RunMaster(context.Background(), world.Comm(0), tasks, farm.LiveLoader{}, opts)
+		results, err := farm.Local{Store: store}.Run(context.Background(), tasks, farm.Options{Strategy: strat}, workers)
 		if err != nil {
-			log.Fatalf("master (%v): %v", strat, err)
+			log.Fatalf("farm (%v): %v", strat, err)
 		}
-		wg.Wait()
-		world.Close()
 		sum := 0.0
 		perWorker := map[int]int{}
 		for _, r := range results {

@@ -93,25 +93,8 @@ func (rc RunConfig) withDefaults() RunConfig {
 // batches; the run then winds down cleanly and Run returns the context's
 // error.
 func Run(ctx context.Context, rc RunConfig) (float64, error) {
-	rc = rc.withDefaults()
-	if rc.CPUs < 2 {
-		return 0, fmt.Errorf("bench: need at least 2 CPUs, got %d", rc.CPUs)
-	}
-	if rc.Strategy == farm.NFSLoad && rc.FS == nil {
-		return 0, fmt.Errorf("bench: NFS strategy needs an FS model")
-	}
-	if rc.FS != nil {
-		// A reused FS keeps its client caches warm across runs, but its
-		// server queue must restart on this run's fresh virtual clock.
-		rc.FS.ResetClock()
-	}
-	switch rc.Scheduler {
-	case Hierarchical:
-		return runHierarchical(ctx, rc)
-	default:
-		t, _, err := runFlat(ctx, rc)
-		return t, err
-	}
+	t, _, err := runSim(ctx, rc)
+	return t, err
 }
 
 // RunStats augments a flat run's makespan with occupancy figures, the
@@ -132,20 +115,10 @@ type RunStats struct {
 // RunWithStats is Run for flat schedulers, additionally reporting
 // occupancy statistics.
 func RunWithStats(ctx context.Context, rc RunConfig) (RunStats, error) {
-	rc = rc.withDefaults()
-	if rc.CPUs < 2 {
-		return RunStats{}, fmt.Errorf("bench: need at least 2 CPUs, got %d", rc.CPUs)
-	}
 	if rc.Scheduler == Hierarchical {
 		return RunStats{}, fmt.Errorf("bench: RunWithStats supports flat schedulers only")
 	}
-	if rc.Strategy == farm.NFSLoad && rc.FS == nil {
-		return RunStats{}, fmt.Errorf("bench: NFS strategy needs an FS model")
-	}
-	if rc.FS != nil {
-		rc.FS.ResetClock()
-	}
-	t, world, err := runFlat(ctx, rc)
+	t, world, err := runSim(ctx, rc)
 	if err != nil {
 		return RunStats{}, err
 	}
@@ -178,9 +151,38 @@ func applySlowNodes(world *simnet.World, rc RunConfig) {
 	}
 }
 
-func runFlat(ctx context.Context, rc RunConfig) (float64, *simnet.World, error) {
+// runSim is the one simulated runner: it lays the ranks out with
+// farm.Layout (flat, or Groups sub-masters under the Hierarchical
+// scheduler), runs every role as a simnet process and the scheduler's
+// master on rank 0, and returns the virtual makespan with the world for
+// occupancy queries.
+func runSim(ctx context.Context, rc RunConfig) (float64, *simnet.World, error) {
+	rc = rc.withDefaults()
+	if rc.CPUs < 2 {
+		return 0, nil, fmt.Errorf("bench: need at least 2 CPUs, got %d", rc.CPUs)
+	}
+	if rc.Strategy == farm.NFSLoad && rc.FS == nil {
+		return 0, nil, fmt.Errorf("bench: NFS strategy needs an FS model")
+	}
+	groups, chunk := 0, rc.Chunk
+	if rc.Scheduler == Hierarchical {
+		if groups = rc.Groups; groups < 1 {
+			groups = 4
+		}
+		if chunk < 1 {
+			chunk = 8
+		}
+	}
+	roles, err := farm.Layout(rc.CPUs, groups)
+	if err != nil {
+		return 0, nil, fmt.Errorf("bench: %d CPUs too few for %d groups", rc.CPUs, groups)
+	}
+	if rc.FS != nil {
+		// A reused FS keeps its client caches warm across runs, but its
+		// server queue must restart on this run's fresh virtual clock.
+		rc.FS.ResetClock()
+	}
 	eng := simnet.NewEngine()
-	workers := rc.CPUs - 1
 	world := simnet.NewWorld(eng, rc.CPUs, rc.Link)
 	applySlowNodes(world, rc)
 	if rc.Telemetry != nil {
@@ -189,30 +191,30 @@ func runFlat(ctx context.Context, rc RunConfig) (float64, *simnet.World, error) 
 		rc.Telemetry.SetClock(eng.Now)
 	}
 	opts := farm.Options{Strategy: rc.Strategy, BatchSize: rc.BatchSize, Telemetry: rc.Telemetry}
-	errs := make([]error, workers+1)
-	for r := 1; r <= workers; r++ {
-		rank := r
-		eng.Go(fmt.Sprintf("worker-%d", rank), func(p *simnet.Proc) {
-			c := world.Comm(rank)
+	errs := make([]error, rc.CPUs)
+	for _, role := range roles[1:] {
+		eng.Go(fmt.Sprintf("rank-%d", role.Rank), func(p *simnet.Proc) {
+			c := world.Comm(role.Rank)
 			c.Bind(p)
 			var store farm.Store
 			if rc.FS != nil {
 				store = farm.SimStore{FS: rc.FS, Comm: c}
 			}
-			errs[rank] = farm.RunWorker(c, farm.SimExecutor{Comm: c, Costs: rc.Costs}, store, opts)
+			errs[role.Rank] = role.Serve(c, farm.SimExecutor{Comm: c, Costs: rc.Costs}, store, opts)
 		})
 	}
 	eng.Go("master", func(p *simnet.Proc) {
 		c := world.Comm(0)
 		c.Bind(p)
 		loader := farm.SimLoader{Comm: c, Costs: rc.Costs}
-		var err error
-		if rc.Scheduler == StaticBlock {
-			_, err = farm.RunStaticMaster(ctx, c, rc.Tasks, loader, opts)
-		} else {
-			_, err = farm.RunMaster(ctx, c, rc.Tasks, loader, opts)
+		switch rc.Scheduler {
+		case Hierarchical:
+			_, errs[0] = farm.RunRootMaster(ctx, c, rc.Tasks, loader, opts, groups, chunk)
+		case StaticBlock:
+			_, errs[0] = farm.RunStaticMaster(ctx, c, rc.Tasks, loader, opts)
+		default:
+			_, errs[0] = farm.RunMaster(ctx, c, rc.Tasks, loader, opts)
 		}
-		errs[0] = err
 	})
 	if err := eng.Run(); err != nil {
 		// A cancelled master abandons the protocol, which the engine
@@ -228,69 +230,4 @@ func runFlat(ctx context.Context, rc RunConfig) (float64, *simnet.World, error) 
 		}
 	}
 	return eng.Now(), world, nil
-}
-
-func runHierarchical(ctx context.Context, rc RunConfig) (float64, error) {
-	groups := rc.Groups
-	if groups < 1 {
-		groups = 4
-	}
-	chunk := rc.Chunk
-	if chunk < 1 {
-		chunk = 8
-	}
-	size := rc.CPUs
-	if size < 1+2*groups {
-		return 0, fmt.Errorf("bench: %d CPUs too few for %d groups", size, groups)
-	}
-	eng := simnet.NewEngine()
-	world := simnet.NewWorld(eng, size, rc.Link)
-	applySlowNodes(world, rc)
-	if rc.Telemetry != nil {
-		rc.Telemetry.SetClock(eng.Now)
-	}
-	opts := farm.Options{Strategy: rc.Strategy, BatchSize: rc.BatchSize, Telemetry: rc.Telemetry}
-	errs := make([]error, size)
-	for g := 0; g < groups; g++ {
-		sub := g + 1
-		ws := farm.HierarchyWorkers(size, groups, g)
-		eng.Go(fmt.Sprintf("sub-%d", sub), func(p *simnet.Proc) {
-			c := world.Comm(sub)
-			c.Bind(p)
-			errs[sub] = farm.RunSubMaster(c, ws, opts)
-		})
-		for _, wr := range ws {
-			rank := wr
-			master := sub
-			eng.Go(fmt.Sprintf("worker-%d", rank), func(p *simnet.Proc) {
-				c := world.Comm(rank)
-				c.Bind(p)
-				wopts := opts
-				wopts.MasterRank = master
-				var store farm.Store
-				if rc.FS != nil {
-					store = farm.SimStore{FS: rc.FS, Comm: c}
-				}
-				errs[rank] = farm.RunWorker(c, farm.SimExecutor{Comm: c, Costs: rc.Costs}, store, wopts)
-			})
-		}
-	}
-	eng.Go("root", func(p *simnet.Proc) {
-		c := world.Comm(0)
-		c.Bind(p)
-		loader := farm.SimLoader{Comm: c, Costs: rc.Costs}
-		_, errs[0] = farm.RunRootMaster(ctx, c, rc.Tasks, loader, opts, groups, chunk)
-	})
-	if err := eng.Run(); err != nil {
-		if ctx.Err() != nil {
-			return 0, ctx.Err()
-		}
-		return 0, err
-	}
-	for rank, err := range errs {
-		if err != nil {
-			return 0, fmt.Errorf("bench: rank %d: %w", rank, err)
-		}
-	}
-	return eng.Now(), nil
 }

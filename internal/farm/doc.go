@@ -25,4 +25,10 @@
 // conclusion, are included: task batching (send bunches of problems in one
 // message to amortise latency) via Options.BatchSize, and a two-level
 // hierarchy of sub-masters via RunRootMaster/RunSubMaster.
+//
+// Every master entry point (RunMaster, RunStaticMaster, RunRootMaster)
+// runs the same round over the same dispatch loop and differs only in
+// the assignment policy and the ranks it drives. Layout maps a world's
+// ranks to roles (flat or hierarchical), and Local runs a whole round on
+// an in-process world of goroutine ranks.
 package farm

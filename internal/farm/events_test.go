@@ -232,7 +232,7 @@ func TestEventPayloadRejectsMalformed(t *testing.T) {
 // rank — the distributed shape, where worker events can only reach the
 // master over the wire — and returns the results plus the master's
 // registry and fleet.
-func runEventFarm(t *testing.T, execs map[int]Executor, tasks []Task, mopts Options) ([]Result, *telemetry.Registry, *Fleet) {
+func runEventFarm(t *testing.T, run masterFunc, execs map[int]Executor, tasks []Task, mopts Options) ([]Result, *telemetry.Registry, *Fleet) {
 	t.Helper()
 	mopts.Telemetry = telemetry.New()
 	mopts.Fleet = NewFleet()
@@ -251,7 +251,7 @@ func runEventFarm(t *testing.T, execs map[int]Executor, tasks []Task, mopts Opti
 			}
 		}(r)
 	}
-	results, err := RunMaster(context.Background(), w.Comm(0), tasks, LiveLoader{}, mopts)
+	results, err := run(context.Background(), w.Comm(0), tasks, LiveLoader{}, mopts)
 	if err != nil {
 		t.Fatalf("master: %v", err)
 	}
@@ -264,14 +264,21 @@ func runEventFarm(t *testing.T, execs map[int]Executor, tasks []Task, mopts Opti
 // farm.task.retry naming the failing rank, the worker's own
 // farm.compute.error ships over the negotiated events capability and
 // lands rank-attributed in the master's log, and the fleet book charges
-// the failure to the right worker.
+// the failure to the right worker. Under the static policy the retry
+// additionally stays on the rank that failed it: static never redeals.
 func TestFarmRetryEventsAttributed(t *testing.T) {
+	for _, sched := range schedulers {
+		t.Run(sched.name, func(t *testing.T) { testRetryEventsAttributed(t, sched.run, sched.name == "static") })
+	}
+}
+
+func testRetryEventsAttributed(t *testing.T, run masterFunc, static bool) {
 	exec := newFlaky("job-02", 1)
 	tasks := make([]Task, 6)
 	for i := range tasks {
 		tasks[i] = Task{Name: fmt.Sprintf("job-%02d", i), Data: []byte("x")}
 	}
-	results, reg, fleet := runEventFarm(t,
+	results, reg, fleet := runEventFarm(t, run,
 		map[int]Executor{1: exec, 2: exec},
 		tasks, Options{Strategy: SerializedLoad, MaxRetries: 2})
 	if len(results) != 6 {
@@ -328,6 +335,22 @@ func TestFarmRetryEventsAttributed(t *testing.T) {
 	if retried != 1 || completed != 7 {
 		t.Errorf("fleet totals retried=%d completed=%d, want 1/7", retried, completed)
 	}
+	if !static {
+		return
+	}
+	for _, r := range results {
+		if r.Name == "job-02" && r.Worker != int(failRank) {
+			t.Errorf("static retry of job-02 priced on rank %d, want the failing rank %d", r.Worker, int(failRank))
+		}
+	}
+	if redeals := reg.Events(telemetry.EventFilter{Prefix: "farm.task.redeal"}); len(redeals) != 0 {
+		t.Errorf("static policy logged %d redeals, want none", len(redeals))
+	}
+	for _, w := range fleet.Snapshot() {
+		if w.Redealt != 0 {
+			t.Errorf("static policy booked %d redeals to rank %d, want none", w.Redealt, w.Rank)
+		}
+	}
 }
 
 // rankedExec fails one named task instantly and prices everything else
@@ -360,7 +383,7 @@ func TestFarmRedealEvent(t *testing.T) {
 	// the master requeues it behind fill-b and hands rank 1 the slow
 	// fill-b. Rank 2 finishes fill-a long before rank 1 returns, so the
 	// poison retry is redealt to rank 2.
-	results, reg, fleet := runEventFarm(t,
+	results, reg, fleet := runEventFarm(t, RunMaster,
 		map[int]Executor{
 			1: rankedExec{fail: "poison", delay: 300 * time.Millisecond},
 			2: rankedExec{delay: 30 * time.Millisecond},

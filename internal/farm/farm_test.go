@@ -54,8 +54,23 @@ func makePortfolio(t *testing.T, n int) ([]Task, map[string]float64) {
 	return tasks, want
 }
 
-// runLocalFarm executes the farm on an in-process world.
-func runLocalFarm(t *testing.T, tasks []Task, workers int, opts Options, store Store) []Result {
+// masterFunc is the signature RunMaster and RunStaticMaster share.
+type masterFunc func(context.Context, mpi.Comm, []Task, Loader, Options) ([]Result, error)
+
+// schedulers are the two assignment policies of the one dispatch loop.
+// Retry, telemetry and cancellation behaviour belongs to the loop, not
+// to a policy, so those tests run every case under both.
+var schedulers = []struct {
+	name string
+	run  masterFunc
+}{
+	{"robin-hood", RunMaster},
+	{"static", RunStaticMaster},
+}
+
+// runFarm executes one flat round on an in-process world: exec on every
+// worker rank, run as the master.
+func runFarm(t *testing.T, run masterFunc, exec Executor, tasks []Task, workers int, opts Options, store Store) []Result {
 	t.Helper()
 	w := mpi.NewLocalWorld(workers + 1)
 	defer w.Close()
@@ -64,17 +79,23 @@ func runLocalFarm(t *testing.T, tasks []Task, workers int, opts Options, store S
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			if err := RunWorker(w.Comm(rank), LiveExecutor{}, store, opts); err != nil {
+			if err := RunWorker(w.Comm(rank), exec, store, opts); err != nil {
 				t.Errorf("worker %d: %v", rank, err)
 			}
 		}(r)
 	}
-	results, err := RunMaster(context.Background(), w.Comm(0), tasks, LiveLoader{}, opts)
+	results, err := run(context.Background(), w.Comm(0), tasks, LiveLoader{}, opts)
 	if err != nil {
 		t.Fatalf("master: %v", err)
 	}
 	wg.Wait()
 	return results
+}
+
+// runLocalFarm is runFarm with live pricing under the Robin-Hood master.
+func runLocalFarm(t *testing.T, tasks []Task, workers int, opts Options, store Store) []Result {
+	t.Helper()
+	return runFarm(t, RunMaster, LiveExecutor{}, tasks, workers, opts, store)
 }
 
 func checkResults(t *testing.T, results []Result, want map[string]float64) {
@@ -246,41 +267,59 @@ func TestHierarchyWorkersPanicsWhenTooSmall(t *testing.T) {
 	HierarchyWorkers(4, 2, 0)
 }
 
-func TestFarmHierarchical(t *testing.T) {
-	tasks, want := makePortfolio(t, 40)
-	const groups = 2
-	const size = 1 + groups + 6 // root + 2 sub-masters + 6 workers
-	w := mpi.NewLocalWorld(size)
-	defer w.Close()
-	opts := Options{Strategy: SerializedLoad}
-	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		sub := g + 1
-		workers := HierarchyWorkers(size, groups, g)
-		wg.Add(1)
-		go func(rank int, ws []int) {
-			defer wg.Done()
-			if err := RunSubMaster(w.Comm(rank), ws, opts); err != nil {
-				t.Errorf("sub-master %d: %v", rank, err)
-			}
-		}(sub, workers)
-		for _, wr := range workers {
-			wg.Add(1)
-			go func(rank, master int) {
-				defer wg.Done()
-				wopts := opts
-				wopts.MasterRank = master
-				if err := RunWorker(w.Comm(rank), LiveExecutor{}, nil, wopts); err != nil {
-					t.Errorf("worker %d: %v", rank, err)
-				}
-			}(wr, sub)
+// TestLayoutRoles checks the rank→role map both runners spawn from:
+// flat, rank 0 drives everyone; hierarchical, the root drives the
+// sub-masters and every worker answers to the sub-master whose group
+// lists it.
+func TestLayoutRoles(t *testing.T) {
+	flat, err := Layout(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(flat) != 4 || len(flat[0].Workers) != 3 {
+		t.Fatalf("flat layout %+v, want rank 0 driving 3 workers", flat)
+	}
+	for r := 1; r < 4; r++ {
+		if flat[r].Rank != r || flat[r].Master != 0 || flat[r].Workers != nil {
+			t.Errorf("flat rank %d = %+v, want a worker of rank 0", r, flat[r])
 		}
 	}
-	results, err := RunRootMaster(context.Background(), w.Comm(0), tasks, LiveLoader{}, opts, groups, 5)
+	hier, err := Layout(8, 2) // root + 2 sub-masters + 5 workers
 	if err != nil {
-		t.Fatalf("root: %v", err)
+		t.Fatal(err)
 	}
-	wg.Wait()
+	if got := hier[0].Workers; len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("root drives %v, want the sub-masters [1 2]", got)
+	}
+	seen := 0
+	for _, sub := range hier[0].Workers {
+		if hier[sub].Master != 0 {
+			t.Errorf("sub-master %d answers to %d, want the root", sub, hier[sub].Master)
+		}
+		for _, w := range hier[sub].Workers {
+			seen++
+			if hier[w].Master != sub || hier[w].Workers != nil {
+				t.Errorf("rank %d = %+v, want a worker of sub-master %d", w, hier[w], sub)
+			}
+		}
+	}
+	if seen != 5 {
+		t.Errorf("groups cover %d workers, want 5", seen)
+	}
+	for _, bad := range [][2]int{{1, 0}, {4, 2}, {3, -1}} {
+		if _, err := Layout(bad[0], bad[1]); err == nil {
+			t.Errorf("Layout(%d, %d) accepted", bad[0], bad[1])
+		}
+	}
+}
+
+func TestFarmHierarchical(t *testing.T) {
+	tasks, want := makePortfolio(t, 40)
+	// root + 2 sub-masters + 6 workers
+	results, err := Local{Groups: 2, Chunk: 5}.Run(context.Background(), tasks, Options{Strategy: SerializedLoad}, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
 	checkResults(t, results, want)
 }
 
@@ -290,39 +329,10 @@ func TestFarmHierarchicalNFS(t *testing.T) {
 	for _, task := range tasks {
 		store[task.Name] = task.Data
 	}
-	const groups = 2
-	const size = 1 + groups + 4
-	w := mpi.NewLocalWorld(size)
-	defer w.Close()
-	opts := Options{Strategy: NFSLoad}
-	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		sub := g + 1
-		workers := HierarchyWorkers(size, groups, g)
-		wg.Add(1)
-		go func(rank int, ws []int) {
-			defer wg.Done()
-			if err := RunSubMaster(w.Comm(rank), ws, opts); err != nil {
-				t.Errorf("sub-master %d: %v", rank, err)
-			}
-		}(sub, workers)
-		for _, wr := range workers {
-			wg.Add(1)
-			go func(rank, master int) {
-				defer wg.Done()
-				wopts := opts
-				wopts.MasterRank = master
-				if err := RunWorker(w.Comm(rank), LiveExecutor{}, store, wopts); err != nil {
-					t.Errorf("worker %d: %v", rank, err)
-				}
-			}(wr, sub)
-		}
-	}
-	results, err := RunRootMaster(context.Background(), w.Comm(0), tasks, LiveLoader{}, opts, groups, 4)
+	results, err := Local{Store: store, Groups: 2, Chunk: 4}.Run(context.Background(), tasks, Options{Strategy: NFSLoad}, 4)
 	if err != nil {
-		t.Fatalf("root: %v", err)
+		t.Fatal(err)
 	}
-	wg.Wait()
 	checkResults(t, results, want)
 }
 

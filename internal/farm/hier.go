@@ -45,32 +45,16 @@ func HierarchyWorkers(size, groups, g int) []int {
 }
 
 // RunRootMaster distributes the tasks chunk-wise over the sub-masters
-// (ranks 1..groups) and returns all results. chunk is the number of tasks
-// per sub-master hand-off. Cancellation follows RunMaster: drain
-// in-flight chunks, stop the sub-masters (which stop their workers),
-// return ctx.Err().
+// (ranks 1..groups) and returns all results: RunMaster's round with the
+// sub-masters as its workers and chunk as its batch size. chunk is the
+// number of tasks per sub-master hand-off. Cancellation follows
+// RunMaster: drain in-flight chunks, stop the sub-masters (which stop
+// their workers), return ctx.Err().
 func RunRootMaster(ctx context.Context, c mpi.Comm, tasks []Task, loader Loader, opts Options, groups, chunk int) ([]Result, error) {
 	if chunk < 1 {
 		chunk = 1
 	}
-	if err := validateTasks(tasks); err != nil {
-		return nil, err
-	}
-	subs := make([]int, groups)
-	for i := range subs {
-		subs[i] = i + 1
-	}
-	results, err := runBatches(ctx, c, subs, splitBatches(tasks, chunk), loader, opts)
-	if err != nil {
-		if ctx.Err() != nil {
-			_ = sendStop(c, subs)
-		}
-		return nil, err
-	}
-	if err := sendStop(c, subs); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return runRound(ctx, c, groups, tasks, chunk, sharedQueue, loader, opts)
 }
 
 // passLoader forwards already-prepared payload bytes unchanged; the
@@ -103,43 +87,37 @@ func RunSubMaster(c mpi.Comm, workers []int, opts Options) error {
 		if err != nil {
 			return err
 		}
-		names, costs, sizes := desc.Names, desc.Costs, desc.Sizes
-		if len(names) == 0 {
+		if len(desc.Names) == 0 {
 			return sendStop(c, workers)
 		}
-		tasks := make([]Task, len(names))
-		for i := range names {
-			tasks[i] = Task{Name: names[i], Cost: costs[i]}
+		tasks := make([]Task, len(desc.Names))
+		for i, name := range desc.Names {
+			tasks[i] = Task{Name: name, Cost: desc.Costs[i]}
 		}
 		if opts.Strategy.NeedsPayload() {
-			pobj, _, err := mpi.RecvObj(c, 0, TagPayload)
+			// A by-reference chunk item keeps its object: the re-dispatch
+			// to this group's workers ships it by reference again (or
+			// serializes it via the loader on wire transports).
+			data, objs, err := recvPayload(c, 0, len(tasks))
 			if err != nil {
-				return fmt.Errorf("farm: sub-master %d recv payloads: %w", c.Rank(), err)
+				return err
 			}
-			list, ok := pobj.(*nsp.List)
-			if !ok || list.Len() != len(names) {
-				return fmt.Errorf("farm: sub-master %d: malformed chunk payload", c.Rank())
-			}
-			for i, item := range list.Items {
-				if s, ok := item.(*nsp.Serial); ok {
-					tasks[i].Data = s.Data
-					continue
+			for i := range tasks {
+				tasks[i].Data = data[i]
+				if objs != nil {
+					tasks[i].Obj = objs[i]
 				}
-				// By-reference chunk item: keep the object; the re-dispatch
-				// to this group's workers ships it by reference again (or
-				// serializes it via the loader on wire transports).
-				tasks[i].Obj = item
 			}
 		} else {
 			// NFS: workers read by name; preserve declared sizes through
 			// zero-filled placeholders so descriptors stay truthful.
 			for i := range tasks {
-				tasks[i].Data = make([]byte, int(sizes[i]))
+				tasks[i].Data = make([]byte, int(desc.Sizes[i]))
 			}
 		}
 		// Sub-masters are driven by the root's stop message, not by a
 		// context of their own.
-		res, err := runBatches(context.Background(), c, workers, splitBatches(tasks, 1), passLoader{}, opts)
+		res, err := runBatches(context.Background(), c, workers, splitBatches(tasks, 1), sharedQueue, passLoader{}, opts)
 		if err != nil {
 			return err
 		}

@@ -20,6 +20,23 @@ type Loader interface {
 	Load(t Task, s Strategy) ([]byte, error)
 }
 
+// assignment is the dispatch loop's one policy decision: which queue an
+// idle rank draws its next batch from.
+type assignment int
+
+const (
+	// sharedQueue is the paper's Robin Hood: one queue, and whichever
+	// rank answers first takes the next batch (retries included, so a
+	// failed task usually lands on a different rank — a redeal).
+	sharedQueue assignment = iota
+	// perRankQueues is the static ablation baseline: batches are dealt
+	// round-robin up front and a rank only ever serves its own queue, no
+	// stealing — retries stay with the rank that failed them. With
+	// heterogeneous task costs this strands work on slow queues, which is
+	// exactly what the dynamic policy avoids.
+	perRankQueues
+)
+
 // RunMaster drives the Robin-Hood farm over the given communicator (the
 // paper's Fig. 4 master part): seed every worker with one batch, then feed
 // whichever worker answers first, and finally send each worker the empty
@@ -31,28 +48,41 @@ type Loader interface {
 // returns ctx.Err(). Transport errors remain fatal and leave the
 // workers unstopped.
 func RunMaster(ctx context.Context, c mpi.Comm, tasks []Task, loader Loader, opts Options) ([]Result, error) {
-	nw := c.Size() - 1
-	if nw < 1 {
+	return runRound(ctx, c, c.Size()-1, tasks, opts.batchSize(), sharedQueue, loader, opts)
+}
+
+// RunStaticMaster is the ablation baseline for the Robin-Hood scheduler:
+// the same round as RunMaster under the perRankQueues policy (one batch
+// outstanding per worker, no stealing).
+func RunStaticMaster(ctx context.Context, c mpi.Comm, tasks []Task, loader Loader, opts Options) ([]Result, error) {
+	return runRound(ctx, c, c.Size()-1, tasks, opts.batchSize(), perRankQueues, loader, opts)
+}
+
+// runRound is the one master body behind every entry point: validate the
+// task list, dispatch it in batches of batch tasks over ranks 1..n under
+// the given policy, then stop those ranks. On cancellation the farm is
+// quiescent once runBatches returns, so the ranks are stopped before the
+// context's error is reported (best effort — the transport may be part
+// of what is being torn down).
+func runRound(ctx context.Context, c mpi.Comm, n int, tasks []Task, batch int, policy assignment, loader Loader, opts Options) ([]Result, error) {
+	if n < 1 {
 		return nil, fmt.Errorf("farm: world of size %d has no workers", c.Size())
 	}
 	if err := validateTasks(tasks); err != nil {
 		return nil, err
 	}
-	workers := make([]int, nw)
-	for i := range workers {
-		workers[i] = i + 1
+	ranks := make([]int, n)
+	for i := range ranks {
+		ranks[i] = i + 1
 	}
-	results, err := runBatches(ctx, c, workers, splitBatches(tasks, opts.batchSize()), loader, opts)
+	results, err := runBatches(ctx, c, ranks, splitBatches(tasks, batch), policy, loader, opts)
 	if err != nil {
 		if ctx.Err() != nil {
-			// Cancellation: the farm is quiescent, so stop the workers
-			// before reporting it (best effort — the transport may be
-			// part of what is being torn down).
-			_ = sendStop(c, workers)
+			_ = sendStop(c, ranks)
 		}
 		return nil, err
 	}
-	if err := sendStop(c, workers); err != nil {
+	if err := sendStop(c, ranks); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -197,18 +227,20 @@ type pendingBatch struct {
 	spans  []*telemetry.Span
 }
 
-// runBatches Robin-Hoods the batches over the given worker ranks without
-// sending the final stop message, so callers can reuse the workers for
-// further rounds (the sub-master case). Failed tasks are re-queued as
-// single-task batches up to opts.MaxRetries attempts beyond the first;
-// tasks that exhaust their budget are reported with Err set.
+// runBatches is the farm's one dispatch loop: it deals the batches over
+// the given worker ranks under the assignment policy, one batch
+// outstanding per rank, without sending the final stop message, so
+// callers can reuse the workers for further rounds (the sub-master
+// case). Failed tasks are re-queued as single-task batches up to
+// opts.MaxRetries attempts beyond the first; tasks that exhaust their
+// budget are reported with Err set.
 //
 // When opts.Telemetry is set, every task gets a "farm.task" span
 // (dispatch → results) under one "farm.run" root span, and the
 // queue-wait, serialize and task-latency histograms plus the per-worker
 // busy gauges are populated. Durations are read off the registry clock,
 // so simulated runs record virtual seconds.
-func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task, loader Loader, opts Options) ([]Result, error) {
+func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task, policy assignment, loader Loader, opts Options) ([]Result, error) {
 	reg := opts.Telemetry
 	// Adopt a distributed trace threaded through ctx (a serve request or
 	// bench run); without one the run is metrics-only.
@@ -219,10 +251,26 @@ func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task
 		runSpan = reg.StartSpan("farm.run")
 	}
 	defer runSpan.End()
-	queue := make([]queuedBatch, len(batches))
+	// queues[queueOf(w)] is what rank w draws from: every rank shares
+	// queue 0 under sharedQueue; under perRankQueues rank workers[i] owns
+	// queue i and the batches are dealt round-robin.
+	queueOf := func(int) int { return 0 }
+	queues := make([][]queuedBatch, 1)
+	if policy == perRankQueues {
+		index := make(map[int]int, len(workers))
+		for i, w := range workers {
+			index[w] = i
+		}
+		queueOf = func(w int) int { return index[w] }
+		queues = make([][]queuedBatch, len(workers))
+	}
+	for q := range queues {
+		queues[q] = make([]queuedBatch, 0, len(batches)/len(queues)+1)
+	}
 	now := reg.Now()
 	for i, b := range batches {
-		queue[i] = queuedBatch{tasks: b, enqueued: now}
+		q := i % len(queues)
+		queues[q] = append(queues[q], queuedBatch{tasks: b, enqueued: now})
 	}
 	// assigned remembers which batch each worker is busy with, so failed
 	// task names can be matched back to their Task values for retry.
@@ -230,9 +278,15 @@ func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task
 	attempts := make(map[string]int)
 	var results []Result
 	inflight := 0
+	// send dispatches the head of w's queue to w; an empty queue leaves
+	// the rank idle.
 	send := func(w int) error {
-		qb := queue[0]
-		queue = queue[1:]
+		q := queueOf(w)
+		if len(queues[q]) == 0 {
+			return nil
+		}
+		qb := queues[q][0]
+		queues[q] = queues[q][1:]
 		// The per-task spans open before the send so their IDs can ride
 		// the descriptor: the worker parents its farm.compute spans on
 		// them.
@@ -283,9 +337,6 @@ func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task
 	}
 	if ctx.Err() == nil {
 		for _, w := range workers {
-			if len(queue) == 0 {
-				break
-			}
 			if err := send(w); err != nil {
 				return nil, err
 			}
@@ -355,7 +406,8 @@ func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task
 			retried := false
 			for _, t := range was.tasks {
 				if t.Name == r.Name {
-					queue = append(queue, queuedBatch{tasks: []Task{t}, enqueued: reg.Now(), retryFrom: from})
+					q := queueOf(from)
+					queues[q] = append(queues[q], queuedBatch{tasks: []Task{t}, enqueued: reg.Now(), retryFrom: from})
 					reg.Counter("farm.retries").Add(1)
 					reg.Emit(telemetry.LevelWarn, "farm.task.retry", runSpan.Context(),
 						telemetry.Str("task", r.Name),
@@ -374,10 +426,8 @@ func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task
 		if ctx.Err() != nil {
 			continue // cancelled: drain in-flight batches, dispatch nothing new
 		}
-		if len(queue) > 0 {
-			if err := send(from); err != nil {
-				return nil, err
-			}
+		if err := send(from); err != nil {
+			return nil, err
 		}
 	}
 	if err := ctx.Err(); err != nil {

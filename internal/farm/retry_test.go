@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"riskbench/internal/mpi"
 	"riskbench/internal/nsp"
 )
 
@@ -44,155 +43,126 @@ func (brokenExecutor) Execute(name string, payload []byte, cost float64, size in
 	return nil, errors.New("permanently broken")
 }
 
-func runFlakyFarm(t *testing.T, exec Executor, n, workers int, opts Options) []Result {
+func runFlakyFarm(t *testing.T, run masterFunc, exec Executor, n, workers int, opts Options) []Result {
 	t.Helper()
 	tasks := make([]Task, n)
 	for i := range tasks {
 		tasks[i] = Task{Name: fmt.Sprintf("job-%02d", i), Data: []byte("x")}
 	}
-	w := mpi.NewLocalWorld(workers + 1)
-	defer w.Close()
-	var wg sync.WaitGroup
-	for r := 1; r <= workers; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			if err := RunWorker(w.Comm(rank), exec, nil, opts); err != nil {
-				t.Errorf("worker %d: %v", rank, err)
-			}
-		}(r)
-	}
-	results, err := RunMaster(context.Background(), w.Comm(0), tasks, LiveLoader{}, opts)
-	if err != nil {
-		t.Fatalf("master: %v", err)
-	}
-	wg.Wait()
-	return results
+	return runFarm(t, run, exec, tasks, workers, opts, nil)
 }
 
 func TestRetryRecoversTransientFailures(t *testing.T) {
-	// Every task fails once, succeeds on retry: with MaxRetries 2 the farm
-	// must deliver every result error-free.
-	exec := newFlaky("job", 1)
-	results := runFlakyFarm(t, exec, 20, 3, Options{Strategy: SerializedLoad, MaxRetries: 2})
-	if len(results) != 20 {
-		t.Fatalf("%d results, want 20", len(results))
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Errorf("%s still failed: %v", r.Name, r.Err)
-		}
-		if price, ok := ResultField(r, "price"); !ok || price != 42 {
-			t.Errorf("%s: price missing after retry", r.Name)
-		}
-	}
-	// Each task was attempted exactly twice.
-	for name, n := range exec.attempts {
-		if n != 2 {
-			t.Errorf("%s attempted %d times, want 2", name, n)
-		}
+	for _, sched := range schedulers {
+		t.Run(sched.name, func(t *testing.T) {
+			// Every task fails once, succeeds on retry: with MaxRetries 2
+			// the farm must deliver every result error-free.
+			exec := newFlaky("job", 1)
+			results := runFlakyFarm(t, sched.run, exec, 20, 3, Options{Strategy: SerializedLoad, MaxRetries: 2})
+			if len(results) != 20 {
+				t.Fatalf("%d results, want 20", len(results))
+			}
+			for _, r := range results {
+				if r.Err != nil {
+					t.Errorf("%s still failed: %v", r.Name, r.Err)
+				}
+				if price, ok := ResultField(r, "price"); !ok || price != 42 {
+					t.Errorf("%s: price missing after retry", r.Name)
+				}
+			}
+			// Each task was attempted exactly twice.
+			for name, n := range exec.attempts {
+				if n != 2 {
+					t.Errorf("%s attempted %d times, want 2", name, n)
+				}
+			}
+		})
 	}
 }
 
 func TestNoRetryReportsErrors(t *testing.T) {
-	exec := newFlaky("job-0", 1) // job-00..job-09 fail once
-	results := runFlakyFarm(t, exec, 15, 2, Options{Strategy: SerializedLoad})
-	failed, succeeded := 0, 0
-	for _, r := range results {
-		if r.Err != nil {
-			failed++
-			if !strings.Contains(r.Err.Error(), "injected failure") {
-				t.Errorf("error lost its cause: %v", r.Err)
+	for _, sched := range schedulers {
+		t.Run(sched.name, func(t *testing.T) {
+			exec := newFlaky("job-0", 1) // job-00..job-09 fail once
+			results := runFlakyFarm(t, sched.run, exec, 15, 2, Options{Strategy: SerializedLoad})
+			failed, succeeded := 0, 0
+			for _, r := range results {
+				if r.Err != nil {
+					failed++
+					if !strings.Contains(r.Err.Error(), "injected failure") {
+						t.Errorf("error lost its cause: %v", r.Err)
+					}
+				} else {
+					succeeded++
+				}
 			}
-		} else {
-			succeeded++
-		}
-	}
-	if failed != 10 || succeeded != 5 {
-		t.Fatalf("failed=%d succeeded=%d, want 10/5", failed, succeeded)
+			if failed != 10 || succeeded != 5 {
+				t.Fatalf("failed=%d succeeded=%d, want 10/5", failed, succeeded)
+			}
+		})
 	}
 }
 
 func TestRetryBudgetExhausted(t *testing.T) {
-	results := runFlakyFarm(t, brokenExecutor{}, 8, 2, Options{Strategy: SerializedLoad, MaxRetries: 3})
-	if len(results) != 8 {
-		t.Fatalf("%d results, want 8", len(results))
-	}
-	for _, r := range results {
-		if r.Err == nil {
-			t.Errorf("%s unexpectedly succeeded", r.Name)
-		}
-		if r.Value == nil {
-			t.Errorf("%s: error result lost its report hash", r.Name)
-		}
+	for _, sched := range schedulers {
+		t.Run(sched.name, func(t *testing.T) {
+			results := runFlakyFarm(t, sched.run, brokenExecutor{}, 8, 2, Options{Strategy: SerializedLoad, MaxRetries: 3})
+			if len(results) != 8 {
+				t.Fatalf("%d results, want 8", len(results))
+			}
+			for _, r := range results {
+				if r.Err == nil {
+					t.Errorf("%s unexpectedly succeeded", r.Name)
+				}
+				if r.Value == nil {
+					t.Errorf("%s: error result lost its report hash", r.Name)
+				}
+			}
+		})
 	}
 }
 
 func TestRetryWithinBatches(t *testing.T) {
-	// Failures inside multi-task batches are retried individually, and
-	// the healthy tasks of the batch are not recomputed.
-	exec := newFlaky("job-03", 1)
-	results := runFlakyFarm(t, exec, 12, 2, Options{Strategy: SerializedLoad, BatchSize: 4, MaxRetries: 1})
-	if len(results) != 12 {
-		t.Fatalf("%d results, want 12", len(results))
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Errorf("%s failed: %v", r.Name, r.Err)
-		}
-	}
-	for name, n := range exec.attempts {
-		want := 1
-		if name == "job-03" {
-			want = 2
-		}
-		if n != want {
-			t.Errorf("%s attempted %d times, want %d", name, n, want)
-		}
+	for _, sched := range schedulers {
+		t.Run(sched.name, func(t *testing.T) {
+			// Failures inside multi-task batches are retried individually,
+			// and the healthy tasks of the batch are not recomputed.
+			exec := newFlaky("job-03", 1)
+			results := runFlakyFarm(t, sched.run, exec, 12, 2, Options{Strategy: SerializedLoad, BatchSize: 4, MaxRetries: 1})
+			if len(results) != 12 {
+				t.Fatalf("%d results, want 12", len(results))
+			}
+			for _, r := range results {
+				if r.Err != nil {
+					t.Errorf("%s failed: %v", r.Name, r.Err)
+				}
+			}
+			for name, n := range exec.attempts {
+				want := 1
+				if name == "job-03" {
+					want = 2
+				}
+				if n != want {
+					t.Errorf("%s attempted %d times, want %d", name, n, want)
+				}
+			}
+		})
 	}
 }
 
 func TestRetryInHierarchy(t *testing.T) {
 	// Pricing errors propagate through sub-masters back to the root with
 	// Err set (retries happen at the sub-master tier).
-	const groups = 2
-	const size = 1 + groups + 4
 	tasks := make([]Task, 10)
 	for i := range tasks {
 		tasks[i] = Task{Name: fmt.Sprintf("job-%02d", i), Data: []byte("x")}
 	}
-	w := mpi.NewLocalWorld(size)
-	defer w.Close()
-	opts := Options{Strategy: SerializedLoad, MaxRetries: 1}
 	exec := newFlaky("job", 1) // every task fails once
-	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		sub := g + 1
-		workers := HierarchyWorkers(size, groups, g)
-		wg.Add(1)
-		go func(rank int, ws []int) {
-			defer wg.Done()
-			if err := RunSubMaster(w.Comm(rank), ws, opts); err != nil {
-				t.Errorf("sub-master %d: %v", rank, err)
-			}
-		}(sub, workers)
-		for _, wr := range workers {
-			wg.Add(1)
-			go func(rank, master int) {
-				defer wg.Done()
-				wopts := opts
-				wopts.MasterRank = master
-				if err := RunWorker(w.Comm(rank), exec, nil, wopts); err != nil {
-					t.Errorf("worker %d: %v", rank, err)
-				}
-			}(wr, sub)
-		}
-	}
-	results, err := RunRootMaster(context.Background(), w.Comm(0), tasks, LiveLoader{}, opts, groups, 3)
+	results, err := Local{Exec: exec, Groups: 2, Chunk: 3}.Run(context.Background(), tasks,
+		Options{Strategy: SerializedLoad, MaxRetries: 1}, 4)
 	if err != nil {
-		t.Fatalf("root: %v", err)
+		t.Fatal(err)
 	}
-	wg.Wait()
 	if len(results) != 10 {
 		t.Fatalf("%d results, want 10", len(results))
 	}
@@ -229,7 +199,7 @@ func TestSaveLoadResults(t *testing.T) {
 }
 
 func TestSaveLoadResultsWithErrors(t *testing.T) {
-	results := runFlakyFarm(t, brokenExecutor{}, 3, 1, Options{Strategy: SerializedLoad})
+	results := runFlakyFarm(t, RunMaster, brokenExecutor{}, 3, 1, Options{Strategy: SerializedLoad})
 	path := t.TempDir() + "/err-res.bin"
 	if err := SaveResults(path, results); err != nil {
 		t.Fatal(err)

@@ -16,11 +16,17 @@ import (
 // "farm.task" span (master side) and one "farm.compute" span (worker
 // side) per task priced, all under a single "farm.run" root.
 func TestFarmTelemetrySpansMatchTasks(t *testing.T) {
+	for _, sched := range schedulers {
+		t.Run(sched.name, func(t *testing.T) { testTelemetrySpansMatchTasks(t, sched.run) })
+	}
+}
+
+func testTelemetrySpansMatchTasks(t *testing.T, run masterFunc) {
 	const workers = 3
 	tasks, want := makePortfolio(t, 40)
 	reg := telemetry.New()
 	opts := Options{Strategy: SerializedLoad, BatchSize: 4, Telemetry: reg}
-	results := runLocalFarm(t, tasks, workers, opts, nil)
+	results := runFarm(t, run, LiveExecutor{}, tasks, workers, opts, nil)
 	checkResults(t, results, want)
 
 	n := int64(len(tasks))
@@ -84,7 +90,13 @@ func TestFarmTelemetrySpansMatchTasks(t *testing.T) {
 // TestFarmMasterCancelled checks the cooperative-cancellation contract: a
 // cancelled master dispatches nothing, still stops its workers (so they
 // exit cleanly), and reports the context's error.
-func TestFarmMasterCancelled(t *testing.T) {
+func TestFarmMasterCancelled(t *testing.T) { testMasterCancelled(t, RunMaster) }
+
+// TestStaticMasterCancelled is the same contract under the static
+// assignment policy.
+func TestStaticMasterCancelled(t *testing.T) { testMasterCancelled(t, RunStaticMaster) }
+
+func testMasterCancelled(t *testing.T, run masterFunc) {
 	const workers = 2
 	tasks, _ := makePortfolio(t, 20)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -102,38 +114,11 @@ func TestFarmMasterCancelled(t *testing.T) {
 			}
 		}(r)
 	}
-	_, err := RunMaster(ctx, w.Comm(0), tasks, LiveLoader{}, opts)
+	_, err := run(ctx, w.Comm(0), tasks, LiveLoader{}, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled master returned %v, want context.Canceled", err)
 	}
 	wg.Wait() // workers must have received the stop message
-}
-
-// TestStaticMasterCancelled is the same contract for the static ablation
-// scheduler.
-func TestStaticMasterCancelled(t *testing.T) {
-	const workers = 2
-	tasks, _ := makePortfolio(t, 20)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	w := mpi.NewLocalWorld(workers + 1)
-	defer w.Close()
-	opts := Options{Strategy: SerializedLoad}
-	var wg sync.WaitGroup
-	for r := 1; r <= workers; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			if err := RunWorker(w.Comm(rank), LiveExecutor{}, nil, opts); err != nil {
-				t.Errorf("worker %d: %v", rank, err)
-			}
-		}(r)
-	}
-	_, err := RunStaticMaster(ctx, w.Comm(0), tasks, LiveLoader{}, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled static master returned %v, want context.Canceled", err)
-	}
-	wg.Wait()
 }
 
 // TestFarmDistributedTrace runs master and workers on SEPARATE

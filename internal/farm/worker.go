@@ -95,7 +95,9 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 			return telemetry.TraceContext{TraceID: desc.Trace.traceID, SpanID: desc.Trace.parents[i]}
 		}
 		var shipped []telemetry.SpanRecord
-		payloads := make([][]byte, len(names))
+		// objs[i] is non-nil when task i's problem was shipped by
+		// reference over an in-process communicator.
+		var payloads [][]byte
 		var objs []nsp.Object
 		var fetchSpan *telemetry.Span
 		if traced {
@@ -103,25 +105,8 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 		}
 		fetchStart := reg.Now()
 		if opts.Strategy.NeedsPayload() {
-			pobj, _, err := mpi.RecvObj(c, master, TagPayload)
-			if err != nil {
-				return fmt.Errorf("farm: worker %d recv payload: %w", c.Rank(), err)
-			}
-			list, ok := pobj.(*nsp.List)
-			if !ok || list.Len() != len(names) {
-				return fmt.Errorf("farm: worker %d: malformed payload list", c.Rank())
-			}
-			for i, item := range list.Items {
-				if s, ok := item.(*nsp.Serial); ok {
-					payloads[i] = s.Data
-					continue
-				}
-				// A non-serial item is a problem shipped by reference over
-				// an in-process communicator.
-				if objs == nil {
-					objs = make([]nsp.Object, len(names))
-				}
-				objs[i] = item
+			if payloads, objs, err = recvPayload(c, master, len(names)); err != nil {
+				return err
 			}
 			if objs != nil {
 				if _, ok := exec.(ObjExecutor); !ok {
@@ -132,6 +117,7 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 			if store == nil {
 				return fmt.Errorf("farm: worker %d: NFS strategy without a store", c.Rank())
 			}
+			payloads = make([][]byte, len(names))
 			for i, name := range names {
 				data, err := store.Read(name, int(sizes[i]))
 				if err != nil {
@@ -202,4 +188,32 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 			return fmt.Errorf("farm: worker %d send results: %w", c.Rank(), err)
 		}
 	}
+}
+
+// recvPayload receives the payload list that follows an n-task
+// descriptor from rank `from` and splits it into serial bytes and
+// by-reference problem objects. objs is nil when every item is a serial;
+// otherwise objs[i] is set, and data[i] nil, for each item that arrived
+// as an object.
+func recvPayload(c mpi.Comm, from, n int) (data [][]byte, objs []nsp.Object, err error) {
+	pobj, _, err := mpi.RecvObj(c, from, TagPayload)
+	if err != nil {
+		return nil, nil, fmt.Errorf("farm: rank %d recv payload: %w", c.Rank(), err)
+	}
+	list, ok := pobj.(*nsp.List)
+	if !ok || list.Len() != n {
+		return nil, nil, fmt.Errorf("farm: rank %d: malformed payload list", c.Rank())
+	}
+	data = make([][]byte, n)
+	for i, item := range list.Items {
+		if s, ok := item.(*nsp.Serial); ok {
+			data[i] = s.Data
+			continue
+		}
+		if objs == nil {
+			objs = make([]nsp.Object, n)
+		}
+		objs[i] = item
+	}
+	return data, objs, nil
 }

@@ -118,6 +118,42 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
+// TestNoDeprecatedInternal keeps shims from coming back: packages under
+// internal/ have no importers outside this module, so a declaration
+// marked "Deprecated:" there has no transition to wait for — its last
+// caller can be moved in the same change, and the declaration deleted.
+func TestNoDeprecatedInternal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	loader, err := lint.NewLoader(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := loader.ModulePackages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		if !strings.HasPrefix(path, loader.ModulePath+"/internal/") {
+			continue
+		}
+		pkg, err := loader.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range pkg.Files {
+			for _, group := range f.Comments {
+				for _, line := range strings.Split(group.Text(), "\n") {
+					if strings.HasPrefix(line, "Deprecated:") {
+						t.Errorf("%s: deprecated declaration in an internal package: delete it and move its callers", pkg.Fset.Position(group.Pos()))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDirectiveHygiene proves the checked-exemption rules: a stale
 // allow, an unknown analyzer name and a reasonless directive are all
 // diagnostics themselves.

@@ -15,11 +15,8 @@ import (
 // A reserved tag namespace (high values) keeps collective traffic from
 // colliding with application tags.
 const (
-	tagBcast   = 1 << 20
-	tagBarrier = 1<<20 + 1
-	tagGather  = 1<<20 + 2
-	tagReduce  = 1<<20 + 3
-	tagScatter = 1<<20 + 4
+	tagBcast  = 1 << 20
+	tagReduce = 1<<20 + 3
 )
 
 // vrank maps a rank into the rotated space where the root is 0.
@@ -60,86 +57,6 @@ func Bcast(c Comm, data []byte, root int) ([]byte, error) {
 		}
 	}
 	return data, nil
-}
-
-// Barrier blocks until every rank has entered it, using a gather-to-0
-// then broadcast-from-0 of empty messages.
-func Barrier(c Comm) error {
-	size := c.Size()
-	if size == 1 {
-		return nil
-	}
-	if c.Rank() == 0 {
-		for i := 1; i < size; i++ {
-			if _, _, err := c.Recv(AnySource, tagBarrier); err != nil {
-				return err
-			}
-		}
-		for i := 1; i < size; i++ {
-			if err := c.Send(nil, i, tagBarrier); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := c.Send(nil, 0, tagBarrier); err != nil {
-		return err
-	}
-	_, _, err := c.Recv(0, tagBarrier)
-	return err
-}
-
-// Gather collects each rank's data at the root. The root receives a slice
-// indexed by rank (its own contribution included); other ranks receive
-// nil.
-func Gather(c Comm, data []byte, root int) ([][]byte, error) {
-	size := c.Size()
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("mpi: gather root %d out of range", root)
-	}
-	if c.Rank() != root {
-		return nil, c.Send(data, root, tagGather)
-	}
-	out := make([][]byte, size)
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	out[root] = cp
-	for i := 0; i < size-1; i++ {
-		got, st, err := c.Recv(AnySource, tagGather)
-		if err != nil {
-			return nil, err
-		}
-		out[st.Source] = got
-	}
-	return out, nil
-}
-
-// Scatter sends parts[i] to rank i from the root and returns this rank's
-// part. On non-root ranks, parts is ignored. len(parts) must equal the
-// communicator size on the root.
-func Scatter(c Comm, parts [][]byte, root int) ([]byte, error) {
-	size := c.Size()
-	if root < 0 || root >= size {
-		return nil, fmt.Errorf("mpi: scatter root %d out of range", root)
-	}
-	if c.Rank() == root {
-		if len(parts) != size {
-			return nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", size, len(parts))
-		}
-		for i, p := range parts {
-			if i == root {
-				continue
-			}
-			if err := c.Send(p, i, tagScatter); err != nil {
-				return nil, err
-			}
-		}
-		cp := make([]byte, len(parts[root]))
-		copy(cp, parts[root])
-		return cp, nil
-	}
-	got, _, err := c.Recv(root, tagScatter)
-	return got, err
 }
 
 // ReduceOp combines two float64 values in Reduce.
@@ -195,24 +112,6 @@ func Reduce(c Comm, vec []float64, op ReduceOp, root int) ([]float64, error) {
 		}
 	}
 	return acc, nil
-}
-
-// AllReduce is Reduce to rank 0 followed by Bcast, so every rank gets the
-// combined vector.
-func AllReduce(c Comm, vec []float64, op ReduceOp) ([]float64, error) {
-	acc, err := Reduce(c, vec, op, 0)
-	if err != nil {
-		return nil, err
-	}
-	var payload []byte
-	if c.Rank() == 0 {
-		payload = encodeFloats(acc)
-	}
-	data, err := Bcast(c, payload, 0)
-	if err != nil {
-		return nil, err
-	}
-	return decodeFloats(data)
 }
 
 func encodeFloats(vec []float64) []byte {

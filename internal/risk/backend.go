@@ -23,44 +23,15 @@ type FarmBackend interface {
 }
 
 // LocalBackend, the engine default, prices on an in-process goroutine
-// world: one mpi.LocalWorld per round, workers sharing the engine's
-// telemetry registry.
+// world: one flat farm.Local round per call, workers sharing the
+// engine's telemetry registry.
 type LocalBackend struct{}
 
 // Run implements FarmBackend on goroutine ranks. Cancellation is
 // enforced two ways: the master stops dispatching cooperatively, and the
 // local MPI world is closed so blocked workers unblock immediately.
 func (LocalBackend) Run(ctx context.Context, tasks []farm.Task, opts farm.Options, nw int) ([]farm.Result, error) {
-	world := mpi.NewLocalWorld(nw + 1)
-	defer world.Close()
-	stopCancel := context.AfterFunc(ctx, func() { world.Close() })
-	defer stopCancel()
-	var wg sync.WaitGroup
-	workerErrs := make([]error, nw+1)
-	wopts := opts
-	wopts.LocalSpans = true // workers share the master's registry
-	for r := 1; r <= nw; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			workerErrs[rank] = farm.RunWorker(world.Comm(rank), farm.LiveExecutor{}, nil, wopts)
-		}(r)
-	}
-	results, err := farm.RunMaster(ctx, world.Comm(0), tasks, farm.LiveLoader{}, opts)
-	if err != nil {
-		if ctx.Err() != nil {
-			world.Close() // unblock any workers still waiting
-			wg.Wait()
-		}
-		return nil, err
-	}
-	wg.Wait()
-	for rank, werr := range workerErrs {
-		if werr != nil {
-			return nil, fmt.Errorf("risk: worker %d: %w", rank, werr)
-		}
-	}
-	return results, nil
+	return farm.Local{}.Run(ctx, tasks, opts, nw)
 }
 
 // NetBackend prices each round over a framed mpi transport: it listens
@@ -172,48 +143,5 @@ func GoNetWorkers(newRegistry func(worker int) *telemetry.Registry, proto int) f
 			wg.Wait()
 			return errors.Join(errs...)
 		}, nil
-	}
-}
-
-// TCPBackend prices each round over real TCP connections.
-//
-// Deprecated: TCPBackend is NetBackend fixed to the tcp transport; new
-// code should set NetBackend{Transport: "tcp"} (or any other registered
-// transport) directly. The shim remains so existing constructors keep
-// compiling through the transition.
-type TCPBackend struct {
-	// Addr is the listen address; default "127.0.0.1:0".
-	Addr string
-	// Spawn must cause `workers` workers to mpi.DialHub(addr) and run
-	// farm.RunWorker until the stop message. It returns a wait function
-	// joining them (may be nil). Required.
-	Spawn func(addr string, workers int) (wait func() error, err error)
-}
-
-// Run implements FarmBackend over a TCP hub by delegating to
-// NetBackend.
-func (b *TCPBackend) Run(ctx context.Context, tasks []farm.Task, opts farm.Options, nw int) ([]farm.Result, error) {
-	if b.Spawn == nil {
-		return nil, errors.New("risk: TCPBackend needs a Spawn function")
-	}
-	nb := &NetBackend{
-		Transport: "tcp",
-		Addr:      b.Addr,
-		Spawn: func(_, addr string, workers int) (func() error, error) {
-			return b.Spawn(addr, workers)
-		},
-	}
-	return nb.Run(ctx, tasks, opts, nw)
-}
-
-// GoTCPWorkers returns a TCPBackend Spawn function running each worker
-// as a goroutine of this process over the real TCP wire.
-//
-// Deprecated: use GoNetWorkers, which spawns over any registered
-// transport and can pin a protocol version for compatibility tests.
-func GoTCPWorkers(newRegistry func(worker int) *telemetry.Registry) func(addr string, workers int) (func() error, error) {
-	spawn := GoNetWorkers(newRegistry, 0)
-	return func(addr string, workers int) (func() error, error) {
-		return spawn("tcp", addr, workers)
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"riskbench/internal/telemetry"
 )
 
-// TestPriceBatchTCPBackend prices a batch over the TCP backend with a
+// TestPriceBatchTCPBackend prices a batch over NetBackend on tcp with a
 // FRESH registry per worker and checks (a) the prices match the local
 // backend bit-for-bit and (b) the master reassembles one trace whose
 // worker-side farm.compute spans parent onto its farm.task spans — the
@@ -20,7 +20,7 @@ func TestPriceBatchTCPBackend(t *testing.T) {
 		Workers:   2,
 		BatchSize: 2,
 		Telemetry: reg,
-		Backend:   &TCPBackend{Spawn: GoTCPWorkers(func(int) *telemetry.Registry { return telemetry.New() })},
+		Backend:   &NetBackend{Transport: "tcp", Spawn: GoNetWorkers(func(int) *telemetry.Registry { return telemetry.New() }, 0)},
 	}
 	probs := []*premia.Problem{callProblem(90), callProblem(100), callProblem(110)}
 	root := reg.StartTrace("test.request")
@@ -80,10 +80,10 @@ func TestPriceBatchTCPBackend(t *testing.T) {
 
 // TestTCPBackendNeedsSpawn checks the configuration error.
 func TestTCPBackendNeedsSpawn(t *testing.T) {
-	e := Engine{Backend: &TCPBackend{}}
+	e := Engine{Backend: &NetBackend{Transport: "tcp"}}
 	_, err := e.PriceBatch(context.Background(), []*premia.Problem{callProblem(100)})
 	if err == nil {
-		t.Fatal("TCPBackend without Spawn priced a batch")
+		t.Fatal("NetBackend without Spawn priced a batch")
 	}
 }
 
@@ -92,7 +92,7 @@ func TestTCPBackendNeedsSpawn(t *testing.T) {
 func TestPriceBatchTCPBackendCancelled(t *testing.T) {
 	e := Engine{
 		Workers: 2,
-		Backend: &TCPBackend{Spawn: GoTCPWorkers(nil)},
+		Backend: &NetBackend{Transport: "tcp", Spawn: GoNetWorkers(nil, 0)},
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -22,7 +22,7 @@ func TestServeTraceOverTCPFarm(t *testing.T) {
 		Workers:   2,
 		BatchSize: 4,
 		Telemetry: reg,
-		Backend:   &risk.TCPBackend{Spawn: risk.GoTCPWorkers(func(int) *telemetry.Registry { return telemetry.New() })},
+		Backend:   &risk.NetBackend{Transport: "tcp", Spawn: risk.GoNetWorkers(func(int) *telemetry.Registry { return telemetry.New() }, 0)},
 	}
 	s := New(Config{Engine: eng, Telemetry: reg, CacheSize: -1})
 	defer s.Close()

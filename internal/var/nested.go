@@ -3,10 +3,8 @@ package varisk
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"riskbench/internal/farm"
-	"riskbench/internal/mpi"
 	"riskbench/internal/portfolio"
 	"riskbench/internal/risk"
 )
@@ -73,49 +71,7 @@ func (b HierBackend) Run(ctx context.Context, tasks []farm.Task, opts farm.Optio
 	if nw < groups {
 		nw = groups
 	}
-	size := 1 + groups + nw
-	world := mpi.NewLocalWorld(size)
-	defer world.Close()
-	stopCancel := context.AfterFunc(ctx, func() { world.Close() })
-	defer stopCancel()
-	wopts := opts
-	wopts.LocalSpans = true // all ranks share the engine's registry
-	var wg sync.WaitGroup
-	errs := make([]error, size)
-	for g := 0; g < groups; g++ {
-		sub := g + 1
-		ws := farm.HierarchyWorkers(size, groups, g)
-		wg.Add(1)
-		go func(sub int, ws []int) {
-			defer wg.Done()
-			errs[sub] = farm.RunSubMaster(world.Comm(sub), ws, wopts)
-		}(sub, ws)
-		for _, wr := range ws {
-			wg.Add(1)
-			go func(rank, master int) {
-				defer wg.Done()
-				ropts := wopts
-				ropts.MasterRank = master
-				errs[rank] = farm.RunWorker(world.Comm(rank), farm.LiveExecutor{}, nil, ropts)
-			}(wr, sub)
-		}
-	}
-	results, err := farm.RunRootMaster(ctx, world.Comm(0), tasks, farm.LiveLoader{}, opts, groups, chunk)
-	if err != nil {
-		// Whatever the cause, close the world so every rank unblocks, then
-		// wait for them: returning while goroutines may still be writing
-		// errs would leak them past Run.
-		world.Close()
-		wg.Wait()
-		return nil, err
-	}
-	wg.Wait()
-	for rank, rerr := range errs {
-		if rerr != nil {
-			return nil, fmt.Errorf("varisk: hier rank %d: %w", rank, rerr)
-		}
-	}
-	return results, nil
+	return farm.Local{Groups: groups, Chunk: chunk}.Run(ctx, tasks, opts, nw)
 }
 
 // assert the seam at compile time.

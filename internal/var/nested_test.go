@@ -2,9 +2,14 @@ package varisk
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"riskbench/internal/farm"
+	"riskbench/internal/mpi"
 	"riskbench/internal/risk"
 	"riskbench/internal/telemetry"
 )
@@ -130,5 +135,64 @@ func TestHierBackendCancellation(t *testing.T) {
 	eng := risk.Engine{Workers: 4, Backend: HierBackend{Groups: 2, Chunk: 2}}
 	if _, err := eng.RevalueContext(ctx, pf, risk.SpotLadder()); err == nil {
 		t.Fatal("cancelled hierarchical revaluation succeeded")
+	}
+}
+
+// TestBackendRunEndsOnRankFailure covers the two ways an in-process
+// round used to outlive its cause, on the flat and the hierarchical
+// backend alike. A rank that dies of its own error (workers under
+// NFSLoad with no store) must end Run promptly with that rank's error —
+// not hang the master in its receive, and not surface as the bare
+// mpi.ErrClosed the shutdown causes elsewhere. And a master that fails
+// before dispatching (duplicate task names) must still join every rank:
+// no goroutine may outlive Run.
+func TestBackendRunEndsOnRankFailure(t *testing.T) {
+	tasks, err := smallBook().Tasks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(t *testing.T, b risk.FarmBackend, tasks []farm.Task, opts farm.Options) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			_, err := b.Run(context.Background(), tasks, opts, 4)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("Run hung on a failed rank")
+			return nil
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		backend risk.FarmBackend
+	}{
+		{"flat", risk.LocalBackend{}},
+		{"hierarchical", HierBackend{Groups: 2, Chunk: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			err := run(t, tc.backend, tasks, farm.Options{Strategy: farm.NFSLoad})
+			if err == nil || !strings.Contains(err.Error(), "NFS strategy without a store") || errors.Is(err, mpi.ErrClosed) {
+				t.Errorf("storeless NFS round returned %v, want the failing worker's own error", err)
+			}
+			dup := []farm.Task{tasks[0], tasks[0]}
+			err = run(t, tc.backend, dup, farm.Options{Strategy: farm.SerializedLoad})
+			if err == nil || !strings.Contains(err.Error(), "duplicate task name") {
+				t.Errorf("duplicate names returned %v, want the master's validation error", err)
+			}
+			// Run has returned, so every rank must already be gone; the
+			// short poll only covers the helper goroutine's own exit.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > baseline {
+				t.Errorf("%d goroutines after the erroring runs, %d before: ranks outlived Run", n, baseline)
+			}
+		})
 	}
 }
