@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race check bench benchguard smoke compat wireshape
+.PHONY: build test vet lint race check smoke compat wireshape
 
 build:
 	$(GO) build ./...
@@ -56,19 +56,3 @@ compat:
 # /metrics, /metrics.json, /debug/traces and /debug/pprof all respond.
 smoke:
 	sh scripts/smoke.sh
-
-# benchguard re-measures the allocation-critical benchmarks with
-# -benchmem and fails if bytes/op or allocs/op regress past the budgets
-# recorded in BENCH_alloc.json (the wire codec must stay at 0 allocs/op;
-# the hub round trip at its two mailbox retain copies).
-benchguard:
-	sh scripts/bench_guard.sh
-
-# bench is a single-iteration smoke pass over the sweep and kernel
-# benchmarks; drop -benchtime to measure (the kernel speedup comparison
-# needs a multicore machine).
-bench:
-	$(GO) test -bench 'BenchmarkTable|BenchmarkAblation' -benchtime 1x .
-	$(GO) test -bench 'BenchmarkKernel' -benchtime 1x ./internal/premia
-	$(GO) test -bench 'BenchmarkServeBatching' -benchtime 1x ./internal/serve
-	$(GO) test -bench 'BenchmarkVaRDeltaGamma' -benchtime 1x ./internal/var

@@ -82,7 +82,8 @@ type Local struct {
 }
 
 // Run farms one round of tasks over `workers` worker ranks (plus
-// l.Groups sub-masters) and returns the results in completion order.
+// l.Groups sub-masters, each of which gets at least one worker) and
+// returns the results in completion order.
 //
 // The world is closed — unblocking every rank — when ctx is cancelled or
 // as soon as any rank fails, and Run joins every rank before it returns
@@ -90,7 +91,7 @@ type Local struct {
 // first failure is reported with its rank, so a worker that dies of its
 // own error is not masked by the mpi.ErrClosed it causes elsewhere.
 func (l Local) Run(ctx context.Context, tasks []Task, opts Options, workers int) ([]Result, error) {
-	roles, err := Layout(1+l.Groups+workers, l.Groups)
+	roles, err := Layout(1+l.Groups+max(workers, l.Groups), l.Groups)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -151,6 +152,30 @@ func TestNoDeprecatedInternal(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOnePricingRound keeps the risk engine's fork from coming back:
+// Revalue and PriceBatch reach the farm through one function, so the
+// non-test sources of internal/risk call the backend exactly once.
+func TestOnePricingRound(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "risk", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls += strings.Count(string(src), "backend().Run(")
+	}
+	if calls != 1 {
+		t.Errorf("internal/risk calls backend().Run( %d times, want once (in priceRound)", calls)
 	}
 }
 

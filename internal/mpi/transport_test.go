@@ -173,6 +173,35 @@ func TestTransportCloseUnblocksWorker(t *testing.T) {
 	}
 }
 
+// TestFrameCodecAllocationFree is the codec's allocation budget: once
+// the scratch buffer has seen a frame of the size, neither reading nor
+// writing a frame allocates — the header stages on the codec and the
+// payload lands in the reused scratch.
+func TestFrameCodecAllocationFree(t *testing.T) {
+	payload := make([]byte, 4096)
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, 1, 0, 3, payload); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	fc := newFrameCodec(ProtoLatest)
+	r := bytes.NewReader(frame)
+	read := testing.AllocsPerRun(100, func() {
+		r.Reset(frame)
+		if _, _, _, _, err := fc.readFrame(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	write := testing.AllocsPerRun(100, func() {
+		if err := fc.writeFrame(io.Discard, 1, 0, 3, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if read != 0 || write != 0 {
+		t.Errorf("frame codec allocates %v per read and %v per write, want 0 and 0", read, write)
+	}
+}
+
 // BenchmarkFrameCodecRead measures the codec's receive path: after the
 // scratch buffer warms up, reading a frame should allocate nothing.
 func BenchmarkFrameCodecRead(b *testing.B) {

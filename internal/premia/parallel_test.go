@@ -145,9 +145,32 @@ func benchKernel(b *testing.B, p *Problem) {
 	}
 }
 
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestKernelMCEuroAllocs is the kernel's allocation budget: on warm
+// per-shard arenas one MC_Euro pricing allocates the telemetry
+// shard-duration slices and the merged accumulator (8 measured), never
+// per path or per shard — budget 16.
+func TestKernelMCEuroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops items at random, so the arenas are never reliably warm")
+	}
+	p := bsProblem(OptCallEuro, MethodMCEuro, 100, 1).Set("paths", 200000).Set("threads", 1)
+	compute := func() {
+		if _, err := p.Compute(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compute() // fill the arena pools outside the measurement
+	if got := testing.AllocsPerRun(5, compute); got > 16 {
+		t.Errorf("MC_Euro at threads=1 allocates %v per pricing, budget is 16", got)
+	}
+}
+
 // BenchmarkKernelMCEuro compares serial vs sharded throughput of the
-// scalar European MC pricer (`make bench` runs these with -benchtime=1x
-// as a smoke test; run with the default benchtime to measure speedup).
+// scalar European MC pricer (-benchtime=1x is a smoke test; the default
+// benchtime on a multicore machine measures the speedup).
 func BenchmarkKernelMCEuro(b *testing.B) {
 	for _, threads := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {

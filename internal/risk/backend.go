@@ -23,16 +23,10 @@ type FarmBackend interface {
 }
 
 // LocalBackend, the engine default, prices on an in-process goroutine
-// world: one flat farm.Local round per call, workers sharing the
-// engine's telemetry registry.
-type LocalBackend struct{}
-
-// Run implements FarmBackend on goroutine ranks. Cancellation is
-// enforced two ways: the master stops dispatching cooperatively, and the
-// local MPI world is closed so blocked workers unblock immediately.
-func (LocalBackend) Run(ctx context.Context, tasks []farm.Task, opts farm.Options, nw int) ([]farm.Result, error) {
-	return farm.Local{}.Run(ctx, tasks, opts, nw)
-}
+// world: one farm.Local round per call, workers sharing the engine's
+// telemetry registry. The zero value is the flat farm; Groups and Chunk
+// select the hierarchical one.
+type LocalBackend = farm.Local
 
 // NetBackend prices each round over a framed mpi transport: it listens
 // on Addr via the named transport, asks Spawn to start the round's

@@ -47,18 +47,71 @@ func (e Engine) stampThreads(p *premia.Problem) *premia.Problem {
 	return p.Clone().Set("threads", float64(e.KernelThreads))
 }
 
-// resultFromFarm rebuilds a premia.Result from the hash a live worker
-// returned for one task.
-func resultFromFarm(r farm.Result) (premia.Result, error) {
-	price, ok := farm.ResultField(r, "price")
-	if !ok {
-		return premia.Result{}, fmt.Errorf("risk: result %q has no price", r.Name)
+// priced is one problem's slot in a priceRound answer.
+type priced struct {
+	res premia.Result
+	// seconds is the worker-measured compute time of the task.
+	seconds float64
+	// err is the worker-side pricing failure, when every attempt failed.
+	err error
+}
+
+// priceRound farms one round of problems over the engine's backend and
+// returns their results index-aligned with the input — the engine's one
+// route from problems to farm results. Problems ship as objects:
+// in-process backends pass them by reference with zero serialization,
+// wire backends let the farm loader serialize them on demand. names
+// must be unique; they travel as the farm task names, for diagnostics
+// and to pair each result with its slot, and are never parsed. The
+// round is sized to the work: two problems do not spin up the full
+// worker complement.
+func (e Engine) priceRound(ctx context.Context, names []string, problems []*premia.Problem) ([]priced, error) {
+	if len(problems) == 0 {
+		return nil, nil
 	}
-	ci, _ := farm.ResultField(r, "priceCI")
-	delta, _ := farm.ResultField(r, "delta")
-	work, _ := farm.ResultField(r, "work")
-	hasDelta, _ := farm.ResultField(r, "hasdelta")
-	return premia.Result{Price: price, PriceCI: ci, Delta: delta, HasDelta: hasDelta != 0, Work: work}, nil
+	tasks := make([]farm.Task, len(problems))
+	slot := make(map[string]int, len(problems))
+	for i, p := range problems {
+		h, err := e.stampThreads(p).ToNsp()
+		if err != nil {
+			return nil, err
+		}
+		tasks[i] = farm.Task{Name: names[i], Obj: h}
+		slot[names[i]] = i
+	}
+	opts := farm.Options{Strategy: farm.SerializedLoad, BatchSize: e.batch(), Telemetry: e.Telemetry, Fleet: e.Fleet}
+	results, err := e.backend().Run(ctx, tasks, opts, min(e.workers(), len(tasks)))
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("risk: pricing round cancelled: %w", ctx.Err())
+		}
+		return nil, fmt.Errorf("risk: pricing round farm: %w", err)
+	}
+	if len(results) != len(tasks) {
+		return nil, fmt.Errorf("risk: farm returned %d results for %d tasks", len(results), len(tasks))
+	}
+	out := make([]priced, len(tasks))
+	for _, r := range results {
+		i, ok := slot[r.Name]
+		if !ok {
+			return nil, fmt.Errorf("risk: result for unknown task %q", r.Name)
+		}
+		if r.Err != nil {
+			out[i].err = r.Err
+			continue
+		}
+		price, ok := farm.ResultField(r, "price")
+		if !ok {
+			return nil, fmt.Errorf("risk: result %q has no price", r.Name)
+		}
+		ci, _ := farm.ResultField(r, "priceCI")
+		delta, _ := farm.ResultField(r, "delta")
+		work, _ := farm.ResultField(r, "work")
+		hasDelta, _ := farm.ResultField(r, "hasdelta")
+		out[i].res = premia.Result{Price: price, PriceCI: ci, Delta: delta, HasDelta: hasDelta != 0, Work: work}
+		out[i].seconds, _ = farm.ResultField(r, "seconds")
+	}
+	return out, nil
 }
 
 // PriceBatch prices a slice of problems on the engine's live farm in one
@@ -91,9 +144,13 @@ func (e Engine) PriceBatch(ctx context.Context, problems []*premia.Problem) ([]P
 
 	out := make([]PriceOutcome, len(problems))
 	// indices of every problem (leader and duplicates) wanting each
-	// still-unpriced content key, in input order.
+	// still-unpriced content key, in input order; keys and misses list
+	// the leaders, which is what the farm prices.
 	wanting := make(map[string][]int, len(problems))
-	var tasks []farm.Task
+	var (
+		keys   []string
+		misses []*premia.Problem
+	)
 	for i, p := range problems {
 		if p == nil {
 			out[i].Err = fmt.Errorf("risk: nil problem at index %d", i)
@@ -117,56 +174,21 @@ func (e Engine) PriceBatch(ctx context.Context, problems []*premia.Problem) ([]P
 			continue
 		}
 		wanting[key] = []int{i}
-		h, err := e.stampThreads(p).ToNsp()
-		if err != nil {
-			return nil, err
-		}
-		// The problem ships as an object: in-process backends pass it by
-		// reference with zero serialization, wire backends let the farm
-		// loader serialize it on demand.
-		tasks = append(tasks, farm.Task{Name: key, Obj: h})
+		keys = append(keys, key)
+		misses = append(misses, p)
 	}
-	if len(tasks) == 0 {
-		return out, nil
-	}
-	reg.Counter("risk.price.farmed").Add(int64(len(tasks)))
+	reg.Counter("risk.price.farmed").Add(int64(len(misses)))
 
-	// Farm the unique misses over the engine's backend, sized to the
-	// work: a two-problem flush does not spin up the full worker
-	// complement.
-	nw := e.workers()
-	if nw > len(tasks) {
-		nw = len(tasks)
-	}
-	opts := farm.Options{Strategy: farm.SerializedLoad, BatchSize: e.batch(), Telemetry: reg, Fleet: e.Fleet}
-	results, err := e.backend().Run(ctx, tasks, opts, nw)
+	fresh, err := e.priceRound(ctx, keys, misses)
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("risk: price batch cancelled: %w", ctx.Err())
-		}
-		return nil, fmt.Errorf("risk: price batch farm: %w", err)
+		return nil, err
 	}
-
-	for _, r := range results {
-		idxs := wanting[r.Name]
-		if idxs == nil {
-			return nil, fmt.Errorf("risk: result for unknown key %q", r.Name)
+	for k, f := range fresh {
+		if f.err == nil && e.Cache != nil {
+			e.Cache.Put(keys[k], f.res)
 		}
-		if r.Err != nil {
-			for _, i := range idxs {
-				out[i].Err = r.Err
-			}
-			continue
-		}
-		res, err := resultFromFarm(r)
-		if err != nil {
-			return nil, err
-		}
-		if e.Cache != nil {
-			e.Cache.Put(r.Name, res)
-		}
-		for _, i := range idxs {
-			out[i].Result = res
+		for _, i := range wanting[keys[k]] {
+			out[i].Result, out[i].Err = f.res, f.err
 		}
 	}
 	return out, nil

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"riskbench/internal/farm"
-	"riskbench/internal/nsp"
 	"riskbench/internal/portfolio"
 	"riskbench/internal/premia"
 	"riskbench/internal/telemetry"
@@ -29,7 +28,8 @@ type Engine struct {
 	// Telemetry, when non-nil, receives the revaluation's metrics: the
 	// farm's task histograms and spans, phase spans
 	// (risk.build/risk.farm/risk.scatter under risk.revalue), task and
-	// scenario counters, and per-scenario work-unit gauges.
+	// scenario counters, and the workers' compute seconds under two fixed
+	// labels (risk.scenario_seconds.base / .shocked).
 	Telemetry *telemetry.Registry
 	// Cache, when non-nil, is a content-addressed store of pricing
 	// results. PriceBatch reads through it and writes fresh results back;
@@ -39,10 +39,11 @@ type Engine struct {
 	// content keys and always price fresh.
 	Cache PriceCache
 	// Backend selects where the farm's workers live: nil (the default)
-	// means LocalBackend, an in-process goroutine world per round; a
-	// NetBackend farms over a framed mpi transport (tcp, unix, inproc)
-	// with per-connection protocol negotiation. Distributed traces
-	// thread through either one.
+	// means farm.Local{}, a flat in-process goroutine world per round;
+	// farm.Local{Groups, Chunk} runs the same round under a root master
+	// and sub-masters; a NetBackend farms over a framed mpi transport
+	// (tcp, unix, inproc) with per-connection protocol negotiation.
+	// Distributed traces thread through any of them.
 	Backend FarmBackend
 	// Fleet, when non-nil, accumulates per-worker health (in-flight,
 	// completions, failures, redeals, EWMA durations) across every farm
@@ -75,12 +76,14 @@ func (e Engine) batch() int {
 //
 // Indexing convention: the surface is Values[s][i] where s indexes
 // Scenarios (0-based, the implicit base scenario is NOT a row — it
-// lives in Base) and i indexes Items/Base in portfolio order. On the
-// farm wire the same pair is encoded in the task name "s%03d/<item>"
-// with s001 = Scenarios[0] and s000 = the base scenario, so wire index
-// s maps to surface row s-1. Claims outside a scenario's risk-factor
-// universe hold their base value in that row. Callers should use the
-// Item* accessors rather than recomputing these offsets by hand.
+// lives in Base) and i indexes Items/Base in portfolio order. Each
+// (s, i) pair the farm reprices occupies one slot of the round and its
+// result is scattered back by that slot index; the task name
+// "s%03d/<item>" (s000 = the base scenario, s001 = Scenarios[0]) is
+// generated for spans and error messages and never parsed. Claims
+// outside a scenario's risk-factor universe hold their base value in
+// that row. Callers should use the Item* accessors rather than
+// recomputing these offsets by hand.
 type Valuation struct {
 	// Items are the claim names, in portfolio order.
 	Items []string
@@ -176,10 +179,18 @@ func (v *Valuation) Report(alpha float64) string {
 	return b.String()
 }
 
-// taskName encodes (scenario, item) into the farm task name; index -1 is
-// the base scenario.
+// taskName labels the (scenario, item) repricing for diagnostics (spans,
+// farm errors); index -1 is the base scenario. The name is never parsed.
 func taskName(scenario int, item string) string {
 	return fmt.Sprintf("s%03d/%s", scenario+1, item)
+}
+
+// cell addresses one repricing of the surface: claim i under scenario s,
+// s = -1 being the base column. key is set on a base cell whose result
+// goes back into the engine's cache.
+type cell struct {
+	s, i int
+	key  string
 }
 
 // Revalue prices every claim under the base parameters and under every
@@ -212,160 +223,99 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 		BaseDelta:    make([]float64, len(pf.Items)),
 		BaseHasDelta: make([]bool, len(pf.Items)),
 	}
-	index := make(map[string]int, len(pf.Items))
-	for i, it := range pf.Items {
-		val.Items[i] = it.Name
-		index[it.Name] = i
-	}
 	for s := range scenarios {
 		val.Values[s] = make([]float64, len(pf.Items))
 	}
 
-	// Build the cross product of tasks.
+	// Build the cross product: slot k of the round reprices cells[k].
 	buildSpan := revSpan.StartChild("risk.build")
-	var tasks []farm.Task
-	addTask := func(scIdx int, item portfolio.Item, p *premia.Problem) error {
-		p = e.stampThreads(p)
-		h, err := p.ToNsp()
-		if err != nil {
-			return err
-		}
-		ser, err := nsp.Serialize(h)
-		if err != nil {
-			return err
-		}
-		tasks = append(tasks, farm.Task{Name: taskName(scIdx, item.Name), Data: ser.Data, Cost: item.Cost})
-		return nil
+	n := len(pf.Items) * (len(scenarios) + 1)
+	cells := make([]cell, 0, n)
+	names := make([]string, 0, n)
+	problems := make([]*premia.Problem, 0, n)
+	add := func(c cell, name string, p *premia.Problem) {
+		cells = append(cells, c)
+		names = append(names, taskName(c.s, name))
+		problems = append(problems, p)
 	}
-	// skipped[s][i] marks claims outside scenario s's risk-factor
+	// skipped lists the cells outside their scenario's risk-factor
 	// universe: they keep their base value (an equity spot ladder does not
 	// move the credit book).
-	skipped := make([][]bool, len(scenarios))
-	for s := range skipped {
-		skipped[s] = make([]bool, len(pf.Items))
-	}
-	// baseKey[i] is claim i's content key, filled only when the engine
-	// has a cache: cached base prices skip the farm entirely, computed
-	// ones are stored on the way out.
-	var baseKey []string
-	if e.Cache != nil {
-		baseKey = make([]string, len(pf.Items))
-	}
+	var skipped []cell
 	for i, it := range pf.Items {
-		cachedBase := false
+		val.Items[i] = it.Name
+		// With a cache, a stored base price skips the farm entirely and a
+		// computed one is stored on the way out.
+		base, cached := cell{s: -1, i: i}, false
 		if e.Cache != nil {
-			baseKey[i] = it.Problem.ContentKey()
-			if res, ok := e.Cache.Get(baseKey[i]); ok {
-				val.Base[i] = res.Price
-				val.BaseDelta[i] = res.Delta
-				val.BaseHasDelta[i] = res.HasDelta
+			base.key = it.Problem.ContentKey()
+			var res premia.Result
+			if res, cached = e.Cache.Get(base.key); cached {
+				val.Base[i], val.BaseDelta[i], val.BaseHasDelta[i] = res.Price, res.Delta, res.HasDelta
 				reg.Counter("risk.base_cache_hits").Add(1)
-				baseKey[i] = "" // nothing to store back
-				cachedBase = true
 			}
 		}
-		if !cachedBase {
-			if err := addTask(-1, it, it.Problem); err != nil {
-				return nil, err
-			}
+		if !cached {
+			add(base, it.Name, it.Problem)
 		}
 		for s, sc := range scenarios {
 			if !sc.AppliesTo(it.Problem) {
-				skipped[s][i] = true
+				skipped = append(skipped, cell{s: s, i: i})
 				continue
 			}
 			shifted, err := sc.Apply(it.Problem)
 			if err != nil {
 				return nil, err
 			}
-			if err := addTask(s, it, shifted); err != nil {
-				return nil, err
-			}
+			add(cell{s: s, i: i}, it.Name, shifted)
 		}
 	}
-
 	buildSpan.End()
-	reg.Counter("risk.tasks").Add(int64(len(tasks)))
+	reg.Counter("risk.tasks").Add(int64(len(problems)))
 	reg.Counter("risk.scenarios").Add(int64(len(scenarios)))
 
-	// Farm them over the engine's backend, threading the trace so the
-	// farm.run span (and the workers' spans beyond it) parent onto
-	// risk.farm.
+	// Farm them, threading the trace so the farm.run span (and the
+	// workers' spans beyond it) parent onto risk.farm.
 	farmSpan := revSpan.StartChild("risk.farm")
 	farmCtx := ctx
 	if tc := farmSpan.Context(); tc.Valid() {
 		farmCtx = telemetry.ContextWithTrace(ctx, tc)
 	}
-	opts := farm.Options{Strategy: farm.SerializedLoad, BatchSize: e.batch(), Telemetry: reg, Fleet: e.Fleet}
-	results, err := e.backend().Run(farmCtx, tasks, opts, e.workers())
+	round, err := e.priceRound(farmCtx, names, problems)
 	farmSpan.End()
 	if err != nil {
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("risk: revaluation cancelled: %w", ctx.Err())
-		}
-		return nil, fmt.Errorf("risk: revaluation farm: %w", err)
+		return nil, err
 	}
 
-	// Scatter results back into the valuation matrix.
+	// Scatter the round into the valuation matrix by slot. Revaluation
+	// timing is attributed to two fixed labels — the base column and the
+	// shocked surface — from the compute time each worker measured: the
+	// label set must not grow with the (request-controlled) scenario set.
 	scatterSpan := revSpan.StartChild("risk.scatter")
 	defer scatterSpan.End()
-	for _, r := range results {
-		price, ok := farm.ResultField(r, "price")
-		if !ok {
-			return nil, fmt.Errorf("risk: result %q has no price", r.Name)
+	baseSeconds, shockedSeconds := reg.Histogram("risk.scenario_seconds.base"), reg.Histogram("risk.scenario_seconds.shocked")
+	baseResults, shockedResults := reg.Counter("risk.scenario_results.base"), reg.Counter("risk.scenario_results.shocked")
+	for k, r := range round {
+		c := cells[k]
+		if r.err != nil {
+			return nil, fmt.Errorf("risk: revalue %s: %w", names[k], r.err)
 		}
-		var scIdx int
-		var item string
-		// Scan with %d, not the generator's %03d: in a scan the width is a
-		// maximum, and a zero-padded minimum width grows past three digits
-		// from scenario 1000 on.
-		if _, err := fmt.Sscanf(r.Name, "s%d/", &scIdx); err != nil {
-			return nil, fmt.Errorf("risk: malformed result name %q", r.Name)
+		if c.s >= 0 {
+			val.Values[c.s][c.i] = r.res.Price
+			shockedSeconds.Observe(r.seconds)
+			shockedResults.Add(1)
+			continue
 		}
-		slash := strings.IndexByte(r.Name, '/')
-		item = r.Name[slash+1:]
-		i, ok := index[item]
-		if !ok {
-			return nil, fmt.Errorf("risk: result for unknown claim %q", item)
-		}
-		// Per-scenario revaluation timing: workers report each task's
-		// measured compute time under "seconds" (tasks of one scenario are
-		// interleaved across workers, so this is the only place the
-		// attribution can happen).
-		if reg != nil {
-			label := "base"
-			if scIdx > 0 {
-				label = scenarios[scIdx-1].Name
-			}
-			if secs, ok := farm.ResultField(r, "seconds"); ok {
-				reg.Observe("risk.scenario_seconds."+label, secs)
-			}
-			reg.Counter("risk.scenario_results." + label).Add(1)
-		}
-		if scIdx == 0 {
-			val.Base[i] = price
-			if hd, ok := farm.ResultField(r, "hasdelta"); ok && hd != 0 {
-				if d, ok := farm.ResultField(r, "delta"); ok {
-					val.BaseDelta[i] = d
-					val.BaseHasDelta[i] = true
-				}
-			}
-			if e.Cache != nil && baseKey[i] != "" {
-				if res, err := resultFromFarm(r); err == nil {
-					e.Cache.Put(baseKey[i], res)
-				}
-			}
-		} else {
-			val.Values[scIdx-1][i] = price
+		val.Base[c.i], val.BaseDelta[c.i], val.BaseHasDelta[c.i] = r.res.Price, r.res.Delta, r.res.HasDelta
+		baseSeconds.Observe(r.seconds)
+		baseResults.Add(1)
+		if c.key != "" {
+			e.Cache.Put(c.key, r.res)
 		}
 	}
 	// Skipped (scenario, claim) pairs inherit the base value.
-	for s := range scenarios {
-		for i := range pf.Items {
-			if skipped[s][i] {
-				val.Values[s][i] = val.Base[i]
-			}
-		}
+	for _, c := range skipped {
+		val.Values[c.s][c.i] = val.Base[c.i]
 	}
 	return val, nil
 }

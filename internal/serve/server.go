@@ -160,22 +160,28 @@ func New(cfg Config) *Server {
 	if eng.Telemetry == nil {
 		eng.Telemetry = s.reg
 	}
-	if eng.Cache == nil && s.cache != nil {
-		// The /risk revaluations read base-scenario prices through the
-		// serving cache (and warm it), so a report over a book the /price
-		// path has already touched skips the whole base column.
-		eng.Cache = s.cache
-	}
 	if eng.Fleet == nil {
 		// One fleet spans every farm run the server dispatches, so
 		// /debug/farm accumulates per-worker health across batches.
 		eng.Fleet = farm.NewFleet()
 	}
 	s.fleet = eng.Fleet
+	// The batcher prices through a copy of the engine taken before the
+	// cache default below: PriceProblem has already looked the problem up
+	// in s.cache and settle stores the answer, so reading through the same
+	// cache again inside PriceBatch would only count each miss and store
+	// each result twice. A caller-supplied Engine.Cache rides the copy.
+	pricer := *eng
+	if eng.Cache == nil && s.cache != nil {
+		// The /risk revaluations read base-scenario prices through the
+		// serving cache (and warm it), so a report over a book the /price
+		// path has already touched skips the whole base column.
+		eng.Cache = s.cache
+	}
 	s.engine = eng
 	price := cfg.Price
 	if price == nil {
-		price = eng.PriceBatch
+		price = pricer.PriceBatch
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -278,6 +280,86 @@ func TestRealEngineCachedBitIdentical(t *testing.T) {
 	// Sanity: the MC price is in the Black–Scholes ballpark.
 	if fresh.Price < 5 || fresh.Price > 15 {
 		t.Fatalf("implausible MC price %v", fresh.Price)
+	}
+}
+
+// TestColdPriceCountsOneMissPath: the server owns the cache on the
+// /price path — the engine behind the batcher must not read through the
+// same cache again. One cold request is the lookup plus the singleflight
+// leader's re-check (two misses), one store and one farm round; the same
+// problem again is one hit and no farm work.
+func TestColdPriceCountsOneMissPath(t *testing.T) {
+	s := New(Config{MaxDelay: time.Millisecond})
+	defer s.Close()
+	p := premia.New().
+		SetModel(premia.ModelBS1D).SetOption(premia.OptCallEuro).SetMethod(premia.MethodCFCall).
+		Set("S0", 100).Set("r", 0.04).Set("sigma", 0.2).Set("K", 95).Set("T", 1)
+	cold, err := s.PriceProblem(context.Background(), p)
+	if err != nil || cold.Err != nil || cold.Cached {
+		t.Fatalf("cold price = %+v, %v", cold, err)
+	}
+	snap := s.reg.Snapshot()
+	if got := snap.Counters["serve.cache.misses"]; got != 2 {
+		t.Errorf("serve.cache.misses = %d after one cold price, want 2 (lookup + leader re-check)", got)
+	}
+	if got := snap.Gauges["serve.cache.entries"]; got != 1 {
+		t.Errorf("serve.cache.entries = %v, want 1", got)
+	}
+	if got := snap.Counters["risk.price.cache_hits"]; got != 0 {
+		t.Errorf("risk.price.cache_hits = %d, want 0: the batcher's engine reads no cache", got)
+	}
+	warm, err := s.PriceProblem(context.Background(), p)
+	if err != nil || !warm.Cached || warm.Result != cold.Result {
+		t.Fatalf("warm price = %+v, %v; want the cached %+v", warm, err, cold.Result)
+	}
+	snap = s.reg.Snapshot()
+	if hits, rounds := snap.Counters["serve.cache.hits"], snap.Spans["farm.run"].Count; hits != 1 || rounds != 1 {
+		t.Errorf("after the warm price: serve.cache.hits = %d, farm rounds = %d; want 1 and 1", hits, rounds)
+	}
+}
+
+// TestColdPriceAllocs is the serving path's allocation budget: a cold
+// /price — HTTP decode, pooled request descriptor, micro-batch flush,
+// object-passthrough farm round, kernel, response encode, request trace
+// included — stays within 160 allocations per request at the
+// recommended batch of 16. Each run is exactly one full flush (sixteen
+// concurrent requests, a delay long enough never to fire), so the
+// coalescing is not left to the scheduler. The request struct is built
+// by hand: httptest.NewRequest's http.ReadRequest parse would charge the
+// harness's own 4 KiB bufio reader to the path under test.
+func TestColdPriceAllocs(t *testing.T) {
+	const batch = 16
+	s := New(Config{Engine: &risk.Engine{Workers: 4, BatchSize: batch}, MaxBatch: batch, MaxDelay: time.Minute})
+	defer s.Close()
+	var next atomic.Int64
+	flush := func() {
+		var wg sync.WaitGroup
+		for i := 0; i < batch; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				k := 50 + float64(next.Add(1))/1000 // a distinct strike: never a cache hit
+				req := &http.Request{
+					Method: http.MethodPost, URL: &url.URL{Path: "/price"}, RequestURI: "/price",
+					Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: http.Header{},
+					Body: io.NopCloser(strings.NewReader(cfBody(k))), Host: "example.com", RemoteAddr: "192.0.2.1:1234",
+				}
+				w := httptest.NewRecorder()
+				s.Handler().ServeHTTP(w, req)
+				if w.Code != http.StatusOK {
+					t.Errorf("status %d: %s", w.Code, w.Body.String())
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	// Warm the descriptor and arena pools, the fleet book, the exemplar
+	// tables and the event ring outside the measurement.
+	s.reg.Emit(telemetry.LevelInfo, "test.alloc.warm", telemetry.TraceContext{})
+	flush()
+	flush()
+	if got := testing.AllocsPerRun(20, flush) / batch; got > 160 {
+		t.Errorf("a cold /price allocates %v, budget is 160", got)
 	}
 }
 

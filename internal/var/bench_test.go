@@ -10,8 +10,8 @@ import (
 // BenchmarkVaRDeltaGamma measures the delta–gamma hot path: evaluating
 // the Taylor expansion over a Monte Carlo scenario set, tail sort and
 // component attribution included, with the sensitivities collected once
-// outside the loop (as the serving layer and the CLI do). The
-// allocation budget lives in BENCH_alloc.json.
+// outside the loop (as the serving layer and the CLI do).
+// TestDeltaGammaAllocs holds its allocation budget.
 func BenchmarkVaRDeltaGamma(b *testing.B) {
 	pf := smallBook()
 	sens, err := CollectSensitivities(context.Background(), risk.Engine{Workers: 2}, pf)

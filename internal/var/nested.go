@@ -1,12 +1,10 @@
 package varisk
 
 import (
-	"context"
 	"fmt"
 
 	"riskbench/internal/farm"
 	"riskbench/internal/portfolio"
-	"riskbench/internal/risk"
 )
 
 // SimTasks expands the nested-simulation workload — outer market
@@ -39,40 +37,3 @@ func SimTasks(pf *portfolio.Portfolio, outer int) ([]farm.Task, error) {
 	}
 	return out, nil
 }
-
-// HierBackend is a risk.FarmBackend that prices each round over the
-// paper's hierarchical topology on an in-process world: a root master
-// (farm.RunRootMaster) hands task chunks to Groups sub-masters, each
-// Robin-Hood-farming its own worker group. Plugging it into
-// risk.Engine.Backend runs the whole VaR revaluation — the outer×inner
-// nested batch included — through the hierarchical path with live
-// pricing, which is how the estimator tests exercise RunRootMaster
-// outside the simulator.
-type HierBackend struct {
-	// Groups is the sub-master count (default 2).
-	Groups int
-	// Chunk is the root→sub-master hand-off size in tasks (default 8).
-	Chunk int
-}
-
-// Run implements risk.FarmBackend. The nw workers are spread over the
-// groups per farm.HierarchyWorkers; nw must be at least Groups so every
-// sub-master has a worker. Cancellation closes the local world, which
-// unblocks every rank.
-func (b HierBackend) Run(ctx context.Context, tasks []farm.Task, opts farm.Options, nw int) ([]farm.Result, error) {
-	groups := b.Groups
-	if groups < 1 {
-		groups = 2
-	}
-	chunk := b.Chunk
-	if chunk < 1 {
-		chunk = 8
-	}
-	if nw < groups {
-		nw = groups
-	}
-	return farm.Local{Groups: groups, Chunk: chunk}.Run(ctx, tasks, opts, nw)
-}
-
-// assert the seam at compile time.
-var _ risk.FarmBackend = HierBackend{}

@@ -50,7 +50,7 @@ func TestHierBackendMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := risk.Engine{Workers: 4, Backend: HierBackend{Groups: 2, Chunk: 4}}
+	eng := risk.Engine{Workers: 4, Backend: farm.Local{Groups: 2, Chunk: 4}}
 	got, err := eng.Revalue(pf, scens)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestFullRevalOverHierBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := FullReval(context.Background(), risk.Engine{Workers: 4, Backend: HierBackend{Groups: 2, Chunk: 2}}, pf, scens, cfg)
+	hier, err := FullReval(context.Background(), risk.Engine{Workers: 4, Backend: farm.Local{Groups: 2, Chunk: 2}}, pf, scens, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestHierBackendCancellation(t *testing.T) {
 	pf := smallBook()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng := risk.Engine{Workers: 4, Backend: HierBackend{Groups: 2, Chunk: 2}}
+	eng := risk.Engine{Workers: 4, Backend: farm.Local{Groups: 2, Chunk: 2}}
 	if _, err := eng.RevalueContext(ctx, pf, risk.SpotLadder()); err == nil {
 		t.Fatal("cancelled hierarchical revaluation succeeded")
 	}
@@ -171,7 +171,7 @@ func TestBackendRunEndsOnRankFailure(t *testing.T) {
 		backend risk.FarmBackend
 	}{
 		{"flat", risk.LocalBackend{}},
-		{"hierarchical", HierBackend{Groups: 2, Chunk: 2}},
+		{"hierarchical", farm.Local{Groups: 2, Chunk: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()

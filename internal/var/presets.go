@@ -5,8 +5,7 @@ import "fmt"
 // Preset is one of the benchmark's standard VaR workload sizes (the
 // small/medium/large Monte Carlo VaR configurations of the
 // nvidia-jetson financial-modeling workload, adapted to this farm):
-// riskbench -var runs them end to end over the scaled realistic book
-// and BENCH_var.json records their scenarios/sec.
+// riskbench -var runs them end to end over the scaled realistic book.
 type Preset struct {
 	// Name is "small", "medium" or "large".
 	Name string

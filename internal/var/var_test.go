@@ -8,6 +8,7 @@ import (
 	"riskbench/internal/portfolio"
 	"riskbench/internal/premia"
 	"riskbench/internal/risk"
+	"riskbench/internal/telemetry"
 )
 
 func callProblem(k float64) *premia.Problem {
@@ -332,5 +333,59 @@ func TestPresets(t *testing.T) {
 	}
 	if _, err := PresetByName("xxl"); err == nil {
 		t.Error("unknown preset accepted")
+	}
+}
+
+// TestFullRevalMetricLabelsDoNotGrowWithScenarios: scenario names come
+// from the request (mc000001 …), so a metric label per scenario is a
+// registry that grows with every report and never shrinks. The engine
+// attributes revaluation timing to the fixed base/shocked labels only:
+// 10 or 500 scenarios leave the same histograms and counters behind.
+func TestFullRevalMetricLabelsDoNotGrowWithScenarios(t *testing.T) {
+	reg := telemetry.New()
+	eng := risk.Engine{Workers: 2, Telemetry: reg}
+	pf := smallBook()
+	series := func(n int) (hists, counters int) {
+		scens, err := DefaultMarket().Generate(n, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FullReval(context.Background(), eng, pf, scens, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		return len(snap.Histograms), len(snap.Counters)
+	}
+	h10, c10 := series(10)
+	h500, c500 := series(500)
+	if h10 != h500 || c10 != c500 {
+		t.Fatalf("registry grew with the scenario count: %d histograms and %d counters after 10 scenarios, %d and %d after 500", h10, c10, h500, c500)
+	}
+	if got := reg.Snapshot().Histograms["risk.scenario_seconds.shocked"].Count; got != int64(510*pf.Size()) {
+		t.Fatalf("risk.scenario_seconds.shocked holds %d observations, want %d", got, 510*pf.Size())
+	}
+}
+
+// TestDeltaGammaAllocs is the delta–gamma allocation budget: over 1000
+// scenarios on pre-collected sensitivities a report allocates the P&L
+// and shock-coordinate slices, the tail argsort index and the report
+// itself (17 measured) — per-scenario work allocates nothing. Budget 32.
+func TestDeltaGammaAllocs(t *testing.T) {
+	sens, err := CollectSensitivities(context.Background(), risk.Engine{Workers: 2}, smallBook())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scens, err := DefaultMarket().Generate(1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Alphas: []float64{0.95, 0.99}, HorizonDays: 10}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := DeltaGamma(sens, scens, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 32 {
+		t.Errorf("DeltaGamma over 1000 scenarios allocates %v per report, budget is 32", got)
 	}
 }
