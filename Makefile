@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race check smoke compat wireshape
+.PHONY: build test vet lint race check smoke compat wireshape profile
 
 build:
 	$(GO) build ./...
@@ -56,3 +56,14 @@ compat:
 # /metrics, /metrics.json, /debug/traces and /debug/pprof all respond.
 smoke:
 	sh scripts/smoke.sh
+
+# profile answers "where does a toy repricing's CPU go": it runs the
+# benchmark's var_toy operation in process (BenchmarkFullRevalToy: toy
+# 250 × 25 cells, one worker, registry and fleet live) under the CPU
+# profiler and prints the cumulative top of the profile. The binary and
+# the profile stay in $(PROFILE_DIR) for `go tool pprof -list`.
+PROFILE_DIR ?= .profile
+profile:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkFullRevalToy$$' -benchtime 100x -cpuprofile $(PROFILE_DIR)/cpu.prof -o $(PROFILE_DIR)/var.test ./internal/var
+	$(GO) tool pprof -top -cum -nodecount 45 $(PROFILE_DIR)/var.test $(PROFILE_DIR)/cpu.prof

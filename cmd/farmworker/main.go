@@ -155,8 +155,9 @@ func runMaster(ctx context.Context, addr string, size int, pfName string, n int,
 	root.End()
 	sum := 0.0
 	for _, r := range results {
-		price, _ := farm.ResultField(r, "price")
-		sum += price
+		if p, err := farm.AsPriced(r); err == nil {
+			sum += p.Result.Price
+		}
 	}
 	fmt.Printf("priced %d claims in %v over %d %s workers; aggregate value %.4f\n",
 		len(results), time.Since(start).Round(time.Millisecond), size-1, wopts.Transport, sum)

@@ -248,8 +248,8 @@ func runSelfTest(ctx context.Context, workers int, reg *telemetry.Registry) {
 			perMethod[m] = s
 		}
 		s.n++
-		price, ok := farm.ResultField(r, "price")
-		if r.Err != nil || !ok || price != price /* NaN */ || price < -1e-9 {
+		p, err := farm.AsPriced(r)
+		if r.Err != nil || err != nil || p.Result.Price != p.Result.Price /* NaN */ || p.Result.Price < -1e-9 {
 			s.bad++
 		}
 	}
@@ -340,8 +340,9 @@ func runLive(ctx context.Context, pfName string, n, workers int, stratName, tran
 	elapsed := time.Since(start)
 	sum := 0.0
 	for _, r := range results {
-		price, _ := farm.ResultField(r, "price")
-		sum += price
+		if p, err := farm.AsPriced(r); err == nil {
+			sum += p.Result.Price
+		}
 	}
 	shape := transport
 	if shape == "" {

@@ -43,8 +43,9 @@ func main() {
 		sum := 0.0
 		perWorker := map[int]int{}
 		for _, r := range results {
-			price, _ := farm.ResultField(r, "price")
-			sum += price
+			if p, err := farm.AsPriced(r); err == nil {
+				sum += p.Result.Price
+			}
 			perWorker[r.Worker]++
 		}
 		fmt.Printf("%-16s %8v   portfolio value %.2f   tasks/worker %v\n",

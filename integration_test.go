@@ -100,9 +100,9 @@ func TestEndToEndPaperPipeline(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Name, r.Err)
 		}
-		price, ok := farm.ResultField(r, "price")
-		if !ok || math.Abs(price-want[r.Name]) > 1e-12 {
-			t.Fatalf("%s: price %v, want %v", r.Name, price, want[r.Name])
+		p, err := farm.AsPriced(r)
+		if err != nil || math.Abs(p.Result.Price-want[r.Name]) > 1e-12 {
+			t.Fatalf("%s: result %+v (%v), want price %v", r.Name, p, err, want[r.Name])
 		}
 	}
 }

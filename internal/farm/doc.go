@@ -26,6 +26,18 @@
 // message to amortise latency) via Options.BatchSize, and a two-level
 // hierarchy of sub-masters via RunRootMaster/RunSubMaster.
 //
+// Problems and results cross the farm as themselves in process and as
+// their hashes on the wire. A task may carry its problem as an object
+// (Task.Obj); on a communicator whose ranks share an address space
+// (mpi.ObjRefComm) the worker is handed that very value — a
+// *premia.Problem is priced as it stands — and answers with a *Priced
+// the master reads field by field. Both types know their nsp wire form
+// (nsp.WireFormer) and the nsp codec's encode path is the only caller:
+// a framed transport, LiveLoader and SaveResults see the same bytes as
+// if the hashes had been built up front, and nothing in process pays for
+// a format nobody reads. AsPriced reads a collected result in either
+// form.
+//
 // Every master entry point (RunMaster, RunStaticMaster, RunRootMaster)
 // runs the same round over the same dispatch loop and differs only in
 // the assignment policy and the ranks it drives. Layout maps a world's

@@ -148,7 +148,7 @@ func TestEventPayloadRoundtrip(t *testing.T) {
 	if !isEventPayload(h) {
 		t.Fatal("encoded payload not recognised")
 	}
-	if isEventPayload(resultHash("job-01", 1, 0, 0, 1)) {
+	if isEventPayload(wireResult(t, "job-01", 1)) {
 		t.Fatal("task result misrecognised as event payload")
 	}
 	got, recvAt, err := decodeEventPayload(h)
@@ -366,7 +366,7 @@ func (e rankedExec) Execute(name string, payload []byte, cost float64, size int)
 		return nil, errors.New("injected failure")
 	}
 	time.Sleep(e.delay)
-	return resultHash(name, 42, 0, 0, 1), nil
+	return testResult(name, 42), nil
 }
 
 // TestFarmRedealEvent forces a retry to land on a different rank than

@@ -24,6 +24,31 @@ func serializeHash(h *nsp.Hash) ([]byte, error) {
 	return s.Data, nil
 }
 
+// testResult is what a stub executor answers: a priced result of one
+// unit of work.
+func testResult(name string, price float64) *Priced {
+	return &Priced{Name: name, Result: premia.Result{Price: price, Work: 1}}
+}
+
+// wireResult is testResult as the hash it crosses a wire as.
+func wireResult(t *testing.T, name string, price float64) nsp.Object {
+	t.Helper()
+	h, err := testResult(name, price).WireForm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// priceOf reads the price of a collected result, typed or hash.
+func priceOf(r Result) (float64, bool) {
+	p, err := AsPriced(r)
+	if err != nil || p.Err != nil {
+		return 0, false
+	}
+	return p.Result.Price, true
+}
+
 // makePortfolio builds n distinct vanilla call problems and returns the
 // tasks plus the closed-form price of each, keyed by name.
 func makePortfolio(t *testing.T, n int) ([]Task, map[string]float64) {
@@ -109,7 +134,7 @@ func checkResults(t *testing.T, results []Result, want map[string]float64) {
 			t.Fatalf("task %s priced twice", r.Name)
 		}
 		seen[r.Name] = true
-		price, ok := ResultField(r, "price")
+		price, ok := priceOf(r)
 		if !ok {
 			t.Fatalf("result %s has no price", r.Name)
 		}
@@ -150,7 +175,7 @@ func TestFarmStrategiesAgree(t *testing.T) {
 	byName := func(results []Result) map[string]float64 {
 		m := map[string]float64{}
 		for _, r := range results {
-			p, _ := ResultField(r, "price")
+			p, _ := priceOf(r)
 			m[r.Name] = p
 		}
 		return m
@@ -480,7 +505,7 @@ func TestSpanPayloadRoundTrip(t *testing.T) {
 		}
 	}
 	// A regular result hash is not mistaken for a span payload.
-	if isSpanPayload(resultHash("x", 1, 0, 0, 0)) {
+	if isSpanPayload(wireResult(t, "x", 1)) {
 		t.Fatal("result hash misdetected as span payload")
 	}
 }
@@ -551,7 +576,7 @@ func TestFarmNFSOverRealFiles(t *testing.T) {
 		t.Fatalf("%d results", len(results))
 	}
 	for _, r := range results {
-		price, ok := ResultField(r, "price")
+		price, ok := priceOf(r)
 		if !ok || price != want[r.Name] {
 			t.Fatalf("%s: price %v, want %v", r.Name, price, want[r.Name])
 		}
@@ -585,5 +610,62 @@ func TestRootMasterRejectsDuplicateNames(t *testing.T) {
 	tasks := []Task{{Name: "same", Data: []byte("a")}, {Name: "same", Data: []byte("b")}}
 	if _, err := RunRootMaster(context.Background(), w.Comm(0), tasks, LiveLoader{}, Options{Strategy: SerializedLoad}, 1, 1); err == nil {
 		t.Fatal("duplicate task names accepted by root master")
+	}
+}
+
+// TestExecuteObjProblemOrHash: the live executor prices a problem that
+// arrived as itself, as the hash it travels as (what the benchmark's
+// by-reference tasks carry), or as that hash's bytes, to the same typed
+// result — and a round over an in-process world hands that result to the
+// master as it stands, in all three shapes.
+func TestExecuteObjProblemOrHash(t *testing.T) {
+	p := premia.New().
+		SetModel(premia.ModelBS1D).SetOption(premia.OptCallEuro).SetMethod(premia.MethodCFCall).
+		Set("S0", 100).Set("r", 0.04).Set("sigma", 0.2).Set("K", 95).Set("T", 1.5)
+	want, err := p.Compute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := p.ToNsp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := serializeHash(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := LiveExecutor{}
+	byProblem, err := exec.ExecuteObj("pb", p, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byHash, err := exec.ExecuteObj("pb", h, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byBytes, err := exec.Execute("pb", data, 0, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shape, res := range map[string]nsp.Object{"problem": byProblem, "hash": byHash, "bytes": byBytes} {
+		got, ok := res.(*Priced)
+		if !ok || got.Name != "pb" || got.Result != want || got.Err != nil {
+			t.Errorf("problem shipped as %s priced to %+v, want %+v", shape, res, want)
+		}
+	}
+	if !byProblem.Equal(byHash) || !p.Equal(h) {
+		t.Error("a problem and its hash, or their results, compare unequal")
+	}
+
+	tasks := []Task{{Name: "as-problem", Obj: p}, {Name: "as-hash", Obj: h}, {Name: "as-bytes", Data: data}}
+	results := runLocalFarm(t, tasks, 2, Options{Strategy: SerializedLoad}, nil)
+	if len(results) != len(tasks) {
+		t.Fatalf("%d results for %d tasks", len(results), len(tasks))
+	}
+	for _, r := range results {
+		got, ok := r.Value.(*Priced)
+		if !ok || r.Err != nil || got.Result != want || got.Seconds < 0 {
+			t.Errorf("task %s: %+v (%v), want %+v as a *Priced", r.Name, r.Value, r.Err, want)
+		}
 	}
 }

@@ -49,51 +49,36 @@ func (LiveLoader) Load(t Task, s Strategy) ([]byte, error) {
 type LiveExecutor struct{}
 
 // Execute implements Executor: unserialize → rebuild the problem →
-// compute → result hash. The executor does not read a clock; RunWorker
+// compute → *Priced. The executor does not read a clock; RunWorker
 // measures the call on the registry clock and stamps the elapsed
-// compute time into the hash under "seconds", so masters can attribute
+// compute time into the result's Seconds, so masters can attribute
 // timing to task groups (the risk engine's per-scenario report reads
 // it) and simulated runs attribute virtual seconds.
-func (LiveExecutor) Execute(name string, payload []byte, cost float64, size int) (nsp.Object, error) {
+func (e LiveExecutor) Execute(name string, payload []byte, cost float64, size int) (nsp.Object, error) {
 	obj, err := nsp.SLoadBytes(payload).Unserialize()
 	if err != nil {
 		return nil, fmt.Errorf("farm: decode problem %q: %w", name, err)
 	}
-	p, err := premia.FromNsp(obj)
-	if err != nil {
-		return nil, fmt.Errorf("farm: rebuild problem %q: %w", name, err)
-	}
-	res, err := p.Compute()
-	if err != nil {
-		return nil, fmt.Errorf("farm: compute %q: %w", name, err)
-	}
-	h := resultHash(name, res.Price, res.PriceCI, res.Delta, res.Work)
-	// hasdelta distinguishes "delta is 0" from "method computes no delta",
-	// so consumers rebuilding a premia.Result (the serving layer's cache)
-	// keep full fidelity.
-	if res.HasDelta {
-		h.Set("hasdelta", nsp.Scalar(1))
-	}
-	return h, nil
+	return e.ExecuteObj(name, obj, cost, size)
 }
 
-// ExecuteObj implements ObjExecutor: the problem arrived by reference,
-// so pricing skips the decode pass entirely — rebuild → compute →
-// result hash.
+// ExecuteObj implements ObjExecutor: the problem arrived as an object,
+// so pricing skips the decode pass. A *premia.Problem is computed as it
+// stands; the hash a problem travels as (what Execute decodes, or a
+// caller shipped by reference) is rebuilt first.
 func (LiveExecutor) ExecuteObj(name string, obj nsp.Object, cost float64, size int) (nsp.Object, error) {
-	p, err := premia.FromNsp(obj)
-	if err != nil {
-		return nil, fmt.Errorf("farm: rebuild problem %q: %w", name, err)
+	p, ok := obj.(*premia.Problem)
+	if !ok {
+		var err error
+		if p, err = premia.FromNsp(obj); err != nil {
+			return nil, fmt.Errorf("farm: rebuild problem %q: %w", name, err)
+		}
 	}
 	res, err := p.Compute()
 	if err != nil {
 		return nil, fmt.Errorf("farm: compute %q: %w", name, err)
 	}
-	h := resultHash(name, res.Price, res.PriceCI, res.Delta, res.Work)
-	if res.HasDelta {
-		h.Set("hasdelta", nsp.Scalar(1))
-	}
-	return h, nil
+	return &Priced{Name: name, Result: res}, nil
 }
 
 // FileStore reads problem files from the real file system (the live

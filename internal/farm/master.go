@@ -182,6 +182,15 @@ func recvResults(c mpi.Comm) (workerReply, error) {
 		return rep, fmt.Errorf("farm: result from %d is %v, want list", st.Source, obj.Kind())
 	}
 	for _, item := range list.Items {
+		if p, ok := item.(*Priced); ok {
+			// The result crossed by reference: nothing to decode.
+			r := Result{Name: p.Name, Worker: st.Source, Value: p}
+			if p.Err != nil {
+				r.Err = failedOn(p.Name, st.Source, p.Err.Error())
+			}
+			rep.results = append(rep.results, r)
+			continue
+		}
 		if isSpanPayload(item) {
 			if rep.spans, rep.recvAt, err = decodeSpanPayload(item); err != nil {
 				return rep, err
@@ -201,7 +210,7 @@ func recvResults(c mpi.Comm) (workerReply, error) {
 		r := Result{Name: name, Worker: st.Source, Value: item}
 		if msg, failed := resultError(item); failed {
 			// Value keeps the error hash so hierarchies can forward it.
-			r.Err = fmt.Errorf("farm: task %q failed on worker %d: %s", name, st.Source, msg)
+			r.Err = failedOn(name, st.Source, msg)
 		}
 		rep.results = append(rep.results, r)
 	}
@@ -219,12 +228,16 @@ type queuedBatch struct {
 }
 
 // pendingBatch is one batch in flight on a worker: the tasks (for retry
-// matching), the dispatch time, and the per-task spans to close on
-// arrival of the results.
+// matching), the clock just before and just after its sends, and the
+// per-task spans to close on arrival of the results.
 type pendingBatch struct {
-	tasks  []Task
-	sentAt float64
-	spans  []*telemetry.Span
+	tasks []Task
+	// sendingAt is read before the descriptor goes out, so it is no later
+	// than the instant the worker receives it: the anchor for shifting
+	// worker clocks. sentAt is read after the sends: the start of the
+	// worker's busy time and the end of the batch's queue wait.
+	sendingAt, sentAt float64
+	spans             []*telemetry.Span
 }
 
 // runBatches is the farm's one dispatch loop: it deals the batches over
@@ -309,6 +322,7 @@ func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task
 			}
 		}
 		dispatch := runSpan.StartChild("farm.dispatch")
+		pb.sendingAt = reg.Now()
 		err := sendBatch(c, w, qb.tasks, loader, opts, bt)
 		dispatch.End()
 		if err != nil {
@@ -367,10 +381,14 @@ func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task
 				sp.End()
 			}
 			// The worker's spans and events are on its own clock; align
-			// them by mapping its descriptor-receive instant onto our
-			// dispatch instant. In-process farms share the registry, so
-			// span copies dedupe against the originals by span ID.
-			shift := was.sentAt - rep.recvAt
+			// them by mapping its descriptor-receive instant onto the
+			// instant just before we sent the descriptor. The worker cannot
+			// have received it earlier, so the error is one-sided: shifted
+			// records land no later than they happened and a farm.compute
+			// never ends after the farm.task that waited for it. In-process
+			// farms share the registry, so span copies dedupe against the
+			// originals by span ID.
+			shift := was.sendingAt - rep.recvAt
 			if len(rep.spans) > 0 {
 				for i := range rep.spans {
 					rep.spans[i].Start += shift

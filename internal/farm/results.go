@@ -46,7 +46,7 @@ func LoadResults(path string) ([]Result, error) {
 		}
 		r := Result{Name: name, Worker: int(wm.ScalarValue()), Value: value}
 		if msg, failed := resultError(value); failed {
-			r.Err = fmt.Errorf("farm: task %q failed on worker %d: %s", name, r.Worker, msg)
+			r.Err = failedOn(name, r.Worker, msg)
 		}
 		results = append(results, r)
 	}

@@ -33,7 +33,7 @@ func (f *flakyExecutor) Execute(name string, payload []byte, cost float64, size 
 	if strings.Contains(name, f.trigger) && n <= f.failures {
 		return nil, fmt.Errorf("injected failure #%d", n)
 	}
-	return resultHash(name, 42, 0, 0, 1), nil
+	return testResult(name, 42), nil
 }
 
 // brokenExecutor always fails.
@@ -66,7 +66,7 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 				if r.Err != nil {
 					t.Errorf("%s still failed: %v", r.Name, r.Err)
 				}
-				if price, ok := ResultField(r, "price"); !ok || price != 42 {
+				if price, ok := priceOf(r); !ok || price != 42 {
 					t.Errorf("%s: price missing after retry", r.Name)
 				}
 			}
@@ -191,7 +191,7 @@ func TestSaveLoadResults(t *testing.T) {
 		if r.Name != results[i].Name || r.Worker != results[i].Worker {
 			t.Fatalf("entry %d metadata mismatch", i)
 		}
-		price, ok := ResultField(r, "price")
+		price, ok := priceOf(r)
 		if !ok || price != want[r.Name] {
 			t.Fatalf("entry %d price %v, want %v", i, price, want[r.Name])
 		}

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"riskbench/internal/nsp"
+	"riskbench/internal/premia"
 	"riskbench/internal/simnet"
 )
 
@@ -72,7 +73,7 @@ type SimExecutor struct {
 // Execute implements Executor.
 func (e SimExecutor) Execute(name string, payload []byte, cost float64, size int) (nsp.Object, error) {
 	e.Comm.Compute(e.Costs.UnpackFixed + e.Costs.UnpackPerByte*float64(size) + cost)
-	return resultHash(name, 0, 0, 0, cost), nil
+	return &Priced{Name: name, Result: premia.Result{Work: cost}}, nil
 }
 
 // SimStore models the shared NFS mount: reads charge the simnet NFS model

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"riskbench/internal/nsp"
+	"riskbench/internal/premia"
 	"riskbench/internal/telemetry"
 )
 
@@ -57,11 +58,15 @@ type Task struct {
 	Name string
 	// Data is the problem's save-file content (nsp-serialized stream).
 	Data []byte
-	// Obj, when set, is the problem object itself. On communicators that
-	// pass objects by reference (in-process worlds) it travels to the
-	// worker without any serialization; on wire transports the loader
-	// serializes it on demand. The object must not be mutated after the
-	// task is handed to the farm.
+	// Obj, when set, is the problem object itself — as itself in process,
+	// as its hash on the wire. On communicators that pass objects by
+	// reference (in-process worlds) the worker gets this very value: a
+	// *premia.Problem is priced as it stands, with no conversion to or
+	// from the nsp format on either side. On wire transports the loader
+	// serializes it on demand, and the codec asks a *premia.Problem for
+	// its hash there and nowhere else. The object — a caller's
+	// *premia.Problem included — must not be mutated until the round
+	// returns.
 	Obj nsp.Object
 	// Cost is the task's virtual compute time in seconds, used by
 	// simulated executors; live executors ignore it.
@@ -74,8 +79,10 @@ type Result struct {
 	Name string
 	// Worker is the rank that computed the task.
 	Worker int
-	// Value is the result object produced by the worker's Executor (the
-	// error-report hash when Err is set).
+	// Value is the result object produced by the worker's Executor: the
+	// *Priced itself when it crossed by reference, its result hash when it
+	// came off a wire (the failure report, in either form, when Err is
+	// set). AsPriced reads both.
 	Value nsp.Object
 	// Err holds the worker-side pricing error, if the task failed on
 	// every attempt.
@@ -415,26 +422,104 @@ func decodeSpanPayload(o nsp.Object) ([]telemetry.SpanRecord, float64, error) {
 	return recs, rv.Data[0], nil
 }
 
-// resultHash builds the standard result object returned by executors.
-func resultHash(name string, price, ci, delta, work float64) *nsp.Hash {
-	h := nsp.NewHash()
-	h.Set("name", nsp.Str(name))
-	h.Set("price", nsp.Scalar(price))
-	h.Set("priceCI", nsp.Scalar(ci))
-	h.Set("delta", nsp.Scalar(delta))
-	h.Set("work", nsp.Scalar(work))
-	return h
+// Priced is the result object of one task: the pricing outcome as a Go
+// value. Between ranks of one address space the pointer is what crosses
+// and the master reads the fields directly; wherever bytes are needed —
+// a framed transport, SaveResults — the nsp codec asks for the result
+// hash (WireForm), which is the farm's wire format for a result.
+type Priced struct {
+	// Name echoes the task name.
+	Name string
+	// Result is the pricing outcome; zero when Err is set.
+	Result premia.Result
+	// Seconds is the compute time RunWorker measured for the task.
+	Seconds float64
+	// Err is the worker-side pricing failure, nil for a priced task. Only
+	// its text crosses a wire.
+	Err error
 }
 
-// errorResultHash builds the result object reporting a pricing failure.
-func errorResultHash(name, msg string) *nsp.Hash {
+var _ nsp.WireFormer = (*Priced)(nil)
+
+// Kind implements nsp.Object: a result travels as a hash.
+func (p *Priced) Kind() nsp.Kind { return nsp.KindHash }
+
+// Equal implements nsp.Object as equality of wire forms.
+func (p *Priced) Equal(o nsp.Object) bool { return nsp.WireEqual(p, o) }
+
+// WireForm implements nsp.WireFormer with the result hash: name, price,
+// priceCI, delta, work and seconds, plus hasdelta when the method
+// computed a delta (it distinguishes "delta is 0" from "no delta", so a
+// consumer rebuilding a premia.Result keeps full fidelity). A failed
+// task is name, error and seconds.
+func (p *Priced) WireForm() (nsp.Object, error) {
 	h := nsp.NewHash()
-	h.Set("name", nsp.Str(name))
-	h.Set("error", nsp.Str(msg))
-	return h
+	h.Set("name", nsp.Str(p.Name))
+	h.Set("seconds", nsp.Scalar(p.Seconds))
+	if p.Err != nil {
+		h.Set("error", nsp.Str(p.Err.Error()))
+		return h, nil
+	}
+	h.Set("price", nsp.Scalar(p.Result.Price))
+	h.Set("priceCI", nsp.Scalar(p.Result.PriceCI))
+	h.Set("delta", nsp.Scalar(p.Result.Delta))
+	h.Set("work", nsp.Scalar(p.Result.Work))
+	if p.Result.HasDelta {
+		h.Set("hasdelta", nsp.Scalar(1))
+	}
+	return h, nil
 }
 
-// resultError extracts the failure message from a result object, if any.
+// AsPriced returns a collected result in its typed form: the value
+// itself when it crossed the farm by reference, decoded from its hash
+// when it came off a wire or out of a results file. Fields a foreign
+// executor's hash leaves out read as zero; a result that is neither a
+// failure nor carries a price is an error.
+func AsPriced(r Result) (*Priced, error) {
+	if p, ok := r.Value.(*Priced); ok {
+		return p, nil
+	}
+	name, err := resultName(r.Value)
+	if err != nil {
+		return nil, err
+	}
+	h := r.Value.(*nsp.Hash)
+	scalar := func(field string) (float64, bool) {
+		m, ok := h.Get(field)
+		if !ok {
+			return 0, false
+		}
+		v, ok := m.(*nsp.Mat)
+		if !ok || v.Rows != 1 || v.Cols != 1 {
+			return 0, false
+		}
+		return v.ScalarValue(), true
+	}
+	p := &Priced{Name: name}
+	p.Seconds, _ = scalar("seconds")
+	if msg, failed := resultError(h); failed {
+		p.Err = errors.New(msg)
+		return p, nil
+	}
+	var ok bool
+	if p.Result.Price, ok = scalar("price"); !ok {
+		return nil, fmt.Errorf("farm: result %q has no price", name)
+	}
+	p.Result.PriceCI, _ = scalar("priceCI")
+	p.Result.Delta, _ = scalar("delta")
+	p.Result.Work, _ = scalar("work")
+	hasDelta, _ := scalar("hasdelta")
+	p.Result.HasDelta = hasDelta != 0
+	return p, nil
+}
+
+// failedOn is the master-side error of a task whose pricing failed on a
+// worker, built from the failure text the worker reported.
+func failedOn(name string, worker int, msg string) error {
+	return fmt.Errorf("farm: task %q failed on worker %d: %s", name, worker, msg)
+}
+
+// resultError extracts the failure message from a result hash, if any.
 func resultError(o nsp.Object) (string, bool) {
 	h, ok := o.(*nsp.Hash)
 	if !ok {
@@ -449,24 +534,6 @@ func resultError(o nsp.Object) (string, bool) {
 		return "", false
 	}
 	return s.StrValue(), true
-}
-
-// ResultField extracts a scalar field from a result object collected by
-// the master, with a presence flag.
-func ResultField(r Result, field string) (float64, bool) {
-	h, ok := r.Value.(*nsp.Hash)
-	if !ok {
-		return 0, false
-	}
-	v, ok := h.Get(field)
-	if !ok {
-		return 0, false
-	}
-	m, ok := v.(*nsp.Mat)
-	if !ok || m.Rows != 1 || m.Cols != 1 {
-		return 0, false
-	}
-	return m.ScalarValue(), true
 }
 
 // resultName extracts the echoed task name from a result object.

@@ -13,9 +13,11 @@ import (
 // simulated executors advance virtual time by the task's cost.
 type Executor interface {
 	// Execute prices one task and returns its result object (conventionally
-	// the hash built by resultHash). payload holds the problem bytes
-	// (possibly fetched from the store under NFSLoad); size is the payload
-	// size declared by the descriptor, which simulated NFS reads need.
+	// a *Priced, which crosses an in-process world as itself and a wire as
+	// its result hash; any nsp object is carried). payload holds the
+	// problem bytes (possibly fetched from the store under NFSLoad); size
+	// is the payload size declared by the descriptor, which simulated NFS
+	// reads need.
 	Execute(name string, payload []byte, cost float64, size int) (nsp.Object, error)
 }
 
@@ -26,7 +28,9 @@ type Executor interface {
 // such communicators need not implement it.
 type ObjExecutor interface {
 	Executor
-	// ExecuteObj prices one task whose problem arrived as an object.
+	// ExecuteObj prices one task whose problem arrived as an object: the
+	// master's Task.Obj itself — a *premia.Problem as it stands, or the
+	// hash a problem travels as — which the executor must not mutate.
 	ExecuteObj(name string, obj nsp.Object, cost float64, size int) (nsp.Object, error)
 }
 
@@ -50,7 +54,7 @@ type Store interface {
 func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 	master := opts.MasterRank
 	reg := opts.Telemetry
-	// clock times compute calls for the "seconds" result-hash field. It
+	// clock times compute calls for the result's seconds field. It
 	// is the registry clock when there is one (virtual under simnet) and
 	// the sanctioned wall fallback otherwise, never raw time.Now — the
 	// riskvet wallclock rule.
@@ -161,17 +165,23 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 				// whether to retry).
 				reg.Emit(telemetry.LevelWarn, "farm.compute.error", span.Context(),
 					telemetry.Str("task", name), telemetry.Str("err", err.Error()))
-				res = errorResultHash(name, err.Error())
+				res = &Priced{Name: name, Err: err}
 			}
-			if h, ok := res.(*nsp.Hash); ok {
-				// Stamp the measured compute time unless the executor
-				// supplied its own (simulated executors charge virtual
-				// cost instead of being timed).
-				if _, has := h.Get("seconds"); !has {
-					h.Set("seconds", nsp.Scalar(elapsed))
+			switch v := res.(type) {
+			case *Priced:
+				v.Seconds = elapsed
+				if !caps.Has(mpi.CapHasDelta) {
+					// The wire form carries hasdelta only when it is set.
+					v.Result.HasDelta = false
+				}
+			case *nsp.Hash:
+				// A foreign executor's hash: stamp the measured compute
+				// time unless it supplied its own.
+				if _, has := v.Get("seconds"); !has {
+					v.Set("seconds", nsp.Scalar(elapsed))
 				}
 				if !caps.Has(mpi.CapHasDelta) {
-					h.Del("hasdelta")
+					v.Del("hasdelta")
 				}
 			}
 			out.Add(res)

@@ -76,6 +76,13 @@ func encodeObject(w *bufio.Writer, o Object) error {
 	if o == nil {
 		return errors.New("nsp: cannot encode nil object")
 	}
+	if wf, ok := o.(WireFormer); ok {
+		native, err := wf.WireForm()
+		if err != nil {
+			return err
+		}
+		return encodeObject(w, native)
+	}
 	if err := w.WriteByte(byte(o.Kind())); err != nil {
 		return err
 	}

@@ -383,3 +383,55 @@ func TestStringRepresentations(t *testing.T) {
 		t.Error("Kind.String mismatch")
 	}
 }
+
+// point is a Go value that travels as a hash: the WireFormer shape.
+type point struct {
+	x, y float64
+	err  error // what WireForm reports, if set
+}
+
+func (p *point) Kind() Kind          { return KindHash }
+func (p *point) Equal(o Object) bool { q, ok := o.(*point); return ok && *p == *q }
+func (p *point) WireForm() (Object, error) {
+	if p.err != nil {
+		return nil, p.err
+	}
+	h := NewHash()
+	h.Set("x", Scalar(p.x))
+	h.Set("y", Scalar(p.y))
+	return h, nil
+}
+
+// TestWireFormerEncodesAsItsWireForm: the encode path is where a
+// WireFormer becomes native objects — at the top level or nested, the
+// stream is byte for byte that of its wire form, it decodes as that
+// form, and a WireForm failure fails the encode.
+func TestWireFormerEncodesAsItsWireForm(t *testing.T) {
+	p := &point{x: 1.5, y: -2}
+	native, err := p.WireForm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, pair := range map[string][2]Object{
+		"top level": {p, native},
+		"nested":    {NewList(Str("a"), p), NewList(Str("a"), native)},
+	} {
+		got, err := Serialize(pair[0])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := Serialize(pair[1])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got.Data, want.Data) {
+			t.Errorf("%s: a WireFormer's stream differs from its wire form's", name)
+		}
+		if back := roundTrip(t, pair[0]); !back.Equal(pair[1]) {
+			t.Errorf("%s: decoded %v, want the wire form", name, back)
+		}
+	}
+	if _, err := Serialize(NewList(&point{err: ErrBadStream})); err == nil {
+		t.Error("a failing WireForm did not fail the encode")
+	}
+}

@@ -53,6 +53,32 @@ type Object interface {
 	Equal(Object) bool
 }
 
+// WireFormer is an Object that lives in memory as a Go value of its own
+// and knows the native object it travels as. The codec's encode path
+// (Serialize, Save, and through them every wire send) is the one place
+// that asks for the wire form, so a value handed between ranks of one
+// address space crosses as itself and pays for the format only where
+// bytes are needed. A WireFormer reports the Kind of its wire form and
+// decodes as that form: the stream does not remember what built it.
+type WireFormer interface {
+	Object
+	// WireForm builds the native object the stream carries.
+	WireForm() (Object, error)
+}
+
+// WireEqual is the Equal of a WireFormer: w equals whatever travels as
+// the same object, be it a native object or another WireFormer.
+func WireEqual(w WireFormer, o Object) bool {
+	if other, ok := o.(WireFormer); ok {
+		var err error
+		if o, err = other.WireForm(); err != nil {
+			return false
+		}
+	}
+	native, err := w.WireForm()
+	return err == nil && native.Equal(o)
+}
+
 // Mat is a dense real matrix stored row-major. A 1×1 Mat doubles as a
 // scalar, as in Nsp.
 type Mat struct {

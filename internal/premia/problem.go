@@ -153,6 +153,24 @@ func (p *Problem) ToNsp() (*nsp.Hash, error) {
 	return h, nil
 }
 
+// A *Problem is an nsp object in its own right, so it can be a farm
+// task's payload as itself: between ranks of one address space the
+// pointer is what crosses, and the nsp codec asks for the ToNsp hash
+// only when it has to write bytes. A problem handed to the farm must
+// not be mutated until the round returns.
+var _ nsp.WireFormer = (*Problem)(nil)
+
+// Kind implements nsp.Object: a problem travels as a hash.
+func (p *Problem) Kind() nsp.Kind { return nsp.KindHash }
+
+// WireForm implements nsp.WireFormer with the ToNsp hash.
+func (p *Problem) WireForm() (nsp.Object, error) { return p.ToNsp() }
+
+// Equal implements nsp.Object as equality of wire forms, so a problem
+// equals both another problem with the same content and the hash either
+// of them travels as.
+func (p *Problem) Equal(o nsp.Object) bool { return nsp.WireEqual(p, o) }
+
 // FromNsp rebuilds a problem from the hash produced by ToNsp.
 func FromNsp(o nsp.Object) (*Problem, error) {
 	h, ok := o.(*nsp.Hash)

@@ -200,11 +200,11 @@ func TestCompatEventsCapability(t *testing.T) {
 				if r.Err != nil {
 					t.Fatalf("%s failed despite retry budget: %v", r.Name, r.Err)
 				}
-				price, ok := farm.ResultField(r, "price")
-				if !ok {
-					t.Fatalf("%s has no price", r.Name)
+				p, err := farm.AsPriced(r)
+				if err != nil {
+					t.Fatalf("%s: %v", r.Name, err)
 				}
-				got[r.Name] = math.Float64bits(price)
+				got[r.Name] = math.Float64bits(p.Result.Price)
 			}
 			prices[tc.name] = got
 

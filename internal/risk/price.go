@@ -58,9 +58,12 @@ type priced struct {
 
 // priceRound farms one round of problems over the engine's backend and
 // returns their results index-aligned with the input — the engine's one
-// route from problems to farm results. Problems ship as objects:
-// in-process backends pass them by reference with zero serialization,
-// wire backends let the farm loader serialize them on demand. names
+// route from problems to farm results. A problem ships as itself:
+// in-process backends hand the worker the *premia.Problem and hand back
+// its *farm.Priced, with no conversion to or from the nsp format in
+// either direction; wire backends let the farm loader serialize it on
+// demand and farm.AsPriced decode the result hash. The caller's problems
+// must therefore stay unmutated until the round returns. names
 // must be unique; they travel as the farm task names, for diagnostics
 // and to pair each result with its slot, and are never parsed. The
 // round is sized to the work: two problems do not spin up the full
@@ -72,11 +75,7 @@ func (e Engine) priceRound(ctx context.Context, names []string, problems []*prem
 	tasks := make([]farm.Task, len(problems))
 	slot := make(map[string]int, len(problems))
 	for i, p := range problems {
-		h, err := e.stampThreads(p).ToNsp()
-		if err != nil {
-			return nil, err
-		}
-		tasks[i] = farm.Task{Name: names[i], Obj: h}
+		tasks[i] = farm.Task{Name: names[i], Obj: e.stampThreads(p)}
 		slot[names[i]] = i
 	}
 	opts := farm.Options{Strategy: farm.SerializedLoad, BatchSize: e.batch(), Telemetry: e.Telemetry, Fleet: e.Fleet}
@@ -100,16 +99,11 @@ func (e Engine) priceRound(ctx context.Context, names []string, problems []*prem
 			out[i].err = r.Err
 			continue
 		}
-		price, ok := farm.ResultField(r, "price")
-		if !ok {
-			return nil, fmt.Errorf("risk: result %q has no price", r.Name)
+		p, err := farm.AsPriced(r)
+		if err != nil {
+			return nil, fmt.Errorf("risk: pricing round: %w", err)
 		}
-		ci, _ := farm.ResultField(r, "priceCI")
-		delta, _ := farm.ResultField(r, "delta")
-		work, _ := farm.ResultField(r, "work")
-		hasDelta, _ := farm.ResultField(r, "hasdelta")
-		out[i].res = premia.Result{Price: price, PriceCI: ci, Delta: delta, HasDelta: hasDelta != 0, Work: work}
-		out[i].seconds, _ = farm.ResultField(r, "seconds")
+		out[i] = priced{res: p.Result, seconds: p.Seconds}
 	}
 	return out, nil
 }

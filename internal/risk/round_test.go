@@ -1,35 +1,50 @@
 package risk
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
 	"riskbench/internal/farm"
+	"riskbench/internal/mpi"
+	"riskbench/internal/nsp"
 	"riskbench/internal/portfolio"
 	"riskbench/internal/premia"
+	"riskbench/internal/telemetry"
 )
 
 // recordingBackend keeps every task the engine hands the farm seam and
-// runs the round on the default local farm.
+// every result that comes back, and runs the round on inner (nil = the
+// default local farm).
 type recordingBackend struct {
-	mu    sync.Mutex
-	tasks []farm.Task
+	inner   FarmBackend
+	mu      sync.Mutex
+	tasks   []farm.Task
+	results []farm.Result
 }
 
 func (b *recordingBackend) Run(ctx context.Context, tasks []farm.Task, opts farm.Options, workers int) ([]farm.Result, error) {
+	inner := b.inner
+	if inner == nil {
+		inner = farm.Local{}
+	}
+	results, err := inner.Run(ctx, tasks, opts, workers)
 	b.mu.Lock()
 	b.tasks = append(b.tasks, tasks...)
+	b.results = append(b.results, results...)
 	b.mu.Unlock()
-	return farm.Local{}.Run(ctx, tasks, opts, workers)
+	return results, err
 }
 
 // TestOneRoundShipsObjects pins the one problems→farm path: whatever
-// RevalueContext and PriceBatch farm goes out as a problem object under
-// a unique name, never as bytes serialized on the master — in-process
-// workers take the object by reference and a wire loader serializes it
-// on demand.
+// RevalueContext and PriceBatch farm goes out as the *premia.Problem
+// itself under a unique name, never as a hash or as bytes built on the
+// master, and in process comes back as the worker's *farm.Priced — as
+// itself in process, as its hash on the wire.
 func TestOneRoundShipsObjects(t *testing.T) {
 	rec := &recordingBackend{}
 	e := Engine{Workers: 2, Backend: rec}
@@ -48,13 +63,132 @@ func TestOneRoundShipsObjects(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, task := range rec.tasks {
-		if task.Obj == nil || task.Data != nil {
-			t.Errorf("task %s: Obj set %v, Data set %v; want the object only", task.Name, task.Obj != nil, task.Data != nil)
+		if _, ok := task.Obj.(*premia.Problem); !ok || task.Data != nil {
+			t.Errorf("task %s: Obj is %T, Data set %v; want the *premia.Problem only", task.Name, task.Obj, task.Data != nil)
 		}
 		if seen[task.Name] {
 			t.Errorf("task name %s handed to the farm twice", task.Name)
 		}
 		seen[task.Name] = true
+	}
+	for _, r := range rec.results {
+		if _, ok := r.Value.(*farm.Priced); !ok {
+			t.Errorf("result %s: Value is %T, want the worker's *farm.Priced", r.Name, r.Value)
+		}
+	}
+
+	// What the by-reference round must not move: over a framed transport
+	// a problem's payload is byte for byte nsp.Serialize of its ToNsp
+	// hash, and a result crosses as the result hash spelled out here field
+	// by field — hasdelta present only when the method computed a delta
+	// and the master negotiated the capability.
+	serialized := func(o nsp.Object) []byte {
+		t.Helper()
+		ser, err := nsp.Serialize(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ser.Data
+	}
+	probs := []*premia.Problem{callProblem(90), mcProblem(7), callProblem(100).Set("sigma", -1)}
+	for _, tc := range []struct {
+		name                     string
+		masterProto, workerProto int
+		hasDelta                 bool
+	}{
+		{"hasdelta negotiated", 0, 0, true},
+		// A v2 worker assumes nothing of a master that never said hello.
+		{"hasdelta stripped", mpi.ProtoV1, mpi.ProtoV2, false},
+	} {
+		t.Run("inproc/"+tc.name, func(t *testing.T) {
+			rec := &recordingBackend{inner: &NetBackend{Transport: "inproc", Proto: tc.masterProto, Spawn: GoNetWorkers(nil, tc.workerProto)}}
+			if _, err := (Engine{Workers: 2, Backend: rec}).PriceBatch(context.Background(), probs); err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.tasks) != len(probs) || len(rec.results) != len(probs) {
+				t.Fatalf("%d tasks and %d results recorded, want %d of each", len(rec.tasks), len(rec.results), len(probs))
+			}
+			direct, failure := map[string]premia.Result{}, map[string]error{}
+			for _, task := range rec.tasks {
+				p := task.Obj.(*premia.Problem)
+				h, err := p.ToNsp()
+				if err != nil {
+					t.Fatal(err)
+				}
+				payload, err := farm.LiveLoader{}.Load(task, farm.SerializedLoad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(payload, serialized(h)) {
+					t.Errorf("task %s: the loader's payload is not nsp.Serialize(p.ToNsp())", task.Name)
+				}
+				if direct[task.Name], err = p.Compute(); err != nil {
+					failure[task.Name] = err
+				}
+			}
+			if len(failure) != 1 {
+				t.Fatalf("%d of the problems fail to price, want the one with a negative volatility", len(failure))
+			}
+			sawDelta := false
+			for _, r := range rec.results {
+				got, ok := r.Value.(*nsp.Hash)
+				if !ok {
+					t.Fatalf("result %s came off the wire as %T, want a hash", r.Name, r.Value)
+				}
+				res := direct[r.Name]
+				seconds, _ := got.Get("seconds") // measured, not derivable
+				want := nsp.NewHash()
+				want.Set("name", nsp.Str(r.Name))
+				want.Set("seconds", seconds)
+				if err := failure[r.Name]; err != nil {
+					want.Set("error", nsp.Str(fmt.Sprintf("farm: compute %q: %v", r.Name, err)))
+				} else {
+					want.Set("price", nsp.Scalar(res.Price))
+					want.Set("priceCI", nsp.Scalar(res.PriceCI))
+					want.Set("delta", nsp.Scalar(res.Delta))
+					want.Set("work", nsp.Scalar(res.Work))
+					if res.HasDelta && tc.hasDelta {
+						want.Set("hasdelta", nsp.Scalar(1))
+						sawDelta = true
+					}
+				}
+				if !bytes.Equal(serialized(got), serialized(want)) {
+					t.Errorf("result %s crossed the wire as %s, want %s", r.Name, nsp.Display("got", got), nsp.Display("want", want))
+				}
+				// The typed result encodes to those same bytes.
+				typed, err := farm.AsPriced(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(serialized(typed), serialized(want)) {
+					t.Errorf("result %s: *farm.Priced serializes differently from its hash", r.Name)
+				}
+			}
+			if sawDelta != tc.hasDelta {
+				t.Errorf("hasdelta on the wire: %v, want %v", sawDelta, tc.hasDelta)
+			}
+		})
+	}
+}
+
+// TestRevalueAllocs is the allocation budget of the by-reference round:
+// a toy revaluation on the default in-process farm — spans, histograms
+// and fleet book live, as riskserver runs it — allocates at most 16
+// objects per repricing. Converting each problem to its hash and back
+// and each result to a hash cost 57.
+func TestRevalueAllocs(t *testing.T) {
+	pf := portfolio.Toy(250)
+	scenarios := append(Grid([]float64{-0.1, -0.05, 0.05, 0.1}, []float64{-0.2, -0.1, 0.1, 0.2}), RateShifts()...)
+	e := Engine{Workers: 1, Telemetry: telemetry.New(), Fleet: farm.NewFleet()}
+	repricings := float64(pf.Size() * (len(scenarios) + 1))
+	revalue := func() {
+		if _, err := e.Revalue(pf, scenarios); err != nil {
+			t.Fatal(err)
+		}
+	}
+	revalue()
+	if got := testing.AllocsPerRun(5, revalue) / repricings; got > 16 {
+		t.Errorf("a toy revaluation allocates %.1f per repricing, budget is 16", got)
 	}
 }
 
@@ -80,6 +214,11 @@ func mixedSample(t *testing.T) *portfolio.Portfolio {
 // revaluation surface is, bit for bit, what PriceBatch returns for the
 // same shifted problems, on every backend — so there is one pricing
 // path to reason about, and topology or transport never reaches a price.
+// It is also the by-reference-versus-wire oracle: the flat local farm
+// hands problems and results across as themselves, the hierarchy
+// forwards them through sub-masters, the inproc backend turns both into
+// bytes and back, and every field of every result — and the text of a
+// pricing failure — must come out the same from all three.
 func TestRevalueEqualsPriceBatch(t *testing.T) {
 	pf := mixedSample(t)
 	scenarios := []Scenario{
@@ -97,6 +236,12 @@ func TestRevalueEqualsPriceBatch(t *testing.T) {
 		t.Fatalf("spot scenario skips %d of %d claims, want a proper part of the book", skips, pf.Size())
 	}
 	ctx := context.Background()
+	// reference and referenceFailure are the first backend's answers, which
+	// the later backends must reproduce.
+	var (
+		reference        []PriceOutcome
+		referenceFailure string
+	)
 	for _, tc := range []struct {
 		name    string
 		backend FarmBackend
@@ -127,6 +272,26 @@ func TestRevalueEqualsPriceBatch(t *testing.T) {
 					t.Errorf("base %s: revalue (%v, %v, %v), PriceBatch (%v, %v, %v)", pf.Items[i].Name,
 						val.Base[i], val.BaseDelta[i], val.BaseHasDelta[i], w.Result.Price, w.Result.Delta, w.Result.HasDelta)
 				}
+			}
+			// A lone failing task always lands on rank 1, so even the rank in
+			// its error text is comparable.
+			failed, err := e.PriceBatch(ctx, []*premia.Problem{callProblem(100).Set("sigma", -1)})
+			if err != nil || failed[0].Err == nil {
+				t.Fatalf("a negative volatility priced: %+v, %v", failed, err)
+			}
+			if reference == nil {
+				reference, referenceFailure = want, failed[0].Err.Error()
+			}
+			for i, w := range want {
+				got, ref := w.Result, reference[i].Result
+				if math.Float64bits(got.Price) != math.Float64bits(ref.Price) || math.Float64bits(got.PriceCI) != math.Float64bits(ref.PriceCI) ||
+					math.Float64bits(got.Delta) != math.Float64bits(ref.Delta) || got.HasDelta != ref.HasDelta ||
+					math.Float64bits(got.Work) != math.Float64bits(ref.Work) {
+					t.Errorf("base %s: %+v here, %+v by reference on the flat local farm", pf.Items[i].Name, got, ref)
+				}
+			}
+			if got := failed[0].Err.Error(); got != referenceFailure {
+				t.Errorf("pricing failure reads %q here, %q on the flat local farm", got, referenceFailure)
 			}
 			for s, sc := range scenarios {
 				shifted := make([]*premia.Problem, pf.Size())

@@ -271,7 +271,7 @@ func (s *Server) handleRiskIndex(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRiskReport(w http.ResponseWriter, r *http.Request) {
 	if err := s.admit(); err != nil {
-		s.writeError(w, err)
+		s.writeError(w, r, err)
 		return
 	}
 	defer s.release()
@@ -313,7 +313,7 @@ func (s *Server) handleRiskReport(w http.ResponseWriter, r *http.Request) {
 	rep, _, err := s.estimate(ctx, q.Method, pf, scens, cfg, nil)
 	if err != nil {
 		if ctx.Err() != nil || r.Context().Err() != nil {
-			s.writeError(w, ctx.Err())
+			s.writeError(w, r, ctx.Err())
 			return
 		}
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
@@ -392,7 +392,7 @@ func levelRank(level string) int {
 
 func (s *Server) handleRiskWatch(w http.ResponseWriter, r *http.Request) {
 	if err := s.admit(); err != nil {
-		s.writeError(w, err)
+		s.writeError(w, r, err)
 		return
 	}
 	defer s.release()

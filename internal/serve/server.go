@@ -83,9 +83,10 @@ type Config struct {
 // of requests priced under 50ms (measured on the span.serve.request
 // histogram, whose buckets carry trace-linked exemplars), and a 99.9%
 // infrastructure success rate (serve.request_errors over
-// serve.requests). Windows are short — 60s/300s — because this service
-// is a benchmark harness: breaches should be demonstrable in a demo,
-// not after half an hour of sustained load.
+// serve.requests; a client that hangs up is counted under
+// serve.client_cancels instead). Windows are short — 60s/300s — because
+// this service is a benchmark harness: breaches should be demonstrable
+// in a demo, not after half an hour of sustained load.
 func DefaultSLOs() []telemetry.Objective {
 	return []telemetry.Objective{
 		{Name: "price_latency", Histogram: "span.serve.request", Threshold: 0.050,
@@ -497,11 +498,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// statusClientClosedRequest is the de-facto status (nginx's 499) for a
+// request whose client went away before the answer was ready.
+const statusClientClosedRequest = 499
+
 // writeError maps serving errors onto HTTP statuses. Every error it
 // writes is an infrastructure failure (shed, drain, deadline, internal),
 // so it also feeds the error-rate SLO's bad-request counter — client
 // mistakes (400s) go through writeJSON directly and do not burn budget.
-func (s *Server) writeError(w http.ResponseWriter, err error) {
+// Nor does a client that hung up: the request's own cancellation is
+// neither a success nor a failure of the service, so it is counted on
+// its own and the connection nobody reads gets a bare status.
+func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
+	if errors.Is(err, context.Canceled) && r.Context().Err() != nil {
+		s.reg.Counter("serve.client_cancels").Add(1)
+		w.WriteHeader(statusClientClosedRequest)
+		return
+	}
 	s.reg.Counter("serve.request_errors").Add(1)
 	switch {
 	case errors.Is(err, ErrOverloaded):
@@ -524,7 +537,7 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 
 func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 	if err := s.admit(); err != nil {
-		s.writeError(w, err)
+		s.writeError(w, r, err)
 		return
 	}
 	defer s.release()
@@ -540,7 +553,7 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	out, err := s.priceProblem(ctx, pj.toProblem(), false)
 	if err != nil {
-		s.writeError(w, err)
+		s.writeError(w, r, err)
 		return
 	}
 	if out.Err != nil {
@@ -556,7 +569,7 @@ const maxBatchRequest = 65536
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if err := s.admit(); err != nil {
-		s.writeError(w, err)
+		s.writeError(w, r, err)
 		return
 	}
 	defer s.release()
@@ -601,7 +614,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	if firstErr != nil {
-		s.writeError(w, firstErr)
+		s.writeError(w, r, firstErr)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"results": results})

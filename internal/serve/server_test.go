@@ -441,3 +441,66 @@ func TestBadRequests(t *testing.T) {
 		t.Fatalf("debug/traces: status %d, body %q", w.Code, w.Body.String())
 	}
 }
+
+// TestClientHangUpIsNotARequestError: a client that goes away while its
+// price is being computed is neither a success nor an infrastructure
+// failure. The request's own cancellation is counted on its own, leaves
+// the error-rate SLO's counter alone, and writes no error body to the
+// connection nobody reads; a deadline is still a 504 and still counted.
+func TestClientHangUpIsNotARequestError(t *testing.T) {
+	// The PriceFunc announces each batch and holds it until released, so
+	// the request is known to be in flight when its client gives up.
+	entered, release := make(chan struct{}), make(chan struct{})
+	price := func(ctx context.Context, problems []*premia.Problem) ([]risk.PriceOutcome, error) {
+		entered <- struct{}{}
+		<-release
+		return make([]risk.PriceOutcome, len(problems)), nil
+	}
+	reg := telemetry.New()
+	s := New(Config{Price: price, RequestTimeout: time.Second, MaxBatch: 1, MaxDelay: time.Millisecond, Telemetry: reg})
+	defer s.Close()
+	// serve runs one request; giveUp, when set, is called once it is
+	// being priced.
+	serve := func(ctx context.Context, path, body string, giveUp context.CancelFunc) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)).WithContext(ctx)
+		w := httptest.NewRecorder()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			s.Handler().ServeHTTP(w, req)
+		}()
+		<-entered
+		if giveUp != nil {
+			giveUp()
+		}
+		<-served
+		release <- struct{}{}
+		return w
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/price", cfBody(90)},
+		{"/batch", `{"problems":[` + cfBody(91) + `]}`},
+	} {
+		ctx, hangUp := context.WithCancel(context.Background())
+		if w := serve(ctx, tc.path, tc.body, hangUp); w.Code != statusClientClosedRequest || w.Body.Len() != 0 {
+			t.Errorf("%s after a hang-up: status %d body %q, want a bare %d", tc.path, w.Code, w.Body, statusClientClosedRequest)
+		}
+	}
+	counters := reg.Snapshot().Counters
+	if counters["serve.client_cancels"] != 2 || counters["serve.request_errors"] != 0 {
+		t.Fatalf("after two hang-ups: serve.client_cancels %d, serve.request_errors %d; want 2 and 0",
+			counters["serve.client_cancels"], counters["serve.request_errors"])
+	}
+
+	// A deadline is the service's failure, not the client's.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if w := serve(ctx, "/price", cfBody(92), nil); w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("deadline: status %d, want 504", w.Code)
+	}
+	counters = reg.Snapshot().Counters
+	if counters["serve.client_cancels"] != 2 || counters["serve.request_errors"] != 1 {
+		t.Fatalf("after a deadline: serve.client_cancels %d, serve.request_errors %d; want 2 and 1",
+			counters["serve.client_cancels"], counters["serve.request_errors"])
+	}
+}

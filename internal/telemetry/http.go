@@ -65,6 +65,17 @@ func writeTraceTree(w *strings.Builder, tr Trace, rec SpanRecord, depth int) {
 	}
 }
 
+// writeTraceHeader writes a trace's one-line summary; an overflowed
+// trace says how many spans it turned away, so a tree with missing
+// subtrees is not mistaken for the whole request.
+func writeTraceHeader(w *strings.Builder, tr Trace) {
+	fmt.Fprintf(w, "trace %016x  %s  %d span(s)", tr.TraceID, fmtDur(tr.Duration()), len(tr.Spans))
+	if tr.Dropped > 0 {
+		fmt.Fprintf(w, "  %d spans dropped", tr.Dropped)
+	}
+	w.WriteString("\n")
+}
+
 // RenderTraces formats the slowest n reassembled traces as text: one
 // indented tree per trace plus a per-phase (span name) duration
 // breakdown, master- and worker-side spans interleaved by parent links.
@@ -73,7 +84,8 @@ func RenderTraces(r *Registry, n int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d trace(s) retained, slowest first\n", len(traces))
 	for _, tr := range traces {
-		fmt.Fprintf(&b, "\ntrace %016x  %s  %d span(s)\n", tr.TraceID, fmtDur(tr.Duration()), len(tr.Spans))
+		b.WriteString("\n")
+		writeTraceHeader(&b, tr)
 		// Phase breakdown: total duration and count per span name.
 		type phase struct {
 			total float64
@@ -132,7 +144,7 @@ func TraceHandler(r *Registry, n int) http.Handler {
 			for _, tr := range r.Traces() {
 				if tr.TraceID == id {
 					var b strings.Builder
-					fmt.Fprintf(&b, "trace %016x  %s  %d span(s)\n", tr.TraceID, fmtDur(tr.Duration()), len(tr.Spans))
+					writeTraceHeader(&b, tr)
 					for _, root := range tr.Roots() {
 						writeTraceTree(&b, tr, root, 0)
 					}

@@ -26,6 +26,10 @@ type Registry struct {
 	// traces retains the spans of recently seen traces for /debug/traces
 	// reassembly (local spans via recordSpan, remote ones via IngestSpans).
 	traces traceTable
+	// spansDropped counts the spans full traces turned away. It exists
+	// from New, at zero, so an overflow shows as a rate on a series that
+	// was always there rather than as a series appearing.
+	spansDropped *Counter
 
 	// events is the flight-recorder ring (event.go), allocated on first
 	// emission so registries that never emit events pay nothing.
@@ -49,6 +53,7 @@ func New() *Registry {
 	r := &Registry{}
 	r.clock.Store(func() float64 { return wallSeconds() })
 	r.spanID.Store(randUint64())
+	r.spansDropped = r.Counter("telemetry.trace.spans_dropped")
 	return r
 }
 
@@ -140,7 +145,7 @@ func (r *Registry) recordSpan(rec SpanRecord) {
 	} else {
 		agg.hist.Observe(rec.End - rec.Start)
 	}
-	r.traces.add(rec)
+	r.fileSpan(rec, false)
 	r.spanMu.Lock()
 	if len(r.spanRing) < spanRingCap {
 		r.spanRing = append(r.spanRing, rec)

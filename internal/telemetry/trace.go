@@ -4,6 +4,7 @@ import (
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,12 +83,38 @@ const (
 	maxTraceSpans = 4096
 )
 
+// smallTrace is the span count up to which an arriving span is deduped
+// by scanning its trace's slice. A serve request's trace holds about a
+// dozen spans and the table churns one entry per request on a hot
+// server, so the common trace never allocates a set; a revaluation's
+// trace holds thousands and would otherwise pay a scan of all of them
+// for every span a worker ships back.
+const smallTrace = 32
+
 // traceEntry accumulates the spans of one trace as they finish locally
-// or arrive from workers. A slice with linear dedupe beats a map here:
-// typical traces hold a handful of spans, and the table churns one entry
-// per request on a hot server.
+// or arrive from workers.
 type traceEntry struct {
-	spans []SpanRecord // arrival order, deduped by span ID on add
+	spans []SpanRecord // arrival order, no two with one span ID
+	// ids holds the ID of every span in spans from the first time a span
+	// arrives from elsewhere at a trace that has outgrown smallTrace; nil
+	// until then.
+	ids map[uint64]struct{}
+	// dropped counts the spans turned away at the maxTraceSpans cap.
+	dropped int
+}
+
+// has reports whether the entry already holds a span with this ID.
+func (e *traceEntry) has(id uint64) bool {
+	if e.ids != nil {
+		_, ok := e.ids[id]
+		return ok
+	}
+	for i := range e.spans {
+		if e.spans[i].ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // traceTable is the registry's bounded store of recently seen traces.
@@ -97,12 +124,16 @@ type traceTable struct {
 	order  []uint64 // trace IDs in first-seen order, for FIFO eviction
 }
 
-// add files one finished span under its trace, deduplicating by span ID
-// (the same record can arrive twice when master and worker share a
-// registry: once from Span.End, once shipped back with the results).
-func (t *traceTable) add(rec SpanRecord) {
+// add files one finished span under its trace. A span filed by its own
+// End (arrived false) is new by construction; one that arrived from a
+// worker is deduplicated by span ID, because when master and worker
+// share a registry the same record comes twice: once from Span.End, then
+// shipped back with the results. add reports false when the span was
+// dropped because its trace is full; the cap is checked first, so a full
+// trace costs a drop nothing more.
+func (t *traceTable) add(rec SpanRecord, arrived bool) bool {
 	if rec.TraceID == 0 {
-		return
+		return true
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -116,7 +147,7 @@ func (t *traceTable) add(rec SpanRecord) {
 			t.order = t.order[1:]
 			if old := t.traces[oldest]; old != nil {
 				e = old // recycle: at steady state eviction funds admission
-				e.spans = e.spans[:0]
+				e.spans, e.ids, e.dropped = e.spans[:0], nil, 0
 			}
 			delete(t.traces, oldest)
 		}
@@ -126,15 +157,41 @@ func (t *traceTable) add(rec SpanRecord) {
 		t.traces[rec.TraceID] = e
 		t.order = append(t.order, rec.TraceID)
 	}
-	for i := range e.spans {
-		if e.spans[i].ID == rec.ID {
-			return
+	if len(e.spans) >= maxTraceSpans {
+		e.dropped++
+		return false
+	}
+	if arrived {
+		if e.ids == nil && len(e.spans) > smallTrace {
+			e.ids = make(map[uint64]struct{}, 2*len(e.spans))
+			for i := range e.spans {
+				e.ids[e.spans[i].ID] = struct{}{}
+			}
+		}
+		if e.has(rec.ID) {
+			return true
 		}
 	}
-	if len(e.spans) >= maxTraceSpans {
-		return
+	if e.ids != nil {
+		e.ids[rec.ID] = struct{}{}
+	}
+	if n := len(e.spans); n == cap(e.spans) && n >= smallTrace {
+		// A trace this size is usually on its way to thousands of spans:
+		// quadruple rather than creep up by append's quarter steps, which
+		// copy the records five times over on the way to the cap.
+		e.spans = slices.Grow(e.spans, min(3*n, maxTraceSpans-n))
 	}
 	e.spans = append(e.spans, rec)
+	return true
+}
+
+// fileSpan files rec in the trace table and counts it when its trace was
+// full, so an overflowed trace is visible on /metrics as well as on
+// /debug/traces.
+func (r *Registry) fileSpan(rec SpanRecord, arrived bool) {
+	if !r.traces.add(rec, arrived) {
+		r.spansDropped.Add(1)
+	}
 }
 
 // Trace is one reassembled span tree, as retained by the registry.
@@ -144,6 +201,10 @@ type Trace struct {
 	// Spans holds every retained span of the trace, ordered by start
 	// time (ties broken by span ID for determinism).
 	Spans []SpanRecord
+	// Dropped is how many further spans the trace was offered after it
+	// reached the table's per-trace cap. They still counted into the span
+	// aggregates and histograms; only the tree is missing them.
+	Dropped int
 }
 
 // Duration is the trace's end-to-end extent: latest End minus earliest
@@ -217,7 +278,7 @@ func (r *Registry) Traces() []Trace {
 	out := make([]Trace, 0, len(ids))
 	for _, id := range ids {
 		e := r.traces.traces[id]
-		tr := Trace{TraceID: id, Spans: make([]SpanRecord, len(e.spans))}
+		tr := Trace{TraceID: id, Spans: make([]SpanRecord, len(e.spans)), Dropped: e.dropped}
 		copy(tr.Spans, e.spans)
 		out = append(out, tr)
 	}
@@ -262,6 +323,6 @@ func (r *Registry) IngestSpans(recs []SpanRecord) {
 		return
 	}
 	for _, rec := range recs {
-		r.traces.add(rec)
+		r.fileSpan(rec, true)
 	}
 }

@@ -259,3 +259,114 @@ func TestRenderTraces(t *testing.T) {
 		t.Errorf("child precedes root in tree render:\n%s", out)
 	}
 }
+
+// fileTrace files n distinct spans under one fresh trace and returns
+// their records.
+func fileTrace(r *Registry, n int) []SpanRecord {
+	root := r.StartTrace("risk.revalue")
+	recs := make([]SpanRecord, 0, n)
+	for i := 1; i < n; i++ {
+		sp := root.StartChild("farm.task")
+		sp.End()
+		recs = append(recs, sp.Record())
+	}
+	root.End()
+	return append(recs, root.Record())
+}
+
+// spansOf returns how many spans the table retains for a trace, and how
+// many it dropped.
+func spansOf(t *testing.T, r *Registry, traceID uint64) (kept, dropped int) {
+	t.Helper()
+	for _, tr := range r.Traces() {
+		if tr.TraceID == traceID {
+			return len(tr.Spans), tr.Dropped
+		}
+	}
+	t.Fatalf("trace %016x not retained", traceID)
+	return 0, 0
+}
+
+// TestTraceDedupeAcrossSizes: deduplication by span ID holds while a
+// trace is small enough to scan, across the switch to its ID set, and in
+// an entry recycled from an evicted trace of the other size — so
+// IngestSpans of a shared-registry copy stays a no-op at every size.
+func TestTraceDedupeAcrossSizes(t *testing.T) {
+	r := New()
+	for _, n := range []int{smallTrace - 1, smallTrace, smallTrace + 1, 10 * smallTrace} {
+		recs := fileTrace(r, n)
+		// The shared-registry shape: every record comes back once more
+		// with the results, the early ones after the switch to the set.
+		r.IngestSpans(recs)
+		if kept, dropped := spansOf(t, r, recs[0].TraceID); kept != n || dropped != 0 {
+			t.Errorf("%d-span trace re-ingested: %d kept, %d dropped; want %d and 0", n, kept, dropped, n)
+		}
+	}
+	// Churn the table so every entry is a recycled one. Every third trace
+	// is big, and maxTraces is not a multiple of three, so entries pass
+	// from big traces to small ones and back: a recycled entry must not
+	// remember the IDs, the set or the drops of the trace it held before.
+	for i := 0; i < 3*maxTraces; i++ {
+		n := 3
+		if i%3 == 0 {
+			n = 2 * smallTrace
+		}
+		recs := fileTrace(r, n)
+		r.IngestSpans(recs)
+		if kept, dropped := spansOf(t, r, recs[0].TraceID); kept != n || dropped != 0 {
+			t.Fatalf("recycled entry %d: %d kept, %d dropped; want %d and 0", i, kept, dropped, n)
+		}
+	}
+	if got := r.Snapshot().Counters["telemetry.trace.spans_dropped"]; got != 0 {
+		t.Errorf("telemetry.trace.spans_dropped = %d with no trace full", got)
+	}
+}
+
+// TestFullTraceCountsDrops: a trace at the span cap turns new and
+// duplicate spans away alike — the cap is checked before the dedupe, so
+// a drop costs nothing — and says so: on the Trace, on the counter, and
+// on /debug/traces.
+func TestFullTraceCountsDrops(t *testing.T) {
+	r := New()
+	const extra = 25
+	recs := fileTrace(r, maxTraceSpans+extra)
+	id := recs[0].TraceID
+	if kept, dropped := spansOf(t, r, id); kept != maxTraceSpans || dropped != extra {
+		t.Fatalf("overflowed trace: %d kept, %d dropped; want %d and %d", kept, dropped, maxTraceSpans, extra)
+	}
+	r.IngestSpans(recs[:10]) // already filed, but the trace is full
+	if _, dropped := spansOf(t, r, id); dropped != extra+10 {
+		t.Errorf("duplicates offered to a full trace: %d dropped, want %d", dropped, extra+10)
+	}
+	if got := r.Snapshot().Counters["telemetry.trace.spans_dropped"]; got != extra+10 {
+		t.Errorf("telemetry.trace.spans_dropped = %d, want %d", got, extra+10)
+	}
+	if out := RenderTraces(r, 1); !strings.Contains(out, "35 spans dropped") {
+		t.Errorf("/debug/traces does not say the trace overflowed:\n%.300s", out)
+	}
+	small := fileTrace(r, 3)
+	if out := RenderTraces(r, 0); strings.Count(out, "spans dropped") != 1 {
+		t.Errorf("trace %016x dropped nothing but /debug/traces says otherwise:\n%.600s", small[0].TraceID, out)
+	}
+}
+
+// TestSmallTraceAllocs: at steady state (every table entry recycled) a
+// serve-sized trace costs its spans and nothing else — filing them
+// allocates no set and grows no slice.
+func TestSmallTraceAllocs(t *testing.T) {
+	r := New()
+	const spans = 12
+	request := func() {
+		root := r.StartTrace("serve.request")
+		for i := 1; i < spans; i++ {
+			root.StartChild("farm.task").End()
+		}
+		root.End()
+	}
+	for i := 0; i < 2*maxTraces; i++ {
+		request()
+	}
+	if got := testing.AllocsPerRun(1000, request); got > spans {
+		t.Errorf("a %d-span trace allocates %v, want one per span", spans, got)
+	}
+}

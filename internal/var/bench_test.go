@@ -4,7 +4,10 @@ import (
 	"context"
 	"testing"
 
+	"riskbench/internal/farm"
+	"riskbench/internal/portfolio"
 	"riskbench/internal/risk"
+	"riskbench/internal/telemetry"
 )
 
 // BenchmarkVaRDeltaGamma measures the delta–gamma hot path: evaluating
@@ -40,6 +43,28 @@ func BenchmarkScenarioGeneration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.GenerateParallel(context.Background(), 1000, 1, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFullRevalToy is the benchmark's var_toy operation in process:
+// one full-revaluation report over the toy book, 250 claims × (24
+// scenarios + base) = 6250 repricings in one farm round, on the
+// engine riskserver builds at -workers 1 (a registry and a fleet, so
+// spans, histograms and the fleet book are all live). `make profile`
+// runs it under the CPU profiler.
+func BenchmarkFullRevalToy(b *testing.B) {
+	pf := portfolio.Toy(250)
+	scens, err := DefaultMarket().Generate(24, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := risk.Engine{Workers: 1, BatchSize: 16, Telemetry: telemetry.New(), Fleet: farm.NewFleet()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FullReval(context.Background(), eng, pf, scens, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}
