@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race check smoke compat wireshape profile
+.PHONY: build test vet lint race check smoke compat fuzz loc wireshape profile
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,27 @@ check: build vet lint test race
 # master and vice versa.
 compat:
 	$(GO) test -run TestCompat -v ./internal/mpi ./internal/risk
+
+# fuzz explores the socket-reachable farm decoders for 10 s each (go
+# test takes one -fuzz target per invocation): the batch descriptor a
+# worker decodes and the span/event payloads a master decodes, both fed
+# through nsp.Unserialize as a frame's bytes arrive. The seeds (golden
+# wire bytes plus every known corruption) also run under plain `go
+# test`. A failing input lands in internal/farm/testdata/fuzz/; commit it
+# with the fix.
+fuzz:
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime 10s ./internal/farm
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRecords$$' -fuzztime 10s ./internal/farm
+
+# loc prints non-test and test Go lines per package directory, so
+# ROADMAP's size targets are read off a command.
+loc:
+	@printf '%-24s %8s %8s\n' directory non-test test
+	@for d in internal/* cmd/* benchmark; do \
+		printf '%-24s %8d %8d\n' $$d \
+			$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l) \
+			$$(find $$d -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l); \
+	done
 
 # smoke boots riskserver, prices one request, and asserts /healthz,
 # /metrics, /metrics.json, /debug/traces and /debug/pprof all respond.

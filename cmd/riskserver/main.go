@@ -100,7 +100,6 @@ func main() {
 		drainWait   = flag.Duration("drain", 30*time.Second, "max time to drain in-flight work on shutdown")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		noTrace     = flag.Bool("notrace", false, "disable per-request distributed tracing")
-		noEvents    = flag.Bool("noevents", false, "disable serve-side flight-recorder events and SLO monitoring")
 	)
 	flag.Parse()
 
@@ -138,7 +137,6 @@ func main() {
 		RequestTimeout: *timeout,
 		Telemetry:      reg,
 		DisableTracing: *noTrace,
-		DisableEvents:  *noEvents,
 	})
 
 	handler := srv.Handler()

@@ -42,7 +42,7 @@ func TestEndToEndPaperPipeline(t *testing.T) {
 	// 3. A real TCP world: master hub + 3 worker processes (goroutines
 	// here, but speaking the wire protocol).
 	const size = 4
-	hub, err := mpi.ListenHub("127.0.0.1:0", size)
+	hub, err := mpi.ListenHubWith("127.0.0.1:0", size, mpi.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestEndToEndPaperPipeline(t *testing.T) {
 	opts := farm.Options{Strategy: farm.SerializedLoad, BatchSize: 4, MaxRetries: 1}
 	var wg sync.WaitGroup
 	for i := 1; i < size; i++ {
-		wc, err := mpi.DialHub(hub.Addr())
+		wc, err := mpi.DialHubWith(hub.Addr(), mpi.WorldOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -144,17 +145,14 @@ func TestEventPayloadRoundtrip(t *testing.T) {
 		// Same name again: the intern table must map both to one entry.
 		{When: 3.25, Level: telemetry.LevelWarn, Name: "farm.compute.error"},
 	}
-	h := encodeEventPayload(evs, 42.5)
-	if !isEventPayload(h) {
-		t.Fatal("encoded payload not recognised")
-	}
-	if isEventPayload(wireResult(t, "job-01", 1)) {
+	var wr workerRecords
+	if ok, _ := decodeRecords(wireResult(t, "job-01", 1), &wr); ok {
 		t.Fatal("task result misrecognised as event payload")
 	}
-	got, recvAt, err := decodeEventPayload(h)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	if ok, err := decodeRecords(encodeEventPayload(evs, 42.5), &wr); !ok || err != nil {
+		t.Fatalf("event payload: recognised %v, err %v", ok, err)
 	}
+	got, recvAt := wr.events, wr.recvAt
 	if recvAt != 42.5 {
 		t.Errorf("recvAt = %v, want 42.5", recvAt)
 	}
@@ -182,48 +180,101 @@ func TestEventPayloadRoundtrip(t *testing.T) {
 	}
 }
 
+// corruption is one way a hostile or skewed peer could garble a bundle;
+// the reject tests apply each to a good bundle and the fuzz targets start
+// from the results.
+type corruption struct {
+	name   string
+	mutate func(h *nsp.Hash)
+}
+
+// set returns a mutation that replaces a column with the given values.
+func set(key string, vs ...float64) func(*nsp.Hash) {
+	return func(h *nsp.Hash) { h.Set(key, nsp.RowVec(vs...)) }
+}
+
+func goodEventPayload() *nsp.Hash {
+	return encodeEventPayload([]telemetry.Event{{
+		When: 1, Level: telemetry.LevelWarn, Name: "farm.compute.error",
+		Fields: []telemetry.Field{telemetry.Str("task", "job-01")},
+	}}, 1)
+}
+
+var eventCorruptions = []corruption{
+	{"missing levels", func(h *nsp.Hash) { h.Del(eventLevels) }},
+	{"levels are strings", func(h *nsp.Hash) { h.Set(eventLevels, nsp.NewSMat(1, 1)) }},
+	{"name index out of range", set(nameIxKey, 7)},
+	{"fractional field count", set(eventNFields, 0.5)},
+	{"field count overruns arrays", set(eventNFields, 9)},
+	{"field rows unclaimed", set(eventNFields, 0)},
+	{"trace halves truncated", func(h *nsp.Hash) { h.Set(tracesKey, nsp.NewMat(1, 1)) }},
+	{"trace half out of range", set(tracesKey, 1, 1<<32)},
+	{"string value index dangles", func(h *nsp.Hash) { h.Set(eventStrs, nsp.NewSMat(1, 0)) }},
+	{"string flag is not 0/1", set(eventFieldStr, 2)},
+	{"recvat malformed", func(h *nsp.Hash) { h.Set(recvAtKey, nsp.NewMat(1, 2)) }},
+	// Levels no worker can emit: a cast would file them as level(44),
+	// level(-1), info, debug and debug.
+	{"level 300", set(eventLevels, 300)},
+	{"level -1", set(eventLevels, -1)},
+	{"level 1.5", set(eventLevels, 1.5)},
+	{"level NaN", set(eventLevels, math.NaN())},
+	{"level 1e300", set(eventLevels, 1e300)},
+	// Times that would poison every duration computed from them.
+	{"when NaN", set(eventWhens, math.NaN())},
+	{"when +Inf", set(eventWhens, math.Inf(1))},
+	{"recvat NaN", set(recvAtKey, math.NaN())},
+	{"recvat -Inf", set(recvAtKey, math.Inf(-1))},
+}
+
+func goodSpanPayload() *nsp.Hash {
+	return encodeSpanPayload([]telemetry.SpanRecord{
+		{ID: 1<<63 + 7, ParentID: 3, TraceID: 9, Name: "farm.compute", Start: 1.5, End: 2.25},
+	}, 1.25)
+}
+
+var spanCorruptions = []corruption{
+	{"missing ids", func(h *nsp.Hash) { h.Del(spanIDs) }},
+	{"names are floats", func(h *nsp.Hash) { h.Set(namesKey, nsp.NewMat(1, 1)) }},
+	{"name index out of range", set(nameIxKey, 1)},
+	{"name index fractional", set(nameIxKey, 0.5)},
+	{"id halves truncated", set(spanIDs, 1)},
+	{"id half negative", set(spanIDs, -1, 0)},
+	{"span without an ID", set(spanIDs, 0, 0)},
+	{"lengths disagree", set(spanStarts, 1, 2)},
+	{"start NaN", set(spanStarts, math.NaN())},
+	{"end +Inf", set(spanEnds, math.Inf(1))},
+	{"recvat NaN", set(recvAtKey, math.NaN())},
+	{"recvat malformed", func(h *nsp.Hash) { h.Set(recvAtKey, nsp.NewMat(1, 2)) }},
+}
+
 // TestEventPayloadRejectsMalformed feeds the decoder the corruptions a
 // hostile or skewed peer could ship: wrong container type, missing
-// arrays, dangling intern indices and disagreeing lengths.
+// arrays, dangling intern indices, disagreeing lengths, and levels and
+// times no worker can produce.
 func TestEventPayloadRejectsMalformed(t *testing.T) {
-	if _, _, err := decodeEventPayload(nsp.Scalar(1)); err == nil {
-		t.Error("non-hash payload accepted")
-	}
-	base := func() []telemetry.Event {
-		return []telemetry.Event{{
-			When: 1, Level: telemetry.LevelWarn, Name: "farm.compute.error",
-			Fields: []telemetry.Field{telemetry.Str("task", "job-01")},
-		}}
-	}
-	corrupt := []struct {
-		name   string
-		mutate func(h *nsp.Hash)
-	}{
-		{"missing levels", func(h *nsp.Hash) { h.Del(eventLevels) }},
-		{"name index out of range", func(h *nsp.Hash) {
-			m := nsp.NewMat(1, 1)
-			m.Data[0] = 7
-			h.Set(eventNameIx, m)
-		}},
-		{"fractional field count", func(h *nsp.Hash) {
-			m := nsp.NewMat(1, 1)
-			m.Data[0] = 0.5
-			h.Set(eventNFields, m)
-		}},
-		{"field count overruns arrays", func(h *nsp.Hash) {
-			m := nsp.NewMat(1, 1)
-			m.Data[0] = 9
-			h.Set(eventNFields, m)
-		}},
-		{"trace halves truncated", func(h *nsp.Hash) { h.Set(eventTraces, nsp.NewMat(1, 1)) }},
-		{"string value index dangles", func(h *nsp.Hash) { h.Set(eventStrs, nsp.NewSMat(1, 0)) }},
-		{"recvat malformed", func(h *nsp.Hash) { h.Set(eventRecvAt, nsp.NewMat(1, 2)) }},
+	testRecordsRejectMalformed(t, goodEventPayload, eventCorruptions)
+}
+
+// TestSpanPayloadRejectsMalformed is the span payload's twin.
+func TestSpanPayloadRejectsMalformed(t *testing.T) {
+	testRecordsRejectMalformed(t, goodSpanPayload, spanCorruptions)
+}
+
+func testRecordsRejectMalformed(t *testing.T, good func() *nsp.Hash, corrupt []corruption) {
+	var wr workerRecords
+	if ok, err := decodeRecords(good(), &wr); !ok || err != nil {
+		t.Fatalf("good payload: recognised %v, err %v", ok, err)
 	}
 	for _, tc := range corrupt {
-		h := encodeEventPayload(base(), 1)
+		h := good()
 		tc.mutate(h)
-		if _, _, err := decodeEventPayload(h); err == nil {
-			t.Errorf("%s: corrupted payload accepted", tc.name)
+		wr = workerRecords{}
+		ok, err := decodeRecords(h, &wr)
+		if !ok || err == nil {
+			t.Errorf("%s: corrupted payload accepted (recognised %v)", tc.name, ok)
+		}
+		if wr.spans != nil || wr.events != nil {
+			t.Errorf("%s: rejected payload still left records behind", tc.name)
 		}
 	}
 }

@@ -364,7 +364,7 @@ func TestFarmHierarchicalNFS(t *testing.T) {
 func TestFarmOverTCP(t *testing.T) {
 	tasks, want := makePortfolio(t, 20)
 	const size = 4
-	hub, err := mpi.ListenHub("127.0.0.1:0", size)
+	hub, err := mpi.ListenHubWith("127.0.0.1:0", size, mpi.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestFarmOverTCP(t *testing.T) {
 	opts := Options{Strategy: SerializedLoad}
 	var wg sync.WaitGroup
 	for i := 1; i < size; i++ {
-		wc, err := mpi.DialHub(hub.Addr())
+		wc, err := mpi.DialHubWith(hub.Addr(), mpi.WorldOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,46 +410,38 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
+func goodBatch() *nsp.Hash {
+	return encodeBatch([]Task{{Name: "x", Data: []byte{1}}, {Name: "y"}}, batchTrace{traceID: 7, parents: []uint64{1, 2}})
+}
+
+var batchCorruptions = []corruption{
+	{"missing costs", func(h *nsp.Hash) { h.Del(descCosts) }},
+	{"costs are a hash", func(h *nsp.Hash) { h.Set(descCosts, nsp.NewHash()) }},
+	{"mismatched lengths", set(descCosts, 1)},
+	{"negative size", set(descSizes, -1, 0)},
+	{"size NaN", set(descSizes, math.NaN(), 0)},
+	{"trace without parents", func(h *nsp.Hash) { h.Del(descParents) }},
+	{"trace ID zero", set(descTrace, 0, 0)},
+	{"trace halves are not 32-bit integers", set(descTrace, 0.5, 1e12)},
+	{"parents truncated", set(descParents, 0, 1)},
+}
+
 func TestDecodeBatchRejectsMalformed(t *testing.T) {
 	if _, err := decodeBatch(encodeBatch(nil, batchTrace{})); err != nil {
 		t.Fatalf("empty batch should decode: %v", err)
 	}
+	if _, err := decodeBatch(goodBatch()); err != nil {
+		t.Fatalf("good batch should decode: %v", err)
+	}
 	if _, err := decodeBatch(nsp.Scalar(1)); err == nil {
 		t.Fatal("non-hash descriptor accepted")
 	}
-	missing := nsp.NewHash()
-	missing.Set(descNames, nsp.NewSMat(1, 1))
-	if _, err := decodeBatch(missing); err == nil {
-		t.Fatal("descriptor missing fields accepted")
-	}
-	// Wrong field type: replace costs with a hash.
-	bad := encodeBatch([]Task{{Name: "x"}}, batchTrace{})
-	bad.Set(descCosts, encodeBatch(nil, batchTrace{}))
-	if _, err := decodeBatch(bad); err == nil {
-		t.Fatal("wrong field type accepted")
-	}
-	// Mismatched lengths.
-	short := encodeBatch([]Task{{Name: "x"}, {Name: "y"}}, batchTrace{})
-	short.Set(descCosts, nsp.NewMat(1, 1))
-	if _, err := decodeBatch(short); err == nil {
-		t.Fatal("mismatched lengths accepted")
-	}
-	// Trace ID without parents.
-	traceless := encodeBatch([]Task{{Name: "x"}}, batchTrace{})
-	tid := nsp.NewMat(1, 2)
-	splitU64(tid, 0, 0xff)
-	traceless.Set(descTrace, tid)
-	if _, err := decodeBatch(traceless); err == nil {
-		t.Fatal("traced descriptor without parents accepted")
-	}
-	// Trace ID halves that are not 32-bit integers.
-	garbled := encodeBatch([]Task{{Name: "x"}}, batchTrace{traceID: 7, parents: []uint64{1}})
-	garbled.Set(descTrace, nsp.NewMat(1, 2)) // zero halves decode to trace 0…
-	bad2 := nsp.NewMat(1, 2)
-	bad2.Data[0], bad2.Data[1] = 0.5, 1e12
-	garbled.Set(descTrace, bad2)
-	if _, err := decodeBatch(garbled); err == nil {
-		t.Fatal("non-integral trace halves accepted")
+	for _, tc := range batchCorruptions {
+		h := goodBatch()
+		tc.mutate(h)
+		if _, err := decodeBatch(h); err == nil {
+			t.Errorf("%s: corrupted descriptor accepted", tc.name)
+		}
 	}
 }
 
@@ -485,14 +477,11 @@ func TestSpanPayloadRoundTrip(t *testing.T) {
 		{ID: 1<<63 + 7, ParentID: 3, TraceID: 9, Name: "farm.compute", Start: 1.5, End: 2.25},
 		{ID: 12, ParentID: 1<<63 + 7, TraceID: 9, Name: "kernel", Start: 1.6, End: 2.0},
 	}
-	h := encodeSpanPayload(recs, 1.25)
-	if !isSpanPayload(h) {
-		t.Fatal("span payload not recognized")
+	var wr workerRecords
+	if ok, err := decodeRecords(encodeSpanPayload(recs, 1.25), &wr); !ok || err != nil {
+		t.Fatalf("span payload: recognized %v, err %v", ok, err)
 	}
-	got, recvAt, err := decodeSpanPayload(h)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, recvAt := wr.spans, wr.recvAt
 	if recvAt != 1.25 {
 		t.Fatalf("recvAt = %v, want 1.25", recvAt)
 	}
@@ -505,7 +494,7 @@ func TestSpanPayloadRoundTrip(t *testing.T) {
 		}
 	}
 	// A regular result hash is not mistaken for a span payload.
-	if isSpanPayload(wireResult(t, "x", 1)) {
+	if ok, _ := decodeRecords(wireResult(t, "x", 1), &wr); ok {
 		t.Fatal("result hash misdetected as span payload")
 	}
 }
@@ -541,7 +530,7 @@ func TestFarmNFSOverRealFiles(t *testing.T) {
 		pf = append(pf, Task{Name: path, Data: make([]byte, info.Len())})
 	}
 	const size = 3
-	hub, err := mpi.ListenHub("127.0.0.1:0", size)
+	hub, err := mpi.ListenHubWith("127.0.0.1:0", size, mpi.WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +540,7 @@ func TestFarmNFSOverRealFiles(t *testing.T) {
 	opts := Options{Strategy: NFSLoad}
 	var wg sync.WaitGroup
 	for i := 1; i < size; i++ {
-		wc, err := mpi.DialHub(hub.Addr())
+		wc, err := mpi.DialHubWith(hub.Addr(), mpi.WorldOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

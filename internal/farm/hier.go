@@ -57,21 +57,15 @@ func RunRootMaster(ctx context.Context, c mpi.Comm, tasks []Task, loader Loader,
 	return runRound(ctx, c, groups, tasks, chunk, sharedQueue, loader, opts)
 }
 
-// passLoader forwards already-prepared payload bytes unchanged; the
-// sub-master never redoes the root's object construction. A task holding
-// only a by-reference object (received over an in-process link, resent
-// over a wire one) is serialized here as the fallback.
+// passLoader forwards already-prepared payload bytes unchanged whatever
+// the strategy — the sub-master never redoes the root's object
+// construction — which is LiveLoader's serialized-load path, its
+// serialize-on-demand of a by-reference object (received over an
+// in-process link, resent over a wire one) included.
 type passLoader struct{}
 
-func (passLoader) Load(t Task, s Strategy) ([]byte, error) {
-	if t.Data == nil && t.Obj != nil {
-		ser, err := nsp.Serialize(t.Obj)
-		if err != nil {
-			return nil, fmt.Errorf("farm: serialize chunk object: %w", err)
-		}
-		return ser.Data, nil
-	}
-	return t.Data, nil
+func (passLoader) Load(t Task, _ Strategy) ([]byte, error) {
+	return LiveLoader{}.Load(t, SerializedLoad)
 }
 
 // RunSubMaster receives chunks from the root, farms each chunk task-by-

@@ -152,20 +152,16 @@ func sendBatch(c mpi.Comm, worker int, b []Task, loader Loader, opts Options, bt
 }
 
 // workerReply is everything one result message carries: the priced
-// results, the source rank, and the optional telemetry payloads (span
-// records, flight-recorder events) with the worker's descriptor-receive
-// clock reading for shifting them onto the master clock.
+// results, the source rank, and the worker's telemetry records.
 type workerReply struct {
 	results []Result
 	source  int
-	spans   []telemetry.SpanRecord
-	events  []telemetry.Event
-	recvAt  float64
+	records workerRecords
 }
 
 // recvResults receives one result list, converting worker-reported
 // pricing failures into Results with Err set. Trailing span and event
-// payloads are split off into the reply.
+// payloads are split off into the reply's records.
 func recvResults(c mpi.Comm) (workerReply, error) {
 	var rep workerReply
 	st, err := c.Probe(mpi.AnySource, TagResult)
@@ -191,26 +187,15 @@ func recvResults(c mpi.Comm) (workerReply, error) {
 			rep.results = append(rep.results, r)
 			continue
 		}
-		if isSpanPayload(item) {
-			if rep.spans, rep.recvAt, err = decodeSpanPayload(item); err != nil {
+		if isRecords, err := decodeRecords(item, &rep.records); isRecords {
+			if err != nil {
 				return rep, err
 			}
 			continue
 		}
-		if isEventPayload(item) {
-			if rep.events, rep.recvAt, err = decodeEventPayload(item); err != nil {
-				return rep, err
-			}
-			continue
-		}
-		name, err := resultName(item)
+		r, err := readResult(item, st.Source)
 		if err != nil {
 			return rep, err
-		}
-		r := Result{Name: name, Worker: st.Source, Value: item}
-		if msg, failed := resultError(item); failed {
-			// Value keeps the error hash so hierarchies can forward it.
-			r.Err = failedOn(name, st.Source, msg)
 		}
 		rep.results = append(rep.results, r)
 	}
@@ -380,29 +365,14 @@ func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task
 			for _, sp := range was.spans {
 				sp.End()
 			}
-			// The worker's spans and events are on its own clock; align
-			// them by mapping its descriptor-receive instant onto the
-			// instant just before we sent the descriptor. The worker cannot
-			// have received it earlier, so the error is one-sided: shifted
-			// records land no later than they happened and a farm.compute
-			// never ends after the farm.task that waited for it. In-process
-			// farms share the registry, so span copies dedupe against the
-			// originals by span ID.
-			shift := was.sendingAt - rep.recvAt
-			if len(rep.spans) > 0 {
-				for i := range rep.spans {
-					rep.spans[i].Start += shift
-					rep.spans[i].End += shift
-				}
-				reg.IngestSpans(rep.spans)
-			}
-			if len(rep.events) > 0 {
-				for i := range rep.events {
-					rep.events[i].When += shift
-					rep.events[i].Rank = from
-				}
-				reg.IngestEvents(rep.events)
-			}
+			// The worker's records are on its own clock; align them by
+			// mapping its descriptor-receive instant onto the instant just
+			// before we sent the descriptor. The worker cannot have received
+			// it earlier, so the error is one-sided: shifted records land no
+			// later than they happened and a farm.compute never ends after
+			// the farm.task that waited for it.
+			rep.records.shift(was.sendingAt-rep.records.recvAt, from)
+			reg.Ingest(rep.records.spans, rep.records.events)
 		}
 		for _, r := range rep.results {
 			if r.Err == nil {

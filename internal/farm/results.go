@@ -39,14 +39,9 @@ func LoadResults(path string) ([]Result, error) {
 		if !ok || wm.Rows != 1 || wm.Cols != 1 {
 			return nil, fmt.Errorf("farm: results entry %d has no worker rank", i)
 		}
-		value := pair.Items[1]
-		name, err := resultName(value)
+		r, err := readResult(pair.Items[1], int(wm.ScalarValue()))
 		if err != nil {
 			return nil, fmt.Errorf("farm: results entry %d: %w", i, err)
-		}
-		r := Result{Name: name, Worker: int(wm.ScalarValue()), Value: value}
-		if msg, failed := resultError(value); failed {
-			r.Err = failedOn(name, r.Worker, msg)
 		}
 		results = append(results, r)
 	}

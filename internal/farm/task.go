@@ -3,7 +3,6 @@ package farm
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"riskbench/internal/nsp"
 	"riskbench/internal/premia"
@@ -139,25 +138,9 @@ const (
 	descNames   = "names"
 	descCosts   = "costs"
 	descSizes   = "sizes"
-	descTrace   = "trace"   // trace ID as a 1x2 matrix of 32-bit halves
-	descParents = "parents" // per-task parent span IDs, 1x2k halves
+	descTrace   = "trace"   // trace ID as one ID column entry
+	descParents = "parents" // per-task parent span IDs
 )
-
-// splitU64 / joinU64 carry 64-bit IDs through nsp float matrices as
-// exact high/low 32-bit halves; a single float64 cannot hold them.
-func splitU64(m *nsp.Mat, i int, v uint64) {
-	m.Data[2*i] = float64(v >> 32)
-	m.Data[2*i+1] = float64(uint32(v))
-}
-
-func joinU64(m *nsp.Mat, i int) (uint64, error) {
-	hi, lo := m.Data[2*i], m.Data[2*i+1]
-	const lim = 1 << 32
-	if hi != math.Trunc(hi) || lo != math.Trunc(lo) || hi < 0 || lo < 0 || hi >= lim || lo >= lim {
-		return 0, fmt.Errorf("id halves (%v, %v) out of range", hi, lo)
-	}
-	return uint64(hi)<<32 | uint64(lo), nil
-}
 
 // batchTrace is the trace context a batch carries over the wire: the
 // trace ID plus one parent span ID per task, so a worker's farm.compute
@@ -171,11 +154,12 @@ func (bt batchTrace) valid() bool { return bt.traceID != 0 && len(bt.parents) > 
 
 // batchDesc is a decoded batch descriptor: task stubs (Data is not
 // carried by the descriptor; sizes preserve the payload byte counts)
-// plus the batch's trace context, if any.
+// plus the batch's trace context — zero, or valid with one parent per
+// task.
 type batchDesc struct {
 	Names []string
 	Costs []float64
-	Sizes []float64
+	Sizes []float64 // exact non-negative integers
 	Trace batchTrace
 }
 
@@ -184,242 +168,46 @@ type batchDesc struct {
 // descriptor; an invalid one leaves the descriptor untraced.
 func encodeBatch(tasks []Task, bt batchTrace) *nsp.Hash {
 	k := len(tasks)
-	names := nsp.NewSMat(1, k)
-	costs := nsp.NewMat(1, k)
-	sizes := nsp.NewMat(1, k)
+	w := newBundle()
+	names, costs, sizes := w.strs(descNames, k), w.floats(descCosts, k), w.floats(descSizes, k)
 	for i, t := range tasks {
-		names.Data[i] = t.Name
-		costs.Data[i] = t.Cost
-		sizes.Data[i] = float64(len(t.Data))
+		names[i] = t.Name
+		costs[i] = t.Cost
+		sizes[i] = float64(len(t.Data))
 	}
-	h := nsp.NewHash()
-	h.Set(descNames, names)
-	h.Set(descCosts, costs)
-	h.Set(descSizes, sizes)
 	if bt.valid() && len(bt.parents) == k {
-		trace := nsp.NewMat(1, 2)
-		splitU64(trace, 0, bt.traceID)
-		parents := nsp.NewMat(1, 2*k)
+		w.ids(descTrace, 1).put(0, bt.traceID)
+		parents := w.ids(descParents, k)
 		for i, p := range bt.parents {
-			splitU64(parents, i, p)
+			parents.put(i, p)
 		}
-		h.Set(descTrace, trace)
-		h.Set(descParents, parents)
 	}
-	return h
+	return w.h
 }
 
 // decodeBatch parses a descriptor hash back into a batchDesc.
 func decodeBatch(o nsp.Object) (batchDesc, error) {
-	var d batchDesc
-	h, ok := o.(*nsp.Hash)
-	if !ok {
-		return d, fmt.Errorf("farm: descriptor is %v, want hash", o.Kind())
-	}
-	nv, ok1 := h.Get(descNames)
-	cv, ok2 := h.Get(descCosts)
-	sv, ok3 := h.Get(descSizes)
-	if !ok1 || !ok2 || !ok3 {
-		return d, errors.New("farm: descriptor missing fields")
-	}
-	nm, ok1 := nv.(*nsp.SMat)
-	cm, ok2 := cv.(*nsp.Mat)
-	sm, ok3 := sv.(*nsp.Mat)
-	if !ok1 || !ok2 || !ok3 {
-		return d, errors.New("farm: descriptor fields have wrong types")
-	}
-	k := len(nm.Data)
-	if len(cm.Data) != k || len(sm.Data) != k {
-		return d, errors.New("farm: descriptor field lengths disagree")
-	}
-	d.Names, d.Costs, d.Sizes = nm.Data, cm.Data, sm.Data
-	if tv, ok := h.Get(descTrace); ok {
-		tm, ok := tv.(*nsp.Mat)
-		if !ok || len(tm.Data) != 2 {
-			return d, errors.New("farm: descriptor trace field malformed")
-		}
-		traceID, err := joinU64(tm, 0)
-		if err != nil {
-			return d, fmt.Errorf("farm: descriptor trace ID: %w", err)
-		}
-		pv, ok := h.Get(descParents)
-		if !ok {
-			return d, errors.New("farm: traced descriptor missing parents")
-		}
-		pm, ok := pv.(*nsp.Mat)
-		if !ok || len(pm.Data) != 2*k {
-			return d, errors.New("farm: descriptor parents malformed")
-		}
-		parents := make([]uint64, k)
-		for i := range parents {
-			if parents[i], err = joinU64(pm, i); err != nil {
-				return d, fmt.Errorf("farm: descriptor parent %d: %w", i, err)
+	r := readBundle(o, "descriptor")
+	d := batchDesc{Names: r.strs(descNames, -1)}
+	k := len(d.Names)
+	d.Costs = r.floats(descCosts, k)
+	d.Sizes = r.ints(descSizes, k, 0, maxCount)
+	if r.has(descTrace) {
+		trace, parents := r.ids(descTrace, 1), r.ids(descParents, k)
+		if r.err == nil {
+			d.Trace = batchTrace{traceID: trace.at(0), parents: make([]uint64, k)}
+			for i := range d.Trace.parents {
+				d.Trace.parents[i] = parents.at(i)
+			}
+			if !d.Trace.valid() {
+				r.fail("carries an empty trace context")
 			}
 		}
-		d.Trace = batchTrace{traceID: traceID, parents: parents}
+	}
+	if r.err != nil {
+		return batchDesc{}, r.err
 	}
 	return d, nil
-}
-
-// Span-payload field keys. A traced worker appends one extra hash,
-// marked by spanMarker, to its result list, carrying the SpanRecords it
-// finished for the batch plus its descriptor-receive clock reading (so
-// the master can shift worker clocks onto its own).
-const (
-	spanMarker  = "__spans"
-	spanIDs     = "ids" // 1x2n matrix of 32-bit ID halves
-	spanParents = "parents"
-	spanTraces  = "traces"
-	spanNames   = "names"  // intern table: the distinct span names
-	spanNameIx  = "nameix" // per-span index into the intern table
-	spanStarts  = "starts"
-	spanEnds    = "ends"
-	spanRecvAt  = "recvat"
-)
-
-// encodeSpanPayload packs finished worker spans for the trip back to the
-// master. recvAt is the worker clock at descriptor receipt. Names are
-// interned (a batch's spans repeat a handful of names) and IDs travel as
-// split 32-bit halves, keeping the payload free of per-span strings.
-func encodeSpanPayload(recs []telemetry.SpanRecord, recvAt float64) *nsp.Hash {
-	n := len(recs)
-	ids := nsp.NewMat(1, 2*n)
-	parents := nsp.NewMat(1, 2*n)
-	traces := nsp.NewMat(1, 2*n)
-	nameIx := nsp.NewMat(1, n)
-	starts := nsp.NewMat(1, n)
-	ends := nsp.NewMat(1, n)
-	var uniq []string
-	for i, rec := range recs {
-		splitU64(ids, i, rec.ID)
-		splitU64(parents, i, rec.ParentID)
-		splitU64(traces, i, rec.TraceID)
-		ix := -1
-		for j, s := range uniq {
-			if s == rec.Name {
-				ix = j
-				break
-			}
-		}
-		if ix < 0 {
-			ix = len(uniq)
-			uniq = append(uniq, rec.Name)
-		}
-		nameIx.Data[i] = float64(ix)
-		starts.Data[i] = rec.Start
-		ends.Data[i] = rec.End
-	}
-	names := nsp.NewSMat(1, len(uniq))
-	copy(names.Data, uniq)
-	h := nsp.NewHash()
-	h.Set(spanMarker, nsp.Scalar(1))
-	h.Set(spanIDs, ids)
-	h.Set(spanParents, parents)
-	h.Set(spanTraces, traces)
-	h.Set(spanNames, names)
-	h.Set(spanNameIx, nameIx)
-	h.Set(spanStarts, starts)
-	h.Set(spanEnds, ends)
-	h.Set(spanRecvAt, nsp.Scalar(recvAt))
-	return h
-}
-
-// isSpanPayload reports whether a result-list item is a span payload
-// rather than a task result.
-func isSpanPayload(o nsp.Object) bool {
-	h, ok := o.(*nsp.Hash)
-	if !ok {
-		return false
-	}
-	_, ok = h.Get(spanMarker)
-	return ok
-}
-
-// decodeSpanPayload unpacks a span payload hash.
-func decodeSpanPayload(o nsp.Object) ([]telemetry.SpanRecord, float64, error) {
-	h, ok := o.(*nsp.Hash)
-	if !ok {
-		return nil, 0, errors.New("farm: span payload is not a hash")
-	}
-	get := func(key string) (nsp.Object, error) {
-		v, ok := h.Get(key)
-		if !ok {
-			return nil, fmt.Errorf("farm: span payload missing %q", key)
-		}
-		return v, nil
-	}
-	mat := func(key string) (*nsp.Mat, error) {
-		v, err := get(key)
-		if err != nil {
-			return nil, err
-		}
-		m, ok := v.(*nsp.Mat)
-		if !ok {
-			return nil, fmt.Errorf("farm: span payload %q has wrong type", key)
-		}
-		return m, nil
-	}
-	ids, err := mat(spanIDs)
-	if err != nil {
-		return nil, 0, err
-	}
-	parents, err := mat(spanParents)
-	if err != nil {
-		return nil, 0, err
-	}
-	traces, err := mat(spanTraces)
-	if err != nil {
-		return nil, 0, err
-	}
-	nv, err := get(spanNames)
-	if err != nil {
-		return nil, 0, err
-	}
-	names, ok := nv.(*nsp.SMat)
-	if !ok {
-		return nil, 0, fmt.Errorf("farm: span payload %q has wrong type", spanNames)
-	}
-	nameIx, err := mat(spanNameIx)
-	if err != nil {
-		return nil, 0, err
-	}
-	starts, err := mat(spanStarts)
-	if err != nil {
-		return nil, 0, err
-	}
-	ends, err := mat(spanEnds)
-	if err != nil {
-		return nil, 0, err
-	}
-	rv, err := mat(spanRecvAt)
-	if err != nil || len(rv.Data) != 1 {
-		return nil, 0, errors.New("farm: span payload recvat malformed")
-	}
-	n := len(nameIx.Data)
-	if len(ids.Data) != 2*n || len(parents.Data) != 2*n || len(traces.Data) != 2*n ||
-		len(starts.Data) != n || len(ends.Data) != n {
-		return nil, 0, errors.New("farm: span payload field lengths disagree")
-	}
-	recs := make([]telemetry.SpanRecord, n)
-	for i := range recs {
-		if recs[i].ID, err = joinU64(ids, i); err != nil {
-			return nil, 0, fmt.Errorf("farm: span payload id %d: %w", i, err)
-		}
-		if recs[i].ParentID, err = joinU64(parents, i); err != nil {
-			return nil, 0, fmt.Errorf("farm: span payload parent %d: %w", i, err)
-		}
-		if recs[i].TraceID, err = joinU64(traces, i); err != nil {
-			return nil, 0, fmt.Errorf("farm: span payload trace %d: %w", i, err)
-		}
-		ix := int(nameIx.Data[i])
-		if float64(ix) != nameIx.Data[i] || ix < 0 || ix >= len(names.Data) {
-			return nil, 0, fmt.Errorf("farm: span payload name index %d out of range", i)
-		}
-		recs[i].Name = names.Data[ix]
-		recs[i].Start = starts.Data[i]
-		recs[i].End = ends.Data[i]
-	}
-	return recs, rv.Data[0], nil
 }
 
 // Priced is the result object of one task: the pricing outcome as a Go
@@ -453,21 +241,21 @@ func (p *Priced) Equal(o nsp.Object) bool { return nsp.WireEqual(p, o) }
 // consumer rebuilding a premia.Result keeps full fidelity). A failed
 // task is name, error and seconds.
 func (p *Priced) WireForm() (nsp.Object, error) {
-	h := nsp.NewHash()
-	h.Set("name", nsp.Str(p.Name))
-	h.Set("seconds", nsp.Scalar(p.Seconds))
+	w := newBundle()
+	w.str("name", p.Name)
+	w.scalar("seconds", p.Seconds)
 	if p.Err != nil {
-		h.Set("error", nsp.Str(p.Err.Error()))
-		return h, nil
+		w.str("error", p.Err.Error())
+		return w.h, nil
 	}
-	h.Set("price", nsp.Scalar(p.Result.Price))
-	h.Set("priceCI", nsp.Scalar(p.Result.PriceCI))
-	h.Set("delta", nsp.Scalar(p.Result.Delta))
-	h.Set("work", nsp.Scalar(p.Result.Work))
+	w.scalar("price", p.Result.Price)
+	w.scalar("priceCI", p.Result.PriceCI)
+	w.scalar("delta", p.Result.Delta)
+	w.scalar("work", p.Result.Work)
 	if p.Result.HasDelta {
-		h.Set("hasdelta", nsp.Scalar(1))
+		w.scalar("hasdelta", 1)
 	}
-	return h, nil
+	return w.h, nil
 }
 
 // AsPriced returns a collected result in its typed form: the value
@@ -479,76 +267,40 @@ func AsPriced(r Result) (*Priced, error) {
 	if p, ok := r.Value.(*Priced); ok {
 		return p, nil
 	}
-	name, err := resultName(r.Value)
-	if err != nil {
-		return nil, err
-	}
-	h := r.Value.(*nsp.Hash)
-	scalar := func(field string) (float64, bool) {
-		m, ok := h.Get(field)
-		if !ok {
-			return 0, false
+	b := readBundle(r.Value, "result")
+	p := &Priced{Name: b.str("name"), Seconds: b.opt("seconds")}
+	if b.has("error") {
+		p.Err = errors.New(b.str("error"))
+	} else {
+		p.Result = premia.Result{
+			Price:    b.scalar("price"),
+			PriceCI:  b.opt("priceCI"),
+			Delta:    b.opt("delta"),
+			Work:     b.opt("work"),
+			HasDelta: b.opt("hasdelta") != 0,
 		}
-		v, ok := m.(*nsp.Mat)
-		if !ok || v.Rows != 1 || v.Cols != 1 {
-			return 0, false
-		}
-		return v.ScalarValue(), true
 	}
-	p := &Priced{Name: name}
-	p.Seconds, _ = scalar("seconds")
-	if msg, failed := resultError(h); failed {
-		p.Err = errors.New(msg)
-		return p, nil
+	if b.err != nil {
+		return nil, b.err
 	}
-	var ok bool
-	if p.Result.Price, ok = scalar("price"); !ok {
-		return nil, fmt.Errorf("farm: result %q has no price", name)
-	}
-	p.Result.PriceCI, _ = scalar("priceCI")
-	p.Result.Delta, _ = scalar("delta")
-	p.Result.Work, _ = scalar("work")
-	hasDelta, _ := scalar("hasdelta")
-	p.Result.HasDelta = hasDelta != 0
 	return p, nil
+}
+
+// readResult reads what a master needs of a result hash collected from
+// the given rank: the echoed task name and, for a task that failed
+// there, the failure the worker reported (Value keeps the hash so
+// hierarchies can forward it).
+func readResult(value nsp.Object, worker int) (Result, error) {
+	b := readBundle(value, "result")
+	r := Result{Name: b.str("name"), Worker: worker, Value: value}
+	if b.has("error") {
+		r.Err = failedOn(r.Name, worker, b.str("error"))
+	}
+	return r, b.err
 }
 
 // failedOn is the master-side error of a task whose pricing failed on a
 // worker, built from the failure text the worker reported.
 func failedOn(name string, worker int, msg string) error {
 	return fmt.Errorf("farm: task %q failed on worker %d: %s", name, worker, msg)
-}
-
-// resultError extracts the failure message from a result hash, if any.
-func resultError(o nsp.Object) (string, bool) {
-	h, ok := o.(*nsp.Hash)
-	if !ok {
-		return "", false
-	}
-	v, ok := h.Get("error")
-	if !ok {
-		return "", false
-	}
-	s, ok := v.(*nsp.SMat)
-	if !ok || s.Rows != 1 || s.Cols != 1 {
-		return "", false
-	}
-	return s.StrValue(), true
-}
-
-// resultName extracts the echoed task name from a result object.
-func resultName(o nsp.Object) (string, error) {
-	h, ok := o.(*nsp.Hash)
-	if !ok {
-		return "", fmt.Errorf("farm: result is %v, want hash", o.Kind())
-	}
-	v, ok := h.Get("name")
-	if !ok {
-		return "", errors.New("farm: result missing name")
-	}
-	s, ok := v.(*nsp.SMat)
-	if !ok || s.Rows != 1 || s.Cols != 1 {
-		return "", errors.New("farm: result name is not a string")
-	}
-	return s.StrValue(), nil
 }

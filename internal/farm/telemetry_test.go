@@ -26,7 +26,14 @@ func testTelemetrySpansMatchTasks(t *testing.T, run masterFunc) {
 	tasks, want := makePortfolio(t, 40)
 	reg := telemetry.New()
 	opts := Options{Strategy: SerializedLoad, BatchSize: 4, Telemetry: reg}
-	results := runFarm(t, run, LiveExecutor{}, tasks, workers, opts, nil)
+	// The run is traced so its finished spans can be read back off the
+	// trace table.
+	root := reg.StartTrace("test.sweep")
+	traced := func(ctx context.Context, c mpi.Comm, tasks []Task, l Loader, o Options) ([]Result, error) {
+		return run(telemetry.ContextWithTrace(ctx, root.Context()), c, tasks, l, o)
+	}
+	results := runFarm(t, traced, LiveExecutor{}, tasks, workers, opts, nil)
+	root.End()
 	checkResults(t, results, want)
 
 	n := int64(len(tasks))
@@ -60,17 +67,14 @@ func testTelemetrySpansMatchTasks(t *testing.T, run masterFunc) {
 	}
 
 	// Every finished farm.task span must link to the farm.run root.
-	var runID uint64
-	for _, rec := range reg.FinishedSpans() {
-		if rec.Name == "farm.run" {
-			runID = rec.ID
-		}
-	}
-	if runID == 0 {
+	tr, _ := reg.Trace(root.Context().TraceID)
+	runSpan, ok := tr.Find("farm.run")
+	if !ok {
 		t.Fatal("no finished farm.run span recorded")
 	}
+	runID := runSpan.ID
 	taskSpans := 0
-	for _, rec := range reg.FinishedSpans() {
+	for _, rec := range tr.Spans {
 		if rec.Name != "farm.task" {
 			continue
 		}

@@ -69,9 +69,9 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 				telemetry.Num("rank", float64(c.Rank())), telemetry.Str("err", err.Error()))
 			return fmt.Errorf("farm: worker %d recv descriptor: %w", c.Rank(), err)
 		}
-		recvAt := reg.Now()
-		// Snapshot the event cursor so only the events this batch emits
-		// ship back with its results.
+		// What ships back with this batch's results: spans as they finish,
+		// and the events emitted past the cursor taken here.
+		recs := workerRecords{recvAt: reg.Now()}
 		evCursor := reg.EventCursor()
 		desc, err := decodeBatch(obj)
 		if err != nil {
@@ -89,7 +89,7 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 		// results without span payloads, and one that never announced
 		// hasdelta gets result hashes without the marker field.
 		caps := mpi.PeerCaps(c, master)
-		traced := reg != nil && desc.Trace.valid() && len(desc.Trace.parents) == len(names)
+		traced := reg != nil && desc.Trace.valid()
 		ship := traced && !opts.LocalSpans && caps.Has(mpi.CapSpans)
 		// Events ship on their own negotiated capability, tracing or not:
 		// warning+ events emitted while pricing this batch ride back for
@@ -98,7 +98,6 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 		taskCtx := func(i int) telemetry.TraceContext {
 			return telemetry.TraceContext{TraceID: desc.Trace.traceID, SpanID: desc.Trace.parents[i]}
 		}
-		var shipped []telemetry.SpanRecord
 		// objs[i] is non-nil when task i's problem was shipped by
 		// reference over an in-process communicator.
 		var payloads [][]byte
@@ -134,7 +133,7 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 		if fetchSpan != nil {
 			fetchSpan.End()
 			if ship {
-				shipped = append(shipped, fetchSpan.Record())
+				recs.spans = append(recs.spans, fetchSpan.Record())
 			}
 		}
 		out := nsp.NewList()
@@ -157,7 +156,7 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 			reg.Observe("farm.compute_seconds", elapsed)
 			span.End()
 			if ship {
-				shipped = append(shipped, span.Record())
+				recs.spans = append(recs.spans, span.Record())
 			}
 			if err != nil {
 				// A pricing failure is the task's problem, not the
@@ -186,14 +185,10 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 			}
 			out.Add(res)
 		}
-		if len(shipped) > 0 {
-			out.Add(encodeSpanPayload(shipped, recvAt))
-		}
 		if shipEvents {
-			if evs := reg.Events(telemetry.EventFilter{MinLevel: telemetry.LevelWarn, SinceSeq: evCursor}); len(evs) > 0 {
-				out.Add(encodeEventPayload(evs, recvAt))
-			}
+			recs.events = reg.Events(telemetry.EventFilter{MinLevel: telemetry.LevelWarn, SinceSeq: evCursor})
 		}
+		recs.appendTo(out)
 		if err := mpi.SendObj(c, out, master, TagResult); err != nil {
 			return fmt.Errorf("farm: worker %d send results: %w", c.Rank(), err)
 		}

@@ -121,15 +121,10 @@ var (
 	_ Negotiator = (*HubComm)(nil)
 )
 
-// ListenHub binds a TCP hub listener on addr (which may use port 0) and
-// returns immediately; call WaitWorkers to accept the workers. The
-// two-phase split lets callers learn Addr before workers dial in.
-func ListenHub(addr string, size int) (*HubComm, error) {
-	return ListenHubWith(addr, size, WorldOptions{})
-}
-
-// ListenHubWith is ListenHub over an explicit transport and protocol
-// version.
+// ListenHubWith binds a hub listener on addr (which may use port 0)
+// over the options' transport and protocol version and returns
+// immediately; call WaitWorkers to accept the workers. The two-phase
+// split lets callers learn Addr before workers dial in.
 func ListenHubWith(addr string, size int, o WorldOptions) (*HubComm, error) {
 	if size < 2 {
 		return nil, fmt.Errorf("mpi: hub world needs size >= 2, got %d", size)
@@ -194,24 +189,6 @@ func (h *HubComm) WaitWorkers() error {
 	}
 	classified.Wait()
 	return nil
-}
-
-// NewHub is the one-shot form: listen on addr and block until all
-// size-1 workers have joined.
-func NewHub(addr string, size int) (*HubComm, error) {
-	return NewHubWith(addr, size, WorldOptions{})
-}
-
-// NewHubWith is NewHub over an explicit transport and protocol version.
-func NewHubWith(addr string, size int, o WorldOptions) (*HubComm, error) {
-	h, err := ListenHubWith(addr, size, o)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.WaitWorkers(); err != nil {
-		return nil, err
-	}
-	return h, nil
 }
 
 // Addr returns the address the hub is listening on — host:port for
@@ -418,14 +395,9 @@ var (
 	_ Negotiator = (*WorkerComm)(nil)
 )
 
-// DialHub connects to a TCP hub, learns this process's rank and the
-// world size from the handshake, and starts the receive loop.
-func DialHub(addr string) (*WorkerComm, error) {
-	return DialHubWith(addr, WorldOptions{})
-}
-
-// DialHubWith is DialHub over an explicit transport and protocol
-// version.
+// DialHubWith connects to a hub over the options' transport and
+// protocol version, learns this process's rank and the world size from
+// the handshake, and starts the receive loop.
 func DialHubWith(addr string, o WorldOptions) (*WorkerComm, error) {
 	tr, err := LookupTransport(o.Transport)
 	if err != nil {

@@ -213,7 +213,7 @@ func TestHubDropsOversizedPeer(t *testing.T) {
 	accepted := make(chan error, 1)
 	go func() { accepted <- hub.WaitWorkers() }()
 
-	good, err := DialHub(hub.Addr())
+	good, err := DialHubWith(hub.Addr(), WorldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package nsp
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -28,7 +29,14 @@ const (
 	codecVersion = 1
 	// maxDim guards decode against hostile or corrupt headers.
 	maxDim = 1 << 28
+	// preallocMax is how much of a declared length decode allocates before
+	// the data has arrived; anything longer grows as its elements are
+	// read. A header is a few bytes and may claim maxDim elements, so
+	// allocating the claim let a 23-byte stream cost a 2 GiB matrix.
+	preallocMax = 1 << 16
 )
+
+func prealloc(n int) int { return min(n, preallocMax) }
 
 // ErrBadStream is wrapped by all decode errors caused by malformed input.
 var ErrBadStream = errors.New("nsp: malformed stream")
@@ -224,13 +232,14 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+		n := rows * cols
+		m := &Mat{Rows: rows, Cols: cols, Data: make([]float64, 0, prealloc(n))}
 		var b [8]byte
-		for i := range m.Data {
+		for len(m.Data) < n {
 			if _, err := io.ReadFull(r, b[:]); err != nil {
 				return nil, badStream("short matrix data: %v", err)
 			}
-			m.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(b[:]))
+			m.Data = append(m.Data, math.Float64frombits(binary.BigEndian.Uint64(b[:])))
 		}
 		return m, nil
 	case KindBMat:
@@ -238,13 +247,14 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := &BMat{Rows: rows, Cols: cols, Data: make([]bool, rows*cols)}
-		for i := range m.Data {
+		n := rows * cols
+		m := &BMat{Rows: rows, Cols: cols, Data: make([]bool, 0, prealloc(n))}
+		for len(m.Data) < n {
 			b, err := r.ReadByte()
 			if err != nil {
 				return nil, badStream("short bool data: %v", err)
 			}
-			m.Data[i] = b != 0
+			m.Data = append(m.Data, b != 0)
 		}
 		return m, nil
 	case KindSMat:
@@ -252,13 +262,14 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := &SMat{Rows: rows, Cols: cols, Data: make([]string, rows*cols)}
-		for i := range m.Data {
+		n := rows * cols
+		m := &SMat{Rows: rows, Cols: cols, Data: make([]string, 0, prealloc(n))}
+		for len(m.Data) < n {
 			s, err := readString(r)
 			if err != nil {
 				return nil, err
 			}
-			m.Data[i] = s
+			m.Data = append(m.Data, s)
 		}
 		return m, nil
 	case KindList:
@@ -269,7 +280,7 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if n > maxDim {
 			return nil, badStream("list too large: %d", n)
 		}
-		l := &List{Items: make([]Object, 0, n)}
+		l := &List{Items: make([]Object, 0, prealloc(int(n)))}
 		for i := uint32(0); i < n; i++ {
 			it, err := decodeObject(r)
 			if err != nil {
@@ -311,8 +322,8 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if n > maxDim {
 			return nil, badStream("serial too large: %d", n)
 		}
-		data := make([]byte, n)
-		if _, err := io.ReadFull(r, data); err != nil {
+		data, err := readBytes(r, int(n))
+		if err != nil {
 			return nil, badStream("short serial data: %v", err)
 		}
 		return &Serial{Compressed: cb != 0, Data: data}, nil
@@ -321,13 +332,14 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if err != nil {
 			return nil, err
 		}
-		m := &IMat{Rows: rows, Cols: cols, Data: make([]int64, rows*cols)}
+		n := rows * cols
+		m := &IMat{Rows: rows, Cols: cols, Data: make([]int64, 0, prealloc(n))}
 		var b [8]byte
-		for i := range m.Data {
+		for len(m.Data) < n {
 			if _, err := io.ReadFull(r, b[:]); err != nil {
 				return nil, badStream("short int matrix data: %v", err)
 			}
-			m.Data[i] = int64(binary.BigEndian.Uint64(b[:]))
+			m.Data = append(m.Data, int64(binary.BigEndian.Uint64(b[:])))
 		}
 		return m, nil
 	case KindCells:
@@ -335,20 +347,20 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := &Cells{Rows: rows, Cols: cols, Data: make([]Object, rows*cols)}
-		for i := range c.Data {
+		n := rows * cols
+		c := &Cells{Rows: rows, Cols: cols, Data: make([]Object, 0, prealloc(n))}
+		for len(c.Data) < n {
 			present, err := r.ReadByte()
 			if err != nil {
 				return nil, badStream("short cells data: %v", err)
 			}
-			if present == 0 {
-				continue
+			var item Object
+			if present != 0 {
+				if item, err = decodeObject(r); err != nil {
+					return nil, err
+				}
 			}
-			item, err := decodeObject(r)
-			if err != nil {
-				return nil, err
-			}
-			c.Data[i] = item
+			c.Data = append(c.Data, item)
 		}
 		return c, nil
 	case KindSpMat:
@@ -363,27 +375,30 @@ func decodeObject(r *bufio.Reader) (Object, error) {
 		if nnz > maxDim || uint64(nnz) > uint64(rows)*uint64(cols) {
 			return nil, badStream("sparse nnz %d too large for %dx%d", nnz, rows, cols)
 		}
+		pre := prealloc(int(nnz))
 		s := &SpMat{
 			Rows: rows, Cols: cols,
-			RowIdx: make([]int32, nnz), ColIdx: make([]int32, nnz), Val: make([]float64, nnz),
+			RowIdx: make([]int32, 0, pre), ColIdx: make([]int32, 0, pre), Val: make([]float64, 0, pre),
 		}
 		var b [8]byte
 		for k := uint32(0); k < nnz; k++ {
 			if _, err := io.ReadFull(r, b[:4]); err != nil {
 				return nil, badStream("short sparse row: %v", err)
 			}
-			s.RowIdx[k] = int32(binary.BigEndian.Uint32(b[:4]))
+			row := int32(binary.BigEndian.Uint32(b[:4]))
 			if _, err := io.ReadFull(r, b[:4]); err != nil {
 				return nil, badStream("short sparse col: %v", err)
 			}
-			s.ColIdx[k] = int32(binary.BigEndian.Uint32(b[:4]))
+			col := int32(binary.BigEndian.Uint32(b[:4]))
 			if _, err := io.ReadFull(r, b[:]); err != nil {
 				return nil, badStream("short sparse val: %v", err)
 			}
-			s.Val[k] = math.Float64frombits(binary.BigEndian.Uint64(b[:]))
-			if int(s.RowIdx[k]) >= rows || int(s.ColIdx[k]) >= cols || s.RowIdx[k] < 0 || s.ColIdx[k] < 0 {
-				return nil, badStream("sparse index (%d,%d) outside %dx%d", s.RowIdx[k], s.ColIdx[k], rows, cols)
+			if int(row) >= rows || int(col) >= cols || row < 0 || col < 0 {
+				return nil, badStream("sparse index (%d,%d) outside %dx%d", row, col, rows, cols)
 			}
+			s.RowIdx = append(s.RowIdx, row)
+			s.ColIdx = append(s.ColIdx, col)
+			s.Val = append(s.Val, math.Float64frombits(binary.BigEndian.Uint64(b[:])))
 		}
 		return s, nil
 	default:
@@ -444,9 +459,24 @@ func readString(r *bufio.Reader) (string, error) {
 	if n > maxDim {
 		return "", badStream("string too large: %d", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
+	b, err := readBytes(r, int(n))
+	if err != nil {
 		return "", badStream("short string: %v", err)
 	}
 	return string(b), nil
+}
+
+// readBytes reads exactly n bytes; past preallocMax the buffer grows as
+// the bytes arrive.
+func readBytes(r *bufio.Reader, n int) ([]byte, error) {
+	if n <= preallocMax {
+		b := make([]byte, n)
+		_, err := io.ReadFull(r, b)
+		return b, err
+	}
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }

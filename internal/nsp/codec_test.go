@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -155,6 +157,36 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		s := &Serial{Data: data}
 		if _, err := s.Unserialize(); err == nil {
 			t.Errorf("case %d: garbage decoded without error", i)
+		}
+	}
+}
+
+// TestDecodeAllocatesWhatArrives: a header may claim maxDim elements in a
+// dozen bytes, so decode allocates as the data arrives, not as the header
+// claims. A 23-byte stream declaring a 2^14 × 2^14 matrix used to cost a
+// 2 GiB allocation before failing.
+func TestDecodeAllocatesWhatArrives(t *testing.T) {
+	hostile := []byte("NSPB\x00\x01\x01\x00\x00\x40\x00\x00\x00\x40\x00\x00\x00\x00\x00\x00\x00\x00\x00")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := (&Serial{Data: hostile}).Unserialize()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated 2^28-element matrix decoded without error")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16*preallocMax {
+		t.Errorf("a %d-byte stream made decode allocate %d bytes", len(hostile), got)
+	}
+	// Objects longer than the up-front allocation still round-trip.
+	big := NewMat(3, preallocMax)
+	for i := range big.Data {
+		big.Data[i] = float64(i)
+	}
+	names := NewSMat(1, preallocMax+1)
+	names.Data[preallocMax] = strings.Repeat("x", preallocMax+1)
+	for _, o := range []Object{big, names, &Serial{Data: make([]byte, 2*preallocMax)}} {
+		if !roundTrip(t, o).Equal(o) {
+			t.Errorf("%v object longer than preallocMax changed in the round trip", o.Kind())
 		}
 	}
 }

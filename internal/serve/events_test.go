@@ -203,36 +203,3 @@ func TestServeDrainEventsOnce(t *testing.T) {
 		t.Errorf("%d drain.end events, want 1", n)
 	}
 }
-
-// TestServeEventsDisabled flips DisableEvents: no serve events, no SLO
-// monitor, but every debug route stays mounted and well-formed.
-func TestServeEventsDisabled(t *testing.T) {
-	reg := telemetry.New()
-	s := New(Config{Price: func(ctx context.Context, problems []*premia.Problem) ([]risk.PriceOutcome, error) {
-		return make([]risk.PriceOutcome, len(problems)), nil
-	}, MaxInflight: 1, Telemetry: reg, DisableEvents: true})
-	defer s.Close()
-	if s.slo != nil {
-		t.Error("DisableEvents still built an SLO monitor")
-	}
-	if err := s.admit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.admit(); err != ErrOverloaded {
-		t.Fatalf("second admit = %v, want overloaded", err)
-	}
-	s.release()
-	if n := len(reg.Events(telemetry.EventFilter{})); n != 0 {
-		t.Errorf("%d events emitted with the recorder disabled", n)
-	}
-	if w := getPath(s, "/debug/events"); w.Code != http.StatusOK {
-		t.Errorf("debug/events: status %d", w.Code)
-	}
-	w := getPath(s, "/debug/slo")
-	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"objectives": []`) {
-		t.Errorf("debug/slo: status %d body %q, want empty objectives", w.Code, w.Body.String())
-	}
-	if w := getPath(s, "/debug/farm"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"workers"`) {
-		t.Errorf("debug/farm: status %d", w.Code)
-	}
-}

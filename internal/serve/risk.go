@@ -520,7 +520,7 @@ func (s *Server) watchRound(streamCtx context.Context, q *riskWatchRequest, pf *
 		if level == "critical" {
 			evLevel = telemetry.LevelError
 		}
-		s.emit(evLevel, "serve.risk.limit_breach", span.Context(),
+		s.reg.Emit(evLevel, "serve.risk.limit_breach", span.Context(),
 			telemetry.Str("metric", metric),
 			telemetry.Num("value", value),
 			telemetry.Num("limit", limit),

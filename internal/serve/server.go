@@ -71,12 +71,6 @@ type Config struct {
 	// (served at /debug/slo, gauged as slo.<name>.*). Nil installs
 	// DefaultSLOs; pass an empty non-nil slice to monitor nothing.
 	SLOs []telemetry.Objective
-	// DisableEvents turns off the flight recorder's serve-side surface:
-	// no serve.* events are emitted and the SLO ticker never starts.
-	// The /debug/events, /debug/slo and /debug/farm routes stay mounted
-	// (farm and mpi events still flow into the shared registry). The
-	// events overhead benchmark flips it.
-	DisableEvents bool
 }
 
 // DefaultSLOs is the serving layer's out-of-the-box objective set: 99%
@@ -208,9 +202,6 @@ func New(cfg Config) *Server {
 // default) objectives and starts its ticker goroutine, bound to the
 // server's lifecycle context.
 func (s *Server) startSLO(ctx context.Context) {
-	if s.cfg.DisableEvents {
-		return
-	}
 	objs := s.cfg.SLOs
 	if objs == nil {
 		objs = DefaultSLOs()
@@ -245,15 +236,6 @@ func (s *Server) sloLoop(ctx context.Context) {
 			s.slo.Tick()
 		}
 	}
-}
-
-// emit records one serve-side flight-recorder event unless the
-// config disabled them.
-func (s *Server) emit(level telemetry.Level, name string, tc telemetry.TraceContext, fields ...telemetry.Field) {
-	if s.cfg.DisableEvents {
-		return
-	}
-	s.reg.Emit(level, name, tc, fields...)
 }
 
 // handleFarm serves per-worker fleet health — the /debug/farm endpoint.
@@ -342,7 +324,7 @@ func (s *Server) priceProblem(ctx context.Context, p *premia.Problem, wait bool)
 		req.span.End()
 		req.release() // never enqueued: no response will arrive
 		s.reg.Counter("serve.rejected.queue").Add(1)
-		s.emit(telemetry.LevelWarn, "serve.reject.queue", req.span.Context(),
+		s.reg.Emit(telemetry.LevelWarn, "serve.reject.queue", req.span.Context(),
 			telemetry.Num("queue_cap", float64(s.cfg.MaxQueue)))
 		s.flight.finish(key, call, flightResult{err: ErrOverloaded})
 		return risk.PriceOutcome{}, ErrOverloaded
@@ -353,7 +335,7 @@ func (s *Server) priceProblem(ctx context.Context, p *premia.Problem, wait bool)
 		return s.settle(key, call, resp)
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.emit(telemetry.LevelWarn, "serve.request.deadline", req.span.Context(),
+			s.reg.Emit(telemetry.LevelWarn, "serve.request.deadline", req.span.Context(),
 				telemetry.Num("timeout_seconds", s.cfg.RequestTimeout.Seconds()))
 		}
 		// The leader's deadline expired but the batch is still pricing.
@@ -388,7 +370,7 @@ func (s *Server) admit() error {
 	if n := s.inflight.Add(1); n > int64(s.cfg.MaxInflight) {
 		s.inflight.Add(-1)
 		s.reg.Counter("serve.rejected.inflight").Add(1)
-		s.emit(telemetry.LevelWarn, "serve.reject.inflight", telemetry.TraceContext{},
+		s.reg.Emit(telemetry.LevelWarn, "serve.reject.inflight", telemetry.TraceContext{},
 			telemetry.Num("inflight", float64(n)),
 			telemetry.Num("limit", float64(s.cfg.MaxInflight)))
 		return ErrOverloaded
@@ -413,7 +395,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.draining = true
 	s.drainMu.Unlock()
 	if !already {
-		s.emit(telemetry.LevelInfo, "serve.drain.begin", telemetry.TraceContext{},
+		s.reg.Emit(telemetry.LevelInfo, "serve.drain.begin", telemetry.TraceContext{},
 			telemetry.Num("inflight", float64(s.inflight.Load())))
 	}
 	drainStart := s.reg.Now()
@@ -428,7 +410,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		return ctx.Err()
 	}
 	if !already {
-		s.emit(telemetry.LevelInfo, "serve.drain.end", telemetry.TraceContext{},
+		s.reg.Emit(telemetry.LevelInfo, "serve.drain.end", telemetry.TraceContext{},
 			telemetry.Num("waited_seconds", s.reg.Now()-drainStart))
 	}
 	s.stopped.Do(func() {

@@ -24,8 +24,8 @@ import (
 // wrap-around overwrite against snapshot readers, which is what keeps
 // concurrent emit/read exact under the race detector rather than
 // seqlock-approximate. Field values are copied into slot-resident
-// arrays, names are interned when they arrive from the wire, and the
-// variadic field slices never escape, so Emit stays at 0 allocs/op.
+// arrays and the variadic field slices never escape, so Emit stays at
+// 0 allocs/op.
 
 // Level grades an event's severity. The zero value is LevelDebug, so a
 // zero EventFilter passes everything.
@@ -198,11 +198,8 @@ func (r *Registry) Emit(level Level, name string, tc TraceContext, fields ...Fie
 // EmitCtx is Emit with the trace context extracted from ctx — the form
 // for call sites that already thread a request context.
 func (r *Registry) EmitCtx(ctx context.Context, level Level, name string, fields ...Field) {
-	if r == nil {
-		return
-	}
 	tc, _ := TraceFromContext(ctx)
-	r.eventLog().emit(Event{When: r.Now(), Level: level, Name: name, TraceID: tc.TraceID, Rank: RankLocal, Fields: fields})
+	r.Emit(level, name, tc, fields...)
 }
 
 // EventCursor returns the sequence number of the most recent emission
@@ -217,50 +214,6 @@ func (r *Registry) EventCursor() uint64 {
 		return 0
 	}
 	return l.cursor.Load()
-}
-
-// IngestEvents files remotely emitted events into the log — the master
-// calls it with the events a worker shipped back alongside its results,
-// When already shifted onto the master clock and Rank set to the
-// worker's rank by the caller. Names are interned so repeated wire
-// decodes of the same name share one string.
-func (r *Registry) IngestEvents(evs []Event) {
-	if r == nil || len(evs) == 0 {
-		return
-	}
-	l := r.eventLog()
-	for _, ev := range evs {
-		ev.Name = InternName(ev.Name)
-		l.emit(ev)
-	}
-}
-
-// internTable bounds the interned-name store: names originate from
-// wire decodes, so an endless stream of distinct names must not grow
-// memory without bound. Past the cap, names pass through un-interned.
-const maxInternedNames = 4096
-
-var (
-	internedNames sync.Map // string -> string
-	internedCount atomic.Int64
-)
-
-// InternName returns the canonical instance of name: the first string
-// ever interned with that content. Event ingestion uses it so the ring
-// holds one copy of each distinct name regardless of how many wire
-// messages carried it.
-func InternName(name string) string {
-	if v, ok := internedNames.Load(name); ok {
-		return v.(string)
-	}
-	if internedCount.Load() >= maxInternedNames {
-		return name
-	}
-	v, loaded := internedNames.LoadOrStore(name, name)
-	if !loaded {
-		internedCount.Add(1)
-	}
-	return v.(string)
 }
 
 // EventFilter selects events out of the log. The zero value passes

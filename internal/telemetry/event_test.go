@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 )
 
 // TestEventEmitAndFilter drives the flight recorder under a virtual
@@ -163,45 +162,13 @@ func TestEventsConcurrent(t *testing.T) {
 	}
 }
 
-// TestInternNameStability checks that interning is idempotent and
-// identity-stable under concurrency: every interned copy of a name
-// shares one backing string.
-func TestInternNameStability(t *testing.T) {
-	// Build the names at runtime so the compiler cannot pre-share them.
-	mk := func(i int) string { return fmt.Sprintf("test.intern.name%d", i%8) }
-	canon := make([]string, 8)
-	for i := range canon {
-		canon[i] = InternName(mk(i))
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				got := InternName(mk(i))
-				want := canon[i%8]
-				if got != want {
-					t.Errorf("InternName(%q) = %q", mk(i), got)
-					return
-				}
-				if unsafe.StringData(got) != unsafe.StringData(want) {
-					t.Errorf("InternName(%q) returned a distinct backing string", mk(i))
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // TestIngestEvents checks the master-side fold: ingested events keep
-// the caller-assigned rank and clock, get fresh local sequence numbers,
-// and their names intern.
+// the caller-assigned rank and clock and get fresh local sequence
+// numbers.
 func TestIngestEvents(t *testing.T) {
 	r := New()
 	r.Emit(LevelWarn, "test.local.first", TraceContext{})
-	r.IngestEvents([]Event{
+	r.Ingest(nil, []Event{
 		{When: 10, Level: LevelWarn, Name: "farm.compute.error", TraceID: 0x1, Rank: 3,
 			Fields: []Field{Str("task", "p0001")}},
 		{When: 11, Level: LevelError, Name: "farm.compute.error", Rank: 5},
@@ -215,9 +182,6 @@ func TestIngestEvents(t *testing.T) {
 	}
 	if evs[0].Seq != 2 || evs[1].Seq != 3 {
 		t.Errorf("ingested seqs = %d,%d, want local 2,3", evs[0].Seq, evs[1].Seq)
-	}
-	if unsafe.StringData(evs[0].Name) != unsafe.StringData(evs[1].Name) {
-		t.Error("repeated ingested name not interned to one backing string")
 	}
 }
 

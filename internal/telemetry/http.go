@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -56,12 +57,24 @@ func fmtDur(sec float64) string {
 	}
 }
 
-// writeTraceTree renders one span and its subtree, start-ordered.
-func writeTraceTree(w *strings.Builder, tr Trace, rec SpanRecord, depth int) {
-	fmt.Fprintf(w, "  %s%-*s %10s\n", strings.Repeat("  ", depth),
-		40-2*depth, rec.Name, fmtDur(rec.End-rec.Start))
-	for _, child := range tr.Children(rec.ID) {
-		writeTraceTree(w, tr, child, depth+1)
+// writeTraceTrees renders the trace's span trees, one per root, each
+// level start-ordered. The spans are grouped by parent once, so the
+// rendering is linear in the trace.
+func writeTraceTrees(w *strings.Builder, tr Trace) {
+	children := make(map[uint64][]SpanRecord)
+	for _, s := range tr.Spans {
+		children[s.ParentID] = append(children[s.ParentID], s)
+	}
+	var write func(rec SpanRecord, depth int)
+	write = func(rec SpanRecord, depth int) {
+		fmt.Fprintf(w, "  %s%-*s %10s\n", strings.Repeat("  ", depth),
+			40-2*depth, rec.Name, fmtDur(rec.End-rec.Start))
+		for _, child := range children[rec.ID] {
+			write(child, depth+1)
+		}
+	}
+	for _, root := range tr.Roots() {
+		write(root, 0)
 	}
 }
 
@@ -112,9 +125,7 @@ func RenderTraces(r *Registry, n int) string {
 			fmt.Fprintf(&b, " %s %s (%d)", name, fmtDur(p.total), p.count)
 		}
 		b.WriteString("\n")
-		for _, root := range tr.Roots() {
-			writeTraceTree(&b, tr, root, 0)
-		}
+		writeTraceTrees(&b, tr)
 	}
 	return b.String()
 }
@@ -140,22 +151,19 @@ func TraceHandler(r *Registry, n int) http.Handler {
 				http.Error(w, fmt.Sprintf("bad trace ID %q: want 16 hex digits", s), http.StatusBadRequest)
 				return
 			}
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			for _, tr := range r.Traces() {
-				if tr.TraceID == id {
-					var b strings.Builder
-					writeTraceHeader(&b, tr)
-					for _, root := range tr.Roots() {
-						writeTraceTree(&b, tr, root, 0)
-					}
-					_, _ = w.Write([]byte(b.String()))
-					return
-				}
+			tr, ok := r.Trace(id)
+			if !ok {
+				http.Error(w, fmt.Sprintf("trace %016x not retained", id), http.StatusNotFound)
+				return
 			}
-			http.Error(w, fmt.Sprintf("trace %016x not retained", id), http.StatusNotFound)
+			var b strings.Builder
+			writeTraceHeader(&b, tr)
+			writeTraceTrees(&b, tr)
+			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+			_, _ = io.WriteString(w, b.String())
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte(RenderTraces(r, n)))
+		_, _ = io.WriteString(w, RenderTraces(r, n))
 	})
 }

@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -13,18 +13,15 @@ type Registry struct {
 	counters sync.Map // string -> *Counter
 	gauges   sync.Map // string -> *Gauge
 	hists    sync.Map // string -> *Histogram
-	spanAggs sync.Map // string -> *spanAgg
+	// spanHists resolves a span name to its "span.<name>" histogram once,
+	// so finishing a span builds no string.
+	spanHists sync.Map // string -> *Histogram
 
 	clock  atomic.Value // func() float64
 	spanID atomic.Uint64
 
-	// ring of recently finished spans, for debugging and tests.
-	spanMu   sync.Mutex
-	spanRing []SpanRecord
-	spanNext int
-
 	// traces retains the spans of recently seen traces for /debug/traces
-	// reassembly (local spans via recordSpan, remote ones via IngestSpans).
+	// reassembly (local spans via recordSpan, remote ones via Ingest).
 	traces traceTable
 	// spansDropped counts the spans full traces turned away. It exists
 	// from New, at zero, so an overflow shows as a rate on a series that
@@ -36,14 +33,9 @@ type Registry struct {
 	events atomic.Pointer[eventLog]
 }
 
-// spanRingCap bounds the finished-span ring buffer.
-const spanRingCap = 4096
-
-type spanAgg struct {
-	count Counter
-	total Gauge      // summed duration in seconds
-	hist  *Histogram // the "span.<name>" histogram, resolved once
-}
+// spanPrefix names the histograms finished spans feed: a span called
+// "farm.task" is counted and timed by the histogram "span.farm.task".
+const spanPrefix = "span."
 
 // New returns an empty registry on the wall clock. Span IDs start at a
 // random base so spans minted by different registries — in particular
@@ -126,47 +118,37 @@ func (r *Registry) Add(name string, n int64) {
 	r.Counter(name).Add(n)
 }
 
-func (r *Registry) spanAgg(name string) *spanAgg {
-	if v, ok := r.spanAggs.Load(name); ok {
-		return v.(*spanAgg)
-	}
-	v, _ := r.spanAggs.LoadOrStore(name, &spanAgg{hist: r.Histogram("span." + name)})
-	return v.(*spanAgg)
-}
-
-// recordSpan files a finished span into the aggregate, the duration
-// histogram "span.<name>", and the ring.
+// recordSpan files a finished span in its two homes: the duration
+// histogram "span.<name>", which is also the span's count and total, and
+// — when the span is traced — its trace.
 func (r *Registry) recordSpan(rec SpanRecord) {
-	agg := r.spanAgg(rec.Name)
-	agg.count.Add(1)
-	agg.total.Add(rec.End - rec.Start)
-	if rec.TraceID != 0 {
-		agg.hist.ObserveExemplar(rec.End-rec.Start, rec.TraceID, rec.End)
-	} else {
-		agg.hist.Observe(rec.End - rec.Start)
+	h, ok := r.spanHists.Load(rec.Name)
+	if !ok {
+		h, _ = r.spanHists.LoadOrStore(rec.Name, r.Histogram(spanPrefix+rec.Name))
 	}
+	h.(*Histogram).ObserveExemplar(rec.End-rec.Start, rec.TraceID, rec.End)
 	r.fileSpan(rec, false)
-	r.spanMu.Lock()
-	if len(r.spanRing) < spanRingCap {
-		r.spanRing = append(r.spanRing, rec)
-	} else {
-		r.spanRing[r.spanNext] = rec
-		r.spanNext = (r.spanNext + 1) % spanRingCap
-	}
-	r.spanMu.Unlock()
 }
 
-// FinishedSpans returns a copy of the retained finished spans (the most
-// recent spanRingCap of them), in no particular order.
-func (r *Registry) FinishedSpans() []SpanRecord {
+// Ingest files what a worker shipped back with its results, already
+// shifted onto this registry's clock and attributed to the worker's rank
+// by the caller. Spans enter traces only: they were counted into the
+// worker's own histograms, so observing them here would double-count
+// when master and worker share a registry. Events join the flight
+// recorder.
+func (r *Registry) Ingest(spans []SpanRecord, events []Event) {
 	if r == nil {
-		return nil
+		return
 	}
-	r.spanMu.Lock()
-	defer r.spanMu.Unlock()
-	out := make([]SpanRecord, len(r.spanRing))
-	copy(out, r.spanRing)
-	return out
+	for _, rec := range spans {
+		r.fileSpan(rec, true)
+	}
+	if len(events) > 0 {
+		l := r.eventLog()
+		for _, ev := range events {
+			l.emit(ev)
+		}
+	}
 }
 
 // SpanCount returns how many spans with the given name have finished.
@@ -174,11 +156,11 @@ func (r *Registry) SpanCount(name string) int64 {
 	if r == nil {
 		return 0
 	}
-	v, ok := r.spanAggs.Load(name)
+	h, ok := r.hists.Load(spanPrefix + name)
 	if !ok {
 		return 0
 	}
-	return v.(*spanAgg).count.Value()
+	return h.(*Histogram).Count()
 }
 
 // SpanStats summarizes one span name in a snapshot.
@@ -217,32 +199,24 @@ func (r *Registry) Snapshot() Snapshot {
 		return true
 	})
 	r.hists.Range(func(k, v any) bool {
-		s.Histograms[k.(string)] = v.(*Histogram).Stats()
-		return true
-	})
-	r.spanAggs.Range(func(k, v any) bool {
-		agg := v.(*spanAgg)
-		s.Spans[k.(string)] = SpanStats{Count: agg.count.Value(), TotalSeconds: agg.total.Value()}
+		st := v.(*Histogram).Stats()
+		s.Histograms[k.(string)] = st
+		// A span name appears once a span of it has finished; a span
+		// histogram something merely looked up (an SLO) is not a span yet.
+		if name, ok := strings.CutPrefix(k.(string), spanPrefix); ok && st.Count > 0 {
+			s.Spans[name] = SpanStats{Count: st.Count, TotalSeconds: st.Sum}
+		}
 		return true
 	})
 	return s
 }
 
-// Names returns the sorted names of one metric kind, mainly for
-// deterministic reports.
-func (s Snapshot) Names(m map[string]int64) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Merge folds every metric of from into r, prefixing names with prefix:
-// counters and span aggregates add, gauges overwrite, histograms merge
-// bucket-wise. The sweep harness uses it to accumulate per-run
-// registries into a caller-provided sink.
+// counters add, gauges overwrite, histograms merge bucket-wise. The
+// prefix goes on the span name, not in front of the span histogram's
+// own prefix: "span.farm.task" merges into "span.<prefix>farm.task", so
+// the merged spans are still spans. The sweep harness uses it to
+// accumulate per-run registries into a caller-provided sink.
 func (r *Registry) Merge(from *Registry, prefix string) {
 	if r == nil || from == nil {
 		return
@@ -256,14 +230,11 @@ func (r *Registry) Merge(from *Registry, prefix string) {
 		return true
 	})
 	from.hists.Range(func(k, v any) bool {
-		r.Histogram(prefix + k.(string)).merge(v.(*Histogram))
-		return true
-	})
-	from.spanAggs.Range(func(k, v any) bool {
-		agg := v.(*spanAgg)
-		dst := r.spanAgg(prefix + k.(string))
-		dst.count.Add(agg.count.Value())
-		dst.total.Add(agg.total.Value())
+		name := prefix + k.(string)
+		if span, ok := strings.CutPrefix(k.(string), spanPrefix); ok {
+			name = spanPrefix + prefix + span
+		}
+		r.Histogram(name).merge(v.(*Histogram))
 		return true
 	})
 }

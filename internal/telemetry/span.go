@@ -10,17 +10,13 @@ package telemetry
 // their TraceID, from which whole request trees are reassembled even
 // when parts of the tree finished in another process.
 type Span struct {
-	reg      *Registry
-	id       uint64
-	parentID uint64
-	traceID  uint64
-	name     string
-	start    float64
-	end      float64
-	ended    bool
+	reg   *Registry
+	rec   SpanRecord // End is set by End
+	ended bool
 }
 
-// SpanRecord is a finished span as retained by the registry ring.
+// SpanRecord is a finished span: what its trace retains and what a
+// worker ships to its master.
 type SpanRecord struct {
 	// ID is unique within the registry; ParentID is 0 for roots. New
 	// registries start their ID sequence at a random base, so records
@@ -35,31 +31,26 @@ type SpanRecord struct {
 	Start, End float64
 }
 
-// StartSpan opens a root span outside any trace.
-func (r *Registry) StartSpan(name string) *Span {
+// start opens a span; a nil registry yields the no-op nil span.
+func (r *Registry) start(parentID, traceID uint64, name string) *Span {
 	if r == nil {
 		return nil
 	}
-	return &Span{reg: r, id: r.spanID.Add(1), name: name, start: r.Now()}
+	return &Span{reg: r, rec: SpanRecord{ID: r.spanID.Add(1), ParentID: parentID, TraceID: traceID, Name: name, Start: r.Now()}}
 }
+
+// StartSpan opens a root span outside any trace.
+func (r *Registry) StartSpan(name string) *Span { return r.start(0, 0, name) }
 
 // StartTrace opens a root span under a freshly minted trace ID — the
 // entry point for one serve request or bench run.
-func (r *Registry) StartTrace(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	return &Span{reg: r, id: r.spanID.Add(1), traceID: NewTraceID(), name: name, start: r.Now()}
-}
+func (r *Registry) StartTrace(name string) *Span { return r.start(0, NewTraceID(), name) }
 
 // StartSpanIn opens a span parented on tc — typically a context that
 // arrived from another process (a farm task descriptor) or another
 // goroutine (a context.Context). An invalid tc degrades to StartSpan.
 func (r *Registry) StartSpanIn(tc TraceContext, name string) *Span {
-	if r == nil {
-		return nil
-	}
-	return &Span{reg: r, id: r.spanID.Add(1), parentID: tc.SpanID, traceID: tc.TraceID, name: name, start: r.Now()}
+	return r.start(tc.SpanID, tc.TraceID, name)
 }
 
 // StartChild opens a child span under s, inheriting its trace.
@@ -67,8 +58,7 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	r := s.reg
-	return &Span{reg: r, id: r.spanID.Add(1), parentID: s.id, traceID: s.traceID, name: name, start: r.Now()}
+	return s.reg.start(s.rec.ID, s.rec.TraceID, name)
 }
 
 // ID returns the span's registry-unique ID (0 for nil).
@@ -76,15 +66,7 @@ func (s *Span) ID() uint64 {
 	if s == nil {
 		return 0
 	}
-	return s.id
-}
-
-// Name returns the span name ("" for nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
+	return s.rec.ID
 }
 
 // Context returns the span's position in its trace, for handing to
@@ -94,7 +76,7 @@ func (s *Span) Context() TraceContext {
 	if s == nil {
 		return TraceContext{}
 	}
-	return TraceContext{TraceID: s.traceID, SpanID: s.id}
+	return TraceContext{TraceID: s.rec.TraceID, SpanID: s.rec.ID}
 }
 
 // End finishes the span and records it; extra calls are ignored. Spans
@@ -104,8 +86,8 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.end = s.reg.Now()
-	s.reg.recordSpan(s.Record())
+	s.rec.End = s.reg.Now()
+	s.reg.recordSpan(s.rec)
 }
 
 // Record returns the finished span's SpanRecord — what workers ship back
@@ -115,5 +97,5 @@ func (s *Span) Record() SpanRecord {
 	if s == nil || !s.ended {
 		return SpanRecord{}
 	}
-	return SpanRecord{ID: s.id, ParentID: s.parentID, TraceID: s.traceID, Name: s.name, Start: s.start, End: s.end}
+	return s.rec
 }

@@ -113,14 +113,15 @@ func TestSpanNesting(t *testing.T) {
 	r := New()
 	now := 0.0
 	r.SetClock(func() float64 { now += 1; return now })
-	root := r.StartSpan("sweep")
+	root := r.StartTrace("sweep")
 	child := root.StartChild("task")
 	grand := child.StartChild("compute")
 	grand.End()
 	child.End()
 	root.End()
-	recs := r.FinishedSpans()
-	if len(recs) != 3 {
+	tr, ok := r.Trace(root.Context().TraceID)
+	recs := tr.Spans
+	if !ok || len(recs) != 3 {
 		t.Fatalf("%d finished spans, want 3", len(recs))
 	}
 	byName := map[string]SpanRecord{}
@@ -178,18 +179,35 @@ func TestRegistryMerge(t *testing.T) {
 	if got := sink.SpanCount("s1.run"); got != 1 {
 		t.Errorf("merged span count = %d", got)
 	}
+	// The span count is the span histogram's, and a merge invents no
+	// series: every histogram in the sink holds what was merged into it.
+	snap := sink.Snapshot()
+	if got := snap.Histograms["span.s1.run"].Count; got != 1 {
+		t.Errorf("merged span histogram count = %d, want 1", got)
+	}
+	if got := snap.Spans["s1.run"].Count; got != 1 {
+		t.Errorf("merged snapshot span count = %d, want 1", got)
+	}
+	for name, st := range snap.Histograms {
+		if st.Count == 0 {
+			t.Errorf("merge left an empty histogram %q", name)
+		}
+	}
 }
 
 func TestVirtualClock(t *testing.T) {
 	r := New()
 	vt := 10.0
 	r.SetClock(func() float64 { return vt })
-	sp := r.StartSpan("virt")
+	sp := r.StartTrace("virt")
 	vt = 12.5
 	sp.End()
-	recs := r.FinishedSpans()
-	if len(recs) != 1 || recs[0].End-recs[0].Start != 2.5 {
+	tr, _ := r.Trace(sp.Context().TraceID)
+	if recs := tr.Spans; len(recs) != 1 || recs[0].End-recs[0].Start != 2.5 {
 		t.Errorf("virtual span = %+v, want 2.5s duration", recs)
+	}
+	if sum := r.Histogram("span.virt").Sum(); sum != 2.5 {
+		t.Errorf("virtual span histogram sum = %v, want 2.5", sum)
 	}
 }
 

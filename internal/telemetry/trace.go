@@ -1,11 +1,11 @@
 package telemetry
 
 import (
+	"cmp"
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -241,17 +241,6 @@ func (tr Trace) Roots() []SpanRecord {
 	return roots
 }
 
-// Children returns the spans parented directly on id, in start order.
-func (tr Trace) Children(id uint64) []SpanRecord {
-	var out []SpanRecord
-	for _, s := range tr.Spans {
-		if s.ParentID == id {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Find returns the first retained span with the given name.
 func (tr Trace) Find(name string) (SpanRecord, bool) {
 	for _, s := range tr.Spans {
@@ -262,67 +251,67 @@ func (tr Trace) Find(name string) (SpanRecord, bool) {
 	return SpanRecord{}, false
 }
 
-// Traces returns every retained trace, reassembled, ordered by trace
-// ID so repeated snapshots of the same table render identically. Each
-// trace's spans are start-ordered.
-func (r *Registry) Traces() []Trace {
+// snapshot copies the traces pick names out of the table, in pick's
+// order, and start-orders their spans (ties by span ID). pick runs under
+// the table lock every Span.End takes and only the traces it names are
+// copied there, so reading one tree off a full table costs one tree.
+func (r *Registry) snapshot(pick func(t *traceTable) []uint64) []Trace {
 	if r == nil {
 		return nil
 	}
-	r.traces.mu.Lock()
-	ids := make([]uint64, 0, len(r.traces.traces))
-	for id := range r.traces.traces {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	t := &r.traces
+	t.mu.Lock()
+	ids := pick(t)
 	out := make([]Trace, 0, len(ids))
 	for _, id := range ids {
-		e := r.traces.traces[id]
-		tr := Trace{TraceID: id, Spans: make([]SpanRecord, len(e.spans)), Dropped: e.dropped}
-		copy(tr.Spans, e.spans)
-		out = append(out, tr)
+		if e := t.traces[id]; e != nil {
+			out = append(out, Trace{TraceID: id, Spans: slices.Clone(e.spans), Dropped: e.dropped})
+		}
 	}
-	r.traces.mu.Unlock()
-	for i := range out {
-		spans := out[i].Spans
-		sort.Slice(spans, func(a, b int) bool {
-			if spans[a].Start != spans[b].Start {
-				return spans[a].Start < spans[b].Start
-			}
-			return spans[a].ID < spans[b].ID
+	t.mu.Unlock()
+	for _, tr := range out {
+		slices.SortFunc(tr.Spans, func(a, b SpanRecord) int {
+			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
 		})
 	}
 	return out
 }
 
-// SlowestTraces returns up to n retained traces ordered by descending
-// duration — what /debug/traces renders.
-func (r *Registry) SlowestTraces(n int) []Trace {
-	traces := r.Traces()
-	sort.Slice(traces, func(a, b int) bool {
-		da, db := traces[a].Duration(), traces[b].Duration()
-		if da != db {
-			return da > db
-		}
-		return traces[a].TraceID < traces[b].TraceID
-	})
-	if n > 0 && len(traces) > n {
-		traces = traces[:n]
+// Trace returns one retained trace, reassembled.
+func (r *Registry) Trace(id uint64) (Trace, bool) {
+	out := r.snapshot(func(*traceTable) []uint64 { return []uint64{id} })
+	if len(out) == 0 {
+		return Trace{}, false
 	}
-	return traces
+	return out[0], true
 }
 
-// IngestSpans files remotely finished spans into the trace table — the
-// master calls it with the SpanRecords a worker shipped back alongside
-// its results (time-shifted onto the master clock by the caller).
-// Remote spans enter traces only: they were already counted into the
-// worker's own histograms, so re-observing them here would double-count
-// when master and worker share a registry.
-func (r *Registry) IngestSpans(recs []SpanRecord) {
-	if r == nil {
-		return
-	}
-	for _, rec := range recs {
-		r.fileSpan(rec, true)
-	}
+// Traces returns every retained trace, reassembled, ordered by trace
+// ID so repeated snapshots of the same table render identically.
+func (r *Registry) Traces() []Trace {
+	return r.snapshot(func(t *traceTable) []uint64 {
+		ids := slices.Clone(t.order)
+		slices.Sort(ids)
+		return ids
+	})
+}
+
+// SlowestTraces returns up to n retained traces (all of them when n is
+// 0) ordered by descending duration — what /debug/traces renders. The
+// ranking reads the table in place.
+func (r *Registry) SlowestTraces(n int) []Trace {
+	return r.snapshot(func(t *traceTable) []uint64 {
+		ids := slices.Clone(t.order)
+		duration := make(map[uint64]float64, len(ids))
+		for _, id := range ids {
+			duration[id] = Trace{Spans: t.traces[id].spans}.Duration()
+		}
+		slices.SortFunc(ids, func(a, b uint64) int {
+			return cmp.Or(cmp.Compare(duration[b], duration[a]), cmp.Compare(a, b))
+		})
+		if n > 0 && len(ids) > n {
+			ids = ids[:n]
+		}
+		return ids
+	})
 }

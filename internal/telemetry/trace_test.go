@@ -52,8 +52,14 @@ func TestStartTraceBuildsTree(t *testing.T) {
 	if len(roots) != 1 || roots[0].Name != "serve.request" {
 		t.Fatalf("roots = %+v, want single serve.request", roots)
 	}
-	if kids := tr.Children(roots[0].ID); len(kids) != 2 {
-		t.Fatalf("root has %d children, want 2", len(kids))
+	kids := 0
+	for _, s := range tr.Spans {
+		if s.ParentID == roots[0].ID {
+			kids++
+		}
+	}
+	if kids != 2 {
+		t.Fatalf("root has %d children, want 2", kids)
 	}
 	if _, ok := tr.Find("farm.task"); !ok {
 		t.Fatal("Find(farm.task) missed")
@@ -80,7 +86,7 @@ func TestStartSpanInRemoteParenting(t *testing.T) {
 	root.End()
 
 	// Ship the worker's spans back and ingest.
-	master.IngestSpans([]SpanRecord{compute.Record(), kernel.Record()})
+	master.Ingest([]SpanRecord{compute.Record(), kernel.Record()}, nil)
 
 	traces := master.Traces()
 	if len(traces) != 1 {
@@ -107,7 +113,7 @@ func TestStartSpanInRemoteParenting(t *testing.T) {
 	// Worker metrics stayed on the worker: ingestion must not create
 	// span aggregates on the master.
 	if n := master.SpanCount("farm.compute"); n != 0 {
-		t.Fatalf("IngestSpans leaked into span aggregates: count=%d", n)
+		t.Fatalf("Ingest leaked into span aggregates: count=%d", n)
 	}
 }
 
@@ -121,8 +127,8 @@ func TestIngestSpansDedupe(t *testing.T) {
 	child.End()
 	root.End()
 	// Same records come back over the local "wire".
-	r.IngestSpans([]SpanRecord{child.Record()})
-	r.IngestSpans([]SpanRecord{child.Record()})
+	r.Ingest([]SpanRecord{child.Record()}, nil)
+	r.Ingest([]SpanRecord{child.Record()}, nil)
 
 	traces := r.Traces()
 	if len(traces) != 1 || len(traces[0].Spans) != 2 {
@@ -160,7 +166,7 @@ func TestIngestClockShift(t *testing.T) {
 	rec := compute.Record()
 	rec.Start += shift
 	rec.End += shift
-	master.IngestSpans([]SpanRecord{rec})
+	master.Ingest([]SpanRecord{rec}, nil)
 
 	tr := master.Traces()[0]
 	comp, _ := tr.Find("farm.compute")
@@ -278,26 +284,24 @@ func fileTrace(r *Registry, n int) []SpanRecord {
 // many it dropped.
 func spansOf(t *testing.T, r *Registry, traceID uint64) (kept, dropped int) {
 	t.Helper()
-	for _, tr := range r.Traces() {
-		if tr.TraceID == traceID {
-			return len(tr.Spans), tr.Dropped
-		}
+	tr, ok := r.Trace(traceID)
+	if !ok {
+		t.Fatalf("trace %016x not retained", traceID)
 	}
-	t.Fatalf("trace %016x not retained", traceID)
-	return 0, 0
+	return len(tr.Spans), tr.Dropped
 }
 
 // TestTraceDedupeAcrossSizes: deduplication by span ID holds while a
 // trace is small enough to scan, across the switch to its ID set, and in
 // an entry recycled from an evicted trace of the other size — so
-// IngestSpans of a shared-registry copy stays a no-op at every size.
+// Ingest of a shared-registry copy stays a no-op at every size.
 func TestTraceDedupeAcrossSizes(t *testing.T) {
 	r := New()
 	for _, n := range []int{smallTrace - 1, smallTrace, smallTrace + 1, 10 * smallTrace} {
 		recs := fileTrace(r, n)
 		// The shared-registry shape: every record comes back once more
 		// with the results, the early ones after the switch to the set.
-		r.IngestSpans(recs)
+		r.Ingest(recs, nil)
 		if kept, dropped := spansOf(t, r, recs[0].TraceID); kept != n || dropped != 0 {
 			t.Errorf("%d-span trace re-ingested: %d kept, %d dropped; want %d and 0", n, kept, dropped, n)
 		}
@@ -312,7 +316,7 @@ func TestTraceDedupeAcrossSizes(t *testing.T) {
 			n = 2 * smallTrace
 		}
 		recs := fileTrace(r, n)
-		r.IngestSpans(recs)
+		r.Ingest(recs, nil)
 		if kept, dropped := spansOf(t, r, recs[0].TraceID); kept != n || dropped != 0 {
 			t.Fatalf("recycled entry %d: %d kept, %d dropped; want %d and 0", i, kept, dropped, n)
 		}
@@ -334,7 +338,7 @@ func TestFullTraceCountsDrops(t *testing.T) {
 	if kept, dropped := spansOf(t, r, id); kept != maxTraceSpans || dropped != extra {
 		t.Fatalf("overflowed trace: %d kept, %d dropped; want %d and %d", kept, dropped, maxTraceSpans, extra)
 	}
-	r.IngestSpans(recs[:10]) // already filed, but the trace is full
+	r.Ingest(recs[:10], nil) // already filed, but the trace is full
 	if _, dropped := spansOf(t, r, id); dropped != extra+10 {
 		t.Errorf("duplicates offered to a full trace: %d dropped, want %d", dropped, extra+10)
 	}
