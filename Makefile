@@ -37,9 +37,10 @@ wireshape:
 # telemetry span-reassembly and trace-table tests, the farm's
 # cross-process span shipping, the serve-over-TCP trace integration
 # test, and the simulated scheduler (simnet) plus the portfolio
-# calibrator that drives it.
+# calibrator that drives it — and nsp, whose codec runs on every one of
+# those goroutines.
 race:
-	$(GO) test -race ./internal/farm ./internal/mpi ./internal/telemetry ./internal/premia ./internal/risk ./internal/serve ./internal/simnet ./internal/portfolio ./internal/var
+	$(GO) test -race ./internal/nsp ./internal/farm ./internal/mpi ./internal/telemetry ./internal/premia ./internal/risk ./internal/serve ./internal/simnet ./internal/portfolio ./internal/var
 
 check: build vet lint test race
 
@@ -52,14 +53,19 @@ check: build vet lint test race
 compat:
 	$(GO) test -run TestCompat -v ./internal/mpi ./internal/risk
 
-# fuzz explores the socket-reachable farm decoders for 10 s each (go
-# test takes one -fuzz target per invocation): the batch descriptor a
-# worker decodes and the span/event payloads a master decodes, both fed
-# through nsp.Unserialize as a frame's bytes arrive. The seeds (golden
-# wire bytes plus every known corruption) also run under plain `go
-# test`. A failing input lands in internal/farm/testdata/fuzz/; commit it
-# with the fix.
+# fuzz explores every decoder a socket can reach, bottom up, for 10 s each
+# (go test takes one -fuzz target per invocation): the nsp stream decoder
+# under every message, the mpi frame reader and hello parser, and the
+# farm's batch descriptor and span/event payloads fed through
+# nsp.Unserialize as a frame's bytes arrive. No input may panic or
+# allocate past its bounds, and whatever decodes must survive its own
+# codec. The seeds (golden wire bytes plus every known corruption) also
+# run under plain `go test`. A failing input lands in the package's
+# testdata/fuzz/; commit it with the fix.
 fuzz:
+	$(GO) test -run '^$$' -fuzz 'FuzzUnserialize$$' -fuzztime 10s ./internal/nsp
+	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime 10s ./internal/mpi
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeHello$$' -fuzztime 10s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime 10s ./internal/farm
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRecords$$' -fuzztime 10s ./internal/farm
 

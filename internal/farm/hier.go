@@ -6,6 +6,7 @@ import (
 
 	"riskbench/internal/mpi"
 	"riskbench/internal/nsp"
+	"riskbench/internal/telemetry"
 )
 
 // The hierarchical farm implements the improvement sketched in the
@@ -110,8 +111,14 @@ func RunSubMaster(c mpi.Comm, workers []int, opts Options) error {
 			}
 		}
 		// Sub-masters are driven by the root's stop message, not by a
-		// context of their own.
-		res, err := runBatches(context.Background(), c, workers, splitBatches(tasks, 1), sharedQueue, passLoader{}, opts)
+		// context of their own: this one only carries the chunk's trace,
+		// so the group's farm.run — and every worker span under it —
+		// files in the request's trace, under the chunk's first farm.task.
+		ctx := context.Background()
+		if desc.Trace.valid() {
+			ctx = telemetry.ContextWithTrace(ctx, telemetry.TraceContext{TraceID: desc.Trace.traceID, SpanID: desc.Trace.parents[0]})
+		}
+		res, err := runBatches(ctx, c, workers, splitBatches(tasks, 1), sharedQueue, passLoader{}, opts)
 		if err != nil {
 			return err
 		}

@@ -207,3 +207,45 @@ func TestFarmDistributedTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceReachesEveryRank: a traced round holds every rank's spans in
+// the request's trace whatever the layout. Sub-masters used to run their
+// groups under a context of their own, so a hierarchical round's
+// farm.compute spans — and the sub-masters' farm.run — fell outside the
+// trace and no farm.fetch span was opened at all.
+func TestTraceReachesEveryRank(t *testing.T) {
+	const n, chunk = 32, 8
+	tasks, want := makePortfolio(t, n)
+	for _, groups := range []int{0, 2} {
+		reg := telemetry.New()
+		root := reg.StartTrace("test.request")
+		ctx := telemetry.ContextWithTrace(context.Background(), root.Context())
+		opts := Options{Strategy: SerializedLoad, BatchSize: 4, Telemetry: reg}
+		results, err := Local{Groups: groups, Chunk: chunk}.Run(ctx, tasks, opts, 6)
+		if err != nil {
+			t.Fatalf("groups %d: %v", groups, err)
+		}
+		root.End()
+		checkResults(t, results, want)
+		tr, ok := reg.Trace(root.Context().TraceID)
+		if !ok {
+			t.Fatalf("groups %d: the request's trace is gone", groups)
+		}
+		count := map[string]int{}
+		for _, s := range tr.Spans {
+			count[s.Name]++
+		}
+		// Flat: one run, a task span per task, a fetch per batch of four.
+		// Hierarchical: the root's run and task spans, plus a run per chunk
+		// and a task span and a single-task fetch per task in the groups.
+		wantCount := map[string]int{"farm.run": 1, "farm.task": n, "farm.compute": n, "farm.fetch": n / 4}
+		if groups > 0 {
+			wantCount = map[string]int{"farm.run": 1 + n/chunk, "farm.task": 2 * n, "farm.compute": n, "farm.fetch": n}
+		}
+		for name, want := range wantCount {
+			if count[name] != want {
+				t.Errorf("groups %d: %d %s spans in the request's trace, want %d (census %v)", groups, count[name], name, want, count)
+			}
+		}
+	}
+}

@@ -46,7 +46,9 @@ type Comm interface {
 	// and status.
 	Recv(source, tag int) ([]byte, Status, error)
 	// Close releases the communicator; pending and future blocking calls
-	// return ErrClosed.
+	// return ErrClosed. A receive on a hub that can only be answered by a
+	// peer whose connection has dropped returns a *LostError instead of
+	// blocking.
 	Close() error
 }
 
@@ -58,6 +60,10 @@ type message struct {
 	tag    int
 	data   []byte
 	obj    nsp.Object
+}
+
+func (m message) status() Status {
+	return Status{Source: m.source, Tag: m.tag, Bytes: len(m.data)}
 }
 
 func matches(m message, source, tag int) bool {

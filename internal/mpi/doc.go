@@ -6,12 +6,13 @@
 //   - an in-process world where every rank is a goroutine and messages
 //     move through mailboxes (the moral equivalent of MPI_Comm_spawn-ing
 //     Nsp slaves on one node, paper Fig. 1);
-//   - framed hub worlds over pluggable transports: rank 0 listens, workers
-//     dial in, and frames are routed through the hub so any rank can
-//     message any other rank with a single connection per worker. The
-//     transport registry ships tcp (cross-host), unix (same-host worker
-//     pools over unix-domain sockets) and inproc (net.Pipe pairs, the full
-//     wire path without OS sockets); RegisterTransport adds more.
+//   - framed hub worlds over one of three transports: rank 0 listens,
+//     workers dial in, and frames are routed through the hub so any rank
+//     can message any other rank with a single connection per worker. The
+//     transports are tcp (cross-host), unix (same-host worker pools over
+//     unix-domain sockets) and inproc (net.Pipe pairs, the full wire path
+//     without OS sockets). A receive on the hub that only a dropped worker
+//     could answer returns a *LostError instead of blocking.
 //
 // Hub worlds speak a versioned wire protocol. The connection handshake is
 // fixed and v1-compatible (magic in, rank/size out); v2 endpoints then

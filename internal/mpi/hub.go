@@ -31,8 +31,8 @@ const defaultHelloWait = 500 * time.Millisecond
 // carries the frames and which protocol version this endpoint speaks.
 // The zero value is a current-version TCP endpoint.
 type WorldOptions struct {
-	// Transport names a registered transport ("tcp", "unix", "inproc");
-	// empty selects tcp.
+	// Transport names the transport ("tcp", "unix" or "inproc"); empty
+	// selects tcp.
 	Transport string
 	// Proto is the protocol version this endpoint speaks (ProtoV1 or
 	// ProtoV2); 0 selects ProtoLatest. A ProtoV1 endpoint reproduces the
@@ -99,8 +99,8 @@ func (cn *conn) send(dest, src, tag int, payload []byte) error {
 // ranks, negotiates protocol versions, routes worker-to-worker frames
 // and delivers dest-0 frames to its own mailbox.
 type HubComm struct {
+	inbox
 	size      int
-	mbox      *mailbox
 	ln        net.Listener
 	workers   []*conn // index 1..size-1
 	local     peerInfo
@@ -138,8 +138,8 @@ func ListenHubWith(addr string, size int, o WorldOptions) (*HubComm, error) {
 		return nil, fmt.Errorf("mpi: hub listen (%s): %w", tr.Name(), err)
 	}
 	h := &HubComm{
+		inbox:     inbox{newMailbox()},
 		size:      size,
-		mbox:      newMailbox(),
 		ln:        ln,
 		workers:   make([]*conn, size),
 		local:     o.local(),
@@ -147,14 +147,7 @@ func ListenHubWith(addr string, size int, o WorldOptions) (*HubComm, error) {
 		peers:     make([]peerInfo, size),
 	}
 	for rank := range h.peers {
-		// Until (unless) a worker says hello, assume the legacy
-		// contract: a v1 hub assumes v1 peers implement everything (it
-		// cannot ask), a v2 hub assumes nothing beyond the baseline.
-		if h.local.proto >= ProtoV2 {
-			h.peers[rank] = negotiate(h.local, legacyPeer)
-		} else {
-			h.peers[rank] = peerInfo{proto: ProtoV1, caps: AllCaps}
-		}
+		h.peers[rank] = h.local.silentPeer() // until (unless) a worker says hello
 	}
 	return h, nil
 }
@@ -287,9 +280,7 @@ func (h *HubComm) route(rank int, classified *sync.WaitGroup) {
 		err := h.classify(rank, cn, r, fc)
 		classified.Done()
 		if err != nil {
-			if !h.closed.Load() {
-				emitPeerEvent(rank, err)
-			}
+			h.dropped(rank, err)
 			return
 		}
 	} else {
@@ -300,12 +291,21 @@ func (h *HubComm) route(rank int, classified *sync.WaitGroup) {
 		if err != nil {
 			// Worker gone (or speaking garbage): the deferred close
 			// drops it; the hub keeps serving the other ranks.
-			if !h.closed.Load() {
-				emitPeerEvent(rank, err)
-			}
+			h.dropped(rank, err)
 			return
 		}
 		h.deliver(dest, src, tag, payload, fc)
+	}
+}
+
+// dropped makes the loss of a worker's connection known: an event for the
+// flight recorder, and the mailbox told, so a receive only that rank could
+// answer fails instead of waiting. Connections torn down by our own Close
+// are not news.
+func (h *HubComm) dropped(rank int, err error) {
+	if !h.closed.Load() {
+		emitPeerEvent(rank, err)
+		h.mbox.lose(rank, err)
 	}
 }
 
@@ -341,20 +341,6 @@ func (h *HubComm) Send(data []byte, dest, tag int) error {
 	return h.workers[dest].send(dest, 0, tag, data)
 }
 
-// Probe implements Comm.
-func (h *HubComm) Probe(source, tag int) (Status, error) {
-	return h.mbox.probe(source, tag)
-}
-
-// Recv implements Comm.
-func (h *HubComm) Recv(source, tag int) ([]byte, Status, error) {
-	m, err := h.mbox.recv(source, tag)
-	if err != nil {
-		return nil, Status{}, err
-	}
-	return m.data, Status{Source: m.source, Tag: m.tag, Bytes: len(m.data)}, nil
-}
-
 // Close implements Comm: it closes the listener and every worker
 // connection, unblocking all pending operations everywhere.
 func (h *HubComm) Close() error {
@@ -374,9 +360,9 @@ func (h *HubComm) Close() error {
 
 // WorkerComm is a rank >= 1 endpoint connected to a hub.
 type WorkerComm struct {
+	inbox
 	rank  int
 	size  int
-	mbox  *mailbox
 	cn    *conn
 	local peerInfo
 	// peer packs the negotiated view of the hub (proto<<32 | caps),
@@ -417,20 +403,13 @@ func DialHubWith(addr string, o WorldOptions) (*WorkerComm, error) {
 		return nil, fmt.Errorf("mpi: worker handshake read: %w", err)
 	}
 	w := &WorkerComm{
+		inbox: inbox{newMailbox()},
 		rank:  int(binary.BigEndian.Uint32(reply[0:])),
 		size:  int(binary.BigEndian.Uint32(reply[4:])),
-		mbox:  newMailbox(),
 		cn:    newConn(c),
 		local: o.local(),
 	}
-	// Until the hub says hello: a v1 worker assumes the legacy
-	// everything-implemented contract; a v2 worker assumes baseline
-	// only, so optional payloads are withheld from old hubs.
-	if w.local.proto >= ProtoV2 {
-		w.setPeer(negotiate(w.local, legacyPeer))
-	} else {
-		w.setPeer(peerInfo{proto: ProtoV1, caps: AllCaps})
-	}
+	w.setPeer(w.local.silentPeer()) // until the hub says hello
 	go w.recvLoop()
 	return w, nil
 }
@@ -497,20 +476,6 @@ func (w *WorkerComm) Send(data []byte, dest, tag int) error {
 		return fmt.Errorf("mpi: worker send to invalid rank %d", dest)
 	}
 	return w.cn.send(dest, w.rank, tag, data)
-}
-
-// Probe implements Comm.
-func (w *WorkerComm) Probe(source, tag int) (Status, error) {
-	return w.mbox.probe(source, tag)
-}
-
-// Recv implements Comm.
-func (w *WorkerComm) Recv(source, tag int) ([]byte, Status, error) {
-	m, err := w.mbox.recv(source, tag)
-	if err != nil {
-		return nil, Status{}, err
-	}
-	return m.data, Status{Source: m.source, Tag: m.tag, Bytes: len(m.data)}, nil
 }
 
 // Close implements Comm.

@@ -24,7 +24,7 @@ func NewLocalWorld(size int) *LocalWorld {
 	}
 	w := &LocalWorld{comms: make([]*LocalComm, size)}
 	for i := range w.comms {
-		w.comms[i] = &LocalComm{world: w, rank: i, mbox: newMailbox()}
+		w.comms[i] = &LocalComm{inbox: inbox{newMailbox()}, world: w, rank: i}
 	}
 	return w
 }
@@ -48,9 +48,9 @@ func (w *LocalWorld) Close() {
 
 // LocalComm is one rank's endpoint in a LocalWorld.
 type LocalComm struct {
+	inbox
 	world *LocalWorld
 	rank  int
-	mbox  *mailbox
 }
 
 var _ Comm = (*LocalComm)(nil)
@@ -88,41 +88,16 @@ func (c *LocalComm) SendObjRef(o nsp.Object, dest, tag int) error {
 // as-is (one top-level Serial unsealed, matching RecvObj); byte messages
 // from plain Send are decoded the usual way.
 func (c *LocalComm) RecvObjRef(source, tag int) (nsp.Object, Status, error) {
-	m, err := c.mbox.recv(source, tag)
+	m, err := c.mbox.wait(source, tag, true)
 	if err != nil {
 		return nil, Status{}, err
 	}
-	st := Status{Source: m.source, Tag: m.tag, Bytes: len(m.data)}
-	if m.obj != nil {
-		o := m.obj
-		if s, ok := o.(*nsp.Serial); ok {
-			inner, err := s.Unserialize()
-			if err != nil {
-				return nil, st, fmt.Errorf("mpi: recv obj unseal: %w", err)
-			}
-			o = inner
-		}
-		return o, st, nil
+	if m.obj == nil {
+		o, err := decodeObjStream(m.data)
+		return o, m.status(), err
 	}
-	o, err := decodeObjStream(m.data)
-	if err != nil {
-		return nil, st, err
-	}
-	return o, st, nil
-}
-
-// Probe implements Comm.
-func (c *LocalComm) Probe(source, tag int) (Status, error) {
-	return c.mbox.probe(source, tag)
-}
-
-// Recv implements Comm.
-func (c *LocalComm) Recv(source, tag int) ([]byte, Status, error) {
-	m, err := c.mbox.recv(source, tag)
-	if err != nil {
-		return nil, Status{}, err
-	}
-	return m.data, Status{Source: m.source, Tag: m.tag, Bytes: len(m.data)}, nil
+	o, err := unseal(m.obj)
+	return o, m.status(), err
 }
 
 // Close implements Comm; it closes only this rank's mailbox.

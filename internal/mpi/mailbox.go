@@ -1,6 +1,9 @@
 package mpi
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // mailbox is an ordered store of received messages with blocking matched
 // retrieval. It preserves arrival order per (source, tag) pair, which is
@@ -10,7 +13,24 @@ type mailbox struct {
 	cond   *sync.Cond
 	msgs   []message
 	closed bool
+	// lost is the first peer whose connection dropped while the owner was
+	// live (hubs only); nil while every peer is connected.
+	lost *LostError
 }
+
+// LostError is what a receive returns instead of waiting for a message
+// that can no longer come: the connection to Rank dropped (Err is what
+// its reader saw) while the communicator was open.
+type LostError struct {
+	Rank int
+	Err  error
+}
+
+func (e *LostError) Error() string { return fmt.Sprintf("mpi: rank %d lost: %v", e.Rank, e.Err) }
+
+// Unwrap exposes the cause, so errors.Is(err, io.EOF) tells an orderly
+// disconnect from a protocol violation.
+func (e *LostError) Unwrap() error { return e.Err }
 
 func newMailbox() *mailbox {
 	mb := &mailbox{}
@@ -37,46 +57,58 @@ func (mb *mailbox) close() {
 	mb.cond.Broadcast()
 }
 
-// find returns the index of the first matching message, or -1.
-func (mb *mailbox) find(source, tag int) int {
-	for i, m := range mb.msgs {
-		if matches(m, source, tag) {
-			return i
-		}
+// lose records that rank's connection dropped and wakes the waiters it
+// strands. Only the first loss is kept: it is the one to report, and a
+// round that outlives it has already failed.
+func (mb *mailbox) lose(rank int, err error) {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	if mb.lost == nil {
+		mb.lost = &LostError{Rank: rank, Err: err}
 	}
-	return -1
+	mb.cond.Broadcast()
 }
 
-// probe blocks until a matching message exists and returns its status
-// without consuming it.
-func (mb *mailbox) probe(source, tag int) (Status, error) {
+// wait blocks until a message matching (source, tag) is queued and
+// returns it, removing it from the queue if take is set. Nothing queued
+// and nothing to wait for is an error: ErrClosed on a closed mailbox, the
+// LostError when the wait names the lost rank — or names nobody, since
+// the answer it is waiting for may be the one that rank owed. Waits on
+// another, live rank are unaffected.
+func (mb *mailbox) wait(source, tag int, take bool) (message, error) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
-		if i := mb.find(source, tag); i >= 0 {
-			m := mb.msgs[i]
-			return Status{Source: m.source, Tag: m.tag, Bytes: len(m.data)}, nil
-		}
-		if mb.closed {
-			return Status{}, ErrClosed
-		}
-		mb.cond.Wait()
-	}
-}
-
-// recv blocks until a matching message exists and removes it.
-func (mb *mailbox) recv(source, tag int) (message, error) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for {
-		if i := mb.find(source, tag); i >= 0 {
-			m := mb.msgs[i]
-			mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
-			return m, nil
+		for i, m := range mb.msgs {
+			if matches(m, source, tag) {
+				if take {
+					mb.msgs = append(mb.msgs[:i], mb.msgs[i+1:]...)
+				}
+				return m, nil
+			}
 		}
 		if mb.closed {
 			return message{}, ErrClosed
 		}
+		if mb.lost != nil && (source == AnySource || source == mb.lost.Rank) {
+			return message{}, mb.lost
+		}
 		mb.cond.Wait()
 	}
+}
+
+// inbox is the receiving half of every communicator: the mailbox its
+// transport delivers into, and the Probe and Recv that read it.
+type inbox struct{ mbox *mailbox }
+
+// Probe implements Comm.
+func (in inbox) Probe(source, tag int) (Status, error) {
+	m, err := in.mbox.wait(source, tag, false)
+	return m.status(), err
+}
+
+// Recv implements Comm.
+func (in inbox) Recv(source, tag int) ([]byte, Status, error) {
+	m, err := in.mbox.wait(source, tag, true)
+	return m.data, m.status(), err
 }

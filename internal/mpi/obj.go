@@ -84,22 +84,29 @@ func SendObj(c Comm, o nsp.Object, dest, tag int) error {
 	return c.Send(s.Data, dest, tag)
 }
 
-// decodeObjStream decodes a serialized stream and unseals one top-level
-// Serial, the receive-side convention shared by RecvObj and the byte
-// fallback of RecvObjRef implementations.
+// decodeObjStream decodes a serialized stream and unseals it, the
+// receive-side convention shared by RecvObj and the byte fallback of
+// RecvObjRef implementations.
 func decodeObjStream(data []byte) (nsp.Object, error) {
 	o, err := nsp.SLoadBytes(data).Unserialize()
 	if err != nil {
 		return nil, fmt.Errorf("mpi: recv obj: %w", err)
 	}
-	if s, ok := o.(*nsp.Serial); ok {
-		inner, err := s.Unserialize()
-		if err != nil {
-			return nil, fmt.Errorf("mpi: recv obj unseal: %w", err)
-		}
-		o = inner
+	return unseal(o)
+}
+
+// unseal opens one top-level Serial (compressed or not) into the value
+// it wraps, as Nsp's MPI_Recv_Obj does; any other object is itself.
+func unseal(o nsp.Object) (nsp.Object, error) {
+	s, ok := o.(*nsp.Serial)
+	if !ok {
+		return o, nil
 	}
-	return o, nil
+	inner, err := s.Unserialize()
+	if err != nil {
+		return nil, fmt.Errorf("mpi: recv obj unseal: %w", err)
+	}
+	return inner, nil
 }
 
 // RecvObj receives an object sent by SendObj (MPI_Recv_Obj). As in Nsp,

@@ -69,14 +69,21 @@ var capNames = map[string]CapSet{
 // Has reports whether every capability in want is present.
 func (s CapSet) Has(want CapSet) bool { return s&want == want }
 
-// String renders the set as its sorted wire names.
-func (s CapSet) String() string {
+// names lists the set's wire names, sorted: the one order String and the
+// hello payload use, so a hello's bytes do not depend on map iteration.
+func (s CapSet) names() []string {
 	var names []string
 	for _, name := range []string{"events", "hasdelta", "spans"} {
 		if s.Has(capNames[name]) {
 			names = append(names, name)
 		}
 	}
+	return names
+}
+
+// String renders the set as its sorted wire names.
+func (s CapSet) String() string {
+	names := s.names()
 	if len(names) == 0 {
 		return "none"
 	}
@@ -104,6 +111,17 @@ func negotiate(local peerInfo, peer peerInfo) peerInfo {
 // withhold every optional feature from peers that never said hello.
 var legacyPeer = peerInfo{proto: ProtoV1, caps: 0}
 
+// silentPeer is the view an endpoint holds of a peer that has not (yet)
+// said hello: a v1 endpoint assumes the legacy contract — v1 peers
+// implement everything, it cannot ask — and a v2 endpoint assumes nothing
+// beyond the baseline, so optional payloads are withheld from old builds.
+func (local peerInfo) silentPeer() peerInfo {
+	if local.proto >= ProtoV2 {
+		return negotiate(local, legacyPeer)
+	}
+	return peerInfo{proto: ProtoV1, caps: AllCaps}
+}
+
 // Control-frame addressing. Hello frames travel inside the ordinary
 // frame stream but are addressed to helloDest, a rank that cannot
 // exist: a v1 hub's router drops such frames silently (dest is neither
@@ -126,12 +144,7 @@ var helloMagic = [4]byte{'H', 'E', 'L', 'O'}
 //
 //	"HELO" | version u16 | ncaps u16 | ncaps × (len u8, name)
 func encodeHello(info peerInfo) []byte {
-	var names []string
-	for name, bit := range capNames {
-		if info.caps.Has(bit) {
-			names = append(names, name)
-		}
-	}
+	names := info.caps.names()
 	n := 8
 	for _, name := range names {
 		n += 1 + len(name)

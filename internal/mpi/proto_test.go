@@ -65,8 +65,10 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHelloMalformed(t *testing.T) {
-	cases := map[string][]byte{
+// helloMalformed is every known-bad hello payload; FuzzDecodeHello seeds
+// from it too.
+func helloMalformed() map[string][]byte {
+	return map[string][]byte{
 		"empty":          {},
 		"short":          []byte("HEL"),
 		"bad magic":      append([]byte("NOPE"), 0, 2, 0, 0),
@@ -74,7 +76,10 @@ func TestHelloMalformed(t *testing.T) {
 		"truncated list": append(helloMagic[:], 0, 2, 0, 1),
 		"truncated name": append(helloMagic[:], 0, 2, 0, 1, 10, 'x'),
 	}
-	for name, payload := range cases {
+}
+
+func TestHelloMalformed(t *testing.T) {
+	for name, payload := range helloMalformed() {
 		if _, err := decodeHello(payload); !errors.Is(err, ErrProtocol) {
 			t.Errorf("%s: decodeHello = %v, want ErrProtocol", name, err)
 		}
@@ -281,12 +286,37 @@ func TestHelloInvisibleToV1Mailbox(t *testing.T) {
 	mb := newMailbox()
 	mb.put(message{source: helloSrc, tag: helloTag, data: encodeHello(peerInfo{proto: ProtoV2, caps: AllCaps})})
 	mb.put(message{source: 0, tag: 1, data: []byte("task")})
-	m, err := mb.recv(0, 1)
+	m, err := mb.wait(0, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(m.data) != "task" {
 		t.Fatalf("recv = %q, want the task frame", m.data)
+	}
+}
+
+// TestMailboxLostPeer pins what a receive does once a peer is lost: what
+// the peer sent before it dropped is still delivered, then a wait naming
+// it — or naming nobody — fails with the first loss, and a wait on
+// another rank goes on waiting.
+func TestMailboxLostPeer(t *testing.T) {
+	mb := newMailbox()
+	mb.put(message{source: 2, tag: 1, data: []byte("queued")})
+	mb.lose(2, io.EOF)
+	mb.lose(3, io.ErrUnexpectedEOF)
+	if m, err := mb.wait(AnySource, 1, true); err != nil || string(m.data) != "queued" {
+		t.Fatalf("queued message from the lost rank: %q, %v", m.data, err)
+	}
+	for _, source := range []int{2, AnySource} {
+		_, err := mb.wait(source, 1, false)
+		var lost *LostError
+		if !errors.As(err, &lost) || lost.Rank != 2 || !errors.Is(err, io.EOF) {
+			t.Errorf("wait(%d) after rank 2 dropped = %v, want its LostError", source, err)
+		}
+	}
+	go mb.put(message{source: 1, tag: 1, data: []byte("alive")})
+	if m, err := mb.wait(1, 1, true); err != nil || string(m.data) != "alive" {
+		t.Errorf("wait on a live rank: %q, %v", m.data, err)
 	}
 }
 

@@ -5,18 +5,17 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
 // Transport abstracts the byte pipes a hub/worker world is built on:
 // something that can listen for peers and dial a listener. The frame
-// codec, handshake and routing above it are transport-independent, so a
-// registered transport immediately works with every backend and CLI
-// that takes a -transport flag.
+// codec, handshake and routing above it are transport-independent, so
+// every backend and CLI that takes a -transport flag works over each of
+// the three.
 type Transport interface {
-	// Name is the registry key ("tcp", "unix", "inproc", ...).
+	// Name is what LookupTransport knows it by: "tcp", "unix" or "inproc".
 	Name() string
 	// Listen binds a listener on addr. An empty addr selects a
 	// transport-chosen ephemeral address (the ":0" idiom).
@@ -25,59 +24,22 @@ type Transport interface {
 	Dial(addr string) (net.Conn, error)
 }
 
-var (
-	transportsMu sync.RWMutex
-	transports   = make(map[string]Transport)
-)
-
-// RegisterTransport adds t to the registry; it panics on a duplicate
-// name, like database/sql drivers, because registration is an init-time
-// act.
-func RegisterTransport(t Transport) {
-	transportsMu.Lock()
-	defer transportsMu.Unlock()
-	if _, dup := transports[t.Name()]; dup {
-		panic(fmt.Sprintf("mpi: transport %q registered twice", t.Name()))
-	}
-	transports[t.Name()] = t
-}
-
 // LookupTransport returns the named transport; "" selects tcp, the
 // historical default.
 func LookupTransport(name string) (Transport, error) {
-	if name == "" {
-		name = "tcp"
+	switch name {
+	case "", "tcp":
+		return tcpTransport{}, nil
+	case "unix":
+		return unixTransport{}, nil
+	case "inproc":
+		return inproc, nil
 	}
-	transportsMu.RLock()
-	defer transportsMu.RUnlock()
-	t, ok := transports[name]
-	if !ok {
-		return nil, fmt.Errorf("mpi: unknown transport %q (have %v)", name, transportNamesLocked())
-	}
-	return t, nil
+	return nil, fmt.Errorf("mpi: unknown transport %q (have %v)", name, Transports())
 }
 
-// Transports lists the registered transport names, sorted.
-func Transports() []string {
-	transportsMu.RLock()
-	defer transportsMu.RUnlock()
-	return transportNamesLocked()
-}
-
-func transportNamesLocked() []string {
-	names := make([]string, 0, len(transports))
-	for name := range transports {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func init() {
-	RegisterTransport(tcpTransport{})
-	RegisterTransport(unixTransport{})
-	RegisterTransport(&inprocTransport{worlds: make(map[string]*inprocListener)})
-}
+// Transports lists the transport names, sorted.
+func Transports() []string { return []string{"inproc", "tcp", "unix"} }
 
 // tcpTransport is the original cross-host transport.
 type tcpTransport struct{}
@@ -133,6 +95,10 @@ type inprocTransport struct {
 	seq    int64
 	worlds map[string]*inprocListener
 }
+
+// inproc is the process's one inproc transport: its listeners are found
+// by name, so every dial must look in the table every listen wrote to.
+var inproc = &inprocTransport{worlds: make(map[string]*inprocListener)}
 
 func (*inprocTransport) Name() string { return "inproc" }
 

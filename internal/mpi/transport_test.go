@@ -42,16 +42,7 @@ func TestLookupTransport(t *testing.T) {
 	}
 }
 
-func TestRegisterTransportDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	RegisterTransport(tcpTransport{})
-}
-
-// startTransportWorld is startTCPWorld generalized over the registry.
+// startTransportWorld is startTCPWorld generalized over the transports.
 func startTransportWorld(t *testing.T, transport string, size int) (*HubComm, []*WorkerComm) {
 	t.Helper()
 	return startWorldWith(t, size, WorldOptions{Transport: transport}, WorldOptions{})

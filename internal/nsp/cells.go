@@ -1,5 +1,7 @@
 package nsp
 
+import "slices"
+
 // Additional object kinds: integer matrices and cells ("non sparse
 // matrices, cells, lists and hash tables" is the paper's list of types
 // MPI_Send handles directly).
@@ -41,15 +43,7 @@ func (m *IMat) Set(i, j int, v int64) { m.Data[i*m.Cols+j] = v }
 // Equal implements Object.
 func (m *IMat) Equal(o Object) bool {
 	n, ok := o.(*IMat)
-	if !ok || m.Rows != n.Rows || m.Cols != n.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if v != n.Data[i] {
-			return false
-		}
-	}
-	return true
+	return ok && m.Rows == n.Rows && m.Cols == n.Cols && slices.Equal(m.Data, n.Data)
 }
 
 // Cells is a rows×cols array of objects; entries may be nil (empty cell).

@@ -2,7 +2,6 @@ package nsp
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,6 +19,9 @@ import (
 //	Mat     payload := rows(uint32) cols(uint32) rows*cols × float64
 //	BMat    payload := rows(uint32) cols(uint32) rows*cols × uint8
 //	SMat    payload := rows(uint32) cols(uint32) rows*cols × string
+//	IMat    payload := rows(uint32) cols(uint32) rows*cols × int64
+//	Cells   payload := rows(uint32) cols(uint32) rows*cols × (0 | 1 object)
+//	SpMat   payload := rows(uint32) cols(uint32) nnz(uint32) nnz × (row(uint32) col(uint32) float64)
 //	List    payload := n(uint32) n × object (without magic/version)
 //	Hash    payload := n(uint32) n × (string object), keys sorted
 //	Serial  payload := compressed(uint8) len(uint32) bytes
@@ -30,13 +32,16 @@ const (
 	// maxDim guards decode against hostile or corrupt headers.
 	maxDim = 1 << 28
 	// preallocMax is how much of a declared length decode allocates before
-	// the data has arrived; anything longer grows as its elements are
-	// read. A header is a few bytes and may claim maxDim elements, so
-	// allocating the claim let a 23-byte stream cost a 2 GiB matrix.
+	// the data has arrived; anything longer grows as it is read. A header
+	// may claim maxDim elements: a 23-byte stream cost a 2 GiB matrix.
 	preallocMax = 1 << 16
+	// maxDepth bounds how deep lists, hashes and cells nest. A level costs
+	// five bytes of stream and one decoder stack frame, so unbounded, a
+	// 10 MB frame of nested one-element lists overflows the goroutine
+	// stack, which no recover catches. The farm's deepest message nests
+	// four levels; 64 leaves room for anything a script builds by hand.
+	maxDepth = 64
 )
-
-func prealloc(n int) int { return min(n, preallocMax) }
 
 // ErrBadStream is wrapped by all decode errors caused by malformed input.
 var ErrBadStream = errors.New("nsp: malformed stream")
@@ -45,438 +50,301 @@ func badStream(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadStream, fmt.Sprintf(format, args...))
 }
 
+// encoder writes one stream. Write errors are the bufio.Writer's to keep
+// (it refuses every write after the first failure and Flush reports it),
+// so no write below checks one; err holds what the writer cannot know: a
+// nil or foreign object, a WireForm that failed.
+type encoder struct {
+	w   *bufio.Writer
+	err error
+	buf [8]byte // integer staging; on the encoder so it never escapes per call
+}
+
 // encodeStream writes the full framed stream (magic + version + object).
 func encodeStream(w io.Writer, o Object) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return err
+	e := &encoder{w: bufio.NewWriter(w)}
+	e.w.WriteString(codecMagic)
+	binary.BigEndian.PutUint16(e.buf[:2], codecVersion)
+	e.w.Write(e.buf[:2])
+	e.object(o)
+	if e.err != nil {
+		return e.err
 	}
-	if err := binary.Write(bw, binary.BigEndian, uint16(codecVersion)); err != nil {
-		return err
+	return e.w.Flush()
+}
+
+func (e *encoder) flag(v bool) {
+	if v {
+		e.w.WriteByte(1)
+	} else {
+		e.w.WriteByte(0)
 	}
-	if err := encodeObject(bw, o); err != nil {
-		return err
+}
+
+func (e *encoder) u32(v uint32) {
+	binary.BigEndian.PutUint32(e.buf[:4], v)
+	e.w.Write(e.buf[:4])
+}
+
+func (e *encoder) u64(v uint64) {
+	binary.BigEndian.PutUint64(e.buf[:], v)
+	e.w.Write(e.buf[:])
+}
+
+func (e *encoder) str(s string) {
+	e.u32(uint32(len(s)))
+	e.w.WriteString(s)
+}
+
+func (e *encoder) dims(rows, cols int) {
+	e.u32(uint32(rows))
+	e.u32(uint32(cols))
+}
+
+func (e *encoder) object(o Object) {
+	if e.err != nil {
+		return
 	}
-	return bw.Flush()
+	if o == nil {
+		e.err = errors.New("nsp: cannot encode nil object")
+		return
+	}
+	if wf, ok := o.(WireFormer); ok {
+		if o, e.err = wf.WireForm(); e.err == nil {
+			e.object(o)
+		}
+		return
+	}
+	e.w.WriteByte(byte(o.Kind()))
+	switch v := o.(type) {
+	case *Mat:
+		e.dims(v.Rows, v.Cols)
+		for _, x := range v.Data {
+			e.u64(math.Float64bits(x))
+		}
+	case *BMat:
+		e.dims(v.Rows, v.Cols)
+		for _, x := range v.Data {
+			e.flag(x)
+		}
+	case *SMat:
+		e.dims(v.Rows, v.Cols)
+		for _, s := range v.Data {
+			e.str(s)
+		}
+	case *IMat:
+		e.dims(v.Rows, v.Cols)
+		for _, x := range v.Data {
+			e.u64(uint64(x))
+		}
+	case *Cells:
+		e.dims(v.Rows, v.Cols)
+		for _, item := range v.Data {
+			e.flag(item != nil)
+			if item != nil {
+				e.object(item)
+			}
+		}
+	case *SpMat:
+		e.dims(v.Rows, v.Cols)
+		e.u32(uint32(len(v.Val)))
+		for k := range v.Val {
+			e.u32(uint32(v.RowIdx[k]))
+			e.u32(uint32(v.ColIdx[k]))
+			e.u64(math.Float64bits(v.Val[k]))
+		}
+	case *List:
+		e.u32(uint32(len(v.Items)))
+		for _, it := range v.Items {
+			e.object(it)
+		}
+	case *Hash:
+		e.u32(uint32(v.Len()))
+		for _, k := range v.Keys() {
+			e.str(k)
+			e.object(v.m[k])
+		}
+	case *Serial:
+		e.flag(v.Compressed)
+		e.u32(uint32(len(v.Data)))
+		e.w.Write(v.Data)
+	default:
+		e.err = fmt.Errorf("nsp: cannot encode object of kind %v", o.Kind())
+	}
+}
+
+// decoder reads one stream. The first failure sticks in err: from then on
+// nothing is read, counts come back 0 and every loop stops, so the kinds
+// below read straight through (what they build after a failure is dropped)
+// and the stream is judged once, in decodeStream.
+type decoder struct {
+	r     *bufio.Reader
+	err   error
+	depth int
+	buf   [8]byte // integer staging, as in encoder
 }
 
 // decodeStream reads a full framed stream.
 func decodeStream(r io.Reader) (Object, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, badStream("short magic: %v", err)
+	d := &decoder{r: bufio.NewReader(r)}
+	d.read(d.buf[:6])
+	if magic := d.buf[:4]; string(magic) != codecMagic {
+		d.fail("bad magic %q", magic)
 	}
-	if string(magic[:]) != codecMagic {
-		return nil, badStream("bad magic %q", magic)
+	if version := binary.BigEndian.Uint16(d.buf[4:6]); version != codecVersion {
+		d.fail("unsupported version %d", version)
 	}
-	var version uint16
-	if err := binary.Read(br, binary.BigEndian, &version); err != nil {
-		return nil, badStream("short version: %v", err)
+	o := d.object()
+	if d.err != nil {
+		return nil, d.err
 	}
-	if version != codecVersion {
-		return nil, badStream("unsupported version %d", version)
-	}
-	return decodeObject(br)
+	return o, nil
 }
 
-func encodeObject(w *bufio.Writer, o Object) error {
-	if o == nil {
-		return errors.New("nsp: cannot encode nil object")
-	}
-	if wf, ok := o.(WireFormer); ok {
-		native, err := wf.WireForm()
-		if err != nil {
-			return err
-		}
-		return encodeObject(w, native)
-	}
-	if err := w.WriteByte(byte(o.Kind())); err != nil {
-		return err
-	}
-	switch v := o.(type) {
-	case *Mat:
-		if err := writeDims(w, v.Rows, v.Cols); err != nil {
-			return err
-		}
-		var b [8]byte
-		for _, x := range v.Data {
-			binary.BigEndian.PutUint64(b[:], math.Float64bits(x))
-			if _, err := w.Write(b[:]); err != nil {
-				return err
-			}
-		}
-	case *BMat:
-		if err := writeDims(w, v.Rows, v.Cols); err != nil {
-			return err
-		}
-		for _, x := range v.Data {
-			b := byte(0)
-			if x {
-				b = 1
-			}
-			if err := w.WriteByte(b); err != nil {
-				return err
-			}
-		}
-	case *SMat:
-		if err := writeDims(w, v.Rows, v.Cols); err != nil {
-			return err
-		}
-		for _, s := range v.Data {
-			if err := writeString(w, s); err != nil {
-				return err
-			}
-		}
-	case *List:
-		if err := writeU32(w, uint32(len(v.Items))); err != nil {
-			return err
-		}
-		for _, it := range v.Items {
-			if err := encodeObject(w, it); err != nil {
-				return err
-			}
-		}
-	case *Hash:
-		if err := writeU32(w, uint32(v.Len())); err != nil {
-			return err
-		}
-		for _, k := range v.Keys() {
-			if err := writeString(w, k); err != nil {
-				return err
-			}
-			item, _ := v.Get(k)
-			if err := encodeObject(w, item); err != nil {
-				return err
-			}
-		}
-	case *Serial:
-		b := byte(0)
-		if v.Compressed {
-			b = 1
-		}
-		if err := w.WriteByte(b); err != nil {
-			return err
-		}
-		if err := writeU32(w, uint32(len(v.Data))); err != nil {
-			return err
-		}
-		if _, err := w.Write(v.Data); err != nil {
-			return err
-		}
-	case *IMat:
-		if err := writeDims(w, v.Rows, v.Cols); err != nil {
-			return err
-		}
-		var b [8]byte
-		for _, x := range v.Data {
-			binary.BigEndian.PutUint64(b[:], uint64(x))
-			if _, err := w.Write(b[:]); err != nil {
-				return err
-			}
-		}
-	case *Cells:
-		if err := writeDims(w, v.Rows, v.Cols); err != nil {
-			return err
-		}
-		for _, item := range v.Data {
-			if item == nil {
-				if err := w.WriteByte(0); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := w.WriteByte(1); err != nil {
-				return err
-			}
-			if err := encodeObject(w, item); err != nil {
-				return err
-			}
-		}
-	case *SpMat:
-		if err := writeDims(w, v.Rows, v.Cols); err != nil {
-			return err
-		}
-		if err := writeU32(w, uint32(len(v.Val))); err != nil {
-			return err
-		}
-		var b [8]byte
-		for k := range v.Val {
-			binary.BigEndian.PutUint32(b[:4], uint32(v.RowIdx[k]))
-			if _, err := w.Write(b[:4]); err != nil {
-				return err
-			}
-			binary.BigEndian.PutUint32(b[:4], uint32(v.ColIdx[k]))
-			if _, err := w.Write(b[:4]); err != nil {
-				return err
-			}
-			binary.BigEndian.PutUint64(b[:], math.Float64bits(v.Val[k]))
-			if _, err := w.Write(b[:]); err != nil {
-				return err
-			}
-		}
-	default:
-		return fmt.Errorf("nsp: cannot encode object of kind %v", o.Kind())
-	}
-	return nil
-}
-
-func decodeObject(r *bufio.Reader) (Object, error) {
-	kb, err := r.ReadByte()
-	if err != nil {
-		return nil, badStream("missing kind byte: %v", err)
-	}
-	switch Kind(kb) {
-	case KindMat:
-		rows, cols, err := readDims(r)
-		if err != nil {
-			return nil, err
-		}
-		n := rows * cols
-		m := &Mat{Rows: rows, Cols: cols, Data: make([]float64, 0, prealloc(n))}
-		var b [8]byte
-		for len(m.Data) < n {
-			if _, err := io.ReadFull(r, b[:]); err != nil {
-				return nil, badStream("short matrix data: %v", err)
-			}
-			m.Data = append(m.Data, math.Float64frombits(binary.BigEndian.Uint64(b[:])))
-		}
-		return m, nil
-	case KindBMat:
-		rows, cols, err := readDims(r)
-		if err != nil {
-			return nil, err
-		}
-		n := rows * cols
-		m := &BMat{Rows: rows, Cols: cols, Data: make([]bool, 0, prealloc(n))}
-		for len(m.Data) < n {
-			b, err := r.ReadByte()
-			if err != nil {
-				return nil, badStream("short bool data: %v", err)
-			}
-			m.Data = append(m.Data, b != 0)
-		}
-		return m, nil
-	case KindSMat:
-		rows, cols, err := readDims(r)
-		if err != nil {
-			return nil, err
-		}
-		n := rows * cols
-		m := &SMat{Rows: rows, Cols: cols, Data: make([]string, 0, prealloc(n))}
-		for len(m.Data) < n {
-			s, err := readString(r)
-			if err != nil {
-				return nil, err
-			}
-			m.Data = append(m.Data, s)
-		}
-		return m, nil
-	case KindList:
-		n, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if n > maxDim {
-			return nil, badStream("list too large: %d", n)
-		}
-		l := &List{Items: make([]Object, 0, prealloc(int(n)))}
-		for i := uint32(0); i < n; i++ {
-			it, err := decodeObject(r)
-			if err != nil {
-				return nil, err
-			}
-			l.Items = append(l.Items, it)
-		}
-		return l, nil
-	case KindHash:
-		n, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if n > maxDim {
-			return nil, badStream("hash too large: %d", n)
-		}
-		h := NewHash()
-		for i := uint32(0); i < n; i++ {
-			k, err := readString(r)
-			if err != nil {
-				return nil, err
-			}
-			v, err := decodeObject(r)
-			if err != nil {
-				return nil, err
-			}
-			h.Set(k, v)
-		}
-		return h, nil
-	case KindSerial:
-		cb, err := r.ReadByte()
-		if err != nil {
-			return nil, badStream("short serial flag: %v", err)
-		}
-		n, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if n > maxDim {
-			return nil, badStream("serial too large: %d", n)
-		}
-		data, err := readBytes(r, int(n))
-		if err != nil {
-			return nil, badStream("short serial data: %v", err)
-		}
-		return &Serial{Compressed: cb != 0, Data: data}, nil
-	case KindIMat:
-		rows, cols, err := readDims(r)
-		if err != nil {
-			return nil, err
-		}
-		n := rows * cols
-		m := &IMat{Rows: rows, Cols: cols, Data: make([]int64, 0, prealloc(n))}
-		var b [8]byte
-		for len(m.Data) < n {
-			if _, err := io.ReadFull(r, b[:]); err != nil {
-				return nil, badStream("short int matrix data: %v", err)
-			}
-			m.Data = append(m.Data, int64(binary.BigEndian.Uint64(b[:])))
-		}
-		return m, nil
-	case KindCells:
-		rows, cols, err := readDims(r)
-		if err != nil {
-			return nil, err
-		}
-		n := rows * cols
-		c := &Cells{Rows: rows, Cols: cols, Data: make([]Object, 0, prealloc(n))}
-		for len(c.Data) < n {
-			present, err := r.ReadByte()
-			if err != nil {
-				return nil, badStream("short cells data: %v", err)
-			}
-			var item Object
-			if present != 0 {
-				if item, err = decodeObject(r); err != nil {
-					return nil, err
-				}
-			}
-			c.Data = append(c.Data, item)
-		}
-		return c, nil
-	case KindSpMat:
-		rows, cols, err := readDims(r)
-		if err != nil {
-			return nil, err
-		}
-		nnz, err := readU32(r)
-		if err != nil {
-			return nil, err
-		}
-		if nnz > maxDim || uint64(nnz) > uint64(rows)*uint64(cols) {
-			return nil, badStream("sparse nnz %d too large for %dx%d", nnz, rows, cols)
-		}
-		pre := prealloc(int(nnz))
-		s := &SpMat{
-			Rows: rows, Cols: cols,
-			RowIdx: make([]int32, 0, pre), ColIdx: make([]int32, 0, pre), Val: make([]float64, 0, pre),
-		}
-		var b [8]byte
-		for k := uint32(0); k < nnz; k++ {
-			if _, err := io.ReadFull(r, b[:4]); err != nil {
-				return nil, badStream("short sparse row: %v", err)
-			}
-			row := int32(binary.BigEndian.Uint32(b[:4]))
-			if _, err := io.ReadFull(r, b[:4]); err != nil {
-				return nil, badStream("short sparse col: %v", err)
-			}
-			col := int32(binary.BigEndian.Uint32(b[:4]))
-			if _, err := io.ReadFull(r, b[:]); err != nil {
-				return nil, badStream("short sparse val: %v", err)
-			}
-			if int(row) >= rows || int(col) >= cols || row < 0 || col < 0 {
-				return nil, badStream("sparse index (%d,%d) outside %dx%d", row, col, rows, cols)
-			}
-			s.RowIdx = append(s.RowIdx, row)
-			s.ColIdx = append(s.ColIdx, col)
-			s.Val = append(s.Val, math.Float64frombits(binary.BigEndian.Uint64(b[:])))
-		}
-		return s, nil
-	default:
-		return nil, badStream("unknown kind %d", kb)
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = badStream(format, args...)
 	}
 }
 
-func writeDims(w *bufio.Writer, rows, cols int) error {
-	if err := writeU32(w, uint32(rows)); err != nil {
-		return err
+func (d *decoder) read(b []byte) {
+	if d.err != nil {
+		return
 	}
-	return writeU32(w, uint32(cols))
+	// Asking the bufio.Reader first spares each element io.ReadFull's interface call.
+	if n, _ := d.r.Read(b); n < len(b) {
+		if _, err := io.ReadFull(d.r, b[n:]); err != nil {
+			d.fail("short stream: %v", err)
+		}
+	}
 }
 
-func readDims(r *bufio.Reader) (rows, cols int, err error) {
-	ur, err := readU32(r)
-	if err != nil {
-		return 0, 0, err
-	}
-	uc, err := readU32(r)
-	if err != nil {
-		return 0, 0, err
-	}
-	if ur > maxDim || uc > maxDim || uint64(ur)*uint64(uc) > maxDim {
-		return 0, 0, badStream("matrix dims %dx%d too large", ur, uc)
-	}
-	return int(ur), int(uc), nil
+func (d *decoder) u8() byte {
+	d.read(d.buf[:1])
+	return d.buf[0]
 }
 
-func writeU32(w *bufio.Writer, v uint32) error {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
+func (d *decoder) u32() uint32 {
+	d.read(d.buf[:4])
+	return binary.BigEndian.Uint32(d.buf[:4])
 }
 
-func readU32(r *bufio.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, badStream("short u32: %v", err)
-	}
-	return binary.BigEndian.Uint32(b[:]), nil
+func (d *decoder) u64() uint64 {
+	d.read(d.buf[:])
+	return binary.BigEndian.Uint64(d.buf[:])
 }
 
-func writeString(w *bufio.Writer, s string) error {
-	if err := writeU32(w, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := w.WriteString(s)
-	return err
-}
-
-func readString(r *bufio.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
+// count reads an element or byte count, at most maxDim; 0 once failed, so
+// no loop runs on a count the stream never held.
+func (d *decoder) count(what string) int {
+	n := d.u32()
 	if n > maxDim {
-		return "", badStream("string too large: %d", n)
+		d.fail("%s too large: %d", what, n)
 	}
-	b, err := readBytes(r, int(n))
-	if err != nil {
-		return "", badStream("short string: %v", err)
+	if d.err != nil {
+		return 0
 	}
-	return string(b), nil
+	return int(n)
 }
 
-// readBytes reads exactly n bytes; past preallocMax the buffer grows as
-// the bytes arrive.
-func readBytes(r *bufio.Reader, n int) ([]byte, error) {
-	if n <= preallocMax {
-		b := make([]byte, n)
-		_, err := io.ReadFull(r, b)
-		return b, err
+// bytes reads exactly n bytes; past preallocMax the buffer doubles as the
+// bytes arrive. (A plain make+ReadFull for the common short string:
+// routing those through a bytes.Buffer made unserialize 3.4× slower.)
+func (d *decoder) bytes(n int) []byte {
+	b := make([]byte, min(n, preallocMax))
+	d.read(b)
+	for len(b) < n && d.err == nil {
+		more := min(n-len(b), len(b))
+		b = append(b, make([]byte, more)...)
+		d.read(b[len(b)-more:])
 	}
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
-		return nil, err
+	return b
+}
+
+func (d *decoder) str() string { return string(d.bytes(d.count("string"))) }
+
+// dims reads a matrix header and returns its element count.
+func (d *decoder) dims() (rows, cols, n int) {
+	rows, cols = d.count("matrix rows"), d.count("matrix cols")
+	if uint64(rows)*uint64(cols) > maxDim {
+		d.fail("matrix dims %dx%d too large", rows, cols)
+		return 0, 0, 0
 	}
-	return buf.Bytes(), nil
+	return rows, cols, rows * cols
+}
+
+// dense reads n elements, allocating as they arrive.
+func dense[T any](d *decoder, n int, elem func() T) []T {
+	out := make([]T, 0, min(n, preallocMax))
+	for len(out) < n && d.err == nil {
+		out = append(out, elem())
+	}
+	return out
+}
+
+func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
+func (d *decoder) i64() int64   { return int64(d.u64()) }
+func (d *decoder) flag() bool   { return d.u8() != 0 }
+
+// cell reads one Cells entry: a presence byte, then the object if any.
+func (d *decoder) cell() Object {
+	if !d.flag() {
+		return nil
+	}
+	return d.object()
+}
+
+func (d *decoder) object() Object {
+	if d.depth++; d.depth > maxDepth {
+		d.fail("objects nest deeper than %d", maxDepth)
+	}
+	defer func() { d.depth-- }()
+	kind := d.u8()
+	if d.err != nil {
+		return nil
+	}
+	switch Kind(kind) {
+	case KindMat:
+		rows, cols, n := d.dims()
+		return &Mat{Rows: rows, Cols: cols, Data: dense(d, n, d.f64)}
+	case KindBMat:
+		rows, cols, n := d.dims()
+		return &BMat{Rows: rows, Cols: cols, Data: dense(d, n, d.flag)}
+	case KindSMat:
+		rows, cols, n := d.dims()
+		return &SMat{Rows: rows, Cols: cols, Data: dense(d, n, d.str)}
+	case KindIMat:
+		rows, cols, n := d.dims()
+		return &IMat{Rows: rows, Cols: cols, Data: dense(d, n, d.i64)}
+	case KindCells:
+		rows, cols, n := d.dims()
+		return &Cells{Rows: rows, Cols: cols, Data: dense(d, n, d.cell)}
+	case KindList:
+		return &List{Items: dense(d, d.count("list"), d.object)}
+	case KindHash:
+		h := NewHash()
+		for n := d.count("hash"); n > 0 && d.err == nil; n-- {
+			h.m[d.str()] = d.object() // calls run left to right: key, then value
+		}
+		return h
+	case KindSerial:
+		return &Serial{Compressed: d.flag(), Data: d.bytes(d.count("serial"))}
+	case KindSpMat:
+		rows, cols, _ := d.dims()
+		nnz := d.count("sparse nnz")
+		if nnz > rows*cols {
+			d.fail("sparse nnz %d too large for %dx%d", nnz, rows, cols)
+		}
+		s := &SpMat{Rows: rows, Cols: cols}
+		for len(s.Val) < nnz && d.err == nil {
+			row, col, val := int32(d.u32()), int32(d.u32()), d.f64()
+			if row < 0 || col < 0 || int(row) >= rows || int(col) >= cols {
+				d.fail("sparse index (%d,%d) outside %dx%d", row, col, rows, cols)
+			}
+			s.RowIdx, s.ColIdx, s.Val = append(s.RowIdx, row), append(s.ColIdx, col), append(s.Val, val)
+		}
+		return s
+	}
+	d.fail("unknown kind %d", kind)
+	return nil
 }

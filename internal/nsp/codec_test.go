@@ -143,8 +143,10 @@ func TestSerializeDeterministic(t *testing.T) {
 	}
 }
 
-func TestDecodeRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
+// garbageStreams is every known-bad stream; FuzzUnserialize seeds from it
+// too.
+func garbageStreams() [][]byte {
+	return [][]byte{
 		nil,
 		{1, 2, 3},
 		[]byte("XXXX\x00\x01"),
@@ -153,7 +155,10 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		[]byte("NSPB\x00\x01\x01\xff\xff\xff\xff\xff\xff\xff\xff"),        // huge dims
 		append([]byte("NSPB\x00\x01\x01\x00\x00\x00\x02\x00\x00\x00"), 2), // truncated data
 	}
-	for i, data := range cases {
+}
+
+func TestDecodeRejectsGarbage(t *testing.T) {
+	for i, data := range garbageStreams() {
 		s := &Serial{Data: data}
 		if _, err := s.Unserialize(); err == nil {
 			t.Errorf("case %d: garbage decoded without error", i)
@@ -191,9 +196,9 @@ func TestDecodeAllocatesWhatArrives(t *testing.T) {
 	}
 }
 
-func TestDecodeTruncatedEverywhere(t *testing.T) {
-	// Truncating a valid stream at any point must produce an error, never a
-	// panic or a silent success.
+// truncatable is the valid stream TestDecodeTruncatedEverywhere cuts at
+// every offset; FuzzUnserialize seeds from the same cuts.
+func truncatable(t testing.TB) *Serial {
 	h := NewHash()
 	h.Set("A", RowVec(1, 2, 3))
 	h.Set("B", NewList(Str("s"), Bool(false)))
@@ -201,6 +206,13 @@ func TestDecodeTruncatedEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
+
+func TestDecodeTruncatedEverywhere(t *testing.T) {
+	// Truncating a valid stream at any point must produce an error, never a
+	// panic or a silent success.
+	s := truncatable(t)
 	for cut := 0; cut < len(s.Data); cut++ {
 		trunc := &Serial{Data: s.Data[:cut]}
 		if _, err := trunc.Unserialize(); err == nil {

@@ -2,6 +2,7 @@ package nsp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -127,15 +128,7 @@ func (m *Mat) ScalarValue() float64 {
 // Equal implements Object.
 func (m *Mat) Equal(o Object) bool {
 	n, ok := o.(*Mat)
-	if !ok || m.Rows != n.Rows || m.Cols != n.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if v != n.Data[i] {
-			return false
-		}
-	}
-	return true
+	return ok && m.Rows == n.Rows && m.Cols == n.Cols && slices.Equal(m.Data, n.Data)
 }
 
 // String renders the matrix in a compact Nsp-flavoured form.
@@ -173,15 +166,7 @@ func (m *BMat) Kind() Kind { return KindBMat }
 // Equal implements Object.
 func (m *BMat) Equal(o Object) bool {
 	n, ok := o.(*BMat)
-	if !ok || m.Rows != n.Rows || m.Cols != n.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if v != n.Data[i] {
-			return false
-		}
-	}
-	return true
+	return ok && m.Rows == n.Rows && m.Cols == n.Cols && slices.Equal(m.Data, n.Data)
 }
 
 // SMat is a dense string matrix stored row-major. A 1×1 SMat is Nsp's
@@ -219,15 +204,7 @@ func (m *SMat) StrValue() string {
 // Equal implements Object.
 func (m *SMat) Equal(o Object) bool {
 	n, ok := o.(*SMat)
-	if !ok || m.Rows != n.Rows || m.Cols != n.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if v != n.Data[i] {
-			return false
-		}
-	}
-	return true
+	return ok && m.Rows == n.Rows && m.Cols == n.Cols && slices.Equal(m.Data, n.Data)
 }
 
 // List is an ordered heterogeneous sequence of objects.

@@ -35,10 +35,7 @@ func (s *Serial) String() string {
 // Equal implements Object.
 func (s *Serial) Equal(o Object) bool {
 	t, ok := o.(*Serial)
-	if !ok || s.Compressed != t.Compressed || len(s.Data) != len(t.Data) {
-		return false
-	}
-	return bytes.Equal(s.Data, t.Data)
+	return ok && s.Compressed == t.Compressed && bytes.Equal(s.Data, t.Data)
 }
 
 // Serialize converts any object into a Serial buffer using the binary
@@ -54,19 +51,38 @@ func Serialize(o Object) (*Serial, error) {
 // Unserialize decodes the buffer back into an object, transparently
 // handling compressed serials as Nsp's `unserialize` method does.
 func (s *Serial) Unserialize() (Object, error) {
-	data := s.Data
-	if s.Compressed {
-		r := flate.NewReader(bytes.NewReader(s.Data))
-		raw, err := io.ReadAll(r)
-		if cerr := r.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("nsp: decompress serial: %w", err)
-		}
-		data = raw
+	data, err := s.inflated()
+	if err != nil {
+		return nil, err
 	}
 	return decodeStream(bytes.NewReader(data))
+}
+
+// maxInflate bounds what a compressed serial may inflate to: 64 MiB, the
+// most a single mpi frame could have carried raw. flate reaches ratios
+// near 1000:1, and without a bound a half-megabyte frame of compressed
+// zeros made its receiver allocate gigabytes before the stream was even
+// looked at.
+const maxInflate = 64 << 20
+
+// inflated returns the serialized stream: Data itself, or what it
+// decompresses to, which past maxInflate bytes is a malformed stream.
+func (s *Serial) inflated() ([]byte, error) {
+	if !s.Compressed {
+		return s.Data, nil
+	}
+	r := flate.NewReader(bytes.NewReader(s.Data))
+	raw, err := io.ReadAll(io.LimitReader(r, maxInflate+1))
+	if cerr := r.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("nsp: decompress serial: %w", err)
+	}
+	if len(raw) > maxInflate {
+		return nil, badStream("compressed serial inflates past %d bytes", maxInflate)
+	}
+	return raw, nil
 }
 
 // Compress returns a compressed copy of the serial (no-op if already
@@ -95,13 +111,9 @@ func (s *Serial) Uncompress() (*Serial, error) {
 	if !s.Compressed {
 		return s, nil
 	}
-	r := flate.NewReader(bytes.NewReader(s.Data))
-	raw, err := io.ReadAll(r)
-	if cerr := r.Close(); err == nil {
-		err = cerr
-	}
+	raw, err := s.inflated()
 	if err != nil {
-		return nil, fmt.Errorf("nsp: decompress serial: %w", err)
+		return nil, err
 	}
 	return &Serial{Data: raw}, nil
 }

@@ -1,5 +1,7 @@
 package nsp
 
+import "slices"
+
 // KindSpMat is a sparse real matrix in triplet (COO) form — the paper's
 // serialization example serializes exactly such an object:
 // A=sparse(rand(2,2)); S=serialize(A); MPI_Send_Obj(S,...).
@@ -113,13 +115,6 @@ func (s *SpMat) Kind() Kind { return KindSpMat }
 // Equal implements Object (structural equality of the triplet form).
 func (s *SpMat) Equal(o Object) bool {
 	t, ok := o.(*SpMat)
-	if !ok || s.Rows != t.Rows || s.Cols != t.Cols || len(s.Val) != len(t.Val) {
-		return false
-	}
-	for k := range s.Val {
-		if s.RowIdx[k] != t.RowIdx[k] || s.ColIdx[k] != t.ColIdx[k] || s.Val[k] != t.Val[k] {
-			return false
-		}
-	}
-	return true
+	return ok && s.Rows == t.Rows && s.Cols == t.Cols &&
+		slices.Equal(s.RowIdx, t.RowIdx) && slices.Equal(s.ColIdx, t.ColIdx) && slices.Equal(s.Val, t.Val)
 }

@@ -39,7 +39,7 @@ type LocalBackend = farm.Local
 // workers carry; their spans travel back over the wire when the
 // negotiation allows it.
 type NetBackend struct {
-	// Transport names a registered mpi transport: "tcp" (the default,
+	// Transport names the mpi transport: "tcp" (the default,
 	// cross-host), "unix" (same-host worker pools over unix-domain
 	// sockets) or "inproc" (net.Pipe worlds, the full wire path with no
 	// OS sockets).

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
+	"riskbench/internal/farm"
+	"riskbench/internal/mpi"
 	"riskbench/internal/premia"
 	"riskbench/internal/telemetry"
 )
@@ -99,5 +102,46 @@ func TestPriceBatchTCPBackendCancelled(t *testing.T) {
 	_, err := e.PriceBatch(ctx, []*premia.Problem{callProblem(90), callProblem(100)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled TCP batch returned %v, want context.Canceled", err)
+	}
+}
+
+// TestNetWorkerDeathFailsFast: a net worker that takes its batch —
+// descriptor and payload — and drops its connection used to leave the
+// master blocked forever on results that could never come. The hub now
+// tells the master's receive which rank it lost, on every transport.
+func TestNetWorkerDeathFailsFast(t *testing.T) {
+	for _, transport := range []string{"inproc", "unix", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			dying := func(transport, addr string, workers int) (func() error, error) {
+				c, err := mpi.DialHubWith(addr, mpi.WorldOptions{Transport: transport})
+				if err != nil {
+					return nil, err
+				}
+				go func() {
+					defer c.Close()
+					for _, tag := range []int{farm.TagTask, farm.TagPayload} {
+						if _, _, err := c.Recv(0, tag); err != nil {
+							return
+						}
+					}
+				}()
+				return nil, nil
+			}
+			e := Engine{Workers: 1, Backend: &NetBackend{Transport: transport, Spawn: dying}}
+			done := make(chan error, 1)
+			go func() {
+				_, err := e.PriceBatch(context.Background(), []*premia.Problem{callProblem(100)})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				var lost *mpi.LostError
+				if !errors.As(err, &lost) || lost.Rank != 1 {
+					t.Fatalf("round over a dead worker returned %v, want a LostError naming rank 1", err)
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatal("master still blocked 3 s after its only worker died")
+			}
+		})
 	}
 }

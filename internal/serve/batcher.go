@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"riskbench/internal/premia"
@@ -23,11 +22,6 @@ type PriceFunc func(ctx context.Context, problems []*premia.Problem) ([]risk.Pri
 // has abandoned its deadline. span roots the request's distributed
 // trace and queue times its wait for a batch slot; both are nil when
 // tracing is off.
-//
-// Descriptors are pooled: acquire with newPriceRequest, return with
-// release once the response has been consumed (or the request was never
-// enqueued), so the buffered done channel is guaranteed empty for the
-// next user.
 type priceRequest struct {
 	problem *premia.Problem
 	done    chan priceResponse
@@ -35,29 +29,11 @@ type priceRequest struct {
 	queue   *telemetry.Span
 }
 
+// priceResponse answers one request, and is what a completed flight
+// hands to its waiters.
 type priceResponse struct {
 	outcome risk.PriceOutcome
 	err     error // batch-level failure (transport, cancellation)
-}
-
-var requestPool = sync.Pool{New: func() any {
-	return &priceRequest{done: make(chan priceResponse, 1)}
-}}
-
-// newPriceRequest returns a pooled descriptor for one problem, its done
-// channel allocated once and reused across requests.
-func newPriceRequest(p *premia.Problem) *priceRequest {
-	r := requestPool.Get().(*priceRequest)
-	r.problem = p
-	return r
-}
-
-// release returns the descriptor to the pool. The caller must have
-// consumed the response (or never enqueued the request): a stale value
-// left in done would leak into the descriptor's next life.
-func (r *priceRequest) release() {
-	r.problem, r.span, r.queue = nil, nil, nil
-	requestPool.Put(r)
 }
 
 // batcher coalesces single-problem requests into farm batches: it
@@ -158,9 +134,7 @@ func (b *batcher) loop() {
 		}
 		b.reg.Observe("serve.batch.size", float64(len(buf)))
 		b.runBatch(buf)
-		for i := range buf {
-			buf[i] = nil // descriptors are pooled; drop the stale refs
-		}
+		clear(buf) // the descriptors belong to their requesters now
 		buf = buf[:0]
 	}
 	for {

@@ -1,22 +1,12 @@
 package serve
 
-import (
-	"sync"
-
-	"riskbench/internal/risk"
-)
-
-// flightResult is what a completed flight hands to its waiters.
-type flightResult struct {
-	outcome risk.PriceOutcome
-	err     error
-}
+import "sync"
 
 // flightCall is one in-flight computation of a content key. The leader
 // closes done exactly once, after res is set.
 type flightCall struct {
 	done chan struct{}
-	res  flightResult
+	res  priceResponse
 }
 
 // flightGroup suppresses duplicate in-flight computations: for each
@@ -48,7 +38,7 @@ func (g *flightGroup) begin(key string) (*flightCall, bool) {
 
 // finish publishes the leader's result to every waiter and retires the
 // key, so later requests start a fresh flight (or hit the cache).
-func (g *flightGroup) finish(key string, c *flightCall, res flightResult) {
+func (g *flightGroup) finish(key string, c *flightCall, res priceResponse) {
 	g.mu.Lock()
 	delete(g.calls, key)
 	g.mu.Unlock()

@@ -270,22 +270,14 @@ func (s *Server) handleRiskIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRiskReport(w http.ResponseWriter, r *http.Request) {
-	if err := s.admit(); err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	defer s.release()
-	s.reg.Counter("serve.risk.reports").Add(1)
 	start := s.reg.Now()
-	defer func() { s.reg.Observe("serve.risk.report_seconds", s.reg.Now()-start) }()
 	var q riskReportRequest
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+	if !decodeBody(w, r, &q) {
 		return
 	}
 	cfg := q.config()
 	if err := cfg.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		badRequest(w, err)
 		return
 	}
 	ctx, cancel := s.requestContext(r)
@@ -301,12 +293,12 @@ func (s *Server) handleRiskReport(w http.ResponseWriter, r *http.Request) {
 	}
 	pf, err := q.Portfolio.build()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		badRequest(w, err)
 		return
 	}
 	scens, err := q.Scenarios.generate(ctx, 0)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		badRequest(w, err)
 		return
 	}
 	s.reg.Counter("serve.risk.scenarios").Add(int64(len(scens)))
@@ -316,7 +308,7 @@ func (s *Server) handleRiskReport(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, r, ctx.Err())
 			return
 		}
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		badRequest(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, toRiskReportJSON(rep, s.reg.Now()-start))
@@ -391,15 +383,8 @@ func levelRank(level string) int {
 }
 
 func (s *Server) handleRiskWatch(w http.ResponseWriter, r *http.Request) {
-	if err := s.admit(); err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	defer s.release()
-	s.reg.Counter("serve.risk.watches").Add(1)
 	var q riskWatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+	if !decodeBody(w, r, &q) {
 		return
 	}
 	rounds := q.Rounds
@@ -415,13 +400,13 @@ func (s *Server) handleRiskWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	pf, err := q.Portfolio.build()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		badRequest(w, err)
 		return
 	}
 	cfg := q.config()
 	if err := cfg.Validate(); err != nil {
 		// Reject before the 200 header commits the NDJSON stream.
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		badRequest(w, err)
 		return
 	}
 	// The stream lives on the client's context (a watch may legitimately

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,17 +47,13 @@ type Config struct {
 	// DefaultCacheSize, negative disables caching.
 	CacheSize int
 	// MaxInflight bounds concurrently admitted HTTP requests; beyond it
-	// requests get 429 + Retry-After (default 256).
+	// requests get 429 + Retry-After (default 256). The batcher's request
+	// queue holds 4×MaxBatch requests, or MaxInflight if that is more.
 	MaxInflight int
-	// MaxQueue bounds the batcher's request queue (default 4×MaxBatch,
-	// at least MaxInflight).
-	MaxQueue int
 	// RequestTimeout caps each request's pricing deadline; the effective
 	// deadline is the tighter of this and the client's context
 	// (default 30s).
 	RequestTimeout time.Duration
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// Telemetry receives the serve.* metrics; it is also what /metrics
 	// serves. Nil creates a private registry so /metrics always works.
 	Telemetry *telemetry.Registry
@@ -129,17 +124,8 @@ func New(cfg Config) *Server {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 256
 	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 4 * cfg.MaxBatch
-		if cfg.MaxQueue < cfg.MaxInflight {
-			cfg.MaxQueue = cfg.MaxInflight
-		}
-	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.New()
@@ -180,14 +166,14 @@ func New(cfg Config) *Server {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
-	s.batch = newBatcher(ctx, price, cfg.MaxBatch, cfg.MaxDelay, cfg.MaxQueue, s.reg)
+	s.batch = newBatcher(ctx, price, cfg.MaxBatch, cfg.MaxDelay, max(4*cfg.MaxBatch, cfg.MaxInflight), s.reg)
 	s.startSLO(ctx)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /price", s.handlePrice)
-	s.mux.HandleFunc("POST /batch", s.handleBatch)
+	s.mux.HandleFunc("POST /price", s.admitted("serve.requests", "serve.request_seconds", s.handlePrice))
+	s.mux.HandleFunc("POST /batch", s.admitted("serve.requests", "serve.request_seconds", s.handleBatch))
 	s.mux.HandleFunc("GET /risk", s.handleRiskIndex)
-	s.mux.HandleFunc("POST /risk/report", s.handleRiskReport)
-	s.mux.HandleFunc("POST /risk/watch", s.handleRiskWatch)
+	s.mux.HandleFunc("POST /risk/report", s.admitted("serve.risk.reports", "serve.risk.report_seconds", s.handleRiskReport))
+	s.mux.HandleFunc("POST /risk/watch", s.admitted("serve.risk.watches", "", s.handleRiskWatch))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.Handle("GET /metrics", telemetry.PrometheusHandler(s.reg))
 	s.mux.Handle("GET /metrics.json", telemetry.Handler(s.reg))
@@ -289,7 +275,7 @@ func (s *Server) priceProblem(ctx context.Context, p *premia.Problem, wait bool)
 		// pricing again would break the one-evaluation-per-key contract.
 		if res, ok := s.cache.Get(key); ok {
 			out := risk.PriceOutcome{Result: res, Cached: true}
-			s.flight.finish(key, call, flightResult{outcome: out})
+			s.flight.finish(key, call, priceResponse{outcome: out})
 			return out, nil
 		}
 	}
@@ -302,7 +288,7 @@ func (s *Server) priceProblem(ctx context.Context, p *premia.Problem, wait bool)
 			return risk.PriceOutcome{}, ctx.Err()
 		}
 	}
-	req := newPriceRequest(p)
+	req := &priceRequest{problem: p, done: make(chan priceResponse, 1)}
 	if !s.cfg.DisableTracing {
 		// Each flight leader roots one distributed trace; the batcher ends
 		// the queue span at flush and prices the whole batch under the
@@ -315,23 +301,20 @@ func (s *Server) priceProblem(ctx context.Context, p *premia.Problem, wait bool)
 		if err := s.batch.submitWait(ctx, req); err != nil {
 			req.queue.End()
 			req.span.End()
-			req.release() // never enqueued: no response will arrive
-			s.flight.finish(key, call, flightResult{err: err})
+			s.flight.finish(key, call, priceResponse{err: err})
 			return risk.PriceOutcome{}, err
 		}
 	} else if !s.batch.submit(req) {
 		req.queue.End()
 		req.span.End()
-		req.release() // never enqueued: no response will arrive
 		s.reg.Counter("serve.rejected.queue").Add(1)
 		s.reg.Emit(telemetry.LevelWarn, "serve.reject.queue", req.span.Context(),
-			telemetry.Num("queue_cap", float64(s.cfg.MaxQueue)))
-		s.flight.finish(key, call, flightResult{err: ErrOverloaded})
+			telemetry.Num("queue_cap", float64(cap(s.batch.in))))
+		s.flight.finish(key, call, priceResponse{err: ErrOverloaded})
 		return risk.PriceOutcome{}, ErrOverloaded
 	}
 	select {
 	case resp := <-req.done:
-		req.release()
 		return s.settle(key, call, resp)
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
@@ -341,11 +324,7 @@ func (s *Server) priceProblem(ctx context.Context, p *premia.Problem, wait bool)
 		// The leader's deadline expired but the batch is still pricing.
 		// Hand completion to a goroutine so waiters unblock and the
 		// result still lands in the cache — the work is not wasted.
-		go func() {
-			resp := <-req.done
-			req.release()
-			s.settle(key, call, resp)
-		}()
+		go func() { s.settle(key, call, <-req.done) }()
 		return risk.PriceOutcome{}, ctx.Err()
 	}
 }
@@ -355,8 +334,28 @@ func (s *Server) settle(key string, call *flightCall, resp priceResponse) (risk.
 	if resp.err == nil && resp.outcome.Err == nil && s.cache != nil {
 		s.cache.Put(key, resp.outcome.Result)
 	}
-	s.flight.finish(key, call, flightResult{outcome: resp.outcome, err: resp.err})
+	s.flight.finish(key, call, resp)
 	return resp.outcome, resp.err
+}
+
+// admitted wraps a pricing endpoint in the prologue they all share:
+// admission against the inflight limit and the drain (shed requests never
+// reach h), the endpoint's request counter and, when seconds names one,
+// its latency histogram.
+func (s *Server) admitted(counter, seconds string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if err := s.admit(); err != nil {
+			s.writeError(w, r, err)
+			return
+		}
+		defer s.release()
+		s.reg.Counter(counter).Add(1)
+		if seconds != "" {
+			start := s.reg.Now()
+			defer func() { s.reg.Observe(seconds, s.reg.Now()-start) }()
+		}
+		h(w, r)
+	}
 }
 
 // admit registers one request against the inflight limit; release must
@@ -484,10 +483,29 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // request whose client went away before the answer was ready.
 const statusClientClosedRequest = 499
 
+// retryAfterSeconds is the Retry-After hint sent with 429 responses.
+const retryAfterSeconds = "1"
+
+// decodeBody parses a JSON request body into v, answering 400 itself —
+// and reporting false — when it does not parse.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		badRequest(w, fmt.Errorf("bad request body: %v", err))
+		return false
+	}
+	return true
+}
+
+// badRequest answers a client mistake: 400 with the reason, and no
+// charge to the error budget.
+func badRequest(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+}
+
 // writeError maps serving errors onto HTTP statuses. Every error it
 // writes is an infrastructure failure (shed, drain, deadline, internal),
 // so it also feeds the error-rate SLO's bad-request counter — client
-// mistakes (400s) go through writeJSON directly and do not burn budget.
+// mistakes (400s) go through badRequest and do not burn budget.
 // Nor does a client that hung up: the request's own cancellation is
 // neither a success nor a failure of the service, so it is counted on
 // its own and the connection nobody reads gets a bare status.
@@ -500,7 +518,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	s.reg.Counter("serve.request_errors").Add(1)
 	switch {
 	case errors.Is(err, ErrOverloaded):
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", retryAfterSeconds)
 		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
 	case errors.Is(err, ErrDraining):
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
@@ -518,17 +536,8 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 }
 
 func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
-	if err := s.admit(); err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	defer s.release()
-	s.reg.Counter("serve.requests").Add(1)
-	start := s.reg.Now()
-	defer func() { s.reg.Observe("serve.request_seconds", s.reg.Now()-start) }()
 	var pj problemJSON
-	if err := json.NewDecoder(r.Body).Decode(&pj); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+	if !decodeBody(w, r, &pj) {
 		return
 	}
 	ctx, cancel := s.requestContext(r)
@@ -550,23 +559,14 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 const maxBatchRequest = 65536
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if err := s.admit(); err != nil {
-		s.writeError(w, r, err)
-		return
-	}
-	defer s.release()
-	s.reg.Counter("serve.requests").Add(1)
-	start := s.reg.Now()
-	defer func() { s.reg.Observe("serve.request_seconds", s.reg.Now()-start) }()
 	var body struct {
 		Problems []problemJSON `json:"problems"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	if len(body.Problems) == 0 || len(body.Problems) > maxBatchRequest {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("want 1..%d problems, got %d", maxBatchRequest, len(body.Problems))})
+		badRequest(w, fmt.Errorf("want 1..%d problems, got %d", maxBatchRequest, len(body.Problems)))
 		return
 	}
 	ctx, cancel := s.requestContext(r)

@@ -148,8 +148,7 @@ func WithCache(entries int) Option {
 //
 //   - "local" or "" (the default): an in-process goroutine world per
 //     round — mailboxes, no framing, the fastest same-process shape;
-//   - "tcp", "unix", "inproc", or any transport registered with
-//     mpi.RegisterTransport: a framed hub world on that transport, with
+//   - "tcp", "unix" or "inproc": a framed hub world on that transport, with
 //     in-process goroutine workers dialing through the real wire — the
 //     single-host deployment shape ("unix" skips the TCP/IP stack for
 //     same-host pools; "tcp" is what cross-host fleets use).
