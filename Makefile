@@ -55,19 +55,21 @@ compat:
 
 # fuzz explores every decoder a socket can reach, bottom up, for 10 s each
 # (go test takes one -fuzz target per invocation): the nsp stream decoder
-# under every message, the mpi frame reader and hello parser, and the
+# under every message, the mpi frame reader and hello parser, the
 # farm's batch descriptor and span/event payloads fed through
-# nsp.Unserialize as a frame's bytes arrive. No input may panic or
-# allocate past its bounds, and whatever decodes must survive its own
-# codec. The seeds (golden wire bytes plus every known corruption) also
-# run under plain `go test`. A failing input lands in the package's
-# testdata/fuzz/; commit it with the fix.
+# nsp.Unserialize as a frame's bytes arrive, and the JSON bodies of the
+# four POST endpoints. No input may panic or allocate past its bounds,
+# whatever decodes must survive its own codec, and every request body gets
+# a JSON answer that is no 5xx. The seeds (golden wire bytes plus every
+# known corruption) also run under plain `go test`. A failing input lands
+# in the package's testdata/fuzz/; commit it with the fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzUnserialize$$' -fuzztime 10s ./internal/nsp
 	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime 10s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeHello$$' -fuzztime 10s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime 10s ./internal/farm
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRecords$$' -fuzztime 10s ./internal/farm
+	$(GO) test -run '^$$' -fuzz 'FuzzServeBodies$$' -fuzztime 10s ./internal/serve
 
 # loc prints non-test and test Go lines per package directory, so
 # ROADMAP's size targets are read off a command.

@@ -54,15 +54,24 @@ func (fc *frameCodec) readFrame(r io.Reader) (dest, src, tag int, payload []byte
 		err = fmt.Errorf("%w: frame of %d bytes exceeds %d-byte limit", ErrProtocol, n, maxFrame)
 		return
 	}
-	if int(n) <= cap(fc.scratch) {
-		payload = fc.scratch[:n]
+	size := int(n)
+	if size <= cap(fc.scratch) {
+		payload = fc.scratch[:size]
 	} else {
-		payload = make([]byte, n)
-		if n <= maxRetainedBuf {
+		// A length is a claim until its bytes arrive. Past maxRetainedBuf
+		// a one-shot buffer doubles as it fills, so sixteen bytes of
+		// header cost what follows them, not maxFrame.
+		payload = make([]byte, min(size, maxRetainedBuf))
+		if size <= maxRetainedBuf {
 			fc.scratch = payload
 		}
 	}
 	_, err = io.ReadFull(r, payload)
+	for err == nil && len(payload) < size {
+		more := min(size-len(payload), len(payload))
+		payload = append(payload, make([]byte, more)...)
+		_, err = io.ReadFull(r, payload[len(payload)-more:])
+	}
 	return
 }
 

@@ -2,8 +2,11 @@ package mpi
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -190,6 +193,43 @@ func TestFrameCodecAllocationFree(t *testing.T) {
 	})
 	if read != 0 || write != 0 {
 		t.Errorf("frame codec allocates %v per read and %v per write, want 0 and 0", read, write)
+	}
+}
+
+// TestReadFrameAllocatesWhatArrives: a frame header is sixteen bytes a
+// peer can send for nothing, so a claimed length is read in bounded steps
+// and costs what actually follows it. Claiming maxFrame and then going
+// quiet used to cost the reader 64 MiB; an honest frame past
+// maxRetainedBuf still arrives whole.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	var hostile bytes.Buffer
+	if err := writeFrame(&hostile, 1, 0, 3, make([]byte, 10)); err != nil {
+		t.Fatal(err)
+	}
+	frame := hostile.Bytes()
+	binary.BigEndian.PutUint32(frame[12:], maxFrame)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, _, err := newFrameCodec(ProtoLatest).readFrame(bytes.NewReader(frame))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("a frame claiming %d bytes and holding 10: err = %v, want a short read", maxFrame, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Errorf("a frame claiming %d bytes and holding 10 made readFrame allocate %d", maxFrame, got)
+	}
+
+	want := make([]byte, 3<<20)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	var honest bytes.Buffer
+	if err := writeFrame(&honest, 2, 1, 9, want); err != nil {
+		t.Fatal(err)
+	}
+	dest, src, tag, got, err := newFrameCodec(ProtoLatest).readFrame(&honest)
+	if err != nil || dest != 2 || src != 1 || tag != 9 || !bytes.Equal(got, want) {
+		t.Errorf("a %d-byte frame read back as dest %d src %d tag %d, %d bytes, %v", len(want), dest, src, tag, len(got), err)
 	}
 }
 

@@ -1,12 +1,11 @@
 package nsp
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
+	"slices"
 )
 
 // Binary stream format (all integers big-endian):
@@ -31,16 +30,20 @@ const (
 	codecVersion = 1
 	// maxDim guards decode against hostile or corrupt headers.
 	maxDim = 1 << 28
-	// preallocMax is how much of a declared length decode allocates before
-	// the data has arrived; anything longer grows as it is read. A header
-	// may claim maxDim elements: a 23-byte stream cost a 2 GiB matrix.
-	preallocMax = 1 << 16
+	// maxSlots is how many slots dense allocates before their elements have
+	// been read. A declared length is checked against the bytes the stream
+	// has left, but a nil cell is one byte of stream and a sixteen-byte
+	// slot, so lists, cells and string matrices past it grow as they fill.
+	maxSlots = 1 << 16
 	// maxDepth bounds how deep lists, hashes and cells nest. A level costs
 	// five bytes of stream and one decoder stack frame, so unbounded, a
 	// 10 MB frame of nested one-element lists overflows the goroutine
 	// stack, which no recover catches. The farm's deepest message nests
 	// four levels; 64 leaves room for anything a script builds by hand.
 	maxDepth = 64
+	// minObject is the shortest encoded object, an empty list: its kind
+	// and a zero count.
+	minObject = 5
 )
 
 // ErrBadStream is wrapped by all decode errors caused by malformed input.
@@ -50,55 +53,43 @@ func badStream(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadStream, fmt.Sprintf(format, args...))
 }
 
-// encoder writes one stream. Write errors are the bufio.Writer's to keep
-// (it refuses every write after the first failure and Flush reports it),
-// so no write below checks one; err holds what the writer cannot know: a
-// nil or foreign object, a WireForm that failed.
+// encoder appends one stream to b. err holds the only failures there are:
+// a nil or foreign object, a WireForm that failed.
 type encoder struct {
-	w   *bufio.Writer
+	b   []byte
 	err error
-	buf [8]byte // integer staging; on the encoder so it never escapes per call
 }
 
-// encodeStream writes the full framed stream (magic + version + object).
-func encodeStream(w io.Writer, o Object) error {
-	e := &encoder{w: bufio.NewWriter(w)}
-	e.w.WriteString(codecMagic)
-	binary.BigEndian.PutUint16(e.buf[:2], codecVersion)
-	e.w.Write(e.buf[:2])
+// encodeStream returns the full framed stream (magic + version + object).
+func encodeStream(o Object) ([]byte, error) {
+	e := encoder{b: make([]byte, 0, 512)}
+	e.b = append(e.b, codecMagic...)
+	e.b = binary.BigEndian.AppendUint16(e.b, codecVersion)
 	e.object(o)
-	if e.err != nil {
-		return e.err
-	}
-	return e.w.Flush()
+	return e.b, e.err
 }
 
 func (e *encoder) flag(v bool) {
 	if v {
-		e.w.WriteByte(1)
+		e.b = append(e.b, 1)
 	} else {
-		e.w.WriteByte(0)
+		e.b = append(e.b, 0)
 	}
 }
 
-func (e *encoder) u32(v uint32) {
-	binary.BigEndian.PutUint32(e.buf[:4], v)
-	e.w.Write(e.buf[:4])
-}
-
-func (e *encoder) u64(v uint64) {
-	binary.BigEndian.PutUint64(e.buf[:], v)
-	e.w.Write(e.buf[:])
-}
+func (e *encoder) u32(v uint32) { e.b = binary.BigEndian.AppendUint32(e.b, v) }
+func (e *encoder) u64(v uint64) { e.b = binary.BigEndian.AppendUint64(e.b, v) }
 
 func (e *encoder) str(s string) {
 	e.u32(uint32(len(s)))
-	e.w.WriteString(s)
+	e.b = append(e.b, s...)
 }
 
-func (e *encoder) dims(rows, cols int) {
+// dims writes a matrix header and makes room for the elements that follow.
+func (e *encoder) dims(rows, cols, room int) {
 	e.u32(uint32(rows))
 	e.u32(uint32(cols))
+	e.b = slices.Grow(e.b, room)
 }
 
 func (e *encoder) object(o Object) {
@@ -115,30 +106,30 @@ func (e *encoder) object(o Object) {
 		}
 		return
 	}
-	e.w.WriteByte(byte(o.Kind()))
+	e.b = append(e.b, byte(o.Kind()))
 	switch v := o.(type) {
 	case *Mat:
-		e.dims(v.Rows, v.Cols)
+		e.dims(v.Rows, v.Cols, 8*len(v.Data))
 		for _, x := range v.Data {
 			e.u64(math.Float64bits(x))
 		}
 	case *BMat:
-		e.dims(v.Rows, v.Cols)
+		e.dims(v.Rows, v.Cols, len(v.Data))
 		for _, x := range v.Data {
 			e.flag(x)
 		}
 	case *SMat:
-		e.dims(v.Rows, v.Cols)
+		e.dims(v.Rows, v.Cols, 4*len(v.Data))
 		for _, s := range v.Data {
 			e.str(s)
 		}
 	case *IMat:
-		e.dims(v.Rows, v.Cols)
+		e.dims(v.Rows, v.Cols, 8*len(v.Data))
 		for _, x := range v.Data {
 			e.u64(uint64(x))
 		}
 	case *Cells:
-		e.dims(v.Rows, v.Cols)
+		e.dims(v.Rows, v.Cols, len(v.Data))
 		for _, item := range v.Data {
 			e.flag(item != nil)
 			if item != nil {
@@ -146,7 +137,7 @@ func (e *encoder) object(o Object) {
 			}
 		}
 	case *SpMat:
-		e.dims(v.Rows, v.Cols)
+		e.dims(v.Rows, v.Cols, 4+16*len(v.Val))
 		e.u32(uint32(len(v.Val)))
 		for k := range v.Val {
 			e.u32(uint32(v.RowIdx[k]))
@@ -167,31 +158,30 @@ func (e *encoder) object(o Object) {
 	case *Serial:
 		e.flag(v.Compressed)
 		e.u32(uint32(len(v.Data)))
-		e.w.Write(v.Data)
+		e.b = append(e.b, v.Data...)
 	default:
 		e.err = fmt.Errorf("nsp: cannot encode object of kind %v", o.Kind())
 	}
 }
 
-// decoder reads one stream. The first failure sticks in err: from then on
-// nothing is read, counts come back 0 and every loop stops, so the kinds
-// below read straight through (what they build after a failure is dropped)
-// and the stream is judged once, in decodeStream.
+// decoder reads one stream from the bytes left of it. The first failure
+// sticks in err: from then on nothing is read, counts come back 0 and
+// every loop stops, so the kinds below read straight through (what they
+// build after a failure is dropped) and the stream is judged once, in
+// decodeStream. Nothing it returns aliases the stream.
 type decoder struct {
-	r     *bufio.Reader
+	data  []byte
 	err   error
 	depth int
-	buf   [8]byte // integer staging, as in encoder
 }
 
-// decodeStream reads a full framed stream.
-func decodeStream(r io.Reader) (Object, error) {
-	d := &decoder{r: bufio.NewReader(r)}
-	d.read(d.buf[:6])
-	if magic := d.buf[:4]; string(magic) != codecMagic {
+// decodeStream decodes a full framed stream.
+func decodeStream(data []byte) (Object, error) {
+	d := decoder{data: data}
+	if magic := d.take(4); string(magic) != codecMagic {
 		d.fail("bad magic %q", magic)
 	}
-	if version := binary.BigEndian.Uint16(d.buf[4:6]); version != codecVersion {
+	if version := binary.BigEndian.Uint16(d.take(2)); version != codecVersion {
 		d.fail("unsupported version %d", version)
 	}
 	o := d.object()
@@ -207,39 +197,39 @@ func (d *decoder) fail(format string, args ...any) {
 	}
 }
 
-func (d *decoder) read(b []byte) {
+// zeros is what a fixed-width read yields from a failed stream.
+var zeros [8]byte
+
+// take returns the next n bytes of the stream, uncopied. A stream that
+// has failed, or fails here for holding fewer, yields zeros (n of them up
+// to the eight an integer needs), so the reads below index what they get.
+func (d *decoder) take(n int) []byte {
+	if d.err == nil && n > len(d.data) {
+		d.fail("short stream: %d bytes wanted, %d left", n, len(d.data))
+	}
 	if d.err != nil {
-		return
+		return zeros[:min(n, len(zeros))]
 	}
-	// Asking the bufio.Reader first spares each element io.ReadFull's interface call.
-	if n, _ := d.r.Read(b); n < len(b) {
-		if _, err := io.ReadFull(d.r, b[n:]); err != nil {
-			d.fail("short stream: %v", err)
-		}
-	}
+	b := d.data[:n]
+	d.data = d.data[n:]
+	return b
 }
 
-func (d *decoder) u8() byte {
-	d.read(d.buf[:1])
-	return d.buf[0]
-}
+func (d *decoder) u8() byte     { return d.take(1)[0] }
+func (d *decoder) u32() uint32  { return binary.BigEndian.Uint32(d.take(4)) }
+func (d *decoder) u64() uint64  { return binary.BigEndian.Uint64(d.take(8)) }
+func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
+func (d *decoder) i64() int64   { return int64(d.u64()) }
+func (d *decoder) flag() bool   { return d.u8() != 0 }
 
-func (d *decoder) u32() uint32 {
-	d.read(d.buf[:4])
-	return binary.BigEndian.Uint32(d.buf[:4])
-}
-
-func (d *decoder) u64() uint64 {
-	d.read(d.buf[:])
-	return binary.BigEndian.Uint64(d.buf[:])
-}
-
-// count reads an element or byte count, at most maxDim; 0 once failed, so
-// no loop runs on a count the stream never held.
-func (d *decoder) count(what string) int {
-	n := d.u32()
+// claim fails a stream that declares n elements, size bytes each at least,
+// and holds fewer: a header cannot claim more than its stream holds, so
+// nothing is sized by a count the bytes do not back.
+func (d *decoder) claim(what string, n uint64, size int) int {
 	if n > maxDim {
 		d.fail("%s too large: %d", what, n)
+	} else if left := uint64(len(d.data)); n*uint64(size) > left {
+		d.fail("%s claims %d elements of %d bytes, %d bytes left", what, n, size, left)
 	}
 	if d.err != nil {
 		return 0
@@ -247,44 +237,27 @@ func (d *decoder) count(what string) int {
 	return int(n)
 }
 
-// bytes reads exactly n bytes; past preallocMax the buffer doubles as the
-// bytes arrive. (A plain make+ReadFull for the common short string:
-// routing those through a bytes.Buffer made unserialize 3.4× slower.)
-func (d *decoder) bytes(n int) []byte {
-	b := make([]byte, min(n, preallocMax))
-	d.read(b)
-	for len(b) < n && d.err == nil {
-		more := min(n-len(b), len(b))
-		b = append(b, make([]byte, more)...)
-		d.read(b[len(b)-more:])
-	}
-	return b
+// count reads an element or byte count; 0 once failed, so no loop runs on
+// a count the stream never held.
+func (d *decoder) count(what string, size int) int { return d.claim(what, uint64(d.u32()), size) }
+
+func (d *decoder) str() string { return string(d.take(d.count("string", 1))) }
+
+// dims reads a matrix header and returns its element count. An empty
+// matrix may have one long side, so each is bounded on its own.
+func (d *decoder) dims(size int) (rows, cols, n int) {
+	rows, cols = d.count("matrix rows", 0), d.count("matrix cols", 0)
+	return rows, cols, d.claim("matrix", uint64(rows)*uint64(cols), size)
 }
 
-func (d *decoder) str() string { return string(d.bytes(d.count("string"))) }
-
-// dims reads a matrix header and returns its element count.
-func (d *decoder) dims() (rows, cols, n int) {
-	rows, cols = d.count("matrix rows"), d.count("matrix cols")
-	if uint64(rows)*uint64(cols) > maxDim {
-		d.fail("matrix dims %dx%d too large", rows, cols)
-		return 0, 0, 0
-	}
-	return rows, cols, rows * cols
-}
-
-// dense reads n elements, allocating as they arrive.
+// dense reads n elements into at most maxSlots slots up front.
 func dense[T any](d *decoder, n int, elem func() T) []T {
-	out := make([]T, 0, min(n, preallocMax))
+	out := make([]T, 0, min(n, maxSlots))
 	for len(out) < n && d.err == nil {
 		out = append(out, elem())
 	}
 	return out
 }
-
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *decoder) i64() int64   { return int64(d.u64()) }
-func (d *decoder) flag() bool   { return d.u8() != 0 }
 
 // cell reads one Cells entry: a presence byte, then the object if any.
 func (d *decoder) cell() Object {
@@ -305,33 +278,33 @@ func (d *decoder) object() Object {
 	}
 	switch Kind(kind) {
 	case KindMat:
-		rows, cols, n := d.dims()
+		rows, cols, n := d.dims(8)
 		return &Mat{Rows: rows, Cols: cols, Data: dense(d, n, d.f64)}
 	case KindBMat:
-		rows, cols, n := d.dims()
+		rows, cols, n := d.dims(1)
 		return &BMat{Rows: rows, Cols: cols, Data: dense(d, n, d.flag)}
 	case KindSMat:
-		rows, cols, n := d.dims()
+		rows, cols, n := d.dims(4)
 		return &SMat{Rows: rows, Cols: cols, Data: dense(d, n, d.str)}
 	case KindIMat:
-		rows, cols, n := d.dims()
+		rows, cols, n := d.dims(8)
 		return &IMat{Rows: rows, Cols: cols, Data: dense(d, n, d.i64)}
 	case KindCells:
-		rows, cols, n := d.dims()
+		rows, cols, n := d.dims(1)
 		return &Cells{Rows: rows, Cols: cols, Data: dense(d, n, d.cell)}
 	case KindList:
-		return &List{Items: dense(d, d.count("list"), d.object)}
+		return &List{Items: dense(d, d.count("list", minObject), d.object)}
 	case KindHash:
 		h := NewHash()
-		for n := d.count("hash"); n > 0 && d.err == nil; n-- {
+		for n := d.count("hash", 4+minObject); n > 0 && d.err == nil; n-- {
 			h.m[d.str()] = d.object() // calls run left to right: key, then value
 		}
 		return h
 	case KindSerial:
-		return &Serial{Compressed: d.flag(), Data: d.bytes(d.count("serial"))}
+		return &Serial{Compressed: d.flag(), Data: slices.Clone(d.take(d.count("serial", 1)))}
 	case KindSpMat:
-		rows, cols, _ := d.dims()
-		nnz := d.count("sparse nnz")
+		rows, cols, _ := d.dims(0)
+		nnz := d.count("sparse nnz", 16)
 		if nnz > rows*cols {
 			d.fail("sparse nnz %d too large for %dx%d", nnz, rows, cols)
 		}

@@ -2,6 +2,7 @@ package nsp
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -166,32 +167,89 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// allocatedBy is how many bytes f allocated, freed or not.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
 // TestDecodeAllocatesWhatArrives: a header may claim maxDim elements in a
-// dozen bytes, so decode allocates as the data arrives, not as the header
-// claims. A 23-byte stream declaring a 2^14 × 2^14 matrix used to cost a
+// dozen bytes, so decode sizes nothing by a claim the stream's bytes do not
+// back. A 23-byte stream declaring a 2^14 × 2^14 matrix used to cost a
 // 2 GiB allocation before failing.
 func TestDecodeAllocatesWhatArrives(t *testing.T) {
 	hostile := []byte("NSPB\x00\x01\x01\x00\x00\x40\x00\x00\x00\x40\x00\x00\x00\x00\x00\x00\x00\x00\x00")
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := (&Serial{Data: hostile}).Unserialize()
-	runtime.ReadMemStats(&after)
+	var err error
+	got := allocatedBy(func() { _, err = (&Serial{Data: hostile}).Unserialize() })
 	if err == nil {
 		t.Fatal("truncated 2^28-element matrix decoded without error")
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 16*preallocMax {
+	if got > 1<<20 {
 		t.Errorf("a %d-byte stream made decode allocate %d bytes", len(hostile), got)
 	}
-	// Objects longer than the up-front allocation still round-trip.
-	big := NewMat(3, preallocMax)
+	// Objects longer than the slots allocated up front still round-trip.
+	big := NewMat(3, maxSlots)
 	for i := range big.Data {
 		big.Data[i] = float64(i)
 	}
-	names := NewSMat(1, preallocMax+1)
-	names.Data[preallocMax] = strings.Repeat("x", preallocMax+1)
-	for _, o := range []Object{big, names, &Serial{Data: make([]byte, 2*preallocMax)}} {
+	names := NewSMat(1, maxSlots+1)
+	names.Data[maxSlots] = strings.Repeat("x", maxSlots+1)
+	for _, o := range []Object{big, names, &Serial{Data: make([]byte, 2*maxSlots)}} {
 		if !roundTrip(t, o).Equal(o) {
-			t.Errorf("%v object longer than preallocMax changed in the round trip", o.Kind())
+			t.Errorf("%v object longer than maxSlots changed in the round trip", o.Kind())
+		}
+	}
+}
+
+// claimStreams is, for every place a stream declares a length, a header
+// claiming 2^28 of them — every kind's elements, a string's and a serial's
+// bytes — and one claim the stream's bytes do back but whose slots would
+// be sixteen times those bytes. FuzzUnserialize seeds from the headers.
+func claimStreams() []struct {
+	name   string
+	header []byte
+} {
+	const stream = "NSPB\x00\x01"
+	const side = "\x00\x00\x40\x00" // 2^14: a matrix of 2^28 elements
+	const all = "\x10\x00\x00\x00"  // 2^28
+	matrix := func(k Kind) []byte { return []byte(stream + string(rune(k)) + side + side) }
+	return []struct {
+		name   string
+		header []byte
+	}{
+		{"mat", matrix(KindMat)},
+		{"bmat", matrix(KindBMat)},
+		{"smat", matrix(KindSMat)},
+		{"imat", matrix(KindIMat)},
+		{"cells", matrix(KindCells)},
+		{"spmat", append(matrix(KindSpMat), all...)},
+		{"list", []byte(stream + string(rune(KindList)) + all)},
+		{"hash", []byte(stream + string(rune(KindHash)) + all)},
+		{"serial", []byte(stream + string(rune(KindSerial)) + "\x00" + all)},
+		{"string", []byte(stream + string(rune(KindSMat)) + "\x00\x00\x00\x01\x00\x00\x00\x01" + all)},
+		{"hash key", []byte(stream + string(rune(KindHash)) + "\x00\x00\x00\x01" + all)},
+		{"2^23 backed cells", []byte(stream + string(rune(KindCells)) + "\x00\x00\x08\x00\x00\x00\x10\x00")},
+	}
+}
+
+// TestDecodeClaimsBounded: a header cannot claim more than its stream
+// holds. Each claim sits on 8 MiB of 0xff, far more than the 64 Ki
+// elements the old decoder allocated before growing, and must fail having
+// allocated no more than a small multiple of the stream itself.
+func TestDecodeClaimsBounded(t *testing.T) {
+	tail := bytes.Repeat([]byte{0xff}, 8<<20)
+	for _, c := range claimStreams() {
+		stream := append(c.header, tail...)
+		var err error
+		got := allocatedBy(func() { _, err = SLoadBytes(stream).Unserialize() })
+		if !errors.Is(err, ErrBadStream) {
+			t.Errorf("%s: err = %v, want ErrBadStream", c.name, err)
+		}
+		if budget := uint64(2*len(stream) + 2<<20); got > budget {
+			t.Errorf("%s: a %d-byte stream made decode allocate %d bytes, want <= %d", c.name, len(stream), got, budget)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package nsp
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 )
@@ -10,11 +9,11 @@ import (
 // file format equals the serialization format, the file content can later
 // be re-read either as an object (Load) or as a raw Serial (SLoad).
 func Save(path string, o Object) error {
-	var buf bytes.Buffer
-	if err := encodeStream(&buf, o); err != nil {
-		return fmt.Errorf("nsp: save %s: %w", path, err)
+	data, err := encodeStream(o)
+	if err == nil {
+		err = os.WriteFile(path, data, 0o644)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err != nil {
 		return fmt.Errorf("nsp: save %s: %w", path, err)
 	}
 	return nil
@@ -26,7 +25,7 @@ func Load(path string) (Object, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nsp: load %s: %w", path, err)
 	}
-	o, err := decodeStream(bytes.NewReader(data))
+	o, err := decodeStream(data)
 	if err != nil {
 		return nil, fmt.Errorf("nsp: load %s: %w", path, err)
 	}

@@ -111,3 +111,29 @@ func TestCodecGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeDoesNotAliasInput: the decoder slices the bytes it is handed,
+// and an mpi frame's bytes live in a scratch buffer the next frame
+// overwrites, so nothing decoded may point into them.
+func TestDecodeDoesNotAliasInput(t *testing.T) {
+	for _, g := range codecGolden() {
+		stream, err := hex.DecodeString(g.hex)
+		if err != nil {
+			t.Fatalf("%s: bad fixture hex: %v", g.name, err)
+		}
+		want, err := SLoadBytes(bytes.Clone(stream)).Unserialize()
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		got, err := SLoadBytes(stream).Unserialize()
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		for i := range stream {
+			stream[i] = 0xa5
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: decoded value changed when its stream was overwritten:\n got %v\nwant %v", g.name, got, want)
+		}
+	}
+}

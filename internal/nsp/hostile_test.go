@@ -113,6 +113,9 @@ func FuzzUnserialize(f *testing.F) {
 	f.Add(nestedLists(f, maxDepth-1))
 	f.Add(nestedLists(f, maxDepth))
 	f.Add(nestedLists(f, 4*maxDepth))
+	for _, c := range claimStreams() {
+		f.Add(append(c.header, 0xff, 0xff, 0xff, 0xff))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o, err := SLoadBytes(data).Unserialize()
 		if err != nil {

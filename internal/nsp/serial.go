@@ -41,11 +41,11 @@ func (s *Serial) Equal(o Object) bool {
 // Serialize converts any object into a Serial buffer using the binary
 // format shared with Save. It is Nsp's `serialize` primitive.
 func Serialize(o Object) (*Serial, error) {
-	var buf bytes.Buffer
-	if err := encodeStream(&buf, o); err != nil {
+	data, err := encodeStream(o)
+	if err != nil {
 		return nil, err
 	}
-	return &Serial{Data: buf.Bytes()}, nil
+	return &Serial{Data: data}, nil
 }
 
 // Unserialize decodes the buffer back into an object, transparently
@@ -55,7 +55,7 @@ func (s *Serial) Unserialize() (Object, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeStream(bytes.NewReader(data))
+	return decodeStream(data)
 }
 
 // maxInflate bounds what a compressed serial may inflate to: 64 MiB, the

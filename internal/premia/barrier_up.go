@@ -115,7 +115,10 @@ func mcCallUpOut(p *Problem) (Result, error) {
 		return Result{Price: o.Rebate * math.Exp(-m.R*o.T), Work: 1}, nil
 	}
 	paths := p.Params.Int("paths", mcDefaultPaths)
-	steps := p.Params.Int("mcsteps", mcDefaultSteps)
+	steps, err := p.Params.size("mcsteps", mcDefaultSteps)
+	if err != nil {
+		return Result{}, err
+	}
 	if paths < 2 || steps < 1 {
 		return Result{}, fmt.Errorf("premia: MC up-and-out needs paths >= 2 and mcsteps >= 1")
 	}

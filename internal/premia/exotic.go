@@ -99,8 +99,14 @@ func mcAsianCV(p *Problem) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	paths := p.Params.Int("paths", mcDefaultPaths)
-	fixings := p.Params.Int("fixings", 12)
+	paths, err := p.Params.size("paths", mcDefaultPaths) // a pilot tenth of them is stored
+	if err != nil {
+		return Result{}, err
+	}
+	fixings, err := p.Params.size("fixings", 12)
+	if err != nil {
+		return Result{}, err
+	}
 	if paths < 2 || fixings < 1 {
 		return Result{}, fmt.Errorf("premia: MC_Asian needs paths >= 2 and fixings >= 1")
 	}
@@ -229,7 +235,10 @@ func mcLookback(p *Problem) (Result, error) {
 		return Result{}, err
 	}
 	paths := p.Params.Int("paths", mcDefaultPaths)
-	steps := p.Params.Int("mcsteps", mcDefaultSteps)
+	steps, err := p.Params.size("mcsteps", mcDefaultSteps)
+	if err != nil {
+		return Result{}, err
+	}
 	if paths < 2 || steps < 1 {
 		return Result{}, fmt.Errorf("premia: MC_Lookback needs paths >= 2 and mcsteps >= 1")
 	}

@@ -14,6 +14,21 @@ const (
 	lsmDefaultPaths   = 20000
 )
 
+// lsmMaxStored is how many float64s one Longstaff–Schwartz run may keep
+// (1 GiB): the method stores every path at every exercise date plus a
+// regression row per path, so its memory is a product of parameters each
+// within its own maximum.
+const lsmMaxStored = 1 << 27
+
+// lsmFits fails a run that would keep more than lsmMaxStored values.
+func lsmFits(paths, exDates, stored int) error {
+	if stored > lsmMaxStored {
+		return fmt.Errorf("premia: parameters \"paths\" = %d and \"exdates\" = %d make LSM store %d values, which exceeds %d",
+			paths, exDates, stored, lsmMaxStored)
+	}
+	return nil
+}
+
 // mcAmerLSM implements MC_AM_LongstaffSchwartz for American puts under
 // one-dimensional Black–Scholes and for American basket puts under the
 // n-dimensional model. The continuation value is regressed on monomials of
@@ -24,9 +39,18 @@ func mcAmerLSM(p *Problem) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	paths := p.Params.Int("paths", lsmDefaultPaths)
-	exDates := p.Params.Int("exdates", lsmDefaultExDates)
-	degree := p.Params.Int("degree", lsmDefaultDegree)
+	paths, err := p.Params.size("paths", lsmDefaultPaths)
+	if err != nil {
+		return Result{}, err
+	}
+	exDates, err := p.Params.size("exdates", lsmDefaultExDates)
+	if err != nil {
+		return Result{}, err
+	}
+	degree, err := p.Params.size("degree", lsmDefaultDegree)
+	if err != nil {
+		return Result{}, err
+	}
 	if paths < 10 || exDates < 2 || degree < 1 {
 		return Result{}, fmt.Errorf("premia: LSM needs paths >= 10, exdates >= 2, degree >= 1")
 	}
@@ -50,6 +74,11 @@ func mcAmerLSM(p *Problem) (Result, error) {
 		return Result{}, fmt.Errorf("premia: LSM does not support model %q", p.Model)
 	}
 
+	// The basket, the regression's design row, cash, ys and idx per path,
+	// and each shard's normals for one path.
+	if err := lsmFits(paths, exDates, paths*(exDates+degree+4)+kernelShards*exDates*dim); err != nil {
+		return Result{}, err
+	}
 	chol := make([]float64, dim*dim)
 	if err := mathutil.Cholesky(mathutil.CorrelationMatrix(dim, rho), dim, chol); err != nil {
 		return Result{}, fmt.Errorf("premia: LSM correlation: %w", err)
@@ -169,10 +198,21 @@ func mcAmerAlfonsi(p *Problem) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	paths := p.Params.Int("paths", lsmDefaultPaths)
-	exDates := p.Params.Int("exdates", lsmDefaultExDates)
+	paths, err := p.Params.size("paths", lsmDefaultPaths)
+	if err != nil {
+		return Result{}, err
+	}
+	exDates, err := p.Params.size("exdates", lsmDefaultExDates)
+	if err != nil {
+		return Result{}, err
+	}
 	if paths < 10 || exDates < 2 {
 		return Result{}, fmt.Errorf("premia: Alfonsi LSM needs paths >= 10 and exdates >= 2")
+	}
+	// Spot and variance at every date, the six-term design row, cash, ys
+	// and idx per path.
+	if err := lsmFits(paths, exDates, paths*(2*exDates+9)); err != nil {
+		return Result{}, err
 	}
 
 	dt := o.T / float64(exDates)

@@ -159,7 +159,10 @@ func mcEuro(p *Problem) (Result, error) {
 		if m.S0 <= o.L {
 			return Result{Price: o.Rebate * math.Exp(-m.R*o.T), HasDelta: false, Work: 1}, nil
 		}
-		steps := p.Params.Int("mcsteps", mcDefaultSteps)
+		steps, err := p.Params.size("mcsteps", mcDefaultSteps)
+		if err != nil {
+			return Result{}, err
+		}
 		if steps < 1 {
 			return Result{}, fmt.Errorf("premia: MC_Euro barrier needs mcsteps >= 1")
 		}
@@ -291,7 +294,10 @@ func mcLocalVol(p *Problem) (Result, error) {
 		return Result{}, err
 	}
 	paths := p.Params.Int("paths", mcDefaultPaths)
-	steps := p.Params.Int("mcsteps", mcDefaultSteps)
+	steps, err := p.Params.size("mcsteps", mcDefaultSteps)
+	if err != nil {
+		return Result{}, err
+	}
 	if paths < 2 || steps < 1 {
 		return Result{}, fmt.Errorf("premia: MC_LocalVol needs paths >= 2 and mcsteps >= 1")
 	}

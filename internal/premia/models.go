@@ -62,7 +62,9 @@ func mbsFrom(p *Problem) (mbsParams, error) {
 		return m, err
 	}
 	m.S0, m.R, m.Div, m.Sigma = base.S0, base.R, base.Div, base.Sigma
-	m.Dim = p.Params.Int("dim", 0)
+	if m.Dim, err = p.Params.size("dim", 0); err != nil {
+		return m, err
+	}
 	if m.Dim < 1 {
 		return m, fmt.Errorf("premia: model %s needs dim >= 1", ModelBSND)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Params is a flat name→value table holding every numeric parameter of a
@@ -79,6 +80,46 @@ func (p Params) Uint64(key string, fallback uint64) uint64 {
 		return math.MaxUint64
 	}
 	return uint64(v)
+}
+
+// sizeMax is the most each parameter that sizes memory may be. A method
+// allocates what these say before it computes anything — a dim × dim
+// Cholesky factor, a tree level per step, a row of normals per time step
+// in each of the kernel's 64 shards — so without a ceiling one request
+// (or one farm frame) naming dim 4000000 ends the process in an
+// out-of-memory fault no recover catches. The maxima admit every problem
+// the portfolio generators build at full effort (dim 40 at 10^6 streamed
+// paths, 1472 PDE steps on 400 nodes, 100 mcsteps) with orders of
+// magnitude to spare and keep any one problem's memory under about
+// 1 GiB. "paths" is bounded only where it is stored, not streamed:
+// MC_Asian's pilot tenth and Longstaff–Schwartz, whose memory is a product
+// of several of these (see lsmFits); "fixings" so that it stays
+// interchangeable with "mcsteps".
+var sizeMax = map[string]int{
+	"dim":       1 << 10,
+	"steps":     1 << 20,
+	"nodes":     1 << 20,
+	"mcsteps":   1 << 16,
+	"fixings":   1 << 16,
+	"exdates":   1 << 12,
+	"rotations": 1 << 10,
+	"degree":    16,
+	"paths":     1 << 28,
+}
+
+// size is Int for a parameter that sizes memory: one past its sizeMax
+// (or a NaN, which can size nothing) is a pricing error like any other.
+// Lower bounds stay each method's own; a value below any int32 reads as
+// that.
+func (p Params) size(key string, fallback int) (int, error) {
+	v, ok := p[key]
+	if !ok {
+		return fallback, nil
+	}
+	if max := sizeMax[key]; !(v <= float64(max)) {
+		return 0, fmt.Errorf("premia: parameter %q = %s exceeds %d", key, strconv.FormatFloat(v, 'f', -1, 64), max)
+	}
+	return int(math.Round(math.Max(v, math.MinInt32))), nil
 }
 
 // Keys returns the parameter names in sorted order for deterministic

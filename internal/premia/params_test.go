@@ -2,6 +2,10 @@ package premia
 
 import (
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -95,5 +99,87 @@ func TestSetSeedLargeSeedsSurvive(t *testing.T) {
 	}
 	if c.Price != d.Price {
 		t.Errorf("Set(seed,7) price %v != SetSeed(7) price %v", c.Price, d.Price)
+	}
+}
+
+// TestSizedParametersBounded: every parameter that sizes memory is read
+// through Params.size, which fails one past its maximum before the method
+// allocates anything. The first three problems used to end the process in
+// an out-of-memory fault (a 128 TB Cholesky factor, an 80 TB tree level,
+// an 80 TB row of normals).
+func TestSizedParametersBounded(t *testing.T) {
+	basket := func(method string) *Problem {
+		return New().SetModel(ModelBSND).SetOption(OptPutBasketEuro).SetMethod(method).
+			Set("S0", 100).Set("r", 0.05).Set("sigma", 0.2).Set("rho", 0.3).Set("K", 100).Set("T", 1).Set("dim", 3)
+	}
+	locvol := New().SetModel(ModelLocVol).SetOption(OptCallEuro).SetMethod(MethodMCLocalVol).
+		Set("S0", 100).Set("r", 0.05).Set("sigma0", 0.2).Set("K", 100).Set("T", 1)
+	for _, tc := range []struct {
+		p    *Problem
+		want string
+	}{
+		{basket(MethodMCBasket).Set("dim", 4000000).Set("paths", 2), `premia: parameter "dim" = 4000000 exceeds 1024`},
+		{bsProblem(OptCallEuro, MethodTreeCRR, 100, 1).Set("steps", 1e13), `premia: parameter "steps" = 10000000000000 exceeds 1048576`},
+		{locvol.Clone().Set("mcsteps", 1e13), `premia: parameter "mcsteps" = 10000000000000 exceeds 65536`},
+		{bsProblem(OptPutAmer, MethodMCAmerLSM, 100, 1).Set("paths", 1<<24).Set("exdates", 64),
+			`premia: parameters "paths" = 16777216 and "exdates" = 64 make LSM store 1191186432 values, which exceeds 134217728`},
+	} {
+		if _, err := tc.p.Compute(); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %s", tc.p, err, tc.want)
+		}
+	}
+	// Every sized parameter, through a method that reads it.
+	readers := map[string][]*Problem{
+		"dim":       {basket(MethodMCBasket), basket(MethodQMCBasket)},
+		"steps":     {bsProblem(OptCallEuro, MethodTreeCRR, 100, 1), bsProblem(OptCallEuro, MethodFDCrank, 100, 1), bsProblem(OptPutAmer, MethodFDBS, 100, 1)},
+		"nodes":     {bsProblem(OptCallEuro, MethodFDCrank, 100, 1), bsProblem(OptPutAmer, MethodFDPSOR, 100, 1)},
+		"mcsteps":   {locvol, bsProblem(OptCallDownOut, MethodMCEuro, 100, 1).Set("L", 80), bsProblem(OptLookbackCallFloat, MethodMCLookback, 100, 1)},
+		"fixings":   {bsProblem(OptAsianCallFix, MethodMCAsianCV, 100, 1)},
+		"exdates":   {bsProblem(OptPutAmer, MethodMCAmerLSM, 100, 1)},
+		"degree":    {bsProblem(OptPutAmer, MethodMCAmerLSM, 100, 1)},
+		"rotations": {basket(MethodQMCBasket)},
+		"paths":     {bsProblem(OptAsianCallFix, MethodMCAsianCV, 100, 1), bsProblem(OptPutAmer, MethodMCAmerLSM, 100, 1)},
+	}
+	for key, max := range sizeMax {
+		if got, err := (Params{key: float64(max)}).size(key, 0); got != max || err != nil {
+			t.Errorf("%s at its maximum reads as %d, %v", key, got, err)
+		}
+		if len(readers[key]) == 0 {
+			t.Errorf("no method reads %q here", key)
+		}
+		for _, p := range readers[key] {
+			for _, v := range []float64{float64(max) + 1, 1e300, math.Inf(1), math.NaN()} {
+				want := "premia: parameter " + strconv.Quote(key) + " = "
+				if _, err := p.Clone().Set(key, v).Compute(); err == nil || !strings.HasPrefix(err.Error(), want) {
+					t.Errorf("%s with %s = %v: err = %v, want one naming the parameter", p, key, v, err)
+				}
+			}
+		}
+	}
+	// The realistic book's largest LSM claim at full effort (dim 7, 10^5
+	// paths, 50 dates, degree 3) fits twenty times over.
+	if err := lsmFits(1e5, 50, 1e5*(50+3+4)+kernelShards*50*7); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSizedParametersReadThroughSize: no method reads a parameter of
+// sizeMax through the unbounded Int — except "paths", which most methods
+// stream and only MC_Asian and Longstaff–Schwartz store.
+func TestSizedParametersReadThroughSize(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key := range sizeMax {
+			if read := `.Int("` + key + `"`; key != "paths" && !strings.HasSuffix(file, "_test.go") && strings.Contains(string(src), read) {
+				t.Errorf("%s reads %q with Params%s…), which has no upper bound: use Params.size", file, key, read)
+			}
+		}
 	}
 }

@@ -197,8 +197,14 @@ func fdCrankNicolson(p *Problem) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	nodes := p.Params.Int("nodes", pdeDefaultNodes)
-	steps := p.Params.Int("steps", pdeDefaultSteps)
+	nodes, err := p.Params.size("nodes", pdeDefaultNodes)
+	if err != nil {
+		return Result{}, err
+	}
+	steps, err := p.Params.size("steps", pdeDefaultSteps)
+	if err != nil {
+		return Result{}, err
+	}
 	if nodes < 8 || steps < 1 {
 		return Result{}, fmt.Errorf("premia: FD grid too small (%d nodes, %d steps)", nodes, steps)
 	}
@@ -293,8 +299,14 @@ func fdAmericanCommon(p *Problem) (*pdeSolver, bsParams, vanillaParams, error) {
 	if err != nil {
 		return nil, m, o, err
 	}
-	nodes := p.Params.Int("nodes", pdeDefaultNodes)
-	steps := p.Params.Int("steps", pdeDefaultSteps)
+	nodes, err := p.Params.size("nodes", pdeDefaultNodes)
+	if err != nil {
+		return nil, m, o, err
+	}
+	steps, err := p.Params.size("steps", pdeDefaultSteps)
+	if err != nil {
+		return nil, m, o, err
+	}
 	if nodes < 8 || steps < 1 {
 		return nil, m, o, fmt.Errorf("premia: FD grid too small (%d nodes, %d steps)", nodes, steps)
 	}

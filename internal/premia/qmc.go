@@ -27,7 +27,10 @@ func qmcBasket(p *Problem) (Result, error) {
 		return Result{}, err
 	}
 	paths := p.Params.Int("paths", mcDefaultPaths)
-	rotations := p.Params.Int("rotations", 8)
+	rotations, err := p.Params.size("rotations", 8)
+	if err != nil {
+		return Result{}, err
+	}
 	if paths < 2 || rotations < 2 {
 		return Result{}, fmt.Errorf("premia: QMC_Basket needs paths >= 2 and rotations >= 2")
 	}

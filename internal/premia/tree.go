@@ -17,7 +17,10 @@ func treeCRR(p *Problem) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	n := p.Params.Int("steps", 512)
+	n, err := p.Params.size("steps", 512)
+	if err != nil {
+		return Result{}, err
+	}
 	if n < 1 {
 		return Result{}, fmt.Errorf("premia: TR_CRR needs steps >= 1, got %d", n)
 	}

@@ -22,7 +22,10 @@ func treeTrinomial(p *Problem) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	n := p.Params.Int("steps", 256)
+	n, err := p.Params.size("steps", 256)
+	if err != nil {
+		return Result{}, err
+	}
 	if n < 1 {
 		return Result{}, fmt.Errorf("premia: TR_Trinomial needs steps >= 1, got %d", n)
 	}

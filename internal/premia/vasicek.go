@@ -108,7 +108,10 @@ func mcVasicek(p *Problem) (Result, error) {
 		return Result{}, err
 	}
 	paths := p.Params.Int("paths", mcDefaultPaths)
-	steps := p.Params.Int("mcsteps", mcDefaultSteps)
+	steps, err := p.Params.size("mcsteps", mcDefaultSteps)
+	if err != nil {
+		return Result{}, err
+	}
 	if paths < 2 || steps < 1 {
 		return Result{}, fmt.Errorf("premia: MC_Vasicek needs paths >= 2 and mcsteps >= 1")
 	}

@@ -19,12 +19,15 @@ type PriceFunc func(ctx context.Context, problems []*premia.Problem) ([]risk.Pri
 
 // priceRequest is one problem waiting for a batch slot. done is
 // buffered, so the batcher's reply never blocks even when the requester
-// has abandoned its deadline. span roots the request's distributed
-// trace and queue times its wait for a batch slot; both are nil when
-// tracing is off.
+// has abandoned its deadline. trace is where the request sits in its
+// distributed trace and queue times its wait for a batch slot; span is
+// the trace's root when this descriptor opened it (a lone problem) and nil
+// when the request it belongs to did (/batch). All are zero when tracing
+// is off.
 type priceRequest struct {
 	problem *premia.Problem
 	done    chan priceResponse
+	trace   telemetry.TraceContext
 	span    *telemetry.Span
 	queue   *telemetry.Span
 }
@@ -178,11 +181,9 @@ func (b *batcher) runBatch(batch []*priceRequest) {
 	for i, r := range batch {
 		problems[i] = r.problem
 		r.queue.End()
-		if !adopted {
-			if tc := r.span.Context(); tc.Valid() {
-				ctx = telemetry.ContextWithTrace(ctx, tc)
-				adopted = true
-			}
+		if !adopted && r.trace.Valid() {
+			ctx = telemetry.ContextWithTrace(ctx, r.trace)
+			adopted = true
 		}
 	}
 	out, err := b.price(ctx, problems)
@@ -193,7 +194,7 @@ func (b *batcher) runBatch(batch []*priceRequest) {
 		err = fmt.Errorf("serve: price returned %d outcomes for %d problems", len(out), len(batch))
 	}
 	for i, r := range batch {
-		r.span.End()
+		r.span.End() // nil unless this descriptor opened its trace's root
 		if err != nil {
 			r.done <- priceResponse{err: err}
 			continue

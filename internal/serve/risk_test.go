@@ -123,6 +123,9 @@ func TestRiskReportBadRequests(t *testing.T) {
 		// scale_days needs a horizon to anchor on; grid mode has none
 		// unless horizon_days is set explicitly.
 		"scale sans horizon": `{"scenarios":{"mode":"grid"},"scale_days":10}`,
+		// Found by FuzzServeBodies: the factor overflows, every figure was a
+		// NaN, and the answer an empty 200.
+		"scale not finite": `{"scenarios":{"horizon_days":0.1},"scale_days":1e308}`,
 	} {
 		if w := postJSON(s, "/risk/report", body); w.Code != 400 {
 			t.Errorf("%s: status %d, want 400 (%s)", name, w.Code, w.Body)

@@ -290,12 +290,20 @@ func (s *Server) priceProblem(ctx context.Context, p *premia.Problem, wait bool)
 	}
 	req := &priceRequest{problem: p, done: make(chan priceResponse, 1)}
 	if !s.cfg.DisableTracing {
-		// Each flight leader roots one distributed trace; the batcher ends
-		// the queue span at flush and prices the whole batch under the
-		// first request's trace, so /debug/traces shows queue wait, batch
-		// delay, dispatch and worker compute per request.
-		req.span = s.reg.StartTrace("serve.request")
-		req.queue = req.span.StartChild("serve.queue")
+		// A request roots one trace. A lone problem is its own request:
+		// its flight leader opens the serve.request root here and the
+		// batcher ends it. A problem fanned out of a request that already
+		// carries a trace (/batch) opens only its queue span there. Either
+		// way the batcher ends the queue span at flush and prices the
+		// whole batch under the first request's trace, so /debug/traces
+		// shows queue wait, batch delay, dispatch and worker compute.
+		if tc, ok := telemetry.TraceFromContext(ctx); ok {
+			req.trace = tc
+		} else {
+			req.span = s.reg.StartTrace("serve.request")
+			req.trace = req.span.Context()
+		}
+		req.queue = s.reg.StartSpanIn(req.trace, "serve.queue")
 	}
 	if wait {
 		if err := s.batch.submitWait(ctx, req); err != nil {
@@ -308,7 +316,7 @@ func (s *Server) priceProblem(ctx context.Context, p *premia.Problem, wait bool)
 		req.queue.End()
 		req.span.End()
 		s.reg.Counter("serve.rejected.queue").Add(1)
-		s.reg.Emit(telemetry.LevelWarn, "serve.reject.queue", req.span.Context(),
+		s.reg.Emit(telemetry.LevelWarn, "serve.reject.queue", req.trace,
 			telemetry.Num("queue_cap", float64(cap(s.batch.in))))
 		s.flight.finish(key, call, priceResponse{err: ErrOverloaded})
 		return risk.PriceOutcome{}, ErrOverloaded
@@ -318,7 +326,7 @@ func (s *Server) priceProblem(ctx context.Context, p *premia.Problem, wait bool)
 		return s.settle(key, call, resp)
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.reg.Emit(telemetry.LevelWarn, "serve.request.deadline", req.span.Context(),
+			s.reg.Emit(telemetry.LevelWarn, "serve.request.deadline", req.trace,
 				telemetry.Num("timeout_seconds", s.cfg.RequestTimeout.Seconds()))
 		}
 		// The leader's deadline expired but the batch is still pricing.
@@ -473,10 +481,18 @@ func toResultJSON(o risk.PriceOutcome) resultJSON {
 	return resultJSON{Price: r.Price, PriceCI: r.PriceCI, Delta: r.Delta, HasDelta: r.HasDelta, Work: r.Work, Cached: o.Cached}
 }
 
+// writeJSON answers with v. JSON cannot spell a NaN or an infinity, so an
+// answer holding one is the server's failure: a 500 saying so, where
+// encoding straight onto the wire used to leave an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "serve: answer is not JSON: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 // statusClientClosedRequest is the de-facto status (nginx's 499) for a
@@ -571,6 +587,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
+	if !s.cfg.DisableTracing {
+		// One request, one trace: every problem below queues and prices
+		// under this root instead of minting its own, which used to evict
+		// the whole trace table and count in the latency SLO once per
+		// problem.
+		root := s.reg.StartTrace("serve.request")
+		defer root.End()
+		ctx = telemetry.ContextWithTrace(ctx, root.Context())
+	}
 	// Fan every problem through the single-problem path concurrently:
 	// distinct problems fill micro-batches, duplicates coalesce in the
 	// flight group, warm ones hit the cache.

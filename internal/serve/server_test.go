@@ -43,6 +43,11 @@ func cfBody(k float64) string {
 	"params":{"S0":100,"r":0.04,"sigma":0.2,"K":%g,"T":1}}`, k)
 }
 
+// batchBody is a /batch request carrying the given problem bodies.
+func batchBody(problems ...string) string {
+	return `{"problems":[` + strings.Join(problems, ",") + `]}`
+}
+
 // countingEngine wraps a real engine's PriceBatch and counts how many
 // problems reach the kernel (i.e. were not absorbed by cache,
 // singleflight or batch dedup).
@@ -439,6 +444,19 @@ func TestBadRequests(t *testing.T) {
 	}
 	if w := getPath(s, "/debug/traces"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "trace(s) retained") {
 		t.Fatalf("debug/traces: status %d, body %q", w.Code, w.Body.String())
+	}
+}
+
+// TestUnencodableAnswerIsA500: JSON has no NaN, so an answer holding one
+// must not go out as a 200 with nothing in it.
+func TestUnencodableAnswerIsA500(t *testing.T) {
+	s := New(Config{Price: func(ctx context.Context, problems []*premia.Problem) ([]risk.PriceOutcome, error) {
+		return []risk.PriceOutcome{{Result: premia.Result{Price: math.NaN()}}}, nil
+	}})
+	defer s.Close()
+	w := postJSON(s, "/price", cfBody(100))
+	if w.Code != http.StatusInternalServerError || !json.Valid(w.Body.Bytes()) || !strings.Contains(w.Body.String(), "NaN") {
+		t.Errorf("a NaN price answered %d %q, want a 500 whose JSON body says why", w.Code, w.Body)
 	}
 }
 

@@ -113,3 +113,57 @@ func TestServeTracingDisabled(t *testing.T) {
 		t.Fatal("metrics-side spans should still record with tracing off")
 	}
 }
+
+// TestBatchRootsOneTrace: a request roots one trace whatever it carries.
+// /batch used to let each of its problems mint a serve.request root, so
+// one 256-problem request evicted the whole 128-trace table (the /price
+// before it included) and counted 256 times in span.serve.request, the
+// histogram the latency SLO reads "99 % of requests under 50 ms" from.
+func TestBatchRootsOneTrace(t *testing.T) {
+	reg := telemetry.New()
+	s := New(Config{Telemetry: reg, CacheSize: -1})
+	defer s.Close()
+	if w := postJSON(s, "/price", cfBody(50)); w.Code != http.StatusOK {
+		t.Fatalf("price: status %d body %s", w.Code, w.Body.String())
+	}
+	const problems = 256
+	bodies := make([]string, problems)
+	for i := range bodies {
+		bodies[i] = cfBody(float64(60 + i))
+	}
+	if w := postJSON(s, "/batch", batchBody(bodies...)); w.Code != http.StatusOK {
+		t.Fatalf("batch: status %d body %s", w.Code, w.Body.String())
+	}
+
+	if got, want := reg.SpanCount("serve.request"), reg.Counter("serve.requests").Value(); got != 2 || want != 2 {
+		t.Errorf("span.serve.request counts %d for %d requests, want 2 and 2", got, want)
+	}
+	traces := reg.Traces()
+	if len(traces) != 2 {
+		t.Fatalf("server retains %d traces after one /price and one /batch, want 2", len(traces))
+	}
+	count := func(tr telemetry.Trace) map[string]int {
+		names := map[string]int{}
+		for _, sp := range tr.Spans {
+			names[sp.Name]++
+		}
+		return names
+	}
+	price, batch := count(traces[0]), count(traces[1])
+	if batch["serve.queue"] < price["serve.queue"] {
+		price, batch = batch, price
+	}
+	if price["serve.request"] != 1 || price["serve.queue"] != 1 || price["farm.run"] != 1 {
+		t.Errorf("the /price trace holds %v, want one serve.request, serve.queue and farm.run", price)
+	}
+	// Every flush of the batcher is one farm run, and all of them belong
+	// to the request that caused them (16 when each flush fills).
+	flushes := int(reg.Histogram("serve.batch.size").Count()) - 1
+	if batch["serve.request"] != 1 || batch["serve.queue"] != problems || batch["farm.run"] != flushes || flushes < problems/16 {
+		t.Errorf("the /batch trace holds %d serve.request, %d serve.queue and %d farm.run, want 1, %d and one per flush (%d)",
+			batch["serve.request"], batch["serve.queue"], batch["farm.run"], problems, flushes)
+	}
+	if batch["farm.task"] != problems || traces[0].Dropped+traces[1].Dropped != 0 {
+		t.Errorf("the /batch trace holds %d farm.task spans (%d dropped), want %d and none", batch["farm.task"], traces[0].Dropped+traces[1].Dropped, problems)
+	}
+}

@@ -143,7 +143,9 @@ func (c *Comm) Compute(seconds float64) {
 	}
 	d := seconds / c.world.speeds[c.rank]
 	c.busy += d
-	c.world.eng.trace(c.proc.name, "compute", fmt.Sprintf("%.6gs", d))
+	if eng := c.world.eng; eng.tracer != nil {
+		eng.trace(c.proc.name, "compute", fmt.Sprintf("%.6gs", d))
+	}
 	c.proc.Sleep(d)
 }
 
@@ -160,7 +162,9 @@ func (c *Comm) Send(data []byte, dest, tag int) error {
 	link := c.world.link
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	c.world.eng.trace(c.proc.name, "send", fmt.Sprintf("%dB to %d tag %d", len(data), dest, tag))
+	if eng := c.world.eng; eng.tracer != nil {
+		eng.trace(c.proc.name, "send", fmt.Sprintf("%dB to %d tag %d", len(data), dest, tag))
+	}
 	c.proc.Sleep(link.SendOverhead + link.transfer(len(data)))
 	dst := c.world.comms[dest]
 	m := simMessage{source: c.rank, tag: tag, data: cp}
@@ -189,7 +193,8 @@ func (c *Comm) waitMatch(source, tag int) int {
 		}
 		c.waiting = true
 		c.wantSource, c.wantTag = source, tag
-		c.proc.block(fmt.Sprintf("recv from %d tag %d", source, tag))
+		c.proc.recv = c // the reason, formatted if a deadlock report ever asks
+		c.proc.block("")
 	}
 }
 
@@ -212,7 +217,9 @@ func (c *Comm) Recv(source, tag int) ([]byte, mpi.Status, error) {
 	i := c.waitMatch(source, tag)
 	m := c.inbox[i]
 	c.inbox = append(c.inbox[:i], c.inbox[i+1:]...)
-	c.world.eng.trace(c.proc.name, "recv", fmt.Sprintf("%dB from %d tag %d", len(m.data), m.source, m.tag))
+	if eng := c.world.eng; eng.tracer != nil {
+		eng.trace(c.proc.name, "recv", fmt.Sprintf("%dB from %d tag %d", len(m.data), m.source, m.tag))
+	}
 	c.proc.Sleep(c.world.link.RecvOverhead)
 	return m.data, mpi.Status{Source: m.source, Tag: m.tag, Bytes: len(m.data)}, nil
 }

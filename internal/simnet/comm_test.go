@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -197,8 +198,13 @@ func TestSimDeadlockWhenNoSender(t *testing.T) {
 		w.Comm(1).Bind(p)
 		_, _, _ = w.Comm(1).Recv(0, 0)
 	})
-	if _, ok := e.Run().(*ErrDeadlock); !ok {
+	dl, ok := e.Run().(*ErrDeadlock)
+	if !ok {
 		t.Fatal("expected deadlock")
+	}
+	// The reason is formatted here, from what the Comm stored.
+	if want := []string{"receiver (recv from 0 tag 0)"}; !reflect.DeepEqual(dl.Blocked, want) {
+		t.Errorf("deadlock report %q, want %q", dl.Blocked, want)
 	}
 }
 
@@ -419,16 +425,64 @@ func TestTracerLimit(t *testing.T) {
 	}
 }
 
-func TestNilTracerIsFree(t *testing.T) {
-	// No tracer attached: everything still works (nil receiver emit).
-	e := NewEngine()
-	w := NewWorld(e, 1, flatLink)
-	e.Go("p", func(p *Proc) {
+// pingPong runs a two-rank exchange with every cost non-zero, so each
+// round blocks in two receives and sleeps through two sends, two receive
+// overheads and a compute.
+func pingPong(t *testing.T, e *Engine, rounds int) {
+	w := NewWorld(e, 2, LinkConfig{Latency: 1e-4, Bandwidth: 1e8, SendOverhead: 1e-5, RecvOverhead: 1e-5})
+	msg := make([]byte, 64)
+	e.Go("ping", func(p *Proc) {
 		c := w.Comm(0)
 		c.Bind(p)
-		c.Compute(1)
+		for i := 0; i < rounds; i++ {
+			if err := c.Send(msg, 1, 7); err != nil {
+				t.Error(err)
+			}
+			if _, _, err := c.Recv(1, 7); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	e.Go("pong", func(p *Proc) {
+		c := w.Comm(1)
+		c.Bind(p)
+		for i := 0; i < rounds; i++ {
+			if _, _, err := c.Recv(0, 7); err != nil {
+				t.Error(err)
+			}
+			c.Compute(1e-3)
+			if err := c.Send(msg, 0, 7); err != nil {
+				t.Error(err)
+			}
+		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNilTracerIsFree: with no tracer attached everything still works and
+// nothing is formatted for the reader that is not there. A ping-pong
+// round is two sends, two receives and a compute: five sleeps, two
+// deliveries and two wake-ups, nine events at three allocations each (the
+// closure, its heap slot going in and coming out) plus the two message
+// copies, 29 in all. A trace detail per send, receive and compute and a
+// deadlock reason per sleep and block used to add eighteen to that.
+func TestNilTracerIsFree(t *testing.T) {
+	const rounds = 500
+	cost := func(rounds int) float64 {
+		return testing.AllocsPerRun(5, func() { pingPong(t, NewEngine(), rounds) })
+	}
+	perRound := (cost(2*rounds) - cost(rounds)) / rounds
+	t.Logf("%.1f allocations per untraced ping-pong round", perRound)
+	if perRound > 32 {
+		t.Errorf("an untraced ping-pong round costs %.1f allocations, want <= 32", perRound)
+	}
+	tr := &Tracer{}
+	e := NewEngine()
+	e.SetTracer(tr)
+	pingPong(t, e, 1)
+	if len(tr.Events) != 5 {
+		t.Errorf("a traced round recorded %d events, want 5 (2 sends, 2 receives, 1 compute)", len(tr.Events))
 	}
 }

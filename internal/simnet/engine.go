@@ -65,9 +65,12 @@ type Proc struct {
 	resume  chan struct{}
 	yielded chan struct{}
 	done    bool
-	// blocked marks a process waiting passively (e.g. on a message) so
-	// deadlock reports can name it.
+	// blocked and recv say what a passively waiting process waits for, so
+	// a deadlock report can name it: the reason given to block, or the
+	// communicator whose receive it is parked in (the report formats that
+	// one itself; a run blocks in receives a million times and fails once).
 	blocked string
+	recv    *Comm
 }
 
 // Name returns the process name given to Go.
@@ -95,7 +98,7 @@ func (e *Engine) runProc(p *Proc) {
 	if p.done || !e.alive[p] {
 		return
 	}
-	p.blocked = ""
+	p.blocked, p.recv = "", nil
 	p.resume <- struct{}{}
 	<-p.yielded
 	if p.done {
@@ -105,8 +108,7 @@ func (e *Engine) runProc(p *Proc) {
 
 // yield returns the token to the engine; the process resumes when some
 // event calls runProc on it again.
-func (p *Proc) yield(reason string) {
-	p.blocked = reason
+func (p *Proc) yield() {
 	p.yielded <- struct{}{}
 	<-p.resume
 }
@@ -119,7 +121,7 @@ func (p *Proc) Sleep(d float64) {
 	}
 	e := p.eng
 	e.schedule(e.now+d, func() { e.runProc(p) })
-	p.yield(fmt.Sprintf("sleep %.6gs", d))
+	p.yield() // no reason: its wake-up is scheduled, so no deadlock report lists it
 }
 
 // SleepUntil advances the process's clock to absolute time t.
@@ -129,7 +131,16 @@ func (p *Proc) SleepUntil(t float64) {
 
 // block parks the process until some other event resumes it via wake.
 func (p *Proc) block(reason string) {
-	p.yield(reason)
+	p.blocked = reason
+	p.yield()
+}
+
+// waitingFor is the deadlock report's account of a parked process.
+func (p *Proc) waitingFor() string {
+	if c := p.recv; c != nil {
+		return fmt.Sprintf("recv from %d tag %d", c.wantSource, c.wantTag)
+	}
+	return p.blocked
 }
 
 // wake schedules the process to resume at the current virtual time. It
@@ -163,7 +174,7 @@ func (e *Engine) Run() error {
 	if len(e.alive) > 0 {
 		var names []string
 		for p := range e.alive {
-			names = append(names, fmt.Sprintf("%s (%s)", p.name, p.blocked))
+			names = append(names, fmt.Sprintf("%s (%s)", p.name, p.waitingFor()))
 		}
 		sort.Strings(names)
 		return &ErrDeadlock{Blocked: names}

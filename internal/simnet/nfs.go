@@ -76,12 +76,16 @@ func (n *NFS) Read(p *Proc, node int, path string, size int) {
 	m := n.cache[node]
 	if m != nil && m[path] {
 		n.hits++
-		p.eng.trace(p.name, "nfs", "hit "+path)
+		if p.eng.tracer != nil {
+			p.eng.trace(p.name, "nfs", "hit "+path)
+		}
 		p.Sleep(n.cfg.CacheHitTime)
 		return
 	}
 	n.misses++
-	p.eng.trace(p.name, "nfs", "miss "+path)
+	if p.eng.tracer != nil {
+		p.eng.trace(p.name, "nfs", "miss "+path)
+	}
 	p.Sleep(n.cfg.Latency)
 	service := n.cfg.ServerTime
 	if n.cfg.Bandwidth > 0 {

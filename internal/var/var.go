@@ -46,9 +46,10 @@ func (cfg Config) withDefaults() Config {
 // Validate rejects configurations the estimators cannot evaluate:
 // confidence levels outside (0,1) — which risk.VaR/ExpectedShortfall
 // would panic on — and a ScaleDays rescaling with no HorizonDays to
-// anchor the square-root-of-time rule (scale() would silently return 1).
-// Both estimators call it on entry, so user-supplied levels surface as
-// errors, not panics.
+// anchor the square-root-of-time rule (scale() would silently return 1),
+// or with a ratio so extreme the factor is not a finite number (every
+// figure of the report would be an infinity or a NaN). Both estimators
+// call it on entry, so user-supplied levels surface as errors, not panics.
 func (cfg Config) Validate() error {
 	for _, a := range cfg.Alphas {
 		if !(a > 0 && a < 1) {
@@ -57,6 +58,9 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.ScaleDays > 0 && cfg.HorizonDays <= 0 {
 		return fmt.Errorf("varisk: ScaleDays %g needs HorizonDays > 0 to anchor the square-root-of-time rescaling", cfg.ScaleDays)
+	}
+	if f := cfg.scale(); math.IsInf(f, 0) || math.IsNaN(f) {
+		return fmt.Errorf("varisk: rescaling from HorizonDays %g to ScaleDays %g is not a finite factor", cfg.HorizonDays, cfg.ScaleDays)
 	}
 	return nil
 }
