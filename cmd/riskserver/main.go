@@ -1,6 +1,8 @@
 // Command riskserver runs the production pricing service: an HTTP/JSON
-// front end over the live local farm, with dynamic micro-batching, a
-// content-addressed result cache and admission control.
+// front end over a standing farm session — -workers workers started by
+// the first round and stopped by the drain — with dynamic
+// micro-batching, a content-addressed result cache and admission
+// control.
 //
 // Start it:
 //
@@ -12,8 +14,9 @@
 //	  "option":"CallEuro","method":"CF_Call",
 //	  "params":{"S0":100,"r":0.05,"sigma":0.2,"K":100,"T":1}}'
 //
-// Price a book in one request (problems coalesce into farm batches and
-// duplicates are priced once):
+// Price a book in one request (cached problems are answered at once,
+// duplicates are priced once, and the rest go to the farm together as
+// one round):
 //
 //	curl -s localhost:8080/batch -d '{"problems":[...]}'
 //
@@ -36,7 +39,7 @@
 //	curl -s localhost:8080/debug/traces   # slowest requests as span trees
 //	curl -s 'localhost:8080/debug/events?level=warn'  # structured event log, NDJSON
 //	curl -s localhost:8080/debug/slo      # SLO burn-rate monitor status
-//	curl -s localhost:8080/debug/farm     # per-worker fleet health
+//	curl -s localhost:8080/debug/farm     # farm session state and per-worker fleet health
 //
 // With -pprof, the standard net/http/pprof profiling handlers are
 // additionally mounted under /debug/pprof/.
@@ -45,10 +48,14 @@
 // prices on in-process goroutine ranks; "tcp", "unix" or "inproc" run a
 // framed hub world on that mpi transport with the versioned wire
 // handshake — "unix" is the recommended same-host worker-pool shape.
+// Either way the workers are started once and every flush and every
+// risk report is a round on the same session; a worker lost mid-round
+// costs the rounds in flight, and the next round starts a new session.
 //
 // SIGINT/SIGTERM drains gracefully: admission stops (healthz flips to
 // 503 so load balancers rotate the instance out), in-flight farm
-// batches finish, and only then does the process exit.
+// rounds finish, the workers get their stop message and are joined, and
+// only then does the process exit.
 package main
 
 import (
@@ -89,8 +96,8 @@ func withPprof(h http.Handler) http.Handler {
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "address to serve HTTP on")
-		workers     = flag.Int("workers", runtime.NumCPU(), "pricing goroutines per farm batch")
-		batch       = flag.Int("batch", 16, "micro-batch flush size and tasks per farm message")
+		workers     = flag.Int("workers", runtime.NumCPU(), "farm workers of the standing session, started once and shared by every round")
+		batch       = flag.Int("batch", 16, "problems waiting that flush a micro-batch (a /batch book is never split) and tasks per farm message")
 		maxDelay    = flag.Duration("maxdelay", 2*time.Millisecond, "max wait for a micro-batch to fill before flushing")
 		cacheSize   = flag.Int("cache", serve.DefaultCacheSize, "result cache capacity in entries (negative disables)")
 		maxInflight = flag.Int("maxinflight", 256, "admitted concurrent requests before shedding with 429")

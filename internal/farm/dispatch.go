@@ -1,0 +1,457 @@
+package farm
+
+import (
+	"context"
+	"fmt"
+	"strconv"
+
+	"riskbench/internal/mpi"
+	"riskbench/internal/telemetry"
+)
+
+// queuedBatch is one batch awaiting dispatch plus its enqueue time on
+// the telemetry clock (0 when telemetry is off). retryFrom is the rank
+// whose failure requeued the batch (0 = fresh dispatch); a retry landing
+// on a different rank is a redeal.
+type queuedBatch struct {
+	tasks     []Task
+	enqueued  float64
+	retryFrom int
+}
+
+// pendingBatch is one batch in flight on a worker: the round it belongs
+// to (nil = the worker is idle), the tasks (for retry matching), the
+// clock just before and just after its sends, and the per-task spans to
+// close on arrival of the results.
+type pendingBatch struct {
+	round *round
+	tasks []Task
+	// sendingAt is read before the descriptor goes out, so it is no later
+	// than the instant the worker receives it: the anchor for shifting
+	// worker clocks. sentAt is read after the sends: the start of the
+	// worker's busy time and the end of the batch's queue wait.
+	sendingAt, sentAt float64
+	spans             []*telemetry.Span
+}
+
+// round is the dispatch state of one submitted task list. Everything the
+// dispatcher keeps about a task list lives here and nowhere else, so
+// rounds open at the same time share the workers and nothing more — two
+// of them may both name a task "s001/…" and keep separate attempts and
+// results.
+//
+// When opts.Telemetry is set, every task gets a "farm.task" span
+// (dispatch → results) under the round's "farm.run" span, and the
+// queue-wait, serialize and task-latency histograms plus the per-worker
+// busy gauges are populated. Durations are read off the registry clock,
+// so simulated runs record virtual seconds.
+type round struct {
+	// ctx carries the round's cancellation and the distributed trace it
+	// adopts (a serve request or bench run); without one the round is
+	// metrics-only.
+	ctx  context.Context
+	opts Options
+	span *telemetry.Span // farm.run
+	// queues[queueOf(w)] is what rank w draws from: every rank shares
+	// queue 0 under sharedQueue; under perRankQueues rank workers[i] owns
+	// queue perRank[workers[i]] = i and the batches are dealt round-robin.
+	queues  [][]queuedBatch
+	perRank map[int]int
+	// queued and inflight count the round's batches waiting in queues and
+	// out on workers; the round is over when both reach zero.
+	queued, inflight int
+	attempts         map[string]int
+	results          []Result
+	// cancelled marks a round that dispatches nothing more: its queue is
+	// dropped and it ends when its in-flight batches have drained.
+	cancelled bool
+	// finished, err and results are final once done is closed (the session
+	// driver waits on it; the synchronous driver passes nil and reads them
+	// when its loop ends).
+	finished bool
+	err      error
+	done     chan struct{}
+}
+
+func (r *round) queueOf(w int) int {
+	if r.perRank == nil {
+		return 0
+	}
+	return r.perRank[w]
+}
+
+// dispatcher is the farm's one dispatch state machine: it deals the
+// batches of its open rounds over the worker ranks, one batch
+// outstanding per rank, without ever sending the stop message. It has no
+// loop and blocks only in the sends of feed; a driver owns the receive —
+// runBatches synchronously for one round, a Session's pump for many —
+// and calls submit, feed, onReply and cancel, one call at a time.
+type dispatcher struct {
+	c       mpi.Comm
+	workers []int
+	loader  Loader
+	// slots[w] is the batch in flight on rank w.
+	slots []pendingBatch
+	// rounds are the open rounds; an idle rank draws from them in
+	// rotation, starting at turn, so a one-batch round submitted behind a
+	// long one is dealt within one batch time per worker.
+	rounds []*round
+	turn   int
+	// gauges, when non-nil (a session), are published after every
+	// transition.
+	gauges *sessionGauges
+}
+
+// sessionGauges are the live answer to the paper's one diagnostic, "the
+// nodes are waiting for work": how many rounds are open, how many
+// batches wait for a worker, and how many workers wait for a batch.
+type sessionGauges struct {
+	openRounds, queuedBatches, idleWorkers *telemetry.Gauge
+}
+
+func newSessionGauges(reg *telemetry.Registry) *sessionGauges {
+	if reg == nil {
+		return nil
+	}
+	return &sessionGauges{
+		openRounds:    reg.Gauge("farm.session.open_rounds"),
+		queuedBatches: reg.Gauge("farm.session.queued_batches"),
+		idleWorkers:   reg.Gauge("farm.session.idle_workers"),
+	}
+}
+
+func newDispatcher(c mpi.Comm, workers []int, loader Loader) *dispatcher {
+	return &dispatcher{c: c, workers: workers, loader: loader, slots: make([]pendingBatch, c.Size())}
+}
+
+func (g *sessionGauges) set(openRounds, queuedBatches, idleWorkers int) {
+	if g == nil {
+		return
+	}
+	g.openRounds.Set(float64(openRounds))
+	g.queuedBatches.Set(float64(queuedBatches))
+	g.idleWorkers.Set(float64(idleWorkers))
+}
+
+// publish sets the session gauges from the dispatcher's state.
+func (d *dispatcher) publish() {
+	if d.gauges == nil {
+		return
+	}
+	queued, idle := 0, 0
+	for _, r := range d.rounds {
+		queued += r.queued
+	}
+	for _, w := range d.workers {
+		if d.slots[w].round == nil {
+			idle++
+		}
+	}
+	d.gauges.set(len(d.rounds), queued, idle)
+}
+
+// submit opens a round over the batches under the assignment policy.
+// Nothing is sent: the driver feeds the idle ranks next. done, when
+// non-nil, is closed as the round finishes. A round of no batches
+// finishes here.
+func (d *dispatcher) submit(ctx context.Context, batches [][]Task, policy assignment, opts Options, done chan struct{}) *round {
+	reg := opts.Telemetry
+	r := &round{ctx: ctx, opts: opts, attempts: make(map[string]int), done: done}
+	if tc, ok := telemetry.TraceFromContext(ctx); ok {
+		r.span = reg.StartSpanIn(tc, "farm.run")
+	} else {
+		r.span = reg.StartSpan("farm.run")
+	}
+	r.queues = make([][]queuedBatch, 1)
+	if policy == perRankQueues {
+		r.perRank = make(map[int]int, len(d.workers))
+		for i, w := range d.workers {
+			r.perRank[w] = i
+		}
+		r.queues = make([][]queuedBatch, len(d.workers))
+	}
+	for q := range r.queues {
+		r.queues[q] = make([]queuedBatch, 0, len(batches)/len(r.queues)+1)
+	}
+	now := reg.Now()
+	tasks := 0
+	for i, b := range batches {
+		q := i % len(r.queues)
+		r.queues[q] = append(r.queues[q], queuedBatch{tasks: b, enqueued: now})
+		tasks += len(b)
+	}
+	r.queued = len(batches)
+	if tasks > 0 {
+		r.results = make([]Result, 0, tasks)
+	}
+	d.rounds = append(d.rounds, r)
+	d.settle(r)
+	d.publish()
+	return r
+}
+
+// feed hands idle rank w its next batch: the head of its queue in the
+// first open round, in rotation, that has one. Nothing queued leaves the
+// rank idle. An error is a transport failure, fatal to every open round.
+func (d *dispatcher) feed(w int) error {
+	for i := range d.rounds {
+		k := (d.turn + i) % len(d.rounds)
+		r := d.rounds[k]
+		if q := r.queueOf(w); len(r.queues[q]) > 0 {
+			d.turn = k + 1
+			err := d.send(r, q, w)
+			d.publish()
+			return err
+		}
+	}
+	return nil
+}
+
+// send dispatches the head of r's queue q to idle rank w.
+func (d *dispatcher) send(r *round, q, w int) error {
+	reg, opts := r.opts.Telemetry, r.opts
+	qb := r.queues[q][0]
+	r.queues[q] = r.queues[q][1:]
+	r.queued--
+	// The per-task spans open before the send so their IDs can ride
+	// the descriptor: the worker parents its farm.compute spans on
+	// them.
+	pb := pendingBatch{round: r, tasks: qb.tasks}
+	var bt batchTrace
+	if reg != nil {
+		pb.spans = make([]*telemetry.Span, len(qb.tasks))
+		for i := range pb.spans {
+			pb.spans[i] = r.span.StartChild("farm.task")
+		}
+		// Trace context rides the descriptor only when the worker
+		// negotiated the spans capability: a peer that never said it
+		// understands span payloads (an older build joining during a
+		// rolling upgrade) gets a plain descriptor, prices it
+		// identically, and ships no spans back.
+		if tc := r.span.Context(); tc.Valid() && mpi.PeerCaps(d.c, w).Has(mpi.CapSpans) {
+			bt.traceID = tc.TraceID
+			bt.parents = make([]uint64, len(pb.spans))
+			for i, sp := range pb.spans {
+				bt.parents[i] = sp.ID()
+			}
+		}
+	}
+	dispatch := r.span.StartChild("farm.dispatch")
+	pb.sendingAt = reg.Now()
+	err := sendBatch(d.c, w, qb.tasks, d.loader, opts, bt)
+	dispatch.End()
+	if err != nil {
+		return err
+	}
+	pb.sentAt = reg.Now()
+	if reg != nil {
+		wait := pb.sentAt - qb.enqueued
+		for range qb.tasks {
+			reg.Observe("farm.queue_wait_seconds", wait)
+		}
+	}
+	opts.Fleet.dispatched(w, len(qb.tasks), pb.sentAt)
+	if qb.retryFrom != 0 && qb.retryFrom != w {
+		// The retry landed on a different worker than the one that
+		// failed it: a redeal, the farm's unit of self-healing.
+		opts.Fleet.taskRedealt(w)
+		reg.Emit(telemetry.LevelWarn, "farm.task.redeal", r.span.Context(),
+			telemetry.Str("task", qb.tasks[0].Name),
+			telemetry.Num("failed_on", float64(qb.retryFrom)),
+			telemetry.Num("redealt_to", float64(w)))
+	}
+	d.slots[w] = pb
+	r.inflight++
+	return nil
+}
+
+// onReply books one worker's answer to the round its batch belongs to:
+// results collected, failed tasks re-queued as single-task batches up to
+// the round's MaxRetries attempts beyond the first (tasks that exhaust
+// the budget are reported with Err set), the rank idle again — the
+// driver feeds it next. An answer from a rank that holds no batch is a
+// protocol violation.
+func (d *dispatcher) onReply(rep workerReply) error {
+	from := rep.source
+	if from < 0 || from >= len(d.slots) || d.slots[from].round == nil {
+		return fmt.Errorf("farm: results from rank %d, which holds no batch", from)
+	}
+	was := d.slots[from]
+	d.slots[from] = pendingBatch{}
+	r := was.round
+	r.inflight--
+	reg, opts := r.opts.Telemetry, r.opts
+	now := reg.Now()
+	busy := now - was.sentAt
+	opts.Fleet.completed(from, len(was.tasks), busy, now)
+	if reg != nil {
+		rank := strconv.Itoa(from)
+		reg.Gauge("farm.worker." + rank + ".busy_seconds").Add(busy)
+		reg.Counter("farm.worker." + rank + ".tasks").Add(int64(len(was.tasks)))
+		for range was.tasks {
+			// Batch-mates share the round trip: the batch is the unit
+			// of dispatch, so its latency is every member's latency.
+			reg.Observe("farm.task_seconds", busy)
+		}
+		for _, sp := range was.spans {
+			sp.End()
+		}
+		// The worker's records are on its own clock; align them by
+		// mapping its descriptor-receive instant onto the instant just
+		// before we sent the descriptor. The worker cannot have received
+		// it earlier, so the error is one-sided: shifted records land no
+		// later than they happened and a farm.compute never ends after
+		// the farm.task that waited for it.
+		rep.records.shift(was.sendingAt-rep.records.recvAt, from)
+		reg.Ingest(rep.records.spans, rep.records.events)
+	}
+	for _, res := range rep.results {
+		if res.Err == nil {
+			reg.Counter("farm.tasks_completed").Add(1)
+			r.results = append(r.results, res)
+			continue
+		}
+		opts.Fleet.taskFailed(from)
+		r.attempts[res.Name]++
+		if r.attempts[res.Name] > opts.MaxRetries {
+			reg.Counter("farm.task_errors").Add(1)
+			reg.Emit(telemetry.LevelError, "farm.task.fail", r.span.Context(),
+				telemetry.Str("task", res.Name),
+				telemetry.Num("rank", float64(from)),
+				telemetry.Num("attempts", float64(r.attempts[res.Name])))
+			r.results = append(r.results, res)
+			continue
+		}
+		retried := false
+		for _, t := range was.tasks {
+			if t.Name == res.Name {
+				q := r.queueOf(from)
+				r.queues[q] = append(r.queues[q], queuedBatch{tasks: []Task{t}, enqueued: reg.Now(), retryFrom: from})
+				r.queued++
+				reg.Counter("farm.retries").Add(1)
+				reg.Emit(telemetry.LevelWarn, "farm.task.retry", r.span.Context(),
+					telemetry.Str("task", res.Name),
+					telemetry.Num("rank", float64(from)),
+					telemetry.Num("attempt", float64(r.attempts[res.Name])))
+				retried = true
+				break
+			}
+		}
+		if !retried {
+			// The batch no longer carries the task (should not
+			// happen); report the failure rather than lose it.
+			r.results = append(r.results, res)
+		}
+	}
+	if r.cancelled {
+		r.drop()
+	}
+	d.settle(r)
+	d.publish()
+	return nil
+}
+
+// drop empties the round's queues: whatever waited there is never sent.
+func (r *round) drop() {
+	for q := range r.queues {
+		r.queues[q] = nil
+	}
+	r.queued = 0
+}
+
+// cancel stops dispatching for r — cooperatively: the batches already in
+// flight drain, and the round then ends with its context's error. A
+// finished round is left alone.
+func (d *dispatcher) cancel(r *round) {
+	if r.finished {
+		return
+	}
+	r.cancelled = true
+	r.drop()
+	d.settle(r)
+	d.publish()
+}
+
+// settle finishes r once it has nothing queued and nothing in flight.
+func (d *dispatcher) settle(r *round) {
+	if !r.finished && r.queued == 0 && r.inflight == 0 {
+		d.finish(r, nil)
+	}
+}
+
+// finish closes r with err, or with its context's error when that is
+// what cut it short (a cancelled round reports ctx.Err() even when its
+// last batch came home), and takes it off the open list. Its in-flight
+// batches, if any, stay booked on their ranks: only a dispatcher that is
+// itself being abandoned finishes a round early.
+func (d *dispatcher) finish(r *round, err error) {
+	if r.finished {
+		return
+	}
+	if err == nil {
+		err = r.ctx.Err()
+	}
+	if err != nil {
+		r.results = nil
+	}
+	r.finished, r.err = true, err
+	r.span.End()
+	for i, open := range d.rounds {
+		if open == r {
+			d.rounds = append(d.rounds[:i], d.rounds[i+1:]...)
+			if d.turn > i {
+				d.turn--
+			}
+			break
+		}
+	}
+	if r.done != nil {
+		close(r.done)
+	}
+}
+
+// runBatches is the synchronous driver of the dispatch state machine:
+// one round over the given worker ranks under the assignment policy, on
+// the caller's goroutine — seed every rank, then receive a reply, book
+// it, feed the rank that answered — without sending the final stop
+// message, so callers can reuse the workers for further rounds (the
+// sub-master case). It is what RunMaster, RunStaticMaster, RunRootMaster
+// and RunSubMaster run on, and therefore what the simulator times.
+//
+// Cancelling ctx is cooperative: nothing more is dispatched, the batches
+// in flight drain, and ctx.Err() is returned.
+func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task, policy assignment, loader Loader, opts Options) ([]Result, error) {
+	d := newDispatcher(c, workers, loader)
+	r := d.submit(ctx, batches, policy, opts, nil)
+	err := func() error {
+		if ctx.Err() != nil {
+			d.cancel(r)
+		}
+		for _, w := range workers {
+			if err := d.feed(w); err != nil {
+				return err
+			}
+		}
+		for !r.finished {
+			rep, err := recvResults(c)
+			if err != nil {
+				return err
+			}
+			if err := d.onReply(rep); err != nil {
+				return err
+			}
+			if ctx.Err() != nil {
+				d.cancel(r)
+			}
+			if err := d.feed(rep.source); err != nil {
+				return err
+			}
+		}
+		return nil
+	}()
+	if err != nil {
+		d.finish(r, err)
+		return nil, err
+	}
+	return r.results, r.err
+}

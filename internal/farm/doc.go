@@ -38,9 +38,23 @@
 // a format nobody reads. AsPriced reads a collected result in either
 // form.
 //
-// Every master entry point (RunMaster, RunStaticMaster, RunRootMaster)
-// runs the same round over the same dispatch loop and differs only in
-// the assignment policy and the ranks it drives. Layout maps a world's
-// ranks to roles (flat or hierarchical), and Local runs a whole round on
-// an in-process world of goroutine ranks.
+// There is one dispatch path. The dispatcher (dispatch.go) is a state
+// machine with no loop of its own — submit a round, feed an idle rank,
+// book a reply, cancel a round — whose bookkeeping (queue, attempts,
+// results, in-flight count, farm.run span, context) is per round and
+// whose per-rank slot remembers which round the batch it holds belongs
+// to; an idle rank draws from the open rounds in rotation. Two drivers
+// own the receive. The synchronous one, runBatches, runs one round on
+// the caller's goroutine — seed every rank, then receive, book, feed —
+// and is what RunMaster, RunStaticMaster, RunRootMaster and RunSubMaster
+// run on, differing only in the assignment policy and the ranks they
+// drive; it is also what the simulator times. The other is a Session:
+// ranks spawned once (Open over any communicator, Local.Open for an
+// in-process world, flat or hierarchical by Layout), any number of
+// concurrent Run calls — each seeds the idle ranks on its own goroutine
+// under the session lock while one pump goroutine, blocked in the
+// master's mailbox, books replies and feeds the rank that answered — and
+// one stop message in Close. A transport failure fails every round in
+// flight with its cause, and the session's owner opens another.
+// Local.Run is Open, one round, Close.
 package farm

@@ -3,11 +3,9 @@ package farm
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"riskbench/internal/mpi"
 	"riskbench/internal/nsp"
-	"riskbench/internal/telemetry"
 )
 
 // Loader abstracts the master-side preparation of a task's payload bytes
@@ -200,228 +198,6 @@ func recvResults(c mpi.Comm) (workerReply, error) {
 		rep.results = append(rep.results, r)
 	}
 	return rep, nil
-}
-
-// queuedBatch is one batch awaiting dispatch plus its enqueue time on
-// the telemetry clock (0 when telemetry is off). retryFrom is the rank
-// whose failure requeued the batch (0 = fresh dispatch); a retry landing
-// on a different rank is a redeal.
-type queuedBatch struct {
-	tasks     []Task
-	enqueued  float64
-	retryFrom int
-}
-
-// pendingBatch is one batch in flight on a worker: the tasks (for retry
-// matching), the clock just before and just after its sends, and the
-// per-task spans to close on arrival of the results.
-type pendingBatch struct {
-	tasks []Task
-	// sendingAt is read before the descriptor goes out, so it is no later
-	// than the instant the worker receives it: the anchor for shifting
-	// worker clocks. sentAt is read after the sends: the start of the
-	// worker's busy time and the end of the batch's queue wait.
-	sendingAt, sentAt float64
-	spans             []*telemetry.Span
-}
-
-// runBatches is the farm's one dispatch loop: it deals the batches over
-// the given worker ranks under the assignment policy, one batch
-// outstanding per rank, without sending the final stop message, so
-// callers can reuse the workers for further rounds (the sub-master
-// case). Failed tasks are re-queued as single-task batches up to
-// opts.MaxRetries attempts beyond the first; tasks that exhaust their
-// budget are reported with Err set.
-//
-// When opts.Telemetry is set, every task gets a "farm.task" span
-// (dispatch → results) under one "farm.run" root span, and the
-// queue-wait, serialize and task-latency histograms plus the per-worker
-// busy gauges are populated. Durations are read off the registry clock,
-// so simulated runs record virtual seconds.
-func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task, policy assignment, loader Loader, opts Options) ([]Result, error) {
-	reg := opts.Telemetry
-	// Adopt a distributed trace threaded through ctx (a serve request or
-	// bench run); without one the run is metrics-only.
-	var runSpan *telemetry.Span
-	if tc, ok := telemetry.TraceFromContext(ctx); ok {
-		runSpan = reg.StartSpanIn(tc, "farm.run")
-	} else {
-		runSpan = reg.StartSpan("farm.run")
-	}
-	defer runSpan.End()
-	// queues[queueOf(w)] is what rank w draws from: every rank shares
-	// queue 0 under sharedQueue; under perRankQueues rank workers[i] owns
-	// queue i and the batches are dealt round-robin.
-	queueOf := func(int) int { return 0 }
-	queues := make([][]queuedBatch, 1)
-	if policy == perRankQueues {
-		index := make(map[int]int, len(workers))
-		for i, w := range workers {
-			index[w] = i
-		}
-		queueOf = func(w int) int { return index[w] }
-		queues = make([][]queuedBatch, len(workers))
-	}
-	for q := range queues {
-		queues[q] = make([]queuedBatch, 0, len(batches)/len(queues)+1)
-	}
-	now := reg.Now()
-	for i, b := range batches {
-		q := i % len(queues)
-		queues[q] = append(queues[q], queuedBatch{tasks: b, enqueued: now})
-	}
-	// assigned remembers which batch each worker is busy with, so failed
-	// task names can be matched back to their Task values for retry.
-	assigned := make(map[int]pendingBatch, len(workers))
-	attempts := make(map[string]int)
-	var results []Result
-	inflight := 0
-	// send dispatches the head of w's queue to w; an empty queue leaves
-	// the rank idle.
-	send := func(w int) error {
-		q := queueOf(w)
-		if len(queues[q]) == 0 {
-			return nil
-		}
-		qb := queues[q][0]
-		queues[q] = queues[q][1:]
-		// The per-task spans open before the send so their IDs can ride
-		// the descriptor: the worker parents its farm.compute spans on
-		// them.
-		pb := pendingBatch{tasks: qb.tasks}
-		var bt batchTrace
-		if reg != nil {
-			for range qb.tasks {
-				pb.spans = append(pb.spans, runSpan.StartChild("farm.task"))
-			}
-			// Trace context rides the descriptor only when the worker
-			// negotiated the spans capability: a peer that never said it
-			// understands span payloads (an older build joining during a
-			// rolling upgrade) gets a plain descriptor, prices it
-			// identically, and ships no spans back.
-			if tc := runSpan.Context(); tc.Valid() && mpi.PeerCaps(c, w).Has(mpi.CapSpans) {
-				bt.traceID = tc.TraceID
-				for _, sp := range pb.spans {
-					bt.parents = append(bt.parents, sp.ID())
-				}
-			}
-		}
-		dispatch := runSpan.StartChild("farm.dispatch")
-		pb.sendingAt = reg.Now()
-		err := sendBatch(c, w, qb.tasks, loader, opts, bt)
-		dispatch.End()
-		if err != nil {
-			return err
-		}
-		pb.sentAt = reg.Now()
-		if reg != nil {
-			wait := pb.sentAt - qb.enqueued
-			for range qb.tasks {
-				reg.Observe("farm.queue_wait_seconds", wait)
-			}
-		}
-		opts.Fleet.dispatched(w, len(qb.tasks), pb.sentAt)
-		if qb.retryFrom != 0 && qb.retryFrom != w {
-			// The retry landed on a different worker than the one that
-			// failed it: a redeal, the farm's unit of self-healing.
-			opts.Fleet.taskRedealt(w)
-			reg.Emit(telemetry.LevelWarn, "farm.task.redeal", runSpan.Context(),
-				telemetry.Str("task", qb.tasks[0].Name),
-				telemetry.Num("failed_on", float64(qb.retryFrom)),
-				telemetry.Num("redealt_to", float64(w)))
-		}
-		assigned[w] = pb
-		inflight++
-		return nil
-	}
-	if ctx.Err() == nil {
-		for _, w := range workers {
-			if err := send(w); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for inflight > 0 {
-		rep, err := recvResults(c)
-		if err != nil {
-			return nil, err
-		}
-		from := rep.source
-		was := assigned[from]
-		delete(assigned, from)
-		inflight--
-		now := reg.Now()
-		busy := now - was.sentAt
-		opts.Fleet.completed(from, len(was.tasks), busy, now)
-		if reg != nil {
-			rank := strconv.Itoa(from)
-			reg.Gauge("farm.worker." + rank + ".busy_seconds").Add(busy)
-			reg.Counter("farm.worker." + rank + ".tasks").Add(int64(len(was.tasks)))
-			for range was.tasks {
-				// Batch-mates share the round trip: the batch is the unit
-				// of dispatch, so its latency is every member's latency.
-				reg.Observe("farm.task_seconds", busy)
-			}
-			for _, sp := range was.spans {
-				sp.End()
-			}
-			// The worker's records are on its own clock; align them by
-			// mapping its descriptor-receive instant onto the instant just
-			// before we sent the descriptor. The worker cannot have received
-			// it earlier, so the error is one-sided: shifted records land no
-			// later than they happened and a farm.compute never ends after
-			// the farm.task that waited for it.
-			rep.records.shift(was.sendingAt-rep.records.recvAt, from)
-			reg.Ingest(rep.records.spans, rep.records.events)
-		}
-		for _, r := range rep.results {
-			if r.Err == nil {
-				reg.Counter("farm.tasks_completed").Add(1)
-				results = append(results, r)
-				continue
-			}
-			opts.Fleet.taskFailed(from)
-			attempts[r.Name]++
-			if attempts[r.Name] > opts.MaxRetries {
-				reg.Counter("farm.task_errors").Add(1)
-				reg.Emit(telemetry.LevelError, "farm.task.fail", runSpan.Context(),
-					telemetry.Str("task", r.Name),
-					telemetry.Num("rank", float64(from)),
-					telemetry.Num("attempts", float64(attempts[r.Name])))
-				results = append(results, r)
-				continue
-			}
-			retried := false
-			for _, t := range was.tasks {
-				if t.Name == r.Name {
-					q := queueOf(from)
-					queues[q] = append(queues[q], queuedBatch{tasks: []Task{t}, enqueued: reg.Now(), retryFrom: from})
-					reg.Counter("farm.retries").Add(1)
-					reg.Emit(telemetry.LevelWarn, "farm.task.retry", runSpan.Context(),
-						telemetry.Str("task", r.Name),
-						telemetry.Num("rank", float64(from)),
-						telemetry.Num("attempt", float64(attempts[r.Name])))
-					retried = true
-					break
-				}
-			}
-			if !retried {
-				// The batch no longer carries the task (should not
-				// happen); report the failure rather than lose it.
-				results = append(results, r)
-			}
-		}
-		if ctx.Err() != nil {
-			continue // cancelled: drain in-flight batches, dispatch nothing new
-		}
-		if err := send(from); err != nil {
-			return nil, err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // sendStop sends the empty batch to each listed worker.

@@ -66,10 +66,11 @@ func (r Role) Serve(c mpi.Comm, exec Executor, store Store, opts Options) error 
 }
 
 // Local runs farm rounds in process: every rank of the Layout is a
-// goroutine on one mpi.LocalWorld built for the round, sharing the
-// caller's telemetry registry. It is the one place the in-process rank
-// choreography lives; the risk engine's backends, the CLIs and the
-// examples all run their goroutine farms through it.
+// goroutine on one mpi.LocalWorld, sharing the caller's telemetry
+// registry. It is the one place the in-process rank choreography lives;
+// the risk engine's backends, the CLIs and the examples all run their
+// goroutine farms through it — standing (Open) or one round at a time
+// (Run).
 type Local struct {
 	// Exec prices tasks on the worker ranks (nil = LiveExecutor).
 	Exec Executor
@@ -81,16 +82,18 @@ type Local struct {
 	Chunk int
 }
 
-// Run farms one round of tasks over `workers` worker ranks (plus
-// l.Groups sub-masters, each of which gets at least one worker) and
-// returns the results in completion order.
+// Open builds a world of `workers` worker ranks (plus l.Groups
+// sub-masters, each of which gets at least one worker), starts every
+// rank but the root as a goroutine serving under opts — strategy,
+// registry and, for sub-masters, retry budget are fixed here — and
+// returns the session mastering them.
 //
-// The world is closed — unblocking every rank — when ctx is cancelled or
-// as soon as any rank fails, and Run joins every rank before it returns
-// on every path. A cancelled round reports ctx.Err(); otherwise the
-// first failure is reported with its rank, so a worker that dies of its
-// own error is not masked by the mpi.ErrClosed it causes elsewhere.
-func (l Local) Run(ctx context.Context, tasks []Task, opts Options, workers int) ([]Result, error) {
+// A rank that fails ends the session with its error and its rank: the
+// world is closed under the others, and every open round reports that
+// first failure rather than the mpi.ErrClosed it causes elsewhere.
+//
+//lint:allow ctxflow the ranks live until Session.Close; each round's context arrives with Session.Run
+func (l Local) Open(opts Options, workers int) (*Session, error) {
 	roles, err := Layout(1+l.Groups+max(workers, l.Groups), l.Groups)
 	if err != nil {
 		return nil, err
@@ -100,45 +103,35 @@ func (l Local) Run(ctx context.Context, tasks []Task, opts Options, workers int)
 		exec = LiveExecutor{}
 	}
 	world := mpi.NewLocalWorld(len(roles))
-	defer world.Close()
-	stopCancel := context.AfterFunc(ctx, world.Close)
-	defer stopCancel()
-	var (
-		failOnce sync.Once
-		cause    error
-	)
-	fail := func(rank int, err error) {
-		failOnce.Do(func() {
-			cause = fmt.Errorf("farm: rank %d: %w", rank, err)
-			world.Close()
-		})
-	}
 	opts.LocalSpans = true // every rank shares the caller's registry
+	s := newSession(world.Comm(0), roles[0].Workers, opts)
+	if l.Groups > 0 {
+		s.chunk = max(l.Chunk, 1)
+	}
 	var wg sync.WaitGroup
+	s.abort = world.Close
+	s.join = func() error { wg.Wait(); return nil }
 	for _, role := range roles[1:] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			if err := role.Serve(world.Comm(role.Rank), exec, l.Store, opts); err != nil {
-				fail(role.Rank, err)
+				s.fail(fmt.Errorf("farm: rank %d: %w", role.Rank, err))
 			}
 		}()
 	}
-	var results []Result
-	if l.Groups == 0 {
-		results, err = RunMaster(ctx, world.Comm(0), tasks, LiveLoader{}, opts)
-	} else {
-		results, err = RunRootMaster(ctx, world.Comm(0), tasks, LiveLoader{}, opts, l.Groups, l.Chunk)
-	}
+	go s.pump()
+	return s, nil
+}
+
+// Run farms one round of tasks over a session opened for it and closed
+// behind it, and returns the results in completion order. Every rank is
+// joined before it returns, on every path. A cancelled round reports
+// ctx.Err(); otherwise the first failure is reported with its rank.
+func (l Local) Run(ctx context.Context, tasks []Task, opts Options, workers int) ([]Result, error) {
+	s, err := l.Open(opts, workers)
 	if err != nil {
-		fail(0, err)
+		return nil, err
 	}
-	wg.Wait()
-	if cause != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, cause
-	}
-	return results, nil
+	return s.RunOnce(ctx, tasks, opts)
 }

@@ -1,0 +1,474 @@
+package farm
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"riskbench/internal/mpi"
+	"riskbench/internal/nsp"
+	"riskbench/internal/premia"
+	"riskbench/internal/telemetry"
+)
+
+// sessionTasks builds round `round`'s n tasks the way the risk engine
+// ships them — the *premia.Problem itself — under names every round
+// shares, so only the rate tells one round's claim from another's.
+func sessionTasks(round, n int) []Task {
+	tasks := make([]Task, n)
+	for i := range tasks {
+		p := premia.New().
+			SetModel(premia.ModelBS1D).SetOption(premia.OptCallEuro).SetMethod(premia.MethodCFCall).
+			Set("S0", 100).Set("r", 0.01*float64(round+1)).Set("sigma", 0.2).Set("K", 80+float64(i%40)).Set("T", 1+float64(i%8)/4)
+		tasks[i] = Task{Name: fmt.Sprintf("s001/pb-%04d", i), Obj: p}
+	}
+	return tasks
+}
+
+// priceBits maps each result's task name to its price's bit pattern.
+func priceBits(t *testing.T, results []Result) map[string]uint64 {
+	t.Helper()
+	bits := make(map[string]uint64, len(results))
+	for _, r := range results {
+		price, ok := priceOf(r)
+		if !ok {
+			t.Fatalf("result %s has no price (err %v)", r.Name, r.Err)
+		}
+		if _, dup := bits[r.Name]; dup {
+			t.Fatalf("task %s answered twice", r.Name)
+		}
+		bits[r.Name] = math.Float64bits(price)
+	}
+	return bits
+}
+
+// waitGauge polls a session gauge until it reads want: the only view a
+// test has of a round another goroutine is submitting.
+func waitGauge(t *testing.T, reg *telemetry.Registry, name string, want float64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Gauge(name).Value() != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %v after 5 s, want %v", name, reg.Gauge(name).Value(), want)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestSessionConcurrentRounds: rounds of different sizes run at once
+// over one session, flat and hierarchical, each get exactly their own
+// results, bit-equal to the one-shot round — though every round names
+// its tasks alike.
+func TestSessionConcurrentRounds(t *testing.T) {
+	sizes := []int{1, 5, 16, 40, 100, 333}
+	opts := Options{Strategy: SerializedLoad, BatchSize: 4}
+	for _, layout := range []Local{{}, {Groups: 2, Chunk: 3}} {
+		t.Run(fmt.Sprintf("groups=%d", layout.Groups), func(t *testing.T) {
+			s, err := layout.Open(opts, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([][]Result, len(sizes))
+			errs := make([]error, len(sizes))
+			var wg sync.WaitGroup
+			for round, n := range sizes {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[round], errs[round] = s.Run(context.Background(), sessionTasks(round, n), opts)
+				}()
+			}
+			wg.Wait()
+			if err := s.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+			for round, n := range sizes {
+				if errs[round] != nil {
+					t.Fatalf("round %d: %v", round, errs[round])
+				}
+				once, err := Local{}.Run(context.Background(), sessionTasks(round, n), opts, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, have := priceBits(t, once), priceBits(t, got[round])
+				if len(have) != n || len(want) != n {
+					t.Fatalf("round %d: %d results on the session, %d one-shot, want %d", round, len(have), len(want), n)
+				}
+				for name, bits := range want {
+					if have[name] != bits {
+						t.Errorf("round %d %s: session price bits %x, one-shot %x", round, name, have[name], bits)
+					}
+				}
+			}
+		})
+	}
+}
+
+// gatedExec prices a task only after taking a token from its gate (a
+// closed gate lets everything through), announcing each start first —
+// how the tests below hold a worker inside a batch.
+type gatedExec struct {
+	gate    chan struct{}
+	started chan string
+	// hold limits the gate to tasks whose name contains it.
+	hold string
+}
+
+func (e gatedExec) Execute(name string, payload []byte, cost float64, size int) (nsp.Object, error) {
+	if strings.Contains(name, e.hold) {
+		if e.started != nil {
+			e.started <- name
+		}
+		<-e.gate
+	}
+	return testResult(name, float64(len(payload))), nil
+}
+
+func namedTasks(prefix string, n int, payload string) []Task {
+	tasks := make([]Task, n)
+	for i := range tasks {
+		tasks[i] = Task{Name: fmt.Sprintf("%s-%03d", prefix, i), Data: []byte(payload)}
+	}
+	return tasks
+}
+
+// TestSessionCancelOneRound: cancelling a round mid-flight stops its
+// dispatch, waits for the batches it has out, reports its context's
+// error — and costs the round beside it nothing.
+func TestSessionCancelOneRound(t *testing.T) {
+	reg := telemetry.New()
+	exec := gatedExec{gate: make(chan struct{}), started: make(chan string, 8), hold: "slow"}
+	opts := Options{Strategy: SerializedLoad, Telemetry: reg}
+	s, err := Local{Exec: exec}.Open(opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	slowErr := make(chan error, 1)
+	go func() {
+		_, err := s.Run(ctx, namedTasks("slow", 6, "x"), opts)
+		slowErr <- err
+	}()
+	<-exec.started
+	<-exec.started // both workers are inside a slow batch
+	type outcome struct {
+		results []Result
+		err     error
+	}
+	fast := make(chan outcome, 1)
+	go func() {
+		results, err := s.Run(context.Background(), namedTasks("fast", 4, "yy"), opts)
+		fast <- outcome{results, err}
+	}()
+	waitGauge(t, reg, "farm.session.queued_batches", 4+4)
+	cancel()
+	waitGauge(t, reg, "farm.session.queued_batches", 4) // the slow round's queue is gone
+	select {
+	case err := <-slowErr:
+		t.Fatalf("cancelled round returned %v with two batches still out", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(exec.gate)
+	if err := <-slowErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled round returned %v, want context.Canceled", err)
+	}
+	got := <-fast
+	if got.err != nil {
+		t.Fatalf("the round beside the cancelled one: %v", got.err)
+	}
+	if len(got.results) != 4 {
+		t.Fatalf("the round beside the cancelled one got %d results, want 4", len(got.results))
+	}
+	for _, r := range got.results {
+		if price, _ := priceOf(r); !strings.HasPrefix(r.Name, "fast-") || price != 2 {
+			t.Errorf("foreign or wrong result %s = %v in the fast round", r.Name, price)
+		}
+	}
+	select {
+	case name := <-exec.started:
+		t.Errorf("%s was dispatched after its round was cancelled", name)
+	default:
+	}
+}
+
+// TestSessionRotation: a one-batch round submitted behind a 4 096-task
+// round is dealt as soon as a worker answers, not after the 256 batches
+// queued before it.
+func TestSessionRotation(t *testing.T) {
+	reg := telemetry.New()
+	exec := gatedExec{gate: make(chan struct{}), hold: "big"}
+	opts := Options{Strategy: SerializedLoad, BatchSize: 16, Telemetry: reg}
+	s, err := Local{Exec: exec}.Open(opts, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	bigDone := make(chan error, 1)
+	go func() {
+		results, err := s.Run(context.Background(), namedTasks("big", 4096, "x"), opts)
+		if err == nil && len(results) != 4096 {
+			err = fmt.Errorf("%d results, want 4096", len(results))
+		}
+		bigDone <- err
+	}()
+	waitGauge(t, reg, "farm.session.open_rounds", 1)
+	smallDone := make(chan error, 1)
+	go func() {
+		results, err := s.Run(context.Background(), namedTasks("small", 1, "x"), opts)
+		if err == nil && len(results) != 1 {
+			err = fmt.Errorf("%d results, want 1", len(results))
+		}
+		smallDone <- err
+	}()
+	waitGauge(t, reg, "farm.session.open_rounds", 2)
+	// Let exactly the big round's first batch through. The worker's next
+	// batch is then the small round's, whose only task passes the gate.
+	for i := 0; i < 16; i++ {
+		exec.gate <- struct{}{}
+	}
+	select {
+	case err := <-smallDone:
+		if err != nil {
+			t.Fatalf("small round: %v", err)
+		}
+	case err := <-bigDone:
+		t.Fatalf("the 4096-task round finished (%v) before the one-batch round behind it", err)
+	case <-time.After(5 * time.Second):
+		close(exec.gate) // or the deferred Close waits for the held worker
+		t.Fatal("the one-batch round is stuck behind the 4096-task round")
+	}
+	close(exec.gate)
+	if err := <-bigDone; err != nil {
+		t.Fatalf("big round: %v", err)
+	}
+}
+
+// payloadFlaky fails the first attempt of task `fail` once per distinct
+// payload: two rounds that ship different payloads under the same names
+// each see exactly one failure.
+type payloadFlaky struct {
+	mu      sync.Mutex
+	fail    string
+	seen    map[string]bool
+	release chan struct{}
+}
+
+func (f *payloadFlaky) Execute(name string, payload []byte, cost float64, size int) (nsp.Object, error) {
+	<-f.release
+	f.mu.Lock()
+	first := name == f.fail && !f.seen[string(payload)]
+	if first {
+		f.seen[string(payload)] = true
+	}
+	f.mu.Unlock()
+	if first {
+		return nil, errors.New("injected failure")
+	}
+	return testResult(name, float64(len(payload))), nil
+}
+
+// TestSessionRoundsKeepSeparateAttempts: two rounds open at once name
+// their tasks alike and each has "job-002" fail once. With a budget of
+// one retry each must recover; attempts booked by name across rounds
+// would charge the second failure to the first round's count and report
+// it as exhausted.
+func TestSessionRoundsKeepSeparateAttempts(t *testing.T) {
+	reg := telemetry.New()
+	exec := &payloadFlaky{fail: "job-002", seen: map[string]bool{}, release: make(chan struct{})}
+	opts := Options{Strategy: SerializedLoad, BatchSize: 2, MaxRetries: 1, Telemetry: reg}
+	s, err := Local{Exec: exec}.Open(opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var wg sync.WaitGroup
+	got := make([][]Result, 2)
+	errs := make([]error, 2)
+	for round, payload := range []string{"a", "bb"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[round], errs[round] = s.Run(context.Background(), namedTasks("job", 6, payload), opts)
+		}()
+	}
+	waitGauge(t, reg, "farm.session.open_rounds", 2)
+	close(exec.release)
+	wg.Wait()
+	for round, want := range []float64{1, 2} {
+		if errs[round] != nil {
+			t.Fatalf("round %d: %v", round, errs[round])
+		}
+		if len(got[round]) != 6 {
+			t.Fatalf("round %d: %d results, want 6", round, len(got[round]))
+		}
+		for _, r := range got[round] {
+			if r.Err != nil {
+				t.Errorf("round %d: %s exhausted its retries: %v", round, r.Name, r.Err)
+			} else if price, _ := priceOf(r); price != want {
+				t.Errorf("round %d: %s = %v, want its own payload's %v", round, r.Name, price, want)
+			}
+		}
+	}
+	if n := reg.Counter("farm.retries").Value(); n != 2 {
+		t.Errorf("farm.retries = %d, want one per round", n)
+	}
+	if n := reg.Counter("farm.task_errors").Value(); n != 0 {
+		t.Errorf("farm.task_errors = %d, want 0", n)
+	}
+}
+
+// TestSessionRefusesWhatItCannotRun: a round under another strategy
+// than the workers serve is an error at once, not a worker waiting for a
+// payload that never comes; and a closed session says so.
+func TestSessionRefusesWhatItCannotRun(t *testing.T) {
+	opts := Options{Strategy: SerializedLoad}
+	s, err := Local{}.Open(opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, want := makePortfolio(t, 3)
+	if _, err := s.Run(context.Background(), tasks, Options{Strategy: NFSLoad}); err == nil || !strings.Contains(err.Error(), "NFS") {
+		t.Fatalf("an NFS round on a serialized-load session returned %v, want a strategy error", err)
+	}
+	if _, err := s.Run(context.Background(), append(tasks, tasks[0]), opts); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("a round with a duplicate name returned %v", err)
+	}
+	// Neither refusal cost the session anything.
+	results, err := s.Run(context.Background(), tasks, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResults(t, results, want)
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if _, err := s.Run(context.Background(), tasks, opts); !errors.Is(err, mpi.ErrClosed) {
+		t.Fatalf("Run after Close returned %v, want mpi.ErrClosed", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second close: %v", err)
+	}
+}
+
+// TestSessionRankFailure: a rank that dies of its own error fails the
+// round in flight with that error and its rank — not the mpi.ErrClosed
+// it causes everywhere else — and the session stays failed.
+func TestSessionRankFailure(t *testing.T) {
+	opts := Options{Strategy: NFSLoad}
+	s, err := Local{}.Open(opts, 2) // NFS workers without a store
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, _ := makePortfolio(t, 4)
+	_, err = s.Run(context.Background(), tasks, opts)
+	if err == nil || !strings.Contains(err.Error(), "farm: rank ") || !strings.Contains(err.Error(), "without a store") {
+		t.Fatalf("round over storeless NFS workers returned %v, want the rank's own error", err)
+	}
+	if s.Err() == nil {
+		t.Fatal("session still usable after a rank died")
+	}
+	if _, again := s.Run(context.Background(), tasks, opts); again == nil || again.Error() != err.Error() {
+		t.Fatalf("round on the failed session returned %v, want %v", again, err)
+	}
+	if cerr := s.Close(); cerr == nil || cerr.Error() != err.Error() {
+		t.Fatalf("close of the failed session returned %v, want %v", cerr, err)
+	}
+}
+
+// settledGoroutines reads the goroutine count once it has stopped
+// falling: a goroutine that has signalled its exit may not have left the
+// scheduler yet.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m >= n && i > 10 {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
+// TestSessionCloseLeavesNoGoroutine: ranks and pump are all joined by
+// Close, flat and hierarchical, used or not.
+func TestSessionCloseLeavesNoGoroutine(t *testing.T) {
+	opts := Options{Strategy: SerializedLoad, BatchSize: 2}
+	tasks, _ := makePortfolio(t, 9)
+	before := settledGoroutines()
+	for _, layout := range []Local{{}, {Groups: 2, Chunk: 2}} {
+		for _, rounds := range []int{0, 3} {
+			s, err := layout.Open(opts, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < rounds; i++ {
+				if _, err := s.Run(context.Background(), tasks, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if after := settledGoroutines(); after > before {
+		t.Errorf("%d goroutines before Open, %d after Close", before, after)
+	}
+}
+
+// TestSessionGauges is the paper's diagnostic, live: with every worker
+// stalled inside a batch the session reads no idle workers and a queue;
+// once it drains every worker is waiting for work; after Close nobody is.
+func TestSessionGauges(t *testing.T) {
+	const workers = 2
+	reg := telemetry.New()
+	exec := gatedExec{gate: make(chan struct{}), started: make(chan string, workers), hold: "job"}
+	opts := Options{Strategy: SerializedLoad, Telemetry: reg}
+	s, err := Local{Exec: exec}.Open(opts, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := func(name string) float64 { return reg.Gauge("farm.session." + name).Value() }
+	if gauge("idle_workers") != workers || gauge("open_rounds") != 0 {
+		t.Fatalf("fresh session: idle_workers %v open_rounds %v, want %d and 0", gauge("idle_workers"), gauge("open_rounds"), workers)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Run(context.Background(), namedTasks("job", 6, "x"), opts)
+		done <- err
+	}()
+	<-exec.started
+	<-exec.started
+	if gauge("idle_workers") != 0 || gauge("queued_batches") != 4 || gauge("open_rounds") != 1 {
+		t.Errorf("stalled: idle_workers %v queued_batches %v open_rounds %v, want 0, 4 and 1",
+			gauge("idle_workers"), gauge("queued_batches"), gauge("open_rounds"))
+	}
+	go func() {
+		for range exec.started { // the remaining four starts
+		}
+	}()
+	close(exec.gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if gauge("idle_workers") != workers || gauge("queued_batches") != 0 || gauge("open_rounds") != 0 {
+		t.Errorf("drained: idle_workers %v queued_batches %v open_rounds %v, want %d, 0 and 0",
+			gauge("idle_workers"), gauge("queued_batches"), gauge("open_rounds"), workers)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(exec.started)
+	if gauge("idle_workers") != 0 {
+		t.Errorf("closed: idle_workers %v, want 0", gauge("idle_workers"))
+	}
+}

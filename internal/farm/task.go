@@ -88,7 +88,11 @@ type Result struct {
 	Err error
 }
 
-// Options configures a farm run.
+// Options configures a farm run. On a Session the worker-side settings
+// — Strategy, the workers' Telemetry and LocalSpans, a sub-master's
+// MaxRetries — are those given to Open; a round's own Options set its
+// BatchSize, MaxRetries, Fleet and the master-side Telemetry, and must
+// name the session's Strategy.
 type Options struct {
 	// Strategy selects the communication strategy (default FullLoad).
 	Strategy Strategy

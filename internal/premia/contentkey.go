@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"slices"
 )
 
 // ContentKey returns the problem's content address: a hex SHA-256 of the
@@ -20,25 +21,38 @@ import (
 // kernel's fixed shard decomposition makes results bit-identical across
 // thread counts (see parallel.go), so it is excluded — a price computed
 // on 8 threads is a valid cache hit for the same problem on 1.
+//
+// The encoding is appended into one buffer and hashed in one call; for
+// any problem of ordinary size the buffer, the sorted key list and the
+// digest all live on the stack and the returned string is the only
+// allocation.
 func (p *Problem) ContentKey() string {
-	h := sha256.New()
-	var buf [8]byte
-	writeStr := func(s string) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(len(s)))
-		h.Write(buf[:])
-		h.Write([]byte(s))
+	var (
+		stack [512]byte
+		names [24]string
+	)
+	buf := stack[:0]
+	str := func(s string) {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s)))
+		buf = append(buf, s...)
 	}
-	writeStr(p.Asset)
-	writeStr(p.Model)
-	writeStr(p.Option)
-	writeStr(p.Method)
-	for _, k := range p.Params.Keys() {
-		if k == kernelThreadsKey {
-			continue
+	str(p.Asset)
+	str(p.Model)
+	str(p.Option)
+	str(p.Method)
+	keys := names[:0]
+	for k := range p.Params {
+		if k != kernelThreadsKey {
+			keys = append(keys, k)
 		}
-		writeStr(k)
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.Params[k]))
-		h.Write(buf[:])
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	slices.Sort(keys)
+	for _, k := range keys {
+		str(k)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Params[k]))
+	}
+	sum := sha256.Sum256(buf)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }

@@ -1,6 +1,13 @@
 package premia
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"strconv"
+	"testing"
+)
 
 func ckProblem() *Problem {
 	return New().
@@ -63,5 +70,71 @@ func TestContentKeySensitivity(t *testing.T) {
 func TestContentKeyIgnoresThreads(t *testing.T) {
 	if ckProblem().ContentKey() != ckProblem().Set("threads", 8).ContentKey() {
 		t.Fatal("threads parameter changed the content key")
+	}
+}
+
+// contentKeyReference is ContentKey as first written — a streaming
+// hash.Hash fed field by field, keys from Params.Keys — kept as the
+// definition the one-buffer version is checked against.
+func contentKeyReference(p *Problem) string {
+	h := sha256.New()
+	var buf [8]byte
+	writeStr := func(s string) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(len(s)))
+		h.Write(buf[:])
+		h.Write([]byte(s))
+	}
+	writeStr(p.Asset)
+	writeStr(p.Model)
+	writeStr(p.Option)
+	writeStr(p.Method)
+	for _, k := range p.Params.Keys() {
+		if k == kernelThreadsKey {
+			continue
+		}
+		writeStr(k)
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p.Params[k]))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestContentKeyGolden pins the address itself: the keys are what a
+// cache shared between builds is indexed by, so a faster encoder must
+// produce the digest the first one did — on the closed-form call, on a
+// seeded Monte Carlo problem with a threads parameter to skip, and on a
+// problem too big for the encoder's stack buffers.
+func TestContentKeyGolden(t *testing.T) {
+	mc := ckProblem().SetMethod(MethodMCEuro).Set("paths", 1e5).Set("threads", 8).SetSeed(0xfeedfacecafebeef)
+	for want, p := range map[string]*Problem{
+		"ebeb96652b06e0009c34f65afc38798eacdb8a91c8827cf59ca850639e855e2e": ckProblem(),
+		"400becc9ce0d248eb35227498f341a7ef05c323ccd76a9e9545d632cd06d33ca": mc,
+	} {
+		if got := p.ContentKey(); got != want {
+			t.Errorf("ContentKey %s, recorded %s", got, want)
+		}
+	}
+	wide := ckProblem()
+	for i := 0; i < 64; i++ {
+		wide.Set("a_rather_long_parameter_name_"+strconv.Itoa(i), float64(i)/7)
+	}
+	for name, p := range map[string]*Problem{
+		"closed form": ckProblem(),
+		"seeded mc":   mc,
+		"empty":       New(),
+		"wide":        wide,
+	} {
+		if got, want := p.ContentKey(), contentKeyReference(p); got != want {
+			t.Errorf("%s: ContentKey %s, reference %s", name, got, want)
+		}
+	}
+}
+
+// TestContentKeyAllocs is the key's allocation budget: the returned
+// string and nothing else.
+func TestContentKeyAllocs(t *testing.T) {
+	p := ckProblem()
+	if got := testing.AllocsPerRun(200, func() { _ = p.ContentKey() }); got > 1 {
+		t.Errorf("ContentKey allocates %v times per call, budget is 1", got)
 	}
 }

@@ -23,21 +23,22 @@ type FarmBackend interface {
 }
 
 // LocalBackend, the engine default, prices on an in-process goroutine
-// world: one farm.Local round per call, workers sharing the engine's
-// telemetry registry. The zero value is the flat farm; Groups and Chunk
+// world, workers sharing the engine's telemetry registry: one farm.Local
+// session, opened per round by Run or once by an engine that stands
+// (Engine.Stand). The zero value is the flat farm; Groups and Chunk
 // select the hierarchical one.
 type LocalBackend = farm.Local
 
-// NetBackend prices each round over a framed mpi transport: it listens
-// on Addr via the named transport, asks Spawn to start the round's
-// workers dialing in (separate processes in deployment, goroutines in
-// tests), and masters the round over the hub. The hub runs the
-// versioned handshake with every worker, so a mixed-version pool —
-// mid-rolling-upgrade — negotiates each connection down to the common
-// protocol subset and the round still completes with identical prices.
-// Worker-side telemetry lives in whatever registries the spawned
-// workers carry; their spans travel back over the wire when the
-// negotiation allows it.
+// NetBackend prices over a framed mpi transport: it listens on Addr via
+// the named transport, asks Spawn to start the workers dialing in
+// (separate processes in deployment, goroutines in tests), and masters
+// rounds over the hub — one round per listen under Run, any number under
+// the session Open returns. The hub runs the versioned handshake with
+// every worker, so a mixed-version pool — mid-rolling-upgrade —
+// negotiates each connection down to the common protocol subset and the
+// rounds still complete with identical prices. Worker-side telemetry
+// lives in whatever registries the spawned workers carry; their spans
+// travel back over the wire when the negotiation allows it.
 type NetBackend struct {
 	// Transport names the mpi transport: "tcp" (the default,
 	// cross-host), "unix" (same-host worker pools over unix-domain
@@ -59,9 +60,12 @@ type NetBackend struct {
 	Spawn func(transport, addr string, workers int) (wait func() error, err error)
 }
 
-// Run implements FarmBackend over a hub world on the configured
-// transport.
-func (b *NetBackend) Run(ctx context.Context, tasks []farm.Task, opts farm.Options, nw int) ([]farm.Result, error) {
+// Open listens, spawns nw workers, runs the handshake with each and
+// returns the session mastering them over the hub. opts.Strategy must be
+// the one the spawned workers serve.
+//
+//lint:allow ctxflow the accept is bounded by Spawn's dial; the session's rounds bring their own contexts to Session.Run
+func (b *NetBackend) Open(opts farm.Options, nw int) (*farm.Session, error) {
 	if b.Spawn == nil {
 		return nil, errors.New("risk: NetBackend needs a Spawn function")
 	}
@@ -69,34 +73,123 @@ func (b *NetBackend) Run(ctx context.Context, tasks []farm.Task, opts farm.Optio
 	if err != nil {
 		return nil, err
 	}
-	defer hub.Close()
 	accepted := make(chan error, 1)
 	go func() { accepted <- hub.WaitWorkers() }()
 	wait, err := b.Spawn(b.Transport, hub.Addr(), nw)
+	if err == nil {
+		err = <-accepted
+	}
 	if err != nil {
+		hub.Close() // also ends an accept still waiting
 		return nil, err
 	}
-	if err := <-accepted; err != nil {
-		return nil, err
-	}
-	stopCancel := context.AfterFunc(ctx, func() { hub.Close() })
-	defer stopCancel()
-	results, err := farm.RunMaster(ctx, hub, tasks, farm.LiveLoader{}, opts)
-	if err != nil {
-		// Closing the hub unblocks the spawned workers before joining
-		// them, so a failed round does not strand the wait.
-		hub.Close()
-		if wait != nil {
-			_ = wait()
+	addr := hub.Addr()
+	return farm.Open(hub, opts, func() error {
+		if wait == nil {
+			return nil
 		}
-		return nil, err
-	}
-	if wait != nil {
 		if werr := wait(); werr != nil {
-			return nil, fmt.Errorf("risk: %s worker: %w", hub.Addr(), werr)
+			return fmt.Errorf("risk: %s worker: %w", addr, werr)
 		}
+		return nil
+	})
+}
+
+// Run implements FarmBackend as a one-shot session: open, one round,
+// close.
+func (b *NetBackend) Run(ctx context.Context, tasks []farm.Task, opts farm.Options, nw int) ([]farm.Result, error) {
+	s, err := b.Open(opts, nw)
+	if err != nil {
+		return nil, err
 	}
-	return results, nil
+	return s.RunOnce(ctx, tasks, opts)
+}
+
+// sessionOpener is a backend whose workers can outlive a round:
+// farm.Local and *NetBackend.
+type sessionOpener interface {
+	Open(opts farm.Options, workers int) (*farm.Session, error)
+}
+
+var (
+	_ sessionOpener = LocalBackend{}
+	_ sessionOpener = (*NetBackend)(nil)
+)
+
+// standing is the FarmBackend of an engine that keeps its workers: one
+// farm.Session shared by every round, concurrent ones included. The
+// first round opens it; a round that finds it failed — a worker lost, a
+// rank dead — closes it and opens another, so a failure costs the rounds
+// that were in flight and nothing after them.
+type standing struct {
+	open func() (*farm.Session, error)
+
+	mu     sync.Mutex
+	sess   *farm.Session
+	closed bool
+}
+
+// session returns the live session, opening one when there is none or
+// the last one has failed.
+func (b *standing) session() (*farm.Session, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return nil, mpi.ErrClosed
+	}
+	if b.sess != nil && b.sess.Err() != nil {
+		_ = b.sess.Close() // its rounds have already reported the failure
+		b.sess = nil
+	}
+	if b.sess == nil {
+		sess, err := b.open()
+		if err != nil {
+			return nil, err
+		}
+		b.sess = sess
+	}
+	return b.sess, nil
+}
+
+// Run implements FarmBackend on the standing session, which was sized
+// when the engine stood: the round's own worker count is not used.
+func (b *standing) Run(ctx context.Context, tasks []farm.Task, opts farm.Options, _ int) ([]farm.Result, error) {
+	sess, err := b.session()
+	if err != nil {
+		return nil, err
+	}
+	return sess.Run(ctx, tasks, opts)
+}
+
+// Close stops the workers; rounds after it get mpi.ErrClosed.
+func (b *standing) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.closed = true
+	if b.sess == nil {
+		return nil
+	}
+	sess := b.sess
+	b.sess = nil
+	return sess.Close()
+}
+
+// Stand gives the engine standing workers: its backend — the default, a
+// farm.Local or a *NetBackend — is replaced by one session of e.Workers
+// workers that every later round of this engine, and of every copy taken
+// after the call, shares, and stop closes it. The engine's Telemetry and
+// Workers must be final before the call. A backend that can only Run (a
+// test's or a tracer's wrapper) is left as it is, one world per round,
+// and stop does nothing.
+func (e *Engine) Stand() (stop func() error) {
+	opener, ok := e.backend().(sessionOpener)
+	if !ok {
+		return func() error { return nil }
+	}
+	opts, workers := e.farmOptions(), e.workers()
+	b := &standing{open: func() (*farm.Session, error) { return opener.Open(opts, workers) }}
+	e.Backend = b
+	return b.Close
 }
 
 // GoNetWorkers returns a NetBackend Spawn function running each worker

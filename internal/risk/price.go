@@ -47,6 +47,12 @@ func (e Engine) stampThreads(p *premia.Problem) *premia.Problem {
 	return p.Clone().Set("threads", float64(e.KernelThreads))
 }
 
+// farmOptions are the settings of every round the engine farms, and of
+// the workers it opens when it stands.
+func (e Engine) farmOptions() farm.Options {
+	return farm.Options{Strategy: farm.SerializedLoad, BatchSize: e.batch(), Telemetry: e.Telemetry, Fleet: e.Fleet}
+}
+
 // priced is one problem's slot in a priceRound answer.
 type priced struct {
 	res premia.Result
@@ -78,8 +84,7 @@ func (e Engine) priceRound(ctx context.Context, names []string, problems []*prem
 		tasks[i] = farm.Task{Name: names[i], Obj: e.stampThreads(p)}
 		slot[names[i]] = i
 	}
-	opts := farm.Options{Strategy: farm.SerializedLoad, BatchSize: e.batch(), Telemetry: e.Telemetry, Fleet: e.Fleet}
-	results, err := e.backend().Run(ctx, tasks, opts, min(e.workers(), len(tasks)))
+	results, err := e.backend().Run(ctx, tasks, e.farmOptions(), min(e.workers(), len(tasks)))
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("risk: pricing round cancelled: %w", ctx.Err())

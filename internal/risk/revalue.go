@@ -11,7 +11,7 @@ import (
 	"riskbench/internal/telemetry"
 )
 
-// Engine revalues portfolios under scenarios on a live local farm.
+// Engine revalues portfolios under scenarios on a live farm.
 type Engine struct {
 	// Workers is the number of pricing goroutines (default 4).
 	Workers int
@@ -39,11 +39,13 @@ type Engine struct {
 	// content keys and always price fresh.
 	Cache PriceCache
 	// Backend selects where the farm's workers live: nil (the default)
-	// means farm.Local{}, a flat in-process goroutine world per round;
+	// means farm.Local{}, a flat in-process goroutine world;
 	// farm.Local{Groups, Chunk} runs the same round under a root master
 	// and sub-masters; a NetBackend farms over a framed mpi transport
 	// (tcp, unix, inproc) with per-connection protocol negotiation.
-	// Distributed traces thread through any of them.
+	// Distributed traces thread through any of them. Each round opens
+	// and closes its own world unless the engine stands (Stand), after
+	// which every round shares one session.
 	Backend FarmBackend
 	// Fleet, when non-nil, accumulates per-worker health (in-flight,
 	// completions, failures, redeals, EWMA durations) across every farm

@@ -14,36 +14,41 @@ import (
 // outcomes. risk.Engine.PriceBatch is the production implementation;
 // tests substitute stubs to count kernel evaluations. The problems
 // slice is reused across batches, so implementations must not retain it
-// past the call.
+// past the call; the outcomes they return are the batcher's to hand
+// out, so they must not reuse those either.
 type PriceFunc func(ctx context.Context, problems []*premia.Problem) ([]risk.PriceOutcome, error)
 
-// priceRequest is one problem waiting for a batch slot. done is
-// buffered, so the batcher's reply never blocks even when the requester
-// has abandoned its deadline. trace is where the request sits in its
-// distributed trace and queue times its wait for a batch slot; span is
-// the trace's root when this descriptor opened it (a lone problem) and nil
-// when the request it belongs to did (/batch). All are zero when tracing
-// is off.
+// priceRequest is the problems of one request waiting for a batch slot:
+// one for a lone /price, every flight leader of a /batch — a group that
+// is queued, flushed and answered as a whole. done is buffered, so the
+// batcher's reply never blocks even when the requester has abandoned its
+// deadline. trace is where the request sits in its distributed trace and
+// queue times its wait for a batch slot; span is the trace's root when
+// this descriptor opened it (a lone problem) and nil when the request it
+// belongs to did (/batch). All are zero when tracing is off.
 type priceRequest struct {
-	problem *premia.Problem
-	done    chan priceResponse
-	trace   telemetry.TraceContext
-	span    *telemetry.Span
-	queue   *telemetry.Span
+	problems []*premia.Problem
+	done     chan priceResponse
+	trace    telemetry.TraceContext
+	span     *telemetry.Span
+	queue    *telemetry.Span
 }
 
-// priceResponse answers one request, and is what a completed flight
-// hands to its waiters.
+// priceResponse answers one request: outcomes index-aligned with its
+// problems, or the batch-level failure (transport, cancellation) that
+// cost it all of them.
 type priceResponse struct {
-	outcome risk.PriceOutcome
-	err     error // batch-level failure (transport, cancellation)
+	outcomes []risk.PriceOutcome
+	err      error
 }
 
-// batcher coalesces single-problem requests into farm batches: it
-// flushes whenever maxBatch requests have accumulated or maxDelay has
-// passed since the first request of the current batch — the dynamic
-// version of the farm's BatchSize bunching, applied to request traffic
-// instead of a pre-built portfolio.
+// batcher coalesces requests into farm batches: it flushes whenever the
+// waiting requests hold maxBatch problems or more between them, or
+// maxDelay has passed since the first request of the current batch — the
+// dynamic version of the farm's BatchSize bunching, applied to request
+// traffic instead of a pre-built portfolio. A request is never split: a
+// 256-problem group flushes at once, with whatever lone requests were
+// waiting, as one batch.
 //
 // Flushes run synchronously on the batcher goroutine; while one batch
 // is pricing, later arrivals accumulate in the bounded input queue and
@@ -116,6 +121,7 @@ func (b *batcher) loop() {
 	// their consumers and buf can be truncated in place.
 	var (
 		buf     []*priceRequest
+		pending int // problems in buf
 		timer   *time.Timer
 		timeout <-chan time.Time
 	)
@@ -135,10 +141,10 @@ func (b *batcher) loop() {
 		if len(buf) == 0 {
 			return
 		}
-		b.reg.Observe("serve.batch.size", float64(len(buf)))
+		b.reg.Observe("serve.batch.size", float64(pending))
 		b.runBatch(buf)
 		clear(buf) // the descriptors belong to their requesters now
-		buf = buf[:0]
+		buf, pending = buf[:0], 0
 	}
 	for {
 		select {
@@ -148,7 +154,8 @@ func (b *batcher) loop() {
 				return
 			}
 			buf = append(buf, r)
-			if len(buf) >= b.maxBatch {
+			pending += len(r.problems)
+			if pending >= b.maxBatch {
 				b.reg.Counter("serve.batch.flush_size").Add(1)
 				flush()
 			} else if timeout == nil {
@@ -167,19 +174,17 @@ func (b *batcher) loop() {
 	}
 }
 
-// runBatch prices one flushed batch and fans the outcomes back out. The
-// batch prices under the first traced request's trace — one farm run
+// runBatch prices one flushed batch and fans the outcomes back out,
+// each request getting the stretch of them that answers its problems.
+// The batch prices under the first traced request's trace — one farm run
 // serves the whole batch, so one tree carries its full breakdown; the
 // other requests' traces keep their queue timing.
 func (b *batcher) runBatch(batch []*priceRequest) {
-	if cap(b.problems) < len(batch) {
-		b.problems = make([]*premia.Problem, len(batch))
-	}
-	problems := b.problems[:len(batch)]
+	problems := b.problems[:0]
 	ctx := b.ctx
 	adopted := false
-	for i, r := range batch {
-		problems[i] = r.problem
+	for _, r := range batch {
+		problems = append(problems, r.problems...)
 		r.queue.End()
 		if !adopted && r.trace.Valid() {
 			ctx = telemetry.ContextWithTrace(ctx, r.trace)
@@ -187,18 +192,23 @@ func (b *batcher) runBatch(batch []*priceRequest) {
 		}
 	}
 	out, err := b.price(ctx, problems)
-	if err == nil && len(out) != len(batch) {
+	if err == nil && len(out) != len(problems) {
 		// A misbehaving PriceFunc must not panic the batcher goroutine —
 		// that would strand every waiter in this and all later batches.
 		// Surface the mismatch as a batch-level error instead.
-		err = fmt.Errorf("serve: price returned %d outcomes for %d problems", len(out), len(batch))
+		err = fmt.Errorf("serve: price returned %d outcomes for %d problems", len(out), len(problems))
 	}
-	for i, r := range batch {
+	clear(problems) // the problems belong to their requesters
+	b.problems = problems
+	next := 0
+	for _, r := range batch {
 		r.span.End() // nil unless this descriptor opened its trace's root
 		if err != nil {
 			r.done <- priceResponse{err: err}
 			continue
 		}
-		r.done <- priceResponse{outcome: out[i]}
+		end := next + len(r.problems)
+		r.done <- priceResponse{outcomes: out[next:end:end]}
+		next = end
 	}
 }

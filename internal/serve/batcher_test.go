@@ -32,6 +32,11 @@ func batchProblem(k float64) *premia.Problem {
 		Set("S0", 100).Set("r", 0.05).Set("sigma", 0.2).Set("K", k).Set("T", 1)
 }
 
+// loneRequest is a /price-shaped request: one problem of strike k.
+func loneRequest(k float64) *priceRequest {
+	return &priceRequest{problems: []*premia.Problem{batchProblem(k)}, done: make(chan priceResponse, 1)}
+}
+
 func TestBatcherFlushOnSize(t *testing.T) {
 	var mu sync.Mutex
 	var sizes []int
@@ -39,7 +44,7 @@ func TestBatcherFlushOnSize(t *testing.T) {
 	defer b.close()
 	reqs := make([]*priceRequest, 4)
 	for i := range reqs {
-		reqs[i] = &priceRequest{problem: batchProblem(float64(90 + i)), done: make(chan priceResponse, 1)}
+		reqs[i] = loneRequest(float64(90 + i))
 		if !b.submit(reqs[i]) {
 			t.Fatal("submit rejected")
 		}
@@ -48,7 +53,7 @@ func TestBatcherFlushOnSize(t *testing.T) {
 	for i, r := range reqs {
 		select {
 		case resp := <-r.done:
-			if resp.err != nil || resp.outcome.Result.Price != float64(90+i) {
+			if resp.err != nil || resp.outcomes[0].Result.Price != float64(90+i) {
 				t.Fatalf("request %d: %+v", i, resp)
 			}
 		case <-time.After(5 * time.Second):
@@ -69,7 +74,7 @@ func TestBatcherFlushOnDelay(t *testing.T) {
 	defer b.close()
 	reqs := make([]*priceRequest, 3)
 	for i := range reqs {
-		reqs[i] = &priceRequest{problem: batchProblem(float64(90 + i)), done: make(chan priceResponse, 1)}
+		reqs[i] = loneRequest(float64(90 + i))
 		b.submit(reqs[i])
 	}
 	for i, r := range reqs {
@@ -98,7 +103,7 @@ func TestBatcherQueueFull(t *testing.T) {
 	b := newBatcher(context.Background(), price, 1, time.Hour, 2, telemetry.New())
 	// First request flushes immediately and blocks the loop in the gated
 	// price func; the next two fill the queue.
-	first := &priceRequest{problem: batchProblem(90), done: make(chan priceResponse, 1)}
+	first := loneRequest(90)
 	if !b.submit(first) {
 		t.Fatal("first submit rejected")
 	}
@@ -106,14 +111,14 @@ func TestBatcherQueueFull(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	queued := []*priceRequest{}
 	for len(queued) < 2 {
-		r := &priceRequest{problem: batchProblem(91), done: make(chan priceResponse, 1)}
+		r := loneRequest(91)
 		if b.submit(r) {
 			queued = append(queued, r)
 		} else if time.Now().After(deadline) {
 			t.Fatal("queue never accepted two requests")
 		}
 	}
-	if b.submit(&priceRequest{problem: batchProblem(92), done: make(chan priceResponse, 1)}) {
+	if b.submit(loneRequest(92)) {
 		t.Fatal("submit accepted beyond queue capacity")
 	}
 	close(gate)
@@ -140,7 +145,7 @@ func TestBatcherShortPriceSlice(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		reqs := make([]*priceRequest, 2)
 		for i := range reqs {
-			reqs[i] = &priceRequest{problem: batchProblem(float64(90 + i)), done: make(chan priceResponse, 1)}
+			reqs[i] = loneRequest(float64(90 + i))
 			if !b.submit(reqs[i]) {
 				t.Fatalf("round %d: submit %d rejected", round, i)
 			}
@@ -163,12 +168,12 @@ func TestBatcherCloseFlushesRemainder(t *testing.T) {
 	var mu sync.Mutex
 	var sizes []int
 	b := newBatcher(context.Background(), recordingPrice(&mu, &sizes), 100, time.Hour, 64, telemetry.New())
-	r := &priceRequest{problem: batchProblem(95), done: make(chan priceResponse, 1)}
+	r := loneRequest(95)
 	b.submit(r)
 	b.close() // neither size nor delay fired: close must flush
 	select {
 	case resp := <-r.done:
-		if resp.err != nil || resp.outcome.Result.Price != 95 {
+		if resp.err != nil || resp.outcomes[0].Result.Price != 95 {
 			t.Fatalf("bad close-flush response: %+v", resp)
 		}
 	default:

@@ -5,10 +5,13 @@
 //
 // Three mechanisms sit between the socket and the farm:
 //
-//   - a dynamic micro-batcher that coalesces concurrent single-problem
-//     requests into farm batches (flush on max batch size or max delay —
+//   - a dynamic micro-batcher that coalesces concurrent requests — a
+//     lone /price problem, or the whole group of problems a /batch book
+//     leads — into farm rounds (flush on max batch size or max delay —
 //     the same bunching lever as the farm's BatchSize), so point lookups
-//     ride the Robin-Hood hot path together with portfolio sweeps;
+//     ride the Robin-Hood hot path together with portfolio sweeps, on
+//     one standing farm session that New's engine opens with its first
+//     round and Drain closes;
 //   - a sharded, content-addressed result cache keyed by
 //     premia.Problem.ContentKey, with singleflight suppression of
 //     duplicate in-flight prices and LRU eviction per shard;

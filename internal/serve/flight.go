@@ -1,12 +1,18 @@
 package serve
 
-import "sync"
+import (
+	"sync"
+
+	"riskbench/internal/risk"
+)
 
 // flightCall is one in-flight computation of a content key. The leader
-// closes done exactly once, after res is set.
+// closes done exactly once, after outcome and err — the batch-level
+// failure that cost the leader its answer — are set.
 type flightCall struct {
-	done chan struct{}
-	res  priceResponse
+	done    chan struct{}
+	outcome risk.PriceOutcome
+	err     error
 }
 
 // flightGroup suppresses duplicate in-flight computations: for each
@@ -38,10 +44,10 @@ func (g *flightGroup) begin(key string) (*flightCall, bool) {
 
 // finish publishes the leader's result to every waiter and retires the
 // key, so later requests start a fresh flight (or hit the cache).
-func (g *flightGroup) finish(key string, c *flightCall, res priceResponse) {
+func (g *flightGroup) finish(key string, c *flightCall, outcome risk.PriceOutcome, err error) {
 	g.mu.Lock()
 	delete(g.calls, key)
 	g.mu.Unlock()
-	c.res = res
+	c.outcome, c.err = outcome, err
 	close(c.done)
 }

@@ -99,6 +99,8 @@ type Server struct {
 	slo    *telemetry.SLOMonitor
 	mux    *http.ServeMux
 	cancel context.CancelFunc
+	// stopFarm closes the engine's standing farm session.
+	stopFarm func() error
 
 	inflight atomic.Int64
 
@@ -112,8 +114,9 @@ type Server struct {
 	stopped  sync.Once
 }
 
-// New builds and starts a Server (its batcher goroutine runs until
-// Drain or Close).
+// New builds and starts a Server: its batcher goroutine runs, and the
+// engine's farm session stands once the first round has opened it, until
+// Drain or Close.
 func New(cfg Config) *Server {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 16
@@ -147,8 +150,13 @@ func New(cfg Config) *Server {
 		eng.Fleet = farm.NewFleet()
 	}
 	s.fleet = eng.Fleet
+	// The engine stands: one farm session of eng.Workers workers, opened
+	// by the first round, shared by every flush and every /risk report
+	// (both engines below are this one), closed by Drain. A backend that
+	// cannot be opened stays one world per round.
+	s.stopFarm = eng.Stand()
 	// The batcher prices through a copy of the engine taken before the
-	// cache default below: PriceProblem has already looked the problem up
+	// cache default below: priceGroup has already looked the problem up
 	// in s.cache and settle stores the answer, so reading through the same
 	// cache again inside PriceBatch would only count each miss and store
 	// each result twice. A caller-supplied Engine.Cache rides the copy.
@@ -224,7 +232,18 @@ func (s *Server) sloLoop(ctx context.Context) {
 	}
 }
 
-// handleFarm serves per-worker fleet health — the /debug/farm endpoint.
+// farmSessionJSON is the standing session's live state in /debug/farm,
+// read off the farm.session.* gauges: the paper's "the nodes are waiting
+// for work" is idle_workers above zero while queued_batches is zero, and
+// a starved farm is the reverse.
+type farmSessionJSON struct {
+	OpenRounds    float64 `json:"open_rounds"`
+	QueuedBatches float64 `json:"queued_batches"`
+	IdleWorkers   float64 `json:"idle_workers"`
+}
+
+// handleFarm serves the farm session's state and per-worker fleet
+// health — the /debug/farm endpoint.
 func (s *Server) handleFarm(w http.ResponseWriter, r *http.Request) {
 	workers := s.fleet.Snapshot()
 	if workers == nil {
@@ -234,8 +253,13 @@ func (s *Server) handleFarm(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(struct {
+		Session farmSessionJSON     `json:"session"`
 		Workers []farm.WorkerHealth `json:"workers"`
-	}{workers})
+	}{farmSessionJSON{
+		OpenRounds:    s.engine.Telemetry.Gauge("farm.session.open_rounds").Value(),
+		QueuedBatches: s.engine.Telemetry.Gauge("farm.session.queued_batches").Value(),
+		IdleWorkers:   s.engine.Telemetry.Gauge("farm.session.idle_workers").Value(),
+	}, workers})
 }
 
 // Handler returns the server's HTTP surface: POST /price, POST /batch,
@@ -252,51 +276,106 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // come back as the error; per-problem validation and pricing failures
 // ride in the outcome's Err field.
 func (s *Server) PriceProblem(ctx context.Context, p *premia.Problem) (risk.PriceOutcome, error) {
-	return s.priceProblem(ctx, p, true)
+	out, err := s.priceGroup(ctx, []*premia.Problem{p}, true)
+	if err != nil {
+		return risk.PriceOutcome{}, err
+	}
+	return out[0], nil
 }
 
-// priceProblem implements PriceProblem. wait selects the queue-full
-// behaviour: block (in-process callers, /batch fan-out — backpressure)
-// or fail with ErrOverloaded (the /price endpoint — load shedding).
-func (s *Server) priceProblem(ctx context.Context, p *premia.Problem, wait bool) (risk.PriceOutcome, error) {
-	if err := p.Validate(); err != nil {
-		return risk.PriceOutcome{Err: err}, nil
+// flightSlot is one problem of a request that a flight will answer:
+// its index in the request, its content key and the flight — the
+// request's own when it leads it, somebody else's when it follows.
+type flightSlot struct {
+	slot int
+	key  string
+	call *flightCall
+}
+
+// priceGroup is the serving path of every request, /price's one problem
+// or /batch's book: per problem, on the caller's goroutine, validate →
+// content key → cache → flight → cache double-check; then the problems
+// this request leads go to the batcher as one group — one queue entry,
+// one flush, one farm round — every leader is settled from the answer,
+// and only then are the flights others lead waited on (a duplicate
+// inside the request follows its first occurrence, so it is answered by
+// then). The outcomes are index-aligned with the problems. wait selects
+// the queue-full behaviour: block (in-process callers, /batch —
+// backpressure) or fail with ErrOverloaded (/price — load shedding).
+func (s *Server) priceGroup(ctx context.Context, problems []*premia.Problem, wait bool) ([]risk.PriceOutcome, error) {
+	out := make([]risk.PriceOutcome, len(problems))
+	var leaders, followers []flightSlot
+	for i, p := range problems {
+		if err := p.Validate(); err != nil {
+			out[i].Err = err
+			continue
+		}
+		key := p.ContentKey()
+		if s.cache != nil {
+			if res, ok := s.cache.Get(key); ok {
+				out[i] = risk.PriceOutcome{Result: res, Cached: true}
+				continue
+			}
+		}
+		call, leader := s.flight.begin(key)
+		if !leader {
+			s.reg.Counter("serve.singleflight.shared").Add(1)
+			followers = append(followers, flightSlot{i, key, call})
+			continue
+		}
+		if s.cache != nil {
+			// Double-check after winning leadership: the previous leader may
+			// have settled (and cached) between our miss and our begin, and
+			// pricing again would break the one-evaluation-per-key contract.
+			if res, ok := s.cache.Get(key); ok {
+				out[i] = risk.PriceOutcome{Result: res, Cached: true}
+				s.flight.finish(key, call, out[i], nil)
+				continue
+			}
+		}
+		if leaders == nil {
+			leaders = make([]flightSlot, 0, len(problems)-i)
+		}
+		leaders = append(leaders, flightSlot{i, key, call})
 	}
-	key := p.ContentKey()
-	if s.cache != nil {
-		if res, ok := s.cache.Get(key); ok {
-			return risk.PriceOutcome{Result: res, Cached: true}, nil
+	if len(leaders) > 0 {
+		if err := s.priceLeaders(ctx, problems, leaders, out, wait); err != nil {
+			return nil, err
 		}
 	}
-	call, leader := s.flight.begin(key)
-	if leader && s.cache != nil {
-		// Double-check after winning leadership: the previous leader may
-		// have settled (and cached) between our miss and our begin, and
-		// pricing again would break the one-evaluation-per-key contract.
-		if res, ok := s.cache.Get(key); ok {
-			out := risk.PriceOutcome{Result: res, Cached: true}
-			s.flight.finish(key, call, priceResponse{outcome: out})
-			return out, nil
-		}
-	}
-	if !leader {
-		s.reg.Counter("serve.singleflight.shared").Add(1)
+	for _, f := range followers {
 		select {
-		case <-call.done:
-			return call.res.outcome, call.res.err
+		case <-f.call.done:
+			if f.call.err != nil {
+				return nil, f.call.err
+			}
+			out[f.slot] = f.call.outcome
 		case <-ctx.Done():
-			return risk.PriceOutcome{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
-	req := &priceRequest{problem: p, done: make(chan priceResponse, 1)}
+	return out, nil
+}
+
+// priceLeaders submits the problems a request leads as one group, waits
+// for the batch that carries them and settles every flight from it,
+// filling the leaders' slots of out.
+func (s *Server) priceLeaders(ctx context.Context, problems []*premia.Problem, leaders []flightSlot, out []risk.PriceOutcome, wait bool) error {
+	req := &priceRequest{problems: problems, done: make(chan priceResponse, 1)}
+	if len(leaders) < len(problems) {
+		req.problems = make([]*premia.Problem, len(leaders))
+		for k, l := range leaders {
+			req.problems[k] = problems[l.slot]
+		}
+	}
 	if !s.cfg.DisableTracing {
 		// A request roots one trace. A lone problem is its own request:
 		// its flight leader opens the serve.request root here and the
-		// batcher ends it. A problem fanned out of a request that already
-		// carries a trace (/batch) opens only its queue span there. Either
-		// way the batcher ends the queue span at flush and prices the
-		// whole batch under the first request's trace, so /debug/traces
-		// shows queue wait, batch delay, dispatch and worker compute.
+		// batcher ends it. A /batch arrives with its root already open and
+		// only queues under it. Either way the batcher ends the queue span
+		// at flush and prices the whole batch under the first request's
+		// trace, so /debug/traces shows queue wait, batch delay, dispatch
+		// and worker compute.
 		if tc, ok := telemetry.TraceFromContext(ctx); ok {
 			req.trace = tc
 		} else {
@@ -305,45 +384,55 @@ func (s *Server) priceProblem(ctx context.Context, p *premia.Problem, wait bool)
 		}
 		req.queue = s.reg.StartSpanIn(req.trace, "serve.queue")
 	}
+	var err error
 	if wait {
-		if err := s.batch.submitWait(ctx, req); err != nil {
-			req.queue.End()
-			req.span.End()
-			s.flight.finish(key, call, priceResponse{err: err})
-			return risk.PriceOutcome{}, err
-		}
+		err = s.batch.submitWait(ctx, req)
 	} else if !s.batch.submit(req) {
-		req.queue.End()
-		req.span.End()
+		err = ErrOverloaded
 		s.reg.Counter("serve.rejected.queue").Add(1)
 		s.reg.Emit(telemetry.LevelWarn, "serve.reject.queue", req.trace,
 			telemetry.Num("queue_cap", float64(cap(s.batch.in))))
-		s.flight.finish(key, call, priceResponse{err: ErrOverloaded})
-		return risk.PriceOutcome{}, ErrOverloaded
+	}
+	if err != nil {
+		req.queue.End()
+		req.span.End()
+		s.settle(leaders, priceResponse{err: err}, nil)
+		return err
 	}
 	select {
 	case resp := <-req.done:
-		return s.settle(key, call, resp)
+		s.settle(leaders, resp, out)
+		return resp.err
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			s.reg.Emit(telemetry.LevelWarn, "serve.request.deadline", req.trace,
 				telemetry.Num("timeout_seconds", s.cfg.RequestTimeout.Seconds()))
 		}
-		// The leader's deadline expired but the batch is still pricing.
+		// The request's deadline expired but the batch is still pricing.
 		// Hand completion to a goroutine so waiters unblock and the
-		// result still lands in the cache — the work is not wasted.
-		go func() { s.settle(key, call, <-req.done) }()
-		return risk.PriceOutcome{}, ctx.Err()
+		// results still land in the cache — the work is not wasted.
+		go func() { s.settle(leaders, <-req.done, nil) }()
+		return ctx.Err()
 	}
 }
 
-// settle publishes a batch response to the cache and the flight group.
-func (s *Server) settle(key string, call *flightCall, resp priceResponse) (risk.PriceOutcome, error) {
-	if resp.err == nil && resp.outcome.Err == nil && s.cache != nil {
-		s.cache.Put(key, resp.outcome.Result)
+// settle publishes a batch response, index-aligned with the leaders, to
+// the cache and the flight group — and to the leaders' slots of out,
+// when the request is still there to read them.
+func (s *Server) settle(leaders []flightSlot, resp priceResponse, out []risk.PriceOutcome) {
+	for k, l := range leaders {
+		var outcome risk.PriceOutcome
+		if resp.err == nil {
+			outcome = resp.outcomes[k]
+			if outcome.Err == nil && s.cache != nil {
+				s.cache.Put(l.key, outcome.Result)
+			}
+		}
+		s.flight.finish(l.key, l.call, outcome, resp.err)
+		if out != nil {
+			out[l.slot] = outcome
+		}
 	}
-	s.flight.finish(key, call, resp)
-	return resp.outcome, resp.err
 }
 
 // admitted wraps a pricing endpoint in the prologue they all share:
@@ -423,6 +512,13 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.stopped.Do(func() {
 		s.batch.close()
 		s.cancel()
+		// Nothing is in flight any more: the workers get their stop
+		// message and are joined. What a worker died of on the way out is
+		// logged, not returned — every request has its answer.
+		if err := s.stopFarm(); err != nil {
+			s.reg.Emit(telemetry.LevelWarn, "serve.farm.stop", telemetry.TraceContext{},
+				telemetry.Str("err", err.Error()))
+		}
 	})
 	return nil
 }
@@ -558,16 +654,16 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	out, err := s.priceProblem(ctx, pj.toProblem(), false)
+	out, err := s.priceGroup(ctx, []*premia.Problem{pj.toProblem()}, false)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	if out.Err != nil {
-		writeJSON(w, http.StatusBadRequest, toResultJSON(out))
+	if out[0].Err != nil {
+		writeJSON(w, http.StatusBadRequest, toResultJSON(out[0]))
 		return
 	}
-	writeJSON(w, http.StatusOK, toResultJSON(out))
+	writeJSON(w, http.StatusOK, toResultJSON(out[0]))
 }
 
 // maxBatchRequest bounds how many problems one /batch request may
@@ -588,41 +684,27 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	if !s.cfg.DisableTracing {
-		// One request, one trace: every problem below queues and prices
-		// under this root instead of minting its own, which used to evict
-		// the whole trace table and count in the latency SLO once per
-		// problem.
+		// One request, one trace: the book queues and prices under this
+		// root.
 		root := s.reg.StartTrace("serve.request")
 		defer root.End()
 		ctx = telemetry.ContextWithTrace(ctx, root.Context())
 	}
-	// Fan every problem through the single-problem path concurrently:
-	// distinct problems fill micro-batches, duplicates coalesce in the
-	// flight group, warm ones hit the cache.
-	results := make([]resultJSON, len(body.Problems))
-	var firstErr error
-	var errMu sync.Mutex
-	var wg sync.WaitGroup
+	// The book is one group: warm problems hit the cache, duplicates
+	// coalesce in the flight group, and the rest reach the batcher — and
+	// the farm — together.
+	problems := make([]*premia.Problem, len(body.Problems))
 	for i, pj := range body.Problems {
-		wg.Add(1)
-		go func(i int, pj problemJSON) {
-			defer wg.Done()
-			out, err := s.PriceProblem(ctx, pj.toProblem())
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			results[i] = toResultJSON(out)
-		}(i, pj)
+		problems[i] = pj.toProblem()
 	}
-	wg.Wait()
-	if firstErr != nil {
-		s.writeError(w, r, firstErr)
+	outs, err := s.priceGroup(ctx, problems, true)
+	if err != nil {
+		s.writeError(w, r, err)
 		return
+	}
+	results := make([]resultJSON, len(outs))
+	for i, out := range outs {
+		results[i] = toResultJSON(out)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"results": results})
 }

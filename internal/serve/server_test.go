@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -365,6 +366,183 @@ func TestColdPriceAllocs(t *testing.T) {
 	flush()
 	if got := testing.AllocsPerRun(20, flush) / batch; got > 160 {
 		t.Errorf("a cold /price allocates %v, budget is 160", got)
+	}
+}
+
+// TestColdBatchAllocs is the book path's allocation budget: a cold
+// 256-problem /batch — one HTTP decode, the per-problem validate → key →
+// cache → flight loop on the request goroutine, one group through the
+// batcher, one 16-batch round on the standing session, settle, one
+// response encode, request trace included — stays within 34 allocations
+// per problem (28.9 when recorded; the fan-out it replaced, 256
+// goroutines regrouped into 16 flushes over 16 worlds, took 47.2).
+func TestColdBatchAllocs(t *testing.T) {
+	const problems = 256
+	s := New(Config{Engine: &risk.Engine{Workers: 4, BatchSize: 16}, MaxBatch: 16})
+	defer s.Close()
+	var next atomic.Int64
+	// The harness's own share — 256 Sprintf'd bodies, their join — is
+	// measured apart and taken off.
+	render := func() string {
+		bodies := make([]string, problems)
+		for i := range bodies {
+			bodies[i] = cfBody(50 + float64(next.Add(1))/1000) // a distinct strike: never a cache hit
+		}
+		return batchBody(bodies...)
+	}
+	batch := func() {
+		req := &http.Request{
+			Method: http.MethodPost, URL: &url.URL{Path: "/batch"}, RequestURI: "/batch",
+			Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: http.Header{},
+			Body: io.NopCloser(strings.NewReader(render())), Host: "example.com", RemoteAddr: "192.0.2.1:1234",
+		}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Errorf("status %d: %s", w.Code, w.Body.String())
+		}
+	}
+	s.reg.Emit(telemetry.LevelInfo, "test.alloc.warm", telemetry.TraceContext{})
+	batch()
+	batch()
+	harness := testing.AllocsPerRun(5, func() { _ = render() })
+	if got := (testing.AllocsPerRun(10, batch) - harness) / problems; got > 34 {
+		t.Errorf("a cold /batch allocates %v per problem, budget is 34", got)
+	}
+}
+
+// TestBatchIsOneGroup pins what /batch hands the pricer: the problems
+// its request leads, once each, in one flush — cached ones answered
+// without reaching it, in-request duplicates following their first
+// occurrence.
+func TestBatchIsOneGroup(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		flushes [][]float64 // the strikes of each flush
+	)
+	price := func(ctx context.Context, problems []*premia.Problem) ([]risk.PriceOutcome, error) {
+		strikes := make([]float64, len(problems))
+		out := make([]risk.PriceOutcome, len(problems))
+		for i, p := range problems {
+			strikes[i] = p.Params["K"]
+			out[i] = risk.PriceOutcome{Result: premia.Result{Price: p.Params["K"]}}
+		}
+		mu.Lock()
+		flushes = append(flushes, strikes)
+		mu.Unlock()
+		return out, nil
+	}
+	// An hour's delay: only a group at least MaxBatch big can flush.
+	s := New(Config{Price: price, MaxBatch: 16, MaxDelay: time.Hour})
+	defer s.Close()
+	post := func(strikes []float64) []resultJSON {
+		t.Helper()
+		bodies := make([]string, len(strikes))
+		for i, k := range strikes {
+			bodies[i] = cfBody(k)
+		}
+		w := postJSON(s, "/batch", batchBody(bodies...))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d body %s", w.Code, w.Body.String())
+		}
+		var resp struct {
+			Results []resultJSON `json:"results"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Results) != len(strikes) {
+			t.Fatalf("got %d results for %d problems", len(resp.Results), len(strikes))
+		}
+		for i, r := range resp.Results {
+			if r.Error != "" || r.Price != strikes[i] {
+				t.Fatalf("result %d: price %v error %q, want %v", i, r.Price, r.Error, strikes[i])
+			}
+		}
+		return resp.Results
+	}
+
+	cold := make([]float64, 256)
+	for i := range cold {
+		cold[i] = 100 + float64(i)
+	}
+	for i, r := range post(cold) {
+		if r.Cached {
+			t.Errorf("cold problem %d answered as cached", i)
+		}
+	}
+	if len(flushes) != 1 || len(flushes[0]) != 256 {
+		t.Fatalf("a cold 256-problem /batch reached the pricer as %d flushes, want one of 256", len(flushes))
+	}
+	seen := map[float64]bool{}
+	for _, k := range flushes[0] {
+		if seen[k] {
+			t.Errorf("strike %v priced twice in one flush", k)
+		}
+		seen[k] = true
+	}
+
+	// Second book: 100 warm problems, then 20 new strikes three times over.
+	flushes = nil
+	mixed := append([]float64{}, cold[:100]...)
+	for rep := 0; rep < 3; rep++ {
+		for i := 0; i < 20; i++ {
+			mixed = append(mixed, 500+float64(i))
+		}
+	}
+	for i, r := range post(mixed) {
+		if want := i < 100; r.Cached != want {
+			t.Errorf("mixed problem %d: cached %v, want %v", i, r.Cached, want)
+		}
+	}
+	if len(flushes) != 1 || len(flushes[0]) != 20 {
+		t.Fatalf("100 warm + 3×20 new problems reached the pricer as %v, want one flush of the 20 new strikes", flushes)
+	}
+	for i, k := range flushes[0] {
+		if k != 500+float64(i) {
+			t.Errorf("flush slot %d prices strike %v, want %v", i, k, 500+float64(i))
+		}
+	}
+}
+
+// TestServerCloseLeavesNoGoroutine: batcher, SLO ticker, the standing
+// session's ranks and pump — everything New and the first round start is
+// gone after Close, and after Drain; /debug/farm shows the session's
+// workers waiting for work in between and none after.
+func TestServerCloseLeavesNoGoroutine(t *testing.T) {
+	settled := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 200; i++ {
+			time.Sleep(time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m >= n && i > 10 {
+				break
+			}
+			n = m
+		}
+		return n
+	}
+	before := settled()
+	for _, stop := range []func(*Server) error{
+		(*Server).Close,
+		func(s *Server) error { return s.Drain(context.Background()) },
+	} {
+		s := New(Config{Engine: &risk.Engine{Workers: 3}})
+		if w := postJSON(s, "/price", cfBody(77)); w.Code != http.StatusOK {
+			t.Fatalf("price: status %d body %s", w.Code, w.Body.String())
+		}
+		if w := getPath(s, "/debug/farm"); !strings.Contains(w.Body.String(), `"idle_workers": 3`) {
+			t.Errorf("/debug/farm of an idle 3-worker server: %s", w.Body.String())
+		}
+		if err := stop(s); err != nil {
+			t.Fatal(err)
+		}
+		if w := getPath(s, "/debug/farm"); !strings.Contains(w.Body.String(), `"idle_workers": 0`) {
+			t.Errorf("/debug/farm after the session closed: %s", w.Body.String())
+		}
+	}
+	if after := settled(); after > before {
+		t.Errorf("%d goroutines before New, %d after Close", before, after)
 	}
 }
 

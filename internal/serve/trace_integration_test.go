@@ -119,6 +119,8 @@ func TestServeTracingDisabled(t *testing.T) {
 // one 256-problem request evicted the whole 128-trace table (the /price
 // before it included) and counted 256 times in span.serve.request, the
 // histogram the latency SLO reads "99 % of requests under 50 ms" from.
+// Now the request's root is the only one, and the book under it is one
+// serve.queue, one farm.run and a farm.task per problem.
 func TestBatchRootsOneTrace(t *testing.T) {
 	reg := telemetry.New()
 	s := New(Config{Telemetry: reg, CacheSize: -1})
@@ -149,19 +151,22 @@ func TestBatchRootsOneTrace(t *testing.T) {
 		}
 		return names
 	}
+	// Both traces hold one serve.queue now; what tells them apart is how
+	// many tasks the farm ran under them.
 	price, batch := count(traces[0]), count(traces[1])
-	if batch["serve.queue"] < price["serve.queue"] {
+	if batch["farm.task"] < price["farm.task"] {
 		price, batch = batch, price
 	}
-	if price["serve.request"] != 1 || price["serve.queue"] != 1 || price["farm.run"] != 1 {
-		t.Errorf("the /price trace holds %v, want one serve.request, serve.queue and farm.run", price)
+	if price["serve.request"] != 1 || price["serve.queue"] != 1 || price["farm.run"] != 1 || price["farm.task"] != 1 {
+		t.Errorf("the /price trace holds %v, want one serve.request, serve.queue, farm.run and farm.task", price)
 	}
-	// Every flush of the batcher is one farm run, and all of them belong
-	// to the request that caused them (16 when each flush fills).
-	flushes := int(reg.Histogram("serve.batch.size").Count()) - 1
-	if batch["serve.request"] != 1 || batch["serve.queue"] != problems || batch["farm.run"] != flushes || flushes < problems/16 {
-		t.Errorf("the /batch trace holds %d serve.request, %d serve.queue and %d farm.run, want 1, %d and one per flush (%d)",
-			batch["serve.request"], batch["serve.queue"], batch["farm.run"], problems, flushes)
+	// The book is one group: one queue entry, one flush, one farm round.
+	if flushes := int(reg.Histogram("serve.batch.size").Count()) - 1; flushes != 1 {
+		t.Errorf("the /batch took %d flushes, want 1", flushes)
+	}
+	if batch["serve.request"] != 1 || batch["serve.queue"] != 1 || batch["farm.run"] != 1 {
+		t.Errorf("the /batch trace holds %d serve.request, %d serve.queue and %d farm.run, want one of each",
+			batch["serve.request"], batch["serve.queue"], batch["farm.run"])
 	}
 	if batch["farm.task"] != problems || traces[0].Dropped+traces[1].Dropped != 0 {
 		t.Errorf("the /batch trace holds %d farm.task spans (%d dropped), want %d and none", batch["farm.task"], traces[0].Dropped+traces[1].Dropped, problems)

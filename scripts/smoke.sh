@@ -1,7 +1,11 @@
 #!/bin/sh
 # End-to-end smoke test for the serving binary: boot riskserver, price
-# one request, and assert the health, metrics and trace endpoints all
-# respond with the right shape. CI runs this after `make check`.
+# one request and one 20-problem book, assert the health, metrics and
+# trace endpoints all respond with the right shape, then SIGTERM it and
+# require a clean drain — the standing farm session's stop messages
+# delivered, no rank stranded. The pricing and the drain run once on the
+# default transport and once over unix sockets. CI runs this after
+# `make check`.
 set -eu
 
 GO=${GO:-go}
@@ -15,27 +19,63 @@ cleanup() {
 trap cleanup EXIT
 
 $GO build -o "$tmp/riskserver" ./cmd/riskserver
-"$tmp/riskserver" -addr "$ADDR" -workers 2 -batch 4 -pprof &
-pid=$!
 
-ok=
-for _ in $(seq 1 50); do
-	if curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1; then
-		ok=1
-		break
+# boot starts riskserver with the given extra flags and waits for /healthz.
+boot() {
+	"$tmp/riskserver" -addr "$ADDR" -workers 2 -batch 4 -pprof "$@" 2>"$tmp/stderr" &
+	pid=$!
+	ok=
+	for _ in $(seq 1 50); do
+		if curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1; then
+			ok=1
+			break
+		fi
+		sleep 0.2
+	done
+	[ -n "$ok" ] || { echo "smoke: riskserver $* did not come up on $ADDR" >&2; cat "$tmp/stderr" >&2; exit 1; }
+}
+
+# price sends one /price, one 20-problem /batch and one /risk/report:
+# three farm rounds over the session. Bodies are captured before
+# grepping: grep -q would close the pipe early and make curl report a
+# spurious write error.
+price() {
+	curl -fsS "http://$ADDR/price" -d '{"model":"BlackScholes1dim","option":"CallEuro","method":"CF_Call","params":{"S0":100,"r":0.05,"sigma":0.2,"K":100,"T":1}}' >"$tmp/price"
+	grep -q '"price"' "$tmp/price" || { echo "smoke: /price gave no price" >&2; exit 1; }
+	book='{"problems":['
+	for k in $(seq 81 100); do
+		[ "$k" = 81 ] || book="$book,"
+		book="$book{\"model\":\"BlackScholes1dim\",\"option\":\"CallEuro\",\"method\":\"CF_Call\",\"params\":{\"S0\":100,\"r\":0.05,\"sigma\":0.2,\"K\":$k,\"T\":1}}"
+	done
+	curl -fsS "http://$ADDR/batch" -d "$book]}" >"$tmp/batch"
+	n=$(grep -o '"price"' "$tmp/batch" | wc -l)
+	[ "$n" -eq 20 ] || { echo "smoke: a 20-problem /batch gave $n prices" >&2; exit 1; }
+	curl -fsS "http://$ADDR/risk/report" -d '{"portfolio":{"name":"toy","n":8},"scenarios":{"mode":"mc","n":64},"alphas":[0.99]}' >"$tmp/riskreport"
+	grep -q '"cvar"' "$tmp/riskreport" || { echo "smoke: /risk/report gave no VaR/CVaR estimates" >&2; exit 1; }
+}
+
+# drain SIGTERMs the server and requires "drained, bye" and exit status
+# 0 within 5 s.
+drain() {
+	kill -TERM "$pid"
+	for _ in $(seq 1 50); do
+		kill -0 "$pid" 2>/dev/null || break
+		sleep 0.1
+	done
+	if kill -0 "$pid" 2>/dev/null; then
+		echo "smoke: riskserver $* still running 5 s after SIGTERM" >&2; cat "$tmp/stderr" >&2; exit 1
 	fi
-	sleep 0.2
-done
-[ -n "$ok" ] || { echo "smoke: riskserver did not come up on $ADDR" >&2; exit 1; }
+	status=0
+	wait "$pid" || status=$?
+	pid=
+	[ "$status" -eq 0 ] || { echo "smoke: riskserver $* exited $status after SIGTERM" >&2; cat "$tmp/stderr" >&2; exit 1; }
+	grep -q 'drained, bye' "$tmp/stderr" || { echo "smoke: riskserver $* did not report a clean drain" >&2; cat "$tmp/stderr" >&2; exit 1; }
+}
 
-# Capture bodies before grepping: grep -q would close the pipe early
-# and make curl report a spurious write error.
-curl -fsS "http://$ADDR/price" -d '{"model":"BlackScholes1dim","option":"CallEuro","method":"CF_Call","params":{"S0":100,"r":0.05,"sigma":0.2,"K":100,"T":1}}' >"$tmp/price"
-grep -q '"price"' "$tmp/price" || { echo "smoke: /price gave no price" >&2; exit 1; }
+boot
+price
 curl -fsS "http://$ADDR/risk" >"$tmp/risk"
 grep -q '/risk/report' "$tmp/risk" || { echo "smoke: /risk does not describe the risk endpoints" >&2; exit 1; }
-curl -fsS "http://$ADDR/risk/report" -d '{"portfolio":{"name":"toy","n":8},"scenarios":{"mode":"mc","n":64},"alphas":[0.99]}' >"$tmp/riskreport"
-grep -q '"cvar"' "$tmp/riskreport" || { echo "smoke: /risk/report gave no VaR/CVaR estimates" >&2; exit 1; }
 curl -fsS "http://$ADDR/metrics" >"$tmp/metrics"
 grep -q '# TYPE ' "$tmp/metrics" || { echo "smoke: /metrics is not Prometheus text" >&2; exit 1; }
 curl -fsS "http://$ADDR/metrics.json" >"$tmp/metrics.json"
@@ -51,7 +91,13 @@ grep -q 'price_latency' "$tmp/slo" || { echo "smoke: /debug/slo is missing the d
 curl -fsS "http://$ADDR/debug/farm" >"$tmp/farm"
 grep -q '"workers"' "$tmp/farm" || { echo "smoke: /debug/farm gave no workers array" >&2; exit 1; }
 grep -q '"rank"' "$tmp/farm" || { echo "smoke: /debug/farm shows no worker rows after pricing" >&2; exit 1; }
+grep -q '"idle_workers": 2' "$tmp/farm" || { echo "smoke: /debug/farm does not show the session's two workers waiting for work" >&2; exit 1; }
 curl -fsS "http://$ADDR/debug/pprof/cmdline" >/dev/null || { echo "smoke: /debug/pprof not mounted" >&2; exit 1; }
 curl -fsS "http://$ADDR/healthz" >/dev/null
+drain
 
-echo "smoke: price, /risk, /risk/report, /metrics, /metrics.json, /debug/traces, /debug/events, /debug/slo, /debug/farm, /debug/pprof, /healthz all OK"
+boot -transport unix
+price
+drain -transport unix
+
+echo "smoke: /price, /batch, /risk, /risk/report, /metrics, /metrics.json, /debug/traces, /debug/events, /debug/slo, /debug/farm, /debug/pprof, /healthz all OK; clean SIGTERM drain on the local and unix transports"
