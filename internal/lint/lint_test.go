@@ -6,10 +6,28 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"riskbench/internal/lint"
 )
+
+// loadModule builds the one loader every test shares: the source importer
+// behind it type-checks the standard library from source, which is most of
+// this package's run time, and a loader caches what it has checked. The
+// tests run one after another, so sharing it needs no lock.
+var loadModule = sync.OnceValues(func() (*lint.Loader, error) {
+	return lint.NewLoader(filepath.Join("..", ".."))
+})
+
+func moduleLoader(t *testing.T) *lint.Loader {
+	t.Helper()
+	loader, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loader
+}
 
 // golden runs one analyzer over a testdata package and matches its
 // diagnostics against the package's `// want `regexp`` comments: every
@@ -74,10 +92,7 @@ func golden(t *testing.T, loader *lint.Loader, analyzer *lint.Analyzer, dir stri
 func lineKey(file string, line int) string { return fmt.Sprintf("%s:%d", file, line) }
 
 func TestAnalyzersGolden(t *testing.T) {
-	loader, err := lint.NewLoader(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := moduleLoader(t)
 	cases := []struct {
 		analyzer *lint.Analyzer
 		dirs     []string
@@ -106,10 +121,7 @@ func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	loader, err := lint.NewLoader(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := moduleLoader(t)
 	diags, err := lint.RunAll(loader, lint.All())
 	if err != nil {
 		t.Fatal(err)
@@ -127,10 +139,7 @@ func TestNoDeprecatedInternal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	loader, err := lint.NewLoader(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := moduleLoader(t)
 	paths, err := loader.ModulePackages()
 	if err != nil {
 		t.Fatal(err)
@@ -183,10 +192,7 @@ func TestOnePricingRound(t *testing.T) {
 // allow, an unknown analyzer name and a reasonless directive are all
 // diagnostics themselves.
 func TestDirectiveHygiene(t *testing.T) {
-	loader, err := lint.NewLoader(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loader := moduleLoader(t)
 	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", "directives"), "fixture/directives")
 	if err != nil {
 		t.Fatal(err)

@@ -29,6 +29,26 @@ var hostileParameterBodies = map[string]string{
 		"params":{"S0":100,"r":0.05,"sigma0":0.2,"K":100,"T":1,"paths":2,"mcsteps":1e13}}`,
 }
 
+// Market overrides the scenario generator used to take at their word: a
+// negative volatility read as "factor off" (an eighth of the default
+// calibration's VaR, inside a 200), and a volatility or horizon so large
+// that every shocked spot rounded to zero — a late 400 blaming S0 on some
+// task under full revaluation, a meaningless 200 under delta–gamma. Each
+// is keyed by the MarketModel field its 400 must name.
+var badMarketBodies = map[string][]string{
+	"SpotVol":     {`{"scenarios":{"spot_vol":-1}}`, `{"scenarios":{"spot_vol":50}}`, `{"scenarios":{"spot_vol":1e308}}`},
+	"VolVol":      {`{"scenarios":{"vol_vol":-3}}`, `{"scenarios":{"vol_vol":16}}`},
+	"RateVol":     {`{"scenarios":{"rate_vol":-0.01}}`, `{"scenarios":{"mode":"grid","rate_vol":-0.01}}`},
+	"RhoSV":       {`{"scenarios":{"rho_sv":7}}`, `{"scenarios":{"rho_sv":-1.5}}`},
+	"HorizonDays": {`{"scenarios":{"horizon_days":1e300}}`, `{"scenarios":{"horizon_days":-10}}`},
+}
+
+// onSmallBook makes a scenarios-only /risk body a request for the given
+// method over a four-claim toy book.
+func onSmallBook(body, method string) string {
+	return strings.Replace(body, `{`, `{"method":"`+method+`","portfolio":{"n":4},`, 1)
+}
+
 // TestHostileParametersAre400: each of them is now an ordinary client
 // mistake naming the parameter, on the real engine, alone, in a batch
 // slot and in an inline risk book.
@@ -73,6 +93,12 @@ func FuzzServeBodies(f *testing.F) {
 		f.Add([]byte(body))
 		f.Add([]byte(batchBody(body)))
 		f.Add([]byte(`{"portfolio":{"problems":[` + body + `]}}`))
+	}
+	for _, bodies := range badMarketBodies {
+		for _, body := range bodies {
+			f.Add([]byte(body))
+			f.Add([]byte(onSmallBook(body, "full")))
+		}
 	}
 	for _, body := range []string{
 		// server_test.go and risk_test.go

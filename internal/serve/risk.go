@@ -106,7 +106,7 @@ type riskScenariosJSON struct {
 
 func (j riskScenariosJSON) model() varisk.MarketModel {
 	m := varisk.DefaultMarket()
-	if j.HorizonDays > 0 {
+	if j.HorizonDays != 0 {
 		m.HorizonDays = j.HorizonDays
 	}
 	if j.SpotVol != nil {
@@ -170,17 +170,25 @@ type riskReportRequest struct {
 	Top int `json:"top,omitempty"`
 }
 
-func (q riskReportRequest) config() varisk.Config {
+// config is the estimator configuration the request asks for, or what is
+// wrong with it or with its market overrides — judged at the decode, so a
+// bad body is a 400 before a claim is built or a task farmed, whatever
+// the scenario mode and method.
+func (q riskReportRequest) config() (varisk.Config, error) {
+	if err := q.Scenarios.model().Validate(); err != nil {
+		return varisk.Config{}, err
+	}
 	horizon := q.Scenarios.HorizonDays
-	if horizon <= 0 && (q.Scenarios.Mode == "" || q.Scenarios.Mode == "mc") {
+	if horizon == 0 && (q.Scenarios.Mode == "" || q.Scenarios.Mode == "mc") {
 		horizon = varisk.DefaultMarket().HorizonDays
 	}
-	return varisk.Config{
+	cfg := varisk.Config{
 		Alphas:        q.Alphas,
 		HorizonDays:   horizon,
 		ScaleDays:     q.ScaleDays,
 		TopComponents: q.Top,
 	}
+	return cfg, cfg.Validate()
 }
 
 type riskEstimateJSON struct {
@@ -275,8 +283,8 @@ func (s *Server) handleRiskReport(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &q) {
 		return
 	}
-	cfg := q.config()
-	if err := cfg.Validate(); err != nil {
+	cfg, err := q.config()
+	if err != nil {
 		badRequest(w, err)
 		return
 	}
@@ -403,8 +411,8 @@ func (s *Server) handleRiskWatch(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	cfg := q.config()
-	if err := cfg.Validate(); err != nil {
+	cfg, err := q.config()
+	if err != nil {
 		// Reject before the 200 header commits the NDJSON stream.
 		badRequest(w, err)
 		return

@@ -131,6 +131,49 @@ func TestRiskReportBadRequests(t *testing.T) {
 			t.Errorf("%s: status %d, want 400 (%s)", name, w.Code, w.Body)
 		}
 	}
+	// A market override the generator cannot honour is a 400 naming the
+	// field, on both endpoints and both methods, before a task is farmed.
+	for field, bodies := range badMarketBodies {
+		for _, body := range bodies {
+			for _, method := range []string{"deltagamma", "full"} {
+				body := onSmallBook(body, method)
+				for _, path := range []string{"/risk/report", "/risk/watch"} {
+					if w := postJSON(s, path, body); w.Code != 400 || !strings.Contains(w.Body.String(), field) {
+						t.Errorf("POST %s %s: status %d body %s, want 400 naming %s", path, body, w.Code, w.Body, field)
+					}
+				}
+			}
+		}
+	}
+	if rounds := s.reg.Snapshot().Spans["farm.run"].Count; rounds != 0 {
+		t.Errorf("%d farm rounds ran for requests that were all refused", rounds)
+	}
+}
+
+// TestRiskReportZeroVolIsFactorOff: zero stays the documented way to
+// switch a factor off — a 200, and a smaller number than the full
+// calibration's, on both methods.
+func TestRiskReportZeroVolIsFactorOff(t *testing.T) {
+	s := riskServer()
+	defer s.Close()
+	for _, method := range []string{"deltagamma", "full"} {
+		var99 := func(scenarios string) float64 {
+			t.Helper()
+			w := postJSON(s, "/risk/report", `{"method":"`+method+`","portfolio":{"name":"toy","n":16},"scenarios":`+scenarios+`}`)
+			if w.Code != 200 {
+				t.Fatalf("%s %s: status %d: %s", method, scenarios, w.Code, w.Body)
+			}
+			var rep riskReportJSON
+			if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil {
+				t.Fatal(err)
+			}
+			return rep.Estimates[0].VaR
+		}
+		full, off := var99(`{"n":128,"seed":7}`), var99(`{"n":128,"seed":7,"spot_vol":0}`)
+		if !(off > 0 && off < full) {
+			t.Errorf("%s: VaR %v with the spot factor off, %v with it on; want 0 < off < on", method, off, full)
+		}
+	}
 }
 
 // TestRiskWatchRejectsBadConfigBeforeStreaming: an invalid confidence

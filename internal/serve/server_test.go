@@ -325,12 +325,11 @@ func TestColdPriceCountsOneMissPath(t *testing.T) {
 }
 
 // TestColdPriceAllocs is the serving path's allocation budget: a cold
-// /price — HTTP decode, pooled request descriptor, micro-batch flush,
-// object-passthrough farm round, kernel, response encode, request trace
-// included — stays within 160 allocations per request at the
-// recommended batch of 16. Each run is exactly one full flush (sixteen
-// concurrent requests, a delay long enough never to fire), so the
-// coalescing is not left to the scheduler. The request struct is built
+// /price — HTTP decode, micro-batch flush, object-passthrough farm round,
+// kernel, response encode, request trace included — stays within 160
+// allocations per request at the recommended batch of 16. Each run is
+// exactly one full flush (sixteen concurrent requests, a delay long
+// enough never to fire), so the coalescing is not left to the scheduler. The request struct is built
 // by hand: httptest.NewRequest's http.ReadRequest parse would charge the
 // harness's own 4 KiB bufio reader to the path under test.
 func TestColdPriceAllocs(t *testing.T) {
@@ -359,8 +358,8 @@ func TestColdPriceAllocs(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	// Warm the descriptor and arena pools, the fleet book, the exemplar
-	// tables and the event ring outside the measurement.
+	// Warm the arena pools, the fleet book, the exemplar tables and the
+	// event ring outside the measurement.
 	s.reg.Emit(telemetry.LevelInfo, "test.alloc.warm", telemetry.TraceContext{})
 	flush()
 	flush()

@@ -21,7 +21,9 @@ import (
 // SpotVol/VolVol/RateVol switches that factor off entirely and its
 // shift is omitted from the generated scenarios, which is how a
 // spot-only backtest book avoids skipping claims that carry no
-// volatility parameter. Use DefaultMarket for the standard calibration.
+// volatility parameter. A negative one is not "off" but an error: see
+// Validate, which GenerateParallel calls before it draws anything. Use
+// DefaultMarket for the standard calibration.
 type MarketModel struct {
 	// SpotVol is the annualized volatility of the relative spot move.
 	SpotVol float64
@@ -54,6 +56,62 @@ func DefaultMarket() MarketModel {
 		RhoSR:       -0.20,
 		HorizonDays: 10,
 	}
+}
+
+// Bounds on a MarketModel, each with its reason (DESIGN.md's
+// parameter-maxima table).
+const (
+	// MaxHorizonYears is the longest move horizon, HorizonDays over
+	// TradingDays. A VaR horizon is days to a year (the regulatory ones
+	// are 1 and 10 days); past a decade the square-root-of-time scaling
+	// the model rests on has stopped meaning anything.
+	MaxHorizonYears = 10.0
+	// MaxHorizonVol is the largest factor volatility over the horizon,
+	// s = vol × sqrt(horizon in years). A lognormal factor moves by
+	// rel = exp(s·x − s²/2) − 1: at s = 3 a −9-sigma draw still leaves
+	// 2·10⁻¹⁴ of the spot, a little further (s ≈ 3.4; s ≈ 8.6 for the
+	// median draw) 1 + rel rounds to exactly zero and every kernel refuses
+	// the shocked problem. At the default 10-day horizon this admits
+	// annual volatilities up to 1500 %.
+	MaxHorizonVol = 3.0
+)
+
+// Validate rejects a model the generator would turn into a silently
+// different distribution or into shocks no kernel can price: a negative
+// or non-finite factor volatility (zero is the documented "off"; a
+// negative one is not), a horizon or day-count base that is negative or
+// not finite (zero means the default), a horizon past MaxHorizonYears, a
+// factor volatility past MaxHorizonVol over the horizon, and a
+// correlation outside [−1, 1]. Whether the three correlations together
+// are positive definite is the Cholesky factor's to say.
+func (m MarketModel) Validate() error {
+	type field struct {
+		name string
+		v    float64
+	}
+	for _, f := range []field{{"HorizonDays", m.HorizonDays}, {"TradingDays", m.TradingDays}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("varisk: %s %g must be finite and not negative (zero means the default)", f.name, f.v)
+		}
+	}
+	h := m.horizon()
+	if !(h > 0 && h <= MaxHorizonYears) {
+		return fmt.Errorf("varisk: HorizonDays %g is a horizon of %.3g years, want one in (0, %g]", m.HorizonDays, h, MaxHorizonYears)
+	}
+	for _, f := range []field{{"SpotVol", m.SpotVol}, {"VolVol", m.VolVol}, {"RateVol", m.RateVol}} {
+		if !(f.v >= 0) {
+			return fmt.Errorf("varisk: %s %g must not be negative (zero switches the factor off)", f.name, f.v)
+		}
+		if s := f.v * math.Sqrt(h); !(s <= MaxHorizonVol) {
+			return fmt.Errorf("varisk: %s %g is a volatility of %.3g over the %.3g-year horizon, exceeds %g", f.name, f.v, s, h, MaxHorizonVol)
+		}
+	}
+	for _, f := range []field{{"RhoSV", m.RhoSV}, {"RhoSR", m.RhoSR}, {"RhoVR", m.RhoVR}} {
+		if !(f.v >= -1 && f.v <= 1) {
+			return fmt.Errorf("varisk: correlation %s %g outside [-1, 1]", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // horizon returns the move horizon in years.
@@ -103,6 +161,9 @@ func (m MarketModel) Generate(n int, seed uint64) ([]risk.Scenario, error) {
 func (m MarketModel) GenerateParallel(ctx context.Context, n int, seed uint64, threads int) ([]risk.Scenario, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("varisk: negative scenario count %d", n)
+	}
+	if err := m.Validate(); err != nil {
+		return nil, err
 	}
 	l, err := m.chol()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"riskbench/internal/risk"
@@ -106,6 +107,40 @@ func TestGenerateRejectsBadCorrelations(t *testing.T) {
 	}
 	if _, err := DefaultMarket().Generate(-1, 1); err == nil {
 		t.Fatal("negative scenario count accepted")
+	}
+}
+
+// TestMarketModelValidate: a negative volatility is not "factor off", a
+// volatility or horizon the lognormal factors cannot carry is refused
+// before a draw is made, and every refusal names its field; the zero
+// model, the default one and one at each maximum pass.
+func TestMarketModelValidate(t *testing.T) {
+	atMax := MarketModel{SpotVol: MaxHorizonVol / math.Sqrt(MaxHorizonYears), HorizonDays: MaxHorizonYears * 252, RhoSV: -1, RhoVR: 1}
+	for _, m := range []MarketModel{{}, DefaultMarket(), atMax} {
+		if err := m.Validate(); err != nil {
+			t.Errorf("%+v: %v", m, err)
+		}
+	}
+	for field, models := range map[string][]MarketModel{
+		"SpotVol":     {{SpotVol: -1}, {SpotVol: 50}, {SpotVol: math.NaN()}, {SpotVol: math.Inf(1)}, {SpotVol: 1, HorizonDays: 2520}},
+		"VolVol":      {{VolVol: -3}, {VolVol: 15.1}},
+		"RateVol":     {{RateVol: -0.01}, {RateVol: 1e308}},
+		"RhoSV":       {{RhoSV: 7}, {RhoSV: math.NaN()}},
+		"RhoSR":       {{RhoSR: -1.01}},
+		"RhoVR":       {{RhoVR: math.Inf(1)}},
+		"HorizonDays": {{HorizonDays: -10}, {HorizonDays: 1e300}, {HorizonDays: math.NaN()}, {HorizonDays: math.Inf(1)}, {HorizonDays: 1e-320, TradingDays: 1e300}},
+		"TradingDays": {{TradingDays: -252}, {TradingDays: math.NaN()}},
+	} {
+		for _, m := range models {
+			err := m.Validate()
+			if err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("%+v: error %v, want one naming %s", m, err, field)
+				continue
+			}
+			if _, gerr := m.Generate(4, 1); gerr == nil || gerr.Error() != err.Error() {
+				t.Errorf("%+v: Generate answered %v, want Validate's %v", m, gerr, err)
+			}
+		}
 	}
 }
 
