@@ -88,9 +88,14 @@ smoke:
 
 # profile answers "where does a toy repricing's CPU go": it runs the
 # benchmark's var_toy operation in process (BenchmarkFullRevalToy: toy
-# 250 × 25 cells, one worker, registry and fleet live) under the CPU
-# profiler and prints the cumulative top of the profile. The binary and
-# the profile stay in $(PROFILE_DIR) for `go tool pprof -list`.
+# 250 claims × 24 scenarios) under the CPU profiler and prints the
+# cumulative top of the profile. What it measures is the engine as
+# riskserver configures it at -workers 1, not a cheaper one: a standing
+# session (so the pump's and the mailbox's wake-ups show), registry,
+# fleet book and the premia sink live (so premia's per-cell instruments
+# show), the base column read from a price cache, and every report's
+# spans filed in a trace. The binary and the profile stay in
+# $(PROFILE_DIR) for `go tool pprof -list`.
 PROFILE_DIR ?= .profile
 profile:
 	mkdir -p $(PROFILE_DIR)

@@ -62,6 +62,9 @@ type round struct {
 	queued, inflight int
 	attempts         map[string]int
 	results          []Result
+	// cells is set on a round whose sweeps were dealt as cells (the
+	// communicator carries bytes): finish folds them back into blocks.
+	cells *sweepCells
 	// cancelled marks a round that dispatches nothing more: its queue is
 	// dropped and it ends when its in-flight batches have drained.
 	cancelled bool
@@ -153,10 +156,17 @@ func (d *dispatcher) publish() {
 // submit opens a round over the batches under the assignment policy.
 // Nothing is sent: the driver feeds the idle ranks next. done, when
 // non-nil, is closed as the round finishes. A round of no batches
-// finishes here.
-func (d *dispatcher) submit(ctx context.Context, batches [][]Task, policy assignment, opts Options, done chan struct{}) *round {
+// finishes here. On a communicator that carries bytes the round's sweeps
+// are dealt as their cells; the only error is a clash of their names.
+func (d *dispatcher) submit(ctx context.Context, batches [][]Task, policy assignment, opts Options, done chan struct{}) (*round, error) {
 	reg := opts.Telemetry
 	r := &round{ctx: ctx, opts: opts, attempts: make(map[string]int), done: done}
+	if !byReference(d.c) {
+		var err error
+		if batches, r.cells, err = expandSweeps(batches); err != nil {
+			return nil, err
+		}
+	}
 	if tc, ok := telemetry.TraceFromContext(ctx); ok {
 		r.span = reg.StartSpanIn(tc, "farm.run")
 	} else {
@@ -187,7 +197,7 @@ func (d *dispatcher) submit(ctx context.Context, batches [][]Task, policy assign
 	d.rounds = append(d.rounds, r)
 	d.settle(r)
 	d.publish()
-	return r
+	return r, nil
 }
 
 // feed hands idle rank w its next batch: the head of its queue in the
@@ -391,6 +401,9 @@ func (d *dispatcher) finish(r *round, err error) {
 	if err == nil {
 		err = r.ctx.Err()
 	}
+	if err == nil && r.cells != nil {
+		r.results, err = r.cells.fold(r.results)
+	}
 	if err != nil {
 		r.results = nil
 	}
@@ -422,8 +435,11 @@ func (d *dispatcher) finish(r *round, err error) {
 // in flight drain, and ctx.Err() is returned.
 func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task, policy assignment, loader Loader, opts Options) ([]Result, error) {
 	d := newDispatcher(c, workers, loader)
-	r := d.submit(ctx, batches, policy, opts, nil)
-	err := func() error {
+	r, err := d.submit(ctx, batches, policy, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	err = func() error {
 		if ctx.Err() != nil {
 			d.cancel(r)
 		}

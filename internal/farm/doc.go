@@ -38,6 +38,17 @@
 // a format nobody reads. AsPriced reads a collected result in either
 // form.
 //
+// A task may also be a sweep: one problem under a list of parameter
+// overrides (*premia.Sweep), answered by a *PricedBlock holding every
+// cell's result or failure by cell index — what a revaluation farms, so
+// that a claim under 24 scenarios is one task, one pair of spans and one
+// copy of its parameter table, not 25 of each. A sweep has no wire form.
+// By reference the worker prices it as it stands; on the bytes side of the
+// same seam (byReference) the dispatcher deals its cells as ordinary
+// problem tasks in the message the sweep was in — so a wire carries what
+// it always carried — and folds their results back into the block as the
+// round ends (sweep.go), a cell that needed a second attempt included.
+//
 // There is one dispatch path. The dispatcher (dispatch.go) is a state
 // machine with no loop of its own — submit a round, feed an idle rank,
 // book a reply, cancel a round — whose bookkeeping (queue, attempts,

@@ -65,8 +65,14 @@ func (e LiveExecutor) Execute(name string, payload []byte, cost float64, size in
 // ExecuteObj implements ObjExecutor: the problem arrived as an object,
 // so pricing skips the decode pass. A *premia.Problem is computed as it
 // stands; the hash a problem travels as (what Execute decodes, or a
-// caller shipped by reference) is rebuilt first.
+// caller shipped by reference) is rebuilt first. A *premia.Sweep is
+// priced cell by cell into a *PricedBlock, a failed cell reported in the
+// block rather than as the task's failure.
 func (LiveExecutor) ExecuteObj(name string, obj nsp.Object, cost float64, size int) (nsp.Object, error) {
+	if sw, ok := obj.(*premia.Sweep); ok {
+		results, errs := sw.Compute()
+		return &PricedBlock{Name: name, Results: results, Errs: errs}, nil
+	}
 	p, ok := obj.(*premia.Problem)
 	if !ok {
 		var err error

@@ -114,6 +114,15 @@ func splitBatches(tasks []Task, bs int) [][]Task {
 	return batches
 }
 
+// byReference reports whether c hands task objects and results across as
+// themselves — the farm's one seam between objects and bytes. On the
+// bytes side sendBatch serializes each task's object through the loader,
+// and a round's sweeps are dealt as their cells (expandSweeps).
+func byReference(c mpi.Comm) bool {
+	_, ok := c.(mpi.ObjRefComm)
+	return ok
+}
+
 // sendBatch ships one batch (descriptor, then payload list if the
 // strategy carries payloads) to a worker, recording per-task payload
 // preparation time when telemetry is on. A valid bt rides the
@@ -126,7 +135,7 @@ func sendBatch(c mpi.Comm, worker int, b []Task, loader Loader, opts Options, bt
 	if !opts.Strategy.NeedsPayload() {
 		return nil
 	}
-	_, byRef := c.(mpi.ObjRefComm)
+	byRef := byReference(c)
 	payload := nsp.NewList()
 	for _, t := range b {
 		if byRef && t.Obj != nil {
@@ -176,13 +185,17 @@ func recvResults(c mpi.Comm) (workerReply, error) {
 		return rep, fmt.Errorf("farm: result from %d is %v, want list", st.Source, obj.Kind())
 	}
 	for _, item := range list.Items {
-		if p, ok := item.(*Priced); ok {
-			// The result crossed by reference: nothing to decode.
+		// A result that crossed by reference: nothing to decode.
+		switch p := item.(type) {
+		case *Priced:
 			r := Result{Name: p.Name, Worker: st.Source, Value: p}
 			if p.Err != nil {
 				r.Err = failedOn(p.Name, st.Source, p.Err.Error())
 			}
 			rep.results = append(rep.results, r)
+			continue
+		case *PricedBlock:
+			rep.results = append(rep.results, Result{Name: p.Name, Worker: st.Source, Value: p})
 			continue
 		}
 		if isRecords, err := decodeRecords(item, &rep.records); isRecords {

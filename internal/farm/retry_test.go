@@ -12,13 +12,15 @@ import (
 )
 
 // flakyExecutor fails the first `failures` attempts of each task whose
-// name contains the trigger substring, then succeeds. It is shared across
+// name contains the trigger substring, then succeeds — with inner's
+// answer when there is one, a fixed price otherwise. It is shared across
 // worker goroutines, hence the mutex.
 type flakyExecutor struct {
 	mu       sync.Mutex
 	trigger  string
 	failures int
 	attempts map[string]int
+	inner    Executor
 }
 
 func newFlaky(trigger string, failures int) *flakyExecutor {
@@ -32,6 +34,9 @@ func (f *flakyExecutor) Execute(name string, payload []byte, cost float64, size 
 	f.mu.Unlock()
 	if strings.Contains(name, f.trigger) && n <= f.failures {
 		return nil, fmt.Errorf("injected failure #%d", n)
+	}
+	if f.inner != nil {
+		return f.inner.Execute(name, payload, cost, size)
 	}
 	return testResult(name, 42), nil
 }

@@ -110,7 +110,11 @@ func (s *Session) Run(ctx context.Context, tasks []Task, opts Options) ([]Result
 		s.mu.Unlock()
 		return nil, err
 	}
-	r := s.d.submit(ctx, batches, sharedQueue, opts, make(chan struct{}))
+	r, err := s.d.submit(ctx, batches, sharedQueue, opts, make(chan struct{}))
+	if err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
 	for _, w := range s.d.workers {
 		if s.d.slots[w].round != nil {
 			continue

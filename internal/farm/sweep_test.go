@@ -1,0 +1,191 @@
+package farm
+
+import (
+	"bytes"
+	"context"
+	"maps"
+	"strings"
+	"sync"
+	"testing"
+
+	"riskbench/internal/mpi"
+	"riskbench/internal/nsp"
+	"riskbench/internal/premia"
+)
+
+// sweepTasks is a round of every kind of task a sweep can sit beside: a
+// plain problem, two sweeps (cell 1 of "b" is refused: a negative
+// volatility) and a sweep of no cells.
+func sweepTasks() []Task {
+	call := premia.New().
+		SetModel(premia.ModelBS1D).SetOption(premia.OptCallEuro).SetMethod(premia.MethodCFCall).
+		Set("S0", 100).Set("r", 0.04).Set("sigma", 0.2).Set("K", 95).Set("T", 1)
+	a := &premia.Sweep{Base: call, Cells: [][]premia.Override{nil, {{Param: "S0", Value: 90}}, {{Param: "S0", Value: 110}, {Param: "r", Value: 0.05}}, {{Param: "divid", Value: 0.01}}, {{Param: "K", Value: 100}}}}
+	b := &premia.Sweep{Base: call.Clone().Set("K", 105), Cells: [][]premia.Override{{{Param: "T", Value: 2}}, {{Param: "sigma", Value: -1}}, nil}}
+	return []Task{{Name: "plain", Obj: call.Clone().Set("K", 99)}, {Name: "a", Obj: a}, {Name: "none", Obj: &premia.Sweep{Base: call}}, {Name: "b", Obj: b}}
+}
+
+// runHubFarm is runFarm over an inproc hub: the whole wire path, every
+// task and result crossing as bytes.
+func runHubFarm(t *testing.T, exec Executor, tasks []Task, workers int, opts Options) ([]Result, error) {
+	t.Helper()
+	hub, err := mpi.ListenHubWith("", workers+1, mpi.WorldOptions{Transport: "inproc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	accepted := make(chan error, 1)
+	go func() { accepted <- hub.WaitWorkers() }()
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wc, err := mpi.DialHubWith(hub.Addr(), mpi.WorldOptions{Transport: "inproc"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer wc.Close()
+			_ = RunWorker(wc, exec, nil, opts) // a master that refuses the round hangs up instead of stopping us
+		}()
+	}
+	if err := <-accepted; err != nil {
+		t.Fatal(err)
+	}
+	results, err := RunMaster(context.Background(), hub, tasks, LiveLoader{}, opts)
+	if err != nil {
+		hub.Close()
+	}
+	wg.Wait()
+	return results, err
+}
+
+// byName indexes a round's results, failing on a name answered twice.
+func byName(t *testing.T, results []Result) map[string]Result {
+	t.Helper()
+	out := map[string]Result{}
+	for _, r := range results {
+		if _, dup := out[r.Name]; dup {
+			t.Fatalf("task %s answered twice", r.Name)
+		}
+		out[r.Name] = r
+	}
+	return out
+}
+
+// TestSweepCrossesEverySeam: a sweep is answered by the same block
+// whichever side of the by-reference seam its round runs on. By
+// reference the worker gets the sweep itself; over a hub the master deals
+// its cells — each the problem Cell(k) is, serialized as any problem is,
+// in the message its sweep was in — and folds the result hashes back, a
+// refused cell into Errs, a cell that needed a second attempt included.
+func TestSweepCrossesEverySeam(t *testing.T) {
+	opts := Options{Strategy: SerializedLoad, BatchSize: 2}
+	ref := byName(t, runLocalFarm(t, sweepTasks(), 2, opts, nil))
+	if len(ref) != 4 {
+		t.Fatalf("%d results by reference, want 4", len(ref))
+	}
+	for _, task := range sweepTasks()[1:] {
+		name, sw := task.Name, task.Obj.(*premia.Sweep)
+		block, ok := ref[name].Value.(*PricedBlock)
+		if !ok || ref[name].Err != nil || len(block.Results) != len(sw.Cells) || block.Name != name {
+			t.Fatalf("sweep %s by reference: %T %+v, err %v", name, ref[name].Value, ref[name].Value, ref[name].Err)
+		}
+		for k := range sw.Cells {
+			res, err := sw.Cell(k).Compute()
+			if block.Results[k] != res || (err != nil) != (block.Errs != nil && block.Errs[k] != nil) {
+				t.Errorf("%s cell %d: block (%+v, %v), Cell(k).Compute() (%+v, %v)", name, k, block.Results[k], block.Errs, res, err)
+			}
+		}
+	}
+	if errs := ref["b"].Value.(*PricedBlock).Errs; len(errs) != 3 || errs[1] == nil || ref["a"].Value.(*PricedBlock).Errs != nil {
+		t.Fatalf("refused cells by reference: a %v, b %v", ref["a"].Value.(*PricedBlock).Errs, errs)
+	}
+
+	// What the bytes side ships.
+	batches, cells, err := expandSweeps(splitBatches(sweepTasks(), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, b := range batches {
+		for _, task := range b {
+			names = append(names, task.Name)
+		}
+		names = append(names, "|")
+	}
+	if got := strings.Join(names, " "); got != "plain a#0 a#1 a#2 a#3 a#4 | b#0 b#1 b#2 |" || len(cells.blocks) != 3 {
+		t.Fatalf("dealt %q into %d blocks", got, len(cells.blocks))
+	}
+	a := sweepTasks()[1].Obj.(*premia.Sweep)
+	for k := range a.Cells {
+		task := batches[0][1+k]
+		p, ok := task.Obj.(*premia.Problem)
+		if !ok || task.Data != nil || !maps.Equal(p.Params, a.Cell(k).Params) {
+			t.Fatalf("cell task %s carries %T %v, want the problem Cell(%d) is", task.Name, task.Obj, task.Obj, k)
+		}
+		payload, err := LiveLoader{}.Load(task, SerializedLoad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, _ := a.Cell(k).ToNsp()
+		if want, _ := nsp.Serialize(h); !bytes.Equal(payload, want.Data) {
+			t.Errorf("cell task %s: payload is not nsp.Serialize(Cell(%d).ToNsp())", task.Name, k)
+		}
+	}
+	if plain, _, err := expandSweeps(splitBatches(sweepTasks()[:1], 2)); err != nil || len(plain) != 1 || plain[0][0].Name != "plain" {
+		t.Errorf("a round without sweeps was rewritten: %v, %v", plain, err)
+	}
+
+	// The same round over a hub: the same blocks, a refused cell's error
+	// now the master's rank-attributed one.
+	for _, tc := range []struct {
+		name     string
+		exec     Executor
+		retries  int
+		attempts int // of a#1
+	}{
+		{"clean", LiveExecutor{}, 0, 1},
+		{"a cell retried", &flakyExecutor{trigger: "a#1", failures: 1, attempts: map[string]int{}, inner: LiveExecutor{}}, 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := opts
+			o.MaxRetries = tc.retries
+			results, err := runHubFarm(t, tc.exec, sweepTasks(), 2, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire := byName(t, results)
+			if len(wire) != 4 {
+				t.Fatalf("%d results over the hub, want 4: %v", len(wire), results)
+			}
+			p, _ := priceOf(ref["plain"])
+			if q, ok := priceOf(wire["plain"]); !ok || p != q {
+				t.Errorf("plain task: %v over the hub, %v by reference", q, p)
+			}
+			for _, name := range []string{"a", "none"} {
+				if !wire[name].Value.Equal(ref[name].Value) || wire[name].Err != nil {
+					t.Errorf("sweep %s over the hub: %+v (err %v), by reference %+v", name, wire[name].Value, wire[name].Err, ref[name].Value)
+				}
+			}
+			got, want := wire["b"].Value.(*PricedBlock), ref["b"].Value.(*PricedBlock)
+			if got.Results[0] != want.Results[0] || got.Results[2] != want.Results[2] || got.Results[1] != (premia.Result{}) ||
+				len(got.Errs) != 3 || got.Errs[0] != nil || got.Errs[2] != nil ||
+				got.Errs[1] == nil || !strings.Contains(got.Errs[1].Error(), `task "b#1" failed on worker`) || !strings.Contains(got.Errs[1].Error(), want.Errs[1].Error()) {
+				t.Errorf("sweep b over the hub: %+v, errors %v; by reference %+v, errors %v", got.Results, got.Errs, want.Results, want.Errs)
+			}
+			if f, ok := tc.exec.(*flakyExecutor); ok && f.attempts["a#1"] != tc.attempts {
+				t.Errorf("a#1 was attempted %d times, want %d", f.attempts["a#1"], tc.attempts)
+			}
+		})
+	}
+
+	// A cell's name must not be another task's.
+	clash := append(sweepTasks(), Task{Name: "a#3", Obj: sweepTasks()[0].Obj})
+	if _, err := runHubFarm(t, LiveExecutor{}, clash, 1, opts); err == nil || !strings.Contains(err.Error(), "share names") {
+		t.Errorf("a task named like a sweep's cell: %v, want the round refused", err)
+	}
+	if results := runLocalFarm(t, clash, 1, opts, nil); len(results) != 5 {
+		t.Errorf("by reference nothing is renamed, yet the same round gave %d results", len(results))
+	}
+}

@@ -3,6 +3,7 @@ package farm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"riskbench/internal/nsp"
 	"riskbench/internal/premia"
@@ -63,8 +64,12 @@ type Task struct {
 	// *premia.Problem is priced as it stands, with no conversion to or
 	// from the nsp format on either side. On wire transports the loader
 	// serializes it on demand, and the codec asks a *premia.Problem for
-	// its hash there and nowhere else. The object — a caller's
-	// *premia.Problem included — must not be mutated until the round
+	// its hash there and nowhere else. A *premia.Sweep — one claim under a
+	// list of parameter overrides — is answered by a *PricedBlock: by
+	// reference the worker prices its cells on a scratch copy of its own,
+	// on a wire transport the master deals the cells as problems and folds
+	// their results back. The object — a caller's *premia.Problem, a
+	// sweep's Base and Cells included — must not be mutated until the round
 	// returns.
 	Obj nsp.Object
 	// Cost is the task's virtual compute time in seconds, used by
@@ -288,6 +293,42 @@ func AsPriced(r Result) (*Priced, error) {
 		return nil, b.err
 	}
 	return p, nil
+}
+
+// PricedBlock is the result object of a sweep task (a *premia.Sweep): the
+// pricing outcome of every cell, by cell index. It crosses by reference
+// and has no wire form — on a communicator that carries bytes the master
+// ships a sweep's cells as problems and folds their result hashes back
+// into the block before the round returns, so a caller reads a sweep's
+// answer the same way wherever the workers live.
+//
+// By reference the sweep is one task, and it succeeded whatever its cells
+// did: a failed cell is the block's to report (Errs), not the master's to
+// re-farm under MaxRetries. Over a wire each cell is a task of its own,
+// retried like any other, and Errs[k] is the failure of its last attempt.
+type PricedBlock struct {
+	// Name echoes the task name.
+	Name string
+	// Results[k] is cell k's pricing outcome; zero where Errs[k] is set.
+	Results []premia.Result
+	// Errs is nil when every cell priced; otherwise Errs[k] is cell k's
+	// failure, nil for a priced cell.
+	Errs []error
+	// Seconds is the compute time RunWorker measured for the whole sweep.
+	Seconds float64
+}
+
+// Kind implements nsp.Object: a block is a list of results.
+func (b *PricedBlock) Kind() nsp.Kind { return nsp.KindList }
+
+// Equal implements nsp.Object: the same outcome for every cell, a failure
+// being its text.
+func (b *PricedBlock) Equal(o nsp.Object) bool {
+	c, ok := o.(*PricedBlock)
+	return ok && b.Name == c.Name && slices.Equal(b.Results, c.Results) &&
+		slices.EqualFunc(b.Errs, c.Errs, func(x, y error) bool {
+			return (x == nil) == (y == nil) && (x == nil || x.Error() == y.Error())
+		})
 }
 
 // readResult reads what a master needs of a result hash collected from

@@ -173,6 +173,15 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 					// The wire form carries hasdelta only when it is set.
 					v.Result.HasDelta = false
 				}
+			case *PricedBlock:
+				// A sweep's answer, which only ever crosses by reference.
+				v.Seconds = elapsed
+				for k, cerr := range v.Errs {
+					if cerr != nil {
+						reg.Emit(telemetry.LevelWarn, "farm.compute.error", span.Context(),
+							telemetry.Str("task", name), telemetry.Num("cell", float64(k)), telemetry.Str("err", cerr.Error()))
+					}
+				}
 			case *nsp.Hash:
 				// A foreign executor's hash: stamp the measured compute
 				// time unless it supplied its own.

@@ -123,7 +123,10 @@ func (p *Problem) Compute() (Result, error) {
 		countError()
 		return Result{}, err
 	}
-	res, err := instrument(p.Method, methods[p.Method].fn, p)
+	in := instrumentsOf(p.Method)
+	start := in.reg.Now()
+	res, err := methods[p.Method].fn(p)
+	in.record(start, res, err)
 	if err != nil {
 		countError()
 		return Result{}, err

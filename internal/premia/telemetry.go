@@ -23,21 +23,41 @@ func countError() {
 	sink.Load().Counter("premia.errors").Add(1)
 }
 
-// instrument runs fn under the sink's per-method metrics:
-// "premia.compute_seconds.<method>" latency histogram, "premia.computes"
-// counter, and "premia.work_units.<method>" cumulative work gauge (the
-// method's abstract operation count, the simulator's cost currency).
-func instrument(method string, fn func(*Problem) (Result, error), p *Problem) (Result, error) {
+// instruments are the sink's per-method metrics, resolved by name once:
+// the "premia.compute_seconds.<method>" latency histogram, the
+// "premia.computes" counter and the "premia.work_units.<method>"
+// cumulative work gauge (the method's abstract operation count, the
+// simulator's cost currency). Without a sink they are the zero value,
+// whose nil registry and metrics record nothing.
+type instruments struct {
+	reg      *telemetry.Registry
+	seconds  *telemetry.Histogram
+	computes *telemetry.Counter
+	work     *telemetry.Gauge
+}
+
+func instrumentsOf(method string) instruments {
 	reg := sink.Load()
 	if reg == nil {
-		return fn(p)
+		return instruments{}
 	}
-	start := reg.Now()
-	res, err := fn(p)
-	reg.Observe("premia.compute_seconds."+method, reg.Now()-start)
-	reg.Counter("premia.computes").Add(1)
+	return instruments{
+		reg:      reg,
+		seconds:  reg.Histogram("premia.compute_seconds." + method),
+		computes: reg.Counter("premia.computes"),
+		work:     reg.Gauge("premia.work_units." + method),
+	}
+}
+
+// record books one kernel call that began at start on the sink's clock
+// and returns the reading that ended it, so a run of calls reads the clock
+// once each.
+func (in instruments) record(start float64, res Result, err error) float64 {
+	now := in.reg.Now()
+	in.seconds.Observe(now - start)
+	in.computes.Add(1)
 	if err == nil {
-		reg.Gauge("premia.work_units." + method).Add(res.Work)
+		in.work.Add(res.Work)
 	}
-	return res, err
+	return now
 }

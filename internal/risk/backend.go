@@ -186,7 +186,7 @@ func (e *Engine) Stand() (stop func() error) {
 	if !ok {
 		return func() error { return nil }
 	}
-	opts, workers := e.farmOptions(), e.workers()
+	opts, workers := e.farmOptions(e.batch()), e.workers()
 	b := &standing{open: func() (*farm.Session, error) { return opener.Open(opts, workers) }}
 	e.Backend = b
 	return b.Close

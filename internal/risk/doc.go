@@ -9,4 +9,14 @@
 // that flood of atomic pricing problems, revalues them on the Robin-Hood
 // farm, and aggregates scenario P&L, empirical value-at-risk and
 // portfolio-level greeks.
+//
+// Engine has one route to the farm, priceRound, and two kinds of task on
+// it. PriceBatch farms problems, one task each. RevalueContext farms
+// sweeps: a claim with the parameter overrides its scenarios resolve to
+// (the values Scenario.Apply would set), at most 2 × BatchSize cells to a
+// message, each sweep answered by a block of results it scatters onto
+// the surface by cell. Every cell is priced by its method's own kernel on
+// exactly the parameters Apply gives it, so the surface is bit for bit
+// what Apply + Compute returns; what the sweep saves is everything around
+// the kernel that used to be paid once per cell.
 package risk

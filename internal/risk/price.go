@@ -47,44 +47,36 @@ func (e Engine) stampThreads(p *premia.Problem) *premia.Problem {
 	return p.Clone().Set("threads", float64(e.KernelThreads))
 }
 
-// farmOptions are the settings of every round the engine farms, and of
-// the workers it opens when it stands.
-func (e Engine) farmOptions() farm.Options {
-	return farm.Options{Strategy: farm.SerializedLoad, BatchSize: e.batch(), Telemetry: e.Telemetry, Fleet: e.Fleet}
+// farmOptions are the settings of the workers the engine opens when it
+// stands, and — with batch tasks to a message — of a round it farms.
+func (e Engine) farmOptions(batch int) farm.Options {
+	return farm.Options{Strategy: farm.SerializedLoad, BatchSize: batch, Telemetry: e.Telemetry, Fleet: e.Fleet}
 }
 
-// priced is one problem's slot in a priceRound answer.
-type priced struct {
-	res premia.Result
-	// seconds is the worker-measured compute time of the task.
-	seconds float64
-	// err is the worker-side pricing failure, when every attempt failed.
-	err error
-}
-
-// priceRound farms one round of problems over the engine's backend and
-// returns their results index-aligned with the input — the engine's one
-// route from problems to farm results. A problem ships as itself:
-// in-process backends hand the worker the *premia.Problem and hand back
-// its *farm.Priced, with no conversion to or from the nsp format in
-// either direction; wire backends let the farm loader serialize it on
-// demand and farm.AsPriced decode the result hash. The caller's problems
-// must therefore stay unmutated until the round returns. names
-// must be unique; they travel as the farm task names, for diagnostics
-// and to pair each result with its slot, and are never parsed. The
-// round is sized to the work: two problems do not spin up the full
-// worker complement.
-func (e Engine) priceRound(ctx context.Context, names []string, problems []*premia.Problem) ([]priced, error) {
-	if len(problems) == 0 {
+// priceRound farms one round of tasks over the engine's backend, batch of
+// them to a message, and returns their results index-aligned with the
+// input — the engine's one route to the farm, whether a task is one
+// problem (PriceBatch) or a claim's sweep (RevalueContext). A task ships
+// as its object: in-process backends hand the worker the *premia.Problem
+// or *premia.Sweep itself and hand back its *farm.Priced or
+// *farm.PricedBlock, with no conversion to or from the nsp format in
+// either direction; wire backends let the farm serialize problems on
+// demand and deal sweeps as their cells, and answer with result hashes
+// (farm.AsPriced) and the same blocks. The objects must therefore stay
+// unmutated until the round returns. Task names must be unique; they pair
+// each result with its slot and label spans and errors, and are never
+// parsed. A result's Err is its task's pricing failure, when every
+// attempt failed. The round is sized to the work: two tasks do not spin
+// up the full worker complement.
+func (e Engine) priceRound(ctx context.Context, tasks []farm.Task, batch int) ([]farm.Result, error) {
+	if len(tasks) == 0 {
 		return nil, nil
 	}
-	tasks := make([]farm.Task, len(problems))
-	slot := make(map[string]int, len(problems))
-	for i, p := range problems {
-		tasks[i] = farm.Task{Name: names[i], Obj: e.stampThreads(p)}
-		slot[names[i]] = i
+	slot := make(map[string]int, len(tasks))
+	for i, t := range tasks {
+		slot[t.Name] = i
 	}
-	results, err := e.backend().Run(ctx, tasks, e.farmOptions(), min(e.workers(), len(tasks)))
+	results, err := e.backend().Run(ctx, tasks, e.farmOptions(batch), min(e.workers(), len(tasks)))
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("risk: pricing round cancelled: %w", ctx.Err())
@@ -94,21 +86,13 @@ func (e Engine) priceRound(ctx context.Context, names []string, problems []*prem
 	if len(results) != len(tasks) {
 		return nil, fmt.Errorf("risk: farm returned %d results for %d tasks", len(results), len(tasks))
 	}
-	out := make([]priced, len(tasks))
+	out := make([]farm.Result, len(tasks))
 	for _, r := range results {
 		i, ok := slot[r.Name]
 		if !ok {
 			return nil, fmt.Errorf("risk: result for unknown task %q", r.Name)
 		}
-		if r.Err != nil {
-			out[i].err = r.Err
-			continue
-		}
-		p, err := farm.AsPriced(r)
-		if err != nil {
-			return nil, fmt.Errorf("risk: pricing round: %w", err)
-		}
-		out[i] = priced{res: p.Result, seconds: p.Seconds}
+		out[i] = r
 	}
 	return out, nil
 }
@@ -178,16 +162,28 @@ func (e Engine) PriceBatch(ctx context.Context, problems []*premia.Problem) ([]P
 	}
 	reg.Counter("risk.price.farmed").Add(int64(len(misses)))
 
-	fresh, err := e.priceRound(ctx, keys, misses)
+	tasks := make([]farm.Task, len(misses))
+	for k, p := range misses {
+		tasks[k] = farm.Task{Name: keys[k], Obj: e.stampThreads(p)}
+	}
+	fresh, err := e.priceRound(ctx, tasks, e.batch())
 	if err != nil {
 		return nil, err
 	}
-	for k, f := range fresh {
-		if f.err == nil && e.Cache != nil {
-			e.Cache.Put(keys[k], f.res)
+	for k, r := range fresh {
+		var res premia.Result
+		if r.Err == nil {
+			p, err := farm.AsPriced(r)
+			if err != nil {
+				return nil, fmt.Errorf("risk: pricing round: %w", err)
+			}
+			res = p.Result
+			if e.Cache != nil {
+				e.Cache.Put(keys[k], res)
+			}
 		}
 		for _, i := range wanting[keys[k]] {
-			out[i].Result, out[i].Err = f.res, f.err
+			out[i].Result, out[i].Err = res, r.Err
 		}
 	}
 	return out, nil

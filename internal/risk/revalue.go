@@ -17,7 +17,12 @@ type Engine struct {
 	Workers int
 	// BatchSize groups atomic computations per message (default 16: the
 	// bunching the paper's conclusion recommends, which matters here
-	// because scenario grids multiply the task count).
+	// because scenario grids multiply the task count). PriceBatch sends
+	// that many problems to a message. A revaluation farms sweeps — one
+	// claim under its scenarios — and sizes them from it: a message never
+	// carries more than 2 × BatchSize cells, a claim with more is cut
+	// evenly into sweeps of at most that many, and claims with fewer share
+	// a message up to it.
 	BatchSize int
 	// KernelThreads, when > 0, is stamped as the "threads" parameter onto
 	// every task whose problem does not already carry one, so each worker
@@ -29,7 +34,10 @@ type Engine struct {
 	// farm's task histograms and spans, phase spans
 	// (risk.build/risk.farm/risk.scatter under risk.revalue), task and
 	// scenario counters, and the workers' compute seconds under two fixed
-	// labels (risk.scenario_seconds.base / .shocked).
+	// labels (risk.scenario_seconds.base / .shocked). These count cells —
+	// a sweep's measured seconds are shared evenly among its cells — while
+	// the farm's own metrics (farm.*) count tasks, a revaluation's task
+	// being a sweep.
 	Telemetry *telemetry.Registry
 	// Cache, when non-nil, is a content-addressed store of pricing
 	// results. PriceBatch reads through it and writes fresh results back;
@@ -79,13 +87,14 @@ func (e Engine) batch() int {
 // Indexing convention: the surface is Values[s][i] where s indexes
 // Scenarios (0-based, the implicit base scenario is NOT a row — it
 // lives in Base) and i indexes Items/Base in portfolio order. Each
-// (s, i) pair the farm reprices occupies one slot of the round and its
-// result is scattered back by that slot index; the task name
+// (s, i) pair the farm reprices is one cell of a sweep of claim i — the
+// round's tasks are the sweeps, named by their claim — and its result is
+// scattered back by its cell index in the sweep's block; the cell name
 // "s%03d/<item>" (s000 = the base scenario, s001 = Scenarios[0]) is
-// generated for spans and error messages and never parsed. Claims
-// outside a scenario's risk-factor universe hold their base value in
-// that row. Callers should use the Item* accessors rather than
-// recomputing these offsets by hand.
+// generated for the error message of a cell that fails and never
+// parsed. Claims outside a scenario's risk-factor universe hold their
+// base value in that row. Callers should use the Item* accessors rather
+// than recomputing these offsets by hand.
 type Valuation struct {
 	// Items are the claim names, in portfolio order.
 	Items []string
@@ -181,18 +190,20 @@ func (v *Valuation) Report(alpha float64) string {
 	return b.String()
 }
 
-// taskName labels the (scenario, item) repricing for diagnostics (spans,
-// farm errors); index -1 is the base scenario. The name is never parsed.
+// taskName labels the (scenario, item) repricing in error messages; index
+// -1 is the base scenario. The name is never parsed.
 func taskName(scenario int, item string) string {
 	return fmt.Sprintf("s%03d/%s", scenario+1, item)
 }
 
-// cell addresses one repricing of the surface: claim i under scenario s,
-// s = -1 being the base column. key is set on a base cell whose result
-// goes back into the engine's cache.
-type cell struct {
-	s, i int
-	key  string
+// cell addresses one repricing of the surface: claim i under scenario s.
+type cell struct{ s, i int }
+
+// sweepSlot places one farmed sweep on the surface: cell k is claim i
+// under scenario scen[k], -1 being the base column.
+type sweepSlot struct {
+	i    int
+	scen []int
 }
 
 // Revalue prices every claim under the base parameters and under every
@@ -206,6 +217,14 @@ func (e Engine) Revalue(pf *portfolio.Portfolio, scenarios []Scenario) (*Valuati
 // two ways: the master stops dispatching cooperatively, and the local
 // MPI world is closed so blocked workers unblock immediately; the
 // context's error is returned.
+//
+// The unit it farms is the sweep: one claim with the parameter overrides
+// of its scenarios (premia.Sweep), so the claim's parameter table is
+// copied, its task named and its spans opened once per claim rather than
+// once per cell. A message carries at most 2 × BatchSize cells: a claim
+// with more is cut evenly into sweeps of at most that many — which also
+// bounds what a cancellation waits for and what a retry repeats — and
+// claims with fewer share a message up to it.
 func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, scenarios []Scenario) (*Valuation, error) {
 	reg := e.Telemetry
 	// A revaluation is a natural trace root (one bench run / report): mint
@@ -229,51 +248,69 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 		val.Values[s] = make([]float64, len(pf.Items))
 	}
 
-	// Build the cross product: slot k of the round reprices cells[k].
+	// Build the sweeps. Every cell of the round is a row of cells (its
+	// overrides, cut from one array) and of scen (its scenario, -1 = the
+	// base column); a sweep is a run of one claim's rows.
 	buildSpan := revSpan.StartChild("risk.build")
-	n := len(pf.Items) * (len(scenarios) + 1)
-	cells := make([]cell, 0, n)
-	names := make([]string, 0, n)
-	problems := make([]*premia.Problem, 0, n)
-	add := func(c cell, name string, p *premia.Problem) {
-		cells = append(cells, c)
-		names = append(names, taskName(c.s, name))
-		problems = append(problems, p)
+	limit := 2 * e.batch()
+	shifts := 0
+	for _, sc := range scenarios {
+		shifts += len(sc.Shifts)
 	}
+	n := len(pf.Items) * (len(scenarios) + 1)
+	cells, scen := make([][]premia.Override, 0, n), make([]int, 0, n)
+	overrides := make([]premia.Override, 0, len(pf.Items)*shifts)
+	tasks, slots := make([]farm.Task, 0, len(pf.Items)), make([]sweepSlot, 0, len(pf.Items))
+	// keys[i] is set on a claim whose base price is farmed and goes back
+	// into the engine's cache.
+	keys := make([]string, len(pf.Items))
 	// skipped lists the cells outside their scenario's risk-factor
 	// universe: they keep their base value (an equity spot ladder does not
 	// move the credit book).
 	var skipped []cell
 	for i, it := range pf.Items {
 		val.Items[i] = it.Name
+		first := len(cells)
 		// With a cache, a stored base price skips the farm entirely and a
 		// computed one is stored on the way out.
-		base, cached := cell{s: -1, i: i}, false
+		cached := false
 		if e.Cache != nil {
-			base.key = it.Problem.ContentKey()
+			keys[i] = it.Problem.ContentKey()
 			var res premia.Result
-			if res, cached = e.Cache.Get(base.key); cached {
+			if res, cached = e.Cache.Get(keys[i]); cached {
 				val.Base[i], val.BaseDelta[i], val.BaseHasDelta[i] = res.Price, res.Delta, res.HasDelta
 				reg.Counter("risk.base_cache_hits").Add(1)
 			}
 		}
 		if !cached {
-			add(base, it.Name, it.Problem)
+			cells, scen = append(cells, nil), append(scen, -1)
 		}
 		for s, sc := range scenarios {
-			if !sc.AppliesTo(it.Problem) {
+			mark := len(overrides)
+			var applies bool
+			if overrides, applies = sc.overrides(it.Problem, overrides); !applies {
 				skipped = append(skipped, cell{s: s, i: i})
 				continue
 			}
-			shifted, err := sc.Apply(it.Problem)
-			if err != nil {
-				return nil, err
+			cells, scen = append(cells, overrides[mark:]), append(scen, s)
+		}
+		count := len(cells) - first
+		if count == 0 {
+			continue
+		}
+		base := e.stampThreads(it.Problem)
+		for part, parts := 0, (count+limit-1)/limit; part < parts; part++ {
+			lo, hi := first+part*count/parts, first+(part+1)*count/parts
+			name := it.Name
+			if parts > 1 {
+				name = fmt.Sprintf("%s[%d:%d]", it.Name, lo-first, hi-first)
 			}
-			add(cell{s: s, i: i}, it.Name, shifted)
+			tasks = append(tasks, farm.Task{Name: name, Obj: &premia.Sweep{Base: base, Cells: cells[lo:hi]}})
+			slots = append(slots, sweepSlot{i: i, scen: scen[lo:hi]})
 		}
 	}
 	buildSpan.End()
-	reg.Counter("risk.tasks").Add(int64(len(problems)))
+	reg.Counter("risk.tasks").Add(int64(len(cells)))
 	reg.Counter("risk.scenarios").Add(int64(len(scenarios)))
 
 	// Farm them, threading the trace so the farm.run span (and the
@@ -283,36 +320,48 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 	if tc := farmSpan.Context(); tc.Valid() {
 		farmCtx = telemetry.ContextWithTrace(ctx, tc)
 	}
-	round, err := e.priceRound(farmCtx, names, problems)
+	round, err := e.priceRound(farmCtx, tasks, max(1, limit/(len(scenarios)+1)))
 	farmSpan.End()
 	if err != nil {
 		return nil, err
 	}
 
-	// Scatter the round into the valuation matrix by slot. Revaluation
+	// Scatter the blocks into the valuation matrix by cell. Revaluation
 	// timing is attributed to two fixed labels — the base column and the
-	// shocked surface — from the compute time each worker measured: the
-	// label set must not grow with the (request-controlled) scenario set.
+	// shocked surface — from the compute time each worker measured, a
+	// sweep's shared evenly among its cells: the label set must not grow
+	// with the (request-controlled) scenario set.
 	scatterSpan := revSpan.StartChild("risk.scatter")
 	defer scatterSpan.End()
 	baseSeconds, shockedSeconds := reg.Histogram("risk.scenario_seconds.base"), reg.Histogram("risk.scenario_seconds.shocked")
 	baseResults, shockedResults := reg.Counter("risk.scenario_results.base"), reg.Counter("risk.scenario_results.shocked")
-	for k, r := range round {
-		c := cells[k]
-		if r.err != nil {
-			return nil, fmt.Errorf("risk: revalue %s: %w", names[k], r.err)
+	for t, r := range round {
+		slot := slots[t]
+		if r.Err != nil {
+			return nil, fmt.Errorf("risk: revalue %s: %w", tasks[t].Name, r.Err)
 		}
-		if c.s >= 0 {
-			val.Values[c.s][c.i] = r.res.Price
-			shockedSeconds.Observe(r.seconds)
-			shockedResults.Add(1)
-			continue
+		block, ok := r.Value.(*farm.PricedBlock)
+		if !ok || len(block.Results) != len(slot.scen) {
+			return nil, fmt.Errorf("risk: revalue %s: a sweep of %d cells was answered by %T", tasks[t].Name, len(slot.scen), r.Value)
 		}
-		val.Base[c.i], val.BaseDelta[c.i], val.BaseHasDelta[c.i] = r.res.Price, r.res.Delta, r.res.HasDelta
-		baseSeconds.Observe(r.seconds)
-		baseResults.Add(1)
-		if c.key != "" {
-			e.Cache.Put(c.key, r.res)
+		seconds := block.Seconds / float64(len(slot.scen))
+		for k, res := range block.Results {
+			s := slot.scen[k]
+			if block.Errs != nil && block.Errs[k] != nil {
+				return nil, fmt.Errorf("risk: revalue %s: %w", taskName(s, val.Items[slot.i]), block.Errs[k])
+			}
+			if s >= 0 {
+				val.Values[s][slot.i] = res.Price
+				shockedSeconds.Observe(seconds)
+				shockedResults.Add(1)
+				continue
+			}
+			val.Base[slot.i], val.BaseDelta[slot.i], val.BaseHasDelta[slot.i] = res.Price, res.Delta, res.HasDelta
+			baseSeconds.Observe(seconds)
+			baseResults.Add(1)
+			if keys[slot.i] != "" {
+				e.Cache.Put(keys[slot.i], res)
+			}
 		}
 	}
 	// Skipped (scenario, claim) pairs inherit the base value.

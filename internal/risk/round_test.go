@@ -40,11 +40,12 @@ func (b *recordingBackend) Run(ctx context.Context, tasks []farm.Task, opts farm
 	return results, err
 }
 
-// TestOneRoundShipsObjects pins the one problems→farm path: whatever
-// RevalueContext and PriceBatch farm goes out as the *premia.Problem
-// itself under a unique name, never as a hash or as bytes built on the
-// master, and in process comes back as the worker's *farm.Priced — as
-// itself in process, as its hash on the wire.
+// TestOneRoundShipsObjects pins the one route to the farm: whatever
+// RevalueContext and PriceBatch farm goes out as the object itself under
+// a unique name — a claim's *premia.Sweep, a *premia.Problem — never as a
+// hash or as bytes built on the master, and in process comes back as the
+// worker's *farm.PricedBlock or *farm.Priced — as itself in process, as
+// its hash on the wire.
 func TestOneRoundShipsObjects(t *testing.T) {
 	rec := &recordingBackend{}
 	e := Engine{Workers: 2, Backend: rec}
@@ -52,8 +53,8 @@ func TestOneRoundShipsObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	revalued := len(rec.tasks)
-	if want := 4 * smallBook().Size(); revalued != want {
-		t.Fatalf("Revalue farmed %d tasks, want %d", revalued, want)
+	if want := smallBook().Size(); revalued != want {
+		t.Fatalf("Revalue farmed %d tasks, want %d: one sweep a claim", revalued, want)
 	}
 	if _, err := e.PriceBatch(context.Background(), []*premia.Problem{callProblem(90), callProblem(100), callProblem(90)}); err != nil {
 		t.Fatal(err)
@@ -62,8 +63,12 @@ func TestOneRoundShipsObjects(t *testing.T) {
 		t.Fatalf("PriceBatch farmed %d tasks, want the 2 distinct problems", got)
 	}
 	seen := map[string]bool{}
-	for _, task := range rec.tasks {
-		if _, ok := task.Obj.(*premia.Problem); !ok || task.Data != nil {
+	for k, task := range rec.tasks {
+		if k < revalued {
+			if sw, ok := task.Obj.(*premia.Sweep); !ok || task.Data != nil || len(sw.Cells) != 4 {
+				t.Errorf("task %s: Obj is %T, Data set %v; want the 4-cell *premia.Sweep only", task.Name, task.Obj, task.Data != nil)
+			}
+		} else if _, ok := task.Obj.(*premia.Problem); !ok || task.Data != nil {
 			t.Errorf("task %s: Obj is %T, Data set %v; want the *premia.Problem only", task.Name, task.Obj, task.Data != nil)
 		}
 		if seen[task.Name] {
@@ -71,10 +76,18 @@ func TestOneRoundShipsObjects(t *testing.T) {
 		}
 		seen[task.Name] = true
 	}
+	blocks := 0
 	for _, r := range rec.results {
-		if _, ok := r.Value.(*farm.Priced); !ok {
-			t.Errorf("result %s: Value is %T, want the worker's *farm.Priced", r.Name, r.Value)
+		switch r.Value.(type) {
+		case *farm.PricedBlock:
+			blocks++
+		case *farm.Priced:
+		default:
+			t.Errorf("result %s: Value is %T, want the worker's *farm.Priced or *farm.PricedBlock", r.Name, r.Value)
 		}
+	}
+	if blocks != revalued {
+		t.Errorf("%d sweeps were answered by %d blocks", revalued, blocks)
 	}
 
 	// What the by-reference round must not move: over a framed transport
@@ -173,8 +186,9 @@ func TestOneRoundShipsObjects(t *testing.T) {
 
 // TestRevalueAllocs is the allocation budget of the by-reference round:
 // a toy revaluation on the default in-process farm — spans, histograms
-// and fleet book live, as riskserver runs it — allocates at most 16
-// objects per repricing. Converting each problem to its hash and back
+// and fleet book live, as riskserver runs it — allocates at most 3
+// objects per repricing (it measures 1.5: what is left is per sweep).
+// A task per cell cost 10; converting each problem to its hash and back
 // and each result to a hash cost 57.
 func TestRevalueAllocs(t *testing.T) {
 	pf := portfolio.Toy(250)
@@ -187,8 +201,8 @@ func TestRevalueAllocs(t *testing.T) {
 		}
 	}
 	revalue()
-	if got := testing.AllocsPerRun(5, revalue) / repricings; got > 16 {
-		t.Errorf("a toy revaluation allocates %.1f per repricing, budget is 16", got)
+	if got := testing.AllocsPerRun(5, revalue) / repricings; got > 3 {
+		t.Errorf("a toy revaluation allocates %.1f per repricing, budget is 3", got)
 	}
 }
 
@@ -218,13 +232,23 @@ func mixedSample(t *testing.T) *portfolio.Portfolio {
 // hands problems and results across as themselves, the hierarchy
 // forwards them through sub-masters, the inproc backend turns both into
 // bytes and back, and every field of every result — and the text of a
-// pricing failure — must come out the same from all three.
+// pricing failure — must come out the same from all three, and from the
+// unix backend, a real socket. Each walks a 3-scenario set, whose sweeps
+// share messages, and a 40-scenario one, whose claims are each cut into
+// several: over the wire backends every cell of either crosses as the
+// problem Apply builds and comes back folded into its block.
 func TestRevalueEqualsPriceBatch(t *testing.T) {
 	pf := mixedSample(t)
 	scenarios := []Scenario{
 		SpotLadder()[0], // skips the claims without a spot
 		RateShifts()[5],
 		{Name: "crash", Shifts: []Shift{{Param: RateToken, Abs: -0.002}, {Param: VolToken, Rel: 0.3}}},
+	}
+	// forty is a set no message holds: at BatchSize 4 a message carries at
+	// most 8 cells, so a claim's 41 are cut into 6 sweeps.
+	forty := append(append(Grid([]float64{-0.2, -0.1, -0.05, 0.05, 0.1, 0.2}, []float64{-0.5, -0.2, 0, 0.2, 0.5}), RateShifts()...), StressScenarios()...)
+	if len(forty) != 40 {
+		t.Fatalf("the long row has %d scenarios, want 40", len(forty))
 	}
 	skips := 0
 	for _, it := range pf.Items {
@@ -249,70 +273,73 @@ func TestRevalueEqualsPriceBatch(t *testing.T) {
 		{"local", LocalBackend{}},
 		{"hierarchical", farm.Local{Groups: 2, Chunk: 2}},
 		{"inproc", &NetBackend{Transport: "inproc", Spawn: GoNetWorkers(nil, 0)}},
+		{"unix", &NetBackend{Transport: "unix", Spawn: GoNetWorkers(nil, 0)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := Engine{Workers: 3, BatchSize: 4, Backend: tc.backend}
-			val, err := e.RevalueContext(ctx, pf, scenarios)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := make([]*premia.Problem, pf.Size())
-			for i, it := range pf.Items {
-				base[i] = it.Problem
-			}
-			want, err := e.PriceBatch(ctx, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, w := range want {
-				if w.Err != nil {
-					t.Fatalf("base %s: %v", pf.Items[i].Name, w.Err)
+			for _, scenarios := range [][]Scenario{scenarios, forty} {
+				val, err := e.RevalueContext(ctx, pf, scenarios)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if val.Base[i] != w.Result.Price || val.BaseDelta[i] != w.Result.Delta || val.BaseHasDelta[i] != w.Result.HasDelta {
-					t.Errorf("base %s: revalue (%v, %v, %v), PriceBatch (%v, %v, %v)", pf.Items[i].Name,
-						val.Base[i], val.BaseDelta[i], val.BaseHasDelta[i], w.Result.Price, w.Result.Delta, w.Result.HasDelta)
-				}
-			}
-			// A lone failing task always lands on rank 1, so even the rank in
-			// its error text is comparable.
-			failed, err := e.PriceBatch(ctx, []*premia.Problem{callProblem(100).Set("sigma", -1)})
-			if err != nil || failed[0].Err == nil {
-				t.Fatalf("a negative volatility priced: %+v, %v", failed, err)
-			}
-			if reference == nil {
-				reference, referenceFailure = want, failed[0].Err.Error()
-			}
-			for i, w := range want {
-				got, ref := w.Result, reference[i].Result
-				if math.Float64bits(got.Price) != math.Float64bits(ref.Price) || math.Float64bits(got.PriceCI) != math.Float64bits(ref.PriceCI) ||
-					math.Float64bits(got.Delta) != math.Float64bits(ref.Delta) || got.HasDelta != ref.HasDelta ||
-					math.Float64bits(got.Work) != math.Float64bits(ref.Work) {
-					t.Errorf("base %s: %+v here, %+v by reference on the flat local farm", pf.Items[i].Name, got, ref)
-				}
-			}
-			if got := failed[0].Err.Error(); got != referenceFailure {
-				t.Errorf("pricing failure reads %q here, %q on the flat local farm", got, referenceFailure)
-			}
-			for s, sc := range scenarios {
-				shifted := make([]*premia.Problem, pf.Size())
+				base := make([]*premia.Problem, pf.Size())
 				for i, it := range pf.Items {
-					shifted[i] = it.Problem // a skipped claim holds its base value
-					if sc.AppliesTo(it.Problem) {
-						if shifted[i], err = sc.Apply(it.Problem); err != nil {
-							t.Fatal(err)
-						}
-					}
+					base[i] = it.Problem
 				}
-				want, err := e.PriceBatch(ctx, shifted)
+				want, err := e.PriceBatch(ctx, base)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i, w := range want {
 					if w.Err != nil {
-						t.Fatalf("%s/%s: %v", sc.Name, pf.Items[i].Name, w.Err)
+						t.Fatalf("base %s: %v", pf.Items[i].Name, w.Err)
 					}
-					if val.Values[s][i] != w.Result.Price {
-						t.Errorf("%s/%s: revalue %v, PriceBatch %v", sc.Name, pf.Items[i].Name, val.Values[s][i], w.Result.Price)
+					if val.Base[i] != w.Result.Price || val.BaseDelta[i] != w.Result.Delta || val.BaseHasDelta[i] != w.Result.HasDelta {
+						t.Errorf("base %s: revalue (%v, %v, %v), PriceBatch (%v, %v, %v)", pf.Items[i].Name,
+							val.Base[i], val.BaseDelta[i], val.BaseHasDelta[i], w.Result.Price, w.Result.Delta, w.Result.HasDelta)
+					}
+				}
+				// A lone failing task always lands on rank 1, so even the rank in
+				// its error text is comparable.
+				failed, err := e.PriceBatch(ctx, []*premia.Problem{callProblem(100).Set("sigma", -1)})
+				if err != nil || failed[0].Err == nil {
+					t.Fatalf("a negative volatility priced: %+v, %v", failed, err)
+				}
+				if reference == nil {
+					reference, referenceFailure = want, failed[0].Err.Error()
+				}
+				for i, w := range want {
+					got, ref := w.Result, reference[i].Result
+					if math.Float64bits(got.Price) != math.Float64bits(ref.Price) || math.Float64bits(got.PriceCI) != math.Float64bits(ref.PriceCI) ||
+						math.Float64bits(got.Delta) != math.Float64bits(ref.Delta) || got.HasDelta != ref.HasDelta ||
+						math.Float64bits(got.Work) != math.Float64bits(ref.Work) {
+						t.Errorf("base %s: %+v here, %+v by reference on the flat local farm", pf.Items[i].Name, got, ref)
+					}
+				}
+				if got := failed[0].Err.Error(); got != referenceFailure {
+					t.Errorf("pricing failure reads %q here, %q on the flat local farm", got, referenceFailure)
+				}
+				for s, sc := range scenarios {
+					shifted := make([]*premia.Problem, pf.Size())
+					for i, it := range pf.Items {
+						shifted[i] = it.Problem // a skipped claim holds its base value
+						if sc.AppliesTo(it.Problem) {
+							if shifted[i], err = sc.Apply(it.Problem); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					want, err := e.PriceBatch(ctx, shifted)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, w := range want {
+						if w.Err != nil {
+							t.Fatalf("%s/%s: %v", sc.Name, pf.Items[i].Name, w.Err)
+						}
+						if val.Values[s][i] != w.Result.Price {
+							t.Errorf("%s/%s: revalue %v, PriceBatch %v", sc.Name, pf.Items[i].Name, val.Values[s][i], w.Result.Price)
+						}
 					}
 				}
 			}

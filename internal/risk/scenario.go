@@ -88,16 +88,43 @@ func (sc Scenario) Apply(p *premia.Problem) (*premia.Problem, error) {
 		if !ok {
 			return nil, fmt.Errorf("risk: scenario %q shifts %q, absent from %s", sc.Name, sh.Param, p)
 		}
-		old := q.Params[name]
-		v := old*(1+sh.Rel) + sh.Abs
-		if name == "V0" {
-			// Variance bumps square: a +x% volatility move is ≈ +2x% in
-			// variance. Translate so VolToken means volatility everywhere.
-			v = old*(1+sh.Rel)*(1+sh.Rel) + sh.Abs
-		}
-		q.Set(name, v)
+		q.Set(name, sh.shifted(name, q.Params[name]))
 	}
 	return q, nil
+}
+
+// shifted is the value the shift gives the resolved parameter name,
+// currently old — the one place a shift becomes a number, whether Apply
+// writes it into a copy of the problem or overrides hands it to a sweep.
+func (sh Shift) shifted(name string, old float64) float64 {
+	if name == "V0" {
+		// Variance bumps square: a +x% volatility move is ≈ +2x% in
+		// variance. Translate so VolToken means volatility everywhere.
+		return old*(1+sh.Rel)*(1+sh.Rel) + sh.Abs
+	}
+	return old*(1+sh.Rel) + sh.Abs
+}
+
+// overrides appends to dst what Apply would set on a copy of p, as
+// (parameter, value) pairs in shift order: a second shift of one parameter
+// starts from the first one's value, as it does in Apply. ok is false,
+// and dst comes back as it was, when AppliesTo(p) is.
+func (sc Scenario) overrides(p *premia.Problem, dst []premia.Override) (_ []premia.Override, ok bool) {
+	mark := len(dst)
+	for _, sh := range sc.Shifts {
+		name, ok := resolveParam(sh, p)
+		if !ok {
+			return dst[:mark], false
+		}
+		old := p.Params[name]
+		for _, o := range dst[mark:] {
+			if o.Param == name {
+				old = o.Value
+			}
+		}
+		dst = append(dst, premia.Override{Param: name, Value: sh.shifted(name, old)})
+	}
+	return dst, true
 }
 
 // Ladder builds one scenario per relative bump of a single parameter,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -170,5 +171,46 @@ func TestBatchRootsOneTrace(t *testing.T) {
 	}
 	if batch["farm.task"] != problems || traces[0].Dropped+traces[1].Dropped != 0 {
 		t.Errorf("the /batch trace holds %d farm.task spans (%d dropped), want %d and none", batch["farm.task"], traces[0].Dropped+traces[1].Dropped, problems)
+	}
+}
+
+// TestToyReportTraceIsWhole: a full-revaluation report over the toy book
+// — the benchmark's var_toy operation, 250 claims × (24 scenarios + base)
+// on a default server — fits in its trace. The farm's unit is the sweep,
+// one claim under its scenarios, so the report is 250 farm.task →
+// farm.compute pairs under one farm.run; a task per cell was 13 000 spans,
+// of which the trace kept 4 096 and dropped the rest after building them.
+func TestToyReportTraceIsWhole(t *testing.T) {
+	reg := telemetry.New()
+	s := New(Config{Telemetry: reg})
+	defer s.Close()
+	const claims = 250
+	body := fmt.Sprintf(`{"portfolio":{"name":"toy","n":%d},"scenarios":{"n":24,"seed":3},"method":"full"}`, claims)
+	if w := postJSON(s, "/risk/report", body); w.Code != http.StatusOK {
+		t.Fatalf("report: status %d body %s", w.Code, w.Body.String())
+	}
+	if dropped := reg.Counter("telemetry.trace.spans_dropped").Value(); dropped != 0 {
+		t.Errorf("the report dropped %d spans from its trace", dropped)
+	}
+	if cells := reg.Counter("risk.tasks").Value(); cells != claims*25 {
+		t.Errorf("risk.tasks counts %d cells, want %d", cells, claims*25)
+	}
+	traces := reg.Traces()
+	if len(traces) != 1 || traces[0].Dropped != 0 {
+		t.Fatalf("server retains %d traces after one report, want 1 with nothing dropped", len(traces))
+	}
+	name, parent := map[uint64]string{}, map[uint64]uint64{}
+	for _, sp := range traces[0].Spans {
+		name[sp.ID], parent[sp.ID] = sp.Name, sp.ParentID
+	}
+	count := map[string]int{}
+	for id, n := range name {
+		count[n]++
+		if want := map[string]string{"farm.compute": "farm.task", "farm.task": "farm.run", "farm.run": "risk.farm"}[n]; want != "" && name[parent[id]] != want {
+			t.Errorf("a %s span hangs under %q, want %s", n, name[parent[id]], want)
+		}
+	}
+	if count["serve.risk.report"] != 1 || count["risk.revalue"] != 1 || count["farm.run"] != 1 || count["farm.task"] != claims || count["farm.compute"] != claims {
+		t.Errorf("the report's trace holds %v, want one serve.risk.report, risk.revalue and farm.run over %d farm.task and farm.compute", count, claims)
 	}
 }

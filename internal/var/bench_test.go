@@ -2,10 +2,12 @@ package varisk
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"riskbench/internal/farm"
 	"riskbench/internal/portfolio"
+	"riskbench/internal/premia"
 	"riskbench/internal/risk"
 	"riskbench/internal/telemetry"
 )
@@ -48,24 +50,70 @@ func BenchmarkScenarioGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkFullRevalToy is the benchmark's var_toy operation in process:
-// one full-revaluation report over the toy book, 250 claims × (24
-// scenarios + base) = 6250 repricings in one farm round, on the
-// engine riskserver builds at -workers 1 (a registry and a fleet, so
-// spans, histograms and the fleet book are all live). `make profile`
+// benchCache is the engine's PriceCache for BenchmarkFullRevalToy: a
+// locked map standing in for the server's sharded LRU (internal/serve
+// imports this package, so the real one is out of reach here).
+type benchCache struct {
+	mu sync.Mutex
+	m  map[string]premia.Result
+}
+
+func (c *benchCache) Get(key string) (premia.Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	res, ok := c.m[key]
+	return res, ok
+}
+
+func (c *benchCache) Put(key string, res premia.Result) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[key] = res
+}
+
+// BenchmarkFullRevalToy is the benchmark's var_toy operation in process,
+// on the engine as riskserver configures it at -workers 1: one
+// full-revaluation report over the toy book, 250 claims × 24 scenarios,
+// one farm round on a standing session, with the registry, the fleet
+// book and the premia sink live (spans, histograms and the per-method
+// compute metrics are all paid for), the base column read from a price
+// cache the first, untimed report fills, and the report's spans filed in
+// a trace the caller roots, as serve.risk.report does. `make profile`
 // runs it under the CPU profiler.
-func BenchmarkFullRevalToy(b *testing.B) {
-	pf := portfolio.Toy(250)
-	scens, err := DefaultMarket().Generate(24, 1)
+func BenchmarkFullRevalToy(b *testing.B) { benchFullReval(b, 250, 24) }
+
+// BenchmarkFullRevalBook is the same operation at the smallest of
+// SNIPPETS.md §3's presets, 100 options × 1000 samples: every claim is cut
+// into sweeps, where the toy report's claims each fit one.
+func BenchmarkFullRevalBook(b *testing.B) { benchFullReval(b, 100, 1000) }
+
+func benchFullReval(b *testing.B, claims, scenarios int) {
+	pf := portfolio.Toy(claims)
+	scens, err := DefaultMarket().Generate(scenarios, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := risk.Engine{Workers: 1, BatchSize: 16, Telemetry: telemetry.New(), Fleet: farm.NewFleet()}
+	reg := telemetry.New()
+	premia.SetTelemetry(reg)
+	defer premia.SetTelemetry(nil)
+	eng := risk.Engine{Workers: 1, BatchSize: 16, Telemetry: reg, Fleet: farm.NewFleet(), Cache: &benchCache{m: map[string]premia.Result{}}}
+	stop := eng.Stand()
+	report := func() {
+		root := reg.StartTrace("serve.risk.report")
+		defer root.End()
+		ctx := telemetry.ContextWithTrace(context.Background(), root.Context())
+		if _, err := FullReval(ctx, eng, pf, scens, Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	report()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FullReval(context.Background(), eng, pf, scens, Config{}); err != nil {
-			b.Fatal(err)
-		}
+		report()
+	}
+	b.StopTimer()
+	if err := stop(); err != nil {
+		b.Fatal(err)
 	}
 }

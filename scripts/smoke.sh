@@ -4,8 +4,10 @@
 # trace endpoints all respond with the right shape, then SIGTERM it and
 # require a clean drain — the standing farm session's stop messages
 # delivered, no rank stranded. The pricing and the drain run once on the
-# default transport and once over unix sockets. CI runs this after
-# `make check`.
+# default transport and once over unix sockets, and the full-revaluation
+# report — sweeps by reference on the first, their cells over a real
+# socket on the second — must print the same digits on both. CI runs this
+# after `make check`.
 set -eu
 
 GO=${GO:-go}
@@ -35,10 +37,11 @@ boot() {
 	[ -n "$ok" ] || { echo "smoke: riskserver $* did not come up on $ADDR" >&2; cat "$tmp/stderr" >&2; exit 1; }
 }
 
-# price sends one /price, one 20-problem /batch and one /risk/report:
-# three farm rounds over the session. Bodies are captured before
-# grepping: grep -q would close the pipe early and make curl report a
-# spurious write error.
+# price sends one /price, one 20-problem /batch and one full-revaluation
+# /risk/report on a fixed seed, whose var and base_value it leaves in the
+# file named by $1: three farm rounds over the session. Bodies are
+# captured before grepping: grep -q would close the pipe early and make
+# curl report a spurious write error.
 price() {
 	curl -fsS "http://$ADDR/price" -d '{"model":"BlackScholes1dim","option":"CallEuro","method":"CF_Call","params":{"S0":100,"r":0.05,"sigma":0.2,"K":100,"T":1}}' >"$tmp/price"
 	grep -q '"price"' "$tmp/price" || { echo "smoke: /price gave no price" >&2; exit 1; }
@@ -50,8 +53,10 @@ price() {
 	curl -fsS "http://$ADDR/batch" -d "$book]}" >"$tmp/batch"
 	n=$(grep -o '"price"' "$tmp/batch" | wc -l)
 	[ "$n" -eq 20 ] || { echo "smoke: a 20-problem /batch gave $n prices" >&2; exit 1; }
-	curl -fsS "http://$ADDR/risk/report" -d '{"portfolio":{"name":"toy","n":8},"scenarios":{"mode":"mc","n":64},"alphas":[0.99]}' >"$tmp/riskreport"
+	curl -fsS "http://$ADDR/risk/report" -d '{"portfolio":{"name":"toy","n":8},"scenarios":{"mode":"mc","n":64,"seed":5},"alphas":[0.99],"method":"full"}' >"$tmp/riskreport"
 	grep -q '"cvar"' "$tmp/riskreport" || { echo "smoke: /risk/report gave no VaR/CVaR estimates" >&2; exit 1; }
+	grep -oE '"(var|base_value)":[^,}]*' "$tmp/riskreport" >"$1"
+	[ "$(wc -l <"$1")" -eq 2 ] || { echo "smoke: /risk/report gave no var and base_value to compare" >&2; cat "$tmp/riskreport" >&2; exit 1; }
 }
 
 # drain SIGTERMs the server and requires "drained, bye" and exit status
@@ -73,11 +78,12 @@ drain() {
 }
 
 boot
-price
+price "$tmp/report.local"
 curl -fsS "http://$ADDR/risk" >"$tmp/risk"
 grep -q '/risk/report' "$tmp/risk" || { echo "smoke: /risk does not describe the risk endpoints" >&2; exit 1; }
 curl -fsS "http://$ADDR/metrics" >"$tmp/metrics"
 grep -q '# TYPE ' "$tmp/metrics" || { echo "smoke: /metrics is not Prometheus text" >&2; exit 1; }
+grep -q '^telemetry_trace_spans_dropped 0$' "$tmp/metrics" || { echo "smoke: a traced report lost spans (telemetry_trace_spans_dropped is not 0)" >&2; exit 1; }
 curl -fsS "http://$ADDR/metrics.json" >"$tmp/metrics.json"
 grep -q '"counters"' "$tmp/metrics.json" || { echo "smoke: /metrics.json is not a JSON snapshot" >&2; exit 1; }
 curl -fsS "http://$ADDR/debug/traces" >"$tmp/traces"
@@ -97,7 +103,11 @@ curl -fsS "http://$ADDR/healthz" >/dev/null
 drain
 
 boot -transport unix
-price
+price "$tmp/report.unix"
 drain -transport unix
+cmp -s "$tmp/report.local" "$tmp/report.unix" || {
+	echo "smoke: the full-revaluation report differs between the local and unix transports:" >&2
+	cat "$tmp/report.local" "$tmp/report.unix" >&2; exit 1
+}
 
-echo "smoke: /price, /batch, /risk, /risk/report, /metrics, /metrics.json, /debug/traces, /debug/events, /debug/slo, /debug/farm, /debug/pprof, /healthz all OK; clean SIGTERM drain on the local and unix transports"
+echo "smoke: /price, /batch, /risk, /risk/report, /metrics, /metrics.json, /debug/traces, /debug/events, /debug/slo, /debug/farm, /debug/pprof, /healthz all OK; clean SIGTERM drain and the same full-revaluation digits on the local and unix transports"
