@@ -47,7 +47,7 @@ func TestEndToEndPaperPipeline(t *testing.T) {
 	defer hub.Close()
 	accepted := make(chan error, 1)
 	go func() { accepted <- hub.WaitWorkers() }()
-	opts := farm.Options{Strategy: farm.SerializedLoad, BatchSize: 4, MaxRetries: 1}
+	opts := farm.Options{Strategy: farm.SerializedLoad, BatchSize: 4}
 	var wg sync.WaitGroup
 	for i := 1; i < size; i++ {
 		wc, err := mpi.DialHubWith(hub.Addr(), mpi.WorldOptions{})

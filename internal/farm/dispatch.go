@@ -10,19 +10,16 @@ import (
 )
 
 // queuedBatch is one batch awaiting dispatch plus its enqueue time on
-// the telemetry clock (0 when telemetry is off). retryFrom is the rank
-// whose failure requeued the batch (0 = fresh dispatch); a retry landing
-// on a different rank is a redeal.
+// the telemetry clock (0 when telemetry is off).
 type queuedBatch struct {
-	tasks     []Task
-	enqueued  float64
-	retryFrom int
+	tasks    []Task
+	enqueued float64
 }
 
 // pendingBatch is one batch in flight on a worker: the round it belongs
-// to (nil = the worker is idle), the tasks (for retry matching), the
-// clock just before and just after its sends, and the per-task spans to
-// close on arrival of the results.
+// to (nil = the worker is idle), the tasks, the clock just before and
+// just after its sends, and the per-task spans to close on arrival of
+// the results.
 type pendingBatch struct {
 	round *round
 	tasks []Task
@@ -37,8 +34,7 @@ type pendingBatch struct {
 // round is the dispatch state of one submitted task list. Everything the
 // dispatcher keeps about a task list lives here and nowhere else, so
 // rounds open at the same time share the workers and nothing more — two
-// of them may both name a task "s001/…" and keep separate attempts and
-// results.
+// of them may both name a task "s001/…" and keep separate results.
 //
 // When opts.Telemetry is set, every task gets a "farm.task" span
 // (dispatch → results) under the round's "farm.run" span, and the
@@ -60,7 +56,6 @@ type round struct {
 	// queued and inflight count the round's batches waiting in queues and
 	// out on workers; the round is over when both reach zero.
 	queued, inflight int
-	attempts         map[string]int
 	results          []Result
 	// cells is set on a round whose sweeps were dealt as cells (the
 	// communicator carries bytes): finish folds them back into blocks.
@@ -160,7 +155,7 @@ func (d *dispatcher) publish() {
 // are dealt as their cells; the only error is a clash of their names.
 func (d *dispatcher) submit(ctx context.Context, batches [][]Task, policy assignment, opts Options, done chan struct{}) (*round, error) {
 	reg := opts.Telemetry
-	r := &round{ctx: ctx, opts: opts, attempts: make(map[string]int), done: done}
+	r := &round{ctx: ctx, opts: opts, done: done}
 	if !byReference(d.c) {
 		var err error
 		if batches, r.cells, err = expandSweeps(batches); err != nil {
@@ -261,26 +256,16 @@ func (d *dispatcher) send(r *round, q, w int) error {
 		}
 	}
 	opts.Fleet.dispatched(w, len(qb.tasks), pb.sentAt)
-	if qb.retryFrom != 0 && qb.retryFrom != w {
-		// The retry landed on a different worker than the one that
-		// failed it: a redeal, the farm's unit of self-healing.
-		opts.Fleet.taskRedealt(w)
-		reg.Emit(telemetry.LevelWarn, "farm.task.redeal", r.span.Context(),
-			telemetry.Str("task", qb.tasks[0].Name),
-			telemetry.Num("failed_on", float64(qb.retryFrom)),
-			telemetry.Num("redealt_to", float64(w)))
-	}
 	d.slots[w] = pb
 	r.inflight++
 	return nil
 }
 
 // onReply books one worker's answer to the round its batch belongs to:
-// results collected, failed tasks re-queued as single-task batches up to
-// the round's MaxRetries attempts beyond the first (tasks that exhaust
-// the budget are reported with Err set), the rank idle again — the
-// driver feeds it next. An answer from a rank that holds no batch is a
-// protocol violation.
+// results collected — a failed task's with its Err, once, for every rank
+// prices alike and a second attempt would fail the same way — and the
+// rank idle again: the driver feeds it next. An answer from a rank that
+// holds no batch is a protocol violation.
 func (d *dispatcher) onReply(rep workerReply) error {
 	from := rep.source
 	if from < 0 || from >= len(d.slots) || d.slots[from].round == nil {
@@ -316,42 +301,16 @@ func (d *dispatcher) onReply(rep workerReply) error {
 		reg.Ingest(rep.records.spans, rep.records.events)
 	}
 	for _, res := range rep.results {
+		r.results = append(r.results, res)
 		if res.Err == nil {
 			reg.Counter("farm.tasks_completed").Add(1)
-			r.results = append(r.results, res)
 			continue
 		}
 		opts.Fleet.taskFailed(from)
-		r.attempts[res.Name]++
-		if r.attempts[res.Name] > opts.MaxRetries {
-			reg.Counter("farm.task_errors").Add(1)
-			reg.Emit(telemetry.LevelError, "farm.task.fail", r.span.Context(),
-				telemetry.Str("task", res.Name),
-				telemetry.Num("rank", float64(from)),
-				telemetry.Num("attempts", float64(r.attempts[res.Name])))
-			r.results = append(r.results, res)
-			continue
-		}
-		retried := false
-		for _, t := range was.tasks {
-			if t.Name == res.Name {
-				q := r.queueOf(from)
-				r.queues[q] = append(r.queues[q], queuedBatch{tasks: []Task{t}, enqueued: reg.Now(), retryFrom: from})
-				r.queued++
-				reg.Counter("farm.retries").Add(1)
-				reg.Emit(telemetry.LevelWarn, "farm.task.retry", r.span.Context(),
-					telemetry.Str("task", res.Name),
-					telemetry.Num("rank", float64(from)),
-					telemetry.Num("attempt", float64(r.attempts[res.Name])))
-				retried = true
-				break
-			}
-		}
-		if !retried {
-			// The batch no longer carries the task (should not
-			// happen); report the failure rather than lose it.
-			r.results = append(r.results, res)
-		}
+		reg.Counter("farm.task_errors").Add(1)
+		reg.Emit(telemetry.LevelError, "farm.task.fail", r.span.Context(),
+			telemetry.Str("task", res.Name),
+			telemetry.Num("rank", float64(from)))
 	}
 	if r.cancelled {
 		r.drop()

@@ -47,12 +47,18 @@
 // same seam (byReference) the dispatcher deals its cells as ordinary
 // problem tasks in the message the sweep was in — so a wire carries what
 // it always carried — and folds their results back into the block as the
-// round ends (sweep.go), a cell that needed a second attempt included.
+// round ends (sweep.go).
+//
+// A pricing failure is final. Every rank prices a task alike, so the
+// master books a failed task once — its Result.Err names the rank, it
+// adds one to farm.task_errors and emits one farm.task.fail event — and
+// never farms it again; like the paper's master, it collects what comes
+// back. A rank that is itself broken is a transport failure, below.
 //
 // There is one dispatch path. The dispatcher (dispatch.go) is a state
 // machine with no loop of its own — submit a round, feed an idle rank,
-// book a reply, cancel a round — whose bookkeeping (queue, attempts,
-// results, in-flight count, farm.run span, context) is per round and
+// book a reply, cancel a round — whose bookkeeping (queue, results,
+// in-flight count, farm.run span, context) is per round and
 // whose per-rank slot remembers which round the batch it holds belongs
 // to; an idle rank draws from the open rounds in rotation. Two drivers
 // own the receive. The synchronous one, runBatches, runs one round on

@@ -2,12 +2,9 @@ package farm
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"riskbench/internal/mpi"
 	"riskbench/internal/nsp"
@@ -33,8 +30,8 @@ func fieldStr(ev telemetry.Event, key string) (string, bool) {
 }
 
 // TestFleetAccounting drives the fleet book directly through one
-// dispatch/complete/fail/redeal cycle and checks every counter, the
-// EWMA update and the rank-sorted snapshot.
+// dispatch/complete/fail cycle and checks every counter, the EWMA update
+// and the rank-sorted snapshot.
 func TestFleetAccounting(t *testing.T) {
 	f := NewFleet()
 	f.dispatched(2, 3, 1.0)
@@ -44,16 +41,16 @@ func TestFleetAccounting(t *testing.T) {
 	}
 	f.completed(2, 3, 0.5, 2.0)
 	f.taskFailed(2)
-	f.taskRedealt(1)
+	f.dispatched(1, 1, 2.5)
 	snap = f.Snapshot()
 	if len(snap) != 2 || snap[0].Rank != 1 || snap[1].Rank != 2 {
 		t.Fatalf("snapshot not rank-sorted: %+v", snap)
 	}
-	if snap[0].Redealt != 1 {
-		t.Errorf("rank 1 redealt = %d, want 1", snap[0].Redealt)
+	if snap[0].Failed != 0 {
+		t.Errorf("rank 1 failed = %d, want 0", snap[0].Failed)
 	}
 	w2 := snap[1]
-	if w2.InFlight != 0 || w2.Completed != 3 || w2.Retried != 1 {
+	if w2.InFlight != 0 || w2.Completed != 3 || w2.Failed != 1 {
 		t.Errorf("rank 2 state = %+v", w2)
 	}
 	if w2.EWMASeconds != 0.5 {
@@ -82,7 +79,6 @@ func TestFleetAccounting(t *testing.T) {
 	nf.dispatched(1, 1, 0)
 	nf.completed(1, 1, 0, 0)
 	nf.taskFailed(1)
-	nf.taskRedealt(1)
 	if nf.Snapshot() != nil {
 		t.Error("nil fleet snapshot not nil")
 	}
@@ -279,25 +275,23 @@ func testRecordsRejectMalformed(t *testing.T, good func() *nsp.Hash, corrupt []c
 	}
 }
 
-// runEventFarm runs one farm with a distinct telemetry registry per
-// rank — the distributed shape, where worker events can only reach the
-// master over the wire — and returns the results plus the master's
-// registry and fleet.
-func runEventFarm(t *testing.T, run masterFunc, execs map[int]Executor, tasks []Task, mopts Options) ([]Result, *telemetry.Registry, *Fleet) {
+// runEventFarm runs one flat round on an in-process world with a
+// registry of its own on every worker rank — the distributed shape, where
+// worker events reach the master only over the wire — and exec on each.
+// mopts are the master's.
+func runEventFarm(t *testing.T, run masterFunc, exec Executor, workers int, tasks []Task, mopts Options) []Result {
 	t.Helper()
-	mopts.Telemetry = telemetry.New()
-	mopts.Fleet = NewFleet()
-	w := mpi.NewLocalWorld(len(execs) + 1)
+	w := mpi.NewLocalWorld(workers + 1)
 	defer w.Close()
 	var wg sync.WaitGroup
-	for r := 1; r <= len(execs); r++ {
+	for r := 1; r <= workers; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			wopts := mopts
 			wopts.Telemetry = telemetry.New()
 			wopts.Fleet = nil
-			if err := RunWorker(w.Comm(rank), execs[rank], nil, wopts); err != nil {
+			if err := RunWorker(w.Comm(rank), exec, nil, wopts); err != nil {
 				t.Errorf("worker %d: %v", rank, err)
 			}
 		}(r)
@@ -307,174 +301,5 @@ func runEventFarm(t *testing.T, run masterFunc, execs map[int]Executor, tasks []
 		t.Fatalf("master: %v", err)
 	}
 	wg.Wait()
-	return results, mopts.Telemetry, mopts.Fleet
-}
-
-// TestFarmRetryEventsAttributed injects one transient worker failure
-// and checks the flight recorder end to end: the master logs a
-// farm.task.retry naming the failing rank, the worker's own
-// farm.compute.error ships over the negotiated events capability and
-// lands rank-attributed in the master's log, and the fleet book charges
-// the failure to the right worker. Under the static policy the retry
-// additionally stays on the rank that failed it: static never redeals.
-func TestFarmRetryEventsAttributed(t *testing.T) {
-	for _, sched := range schedulers {
-		t.Run(sched.name, func(t *testing.T) { testRetryEventsAttributed(t, sched.run, sched.name == "static") })
-	}
-}
-
-func testRetryEventsAttributed(t *testing.T, run masterFunc, static bool) {
-	exec := newFlaky("job-02", 1)
-	tasks := make([]Task, 6)
-	for i := range tasks {
-		tasks[i] = Task{Name: fmt.Sprintf("job-%02d", i), Data: []byte("x")}
-	}
-	results, reg, fleet := runEventFarm(t, run,
-		map[int]Executor{1: exec, 2: exec},
-		tasks, Options{Strategy: SerializedLoad, MaxRetries: 2})
-	if len(results) != 6 {
-		t.Fatalf("%d results, want 6", len(results))
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Errorf("%s failed: %v", r.Name, r.Err)
-		}
-	}
-	retries := reg.Events(telemetry.EventFilter{Prefix: "farm.task.retry"})
-	if len(retries) != 1 {
-		t.Fatalf("got %d farm.task.retry events, want 1", len(retries))
-	}
-	rt := retries[0]
-	if rt.Level != telemetry.LevelWarn {
-		t.Errorf("retry level = %v, want warn", rt.Level)
-	}
-	if task, _ := fieldStr(rt, "task"); task != "job-02" {
-		t.Errorf("retry task = %q, want job-02", task)
-	}
-	failRank, ok := fieldNum(rt, "rank")
-	if !ok || (failRank != 1 && failRank != 2) {
-		t.Fatalf("retry rank field = %v ok=%v, want a worker rank", failRank, ok)
-	}
-	if attempt, _ := fieldNum(rt, "attempt"); attempt != 1 {
-		t.Errorf("retry attempt = %v, want 1", attempt)
-	}
-	// The worker's own compute-error event crossed the wire and was
-	// folded in with the failing rank stamped on it.
-	cerrs := reg.Events(telemetry.EventFilter{Prefix: "farm.compute.error"})
-	if len(cerrs) != 1 {
-		t.Fatalf("got %d farm.compute.error events, want 1 shipped from the worker", len(cerrs))
-	}
-	if got := cerrs[0].Rank; got != int(failRank) {
-		t.Errorf("compute error attributed to rank %d, want %d", got, int(failRank))
-	}
-	if errMsg, _ := fieldStr(cerrs[0], "err"); errMsg == "" {
-		t.Error("compute error event lost its err field")
-	}
-	// Fleet: the failure is charged to the failing worker, and every
-	// dispatch (6 tasks + 1 retry) completed somewhere.
-	var retried, completed int64
-	for _, w := range fleet.Snapshot() {
-		retried += w.Retried
-		completed += w.Completed
-		if w.Rank == int(failRank) && w.Retried != 1 {
-			t.Errorf("rank %d retried = %d, want 1", w.Rank, w.Retried)
-		}
-		if w.InFlight != 0 {
-			t.Errorf("rank %d still in flight after the run: %d", w.Rank, w.InFlight)
-		}
-	}
-	if retried != 1 || completed != 7 {
-		t.Errorf("fleet totals retried=%d completed=%d, want 1/7", retried, completed)
-	}
-	if !static {
-		return
-	}
-	for _, r := range results {
-		if r.Name == "job-02" && r.Worker != int(failRank) {
-			t.Errorf("static retry of job-02 priced on rank %d, want the failing rank %d", r.Worker, int(failRank))
-		}
-	}
-	if redeals := reg.Events(telemetry.EventFilter{Prefix: "farm.task.redeal"}); len(redeals) != 0 {
-		t.Errorf("static policy logged %d redeals, want none", len(redeals))
-	}
-	for _, w := range fleet.Snapshot() {
-		if w.Redealt != 0 {
-			t.Errorf("static policy booked %d redeals to rank %d, want none", w.Redealt, w.Rank)
-		}
-	}
-}
-
-// rankedExec fails one named task instantly and prices everything else
-// after a fixed delay, so tests can choreograph which worker is free
-// when a retry comes up for dispatch.
-type rankedExec struct {
-	fail  string
-	delay time.Duration
-}
-
-func (e rankedExec) Execute(name string, payload []byte, cost float64, size int) (nsp.Object, error) {
-	if name == e.fail {
-		return nil, errors.New("injected failure")
-	}
-	time.Sleep(e.delay)
-	return testResult(name, 42), nil
-}
-
-// TestFarmRedealEvent forces a retry to land on a different rank than
-// the one that failed it. Rank 1 fails "poison" instantly and is then
-// kept busy on a slow filler; rank 2 frees up first and takes the
-// retry — a redeal, logged with both ranks and booked to the fleet.
-func TestFarmRedealEvent(t *testing.T) {
-	tasks := []Task{
-		{Name: "poison", Data: []byte("x")},
-		{Name: "fill-a", Data: []byte("x")},
-		{Name: "fill-b", Data: []byte("x")},
-	}
-	// Seeding sends poison→1 and fill-a→2. Rank 1 fails poison at once;
-	// the master requeues it behind fill-b and hands rank 1 the slow
-	// fill-b. Rank 2 finishes fill-a long before rank 1 returns, so the
-	// poison retry is redealt to rank 2.
-	results, reg, fleet := runEventFarm(t, RunMaster,
-		map[int]Executor{
-			1: rankedExec{fail: "poison", delay: 300 * time.Millisecond},
-			2: rankedExec{delay: 30 * time.Millisecond},
-		},
-		tasks, Options{Strategy: SerializedLoad, MaxRetries: 2})
-	for _, r := range results {
-		if r.Err != nil {
-			t.Errorf("%s failed: %v", r.Name, r.Err)
-		}
-		if r.Name == "poison" && r.Worker != 2 {
-			t.Errorf("poison priced on rank %d, want the redeal target 2", r.Worker)
-		}
-	}
-	redeals := reg.Events(telemetry.EventFilter{Prefix: "farm.task.redeal"})
-	if len(redeals) != 1 {
-		t.Fatalf("got %d farm.task.redeal events, want 1", len(redeals))
-	}
-	rd := redeals[0]
-	if task, _ := fieldStr(rd, "task"); task != "poison" {
-		t.Errorf("redeal task = %q, want poison", task)
-	}
-	if from, _ := fieldNum(rd, "failed_on"); from != 1 {
-		t.Errorf("redeal failed_on = %v, want 1", from)
-	}
-	if to, _ := fieldNum(rd, "redealt_to"); to != 2 {
-		t.Errorf("redeal redealt_to = %v, want 2", to)
-	}
-	var r1, r2 WorkerHealth
-	for _, w := range fleet.Snapshot() {
-		switch w.Rank {
-		case 1:
-			r1 = w
-		case 2:
-			r2 = w
-		}
-	}
-	if r1.Retried != 1 {
-		t.Errorf("rank 1 retried = %d, want 1", r1.Retried)
-	}
-	if r2.Redealt != 1 {
-		t.Errorf("rank 2 redealt = %d, want 1", r2.Redealt)
-	}
+	return results
 }

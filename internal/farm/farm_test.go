@@ -83,7 +83,7 @@ func makePortfolio(t *testing.T, n int) ([]Task, map[string]float64) {
 type masterFunc func(context.Context, mpi.Comm, []Task, Loader, Options) ([]Result, error)
 
 // schedulers are the two assignment policies of the one dispatch loop.
-// Retry, telemetry and cancellation behaviour belongs to the loop, not
+// Failure, telemetry and cancellation behaviour belongs to the loop, not
 // to a policy, so those tests run every case under both.
 var schedulers = []struct {
 	name string

@@ -24,8 +24,7 @@ const ewmaAlpha = 0.2
 type workerState struct {
 	inFlight  int
 	completed int64
-	retried   int64 // task failures attributed to this worker
-	redealt   int64 // tasks dispatched here after failing elsewhere
+	failed    int64 // task failures attributed to this worker
 	ewma      float64
 	ewmaSeen  bool
 	lastSeen  float64
@@ -94,17 +93,7 @@ func (f *Fleet) taskFailed(rank int) {
 		return
 	}
 	f.mu.Lock()
-	f.worker(rank).retried++
-	f.mu.Unlock()
-}
-
-// taskRedealt records a task landing on rank after failing elsewhere.
-func (f *Fleet) taskRedealt(rank int) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.worker(rank).redealt++
+	f.worker(rank).failed++
 	f.mu.Unlock()
 }
 
@@ -113,8 +102,8 @@ type WorkerHealth struct {
 	Rank      int   `json:"rank"`
 	InFlight  int   `json:"in_flight"`
 	Completed int64 `json:"completed"`
-	Retried   int64 `json:"retried"`
-	Redealt   int64 `json:"redealt"`
+	// Failed counts the tasks whose pricing failed on this worker.
+	Failed int64 `json:"failed"`
 	// EWMASeconds is the exponentially weighted moving average of the
 	// worker's per-task duration; 0 until the first completion.
 	EWMASeconds float64 `json:"ewma_task_seconds"`
@@ -149,8 +138,7 @@ func (f *Fleet) Snapshot() []WorkerHealth {
 			Rank:        rank,
 			InFlight:    w.inFlight,
 			Completed:   w.completed,
-			Retried:     w.retried,
-			Redealt:     w.redealt,
+			Failed:      w.failed,
 			EWMASeconds: w.ewma,
 			LastSeen:    w.lastSeen,
 		})

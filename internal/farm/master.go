@@ -24,14 +24,12 @@ type assignment int
 
 const (
 	// sharedQueue is the paper's Robin Hood: one queue, and whichever
-	// rank answers first takes the next batch (retries included, so a
-	// failed task usually lands on a different rank — a redeal).
+	// rank answers first takes the next batch.
 	sharedQueue assignment = iota
 	// perRankQueues is the static ablation baseline: batches are dealt
 	// round-robin up front and a rank only ever serves its own queue, no
-	// stealing — retries stay with the rank that failed them. With
-	// heterogeneous task costs this strands work on slow queues, which is
-	// exactly what the dynamic policy avoids.
+	// stealing. With heterogeneous task costs this strands work on slow
+	// queues, which is exactly what the dynamic policy avoids.
 	perRankQueues
 )
 
@@ -86,10 +84,10 @@ func runRound(ctx context.Context, c mpi.Comm, n int, tasks []Task, batch int, p
 	return results, nil
 }
 
-// validateTasks rejects duplicate task names. Names key the retry
-// bookkeeping and the results, so duplicates would silently conflate
-// distinct claims; every master entry point (dynamic, static and
-// hierarchical root) runs this before dispatching anything.
+// validateTasks rejects duplicate task names. Names key the results, so
+// duplicates would silently conflate distinct claims; every master entry
+// point (dynamic, static, hierarchical root and a session's Run) runs
+// this before dispatching anything.
 func validateTasks(tasks []Task) error {
 	seen := make(map[string]bool, len(tasks))
 	for _, t := range tasks {

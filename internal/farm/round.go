@@ -84,9 +84,8 @@ type Local struct {
 
 // Open builds a world of `workers` worker ranks (plus l.Groups
 // sub-masters, each of which gets at least one worker), starts every
-// rank but the root as a goroutine serving under opts — strategy,
-// registry and, for sub-masters, retry budget are fixed here — and
-// returns the session mastering them.
+// rank but the root as a goroutine serving under opts — strategy and
+// registry are fixed here — and returns the session mastering them.
 //
 // A rank that fails ends the session with its error and its rank: the
 // world is closed under the others, and every open round reports that

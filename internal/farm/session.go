@@ -81,9 +81,9 @@ func newSession(c mpi.Comm, workers []int, opts Options) *Session {
 
 // Run farms one round of tasks over the session's workers and returns
 // the results in completion order. It is safe for concurrent callers;
-// each gets exactly its own results. opts are the round's master-side
-// settings — BatchSize, MaxRetries, Telemetry, Fleet; the strategy is
-// the workers' and must match the session's.
+// each gets exactly its own results, a failed task's with its Err. opts
+// are the round's master-side settings — BatchSize, Telemetry, Fleet;
+// the strategy is the workers' and must match the session's.
 //
 // Cancelling ctx is cooperative and costs only this round: nothing more
 // of it is dispatched, its batches in flight drain, and ctx.Err() is

@@ -250,80 +250,6 @@ func TestSessionRotation(t *testing.T) {
 	}
 }
 
-// payloadFlaky fails the first attempt of task `fail` once per distinct
-// payload: two rounds that ship different payloads under the same names
-// each see exactly one failure.
-type payloadFlaky struct {
-	mu      sync.Mutex
-	fail    string
-	seen    map[string]bool
-	release chan struct{}
-}
-
-func (f *payloadFlaky) Execute(name string, payload []byte, cost float64, size int) (nsp.Object, error) {
-	<-f.release
-	f.mu.Lock()
-	first := name == f.fail && !f.seen[string(payload)]
-	if first {
-		f.seen[string(payload)] = true
-	}
-	f.mu.Unlock()
-	if first {
-		return nil, errors.New("injected failure")
-	}
-	return testResult(name, float64(len(payload))), nil
-}
-
-// TestSessionRoundsKeepSeparateAttempts: two rounds open at once name
-// their tasks alike and each has "job-002" fail once. With a budget of
-// one retry each must recover; attempts booked by name across rounds
-// would charge the second failure to the first round's count and report
-// it as exhausted.
-func TestSessionRoundsKeepSeparateAttempts(t *testing.T) {
-	reg := telemetry.New()
-	exec := &payloadFlaky{fail: "job-002", seen: map[string]bool{}, release: make(chan struct{})}
-	opts := Options{Strategy: SerializedLoad, BatchSize: 2, MaxRetries: 1, Telemetry: reg}
-	s, err := Local{Exec: exec}.Open(opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	var wg sync.WaitGroup
-	got := make([][]Result, 2)
-	errs := make([]error, 2)
-	for round, payload := range []string{"a", "bb"} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[round], errs[round] = s.Run(context.Background(), namedTasks("job", 6, payload), opts)
-		}()
-	}
-	waitGauge(t, reg, "farm.session.open_rounds", 2)
-	close(exec.release)
-	wg.Wait()
-	for round, want := range []float64{1, 2} {
-		if errs[round] != nil {
-			t.Fatalf("round %d: %v", round, errs[round])
-		}
-		if len(got[round]) != 6 {
-			t.Fatalf("round %d: %d results, want 6", round, len(got[round]))
-		}
-		for _, r := range got[round] {
-			if r.Err != nil {
-				t.Errorf("round %d: %s exhausted its retries: %v", round, r.Name, r.Err)
-			} else if price, _ := priceOf(r); price != want {
-				t.Errorf("round %d: %s = %v, want its own payload's %v", round, r.Name, price, want)
-			}
-		}
-	}
-	if n := reg.Counter("farm.retries").Value(); n != 2 {
-		t.Errorf("farm.retries = %d, want one per round", n)
-	}
-	if n := reg.Counter("farm.task_errors").Value(); n != 0 {
-		t.Errorf("farm.task_errors = %d, want 0", n)
-	}
-}
-
 // TestSessionRefusesWhatItCannotRun: a round under another strategy
 // than the workers serve is an error at once, not a worker waiting for a
 // payload that never comes; and a closed session says so.

@@ -69,7 +69,7 @@ func expandSweeps(batches [][]Task) (out [][]Task, cells *sweepCells, err error)
 // fold reads the cells' results into their blocks and returns the
 // round's results as a by-reference round would have collected them: the
 // ordinary tasks' as they are, then one block per sweep. A cell that
-// failed every attempt is its block's Errs[k]; a block's Seconds is the
+// failed is its block's Errs[k]; a block's Seconds is the
 // sum over its cells, and its Worker the rank that answered last. Every
 // task must have been answered exactly once.
 func (sc *sweepCells) fold(results []Result) ([]Result, error) {

@@ -11,6 +11,7 @@ import (
 	"riskbench/internal/mpi"
 	"riskbench/internal/nsp"
 	"riskbench/internal/premia"
+	"riskbench/internal/telemetry"
 )
 
 // sweepTasks is a round of every kind of task a sweep can sit beside: a
@@ -26,7 +27,8 @@ func sweepTasks() []Task {
 }
 
 // runHubFarm is runFarm over an inproc hub: the whole wire path, every
-// task and result crossing as bytes.
+// task and result crossing as bytes. Under telemetry each worker keeps a
+// registry of its own, as a remote rank would.
 func runHubFarm(t *testing.T, exec Executor, tasks []Task, workers int, opts Options) ([]Result, error) {
 	t.Helper()
 	hub, err := mpi.ListenHubWith("", workers+1, mpi.WorldOptions{Transport: "inproc"})
@@ -42,11 +44,15 @@ func runHubFarm(t *testing.T, exec Executor, tasks []Task, workers int, opts Opt
 		if err != nil {
 			t.Fatal(err)
 		}
+		wopts := opts
+		if opts.Telemetry != nil {
+			wopts.Telemetry = telemetry.New()
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer wc.Close()
-			_ = RunWorker(wc, exec, nil, opts) // a master that refuses the round hangs up instead of stopping us
+			_ = RunWorker(wc, exec, nil, wopts) // a master that refuses the round hangs up instead of stopping us
 		}()
 	}
 	if err := <-accepted; err != nil {
@@ -78,7 +84,7 @@ func byName(t *testing.T, results []Result) map[string]Result {
 // reference the worker gets the sweep itself; over a hub the master deals
 // its cells — each the problem Cell(k) is, serialized as any problem is,
 // in the message its sweep was in — and folds the result hashes back, a
-// refused cell into Errs, a cell that needed a second attempt included.
+// refused cell into Errs.
 func TestSweepCrossesEverySeam(t *testing.T) {
 	opts := Options{Strategy: SerializedLoad, BatchSize: 2}
 	ref := byName(t, runLocalFarm(t, sweepTasks(), 2, opts, nil))
@@ -139,46 +145,31 @@ func TestSweepCrossesEverySeam(t *testing.T) {
 
 	// The same round over a hub: the same blocks, a refused cell's error
 	// now the master's rank-attributed one.
-	for _, tc := range []struct {
-		name     string
-		exec     Executor
-		retries  int
-		attempts int // of a#1
-	}{
-		{"clean", LiveExecutor{}, 0, 1},
-		{"a cell retried", &flakyExecutor{trigger: "a#1", failures: 1, attempts: map[string]int{}, inner: LiveExecutor{}}, 1, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			o := opts
-			o.MaxRetries = tc.retries
-			results, err := runHubFarm(t, tc.exec, sweepTasks(), 2, o)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("clean", func(t *testing.T) {
+		results, err := runHubFarm(t, LiveExecutor{}, sweepTasks(), 2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire := byName(t, results)
+		if len(wire) != 4 {
+			t.Fatalf("%d results over the hub, want 4: %v", len(wire), results)
+		}
+		p, _ := priceOf(ref["plain"])
+		if q, ok := priceOf(wire["plain"]); !ok || p != q {
+			t.Errorf("plain task: %v over the hub, %v by reference", q, p)
+		}
+		for _, name := range []string{"a", "none"} {
+			if !wire[name].Value.Equal(ref[name].Value) || wire[name].Err != nil {
+				t.Errorf("sweep %s over the hub: %+v (err %v), by reference %+v", name, wire[name].Value, wire[name].Err, ref[name].Value)
 			}
-			wire := byName(t, results)
-			if len(wire) != 4 {
-				t.Fatalf("%d results over the hub, want 4: %v", len(wire), results)
-			}
-			p, _ := priceOf(ref["plain"])
-			if q, ok := priceOf(wire["plain"]); !ok || p != q {
-				t.Errorf("plain task: %v over the hub, %v by reference", q, p)
-			}
-			for _, name := range []string{"a", "none"} {
-				if !wire[name].Value.Equal(ref[name].Value) || wire[name].Err != nil {
-					t.Errorf("sweep %s over the hub: %+v (err %v), by reference %+v", name, wire[name].Value, wire[name].Err, ref[name].Value)
-				}
-			}
-			got, want := wire["b"].Value.(*PricedBlock), ref["b"].Value.(*PricedBlock)
-			if got.Results[0] != want.Results[0] || got.Results[2] != want.Results[2] || got.Results[1] != (premia.Result{}) ||
-				len(got.Errs) != 3 || got.Errs[0] != nil || got.Errs[2] != nil ||
-				got.Errs[1] == nil || !strings.Contains(got.Errs[1].Error(), `task "b#1" failed on worker`) || !strings.Contains(got.Errs[1].Error(), want.Errs[1].Error()) {
-				t.Errorf("sweep b over the hub: %+v, errors %v; by reference %+v, errors %v", got.Results, got.Errs, want.Results, want.Errs)
-			}
-			if f, ok := tc.exec.(*flakyExecutor); ok && f.attempts["a#1"] != tc.attempts {
-				t.Errorf("a#1 was attempted %d times, want %d", f.attempts["a#1"], tc.attempts)
-			}
-		})
-	}
+		}
+		got, want := wire["b"].Value.(*PricedBlock), ref["b"].Value.(*PricedBlock)
+		if got.Results[0] != want.Results[0] || got.Results[2] != want.Results[2] || got.Results[1] != (premia.Result{}) ||
+			len(got.Errs) != 3 || got.Errs[0] != nil || got.Errs[2] != nil ||
+			got.Errs[1] == nil || !strings.Contains(got.Errs[1].Error(), `task "b#1" failed on worker`) || !strings.Contains(got.Errs[1].Error(), want.Errs[1].Error()) {
+			t.Errorf("sweep b over the hub: %+v, errors %v; by reference %+v, errors %v", got.Results, got.Errs, want.Results, want.Errs)
+		}
+	})
 
 	// A cell's name must not be another task's.
 	clash := append(sweepTasks(), Task{Name: "a#3", Obj: sweepTasks()[0].Obj})

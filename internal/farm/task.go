@@ -88,16 +88,16 @@ type Result struct {
 	// came off a wire (the failure report, in either form, when Err is
 	// set). AsPriced reads both.
 	Value nsp.Object
-	// Err holds the worker-side pricing error, if the task failed on
-	// every attempt.
+	// Err holds the worker-side pricing error, if the task failed. A
+	// failure is final: every rank prices a task alike, so the master
+	// never farms it again.
 	Err error
 }
 
 // Options configures a farm run. On a Session the worker-side settings
-// — Strategy, the workers' Telemetry and LocalSpans, a sub-master's
-// MaxRetries — are those given to Open; a round's own Options set its
-// BatchSize, MaxRetries, Fleet and the master-side Telemetry, and must
-// name the session's Strategy.
+// — Strategy, the workers' Telemetry and LocalSpans — are those given to
+// Open; a round's own Options set its BatchSize, Fleet and the
+// master-side Telemetry, and must name the session's Strategy.
 type Options struct {
 	// Strategy selects the communication strategy (default FullLoad).
 	Strategy Strategy
@@ -108,12 +108,6 @@ type Options struct {
 	// MasterRank is the rank workers talk to (default 0); sub-masters in
 	// a hierarchy override it.
 	MasterRank int
-	// MaxRetries is how many times the master re-farms a task whose
-	// pricing failed on a worker (each retry goes to whichever worker is
-	// free, usually a different one). Tasks failing every attempt come
-	// back with Result.Err set. Transport and protocol errors are always
-	// fatal regardless of this setting.
-	MaxRetries int
 	// Telemetry, when non-nil, receives the farm's metrics and spans:
 	// queue-wait/serialize/task-latency histograms and per-task spans on
 	// the master, fetch/compute histograms and spans on workers, and
@@ -128,8 +122,8 @@ type Options struct {
 	// payload and the event payload; masters ignore the flag.
 	LocalSpans bool
 	// Fleet, when non-nil, receives per-worker health updates from the
-	// master: in-flight counts, completions, failures, redeals and EWMA
-	// task durations, served at /debug/farm. Workers ignore it. One
+	// master: in-flight counts, completions, failures and EWMA task
+	// durations, served at /debug/farm. Workers ignore it. One
 	// Fleet may span many runs so worker history accumulates.
 	Fleet *Fleet
 }
@@ -303,9 +297,9 @@ func AsPriced(r Result) (*Priced, error) {
 // answer the same way wherever the workers live.
 //
 // By reference the sweep is one task, and it succeeded whatever its cells
-// did: a failed cell is the block's to report (Errs), not the master's to
-// re-farm under MaxRetries. Over a wire each cell is a task of its own,
-// retried like any other, and Errs[k] is the failure of its last attempt.
+// did: a failed cell is the block's to report (Errs). Over a wire each
+// cell is a task of its own, and Errs[k] is the master's rank-attributed
+// failure of cell k.
 type PricedBlock struct {
 	// Name echoes the task name.
 	Name string

@@ -160,8 +160,7 @@ func RunWorker(c mpi.Comm, exec Executor, store Store, opts Options) error {
 			}
 			if err != nil {
 				// A pricing failure is the task's problem, not the
-				// worker's: report it and keep serving (the master decides
-				// whether to retry).
+				// worker's: report it and keep serving.
 				reg.Emit(telemetry.LevelWarn, "farm.compute.error", span.Context(),
 					telemetry.Str("task", name), telemetry.Str("err", err.Error()))
 				res = &Priced{Name: name, Err: err}

@@ -17,7 +17,7 @@ func good() {
 	reg.Counter("farm.worker." + rankString() + ".tasks").Add(1)
 	reg.Counter(fmt.Sprintf("mpi.rank%d.bytes_sent", 3)).Add(1)
 	reg.StartSpan("risk.price_batch").End()
-	reg.Emit(telemetry.LevelWarn, "farm.task.retry", telemetry.TraceContext{})
+	reg.Emit(telemetry.LevelWarn, "farm.task.fail", telemetry.TraceContext{})
 	reg.EmitCtx(nil, telemetry.LevelInfo, "serve.drain.begin")
 	reg.ObserveExemplar("serve.request_seconds", 0.1, telemetry.TraceContext{})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -109,25 +110,15 @@ func TestCompatMatrix(t *testing.T) {
 	}
 }
 
-// compatFlakyExec fails the first attempt of one named task and prices
-// everything else deterministically, so capability pairings can be
-// compared bit-for-bit while still generating a worker-side warning
-// event (the farm.compute.error behind the events capability).
-type compatFlakyExec struct {
-	mu     sync.Mutex
-	fail   string
-	failed bool
-}
+// compatFlakyExec fails one named task and prices everything else
+// deterministically, so capability pairings can be compared bit-for-bit
+// while still generating a worker-side warning event (the
+// farm.compute.error behind the events capability).
+type compatFlakyExec struct{ fail string }
 
-func (e *compatFlakyExec) Execute(name string, payload []byte, cost float64, size int) (nsp.Object, error) {
+func (e compatFlakyExec) Execute(name string, payload []byte, cost float64, size int) (nsp.Object, error) {
 	if name == e.fail {
-		e.mu.Lock()
-		first := !e.failed
-		e.failed = true
-		e.mu.Unlock()
-		if first {
-			return nil, errors.New("injected compute failure")
-		}
+		return nil, errors.New("injected compute failure")
 	}
 	h := nsp.NewHash()
 	h.Set("name", nsp.Str(name))
@@ -138,9 +129,10 @@ func (e *compatFlakyExec) Execute(name string, payload []byte, cost float64, siz
 // TestCompatEventsCapability is the flight recorder's row of the
 // rolling-upgrade matrix: a peer whose announced capability set predates
 // "events" (it speaks ProtoV2 but only spans+hasdelta — an older build
-// mid-upgrade) must downgrade silently. Prices stay bit-identical in
-// every pairing; the worker's warning events reach the master's log
-// exactly when both ends negotiated the capability.
+// mid-upgrade) must downgrade silently. The failing task comes back
+// with its error and the other prices stay bit-identical in every
+// pairing; the worker's warning events reach the master's log exactly
+// when both ends negotiated the capability.
 func TestCompatEventsCapability(t *testing.T) {
 	const nw = 2
 	legacy := mpi.CapSpans | mpi.CapHasDelta // no events
@@ -164,7 +156,7 @@ func TestCompatEventsCapability(t *testing.T) {
 			defer hub.Close()
 			accepted := make(chan error, 1)
 			go func() { accepted <- hub.WaitWorkers() }()
-			exec := &compatFlakyExec{fail: "job-01"}
+			exec := compatFlakyExec{fail: "job-01"}
 			var wg sync.WaitGroup
 			for i := 0; i < nw; i++ {
 				c, err := mpi.DialHubWith(hub.Addr(), mpi.WorldOptions{Transport: "tcp", Caps: tc.workerCaps})
@@ -190,15 +182,21 @@ func TestCompatEventsCapability(t *testing.T) {
 			}
 			reg := telemetry.New()
 			results, err := farm.RunMaster(context.Background(), hub, tasks, farm.LiveLoader{},
-				farm.Options{Strategy: farm.SerializedLoad, MaxRetries: 2, Telemetry: reg})
+				farm.Options{Strategy: farm.SerializedLoad, Telemetry: reg})
 			if err != nil {
 				t.Fatal(err)
 			}
 			wg.Wait()
 			got := make(map[string]uint64, len(results))
 			for _, r := range results {
+				if r.Name == exec.fail {
+					if r.Err == nil || !strings.Contains(r.Err.Error(), "injected compute failure") {
+						t.Errorf("%s came back with %v, want its failure", r.Name, r.Err)
+					}
+					continue
+				}
 				if r.Err != nil {
-					t.Fatalf("%s failed despite retry budget: %v", r.Name, r.Err)
+					t.Fatalf("%s failed: %v", r.Name, r.Err)
 				}
 				p, err := farm.AsPriced(r)
 				if err != nil {
@@ -206,11 +204,14 @@ func TestCompatEventsCapability(t *testing.T) {
 				}
 				got[r.Name] = math.Float64bits(p.Result.Price)
 			}
+			if len(got) != len(tasks)-1 {
+				t.Fatalf("%d tasks priced, want %d", len(got), len(tasks)-1)
+			}
 			prices[tc.name] = got
 
-			// The master's own retry bookkeeping is capability-independent.
-			if n := len(reg.Events(telemetry.EventFilter{Prefix: "farm.task.retry"})); n != 1 {
-				t.Errorf("%d farm.task.retry events, want 1", n)
+			// The master's own failure bookkeeping is capability-independent.
+			if n := len(reg.Events(telemetry.EventFilter{Prefix: "farm.task.fail"})); n != 1 {
+				t.Errorf("%d farm.task.fail events, want 1", n)
 			}
 			// The worker's compute error crosses the wire only when both
 			// ends negotiated "events" — and then it arrives

@@ -65,9 +65,8 @@ func (e Engine) farmOptions(batch int) farm.Options {
 // (farm.AsPriced) and the same blocks. The objects must therefore stay
 // unmutated until the round returns. Task names must be unique; they pair
 // each result with its slot and label spans and errors, and are never
-// parsed. A result's Err is its task's pricing failure, when every
-// attempt failed. The round is sized to the work: two tasks do not spin
-// up the full worker complement.
+// parsed. A result's Err is its task's pricing failure. The round is
+// sized to the work: two tasks do not spin up the full worker complement.
 func (e Engine) priceRound(ctx context.Context, tasks []farm.Task, batch int) ([]farm.Result, error) {
 	if len(tasks) == 0 {
 		return nil, nil

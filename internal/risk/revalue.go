@@ -56,7 +56,7 @@ type Engine struct {
 	// which every round shares one session.
 	Backend FarmBackend
 	// Fleet, when non-nil, accumulates per-worker health (in-flight,
-	// completions, failures, redeals, EWMA durations) across every farm
+	// completions, failures, EWMA durations) across every farm
 	// run this engine drives — what /debug/farm serves.
 	Fleet *farm.Fleet
 }
@@ -223,8 +223,8 @@ func (e Engine) Revalue(pf *portfolio.Portfolio, scenarios []Scenario) (*Valuati
 // copied, its task named and its spans opened once per claim rather than
 // once per cell. A message carries at most 2 × BatchSize cells: a claim
 // with more is cut evenly into sweeps of at most that many — which also
-// bounds what a cancellation waits for and what a retry repeats — and
-// claims with fewer share a message up to it.
+// bounds what a cancellation waits for — and claims with fewer share a
+// message up to it.
 func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, scenarios []Scenario) (*Valuation, error) {
 	reg := e.Telemetry
 	// A revaluation is a natural trace root (one bench run / report): mint

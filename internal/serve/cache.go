@@ -8,10 +8,10 @@ import (
 	"riskbench/internal/telemetry"
 )
 
-// cacheShards fixes the shard count. Sixteen shards keep lock
-// contention negligible at the request rates an in-process farm can
-// sustain while staying small enough that per-shard LRU capacity is
-// meaningful for modest total capacities.
+// cacheShards caps the shard count. Sixteen shards keep lock contention
+// negligible at the request rates an in-process farm can sustain while
+// staying small enough that per-shard LRU capacity is meaningful for
+// modest total capacities.
 const cacheShards = 16
 
 // DefaultCacheSize is the total entry capacity used when a Cache is
@@ -24,7 +24,7 @@ const DefaultCacheSize = 4096
 // never contend. It implements risk.PriceCache.
 type Cache struct {
 	reg    *telemetry.Registry
-	shards [cacheShards]cacheShard
+	shards []cacheShard
 }
 
 type cacheShard struct {
@@ -42,16 +42,18 @@ type cacheEntry struct {
 // NewCache returns a cache holding at most capacity entries in total
 // (DefaultCacheSize when capacity <= 0), reporting hit/miss/eviction
 // telemetry to reg (nil disables telemetry, not the cache). The
-// capacity is split over the shards with the remainder spread one entry
-// each over the first capacity%cacheShards shards, so the per-shard
-// budgets sum exactly to the requested total — a ceil division here
-// would let the cache overshoot by up to cacheShards-1 entries.
+// capacity is split over min(capacity, cacheShards) shards with the
+// remainder spread one entry each over the first shards, so the
+// per-shard budgets sum exactly to the requested total — a ceil division
+// here would let the cache overshoot by up to cacheShards-1 entries —
+// and no shard has a budget of zero, which would evict every Put on
+// arrival.
 func NewCache(capacity int, reg *telemetry.Registry) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
 	}
-	base, rem := capacity/cacheShards, capacity%cacheShards
-	c := &Cache{reg: reg}
+	c := &Cache{reg: reg, shards: make([]cacheShard, min(capacity, cacheShards))}
+	base, rem := capacity/len(c.shards), capacity%len(c.shards)
 	for i := range c.shards {
 		c.shards[i].capacity = base
 		if i < rem {
@@ -72,7 +74,7 @@ func (c *Cache) shardFor(key string) *cacheShard {
 		h ^= uint32(key[i])
 		h *= 16777619
 	}
-	return &c.shards[h%cacheShards]
+	return &c.shards[h%uint32(len(c.shards))]
 }
 
 // Get returns the cached result for key and refreshes its recency.

@@ -71,6 +71,35 @@ func TestCacheCapacityInvariant(t *testing.T) {
 	}
 }
 
+// TestCacheSmallCapacityKeepsWhatItStores: a cache smaller than the shard
+// count has no shard of budget zero, so whatever key is put into an
+// empty cache reads back — sharded sixteen ways, a capacity of 1 lost 59
+// of these 64 keys on arrival — and the most recent Put always survives.
+func TestCacheSmallCapacityKeepsWhatItStores(t *testing.T) {
+	for capacity := 1; capacity < cacheShards; capacity++ {
+		lost := 0
+		filled := NewCache(capacity, nil)
+		for i := 0; i < 64; i++ {
+			key := fmt.Sprintf("cap%d-key-%d", capacity, i)
+			alone := NewCache(capacity, nil)
+			alone.Put(key, premia.Result{Price: float64(i)})
+			if res, ok := alone.Get(key); !ok || res.Price != float64(i) {
+				lost++
+			}
+			filled.Put(key, premia.Result{Price: float64(i)})
+			if _, ok := filled.Get(key); !ok {
+				t.Errorf("capacity %d: the Put of %s evicted itself", capacity, key)
+			}
+			if n := filled.Len(); n > capacity {
+				t.Errorf("capacity %d: cache holds %d entries", capacity, n)
+			}
+		}
+		if lost > 0 {
+			t.Errorf("capacity %d: %d of 64 keys put alone cannot be read back", capacity, lost)
+		}
+	}
+}
+
 func TestCacheLRURecency(t *testing.T) {
 	c := NewCache(cacheShards, nil) // 1 entry per shard
 	// Find two keys landing on the same shard.

@@ -62,13 +62,10 @@ type Config struct {
 	// tracing overhead benchmark flips it; production setups normally
 	// leave tracing on.
 	DisableTracing bool
-	// SLOs are the objectives the server's burn-rate monitor watches
-	// (served at /debug/slo, gauged as slo.<name>.*). Nil installs
-	// DefaultSLOs; pass an empty non-nil slice to monitor nothing.
-	SLOs []telemetry.Objective
 }
 
-// DefaultSLOs is the serving layer's out-of-the-box objective set: 99%
+// defaultSLOs are the objectives the server's burn-rate monitor watches
+// (served at /debug/slo, gauged as slo.<name>.*): 99%
 // of requests priced under 50ms (measured on the span.serve.request
 // histogram, whose buckets carry trace-linked exemplars), and a 99.9%
 // infrastructure success rate (serve.request_errors over
@@ -76,7 +73,7 @@ type Config struct {
 // serve.client_cancels instead). Windows are short — 60s/300s — because
 // this service is a benchmark harness: breaches should be demonstrable
 // in a demo, not after half an hour of sustained load.
-func DefaultSLOs() []telemetry.Objective {
+func defaultSLOs() []telemetry.Objective {
 	return []telemetry.Objective{
 		{Name: "price_latency", Histogram: "span.serve.request", Threshold: 0.050,
 			Target: 0.99, ShortWindow: 60, LongWindow: 300, MaxBurn: 2},
@@ -192,24 +189,12 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// startSLO builds the burn-rate monitor from the configured (or
-// default) objectives and starts its ticker goroutine, bound to the
-// server's lifecycle context.
+// startSLO builds the burn-rate monitor from defaultSLOs and starts its
+// ticker goroutine, bound to the server's lifecycle context.
 func (s *Server) startSLO(ctx context.Context) {
-	objs := s.cfg.SLOs
-	if objs == nil {
-		objs = DefaultSLOs()
-	}
-	if len(objs) == 0 {
-		return
-	}
-	mon, err := telemetry.NewSLOMonitor(s.reg, objs...)
+	mon, err := telemetry.NewSLOMonitor(s.reg, defaultSLOs()...)
 	if err != nil {
-		// A misdeclared objective is an operator error, not a reason to
-		// refuse to serve prices: record it and run unmonitored.
-		s.reg.Emit(telemetry.LevelError, "serve.slo.invalid", telemetry.TraceContext{},
-			telemetry.Str("err", err.Error()))
-		return
+		panic(err) // the objectives are constants: a misdeclared one is a bug every New hits
 	}
 	s.slo = mon
 	go s.sloLoop(ctx)

@@ -12,7 +12,7 @@ import (
 )
 
 // The event log is the registry's flight recorder: a bounded ring of
-// discrete occurrences (worker died, task redealt, limit breached,
+// discrete occurrences (worker died, task failed, limit breached,
 // deadline missed) that complements the aggregate metrics and the span
 // trees. Metrics say *how much*, traces say *where the time went*,
 // events say *what happened* — and carry the trace ID that links the
@@ -116,7 +116,7 @@ type Event struct {
 	// Level grades the severity.
 	Level Level
 	// Name identifies the occurrence kind in the same dotted
-	// pkg.noun.verb grammar as metric names ("farm.task.redeal").
+	// pkg.noun.verb grammar as metric names ("farm.task.fail").
 	Name string
 	// TraceID links the event to a distributed trace; 0 = untraced.
 	TraceID uint64

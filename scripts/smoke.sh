@@ -1,7 +1,10 @@
 #!/bin/sh
 # End-to-end smoke test for the serving binary: boot riskserver, price
-# one request and one 20-problem book, assert the health, metrics and
-# trace endpoints all respond with the right shape, then SIGTERM it and
+# one request and one 20-problem book, fail one request in the kernel
+# (a 400, booked once: one farm.task.fail naming its rank, the fleet's
+# failed count, farm_task_errors and no retry counter), assert the
+# health, metrics and trace endpoints all respond with the right shape,
+# then SIGTERM it and
 # require a clean drain — the standing farm session's stop messages
 # delivered, no rank stranded. The pricing and the drain run once on the
 # default transport and once over unix sockets, and the full-revaluation
@@ -58,14 +61,20 @@ boot() {
 	[ -n "$ok" ] || { echo "smoke: riskserver $* did not come up on $ADDR" >&2; cat "$tmp/stderr" >&2; exit 1; }
 }
 
-# price sends one /price, one 20-problem /batch and one full-revaluation
-# /risk/report on a fixed seed, whose var and base_value it leaves in the
-# file named by $1: three farm rounds over the session. Bodies are
-# captured before grepping: grep -q would close the pipe early and make
-# curl report a spurious write error.
+# price sends one /price, one that fails in the kernel, one 20-problem
+# /batch and one full-revaluation /risk/report on a fixed seed, whose var
+# and base_value it leaves in the file named by $1: four farm rounds over
+# the session. Bodies are captured before grepping: grep -q would close
+# the pipe early and make curl report a spurious write error.
 price() {
 	curl -fsS "http://$ADDR/price" -d '{"model":"BlackScholes1dim","option":"CallEuro","method":"CF_Call","params":{"S0":100,"r":0.05,"sigma":0.2,"K":100,"T":1}}' >"$tmp/price"
 	grep -q '"price"' "$tmp/price" || { echo "smoke: /price gave no price" >&2; exit 1; }
+	# A call without its strike passes validation and fails in the kernel,
+	# on a worker rank: a 400 naming the missing parameter, booked once.
+	code=$(curl -s -o "$tmp/nostrike" -w '%{http_code}' "http://$ADDR/price" -d '{"model":"BlackScholes1dim","option":"CallEuro","method":"CF_Call","params":{"S0":100,"r":0.05,"sigma":0.2,"T":1}}')
+	[ "$code" = "400" ] && grep -q 'missing parameter' "$tmp/nostrike" || {
+		echo "smoke: a /price without K answered $code, want 400 naming the missing parameter" >&2; cat "$tmp/nostrike" >&2; exit 1
+	}
 	book='{"problems":['
 	for k in $(seq 81 100); do
 		[ "$k" = 81 ] || book="$book,"
@@ -105,6 +114,8 @@ grep -q '/risk/report' "$tmp/risk" || { echo "smoke: /risk does not describe the
 curl -fsS "http://$ADDR/metrics" >"$tmp/metrics"
 grep -q '# TYPE ' "$tmp/metrics" || { echo "smoke: /metrics is not Prometheus text" >&2; exit 1; }
 grep -q '^telemetry_trace_spans_dropped 0$' "$tmp/metrics" || { echo "smoke: a traced report lost spans (telemetry_trace_spans_dropped is not 0)" >&2; exit 1; }
+grep -q '^farm_task_errors ' "$tmp/metrics" || { echo "smoke: /metrics does not count the failed task (farm_task_errors)" >&2; exit 1; }
+if grep -q 'farm_retries' "$tmp/metrics"; then echo "smoke: /metrics still has farm_retries" >&2; exit 1; fi
 curl -fsS "http://$ADDR/metrics.json" >"$tmp/metrics.json"
 grep -q '"counters"' "$tmp/metrics.json" || { echo "smoke: /metrics.json is not a JSON snapshot" >&2; exit 1; }
 curl -fsS "http://$ADDR/debug/traces" >"$tmp/traces"
@@ -112,6 +123,8 @@ grep -q 'serve.request' "$tmp/traces" || { echo "smoke: /debug/traces shows no s
 curl -fsS "http://$ADDR/debug/events?level=warn&n=32" >"$tmp/events" || { echo "smoke: /debug/events not mounted" >&2; exit 1; }
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/debug/events?level=bogus")
 [ "$code" = "400" ] || { echo "smoke: /debug/events accepted a bad level filter (got $code)" >&2; exit 1; }
+curl -fsS "http://$ADDR/debug/events?level=error&prefix=farm.task.fail" >"$tmp/fails"
+grep -q '"rank"' "$tmp/fails" || { echo "smoke: the failed task left no farm.task.fail event naming its rank" >&2; cat "$tmp/fails" >&2; exit 1; }
 curl -fsS "http://$ADDR/debug/slo" >"$tmp/slo"
 grep -q '"objectives"' "$tmp/slo" || { echo "smoke: /debug/slo gave no objectives" >&2; exit 1; }
 grep -q 'price_latency' "$tmp/slo" || { echo "smoke: /debug/slo is missing the default latency objective" >&2; exit 1; }
@@ -119,6 +132,8 @@ curl -fsS "http://$ADDR/debug/farm" >"$tmp/farm"
 grep -q '"workers"' "$tmp/farm" || { echo "smoke: /debug/farm gave no workers array" >&2; exit 1; }
 grep -q '"rank"' "$tmp/farm" || { echo "smoke: /debug/farm shows no worker rows after pricing" >&2; exit 1; }
 grep -q '"idle_workers": 2' "$tmp/farm" || { echo "smoke: /debug/farm does not show the session's two workers waiting for work" >&2; exit 1; }
+grep -q '"failed"' "$tmp/farm" || { echo "smoke: /debug/farm rows carry no failed count" >&2; exit 1; }
+if grep -qE '"(retried|redealt)"' "$tmp/farm"; then echo "smoke: /debug/farm rows still carry retried or redealt" >&2; exit 1; fi
 curl -fsS "http://$ADDR/debug/pprof/cmdline" >/dev/null || { echo "smoke: /debug/pprof not mounted" >&2; exit 1; }
 curl -fsS "http://$ADDR/healthz" >/dev/null
 drain
@@ -131,4 +146,4 @@ cmp -s "$tmp/report.local" "$tmp/report.unix" || {
 	cat "$tmp/report.local" "$tmp/report.unix" >&2; exit 1
 }
 
-echo "smoke: examples/mpidemo and pricer -save/-load OK; /price, /batch, /risk, /risk/report, /metrics, /metrics.json, /debug/traces, /debug/events, /debug/slo, /debug/farm, /debug/pprof, /healthz all OK; clean SIGTERM drain and the same full-revaluation digits on the local and unix transports"
+echo "smoke: examples/mpidemo and pricer -save/-load OK; /price (a kernel failure a 400, booked once), /batch, /risk, /risk/report, /metrics, /metrics.json, /debug/traces, /debug/events, /debug/slo, /debug/farm, /debug/pprof, /healthz all OK; clean SIGTERM drain and the same full-revaluation digits on the local and unix transports"
