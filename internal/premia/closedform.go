@@ -34,33 +34,82 @@ func bsD1D2(m bsParams, k, t float64) (d1, d2 float64) {
 	return d1, d2
 }
 
+// vanillaNames are the parameters the vanilla closed formulas read,
+// in the order they are validated; the vS0… constants index them.
+var vanillaNames = [...]string{"S0", "sigma", "r", "divid", "K", "T"}
+
+const vS0, vSigma, vR, vDiv, vK, vT = 0, 1, 2, 3, 4, 5
+
+// vanilla is the one reader of CF_Call and CF_Put: the six parameters
+// their formula reads, each with whether it is present (an absent one
+// reads as zero). A problem is read into it once; a sweep cell sets its
+// overrides on a copy, so a closed-form sweep reads the parameter table
+// once rather than once per cell. An override of a parameter the record
+// does not hold changes nothing, as it changes nothing in the formula.
+type vanilla struct {
+	v   [len(vanillaNames)]float64
+	has [len(vanillaNames)]bool
+}
+
+func vanillaOf(p Params) (c vanilla) {
+	for i, name := range vanillaNames {
+		c.v[i], c.has[i] = p[name]
+	}
+	return c
+}
+
+func (c *vanilla) set(name string, v float64) {
+	for i, n := range vanillaNames {
+		if n == name {
+			c.v[i], c.has[i] = v, true
+			return
+		}
+	}
+}
+
+// bsFormula is bsCallPrice or bsPutPrice.
+type bsFormula func(m bsParams, k, t float64) (price, delta float64)
+
+// price validates the record as bsFrom and vanillaFrom validate a table
+// — S0, sigma, K, T positive, in that order, r and divid defaulting to
+// zero — and prices it by formula.
+func (c *vanilla) price(formula bsFormula) (Result, error) {
+	for _, i := range [...]int{vS0, vSigma, vK, vT} {
+		if _, err := positive(vanillaNames[i], c.v[i], c.has[i]); err != nil {
+			return Result{}, err
+		}
+	}
+	m := bsParams{S0: c.v[vS0], R: c.v[vR], Div: c.v[vDiv], Sigma: c.v[vSigma]}
+	price, delta := formula(m, c.v[vK], c.v[vT])
+	return Result{Price: price, Delta: delta, HasDelta: true, Work: 1}, nil
+}
+
+// vanillaSweep is the sweep form of a vanilla closed form: the base is
+// read once, each cell prices a copy of the record with its overrides set.
+func vanillaSweep(formula bsFormula) func(Params) func([]Override) (Result, error) {
+	return func(base Params) func([]Override) (Result, error) {
+		rec := vanillaOf(base)
+		return func(cell []Override) (Result, error) {
+			c := rec
+			for _, o := range cell {
+				c.set(o.Param, o.Value)
+			}
+			return c.price(formula)
+		}
+	}
+}
+
 // cfCall implements the CF_Call method: the plain-vanilla closed formula,
 // the "almost instantaneous" pricing of the paper's toy portfolio.
 func cfCall(p *Problem) (Result, error) {
-	m, err := bsFrom(p)
-	if err != nil {
-		return Result{}, err
-	}
-	o, err := vanillaFrom(p)
-	if err != nil {
-		return Result{}, err
-	}
-	price, delta := bsCallPrice(m, o.K, o.T)
-	return Result{Price: price, Delta: delta, HasDelta: true, Work: 1}, nil
+	c := vanillaOf(p.Params)
+	return c.price(bsCallPrice)
 }
 
 // cfPut implements the CF_Put method.
 func cfPut(p *Problem) (Result, error) {
-	m, err := bsFrom(p)
-	if err != nil {
-		return Result{}, err
-	}
-	o, err := vanillaFrom(p)
-	if err != nil {
-		return Result{}, err
-	}
-	price, delta := bsPutPrice(m, o.K, o.T)
-	return Result{Price: price, Delta: delta, HasDelta: true, Work: 1}, nil
+	c := vanillaOf(p.Params)
+	return c.price(bsPutPrice)
 }
 
 // cfCallDownOut implements the Reiner–Rubinstein closed formula for a

@@ -2,6 +2,7 @@ package premia
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -97,6 +98,24 @@ func TestFDCrankNicolsonEuroMatchesCF(t *testing.T) {
 		if math.Abs(res.Delta-want.Delta) > 0.005 {
 			t.Errorf("%s K=%v: FD delta = %v, CF delta = %v", tc.option, tc.k, res.Delta, want.Delta)
 		}
+	}
+}
+
+// TestFDWideGridRefusesCalls: at a volatility whose grid's top node
+// overflows a float64 (the extreme corner of an admitted market scenario)
+// a Crank–Nicolson call, vanilla or down-and-out, is a pricing error
+// naming the grid, not a NaN; the put, whose payoff vanishes up there,
+// still prices.
+func TestFDWideGridRefusesCalls(t *testing.T) {
+	for _, p := range []*Problem{bsProblem(OptCallEuro, MethodFDCrank, 100, 5), barrierProblem(MethodFDCrank, 100, 5, 75)} {
+		res, err := p.Set("sigma", 38).Set("steps", 16).Compute()
+		if err == nil || !strings.Contains(err.Error(), "FD grid reaches ln S") {
+			t.Errorf("%s at sigma 38: %+v, %v; want the grid refused", p, res, err)
+		}
+	}
+	put, err := bsProblem(OptPutEuro, MethodFDCrank, 100, 5).Set("sigma", 38).Set("steps", 16).Compute()
+	if err != nil || math.IsNaN(put.Price) || math.IsInf(put.Price, 0) {
+		t.Errorf("put at sigma 38: %+v, %v; want a finite price", put, err)
 	}
 }
 

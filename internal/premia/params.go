@@ -29,23 +29,21 @@ func (p Params) Get(key string, fallback float64) float64 {
 	return fallback
 }
 
-// Need returns the value for key or an error naming the missing
-// parameter, wrapping ErrMissingParam for errors.Is.
-func (p Params) Need(key string) (float64, error) {
+// NeedPositive returns the value for key, requiring it to be > 0 (a NaN
+// is not). A missing key is an error naming it, wrapping ErrMissingParam
+// for errors.Is.
+func (p Params) NeedPositive(key string) (float64, error) {
 	v, ok := p[key]
+	return positive(key, v, ok)
+}
+
+// positive is NeedPositive's rule for a value already looked up, ok
+// saying whether the parameter was present at all.
+func positive(key string, v float64, ok bool) (float64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w %q", ErrMissingParam, key)
 	}
-	return v, nil
-}
-
-// NeedPositive returns the value for key, requiring it to be > 0.
-func (p Params) NeedPositive(key string) (float64, error) {
-	v, err := p.Need(key)
-	if err != nil {
-		return 0, err
-	}
-	if v <= 0 {
+	if !(v > 0) {
 		return 0, fmt.Errorf("premia: parameter %q must be positive, got %v", key, v)
 	}
 	return v, nil

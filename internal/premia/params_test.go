@@ -36,6 +36,24 @@ func TestParamsIntRounding(t *testing.T) {
 	}
 }
 
+// TestNaNIsNotPositive: a NaN spot is a pricing error naming it, not a
+// NaN price — in the closed form, in a method that reads the spot through
+// bsFrom, and in a sweep cell, where the cells beside it still price.
+func TestNaNIsNotPositive(t *testing.T) {
+	const want = `premia: parameter "S0" must be positive, got NaN`
+	call := bsProblem(OptCallEuro, MethodCFCall, 100, 1)
+	for _, p := range []*Problem{call.Clone(), bsProblem(OptCallEuro, MethodFDCrank, 100, 1)} {
+		p.Set("S0", math.NaN())
+		if res, err := p.Compute(); err == nil || err.Error() != want {
+			t.Errorf("%s with S0 = NaN: %+v, %v; want %q", p, res, err, want)
+		}
+	}
+	res, errs := (&Sweep{Base: call, Cells: [][]Override{nil, {{"S0", math.NaN()}}}}).Compute()
+	if errs == nil || errs[0] != nil || res[0].Price <= 0 || errs[1] == nil || errs[1].Error() != want {
+		t.Errorf("a sweep with a NaN-spot cell: %+v, %v; want cell 1 to fail with %q alone", res, errs, want)
+	}
+}
+
 func TestParamsUint64(t *testing.T) {
 	for _, tc := range []struct {
 		v    float64

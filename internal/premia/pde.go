@@ -71,6 +71,17 @@ func newBarrierUpGrid(m bsParams, t, u float64, nodes, steps int) pdeGrid {
 	return pdeGrid{xmin: xmin, dx: dx, mi: mi, n: steps, dt: t / float64(steps)}
 }
 
+// topFinite refuses a call's grid whose top node S = exp(xmax) overflows
+// a float64, as a volatility of a few thousand percent over years makes
+// it: the payoff and the boundary are infinite there and the scheme's
+// differences NaN. The cell fails rather than price a NaN.
+func (g pdeGrid) topFinite() error {
+	if math.IsInf(g.s(g.mi), 1) {
+		return fmt.Errorf("premia: FD grid reaches ln S = %.4g, past the largest float64: sigma·√T is too wide to price", g.x(g.mi))
+	}
+	return nil
+}
+
 // pdeCoeffs returns the constant tridiagonal coefficients of the
 // Black–Scholes operator in log space:
 //
@@ -216,6 +227,9 @@ func fdCrankNicolson(p *Problem) (Result, error) {
 		}
 		g := newVanillaGrid(m, o.T, nodes, steps)
 		isCall := p.Option == OptCallEuro
+		if err := g.topFinite(); isCall && err != nil {
+			return Result{}, err
+		}
 		terminal := func(s float64) float64 {
 			if isCall {
 				return payoffCall(s, o.K)
@@ -245,6 +259,9 @@ func fdCrankNicolson(p *Problem) (Result, error) {
 			return Result{Price: o.Rebate * math.Exp(-m.R*o.T), HasDelta: true, Work: 1}, nil
 		}
 		g := newBarrierGrid(m, o.T, o.L, nodes, steps)
+		if err := g.topFinite(); err != nil {
+			return Result{}, err
+		}
 		terminal := func(s float64) float64 { return payoffCall(s, o.K) }
 		smax := g.s(g.mi)
 		boundary := func(tau float64) (lo, hi float64) {

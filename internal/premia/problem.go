@@ -125,11 +125,12 @@ func (p *Problem) Compute() (Result, error) {
 	in := instrumentsOf(p.Method)
 	start := in.reg.Now()
 	res, err := methods[p.Method].fn(p)
-	in.record(start, res, err)
 	if err != nil {
+		in.record(start, 1, 0)
 		countError()
 		return Result{}, err
 	}
+	in.record(start, 1, res.Work)
 	return res, nil
 }
 

@@ -27,6 +27,11 @@ type methodSpec struct {
 	models  map[string]bool
 	options map[string]bool
 	fn      func(*Problem) (Result, error)
+	// sweep, when set, is the method's sweep form: given a sweep's base
+	// parameters it returns the pricer of its cells, whose results are
+	// fn's on the base with the cell's overrides set, to the bit.
+	// Sweep.Compute runs fn on a scratch copy of the base without one.
+	sweep func(Params) func([]Override) (Result, error)
 }
 
 // methods is the global registry, populated by init in this file so the
@@ -160,6 +165,18 @@ func init() {
 		[]string{ModelConstHazard},
 		[]string{OptDefaultableBond, OptCDS},
 		mcCredit)
+
+	// The methods a revaluation sweeps in volume: every vanilla of the toy
+	// and realistic books is a CF_Call.
+	registerSweep(MethodCFCall, vanillaSweep(bsCallPrice))
+	registerSweep(MethodCFPut, vanillaSweep(bsPutPrice))
+}
+
+// registerSweep gives a registered method its sweep form.
+func registerSweep(name string, sweep func(Params) func([]Override) (Result, error)) {
+	spec := methods[name]
+	spec.sweep = sweep
+	methods[name] = spec
 }
 
 // Methods returns the names of all registered methods, sorted.

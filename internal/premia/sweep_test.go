@@ -4,6 +4,8 @@ import (
 	"maps"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"riskbench/internal/nsp"
@@ -18,32 +20,45 @@ func sameResult(a, b Result) bool {
 }
 
 // TestSweepComputeEqualsCells: a sweep's results are Cell(k).Compute()'s
-// to the bit, cell for cell — closed form, seeded Monte Carlo, a PDE, the
-// paper's Heston LSM — whatever the cells override: one parameter twice,
-// a parameter Base does not carry (it must be gone again for the next
-// cell), nothing at all. A cell the kernel refuses fails alone, with the
-// error and the one premia.errors count Compute gives it, and the cells
-// behind it are unaffected; Base comes out as it went in; the per-method
-// instruments count every cell.
+// to the bit, cell for cell — the closed-form call and put (which price
+// through their sweep form), seeded Monte Carlo, a PDE, the paper's
+// Heston LSM (which price on a scratch copy) — whatever the cells
+// override: one parameter twice, a parameter Base does not carry (it must
+// be gone again for the next cell), all six the closed form reads,
+// nothing at all. A cell the kernel refuses fails alone, with the error
+// and the one premia.errors count Compute gives it, and the cells behind
+// it are unaffected: over a base without K, exactly the cells that do not
+// supply one fail, each naming it. Base comes out as it went in; the
+// per-method instruments count every cell.
 func TestSweepComputeEqualsCells(t *testing.T) {
 	reg := telemetry.New()
 	SetTelemetry(reg)
 	defer SetTelemetry(nil)
 	call := New().SetModel(ModelBS1D).SetOption(OptCallEuro).SetMethod(MethodCFCall).
 		Set("S0", 100).Set("r", 0.04).Set("sigma", 0.2).Set("K", 95).Set("T", 1)
+	put := call.Clone().SetOption(OptPutEuro).SetMethod(MethodCFPut)
+	noK := call.Clone()
+	delete(noK.Params, "K")
 	mc := call.Clone().SetMethod(MethodMCEuro).Set("paths", 2000).SetSeed(7)
 	fd := call.Clone().SetOption(OptPutAmer).SetMethod(MethodFDBS).Set("nodes", 100).Set("steps", 20)
 	rng := rand.New(rand.NewSource(11))
-	for _, base := range []*Problem{call, mc, fd, sampleProblem()} {
+	for _, base := range []*Problem{call, put, noK, mc, fd, sampleProblem()} {
 		cells := [][]Override{
 			nil,
 			{{"S0", 90}, {"S0", 105}},
 			{{"divid", 0.02}, {"threads", 2}}, // neither is in Base
 			{{"S0", -1}},                      // refused: spot must be positive
 			{{"K", 101}},
+			{{"S0", 97}, {"sigma", 0.3}, {"r", 0.02}, {"divid", 0.01}, {"K", 99}, {"T", 0.75}},
 		}
 		for len(cells) < 12 {
 			cells = append(cells, []Override{{"S0", 80 + 40*rng.Float64()}, {"r", 0.01 + 0.05*rng.Float64()}, {"T", 0.5 + rng.Float64()}})
+		}
+		// refused says which cells must fail: the negative spot, and over a
+		// base without K every cell that does not supply one.
+		_, hasK := base.Params["K"]
+		refused := func(k int) bool {
+			return k == 3 || !hasK && !slices.ContainsFunc(cells[k], func(o Override) bool { return o.Param == "K" })
 		}
 		key, params := base.ContentKey(), maps.Clone(base.Params)
 		sw := &Sweep{Base: base, Cells: cells}
@@ -77,12 +92,15 @@ func TestSweepComputeEqualsCells(t *testing.T) {
 			if !sameResult(got[k], want[k]) {
 				t.Errorf("%s cell %d: sweep %+v, Cell(k).Compute() %+v", base, k, got[k], want[k])
 			}
+			if (errs[k] != nil) != refused(k) {
+				t.Errorf("%s cell %d: error %v, want one: %v", base, k, errs[k], refused(k))
+			}
+			if errs[k] != nil && k != 3 && !strings.Contains(errs[k].Error(), `missing parameter "K"`) {
+				t.Errorf("%s cell %d: %v, want the missing strike named", base, k, errs[k])
+			}
 			if errs[k] != nil {
 				failed++
 			}
-		}
-		if failed != 1 || errs[3] == nil {
-			t.Errorf("%s: %d cells failed (cell 3: %v), want the negative spot alone", base, failed, errs[3])
 		}
 		if base.ContentKey() != key || !maps.Equal(base.Params, params) {
 			t.Errorf("%s: Compute changed its Base: %v, was %v", base, base.Params, params)

@@ -49,15 +49,12 @@ func instrumentsOf(method string) instruments {
 	}
 }
 
-// record books one kernel call that began at start on the sink's clock
-// and returns the reading that ended it, so a run of calls reads the clock
-// once each.
-func (in instruments) record(start float64, res Result, err error) float64 {
-	now := in.reg.Now()
-	in.seconds.Observe(now - start)
-	in.computes.Add(1)
-	if err == nil {
-		in.work.Add(res.Work)
-	}
-	return now
+// record books n kernel calls that ran back to back from start on the
+// sink's clock until now and did work units between them: n computes,
+// each observed at their mean time, and the work added once. The metrics
+// count kernel calls, however many record was given at a time.
+func (in instruments) record(start float64, n int, work float64) {
+	in.seconds.ObserveN((in.reg.Now()-start)/float64(n), int64(n))
+	in.computes.Add(int64(n))
+	in.work.Add(work)
 }

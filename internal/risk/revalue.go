@@ -268,8 +268,10 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 	// universe: they keep their base value (an equity spot ladder does not
 	// move the credit book).
 	var skipped []cell
+	var claim claimShifts
 	for i, it := range pf.Items {
 		val.Items[i] = it.Name
+		claim.reset(it.Problem)
 		first := len(cells)
 		// With a cache, a stored base price skips the farm entirely and a
 		// computed one is stored on the way out.
@@ -288,7 +290,7 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 		for s, sc := range scenarios {
 			mark := len(overrides)
 			var applies bool
-			if overrides, applies = sc.overrides(it.Problem, overrides); !applies {
+			if overrides, applies = sc.overrides(&claim, overrides); !applies {
 				skipped = append(skipped, cell{s: s, i: i})
 				continue
 			}
@@ -329,8 +331,9 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 	// Scatter the blocks into the valuation matrix by cell. Revaluation
 	// timing is attributed to two fixed labels — the base column and the
 	// shocked surface — from the compute time each worker measured, a
-	// sweep's shared evenly among its cells: the label set must not grow
-	// with the (request-controlled) scenario set.
+	// sweep's shared evenly among its cells and its shocked cells booked
+	// together: the label set must not grow with the (request-controlled)
+	// scenario set.
 	scatterSpan := revSpan.StartChild("risk.scatter")
 	defer scatterSpan.End()
 	baseSeconds, shockedSeconds := reg.Histogram("risk.scenario_seconds.base"), reg.Histogram("risk.scenario_seconds.shocked")
@@ -344,7 +347,7 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 		if !ok || len(block.Results) != len(slot.scen) {
 			return nil, fmt.Errorf("risk: revalue %s: a sweep of %d cells was answered by %T", tasks[t].Name, len(slot.scen), r.Value)
 		}
-		seconds := block.Seconds / float64(len(slot.scen))
+		seconds, shocked := block.Seconds/float64(len(slot.scen)), int64(0)
 		for k, res := range block.Results {
 			s := slot.scen[k]
 			if block.Errs != nil && block.Errs[k] != nil {
@@ -352,8 +355,7 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 			}
 			if s >= 0 {
 				val.Values[s][slot.i] = res.Price
-				shockedSeconds.Observe(seconds)
-				shockedResults.Add(1)
+				shocked++
 				continue
 			}
 			val.Base[slot.i], val.BaseDelta[slot.i], val.BaseHasDelta[slot.i] = res.Price, res.Delta, res.HasDelta
@@ -363,6 +365,8 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 				e.Cache.Put(keys[slot.i], res)
 			}
 		}
+		shockedSeconds.ObserveN(seconds, shocked)
+		shockedResults.Add(shocked)
 	}
 	// Skipped (scenario, claim) pairs inherit the base value.
 	for _, c := range skipped {

@@ -105,24 +105,52 @@ func (sh Shift) shifted(name string, old float64) float64 {
 	return old*(1+sh.Rel) + sh.Abs
 }
 
-// overrides appends to dst what Apply would set on a copy of p, as
-// (parameter, value) pairs in shift order: a second shift of one parameter
-// starts from the first one's value, as it does in Apply. ok is false,
-// and dst comes back as it was, when AppliesTo(p) is.
-func (sc Scenario) overrides(p *premia.Problem, dst []premia.Override) (_ []premia.Override, ok bool) {
+// claimShifts resolves shift parameters against one claim, each distinct
+// one once however many scenarios shift it: what resolveParam says and the
+// claim's value of the parameter depend on the claim and the parameter
+// alone. reset moves it to the next claim, keeping its storage.
+type claimShifts struct {
+	p        *premia.Problem
+	resolved []resolvedShift
+}
+
+type resolvedShift struct {
+	param, name string
+	base        float64
+	ok          bool
+}
+
+func (c *claimShifts) reset(p *premia.Problem) { c.p, c.resolved = p, c.resolved[:0] }
+
+func (c *claimShifts) resolve(sh Shift) *resolvedShift {
+	for i := range c.resolved {
+		if c.resolved[i].param == sh.Param {
+			return &c.resolved[i]
+		}
+	}
+	name, ok := resolveParam(sh, c.p)
+	c.resolved = append(c.resolved, resolvedShift{param: sh.Param, name: name, base: c.p.Params[name], ok: ok})
+	return &c.resolved[len(c.resolved)-1]
+}
+
+// overrides appends to dst what Apply would set on a copy of the claim c
+// resolves against, as (parameter, value) pairs in shift order: a second
+// shift of one parameter starts from the first one's value, as it does in
+// Apply. ok is false, and dst comes back as it was, when AppliesTo is.
+func (sc Scenario) overrides(c *claimShifts, dst []premia.Override) (_ []premia.Override, ok bool) {
 	mark := len(dst)
 	for _, sh := range sc.Shifts {
-		name, ok := resolveParam(sh, p)
-		if !ok {
+		r := c.resolve(sh)
+		if !r.ok {
 			return dst[:mark], false
 		}
-		old := p.Params[name]
+		old := r.base
 		for _, o := range dst[mark:] {
-			if o.Param == name {
+			if o.Param == r.name {
 				old = o.Value
 			}
 		}
-		dst = append(dst, premia.Override{Param: name, Value: sh.shifted(name, old)})
+		dst = append(dst, premia.Override{Param: r.name, Value: sh.shifted(r.name, old)})
 	}
 	return dst, true
 }

@@ -3,12 +3,15 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"riskbench/internal/portfolio"
 	"riskbench/internal/risk"
 	"riskbench/internal/telemetry"
+	varisk "riskbench/internal/var"
 )
 
 func riskServer() *Server {
@@ -172,6 +175,68 @@ func TestRiskReportZeroVolIsFactorOff(t *testing.T) {
 		full, off := var99(`{"n":128,"seed":7}`), var99(`{"n":128,"seed":7,"spot_vol":0}`)
 		if !(off > 0 && off < full) {
 			t.Errorf("%s: VaR %v with the spot factor off, %v with it on; want 0 < off < on", method, off, full)
+		}
+	}
+}
+
+// TestRiskReportExtremeMarketsNeverNaN: a full revaluation under a market
+// at the corners Validate admits — every factor volatility at
+// MaxHorizonVol over MaxHorizonYears, the spot–vol correlation at ±1 —
+// ends in a 200 whose every figure is finite, or in a 400 naming the
+// cause; never in a 500 or a NaN. On the toy book and on a strided sample
+// of the realistic one (every product class, effort ×10⁻³).
+func TestRiskReportExtremeMarketsNeverNaN(t *testing.T) {
+	s := riskServer()
+	defer s.Close()
+	real := portfolio.Realistic()
+	if err := real.ScaleEffort(1e-3); err != nil {
+		t.Fatal(err)
+	}
+	sample := riskBookJSON{}
+	for i := 0; i < len(real.Items); i += 700 {
+		p := real.Items[i].Problem
+		sample.Problems = append(sample.Problems, problemJSON{Model: p.Model, Option: p.Option, Method: p.Method, Params: p.Params})
+	}
+	// The largest factor volatility Validate admits over the longest horizon.
+	vol := varisk.MaxHorizonVol / math.Sqrt(varisk.MaxHorizonYears)
+	for vol*math.Sqrt(varisk.MaxHorizonYears) > varisk.MaxHorizonVol {
+		vol = math.Nextafter(vol, 0)
+	}
+	zero, plus, minus := 0.0, 1.0, -1.0
+	markets := map[string]riskScenariosJSON{
+		"every factor": {SpotVol: &vol, VolVol: &vol, RateVol: &vol},
+		"spot alone":   {SpotVol: &vol, VolVol: &zero, RateVol: &zero},
+		"vol alone":    {SpotVol: &zero, VolVol: &vol, RateVol: &zero},
+		"rate alone":   {SpotVol: &zero, VolVol: &zero, RateVol: &vol},
+		"rho_sv +1":    {SpotVol: &vol, VolVol: &vol, RateVol: &zero, RhoSV: &plus},
+		"rho_sv -1":    {SpotVol: &vol, VolVol: &vol, RateVol: &zero, RhoSV: &minus},
+	}
+	for book, pf := range map[string]riskBookJSON{"toy": {Name: "toy", N: 32}, "realistic sample": sample} {
+		for name, m := range markets {
+			// With the vol factor alone, seed 4's sixth draw multiplies every
+			// volatility 410-fold: each of the sample's barrier claims had its
+			// PDE grid overflow into a NaN there.
+			m.Mode, m.N, m.Seed, m.HorizonDays = "mc", 32, 4, varisk.MaxHorizonYears*252
+			body, err := json.Marshal(riskReportRequest{Portfolio: pf, Scenarios: m, Method: "full", Alphas: []float64{0.99}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.model().Validate(); err != nil {
+				t.Fatalf("%s: the corner is not admitted: %v", name, err)
+			}
+			// A NaN or an infinity has no JSON form: the server answers a
+			// report holding one with a 500, so a 200 is a finite report.
+			w := postJSON(s, "/risk/report", string(body))
+			switch {
+			case w.Code == 200:
+				var rep riskReportJSON
+				if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil || len(rep.Estimates) != 1 {
+					t.Errorf("%s, %s: %v, a 200 without its estimate: %s", book, name, err, w.Body)
+				}
+			case w.Code == 400 && (strings.Contains(w.Body.String(), "correlations are not positive definite") || strings.Contains(w.Body.String(), "premia: ")):
+			default:
+				t.Errorf("%s, %s: status %d, want a 200 or a 400 naming the cause: %s", book, name, w.Code, w.Body)
+			}
 		}
 	}
 }

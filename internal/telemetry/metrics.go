@@ -117,15 +117,20 @@ type Histogram struct {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil || math.IsNaN(v) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of one value: the count, the quantiles
+// and the extremes of n calls to Observe(v), with the sum added as n·v in
+// one step (within n ulps of n additions). n ≤ 0 and a NaN record nothing.
+func (h *Histogram) ObserveN(v float64, n int64) {
+	if h == nil || n <= 0 || math.IsNaN(v) {
 		return
 	}
-	h.buckets[bucketIndex(v)].Add(1)
-	h.count.Add(1)
+	h.buckets[bucketIndex(v)].Add(n)
+	h.count.Add(n)
 	for {
 		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
+		next := math.Float64bits(math.Float64frombits(old) + float64(n)*v)
 		if h.sumBits.CompareAndSwap(old, next) {
 			break
 		}

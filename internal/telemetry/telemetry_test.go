@@ -109,6 +109,72 @@ func TestHistogramEdgeValues(t *testing.T) {
 	}
 }
 
+// TestObserveNEqualsRepeatedObserve: ObserveN(v, n) is n calls to
+// Observe(v) — count, every bucket (so every quantile), min and max
+// exactly, the sum within n ulps — whatever came before; n ≤ 0 and a NaN
+// record nothing; and it mixes with Observe on one histogram race-free.
+func TestObserveNEqualsRepeatedObserve(t *testing.T) {
+	repeated, batched := new(Histogram), new(Histogram)
+	total := int64(0)
+	for _, o := range []struct {
+		v float64
+		n int64
+	}{{3e-6, 1}, {3e-6, 24}, {0, 3}, {-2, 2}, {1e9, 5}, {7.5e-4, 1000}, {1e-12, 7}, {2.5e-3, 48}} {
+		for i := int64(0); i < o.n; i++ {
+			repeated.Observe(o.v)
+		}
+		batched.ObserveN(o.v, o.n)
+		total += o.n
+		ulp := math.Nextafter(math.Abs(repeated.Sum()), math.Inf(1)) - math.Abs(repeated.Sum())
+		if d := math.Abs(batched.Sum() - repeated.Sum()); d > float64(total)*ulp {
+			t.Errorf("after ObserveN(%g, %d): sum %v, %d Observe calls give %v", o.v, o.n, batched.Sum(), o.n, repeated.Sum())
+		}
+		if batched.Count() != repeated.Count() || batched.Min() != repeated.Min() || batched.Max() != repeated.Max() {
+			t.Errorf("after ObserveN(%g, %d): count/min/max %d/%v/%v, repeated %d/%v/%v", o.v, o.n,
+				batched.Count(), batched.Min(), batched.Max(), repeated.Count(), repeated.Min(), repeated.Max())
+		}
+		for i := range batched.buckets {
+			if a, b := batched.buckets[i].Load(), repeated.buckets[i].Load(); a != b {
+				t.Fatalf("after ObserveN(%g, %d): bucket %d holds %d, repeated %d", o.v, o.n, i, a, b)
+			}
+		}
+	}
+	for q := 0.0; q <= 1; q += 0.01 {
+		if a, b := batched.Quantile(q), repeated.Quantile(q); a != b {
+			t.Errorf("q%.2f = %g, repeated %g", q, a, b)
+		}
+	}
+
+	before := batched.Stats()
+	batched.ObserveN(5, 0)
+	batched.ObserveN(5, -3)
+	batched.ObserveN(math.NaN(), 4)
+	if after := batched.Stats(); after.Count != before.Count || after.Sum != before.Sum || after.Max != before.Max {
+		t.Errorf("n ≤ 0 or a NaN recorded something: %+v, was %+v", after, before)
+	}
+
+	h := new(Histogram)
+	const writers, rounds = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if w%2 == 0 {
+					h.Observe(1e-6)
+				} else {
+					h.ObserveN(1e-3, 3)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := h.Count(), int64(writers/2*rounds*(1+3)); got != want || h.Min() != 1e-6 || h.Max() != 1e-3 {
+		t.Errorf("concurrent Observe/ObserveN: count %d (want %d), min %v, max %v", got, want, h.Min(), h.Max())
+	}
+}
+
 func TestSpanNesting(t *testing.T) {
 	r := New()
 	now := 0.0
