@@ -38,9 +38,12 @@ wireshape:
 # cross-process span shipping, the serve-over-TCP trace integration
 # test, and the simulated scheduler (simnet) plus the portfolio
 # calibrator that drives it — and nsp, whose codec runs on every one of
-# those goroutines.
+# those goroutines. The pinned simulated runs join them: the simulator's
+# master is a farm session, so they run its lock, condition variable and
+# cancellation hook under simnet's process hand-offs.
 race:
 	$(GO) test -race ./internal/nsp ./internal/farm ./internal/mpi ./internal/telemetry ./internal/premia ./internal/risk ./internal/serve ./internal/simnet ./internal/portfolio ./internal/var
+	$(GO) test -race -run 'TestPinned|TestRunCancelled' ./internal/bench
 
 check: build vet lint test race
 
@@ -92,8 +95,8 @@ smoke:
 # cumulative top of the profile, then the flat top (a leaf spread thin
 # over many callers, such as map hashing, shows only there). What it
 # measures is the engine as riskserver configures it at -workers 1, not a
-# cheaper one: a standing session (so the pump's and the mailbox's
-# wake-ups show), registry, fleet book and the premia sink live (so
+# cheaper one: a standing session (so the receiving caller's and the
+# mailbox's wake-ups show), registry, fleet book and the premia sink live (so
 # premia's per-sweep instruments show), the base column read from a
 # price cache, and every report's
 # spans filed in a trace. The binary and the profile stay in

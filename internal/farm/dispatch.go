@@ -63,12 +63,9 @@ type round struct {
 	// cancelled marks a round that dispatches nothing more: its queue is
 	// dropped and it ends when its in-flight batches have drained.
 	cancelled bool
-	// finished, err and results are final once done is closed (the session
-	// driver waits on it; the synchronous driver passes nil and reads them
-	// when its loop ends).
+	// finished, err and results are final once finished is set.
 	finished bool
 	err      error
-	done     chan struct{}
 }
 
 func (r *round) queueOf(w int) int {
@@ -81,9 +78,9 @@ func (r *round) queueOf(w int) int {
 // dispatcher is the farm's one dispatch state machine: it deals the
 // batches of its open rounds over the worker ranks, one batch
 // outstanding per rank, without ever sending the stop message. It has no
-// loop and blocks only in the sends of feed; a driver owns the receive —
-// runBatches synchronously for one round, a Session's pump for many —
-// and calls submit, feed, onReply and cancel, one call at a time.
+// loop and blocks only in the sends of feed; its one driver, Session,
+// owns the receive and calls submit, feed, onReply and cancel, one call
+// at a time.
 type dispatcher struct {
 	c       mpi.Comm
 	workers []int
@@ -149,13 +146,13 @@ func (d *dispatcher) publish() {
 }
 
 // submit opens a round over the batches under the assignment policy.
-// Nothing is sent: the driver feeds the idle ranks next. done, when
-// non-nil, is closed as the round finishes. A round of no batches
-// finishes here. On a communicator that carries bytes the round's sweeps
-// are dealt as their cells; the only error is a clash of their names.
-func (d *dispatcher) submit(ctx context.Context, batches [][]Task, policy assignment, opts Options, done chan struct{}) (*round, error) {
+// Nothing is sent: the driver feeds the idle ranks next. A round of no
+// batches finishes here. On a communicator that carries bytes the
+// round's sweeps are dealt as their cells; the only error is a clash of
+// their names.
+func (d *dispatcher) submit(ctx context.Context, batches [][]Task, policy assignment, opts Options) (*round, error) {
 	reg := opts.Telemetry
-	r := &round{ctx: ctx, opts: opts, done: done}
+	r := &round{ctx: ctx, opts: opts}
 	if !byReference(d.c) {
 		var err error
 		if batches, r.cells, err = expandSweeps(batches); err != nil {
@@ -377,56 +374,4 @@ func (d *dispatcher) finish(r *round, err error) {
 			break
 		}
 	}
-	if r.done != nil {
-		close(r.done)
-	}
-}
-
-// runBatches is the synchronous driver of the dispatch state machine:
-// one round over the given worker ranks under the assignment policy, on
-// the caller's goroutine — seed every rank, then receive a reply, book
-// it, feed the rank that answered — without sending the final stop
-// message, so callers can reuse the workers for further rounds (the
-// sub-master case). It is what RunMaster, RunStaticMaster, RunRootMaster
-// and RunSubMaster run on, and therefore what the simulator times.
-//
-// Cancelling ctx is cooperative: nothing more is dispatched, the batches
-// in flight drain, and ctx.Err() is returned.
-func runBatches(ctx context.Context, c mpi.Comm, workers []int, batches [][]Task, policy assignment, loader Loader, opts Options) ([]Result, error) {
-	d := newDispatcher(c, workers, loader)
-	r, err := d.submit(ctx, batches, policy, opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	err = func() error {
-		if ctx.Err() != nil {
-			d.cancel(r)
-		}
-		for _, w := range workers {
-			if err := d.feed(w); err != nil {
-				return err
-			}
-		}
-		for !r.finished {
-			rep, err := recvResults(c)
-			if err != nil {
-				return err
-			}
-			if err := d.onReply(rep); err != nil {
-				return err
-			}
-			if ctx.Err() != nil {
-				d.cancel(r)
-			}
-			if err := d.feed(rep.source); err != nil {
-				return err
-			}
-		}
-		return nil
-	}()
-	if err != nil {
-		d.finish(r, err)
-		return nil, err
-	}
-	return r.results, r.err
 }

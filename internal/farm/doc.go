@@ -55,23 +55,24 @@
 // never farms it again; like the paper's master, it collects what comes
 // back. A rank that is itself broken is a transport failure, below.
 //
-// There is one dispatch path. The dispatcher (dispatch.go) is a state
-// machine with no loop of its own — submit a round, feed an idle rank,
-// book a reply, cancel a round — whose bookkeeping (queue, results,
-// in-flight count, farm.run span, context) is per round and
-// whose per-rank slot remembers which round the batch it holds belongs
-// to; an idle rank draws from the open rounds in rotation. Two drivers
-// own the receive. The synchronous one, runBatches, runs one round on
-// the caller's goroutine — seed every rank, then receive, book, feed —
-// and is what RunMaster, RunStaticMaster, RunRootMaster and RunSubMaster
-// run on, differing only in the assignment policy and the ranks they
-// drive; it is also what the simulator times. The other is a Session:
-// ranks spawned once (Open over any communicator, Local.Open for an
-// in-process world, flat or hierarchical by Layout), any number of
-// concurrent Run calls — each seeds the idle ranks on its own goroutine
-// under the session lock while one pump goroutine, blocked in the
-// master's mailbox, books replies and feeds the rank that answered — and
-// one stop message in Close. A transport failure fails every round in
-// flight with its cause, and the session's owner opens another.
-// Local.Run is Open, one round, Close.
+// There is one dispatch path and one driver. The dispatcher
+// (dispatch.go) is a state machine with no loop of its own — submit a
+// round, feed an idle rank, book a reply, cancel a round — whose
+// bookkeeping (queue, results, in-flight count, farm.run span, context)
+// is per round and whose per-rank slot remembers which round the batch
+// it holds belongs to; an idle rank draws from the open rounds in
+// rotation. A Session drives it: ranks spawned once (Open over any
+// communicator, Local.Open for an in-process world, flat or hierarchical
+// by Layout), any number of concurrent Run calls, and one stop message in
+// Close. The session owns no goroutine: each Run seeds the idle ranks
+// under the session lock, and whichever caller finds the master's mailbox
+// free receives — book the reply, feed the rank that answered — until its
+// own round is over, then wakes a waiting caller to take it over. A
+// transport failure fails every round in flight with its cause, and the
+// session's owner opens another. Local.Run is Open, one round, Close;
+// RunMaster, RunStaticMaster and RunRootMaster are one round of a session
+// over the caller's ranks under their assignment policy, and RunSubMaster
+// a session over its group for its whole life — so a lone round's
+// dispatch order, and every makespan the simulator times, is the paper's
+// master loop.
 package farm

@@ -71,8 +71,11 @@ func (passLoader) Load(t Task, _ Strategy) ([]byte, error) {
 
 // RunSubMaster receives chunks from the root, farms each chunk task-by-
 // task over its own workers, and ships the chunk's results back as one
-// message. On the root's stop message it stops its workers and returns.
+// message. Its workers are one session for its whole life, a round per
+// chunk; on the root's stop message it stops them and returns.
 func RunSubMaster(c mpi.Comm, workers []int, opts Options) error {
+	s := newSession(c, workers, passLoader{}, sharedQueue, opts.Strategy)
+	s.chunk = 1
 	for {
 		obj, _, err := mpi.RecvObj(c, 0, TagTask)
 		if err != nil {
@@ -83,7 +86,7 @@ func RunSubMaster(c mpi.Comm, workers []int, opts Options) error {
 			return err
 		}
 		if len(desc.Names) == 0 {
-			return sendStop(c, workers)
+			return s.Close()
 		}
 		tasks := make([]Task, len(desc.Names))
 		for i, name := range desc.Names {
@@ -118,7 +121,7 @@ func RunSubMaster(c mpi.Comm, workers []int, opts Options) error {
 		if desc.Trace.valid() {
 			ctx = telemetry.ContextWithTrace(ctx, telemetry.TraceContext{TraceID: desc.Trace.traceID, SpanID: desc.Trace.parents[0]})
 		}
-		res, err := runBatches(ctx, c, workers, splitBatches(tasks, 1), sharedQueue, passLoader{}, opts)
+		res, err := s.Run(ctx, tasks, opts)
 		if err != nil {
 			return err
 		}

@@ -36,13 +36,13 @@ const (
 // RunMaster drives the Robin-Hood farm over the given communicator (the
 // paper's Fig. 4 master part): seed every worker with one batch, then feed
 // whichever worker answers first, and finally send each worker the empty
-// stop message. Workers are ranks 1..size-1. Results come back in
-// completion order.
+// stop message: one round of a Session over ranks 1..size-1, which
+// leaves c to the caller. Results come back in completion order.
 //
 // Cancelling ctx is cooperative: the master stops dispatching new
 // batches, drains the batches already in flight, stops the workers, and
-// returns ctx.Err(). Transport errors remain fatal and leave the
-// workers unstopped.
+// returns ctx.Err(). A refused task list stops them too. Transport
+// errors remain fatal and leave the workers unstopped.
 func RunMaster(ctx context.Context, c mpi.Comm, tasks []Task, loader Loader, opts Options) ([]Result, error) {
 	return runRound(ctx, c, c.Size()-1, tasks, opts.batchSize(), sharedQueue, loader, opts)
 }
@@ -54,40 +54,35 @@ func RunStaticMaster(ctx context.Context, c mpi.Comm, tasks []Task, loader Loade
 	return runRound(ctx, c, c.Size()-1, tasks, opts.batchSize(), perRankQueues, loader, opts)
 }
 
-// runRound is the one master body behind every entry point: validate the
-// task list, dispatch it in batches of batch tasks over ranks 1..n under
-// the given policy, then stop those ranks. On cancellation the farm is
-// quiescent once runBatches returns, so the ranks are stopped before the
-// context's error is reported (best effort — the transport may be part
-// of what is being torn down).
+// runRound is the one master body behind every entry point: one round
+// of a session over ranks 1..n of c, in batches of batch tasks, then the
+// stop message (best effort after a cancelled round, none after a
+// transport failure). The session neither closes c nor publishes gauges.
 func runRound(ctx context.Context, c mpi.Comm, n int, tasks []Task, batch int, policy assignment, loader Loader, opts Options) ([]Result, error) {
+	ranks, err := workerRanks(c, n)
+	if err != nil {
+		return nil, err
+	}
+	s := newSession(c, ranks, loader, policy, opts.Strategy)
+	s.chunk = batch
+	return s.RunOnce(ctx, tasks, opts)
+}
+
+// workerRanks lists ranks 1..n of c, the ranks a flat master drives.
+func workerRanks(c mpi.Comm, n int) ([]int, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("farm: world of size %d has no workers", c.Size())
-	}
-	if err := validateTasks(tasks); err != nil {
-		return nil, err
 	}
 	ranks := make([]int, n)
 	for i := range ranks {
 		ranks[i] = i + 1
 	}
-	results, err := runBatches(ctx, c, ranks, splitBatches(tasks, batch), policy, loader, opts)
-	if err != nil {
-		if ctx.Err() != nil {
-			_ = sendStop(c, ranks)
-		}
-		return nil, err
-	}
-	if err := sendStop(c, ranks); err != nil {
-		return nil, err
-	}
-	return results, nil
+	return ranks, nil
 }
 
 // validateTasks rejects duplicate task names. Names key the results, so
-// duplicates would silently conflate distinct claims; every master entry
-// point (dynamic, static, hierarchical root and a session's Run) runs
-// this before dispatching anything.
+// duplicates would silently conflate distinct claims; Session.Run, which
+// every master entry point runs on, calls it before dispatching anything.
 func validateTasks(tasks []Task) error {
 	seen := make(map[string]bool, len(tasks))
 	for _, t := range tasks {

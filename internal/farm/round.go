@@ -103,7 +103,8 @@ func (l Local) Open(opts Options, workers int) (*Session, error) {
 	}
 	world := mpi.NewLocalWorld(len(roles))
 	opts.LocalSpans = true // every rank shares the caller's registry
-	s := newSession(world.Comm(0), roles[0].Workers, opts)
+	s := newSession(world.Comm(0), roles[0].Workers, LiveLoader{}, sharedQueue, opts.Strategy)
+	s.publishTo(opts.Telemetry)
 	if l.Groups > 0 {
 		s.chunk = max(l.Chunk, 1)
 	}
@@ -119,7 +120,6 @@ func (l Local) Open(opts Options, workers int) (*Session, error) {
 			}
 		}()
 	}
-	go s.pump()
 	return s, nil
 }
 

@@ -6,20 +6,20 @@ import (
 	"sync"
 
 	"riskbench/internal/mpi"
+	"riskbench/internal/telemetry"
 )
 
 // Session is a standing farm: worker ranks spawned once, any number of
 // rounds run over them — concurrently — and one stop message at the end.
 // The paper's slaves (Figs. 4–5) already loop until the empty message;
-// a Session is the master that lets them.
+// a Session is the master that lets them, and the farm's one driver.
 //
-// The session drives the same dispatch state machine as RunMaster, from
-// two sides. A caller of Run submits its round and seeds whatever ranks
-// are idle on its own goroutine, then waits; one pump goroutine, blocked
-// in the master's mailbox, books each reply to the round its batch
-// belongs to and feeds the rank that answered from the open rounds in
-// rotation. Both work under the session lock, which is never held across
-// a receive.
+// A session owns no goroutine. A caller of Run submits its round, seeds
+// whatever ranks are idle and, if nobody is receiving, takes the master's
+// mailbox: it books each reply to the round its batch belongs to and
+// feeds the rank that answered from the open rounds in rotation until its
+// own round is over, then hands the mailbox to a waiting caller. All of
+// it works under the session lock, which is never held across a receive.
 //
 // A transport failure — a worker's connection lost, a rank dying of its
 // own error — fails the session: every round in flight returns the
@@ -27,6 +27,7 @@ import (
 // the session and opens another.
 type Session struct {
 	strategy Strategy
+	policy   assignment
 	// chunk, when positive, is the tasks per hand-off whatever the round
 	// asks (the root→sub-master chunk of a hierarchical layout); zero
 	// deals each round in batches of its own BatchSize.
@@ -41,8 +42,12 @@ type Session struct {
 	// err is what ended the session: the first failure, or mpi.ErrClosed
 	// once Close has begun. Rounds are refused with it.
 	err error
+	// receiving is set while a Run caller holds the mailbox. The others
+	// wait on handoff, which is broadcast when a round finishes or the
+	// receiver leaves — never per reply.
+	receiving bool
+	handoff   sync.Cond
 
-	pumped    chan struct{} // closed when the pump has exited
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -54,29 +59,29 @@ type Session struct {
 // them — and reports what they died of; Close returns it.
 // opts.Telemetry receives the session gauges (farm.session.open_rounds,
 // .queued_batches, .idle_workers).
-//
-// The session's goroutine ends with Close, not with a context: a round
-// brings its own to Run.
-//
-//lint:allow ctxflow the pump lives until Close; each round's context arrives with Run
 func Open(c mpi.Comm, opts Options, join func() error) (*Session, error) {
-	roles, err := Layout(c.Size(), 0)
+	ranks, err := workerRanks(c, c.Size()-1)
 	if err != nil {
 		return nil, err
 	}
-	s := newSession(c, roles[0].Workers, opts)
+	s := newSession(c, ranks, LiveLoader{}, sharedQueue, opts.Strategy)
 	s.abort, s.join = func() { c.Close() }, join
-	go s.pump()
+	s.publishTo(opts.Telemetry)
 	return s, nil
 }
 
 // newSession builds a session over master communicator c driving the
-// given ranks; the caller sets abort and join and starts the pump.
-func newSession(c mpi.Comm, workers []int, opts Options) *Session {
-	s := &Session{strategy: opts.Strategy, d: newDispatcher(c, workers, LiveLoader{}), pumped: make(chan struct{})}
-	s.d.gauges = newSessionGauges(opts.Telemetry)
-	s.d.publish()
+// given ranks, which aborts nothing and publishes no gauges.
+func newSession(c mpi.Comm, workers []int, loader Loader, policy assignment, strategy Strategy) *Session {
+	s := &Session{strategy: strategy, policy: policy, d: newDispatcher(c, workers, loader), abort: func() {}}
+	s.handoff.L = &s.mu
 	return s
+}
+
+// publishTo has the session keep the farm.session.* gauges of reg.
+func (s *Session) publishTo(reg *telemetry.Registry) {
+	s.d.gauges = newSessionGauges(reg)
+	s.d.publish()
 }
 
 // Run farms one round of tasks over the session's workers and returns
@@ -106,13 +111,12 @@ func (s *Session) Run(ctx context.Context, tasks []Task, opts Options) ([]Result
 	batches := splitBatches(tasks, batch)
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.err; err != nil {
-		s.mu.Unlock()
 		return nil, err
 	}
-	r, err := s.d.submit(ctx, batches, sharedQueue, opts, make(chan struct{}))
+	r, err := s.d.submit(ctx, batches, s.policy, opts)
 	if err != nil {
-		s.mu.Unlock()
 		return nil, err
 	}
 	for _, w := range s.d.workers {
@@ -124,15 +128,20 @@ func (s *Session) Run(ctx context.Context, tasks []Task, opts Options) ([]Result
 			break
 		}
 	}
-	s.mu.Unlock()
-
 	stop := context.AfterFunc(ctx, func() {
 		s.mu.Lock()
 		s.d.cancel(r)
+		s.handoff.Broadcast()
 		s.mu.Unlock()
 	})
-	<-r.done
-	stop()
+	defer stop()
+	for !r.finished {
+		if s.receiving {
+			s.handoff.Wait()
+		} else {
+			s.receive(ctx, r)
+		}
+	}
 	return r.results, r.err
 }
 
@@ -147,27 +156,38 @@ func (s *Session) RunOnce(ctx context.Context, tasks []Task, opts Options) ([]Re
 	return results, err
 }
 
-// pump is the session's receive side: block in the mailbox, book the
-// reply, feed the rank that answered. It exits on the first receive
-// error — the failure of the session, unless Close got there first (its
-// stop message makes net workers hang up, and it closes the world).
-func (s *Session) pump() {
-	defer close(s.pumped)
-	for {
+// receive holds the mailbox, under s.mu, until r is over or the session
+// fails. Checking ctx after each reply, before the feed, is the paper's
+// master loop: every simulated makespan is pinned to that order.
+func (s *Session) receive(ctx context.Context, r *round) {
+	s.receiving = true
+	defer func() {
+		s.receiving = false
+		s.handoff.Broadcast()
+	}()
+	for !r.finished {
+		s.mu.Unlock()
 		rep, err := recvResults(s.d.c)
 		s.mu.Lock()
+		if s.err != nil {
+			return // the session failed meanwhile; the reply is moot
+		}
+		open := len(s.d.rounds)
 		if err == nil {
 			err = s.d.onReply(rep)
+		}
+		if err == nil && ctx.Err() != nil {
+			s.d.cancel(r)
 		}
 		if err == nil {
 			err = s.d.feed(rep.source)
 		}
 		if err != nil {
 			s.failLocked(err)
-		}
-		s.mu.Unlock()
-		if err != nil {
 			return
+		}
+		if len(s.d.rounds) < open && !r.finished {
+			s.handoff.Broadcast() // another caller's round is over
 		}
 	}
 }
@@ -190,6 +210,7 @@ func (s *Session) failLocked(err error) {
 		s.d.finish(s.d.rounds[0], err)
 	}
 	s.d.publish()
+	s.handoff.Broadcast()
 	s.abort()
 }
 
@@ -203,12 +224,10 @@ func (s *Session) Err() error {
 }
 
 // Close ends the session: the stop message to every rank, then join
-// them and the pump. Rounds still open — the caller should have none —
-// fail with mpi.ErrClosed. It reports the failure that ended the
-// session, if one did, or else what join reports. Close is idempotent,
-// and Run after Close returns mpi.ErrClosed.
-//
-//lint:allow ctxflow Close is the stop: it waits for ranks that the stop message or the closed world has just released
+// them. Rounds still open — the caller should have none — fail with
+// mpi.ErrClosed. It reports the failure that ended the session, if one
+// did, or else what join reports. Close is idempotent, and Run after
+// Close returns mpi.ErrClosed.
 func (s *Session) Close() error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
@@ -227,7 +246,6 @@ func (s *Session) Close() error {
 			s.closeErr = s.join()
 		}
 		s.abort()
-		<-s.pumped
 		s.d.gauges.set(0, 0, 0) // no rank is waiting for work any more
 		if failure != nil {
 			s.closeErr = failure

@@ -324,8 +324,7 @@ func settledGoroutines() int {
 	return n
 }
 
-// TestSessionCloseLeavesNoGoroutine: ranks and pump are all joined by
-// Close, flat and hierarchical, used or not.
+// TestSessionCloseLeavesNoGoroutine: every rank is joined by Close, flat and hierarchical, used or not.
 func TestSessionCloseLeavesNoGoroutine(t *testing.T) {
 	opts := Options{Strategy: SerializedLoad, BatchSize: 2}
 	tasks, _ := makePortfolio(t, 9)
@@ -348,6 +347,147 @@ func TestSessionCloseLeavesNoGoroutine(t *testing.T) {
 	}
 	if after := settledGoroutines(); after > before {
 		t.Errorf("%d goroutines before Open, %d after Close", before, after)
+	}
+}
+
+// TestSessionOwnsNoGoroutine: a session is driven by its callers, so
+// opening one over ranks that are already serving starts nothing, and
+// neither does a round on it.
+func TestSessionOwnsNoGoroutine(t *testing.T) {
+	opts := Options{Strategy: SerializedLoad, BatchSize: 2}
+	world := mpi.NewLocalWorld(3)
+	var wg sync.WaitGroup
+	for rank := 1; rank < world.Size(); rank++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := RunWorker(world.Comm(rank), LiveExecutor{}, nil, opts); err != nil {
+				t.Errorf("rank %d: %v", rank, err)
+			}
+		}()
+	}
+	before := settledGoroutines()
+	s, err := Open(world.Comm(0), opts, func() error { wg.Wait(); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := settledGoroutines(); after != before {
+		t.Errorf("%d goroutines before Open, %d after", before, after)
+	}
+	tasks, want := makePortfolio(t, 9)
+	results, err := s.Run(context.Background(), tasks, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResults(t, results, want)
+	if after := settledGoroutines(); after != before {
+		t.Errorf("%d goroutines before Open, %d after a round", before, after)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// heldLive prices for real, each task only after announcing its start
+// and taking a token from the gate named by the prefix before its "/".
+type heldLive struct {
+	gates   map[string]chan struct{}
+	started chan string
+}
+
+func (e heldLive) hold(name string) {
+	e.started <- name
+	<-e.gates[name[:strings.Index(name, "/")]]
+}
+
+func (e heldLive) Execute(name string, payload []byte, cost float64, size int) (nsp.Object, error) {
+	e.hold(name)
+	return LiveExecutor{}.Execute(name, payload, cost, size)
+}
+
+func (e heldLive) ExecuteObj(name string, obj nsp.Object, cost float64, size int) (nsp.Object, error) {
+	e.hold(name)
+	return LiveExecutor{}.ExecuteObj(name, obj, cost, size)
+}
+
+// prefixed names every task prefix/<name>.
+func prefixed(prefix string, tasks []Task) []Task {
+	for i := range tasks {
+		tasks[i].Name = prefix + "/" + tasks[i].Name
+	}
+	return tasks
+}
+
+// TestSessionReceiverHandsOff: the caller holding the mailbox returns as
+// soon as its own round is over, though a round it has been receiving for
+// is still in flight; the waiting caller takes the mailbox over and its
+// round completes, bit-equal to a one-shot round.
+func TestSessionReceiverHandsOff(t *testing.T) {
+	exec := heldLive{
+		gates:   map[string]chan struct{}{"short": make(chan struct{}), "long": make(chan struct{})},
+		started: make(chan string, 64),
+	}
+	opts := Options{Strategy: SerializedLoad, BatchSize: 4}
+	s, err := Local{Exec: exec}.Open(opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	type outcome struct {
+		results []Result
+		err     error
+	}
+	short, long := make(chan outcome, 1), make(chan outcome, 1)
+	go func() {
+		results, err := s.Run(context.Background(), prefixed("short", sessionTasks(0, 1)), opts)
+		short <- outcome{results, err}
+	}()
+	if name := <-exec.started; !strings.HasPrefix(name, "short/") {
+		t.Fatalf("%s started first, want the short round's task", name)
+	}
+	// The short round's caller now holds the mailbox: the long round is
+	// dealt to the idle worker and its caller waits.
+	go func() {
+		results, err := s.Run(context.Background(), prefixed("long", sessionTasks(1, 40)), opts)
+		long <- outcome{results, err}
+	}()
+	if name := <-exec.started; !strings.HasPrefix(name, "long/") {
+		t.Fatalf("%s started second, want a long round's task", name)
+	}
+	close(exec.gates["short"])
+	select {
+	case got := <-short:
+		if got.err != nil || len(got.results) != 1 {
+			t.Fatalf("short round: %d results, %v", len(got.results), got.err)
+		}
+	case got := <-long:
+		t.Fatalf("the long round returned (%v) with its gate shut", got.err)
+	case <-time.After(5 * time.Second):
+		close(exec.gates["long"]) // or the deferred Close waits for the held workers
+		t.Fatal("the receiving caller did not return once its round was over")
+	}
+	select {
+	case got := <-long:
+		t.Fatalf("the long round returned (%v) with its gate shut", got.err)
+	default:
+	}
+	close(exec.gates["long"])
+	got := <-long
+	if got.err != nil {
+		t.Fatalf("long round: %v", got.err)
+	}
+	once, err := Local{}.Run(context.Background(), prefixed("long", sessionTasks(1, 40)), opts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, have := priceBits(t, once), priceBits(t, got.results)
+	if len(have) != 40 || len(want) != 40 {
+		t.Fatalf("%d results on the session, %d one-shot, want 40", len(have), len(want))
+	}
+	for name, bits := range want {
+		if have[name] != bits {
+			t.Errorf("%s: session price bits %x, one-shot %x", name, have[name], bits)
+		}
 	}
 }
 

@@ -2,6 +2,9 @@ package lint_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -185,6 +188,45 @@ func TestOnePricingRound(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Errorf("internal/risk calls backend().Run( %d times, want once (in priceRound)", calls)
+	}
+}
+
+// TestOneFarmDriver keeps the farm's second master loop from coming back:
+// a Session's callers drive the dispatcher, so the non-test sources of
+// internal/farm receive results in exactly one place, and the session and
+// the dispatcher start no goroutine of their own.
+func TestOneFarmDriver(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "farm", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	calls := 0
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driver := filepath.Base(file) == "session.go" || filepath.Base(file) == "dispatch.go"
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.CallExpr:
+				if id, ok := x.Fun.(*ast.Ident); ok && id.Name == "recvResults" {
+					calls++
+				}
+			case *ast.GoStmt:
+				if driver {
+					t.Errorf("%s: a go statement in the farm's driver", fset.Position(x.Pos()))
+				}
+			}
+			return true
+		})
+	}
+	if calls != 1 {
+		t.Errorf("internal/farm calls recvResults( %d times, want once (in Session.receive)", calls)
 	}
 }
 

@@ -119,6 +119,47 @@ func TestFDWideGridRefusesCalls(t *testing.T) {
 	}
 }
 
+// TestTreeWideLatticeRefused: a lattice whose bottom node S0·d^n
+// underflows priced a call at 0 with no error (sigma 38 over 5 years,
+// where the closed form says 90.5). Both trees refuse it, and a wide
+// lattice that still fits in a float64 agrees with CF_Call within the
+// oracle's tree tolerance: CRR at sigma 20 over 2 years. The trinomial's
+// Kamrad–Ritchken tilt is first order in the drift, so past a vol of a
+// few hundred percent it is off by more than that tolerance at any step
+// count that fits; its row holds the widest vol it prices that well.
+func TestTreeWideLatticeRefused(t *testing.T) {
+	const treeTol = 2e-3 // relative, as in TestClosedFormAgreesWithNumerics
+	for _, c := range []struct {
+		method string
+		// refuseSteps puts the sigma 38 lattice past the trinomial's
+		// probability check, so that the range is what refuses it.
+		refuseSteps    float64
+		fitSigma, fitT float64
+		fitSteps       float64
+	}{
+		{MethodTreeCRR, 512, 20, 2, 512},
+		{MethodTreeTrinomial, 4096, 1, 2, 1024},
+	} {
+		t.Run(c.method, func(t *testing.T) {
+			res, err := bsProblem(OptCallEuro, c.method, 100, 5).Set("sigma", 38).Set("steps", c.refuseSteps).Compute()
+			if err == nil || !strings.Contains(err.Error(), "outside the normal float64 range") {
+				t.Errorf("call at sigma 38, T 5: %+v, %v; want the lattice refused", res, err)
+			}
+			cf, err := bsProblem(OptCallEuro, MethodCFCall, 100, c.fitT).Set("sigma", c.fitSigma).Compute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, err := bsProblem(OptCallEuro, c.method, 100, c.fitT).Set("sigma", c.fitSigma).Set("steps", c.fitSteps).Compute()
+			if err != nil {
+				t.Fatalf("call at sigma %v, T %v: %v", c.fitSigma, c.fitT, err)
+			}
+			if d := math.Abs(tree.Price - cf.Price); !(d <= treeTol*cf.Price) {
+				t.Errorf("call at sigma %v, T %v: %s %v, CF_Call %v (off by %.3g)", c.fitSigma, c.fitT, c.method, tree.Price, cf.Price, d)
+			}
+		})
+	}
+}
+
 func TestFDBarrierMatchesCF(t *testing.T) {
 	for _, l := range []float64{80, 90, 95} {
 		want, err := barrierProblem(MethodCFCallDownOut, 100, 1, l).Compute()

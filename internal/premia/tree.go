@@ -32,6 +32,9 @@ func treeCRR(p *Problem) (Result, error) {
 	if q <= 0 || q >= 1 {
 		return Result{}, fmt.Errorf("premia: TR_CRR risk-neutral probability %v out of (0,1); increase steps", q)
 	}
+	if err := latticeInRange(MethodTreeCRR, m.S0, float64(n)*m.Sigma*math.Sqrt(dt)); err != nil {
+		return Result{}, err
+	}
 	disc := math.Exp(-m.R * dt)
 
 	var payoff func(s float64) float64
@@ -83,4 +86,18 @@ func treeCRR(p *Problem) (Result, error) {
 		res.HasDelta = true
 	}
 	return res, nil
+}
+
+// latticeInRange refuses a tree whose extreme nodes S0·exp(±span) leave
+// the normal float64 range, as a volatility of a few thousand percent over
+// years makes them: the bottom node underflows to zero, so every node
+// above it, built by multiplication, is zero too and a call prices at 0.
+// Like pdeGrid.topFinite, the problem fails rather than price a wrong
+// number.
+func latticeInRange(method string, s0, span float64) error {
+	lo, hi := math.Log(s0)-span, math.Log(s0)+span
+	if lo < math.Log(0x1p-1022) || hi > math.Log(math.MaxFloat64) {
+		return fmt.Errorf("premia: %s lattice spans ln S = %.4g to %.4g, outside the normal float64 range: sigma·√(T·steps) is too wide to price", method, lo, hi)
+	}
+	return nil
 }

@@ -45,6 +45,9 @@ func treeTrinomial(p *Problem) (Result, error) {
 	if pu <= 0 || pd <= 0 || pm < 0 {
 		return Result{}, fmt.Errorf("premia: TR_Trinomial probabilities out of range (pu=%v pm=%v pd=%v); increase steps or lambda", pu, pm, pd)
 	}
+	if err := latticeInRange(MethodTreeTrinomial, m.S0, float64(n)*dx); err != nil {
+		return Result{}, err
+	}
 	disc := math.Exp(-m.R * dt)
 
 	var payoff func(s float64) float64

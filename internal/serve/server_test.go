@@ -505,7 +505,7 @@ func TestBatchIsOneGroup(t *testing.T) {
 }
 
 // TestServerCloseLeavesNoGoroutine: batcher, SLO ticker, the standing
-// session's ranks and pump — everything New and the first round start is
+// session's ranks — everything New and the first round start is
 // gone after Close, and after Drain; /debug/farm shows the session's
 // workers waiting for work in between and none after.
 func TestServerCloseLeavesNoGoroutine(t *testing.T) {
