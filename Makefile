@@ -40,7 +40,7 @@ wireshape:
 # calibrator that drives it — and nsp, whose codec runs on every one of
 # those goroutines. The pinned simulated runs join them: the simulator's
 # master is a farm session, so they run its lock, condition variable and
-# cancellation hook under simnet's process hand-offs.
+# cancellation hook inside simnet's coroutine ranks.
 race:
 	$(GO) test -race ./internal/nsp ./internal/farm ./internal/mpi ./internal/telemetry ./internal/premia ./internal/risk ./internal/serve ./internal/simnet ./internal/portfolio ./internal/var
 	$(GO) test -race -run 'TestPinned|TestRunCancelled' ./internal/bench

@@ -137,9 +137,7 @@ func benchRun(tasks []farm.Task, cpus int, strat farm.Strategy, fs *simnet.NFS) 
 	costs := farm.DefaultSimCosts
 	for r := 1; r < cpus; r++ {
 		rank := r
-		eng.Go("w", func(p *simnet.Proc) {
-			c := world.Comm(rank)
-			c.Bind(p)
+		world.Go(rank, "w", func(c *simnet.Comm) {
 			var store farm.Store
 			if fs != nil {
 				store = farm.SimStore{FS: fs, Comm: c}
@@ -148,9 +146,7 @@ func benchRun(tasks []farm.Task, cpus int, strat farm.Strategy, fs *simnet.NFS) 
 		})
 	}
 	var masterErr error
-	eng.Go("m", func(p *simnet.Proc) {
-		c := world.Comm(0)
-		c.Bind(p)
+	world.Go(0, "m", func(c *simnet.Comm) {
 		_, masterErr = farm.RunMaster(context.Background(), c, tasks, farm.SimLoader{Comm: c, Costs: costs}, opts)
 	})
 	if err := eng.Run(); err != nil {

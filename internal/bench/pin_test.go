@@ -69,6 +69,51 @@ func TestPinnedMakespans(t *testing.T) {
 	}
 }
 
+// TestPinnedTableSweep pins a table sweep whose NFS column shares one
+// model across rows, as Table II does: TestPinnedMakespans gives every
+// run a fresh NFS, so only this pins the cache a row inherits warm from
+// the rows before it and the FIFO order of the NFS server's queue.
+func TestPinnedTableSweep(t *testing.T) {
+	spec := TableSpec{
+		Name:       "pinned",
+		Portfolio:  portfolio.Toy(400),
+		CPUCounts:  []int{2, 4, 8},
+		Strategies: []farm.Strategy{farm.FullLoad, farm.NFSLoad, farm.SerializedLoad},
+		SharedNFS:  true,
+	}
+	table, err := RunTableContext(context.Background(), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]map[farm.Strategy]Cell{
+		2: {
+			farm.FullLoad:       {Time: 0.32762585176358733, Ratio: 1},
+			farm.NFSLoad:        {Time: 0.37439094267268297, Ratio: 1},
+			farm.SerializedLoad: {Time: 0.26587385176358463, Ratio: 1},
+		},
+		4: {
+			farm.FullLoad:       {Time: 0.11669457725312674, Ratio: 0.9358499754246545},
+			farm.NFSLoad:        {Time: 0.10575916916700702, Ratio: 1.1800109803607117},
+			farm.SerializedLoad: {Time: 0.09000230687968694, Ratio: 0.9846927298541314},
+		},
+		8: {
+			farm.FullLoad:       {Time: 0.11541646815590625, Ratio: 0.4055200601517349},
+			farm.NFSLoad:        {Time: 0.05689234038721511, Ratio: 0.9400987904134617},
+			farm.SerializedLoad: {Time: 0.05366446815590461, Ratio: 0.7077677302796513},
+		},
+	}
+	if len(table.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(table.Rows), len(want))
+	}
+	for _, row := range table.Rows {
+		for _, strat := range spec.Strategies {
+			if got, pinned := row.Cells[strat], want[row.CPUs][strat]; got != pinned {
+				t.Errorf("%d CPUs, %v: %+v, pinned %+v", row.CPUs, strat, got, pinned)
+			}
+		}
+	}
+}
+
 // TestPinnedNestedSweep pins one RunNestedSweep table the same way,
 // hierarchical row included.
 func TestPinnedNestedSweep(t *testing.T) {

@@ -193,9 +193,7 @@ func runSim(ctx context.Context, rc RunConfig) (float64, *simnet.World, error) {
 	opts := farm.Options{Strategy: rc.Strategy, BatchSize: rc.BatchSize, Telemetry: rc.Telemetry}
 	errs := make([]error, rc.CPUs)
 	for _, role := range roles[1:] {
-		eng.Go(fmt.Sprintf("rank-%d", role.Rank), func(p *simnet.Proc) {
-			c := world.Comm(role.Rank)
-			c.Bind(p)
+		world.Go(role.Rank, fmt.Sprintf("rank-%d", role.Rank), func(c *simnet.Comm) {
 			var store farm.Store
 			if rc.FS != nil {
 				store = farm.SimStore{FS: rc.FS, Comm: c}
@@ -203,9 +201,7 @@ func runSim(ctx context.Context, rc RunConfig) (float64, *simnet.World, error) {
 			errs[role.Rank] = role.Serve(c, farm.SimExecutor{Comm: c, Costs: rc.Costs}, store, opts)
 		})
 	}
-	eng.Go("master", func(p *simnet.Proc) {
-		c := world.Comm(0)
-		c.Bind(p)
+	world.Go(0, "master", func(c *simnet.Comm) {
 		loader := farm.SimLoader{Comm: c, Costs: rc.Costs}
 		switch rc.Scheduler {
 		case Hierarchical:
@@ -216,12 +212,9 @@ func runSim(ctx context.Context, rc RunConfig) (float64, *simnet.World, error) {
 			_, errs[0] = farm.RunMaster(ctx, c, rc.Tasks, loader, opts)
 		}
 	})
+	// A cancelled master stops its workers, so cancellation surfaces as
+	// rank 0's error below, not as a deadlock.
 	if err := eng.Run(); err != nil {
-		// A cancelled master abandons the protocol, which the engine
-		// reports as a deadlock; surface the cancellation instead.
-		if ctx.Err() != nil {
-			return 0, nil, ctx.Err()
-		}
 		return 0, nil, err
 	}
 	for rank, err := range errs {

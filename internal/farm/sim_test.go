@@ -31,9 +31,7 @@ func runSimFarm(t *testing.T, tasks []Task, workers int, opts Options, link simn
 	costs := DefaultSimCosts
 	for r := 1; r <= workers; r++ {
 		rank := r
-		eng.Go(fmt.Sprintf("worker-%d", rank), func(p *simnet.Proc) {
-			c := world.Comm(rank)
-			c.Bind(p)
+		world.Go(rank, fmt.Sprintf("worker-%d", rank), func(c *simnet.Comm) {
 			var store Store
 			if fs != nil {
 				store = SimStore{FS: fs, Comm: c}
@@ -45,9 +43,7 @@ func runSimFarm(t *testing.T, tasks []Task, workers int, opts Options, link simn
 	}
 	var results []Result
 	var masterErr error
-	eng.Go("master", func(p *simnet.Proc) {
-		c := world.Comm(0)
-		c.Bind(p)
+	world.Go(0, "master", func(c *simnet.Comm) {
 		results, masterErr = RunMaster(context.Background(), c, tasks, SimLoader{Comm: c, Costs: costs}, opts)
 	})
 	if err := eng.Run(); err != nil {
@@ -193,9 +189,7 @@ func TestSimFarmHierarchicalCompletes(t *testing.T) {
 	for g := 0; g < groups; g++ {
 		sub := g + 1
 		workers := HierarchyWorkers(size, groups, g)
-		eng.Go(fmt.Sprintf("sub-%d", sub), func(p *simnet.Proc) {
-			c := world.Comm(sub)
-			c.Bind(p)
+		world.Go(sub, fmt.Sprintf("sub-%d", sub), func(c *simnet.Comm) {
 			if err := RunSubMaster(c, workers, opts); err != nil {
 				t.Errorf("sim sub-master %d: %v", sub, err)
 			}
@@ -203,9 +197,7 @@ func TestSimFarmHierarchicalCompletes(t *testing.T) {
 		for _, wr := range workers {
 			rank := wr
 			master := sub
-			eng.Go(fmt.Sprintf("w-%d", rank), func(p *simnet.Proc) {
-				c := world.Comm(rank)
-				c.Bind(p)
+			world.Go(rank, fmt.Sprintf("w-%d", rank), func(c *simnet.Comm) {
 				wopts := opts
 				wopts.MasterRank = master
 				if err := RunWorker(c, SimExecutor{Comm: c, Costs: costs}, nil, wopts); err != nil {
@@ -215,9 +207,7 @@ func TestSimFarmHierarchicalCompletes(t *testing.T) {
 		}
 	}
 	var results []Result
-	eng.Go("root", func(p *simnet.Proc) {
-		c := world.Comm(0)
-		c.Bind(p)
+	world.Go(0, "root", func(c *simnet.Comm) {
 		var err error
 		results, err = RunRootMaster(context.Background(), c, tasks, SimLoader{Comm: c, Costs: costs}, opts, groups, 10)
 		if err != nil {

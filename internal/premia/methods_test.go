@@ -558,6 +558,34 @@ func TestTrinomialAmericanDominatesEuropean(t *testing.T) {
 	}
 }
 
+// TestTrinomialRefusesMissedForward: past a few hundred percent of vol the
+// Kamrad–Ritchken branches stop carrying the forward, and the tree used to
+// price a call at 1.6 against CF_Call's 90.5 (sigma 5, T 5, 256 steps) or
+// 14 % off (sigma 5, T 2, 1 024 steps) without an error. Those lattices
+// are refused; the ordinary ones, a coarse 8-step tree included, still
+// price.
+func TestTrinomialRefusesMissedForward(t *testing.T) {
+	for _, c := range []struct {
+		sigma, T, steps float64
+		refused         bool
+	}{
+		{5, 5, 256, true},
+		{5, 2, 1024, true},
+		{0.2, 1, 256, false},
+		{1, 2, 1024, false},
+		{2, 2, 1024, false},
+		{0.2, 10, 8, false},
+	} {
+		res, err := bsProblem(OptCallEuro, MethodTreeTrinomial, 100, c.T).Set("sigma", c.sigma).Set("steps", c.steps).Compute()
+		switch {
+		case c.refused && (err == nil || !strings.Contains(err.Error(), "miss the forward")):
+			t.Errorf("sigma %v, T %v, %v steps: %+v, %v; want the lattice refused", c.sigma, c.T, c.steps, res, err)
+		case !c.refused && err != nil:
+			t.Errorf("sigma %v, T %v, %v steps: %v", c.sigma, c.T, c.steps, err)
+		}
+	}
+}
+
 func TestTrinomialRejectsBadParams(t *testing.T) {
 	if _, err := bsProblem(OptCallEuro, MethodTreeTrinomial, 100, 1).Set("steps", 0).Compute(); err == nil {
 		t.Error("steps=0 accepted")

@@ -39,8 +39,8 @@ func (l LinkConfig) transfer(n int) float64 {
 }
 
 // World is a simulated cluster: size ranks with mailboxes connected by a
-// uniform link. Build it before Run with NewWorld, obtain each rank's
-// communicator with Comm, and register one process per rank.
+// uniform link. Build it before Run with NewWorld and start one process
+// per rank with Go.
 type World struct {
 	eng    *Engine
 	link   LinkConfig
@@ -86,9 +86,13 @@ func (w *World) Utilization(rank int) float64 {
 	return w.comms[rank].busy / w.eng.now
 }
 
-// Comm returns rank i's communicator. Bind must be called (once a process
-// exists) before the communicator is used.
-func (w *World) Comm(i int) *Comm { return w.comms[i] }
+// Go starts rank's process at the current virtual time: body runs as a
+// simulated process with the rank's communicator. Processes started at
+// the same instant first run in the order they were started.
+func (w *World) Go(rank int, name string, body func(c *Comm)) {
+	c := w.comms[rank]
+	c.proc = w.eng.spawn(name, func(*Proc) { body(c) })
+}
 
 // simMessage is an in-flight or delivered message.
 type simMessage struct {
@@ -97,8 +101,8 @@ type simMessage struct {
 	data   []byte
 }
 
-// Comm implements mpi.Comm in virtual time. Each Comm belongs to exactly
-// one simulated process, set with Bind.
+// Comm implements mpi.Comm in virtual time. Each Comm belongs to the one
+// simulated process World.Go started for its rank.
 type Comm struct {
 	world *World
 	rank  int
@@ -116,16 +120,7 @@ type Comm struct {
 
 var _ mpi.Comm = (*Comm)(nil)
 
-// Bind attaches the communicator to the simulated process that will use
-// it. It panics if already bound to a different process.
-func (c *Comm) Bind(p *Proc) {
-	if c.proc != nil && c.proc != p {
-		panic(fmt.Sprintf("simnet: comm of rank %d bound twice", c.rank))
-	}
-	c.proc = p
-}
-
-// Proc returns the bound process.
+// Proc returns the rank's process.
 func (c *Comm) Proc() *Proc { return c.proc }
 
 // Rank implements mpi.Comm.
@@ -150,9 +145,6 @@ func (c *Comm) Compute(seconds float64) {
 // plus the wire serialisation time, and the message lands in the
 // destination mailbox one latency later.
 func (c *Comm) Send(data []byte, dest, tag int) error {
-	if c.proc == nil {
-		return fmt.Errorf("simnet: comm %d used before Bind", c.rank)
-	}
 	if dest < 0 || dest >= len(c.world.comms) {
 		return fmt.Errorf("simnet: send to invalid rank %d", dest)
 	}
@@ -176,28 +168,32 @@ func matchesSim(m simMessage, source, tag int) bool {
 	return (source == mpi.AnySource || m.source == source) && (tag == mpi.AnyTag || m.tag == tag)
 }
 
-// waitMatch blocks the process until a matching message is in the inbox
-// and returns its index.
-func (c *Comm) waitMatch(source, tag int) int {
+// waitMatch parks the process until a matching message is in the inbox
+// and returns its index, or mpi.ErrClosed once the run has deadlocked.
+func (c *Comm) waitMatch(source, tag int) (int, error) {
 	for {
 		for i, m := range c.inbox {
 			if matchesSim(m, source, tag) {
-				return i
+				return i, nil
 			}
+		}
+		if c.world.eng.closed {
+			c.waiting = false // a late delivery must not wake it out of a later Sleep
+			return 0, mpi.ErrClosed
 		}
 		c.waiting = true
 		c.wantSource, c.wantTag = source, tag
 		c.proc.recv = c // the reason, formatted if a deadlock report ever asks
-		c.proc.block("")
+		c.proc.yield(struct{}{})
 	}
 }
 
 // Probe implements mpi.Comm.
 func (c *Comm) Probe(source, tag int) (mpi.Status, error) {
-	if c.proc == nil {
-		return mpi.Status{}, fmt.Errorf("simnet: comm %d used before Bind", c.rank)
+	i, err := c.waitMatch(source, tag)
+	if err != nil {
+		return mpi.Status{}, err
 	}
-	i := c.waitMatch(source, tag)
 	m := c.inbox[i]
 	return mpi.Status{Source: m.source, Tag: m.tag, Bytes: len(m.data)}, nil
 }
@@ -205,10 +201,10 @@ func (c *Comm) Probe(source, tag int) (mpi.Status, error) {
 // Recv implements mpi.Comm; the receiver pays the per-message CPU
 // overhead.
 func (c *Comm) Recv(source, tag int) ([]byte, mpi.Status, error) {
-	if c.proc == nil {
-		return nil, mpi.Status{}, fmt.Errorf("simnet: comm %d used before Bind", c.rank)
+	i, err := c.waitMatch(source, tag)
+	if err != nil {
+		return nil, mpi.Status{}, err
 	}
-	i := c.waitMatch(source, tag)
 	m := c.inbox[i]
 	c.inbox = append(c.inbox[:i], c.inbox[i+1:]...)
 	c.proc.Sleep(c.world.link.RecvOverhead)

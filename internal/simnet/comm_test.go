@@ -17,16 +17,14 @@ func TestSimSendRecv(t *testing.T) {
 	w := NewWorld(e, 2, flatLink)
 	var got []byte
 	var st mpi.Status
-	e.Go("sender", func(p *Proc) {
-		w.Comm(0).Bind(p)
-		if err := w.Comm(0).Send([]byte("virtual"), 1, 4); err != nil {
+	w.Go(0, "sender", func(c *Comm) {
+		if err := c.Send([]byte("virtual"), 1, 4); err != nil {
 			t.Error(err)
 		}
 	})
-	e.Go("receiver", func(p *Proc) {
-		w.Comm(1).Bind(p)
+	w.Go(1, "receiver", func(c *Comm) {
 		var err error
-		got, st, err = w.Comm(1).Recv(0, 4)
+		got, st, err = c.Recv(0, 4)
 		if err != nil {
 			t.Error(err)
 		}
@@ -44,19 +42,17 @@ func TestSimMessageTiming(t *testing.T) {
 	e := NewEngine()
 	w := NewWorld(e, 2, link)
 	var sendDone, recvDone float64
-	e.Go("sender", func(p *Proc) {
-		w.Comm(0).Bind(p)
-		if err := w.Comm(0).Send(make([]byte, 1000), 1, 0); err != nil { // 1 s of transfer
+	w.Go(0, "sender", func(c *Comm) {
+		if err := c.Send(make([]byte, 1000), 1, 0); err != nil { // 1 s of transfer
 			t.Error(err)
 		}
-		sendDone = p.Now()
+		sendDone = c.Proc().Now()
 	})
-	e.Go("receiver", func(p *Proc) {
-		w.Comm(1).Bind(p)
-		if _, _, err := w.Comm(1).Recv(0, 0); err != nil {
+	w.Go(1, "receiver", func(c *Comm) {
+		if _, _, err := c.Recv(0, 0); err != nil {
 			t.Error(err)
 		}
-		recvDone = p.Now()
+		recvDone = c.Proc().Now()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -74,13 +70,10 @@ func TestSimMessageTiming(t *testing.T) {
 func TestSimProbeDoesNotConsume(t *testing.T) {
 	e := NewEngine()
 	w := NewWorld(e, 2, flatLink)
-	e.Go("sender", func(p *Proc) {
-		w.Comm(0).Bind(p)
-		_ = w.Comm(0).Send([]byte{1, 2, 3}, 1, 7)
+	w.Go(0, "sender", func(c *Comm) {
+		_ = c.Send([]byte{1, 2, 3}, 1, 7)
 	})
-	e.Go("receiver", func(p *Proc) {
-		c := w.Comm(1)
-		c.Bind(p)
+	w.Go(1, "receiver", func(c *Comm) {
 		st, err := c.Probe(mpi.AnySource, mpi.AnyTag)
 		if err != nil || st.Bytes != 3 {
 			t.Errorf("probe %v %v", st, err)
@@ -98,14 +91,11 @@ func TestSimProbeDoesNotConsume(t *testing.T) {
 func TestSimTagSelectivity(t *testing.T) {
 	e := NewEngine()
 	w := NewWorld(e, 2, flatLink)
-	e.Go("sender", func(p *Proc) {
-		w.Comm(0).Bind(p)
-		_ = w.Comm(0).Send([]byte("one"), 1, 1)
-		_ = w.Comm(0).Send([]byte("two"), 1, 2)
+	w.Go(0, "sender", func(c *Comm) {
+		_ = c.Send([]byte("one"), 1, 1)
+		_ = c.Send([]byte("two"), 1, 2)
 	})
-	e.Go("receiver", func(p *Proc) {
-		c := w.Comm(1)
-		c.Bind(p)
+	w.Go(1, "receiver", func(c *Comm) {
 		d2, _, err := c.Recv(0, 2)
 		if err != nil || string(d2) != "two" {
 			t.Errorf("tag 2: %q %v", d2, err)
@@ -123,9 +113,7 @@ func TestSimTagSelectivity(t *testing.T) {
 func TestSimComputeOccupiesWorker(t *testing.T) {
 	e := NewEngine()
 	w := NewWorld(e, 1, flatLink)
-	e.Go("w", func(p *Proc) {
-		c := w.Comm(0)
-		c.Bind(p)
+	w.Go(0, "w", func(c *Comm) {
 		c.Compute(42)
 	})
 	if err := e.Run(); err != nil {
@@ -143,15 +131,13 @@ func TestSimObjectTransmission(t *testing.T) {
 	h := nsp.NewHash()
 	h.Set("K", nsp.Scalar(100))
 	h.Set("method", nsp.Str("CF_Call"))
-	e.Go("m", func(p *Proc) {
-		w.Comm(0).Bind(p)
-		if err := mpi.SendObj(w.Comm(0), h, 1, 3); err != nil {
+	w.Go(0, "m", func(c *Comm) {
+		if err := mpi.SendObj(c, h, 1, 3); err != nil {
 			t.Error(err)
 		}
 	})
-	e.Go("s", func(p *Proc) {
-		w.Comm(1).Bind(p)
-		o, _, err := mpi.RecvObj(w.Comm(1), 0, 3)
+	w.Go(1, "s", func(c *Comm) {
+		o, _, err := mpi.RecvObj(c, 0, 3)
 		if err != nil {
 			t.Error(err)
 			return
@@ -170,17 +156,15 @@ func TestSimRecvBeforeSendBlocks(t *testing.T) {
 	e := NewEngine()
 	w := NewWorld(e, 2, flatLink)
 	var recvAt float64
-	e.Go("receiver", func(p *Proc) {
-		w.Comm(1).Bind(p)
-		if _, _, err := w.Comm(1).Recv(mpi.AnySource, mpi.AnyTag); err != nil {
+	w.Go(1, "receiver", func(c *Comm) {
+		if _, _, err := c.Recv(mpi.AnySource, mpi.AnyTag); err != nil {
 			t.Error(err)
 		}
-		recvAt = p.Now()
+		recvAt = c.Proc().Now()
 	})
-	e.Go("sender", func(p *Proc) {
-		w.Comm(0).Bind(p)
-		p.Sleep(3)
-		_ = w.Comm(0).Send([]byte("late"), 1, 0)
+	w.Go(0, "sender", func(c *Comm) {
+		c.Proc().Sleep(3)
+		_ = c.Send([]byte("late"), 1, 0)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -193,9 +177,8 @@ func TestSimRecvBeforeSendBlocks(t *testing.T) {
 func TestSimDeadlockWhenNoSender(t *testing.T) {
 	e := NewEngine()
 	w := NewWorld(e, 2, flatLink)
-	e.Go("receiver", func(p *Proc) {
-		w.Comm(1).Bind(p)
-		_, _, _ = w.Comm(1).Recv(0, 0)
+	w.Go(1, "receiver", func(c *Comm) {
+		_, _, _ = c.Recv(0, 0)
 	})
 	dl, ok := e.Run().(*ErrDeadlock)
 	if !ok {
@@ -207,26 +190,12 @@ func TestSimDeadlockWhenNoSender(t *testing.T) {
 	}
 }
 
-func TestSimUnboundCommErrors(t *testing.T) {
-	e := NewEngine()
-	w := NewWorld(e, 2, flatLink)
-	if err := w.Comm(0).Send(nil, 1, 0); err == nil {
-		t.Fatal("unbound send succeeded")
-	}
-	if _, err := w.Comm(0).Probe(0, 0); err == nil {
-		t.Fatal("unbound probe succeeded")
-	}
-	if _, _, err := w.Comm(0).Recv(0, 0); err == nil {
-		t.Fatal("unbound recv succeeded")
-	}
-}
-
 func TestNFSCacheSemantics(t *testing.T) {
 	cfg := NFSConfig{ServerTime: 1, Bandwidth: 1000, Latency: 0.5, CacheHitTime: 0.001}
 	e := NewEngine()
 	fs := NewNFS(cfg)
 	var times []float64
-	e.Go("client", func(p *Proc) {
+	e.spawn("client", func(p *Proc) {
 		start := p.Now()
 		fs.Read(p, 1, "a.bin", 1000) // miss: 0.5 + (1 + 1) = 2.5
 		times = append(times, p.Now()-start)
@@ -263,7 +232,7 @@ func TestNFSServerContention(t *testing.T) {
 	var finish []float64
 	for i := 0; i < 2; i++ {
 		node := i + 1
-		e.Go("client", func(p *Proc) {
+		e.spawn("client", func(p *Proc) {
 			fs.Read(p, node, "file", 0)
 			finish = append(finish, p.Now())
 		})
@@ -281,7 +250,7 @@ func TestNFSWarm(t *testing.T) {
 	e := NewEngine()
 	fs := NewNFS(cfg)
 	fs.Warm([]int{1, 2}, []string{"x", "y"})
-	e.Go("c", func(p *Proc) {
+	e.spawn("c", func(p *Proc) {
 		fs.Read(p, 1, "x", 100)
 		fs.Read(p, 2, "y", 100)
 	})
@@ -301,17 +270,13 @@ func TestNodeSpeedStretchesCompute(t *testing.T) {
 	w := NewWorld(e, 2, flatLink)
 	w.SetSpeed(1, 0.5)
 	var fast, slow float64
-	e.Go("fast", func(p *Proc) {
-		c := w.Comm(0)
-		c.Bind(p)
+	w.Go(0, "fast", func(c *Comm) {
 		c.Compute(10)
-		fast = p.Now()
+		fast = c.Proc().Now()
 	})
-	e.Go("slow", func(p *Proc) {
-		c := w.Comm(1)
-		c.Bind(p)
+	w.Go(1, "slow", func(c *Comm) {
 		c.Compute(10)
-		slow = p.Now()
+		slow = c.Proc().Now()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -344,9 +309,7 @@ func TestSetSpeedRejectsNonPositive(t *testing.T) {
 func TestComputeZeroIsFree(t *testing.T) {
 	e := NewEngine()
 	w := NewWorld(e, 1, flatLink)
-	e.Go("p", func(p *Proc) {
-		c := w.Comm(0)
-		c.Bind(p)
+	w.Go(0, "p", func(c *Comm) {
 		c.Compute(0)
 		c.Compute(-1)
 	})
@@ -364,9 +327,7 @@ func TestComputeZeroIsFree(t *testing.T) {
 func pingPong(t *testing.T, e *Engine, rounds int) {
 	w := NewWorld(e, 2, LinkConfig{Latency: 1e-4, Bandwidth: 1e8, SendOverhead: 1e-5, RecvOverhead: 1e-5})
 	msg := make([]byte, 64)
-	e.Go("ping", func(p *Proc) {
-		c := w.Comm(0)
-		c.Bind(p)
+	w.Go(0, "ping", func(c *Comm) {
 		for i := 0; i < rounds; i++ {
 			if err := c.Send(msg, 1, 7); err != nil {
 				t.Error(err)
@@ -376,9 +337,7 @@ func pingPong(t *testing.T, e *Engine, rounds int) {
 			}
 		}
 	})
-	e.Go("pong", func(p *Proc) {
-		c := w.Comm(1)
-		c.Bind(p)
+	w.Go(1, "pong", func(c *Comm) {
 		for i := 0; i < rounds; i++ {
 			if _, _, err := c.Recv(0, 7); err != nil {
 				t.Error(err)

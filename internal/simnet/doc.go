@@ -6,12 +6,13 @@
 // measured live) are replayed on virtual nodes while the network and NFS
 // are modelled explicitly.
 //
-// The simulation is process-oriented: every simulated rank runs in its own
-// goroutine, and a single "token" moves between the engine and exactly one
-// runnable process at a time, so simulated programs are written as
-// ordinary blocking Go code. Comm implements the same mpi.Comm interface
-// as the live transports; the farm package's master/worker code therefore
-// runs unmodified in virtual time.
+// The simulation is process-oriented: World.Go starts every simulated rank
+// as a coroutine (iter.Pull) that the engine resumes directly when one of
+// its events is due, and that yields back when it sleeps or waits for a
+// message. Exactly one of them runs at a time, so simulated programs are
+// written as ordinary blocking Go code. Comm implements the same mpi.Comm
+// interface as the live transports; the farm package's master/worker code
+// therefore runs unmodified in virtual time.
 //
 // Model parameters:
 //

@@ -3,6 +3,7 @@ package simnet
 import (
 	"container/heap"
 	"fmt"
+	"iter"
 	"sort"
 )
 
@@ -28,19 +29,20 @@ func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // Engine owns the virtual clock and the event queue. Create one with
-// NewEngine, add processes with Go, then call Run.
+// NewEngine, start one process per rank with World.Go, then call Run.
 type Engine struct {
 	now    float64
 	seq    int64
 	events eventHeap
-	// alive tracks started-but-unfinished processes for deadlock reporting.
-	alive map[*Proc]bool
+	// procs lists every process in start order.
+	procs []*Proc
+	// closed is set once the events run out with processes still parked:
+	// every receive then returns mpi.ErrClosed, so each process can exit.
+	closed bool
 }
 
 // NewEngine returns an empty simulation.
-func NewEngine() *Engine {
-	return &Engine{alive: make(map[*Proc]bool)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -54,61 +56,49 @@ func (e *Engine) schedule(t float64, fn func()) {
 	heap.Push(&e.events, event{t: t, seq: e.seq, fn: fn})
 }
 
-// Proc is a simulated process. Its code runs in a dedicated goroutine but
-// only while it holds the engine token, so process code never races with
-// the engine or other processes.
+// Proc is a simulated process: a coroutine the engine resumes with next
+// and that hands control back with yield, so process code runs only
+// between those two calls and never races with the engine or another
+// process.
 type Proc struct {
-	eng     *Engine
-	name    string
-	resume  chan struct{}
-	yielded chan struct{}
-	done    bool
-	// blocked and recv say what a passively waiting process waits for, so
-	// a deadlock report can name it: the reason given to block, or the
-	// communicator whose receive it is parked in (the report formats that
-	// one itself; a run blocks in receives a million times and fails once).
-	blocked string
-	recv    *Comm
+	eng   *Engine
+	name  string
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	done  bool
+	// recv is the communicator whose receive a parked process waits in, so
+	// a deadlock report can name it (the report formats it itself; a run
+	// parks in receives a million times and fails once).
+	recv *Comm
 }
 
-// Name returns the process name given to Go.
+// Name returns the process name given to World.Go.
 func (p *Proc) Name() string { return p.name }
 
 // Now returns the engine's virtual time.
 func (p *Proc) Now() float64 { return p.eng.now }
 
-// Go registers a process whose body starts at the current virtual time.
-func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{}), yielded: make(chan struct{})}
-	e.alive[p] = true
-	go func() {
-		<-p.resume
+// spawn registers a process whose body starts at the current virtual time.
+func (e *Engine) spawn(name string, body func(p *Proc)) *Proc {
+	p := &Proc{eng: e, name: name}
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		body(p)
-		p.done = true
-		p.yielded <- struct{}{}
-	}()
+	})
+	e.procs = append(e.procs, p)
 	e.schedule(e.now, func() { e.runProc(p) })
 	return p
 }
 
-// runProc hands the token to p and waits for it to yield or finish.
+// runProc resumes p until it yields or finishes. A panic in p's body
+// panics out of here, and so out of Run.
 func (e *Engine) runProc(p *Proc) {
-	if p.done || !e.alive[p] {
+	if p.done {
 		return
 	}
-	p.blocked, p.recv = "", nil
-	p.resume <- struct{}{}
-	<-p.yielded
-	if p.done {
-		delete(e.alive, p)
-	}
-}
-
-// yield returns the token to the engine; the process resumes when some
-// event calls runProc on it again.
-func (p *Proc) yield() {
-	p.yielded <- struct{}{}
-	<-p.resume
+	p.recv = nil
+	_, ok := p.next()
+	p.done = !ok
 }
 
 // Sleep advances the process's clock by d virtual seconds. A non-positive
@@ -119,7 +109,7 @@ func (p *Proc) Sleep(d float64) {
 	}
 	e := p.eng
 	e.schedule(e.now+d, func() { e.runProc(p) })
-	p.yield() // no reason: its wake-up is scheduled, so no deadlock report lists it
+	p.yield(struct{}{})
 }
 
 // SleepUntil advances the process's clock to absolute time t.
@@ -127,23 +117,17 @@ func (p *Proc) SleepUntil(t float64) {
 	p.Sleep(t - p.eng.now)
 }
 
-// block parks the process until some other event resumes it via wake.
-func (p *Proc) block(reason string) {
-	p.blocked = reason
-	p.yield()
-}
-
 // waitingFor is the deadlock report's account of a parked process.
 func (p *Proc) waitingFor() string {
 	if c := p.recv; c != nil {
 		return fmt.Sprintf("recv from %d tag %d", c.wantSource, c.wantTag)
 	}
-	return p.blocked
+	return ""
 }
 
 // wake schedules the process to resume at the current virtual time. It
-// must only be called from engine context (inside an event closure or
-// another process holding the token).
+// must only be called from engine context (inside an event closure or a
+// running process).
 func (p *Proc) wake() {
 	e := p.eng
 	e.schedule(e.now, func() { e.runProc(p) })
@@ -161,21 +145,34 @@ func (e *ErrDeadlock) Error() string {
 	return fmt.Sprintf("simnet: deadlock with %d blocked processes: %v", len(e.Blocked), e.Blocked)
 }
 
-// Run executes events until none remain. It returns an *ErrDeadlock if
-// processes are still alive afterwards, nil otherwise.
+// Run executes events until none remain. If processes are still parked
+// then, it returns an *ErrDeadlock naming them, after resuming each (in
+// start order, until all have exited) with its receives closed;
+// otherwise it returns nil.
 func (e *Engine) Run() error {
-	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(event)
-		e.now = ev.t
-		ev.fn()
-	}
-	if len(e.alive) > 0 {
-		var names []string
-		for p := range e.alive {
-			names = append(names, fmt.Sprintf("%s (%s)", p.name, p.waitingFor()))
+	var err error
+	for {
+		for len(e.events) > 0 {
+			ev := heap.Pop(&e.events).(event)
+			e.now = ev.t
+			ev.fn()
 		}
-		sort.Strings(names)
-		return &ErrDeadlock{Blocked: names}
+		var blocked []string
+		for _, p := range e.procs {
+			if !p.done {
+				blocked = append(blocked, fmt.Sprintf("%s (%s)", p.name, p.waitingFor()))
+			}
+		}
+		if blocked == nil {
+			return err
+		}
+		if err == nil {
+			sort.Strings(blocked)
+			err = &ErrDeadlock{Blocked: blocked}
+		}
+		e.closed = true
+		for _, p := range e.procs {
+			e.runProc(p)
+		}
 	}
-	return nil
 }

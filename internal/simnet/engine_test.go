@@ -1,14 +1,18 @@
 package simnet
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"testing"
+
+	"riskbench/internal/mpi"
 )
 
 func TestSleepAdvancesClock(t *testing.T) {
 	e := NewEngine()
 	var at []float64
-	e.Go("p", func(p *Proc) {
+	e.spawn("p", func(p *Proc) {
 		p.Sleep(1.5)
 		at = append(at, p.Now())
 		p.Sleep(0.5)
@@ -28,7 +32,7 @@ func TestSleepAdvancesClock(t *testing.T) {
 func TestSleepZeroAndNegative(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.Go("p", func(p *Proc) {
+	e.spawn("p", func(p *Proc) {
 		p.Sleep(0)
 		p.Sleep(-3)
 		ran = true
@@ -45,7 +49,7 @@ func TestParallelProcsOverlap(t *testing.T) {
 	// Two processes sleeping 10s each in parallel: makespan 10, not 20.
 	e := NewEngine()
 	for i := 0; i < 2; i++ {
-		e.Go("worker", func(p *Proc) { p.Sleep(10) })
+		e.spawn("worker", func(p *Proc) { p.Sleep(10) })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -61,7 +65,7 @@ func TestDeterministicInterleaving(t *testing.T) {
 		var order []string
 		for _, n := range []string{"a", "b", "c"} {
 			name := n
-			e.Go(name, func(p *Proc) {
+			e.spawn(name, func(p *Proc) {
 				p.Sleep(1)
 				order = append(order, name)
 				p.Sleep(1)
@@ -89,8 +93,8 @@ func TestDeterministicInterleaving(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	e := NewEngine()
-	e.Go("stuck", func(p *Proc) {
-		p.block("waiting forever")
+	e.spawn("stuck", func(p *Proc) {
+		p.yield(struct{}{}) // parked with no event to resume it
 	})
 	err := e.Run()
 	dl, ok := err.(*ErrDeadlock)
@@ -102,9 +106,54 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestDeadlockLeavesNoGoroutine: a deadlocked run resumes every parked
+// rank with its receive closed, so each exits and takes its coroutine's
+// goroutine with it instead of leaving it parked for the life of the
+// binary.
+func TestDeadlockLeavesNoGoroutine(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		e := NewEngine()
+		w := NewWorld(e, 3, LinkConfig{})
+		for rank := 0; rank < 3; rank++ {
+			w.Go(rank, "rank", func(c *Comm) {
+				if _, err := c.Probe((c.Rank()+1)%3, 0); !errors.Is(err, mpi.ErrClosed) {
+					t.Errorf("rank %d: Probe returned %v, want mpi.ErrClosed", c.Rank(), err)
+				}
+				if _, _, err := c.Recv(mpi.AnySource, mpi.AnyTag); !errors.Is(err, mpi.ErrClosed) {
+					t.Errorf("rank %d: Recv returned %v, want mpi.ErrClosed", c.Rank(), err)
+				}
+			})
+		}
+		if dl, ok := e.Run().(*ErrDeadlock); !ok || len(dl.Blocked) != 3 {
+			t.Fatalf("run %d: want a deadlock of 3 ranks, got %v", i, dl)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after 50 deadlocked runs, %d before", n, baseline)
+	}
+}
+
+// TestProcPanicEscapesRun: a panicking process panics out of Run, on the
+// caller's goroutine, where a deferred recover can see it.
+func TestProcPanicEscapesRun(t *testing.T) {
+	e := NewEngine()
+	e.spawn("bad", func(p *Proc) {
+		p.Sleep(1)
+		panic("process failed")
+	})
+	defer func() {
+		if r := recover(); r != "process failed" {
+			t.Fatalf("recovered %v, want the process's panic", r)
+		}
+	}()
+	_ = e.Run()
+	t.Fatal("Run returned after its process panicked")
+}
+
 func TestSleepUntil(t *testing.T) {
 	e := NewEngine()
-	e.Go("p", func(p *Proc) {
+	e.spawn("p", func(p *Proc) {
 		p.SleepUntil(5)
 		p.SleepUntil(3) // already past: no-op
 		if p.Now() != 5 {
@@ -123,7 +172,7 @@ func TestResourceFIFOQueue(t *testing.T) {
 	var r Resource
 	var finish []float64
 	for i := 0; i < 3; i++ {
-		e.Go("client", func(p *Proc) {
+		e.spawn("client", func(p *Proc) {
 			r.Use(p, 1)
 			finish = append(finish, p.Now())
 		})
@@ -143,10 +192,10 @@ func TestResourceIdleThenBusy(t *testing.T) {
 	e := NewEngine()
 	var r Resource
 	var second float64
-	e.Go("a", func(p *Proc) {
+	e.spawn("a", func(p *Proc) {
 		r.Use(p, 2) // occupies [0,2)
 	})
-	e.Go("b", func(p *Proc) {
+	e.spawn("b", func(p *Proc) {
 		p.Sleep(5) // arrives when the resource is idle again
 		r.Use(p, 1)
 		second = p.Now()
