@@ -91,19 +91,24 @@ smoke:
 
 # profile answers "where does a toy repricing's CPU go": it runs the
 # benchmark's var_toy operation in process (BenchmarkFullRevalToy: toy
-# 250 claims × 24 scenarios) under the CPU profiler and prints the
-# cumulative top of the profile, then the flat top (a leaf spread thin
-# over many callers, such as map hashing, shows only there). What it
-# measures is the engine as riskserver configures it at -workers 1, not a
-# cheaper one: a standing session (so the receiving caller's and the
-# mailbox's wake-ups show), registry, fleet book and the premia sink live (so
-# premia's per-sweep instruments show), the base column read from a
-# price cache, and every report's
-# spans filed in a trace. The binary and the profile stay in
-# $(PROFILE_DIR) for `go tool pprof -list`.
+# 250 claims × 24 scenarios, 1000 reports, ~5 s of samples) under the CPU
+# profiler and prints the cumulative top of the profile, then the flat
+# top (a leaf spread thin over many callers, such as map hashing, shows
+# only there). What it measures is the engine as riskserver configures it
+# at -workers 1, not a cheaper one: a standing session (so the receiving
+# caller's and the mailbox's wake-ups show), registry, fleet book and the
+# premia sink live (so premia's per-sweep instruments show), the base
+# column read from a price cache, and every report's spans filed in a
+# trace. It then does the same for BenchmarkFullRevalBook (100 claims ×
+# 1000 scenarios, each claim cut across sweeps; 100 reports, ~5 s). The
+# binary and the profiles (cpu.prof, book.prof) stay in $(PROFILE_DIR) for
+# `go tool pprof -list`.
 PROFILE_DIR ?= .profile
 profile:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test -run '^$$' -bench 'BenchmarkFullRevalToy$$' -benchtime 100x -cpuprofile $(PROFILE_DIR)/cpu.prof -o $(PROFILE_DIR)/var.test ./internal/var
+	$(GO) test -run '^$$' -bench 'BenchmarkFullRevalToy$$' -benchtime 1000x -cpuprofile $(PROFILE_DIR)/cpu.prof -o $(PROFILE_DIR)/var.test ./internal/var
 	$(GO) tool pprof -top -cum -nodecount 45 $(PROFILE_DIR)/var.test $(PROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/var.test $(PROFILE_DIR)/cpu.prof
+	$(GO) test -run '^$$' -bench 'BenchmarkFullRevalBook$$' -benchtime 100x -cpuprofile $(PROFILE_DIR)/book.prof -o $(PROFILE_DIR)/var.test ./internal/var
+	$(GO) tool pprof -top -cum -nodecount 45 $(PROFILE_DIR)/var.test $(PROFILE_DIR)/book.prof
+	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/var.test $(PROFILE_DIR)/book.prof

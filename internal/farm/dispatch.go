@@ -95,6 +95,33 @@ type dispatcher struct {
 	// gauges, when non-nil (a session), are published after every
 	// transition.
 	gauges *sessionGauges
+	// ranks[w] are rank w's per-reply instruments in registry ranksReg,
+	// resolved on its first reply rather than by name on every one.
+	ranksReg *telemetry.Registry
+	ranks    []rankInstruments
+}
+
+// rankInstruments are the instruments onReply books one rank's batches
+// in.
+type rankInstruments struct {
+	busy  *telemetry.Gauge
+	tasks *telemetry.Counter
+}
+
+// instruments returns rank w's instruments in reg, resolving them the
+// first time reg sees a reply from w.
+func (d *dispatcher) instruments(reg *telemetry.Registry, w int) rankInstruments {
+	if d.ranksReg != reg {
+		d.ranksReg, d.ranks = reg, make([]rankInstruments, len(d.slots))
+	}
+	if d.ranks[w].busy == nil {
+		rank := strconv.Itoa(w)
+		d.ranks[w] = rankInstruments{
+			busy:  reg.Gauge("farm.worker." + rank + ".busy_seconds"),
+			tasks: reg.Counter("farm.worker." + rank + ".tasks"),
+		}
+	}
+	return d.ranks[w]
 }
 
 // sessionGauges are the live answer to the paper's one diagnostic, "the
@@ -277,13 +304,14 @@ func (d *dispatcher) onReply(rep workerReply) error {
 	busy := now - was.sentAt
 	opts.Fleet.completed(from, len(was.tasks), busy, now)
 	if reg != nil {
-		rank := strconv.Itoa(from)
-		reg.Gauge("farm.worker." + rank + ".busy_seconds").Add(busy)
-		reg.Counter("farm.worker." + rank + ".tasks").Add(int64(len(was.tasks)))
+		in := d.instruments(reg, from)
+		in.busy.Add(busy)
+		in.tasks.Add(int64(len(was.tasks)))
+		taskSeconds := reg.Histogram("farm.task_seconds")
 		for range was.tasks {
 			// Batch-mates share the round trip: the batch is the unit
 			// of dispatch, so its latency is every member's latency.
-			reg.Observe("farm.task_seconds", busy)
+			taskSeconds.Observe(busy)
 		}
 		for _, sp := range was.spans {
 			sp.End()
@@ -297,10 +325,11 @@ func (d *dispatcher) onReply(rep workerReply) error {
 		rep.records.shift(was.sendingAt-rep.records.recvAt, from)
 		reg.Ingest(rep.records.spans, rep.records.events)
 	}
+	completed := int64(0)
 	for _, res := range rep.results {
 		r.results = append(r.results, res)
 		if res.Err == nil {
-			reg.Counter("farm.tasks_completed").Add(1)
+			completed++
 			continue
 		}
 		opts.Fleet.taskFailed(from)
@@ -308,6 +337,9 @@ func (d *dispatcher) onReply(rep workerReply) error {
 		reg.Emit(telemetry.LevelError, "farm.task.fail", r.span.Context(),
 			telemetry.Str("task", res.Name),
 			telemetry.Num("rank", float64(from)))
+	}
+	if completed > 0 {
+		reg.Counter("farm.tasks_completed").Add(completed)
 	}
 	if r.cancelled {
 		r.drop()

@@ -179,6 +179,11 @@ func registerSweep(name string, sweep func(Params) func([]Override) (Result, err
 	methods[name] = spec
 }
 
+// HasSweepForm reports whether the named method prices a sweep's cells
+// by a sweep form (the closed-form vanillas), each cell costing well
+// under a microsecond.
+func HasSweepForm(method string) bool { return methods[method].sweep != nil }
+
 // Methods returns the names of all registered methods, sorted.
 func Methods() []string {
 	names := make([]string, 0, len(methods))

@@ -19,10 +19,12 @@ type Engine struct {
 	// bunching the paper's conclusion recommends, which matters here
 	// because scenario grids multiply the task count). PriceBatch sends
 	// that many problems to a message. A revaluation farms sweeps — one
-	// claim under its scenarios — and sizes them from it: a message never
-	// carries more than 2 × BatchSize cells, a claim with more is cut
-	// evenly into sweeps of at most that many, and claims with fewer share
-	// a message up to it.
+	// claim under its scenarios — and sizes them from it: a sweep never
+	// holds more than 2 × BatchSize cells (a claim with more is cut evenly
+	// into sweeps of at most that many), and claims with fewer share a
+	// message up to 2 × BatchSize cells — unless every claim prices by a
+	// sweep form, whose sub-microsecond cells are bunched into about eight
+	// messages a worker (RevalueContext).
 	BatchSize int
 	// KernelThreads, when > 0, is stamped as the "threads" parameter onto
 	// every task whose problem does not already carry one, so each worker
@@ -206,6 +208,48 @@ type sweepSlot struct {
 	scen []int
 }
 
+// messagesPerWorker is how many messages a bunched round deals each
+// worker: enough messages for Robin Hood to balance within an eighth of a
+// worker's share.
+const messagesPerWorker = 8
+
+// bunchedMessageBytes bounds a bunched message on a framed transport,
+// where its sweeps are dealt as their cells, each a serialized problem:
+// half of mpi's 64 MiB frame, so the answer — a result hash per cell —
+// fits one too.
+const bunchedMessageBytes = 32 << 20
+
+// cellWireBytes bounds what one cell of a sweep over base weighs in a
+// framed message. Every cell carries base's names and parameter table — a
+// scenario overrides values, never adds a parameter — and 160 bytes, plus
+// 32 a parameter, cover the nsp encoding around them (it needs 122 and
+// 21). The bound matters because nothing caps a problem's parameter
+// count: a claim padded with unread parameters still prices.
+func cellWireBytes(base *premia.Problem) int {
+	n := 160 + len(base.Asset) + len(base.Model) + len(base.Option) + len(base.Method)
+	for k := range base.Params {
+		n += 32 + len(k)
+	}
+	return n
+}
+
+// sweepsPerMessage is the batch size of a revaluation round of tasks
+// sweeps over scenarios: as many sweeps as fit 2 × BatchSize cells, or,
+// when bunch says every claim prices by a sweep form, enough to deal the
+// round in messagesPerWorker messages a worker — capped so that a message
+// of sweeps of at most 2 × BatchSize cells, each weighing at most weight
+// bytes on a wire, stays within bunchedMessageBytes.
+func (e Engine) sweepsPerMessage(tasks, scenarios int, bunch bool, weight int) int {
+	limit := 2 * e.batch()
+	per := max(1, limit/(scenarios+1))
+	if !bunch || tasks == 0 {
+		return per
+	}
+	messages := messagesPerWorker * min(e.workers(), tasks)
+	fit := bunchedMessageBytes / (weight * limit)
+	return max(per, min((tasks+messages-1)/messages, fit))
+}
+
 // Revalue prices every claim under the base parameters and under every
 // scenario, farming the scenario×claim cross product over live workers —
 // the paper's "huge number of atomic computations" pipeline in miniature.
@@ -221,10 +265,20 @@ func (e Engine) Revalue(pf *portfolio.Portfolio, scenarios []Scenario) (*Valuati
 // The unit it farms is the sweep: one claim with the parameter overrides
 // of its scenarios (premia.Sweep), so the claim's parameter table is
 // copied, its task named and its spans opened once per claim rather than
-// once per cell. A message carries at most 2 × BatchSize cells: a claim
-// with more is cut evenly into sweeps of at most that many — which also
-// bounds what a cancellation waits for — and claims with fewer share a
-// message up to it.
+// once per cell. A sweep holds at most 2 × BatchSize cells: a claim with
+// more is cut evenly into sweeps of at most that many. Claims with fewer
+// share a message up to 2 × BatchSize cells, which bounds what a
+// cancellation waits for — unless every claim prices by a sweep form
+// (premia.HasSweepForm). Such a round is bunched ("bunch problems", the
+// paper's conclusion): its sweeps are dealt in about messagesPerWorker
+// messages a worker, since a message of sub-microsecond cells costs the
+// farm more than its cells cost the kernel. A bunched message is still
+// no more than an eighth of a worker's share — at the /risk/report cap
+// of 2²⁰ cells tens of milliseconds of work — and, over a framed
+// transport where its sweeps are dealt as their cells, no more than
+// bunchedMessageBytes.
+// Grouping changes nothing else: every cell is still its own kernel call
+// on the same parameters.
 func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, scenarios []Scenario) (*Valuation, error) {
 	reg := e.Telemetry
 	// A revaluation is a natural trace root (one bench run / report): mint
@@ -269,6 +323,9 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 	// move the credit book).
 	var skipped []cell
 	var claim claimShifts
+	// bunch holds while every farmed claim prices by a sweep form; weight
+	// is then the heaviest of their cells on a wire.
+	bunch, weight := true, 0
 	for i, it := range pf.Items {
 		val.Items[i] = it.Name
 		claim.reset(it.Problem)
@@ -301,6 +358,9 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 			continue
 		}
 		base := e.stampThreads(it.Problem)
+		if bunch = bunch && premia.HasSweepForm(base.Method); bunch {
+			weight = max(weight, cellWireBytes(base))
+		}
 		for part, parts := 0, (count+limit-1)/limit; part < parts; part++ {
 			lo, hi := first+part*count/parts, first+(part+1)*count/parts
 			name := it.Name
@@ -322,7 +382,7 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 	if tc := farmSpan.Context(); tc.Valid() {
 		farmCtx = telemetry.ContextWithTrace(ctx, tc)
 	}
-	round, err := e.priceRound(farmCtx, tasks, max(1, limit/(len(scenarios)+1)))
+	round, err := e.priceRound(farmCtx, tasks, e.sweepsPerMessage(len(tasks), len(scenarios), bunch, weight))
 	farmSpan.End()
 	if err != nil {
 		return nil, err

@@ -17,13 +17,14 @@ import (
 	"riskbench/internal/telemetry"
 )
 
-// recordingBackend keeps every task the engine hands the farm seam and
-// every result that comes back, and runs the round on inner (nil = the
-// default local farm).
+// recordingBackend keeps every task the engine hands the farm seam, each
+// round's tasks-per-message (opts.BatchSize) and every result that comes
+// back, and runs the round on inner (nil = the default local farm).
 type recordingBackend struct {
 	inner   FarmBackend
 	mu      sync.Mutex
 	tasks   []farm.Task
+	batches []int
 	results []farm.Result
 }
 
@@ -35,6 +36,7 @@ func (b *recordingBackend) Run(ctx context.Context, tasks []farm.Task, opts farm
 	results, err := inner.Run(ctx, tasks, opts, workers)
 	b.mu.Lock()
 	b.tasks = append(b.tasks, tasks...)
+	b.batches = append(b.batches, opts.BatchSize)
 	b.results = append(b.results, results...)
 	b.mu.Unlock()
 	return results, err

@@ -198,7 +198,9 @@ func TestSweepEqualsApply(t *testing.T) {
 // context's error once the sweeps in flight have drained — a sweep being
 // at most 2 × BatchSize cells, not a claim's whole scenario set. Each of
 // the two claims below is 4097 Monte Carlo cells, far more than the test
-// waits for.
+// waits for. The round is deliberately left unbunched — a Monte Carlo
+// claim has no sweep form — so a message holds one 8-cell sweep, not an
+// eighth of the round (TestRevalueCancelBunched is the bunched case).
 func TestRevalueCancelMidRound(t *testing.T) {
 	pf := &portfolio.Portfolio{Name: "slow", Items: []portfolio.Item{
 		{Name: "a", Problem: mcProblem(1).Set("paths", 20000), Cost: 1},
@@ -226,6 +228,9 @@ func TestRevalueCancelMidRound(t *testing.T) {
 			}
 			if len(rec.tasks) < 1000 {
 				t.Errorf("the round held %d sweeps, want the two claims cut into more than 1000", len(rec.tasks))
+			}
+			if want := max(1, 2*4/(len(scenarios)+1)); len(rec.batches) != 1 || rec.batches[0] != want {
+				t.Errorf("the round dealt %v sweeps a message, want today's %d", rec.batches, want)
 			}
 		})
 	}
