@@ -102,7 +102,7 @@ func main() {
 		cacheSize   = flag.Int("cache", serve.DefaultCacheSize, "result cache capacity in entries (negative disables)")
 		maxInflight = flag.Int("maxinflight", 256, "admitted concurrent requests before shedding with 429")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request pricing deadline")
-		kernel      = flag.Int("kernelthreads", 0, "multicore kernel threads per pricing task (0 = serial)")
+		kernel      = flag.Int("kernelthreads", 0, "multicore kernel threads per pricing task (0 = borrow idle cores)")
 		transport   = flag.String("transport", "local", "farm worker transport: local (in-process goroutines) or a framed mpi transport (tcp | unix | inproc)")
 		drainWait   = flag.Duration("drain", 30*time.Second, "max time to drain in-flight work on shutdown")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

@@ -13,11 +13,11 @@ var shrinkable = []string{"paths", "steps", "mcsteps"}
 
 // CalibrateCosts replaces the portfolio's virtual costs with estimates
 // measured on this machine: one representative claim per class is
-// repriced at numerical effort scaled down by shrink (0 < shrink <= 1),
-// wall time is measured, and the full-effort cost is extrapolated
-// linearly. Relative within-class jitter is preserved. This turns the
-// paper-calibrated cost model into a locally measured one, so simulated
-// sweeps predict this hardware instead of the paper's Xeons.
+// repriced on one kernel thread at numerical effort scaled down by shrink
+// (0 < shrink <= 1), wall time is measured, and the full-effort cost is
+// extrapolated linearly. Relative within-class jitter is preserved. This
+// turns the paper-calibrated cost model into a locally measured one, so
+// simulated sweeps predict this hardware instead of the paper's Xeons.
 func (pf *Portfolio) CalibrateCosts(shrink float64) error {
 	if shrink <= 0 || shrink > 1 {
 		return fmt.Errorf("portfolio: shrink must be in (0,1], got %v", shrink)
@@ -54,6 +54,9 @@ func (pf *Portfolio) CalibrateCosts(shrink float64) error {
 				rep.Set(key, float64(int(nv)))
 			}
 		}
+		// A simulated CPU is one core: time the claim on one, not on the
+		// idle cores the kernel would otherwise borrow.
+		rep.Set("threads", 1)
 		// Calibration's entire purpose is measuring this machine's real
 		// speed, so these are deliberate wall reads: a virtual clock
 		// would calibrate the simulator against itself.

@@ -3,10 +3,12 @@ package portfolio
 import (
 	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"riskbench/internal/premia"
+	"riskbench/internal/telemetry"
 )
 
 func TestRealisticComposition(t *testing.T) {
@@ -293,6 +295,31 @@ func TestCalibrateCostsRealisticSample(t *testing.T) {
 		if it.Cost <= 0 {
 			t.Fatalf("%s calibrated to %v", it.Name, it.Cost)
 		}
+	}
+}
+
+// TestCalibrateCostsTimesOneCore: a simulated CPU is one core, so the
+// claim calibration times must price on one even where the kernel would
+// borrow idle cores. premia.kernel.threads reads what the timed run used.
+func TestCalibrateCostsTimesOneCore(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	reg := telemetry.New()
+	premia.SetTelemetry(reg)
+	defer premia.SetTelemetry(nil)
+	pf := &Portfolio{Name: "basket"}
+	for _, it := range Realistic().Items {
+		if strings.HasPrefix(it.Name, "basket-") {
+			pf.Items = append(pf.Items, it)
+			break
+		}
+	}
+	if err := pf.CalibrateCosts(0.01); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := reg.Snapshot().Gauges["premia.kernel.threads"]; !ok || got != 1 {
+		t.Errorf("calibration timed a Monte Carlo claim on %v kernel goroutines (recorded %v), want 1", got, ok)
 	}
 }
 

@@ -2,6 +2,7 @@ package premia
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -32,29 +33,58 @@ const kernelShards = 64
 const kernelThreadsKey = "threads"
 
 // kernelDefaultThreads holds the process-wide default pool size installed
-// by SetKernelThreads; values < 1 mean serial execution.
+// by SetKernelThreads; values < 1 mean "borrow the idle cores".
 var kernelDefaultThreads atomic.Int64
+
+// kernelBusy counts the goroutines running kernel shards right now, over
+// the whole process: every run's caller and helpers, whatever fixed the
+// run's width. A run of no fixed width borrows only the cores it leaves.
+var kernelBusy atomic.Int64
 
 // SetKernelThreads installs the process-wide default worker count of the
 // multicore pricing kernel, used by every Compute whose problem carries
-// no explicit "threads" parameter. n < 1 (and the initial state) selects
-// serial execution. Typically wired through the riskbench façade.
+// no explicit "threads" parameter. n < 1 (and the initial state) lets
+// each run borrow the idle cores: its caller plus one helper for every
+// core of GOMAXPROCS no kernel goroutine holds. Typically wired through
+// the riskbench façade.
 func SetKernelThreads(n int) {
 	kernelDefaultThreads.Store(int64(n))
 }
 
 // kernelThreads resolves the pool size for one problem: its "threads"
-// parameter if present, else the process default.
+// parameter if present, else the process default; 0 means neither fixes
+// one and the run borrows.
 func kernelThreads(p *Problem) (int, error) {
-	def := int(kernelDefaultThreads.Load())
-	if def < 1 {
-		def = 1
+	if _, ok := p.Params[kernelThreadsKey]; !ok {
+		return max(int(kernelDefaultThreads.Load()), 0), nil
 	}
-	threads := p.Params.Int(kernelThreadsKey, def)
+	threads := p.Params.Int(kernelThreadsKey, 0)
 	if threads < 1 {
 		return 0, fmt.Errorf("premia: %s needs threads >= 1, got %d", p.Method, threads)
 	}
 	return threads, nil
+}
+
+// claimKernel books the goroutines of one run in kernelBusy and returns
+// their count, never more than shards: threads of them when threads >= 1,
+// else the caller plus a helper for each core of GOMAXPROCS left idle. It
+// never waits — the caller always counts, even on a full machine — so W
+// workers on W cores run serially and a lone one runs as wide as the
+// machine. The run releases the same count when it ends.
+func claimKernel(threads, shards int) int {
+	if threads >= 1 {
+		threads = min(threads, shards)
+		kernelBusy.Add(int64(threads))
+		return threads
+	}
+	procs := int64(runtime.GOMAXPROCS(0))
+	for {
+		busy := kernelBusy.Load()
+		n := min(max(procs-busy, 1), int64(shards))
+		if kernelBusy.CompareAndSwap(busy, busy+n) {
+			return int(n)
+		}
+	}
 }
 
 // shardCounts partitions n paths over min(kernelShards, n) shards as
@@ -78,21 +108,22 @@ func shardCounts(n int) []int {
 	return counts
 }
 
-// kernelRun executes body(0), …, body(shards-1) on a pool of threads
-// goroutines (inline when one suffices), handing shards out through an
-// atomic cursor. Which goroutine runs which shard is scheduling-dependent,
-// but every shard's work must be self-contained (own RNG, own output
-// slots), so the assignment cannot influence results. Per-shard compute
-// times go to the "premia.kernel.shard_seconds" histogram and each run
-// sets the "premia.kernel.efficiency" gauge (busy time over threads×wall,
-// 1.0 meaning perfect scaling) in the package telemetry sink.
-func kernelRun(threads, shards int, body func(shard int)) {
+// kernelRun executes body(0), …, body(shards-1) on the calling goroutine
+// and the helpers claimKernel grants it (threads < 1: borrow idle cores),
+// handing shards out through an atomic cursor, and returns the number of
+// goroutines that ran them. Which goroutine runs which shard is
+// scheduling-dependent, but every shard's work must be self-contained
+// (own RNG, own output slots), so the assignment cannot influence results.
+// Per-shard compute times go to the "premia.kernel.shard_seconds"
+// histogram, and each run sets the "premia.kernel.threads" gauge to its
+// goroutine count and "premia.kernel.efficiency" to busy time over
+// goroutines×wall (1.0 meaning perfect scaling) in the package sink.
+func kernelRun(threads, shards int, body func(shard int)) int {
 	if shards < 1 {
-		return
+		return 0
 	}
-	if threads > shards {
-		threads = shards
-	}
+	threads = claimKernel(threads, shards)
+	defer kernelBusy.Add(-int64(threads))
 	reg := sink.Load()
 	var durs []float64
 	var t0 float64
@@ -106,26 +137,30 @@ func kernelRun(threads, shards int, body func(shard int)) {
 			durs[s] = reg.Now() - start
 		}
 	}
-	if threads <= 1 {
+	if threads == 1 {
 		for s := 0; s < shards; s++ {
 			run(s)
 		}
 	} else {
 		var next atomic.Int64
+		work := func() {
+			for {
+				s := int(next.Add(1)) - 1
+				if s >= shards {
+					return
+				}
+				run(s)
+			}
+		}
 		var wg sync.WaitGroup
-		wg.Add(threads)
-		for t := 0; t < threads; t++ {
+		wg.Add(threads - 1)
+		for t := 1; t < threads; t++ {
 			go func() {
 				defer wg.Done()
-				for {
-					s := int(next.Add(1)) - 1
-					if s >= shards {
-						return
-					}
-					run(s)
-				}
+				work()
 			}()
 		}
+		work()
 		wg.Wait()
 	}
 	if reg != nil {
@@ -135,10 +170,12 @@ func kernelRun(threads, shards int, body func(shard int)) {
 			busy += d
 		}
 		reg.Counter("premia.kernel.runs").Add(1)
+		reg.Gauge("premia.kernel.threads").Set(float64(threads))
 		if wall := reg.Now() - t0; wall > 0 {
 			reg.Gauge("premia.kernel.efficiency").Set(busy / (float64(threads) * wall))
 		}
 	}
+	return threads
 }
 
 // soaBlock is the unit granularity of the struct-of-arrays method loops:

@@ -2,6 +2,8 @@ package premia
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"riskbench/internal/telemetry"
@@ -57,8 +59,9 @@ func TestKernelBitIdenticalAcrossThreads(t *testing.T) {
 					serial.Price, serial.PriceCI, serial.Delta,
 					parallel.Price, parallel.PriceCI, parallel.Delta)
 			}
-			// No "threads" parameter means the process default (serial
-			// here), which must sit on the same decomposition.
+			// No "threads" parameter means the process default: borrow the
+			// cores no kernel holds (as many helpers as the parallel
+			// subtests leave idle), on the same decomposition.
 			def, err := base.Clone().Compute()
 			if err != nil {
 				t.Fatal(err)
@@ -109,14 +112,30 @@ func TestKernelRejectsBadThreads(t *testing.T) {
 	}
 }
 
-// TestKernelTelemetry checks the per-shard histogram and the
-// parallel-efficiency gauge reach the package sink.
+// TestKernelTelemetry checks the per-shard histogram, the thread-count
+// gauge and the parallel-efficiency gauge reach the package sink, the
+// last two for the goroutines a run actually used: busy time over
+// goroutines×wall cannot pass 1, and a run that borrowed reports what it
+// borrowed.
 func TestKernelTelemetry(t *testing.T) {
 	reg := telemetry.New()
 	SetTelemetry(reg)
 	defer SetTelemetry(nil)
-	if _, err := bsProblem(OptCallEuro, MethodMCEuro, 100, 1).
-		Set("paths", 20000).Set("threads", 4).Compute(); err != nil {
+	check := func(threads int) {
+		t.Helper()
+		snap := reg.Snapshot()
+		if got, ok := snap.Gauges["premia.kernel.threads"]; !ok || got != float64(threads) {
+			t.Errorf("premia.kernel.threads = %v (recorded %v), want %d", got, ok, threads)
+		}
+		got, ok := snap.Gauges["premia.kernel.efficiency"]
+		if !ok {
+			t.Error("no parallel-efficiency gauge recorded")
+		} else if got < 0 || got > 1+1e-9 {
+			t.Errorf("efficiency %v outside [0, 1]", got)
+		}
+	}
+	p := bsProblem(OptCallEuro, MethodMCEuro, 100, 1).Set("paths", 20000)
+	if _, err := p.Clone().Set("threads", 4).Compute(); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -127,11 +146,79 @@ func TestKernelTelemetry(t *testing.T) {
 	if !ok || hist.Count == 0 {
 		t.Error("no per-shard compute histogram recorded")
 	}
-	eff, ok := snap.Gauges["premia.kernel.efficiency"]
-	if !ok {
-		t.Error("no parallel-efficiency gauge recorded")
-	} else if eff < 0 {
-		t.Errorf("negative efficiency %v", eff)
+	check(4)
+	// Alone, a default-count run borrows every core.
+	if _, err := p.Clone().Compute(); err != nil {
+		t.Fatal(err)
+	}
+	check(min(runtime.GOMAXPROCS(0), kernelShards))
+}
+
+// TestKernelBorrowsIdleCores checks the process-wide core budget of
+// default-count runs: alone, a run spreads over every core; with every
+// core held by fixed-count kernels it runs on its caller alone, without
+// waiting; and however many runs overlap, each releases what it claimed.
+// `make race` runs it at -cpu 1,4, so both sides of the budget are
+// exercised: GOMAXPROCS 1 never borrows.
+func TestKernelBorrowsIdleCores(t *testing.T) {
+	if busy := kernelBusy.Load(); busy != 0 {
+		t.Fatalf("%d kernel goroutines running before the test", busy)
+	}
+	procs := runtime.GOMAXPROCS(0)
+	noop := func(int) {}
+
+	if got, want := kernelRun(0, kernelShards, noop), min(procs, kernelShards); got != want {
+		t.Errorf("alone at GOMAXPROCS %d a default-count run used %d goroutines, want %d", procs, got, want)
+	}
+
+	// Hold every core: one fixed-count run, one gated shard per goroutine.
+	started, gate, done := make(chan struct{}), make(chan struct{}), make(chan int)
+	go func() {
+		done <- kernelRun(procs, procs, func(int) {
+			started <- struct{}{}
+			<-gate
+		})
+	}()
+	for i := 0; i < procs; i++ {
+		<-started
+	}
+	if got := kernelRun(0, kernelShards, noop); got != 1 {
+		t.Errorf("with all %d cores held a default-count run used %d goroutines, want 1", procs, got)
+	}
+	close(gate)
+	if got := <-done; got != procs {
+		t.Errorf("fixed-count run of %d used %d goroutines", procs, got)
+	}
+
+	// Overlapping default-count runs price bit-identically and give back
+	// every goroutine they claimed.
+	p := bsProblem(OptCallEuro, MethodMCEuro, 100, 1).Set("paths", 2000)
+	want, err := p.Clone().Set("threads", 1).Compute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	prices := make([]float64, 32)
+	for i := range prices {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := p.Clone().Compute()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			prices[i] = res.Price
+		}()
+	}
+	wg.Wait()
+	for i, got := range prices {
+		if got != want.Price {
+			t.Errorf("concurrent run %d priced %v, serial %v", i, got, want.Price)
+		}
+	}
+	if busy := kernelBusy.Load(); busy != 0 {
+		t.Errorf("%d kernel goroutines still counted after every run ended", busy)
 	}
 }
 

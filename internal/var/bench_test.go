@@ -80,15 +80,32 @@ func (c *benchCache) Put(key string, res premia.Result) {
 // cache the first, untimed report fills, and the report's spans filed in
 // a trace the caller roots, as serve.risk.report does. `make profile`
 // runs it under the CPU profiler.
-func BenchmarkFullRevalToy(b *testing.B) { benchFullReval(b, 250, 24) }
+func BenchmarkFullRevalToy(b *testing.B) { benchFullReval(b, portfolio.Toy(250), 24) }
 
 // BenchmarkFullRevalBook is the same operation at the smallest of
 // SNIPPETS.md §3's presets, 100 options × 1000 samples: every claim is cut
 // into sweeps, where the toy report's claims each fit one.
-func BenchmarkFullRevalBook(b *testing.B) { benchFullReval(b, 100, 1000) }
+func BenchmarkFullRevalBook(b *testing.B) { benchFullReval(b, portfolio.Toy(100), 1000) }
 
-func benchFullReval(b *testing.B, claims, scenarios int) {
-	pf := portfolio.Toy(claims)
+// BenchmarkFullRevalReal is the benchmark's var_real operation in
+// process: every 244th claim of the realistic book at numerical effort
+// ×10⁻³ (33 claims, all six product classes, the two LSM baskets
+// included), 5 scenarios, one worker. Its Monte Carlo kernels borrow the
+// cores the worker leaves idle, so `-cpu 1,2` shows what a second core
+// buys without the harness.
+func BenchmarkFullRevalReal(b *testing.B) {
+	full := portfolio.Realistic()
+	if err := full.ScaleEffort(1e-3); err != nil {
+		b.Fatal(err)
+	}
+	pf := &portfolio.Portfolio{Name: "realistic-sample"}
+	for i := 0; i < len(full.Items); i += 244 {
+		pf.Items = append(pf.Items, full.Items[i])
+	}
+	benchFullReval(b, pf, 5)
+}
+
+func benchFullReval(b *testing.B, pf *portfolio.Portfolio, scenarios int) {
 	scens, err := DefaultMarket().Generate(scenarios, 1)
 	if err != nil {
 		b.Fatal(err)
