@@ -40,12 +40,9 @@ wireshape:
 # calibrator that drives it — and nsp, whose codec runs on every one of
 # those goroutines. The pinned simulated runs join them: the simulator's
 # master is a farm session, so they run its lock, condition variable and
-# cancellation hook inside simnet's coroutine ranks. The kernel tests run
-# again at GOMAXPROCS 1 and 4: a kernel of no fixed width borrows the idle
-# cores, so one side of the budget never borrows and the other does.
+# cancellation hook inside simnet's coroutine ranks.
 race:
 	$(GO) test -race ./internal/nsp ./internal/farm ./internal/mpi ./internal/telemetry ./internal/premia ./internal/risk ./internal/serve ./internal/simnet ./internal/portfolio ./internal/var
-	$(GO) test -race -cpu 1,4 -run 'TestKernel' ./internal/premia
 	$(GO) test -race -run 'TestPinned|TestRunCancelled' ./internal/bench
 
 check: build vet lint test race

@@ -93,6 +93,23 @@ func withPprof(h http.Handler) http.Handler {
 	return mux
 }
 
+// kernelThreads is the Monte Carlo kernel width of every pricing task
+// without its own "threads" parameter: -kernelthreads when set, else the
+// cores the farm workers leave — procs shared evenly among them, at least
+// one each — so workers all pricing Monte Carlo at once run no more kernel
+// goroutines than procs. A worker busy outside the kernel keeps its share
+// idle. -workers below 1 leaves the count to the engine, and the kernel
+// serial.
+func kernelThreads(flagThreads, procs, workers int) int {
+	if flagThreads > 0 {
+		return flagThreads
+	}
+	if workers < 1 {
+		return 1
+	}
+	return max(1, procs/workers)
+}
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "address to serve HTTP on")
@@ -102,7 +119,7 @@ func main() {
 		cacheSize   = flag.Int("cache", serve.DefaultCacheSize, "result cache capacity in entries (negative disables)")
 		maxInflight = flag.Int("maxinflight", 256, "admitted concurrent requests before shedding with 429")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request pricing deadline")
-		kernel      = flag.Int("kernelthreads", 0, "multicore kernel threads per pricing task (0 = borrow idle cores)")
+		kernel      = flag.Int("kernelthreads", 0, "multicore kernel threads per pricing task (0 = the cores the workers leave: GOMAXPROCS/workers, at least 1)")
 		transport   = flag.String("transport", "local", "farm worker transport: local (in-process goroutines) or a framed mpi transport (tcp | unix | inproc)")
 		drainWait   = flag.Duration("drain", 30*time.Second, "max time to drain in-flight work on shutdown")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -118,6 +135,7 @@ func main() {
 	reg := telemetry.Default
 	premia.SetTelemetry(reg)
 	mpi.SetTelemetry(reg)
+	premia.SetKernelThreads(kernelThreads(*kernel, runtime.GOMAXPROCS(0), *workers))
 
 	// The transport decides where farm workers live: "local" is the
 	// in-process goroutine world; anything else is a framed hub world
@@ -136,7 +154,7 @@ func main() {
 	}
 
 	srv := serve.New(serve.Config{
-		Engine:         &risk.Engine{Workers: *workers, BatchSize: *batch, KernelThreads: *kernel, Telemetry: reg, Backend: backend},
+		Engine:         &risk.Engine{Workers: *workers, BatchSize: *batch, Telemetry: reg, Backend: backend},
 		MaxBatch:       *batch,
 		MaxDelay:       *maxDelay,
 		CacheSize:      *cacheSize,

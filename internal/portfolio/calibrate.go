@@ -54,8 +54,8 @@ func (pf *Portfolio) CalibrateCosts(shrink float64) error {
 				rep.Set(key, float64(int(nv)))
 			}
 		}
-		// A simulated CPU is one core: time the claim on one, not on the
-		// idle cores the kernel would otherwise borrow.
+		// A simulated CPU is one core: time the claim on one, whatever
+		// kernel width the process default (SetKernelThreads) sets.
 		rep.Set("threads", 1)
 		// Calibration's entire purpose is measuring this machine's real
 		// speed, so these are deliberate wall reads: a virtual clock

@@ -3,7 +3,6 @@ package portfolio
 import (
 	"math"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -299,12 +298,11 @@ func TestCalibrateCostsRealisticSample(t *testing.T) {
 }
 
 // TestCalibrateCostsTimesOneCore: a simulated CPU is one core, so the
-// claim calibration times must price on one even where the kernel would
-// borrow idle cores. premia.kernel.threads reads what the timed run used.
+// claim calibration times must price on one even under a multicore
+// process default. premia.kernel.threads reads what the timed run used.
 func TestCalibrateCostsTimesOneCore(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	}
+	premia.SetKernelThreads(2)
+	defer premia.SetKernelThreads(0)
 	reg := telemetry.New()
 	premia.SetTelemetry(reg)
 	defer premia.SetTelemetry(nil)

@@ -2,7 +2,6 @@ package premia
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -33,58 +32,29 @@ const kernelShards = 64
 const kernelThreadsKey = "threads"
 
 // kernelDefaultThreads holds the process-wide default pool size installed
-// by SetKernelThreads; values < 1 mean "borrow the idle cores".
+// by SetKernelThreads; values < 1 mean serial execution.
 var kernelDefaultThreads atomic.Int64
-
-// kernelBusy counts the goroutines running kernel shards right now, over
-// the whole process: every run's caller and helpers, whatever fixed the
-// run's width. A run of no fixed width borrows only the cores it leaves.
-var kernelBusy atomic.Int64
 
 // SetKernelThreads installs the process-wide default worker count of the
 // multicore pricing kernel, used by every Compute whose problem carries
-// no explicit "threads" parameter. n < 1 (and the initial state) lets
-// each run borrow the idle cores: its caller plus one helper for every
-// core of GOMAXPROCS no kernel goroutine holds. Typically wired through
-// the riskbench façade.
+// no explicit "threads" parameter. n < 1 (and the initial state) selects
+// serial execution. Typically wired through the riskbench façade.
 func SetKernelThreads(n int) {
 	kernelDefaultThreads.Store(int64(n))
 }
 
 // kernelThreads resolves the pool size for one problem: its "threads"
-// parameter if present, else the process default; 0 means neither fixes
-// one and the run borrows.
+// parameter if present, else the process default.
 func kernelThreads(p *Problem) (int, error) {
-	if _, ok := p.Params[kernelThreadsKey]; !ok {
-		return max(int(kernelDefaultThreads.Load()), 0), nil
+	def := int(kernelDefaultThreads.Load())
+	if def < 1 {
+		def = 1
 	}
-	threads := p.Params.Int(kernelThreadsKey, 0)
+	threads := p.Params.Int(kernelThreadsKey, def)
 	if threads < 1 {
 		return 0, fmt.Errorf("premia: %s needs threads >= 1, got %d", p.Method, threads)
 	}
 	return threads, nil
-}
-
-// claimKernel books the goroutines of one run in kernelBusy and returns
-// their count, never more than shards: threads of them when threads >= 1,
-// else the caller plus a helper for each core of GOMAXPROCS left idle. It
-// never waits — the caller always counts, even on a full machine — so W
-// workers on W cores run serially and a lone one runs as wide as the
-// machine. The run releases the same count when it ends.
-func claimKernel(threads, shards int) int {
-	if threads >= 1 {
-		threads = min(threads, shards)
-		kernelBusy.Add(int64(threads))
-		return threads
-	}
-	procs := int64(runtime.GOMAXPROCS(0))
-	for {
-		busy := kernelBusy.Load()
-		n := min(max(procs-busy, 1), int64(shards))
-		if kernelBusy.CompareAndSwap(busy, busy+n) {
-			return int(n)
-		}
-	}
 }
 
 // shardCounts partitions n paths over min(kernelShards, n) shards as
@@ -109,21 +79,19 @@ func shardCounts(n int) []int {
 }
 
 // kernelRun executes body(0), …, body(shards-1) on the calling goroutine
-// and the helpers claimKernel grants it (threads < 1: borrow idle cores),
-// handing shards out through an atomic cursor, and returns the number of
-// goroutines that ran them. Which goroutine runs which shard is
-// scheduling-dependent, but every shard's work must be self-contained
+// and threads−1 helpers (never more goroutines than shards), handing
+// shards out through an atomic cursor. Which goroutine runs which shard
+// is scheduling-dependent, but every shard's work must be self-contained
 // (own RNG, own output slots), so the assignment cannot influence results.
 // Per-shard compute times go to the "premia.kernel.shard_seconds"
 // histogram, and each run sets the "premia.kernel.threads" gauge to its
 // goroutine count and "premia.kernel.efficiency" to busy time over
 // goroutines×wall (1.0 meaning perfect scaling) in the package sink.
-func kernelRun(threads, shards int, body func(shard int)) int {
+func kernelRun(threads, shards int, body func(shard int)) {
 	if shards < 1 {
-		return 0
+		return
 	}
-	threads = claimKernel(threads, shards)
-	defer kernelBusy.Add(-int64(threads))
+	threads = max(min(threads, shards), 1)
 	reg := sink.Load()
 	var durs []float64
 	var t0 float64
@@ -175,7 +143,6 @@ func kernelRun(threads, shards int, body func(shard int)) int {
 			reg.Gauge("premia.kernel.efficiency").Set(busy / (float64(threads) * wall))
 		}
 	}
-	return threads
 }
 
 // soaBlock is the unit granularity of the struct-of-arrays method loops:

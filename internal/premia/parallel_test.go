@@ -2,8 +2,6 @@ package premia
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 
 	"riskbench/internal/telemetry"
@@ -59,9 +57,8 @@ func TestKernelBitIdenticalAcrossThreads(t *testing.T) {
 					serial.Price, serial.PriceCI, serial.Delta,
 					parallel.Price, parallel.PriceCI, parallel.Delta)
 			}
-			// No "threads" parameter means the process default: borrow the
-			// cores no kernel holds (as many helpers as the parallel
-			// subtests leave idle), on the same decomposition.
+			// No "threads" parameter means the process default (serial
+			// here), which must sit on the same decomposition.
 			def, err := base.Clone().Compute()
 			if err != nil {
 				t.Fatal(err)
@@ -114,9 +111,9 @@ func TestKernelRejectsBadThreads(t *testing.T) {
 
 // TestKernelTelemetry checks the per-shard histogram, the thread-count
 // gauge and the parallel-efficiency gauge reach the package sink, the
-// last two for the goroutines a run actually used: busy time over
-// goroutines×wall cannot pass 1, and a run that borrowed reports what it
-// borrowed.
+// last two for the goroutines a run actually used: a run never starts
+// more goroutines than it has shards, and busy time over goroutines×wall
+// cannot pass 1.
 func TestKernelTelemetry(t *testing.T) {
 	reg := telemetry.New()
 	SetTelemetry(reg)
@@ -147,79 +144,11 @@ func TestKernelTelemetry(t *testing.T) {
 		t.Error("no per-shard compute histogram recorded")
 	}
 	check(4)
-	// Alone, a default-count run borrows every core.
-	if _, err := p.Clone().Compute(); err != nil {
+	// Ten paths are ten shards: sixteen threads run ten goroutines.
+	if _, err := p.Clone().Set("paths", 10).Set("threads", 16).Compute(); err != nil {
 		t.Fatal(err)
 	}
-	check(min(runtime.GOMAXPROCS(0), kernelShards))
-}
-
-// TestKernelBorrowsIdleCores checks the process-wide core budget of
-// default-count runs: alone, a run spreads over every core; with every
-// core held by fixed-count kernels it runs on its caller alone, without
-// waiting; and however many runs overlap, each releases what it claimed.
-// `make race` runs it at -cpu 1,4, so both sides of the budget are
-// exercised: GOMAXPROCS 1 never borrows.
-func TestKernelBorrowsIdleCores(t *testing.T) {
-	if busy := kernelBusy.Load(); busy != 0 {
-		t.Fatalf("%d kernel goroutines running before the test", busy)
-	}
-	procs := runtime.GOMAXPROCS(0)
-	noop := func(int) {}
-
-	if got, want := kernelRun(0, kernelShards, noop), min(procs, kernelShards); got != want {
-		t.Errorf("alone at GOMAXPROCS %d a default-count run used %d goroutines, want %d", procs, got, want)
-	}
-
-	// Hold every core: one fixed-count run, one gated shard per goroutine.
-	started, gate, done := make(chan struct{}), make(chan struct{}), make(chan int)
-	go func() {
-		done <- kernelRun(procs, procs, func(int) {
-			started <- struct{}{}
-			<-gate
-		})
-	}()
-	for i := 0; i < procs; i++ {
-		<-started
-	}
-	if got := kernelRun(0, kernelShards, noop); got != 1 {
-		t.Errorf("with all %d cores held a default-count run used %d goroutines, want 1", procs, got)
-	}
-	close(gate)
-	if got := <-done; got != procs {
-		t.Errorf("fixed-count run of %d used %d goroutines", procs, got)
-	}
-
-	// Overlapping default-count runs price bit-identically and give back
-	// every goroutine they claimed.
-	p := bsProblem(OptCallEuro, MethodMCEuro, 100, 1).Set("paths", 2000)
-	want, err := p.Clone().Set("threads", 1).Compute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	prices := make([]float64, 32)
-	for i := range prices {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := p.Clone().Compute()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			prices[i] = res.Price
-		}()
-	}
-	wg.Wait()
-	for i, got := range prices {
-		if got != want.Price {
-			t.Errorf("concurrent run %d priced %v, serial %v", i, got, want.Price)
-		}
-	}
-	if busy := kernelBusy.Load(); busy != 0 {
-		t.Errorf("%d kernel goroutines still counted after every run ended", busy)
-	}
+	check(10)
 }
 
 // benchKernel prices p repeatedly, reporting paths/op via b.N.

@@ -2,6 +2,7 @@ package varisk
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -90,10 +91,12 @@ func BenchmarkFullRevalBook(b *testing.B) { benchFullReval(b, portfolio.Toy(100)
 // BenchmarkFullRevalReal is the benchmark's var_real operation in
 // process: every 244th claim of the realistic book at numerical effort
 // ×10⁻³ (33 claims, all six product classes, the two LSM baskets
-// included), 5 scenarios, one worker. Its Monte Carlo kernels borrow the
-// cores the worker leaves idle, so `-cpu 1,2` shows what a second core
-// buys without the harness.
+// included), 5 scenarios, one worker. Its Monte Carlo kernels are as wide
+// as riskserver -workers 1 makes them, GOMAXPROCS, so `-cpu 1,2` shows
+// what a second core buys without the harness.
 func BenchmarkFullRevalReal(b *testing.B) {
+	premia.SetKernelThreads(runtime.GOMAXPROCS(0))
+	defer premia.SetKernelThreads(0)
 	full := portfolio.Realistic()
 	if err := full.ScaleEffort(1e-3); err != nil {
 		b.Fatal(err)

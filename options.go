@@ -65,9 +65,7 @@ var (
 // SetKernelThreads installs the process-wide default worker count of the
 // multicore pricing kernel: every Problem.Compute whose problem carries
 // no explicit "threads" parameter shards its path loop over this many
-// goroutines. n < 1 (the initial state) lets each pricing borrow the
-// cores no other kernel holds: its own goroutine plus one helper per idle
-// core of GOMAXPROCS, without ever waiting for one. The result
+// goroutines. n < 1 (the initial state) means serial pricing. The result
 // of a Monte Carlo method depends only on (seed, paths) — never on the
 // thread count — so flipping this knob changes speed, not prices.
 func SetKernelThreads(n int) { premia.SetKernelThreads(n) }
