@@ -331,6 +331,14 @@ func BenchmarkRNG(b *testing.B) {
 		}
 		_ = sink
 	})
+	// One op is one normal, drawn 280 at a time as a 7-d LSM basket path
+	// of 40 dates draws them.
+	b.Run("NormVec", func(b *testing.B) {
+		v := make([]float64, 280)
+		for i := 0; i < b.N; i += len(v) {
+			r.NormVec(v)
+		}
+	})
 }
 
 // BenchmarkRiskRevaluation measures the live throughput of the risk

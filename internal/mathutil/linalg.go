@@ -75,6 +75,51 @@ func MatVecLower(l []float64, n int, v, dst []float64) {
 	}
 }
 
+// EquiFactor is the Cholesky factor L of CorrelationMatrix(d, rho), kept
+// in O(d): its diagonal and one entry per column below it. Cholesky
+// computes every below-diagonal entry of column j from the same operands
+// — rho, the entries of earlier columns (each constant by the same
+// argument) and L[j][j] — so each such column is one float64 repeated.
+type EquiFactor struct {
+	diag []float64 // L[i][i]
+	col  []float64 // L[k][i] for every k > i
+}
+
+// NewEquiFactor factors CorrelationMatrix(d, rho) with Cholesky, so it
+// panics and fails exactly where those two do.
+func NewEquiFactor(d int, rho float64) (EquiFactor, error) {
+	l := CorrelationMatrix(d, rho)
+	if err := Cholesky(l, d, l); err != nil {
+		return EquiFactor{}, err
+	}
+	buf := make([]float64, 2*d)
+	f := EquiFactor{diag: buf[:d], col: buf[d:]}
+	for i := 0; i < d; i++ {
+		f.diag[i] = l[i*d+i]
+		if i+1 < d {
+			f.col[i] = l[(i+1)*d+i]
+		}
+	}
+	return f, nil
+}
+
+// Mul computes dst = L v in O(d). Row i of L v is the running sum of
+// col[k]·v[k] over k < i plus diag[i]·v[i]: the same additions in the
+// same order as MatVecLower over the full factor, so the result is bit
+// for bit the same. dst may alias v.
+func (f EquiFactor) Mul(v, dst []float64) {
+	d := len(f.diag)
+	if len(v) < d || len(dst) < d {
+		panic("mathutil: EquiFactor.Mul length mismatch")
+	}
+	s := 0.0
+	for i, di := range f.diag {
+		vi := v[i]
+		dst[i] = s + di*vi
+		s += f.col[i] * vi
+	}
+}
+
 // SolveSPD solves A x = rhs for a symmetric positive-definite matrix A
 // (row-major n×n) by Cholesky factorisation. x may alias rhs. It allocates
 // one n×n scratch factor.

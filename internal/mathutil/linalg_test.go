@@ -114,6 +114,43 @@ func TestMatVecLower(t *testing.T) {
 	}
 }
 
+// TestEquiFactorMatchesMatVecLower holds EquiFactor.Mul to MatVecLower
+// over the full Cholesky factor, bit for bit, across dimensions and the
+// admissible correlations (-1/(d-1), 1), negatives included.
+func TestEquiFactorMatchesMatVecLower(t *testing.T) {
+	r := NewRNG(33)
+	v := make([]float64, 64)
+	want := make([]float64, 64)
+	got := make([]float64, 64)
+	for d := 1; d <= 64; d++ {
+		lo := -1.0
+		if d > 1 {
+			lo = -1 / float64(d-1)
+		}
+		for _, frac := range []float64{0.01, 0.2, 0.45, 0.5, 0.55, 0.7, 0.9, 0.99} {
+			rho := lo + (1-lo)*frac
+			l := make([]float64, d*d)
+			if err := Cholesky(CorrelationMatrix(d, rho), d, l); err != nil {
+				t.Fatalf("d=%d rho=%v: %v", d, rho, err)
+			}
+			f, err := NewEquiFactor(d, rho)
+			if err != nil {
+				t.Fatalf("d=%d rho=%v: %v", d, rho, err)
+			}
+			for n := 0; n < 1000; n++ {
+				r.NormVec(v[:d])
+				MatVecLower(l, d, v[:d], want[:d])
+				f.Mul(v[:d], got[:d])
+				for i := 0; i < d; i++ {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("d=%d rho=%v row %d: Mul %v, MatVecLower %v", d, rho, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSolveSPD(t *testing.T) {
 	r := NewRNG(21)
 	n := 12

@@ -1,6 +1,9 @@
 package mathutil
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // pcgMult is the multiplier of the 128-bit linear congruential step used by
 // PCG64 (PCG XSL RR 128/64), from O'Neill's reference implementation.
@@ -56,46 +59,23 @@ func splitmix64(x uint64) uint64 {
 func (r *RNG) step() {
 	// 128-bit multiply of state by pcgMult, plus increment.
 	hi, lo := mul128(r.stateHi, r.stateLo, pcgMultHi, pcgMultLo)
-	lo, carry := add64(lo, pcgIncLo)
-	hi = hi + pcgIncHi + carry
-	r.stateHi, r.stateLo = hi, lo
+	lo, carry := bits.Add64(lo, pcgIncLo, 0)
+	r.stateHi, r.stateLo = hi+pcgIncHi+carry, lo
 }
 
 // mul128 returns the low 128 bits of (aHi:aLo)*(bHi:bLo).
 func mul128(aHi, aLo, bHi, bLo uint64) (hi, lo uint64) {
-	hi, lo = mul64(aLo, bLo)
+	hi, lo = bits.Mul64(aLo, bLo)
 	hi += aHi*bLo + aLo*bHi
 	return hi, lo
-}
-
-// mul64 returns the 128-bit product of a and b.
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask32 + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return hi, lo
-}
-
-// add64 returns a+b and the carry out.
-func add64(a, b uint64) (sum, carry uint64) {
-	sum = a + b
-	if sum < a {
-		carry = 1
-	}
-	return sum, carry
 }
 
 // Uint64 returns the next value of the stream.
 func (r *RNG) Uint64() uint64 {
 	r.step()
-	// XSL RR output function: xor-fold the state and rotate.
-	xored := r.stateHi ^ r.stateLo
-	rot := uint(r.stateHi >> 58)
-	return xored>>rot | xored<<((64-rot)&63)
+	// XSL RR output function: xor-fold the state and rotate right by its
+	// top six bits.
+	return bits.RotateLeft64(r.stateHi^r.stateLo, -int(r.stateHi>>58))
 }
 
 // Float64 returns a uniform variate in [0,1) with 53 bits of precision.
@@ -123,7 +103,7 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= -bound%bound {
 			return int(hi)
 		}
@@ -131,7 +111,10 @@ func (r *RNG) Intn(n int) int {
 }
 
 // Norm returns a standard normal variate using the Marsaglia polar method
-// with one-variate caching.
+// with one-variate caching. It stays polar while NormVec is a ziggurat so
+// that the scalar callers — portfolio generation, VaR scenarios and the
+// path-at-a-time pricers — keep the streams their books, scenario sets
+// and pinned results were drawn from.
 func (r *RNG) Norm() float64 {
 	if r.hasGauss {
 		r.hasGauss = false
@@ -148,13 +131,6 @@ func (r *RNG) Norm() float64 {
 		r.gauss = v * f
 		r.hasGauss = true
 		return u * f
-	}
-}
-
-// NormVec fills dst with independent standard normal variates.
-func (r *RNG) NormVec(dst []float64) {
-	for i := range dst {
-		dst[i] = r.Norm()
 	}
 }
 

@@ -36,10 +36,9 @@ func mcHestonEuro(p *Problem) (Result, error) {
 	useAlfonsi := 4*m.Kappa*m.Theta >= m.SigmaV*m.SigmaV
 	rho2 := math.Sqrt(1 - m.Rho*m.Rho)
 	df := math.Exp(-m.R * o.T)
-	// Struct-of-arrays: each path's 2·steps normals (z1, z2 interleaved)
-	// are drawn in one batched pass per block, preserving the draw order
-	// of the scalar loop, then the sequential variance / log-spot
-	// evolution consumes its path's row.
+	// Struct-of-arrays: a block's normals, 2·steps a path with z1 and z2
+	// interleaved, are drawn in one batched pass, then the sequential
+	// variance / log-spot evolution consumes its path's row.
 	block := soaBlock / (2 * steps)
 	if block < 1 {
 		block = 1

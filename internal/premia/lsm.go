@@ -79,8 +79,8 @@ func mcAmerLSM(p *Problem) (Result, error) {
 	if err := lsmFits(paths, exDates, paths*(exDates+degree+4)+kernelShards*exDates*dim); err != nil {
 		return Result{}, err
 	}
-	chol := make([]float64, dim*dim)
-	if err := mathutil.Cholesky(mathutil.CorrelationMatrix(dim, rho), dim, chol); err != nil {
+	chol, err := mathutil.NewEquiFactor(dim, rho)
+	if err != nil {
 		return Result{}, fmt.Errorf("premia: LSM correlation: %w", err)
 	}
 
@@ -95,20 +95,21 @@ func mcAmerLSM(p *Problem) (Result, error) {
 	drift := (r - div - 0.5*sigma*sigma) * dt
 	vol := sigma * math.Sqrt(dt)
 	basket := make([]float64, paths*exDates) // basket[i*exDates+k] at date k+1
+	logS0 := math.Log(s0)
 	err = runIndexedKernel(p, paths, func(_, start, count int, rng *mathutil.RNG, sc *kernelScratch) {
 		logS := sc.floats(dim)
 		cz := sc.floats(dim)
 		// All of a path's normals (exDates·dim) are drawn in one batched
-		// pass; the date loop then consumes them row by row in the same
-		// order the interleaved scalar loop drew them.
+		// pass; the date loop then consumes them row by row, date-major
+		// and asset-minor.
 		z := sc.floats(exDates * dim)
 		for i := start; i < start+count; i++ {
 			for j := range logS {
-				logS[j] = math.Log(s0)
+				logS[j] = logS0
 			}
 			rng.NormVec(z)
 			for k := 0; k < exDates; k++ {
-				mathutil.MatVecLower(chol, dim, z[k*dim:(k+1)*dim], cz)
+				chol.Mul(z[k*dim:(k+1)*dim], cz)
 				sum := 0.0
 				for j := 0; j < dim; j++ {
 					logS[j] += drift + vol*cz[j]
@@ -225,8 +226,8 @@ func mcAmerAlfonsi(p *Problem) (Result, error) {
 	spots := make([]float64, paths*exDates)
 	vars := make([]float64, paths*exDates)
 	err = runIndexedKernel(p, paths, func(_, start, count int, rng *mathutil.RNG, sc *kernelScratch) {
-		// Each path's 2·exDates normals are drawn in one batched pass, in
-		// the same interleaved (z1, z2) order the scalar loop consumed.
+		// Each path's 2·exDates normals are drawn in one batched pass and
+		// consumed as interleaved (z1, z2) pairs, one pair a date.
 		zz := sc.floats(2 * exDates)
 		for i := start; i < start+count; i++ {
 			x := math.Log(m.S0)

@@ -57,9 +57,7 @@ func mcEuro(p *Problem) (Result, error) {
 		df := math.Exp(-m.R * o.T)
 		// Struct-of-arrays inner loops: normals are drawn, terminal spots
 		// evolved, and payoffs accumulated in three batched passes over
-		// contiguous scratch buffers. The per-path arithmetic and
-		// accumulation order match the scalar formulation exactly, so the
-		// estimate is bit-identical to the path-at-a-time loop.
+		// contiguous scratch buffers, path i of a block taking normal i.
 		payoffPass := func(st []float64, accs []mathutil.Welford, scale float64) {
 			if isCall {
 				for _, s := range st {
@@ -235,8 +233,8 @@ func mcBasket(p *Problem) (Result, error) {
 		return Result{}, fmt.Errorf("premia: MC_Basket needs paths >= 2, got %d", paths)
 	}
 	d := m.Dim
-	chol := make([]float64, d*d)
-	if err := mathutil.Cholesky(mathutil.CorrelationMatrix(d, m.Rho), d, chol); err != nil {
+	chol, err := mathutil.NewEquiFactor(d, m.Rho)
+	if err != nil {
 		return Result{}, fmt.Errorf("premia: basket correlation: %w", err)
 	}
 	drift := (m.R - m.Div - 0.5*m.Sigma*m.Sigma) * o.T
@@ -245,9 +243,8 @@ func mcBasket(p *Problem) (Result, error) {
 
 	isCall := p.Option == OptCallBasketEuro
 	// Struct-of-arrays: draw a whole block of path normals in one batched
-	// pass, then correlate / evolve / accumulate path by path. The draw
-	// order and per-path arithmetic are unchanged, so the estimate is
-	// bit-identical to the path-at-a-time loop.
+	// pass, then correlate / evolve / accumulate path by path, path i of
+	// a block taking normals i·d … i·d+d−1.
 	block := soaBlock / d
 	if block < 1 {
 		block = 1
@@ -260,7 +257,7 @@ func mcBasket(p *Problem) (Result, error) {
 			bn := min(block, n-done)
 			rng.NormVec(g[:bn*d])
 			for i := 0; i < bn; i++ {
-				mathutil.MatVecLower(chol, d, g[i*d:(i+1)*d], cz)
+				chol.Mul(g[i*d:(i+1)*d], cz)
 				for j := 0; j < d; j++ {
 					st[j] = m.S0 * math.Exp(drift+vol*cz[j])
 				}
@@ -307,7 +304,7 @@ func mcLocalVol(p *Problem) (Result, error) {
 	df := math.Exp(-m.R * o.T)
 	// Struct-of-arrays: each block's normals (steps per path) are drawn in
 	// one batched pass; the sequential-in-time evolution then consumes its
-	// path's row. Draw order matches the interleaved scalar loop exactly.
+	// path's row.
 	block := soaBlock / steps
 	if block < 1 {
 		block = 1

@@ -305,12 +305,14 @@ func TestMCBasketDim1MatchesBSPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := basketProblem(1).Set("paths", 200000).Compute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := math.Abs(res.Price - want.Price); diff > 3*res.PriceCI {
-		t.Errorf("basket dim=1 %v ± %v vs BS put %v", res.Price, res.PriceCI, want.Price)
+	for _, seed := range []float64{mcDefaultSeed, 1, 2} {
+		res, err := basketProblem(1).Set("paths", 200000).Set("seed", seed).Compute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := math.Abs(res.Price - want.Price); diff > 3*res.PriceCI {
+			t.Errorf("seed %v: basket dim=1 %v ± %v vs BS put %v", seed, res.Price, res.PriceCI, want.Price)
+		}
 	}
 }
 
@@ -376,14 +378,16 @@ func TestLSMAmericanPutMatchesFD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bsProblem(OptPutAmer, MethodMCAmerLSM, 100, 1).
-		Set("paths", 50000).Set("exdates", 50).Compute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// LSM is biased low but must land within ~1.5% of the PDE value.
-	if math.Abs(res.Price-want.Price) > 0.015*want.Price {
-		t.Errorf("LSM %v vs FD %v", res.Price, want.Price)
+	for _, seed := range []float64{mcDefaultSeed, 1, 2} {
+		res, err := bsProblem(OptPutAmer, MethodMCAmerLSM, 100, 1).
+			Set("paths", 50000).Set("exdates", 50).Set("seed", seed).Compute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// LSM is biased low but must land within ~1.5% of the PDE value.
+		if math.Abs(res.Price-want.Price) > 0.015*want.Price {
+			t.Errorf("seed %v: LSM %v vs FD %v", seed, res.Price, want.Price)
+		}
 	}
 }
 

@@ -142,8 +142,8 @@ func TestVanillaRecordMatchesMapReader(t *testing.T) {
 // TestClosedFormAgreesWithNumerics holds the closed forms against three
 // independent methods on seeded random admitted parameters, each within
 // its own stated error: the CRR tree and the Crank–Nicolson PDE within
-// the relative tolerance their grids reach, Monte Carlo within four of
-// its 95 % half-widths.
+// the relative tolerance their grids reach, Monte Carlo at three seeds,
+// each within four of its 95 % half-widths.
 func TestClosedFormAgreesWithNumerics(t *testing.T) {
 	const (
 		treeSteps = 1024
@@ -165,6 +165,8 @@ func TestClosedFormAgreesWithNumerics(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%+v %s: %v", c, v.method, err)
 			}
+			mc := func(seed int) map[string]float64 { return map[string]float64{"paths": mcPaths, "seed": float64(seed)} }
+			mcTol := func(r Result) float64 { return 4 * r.PriceCI }
 			for _, num := range []struct {
 				method string
 				set    map[string]float64
@@ -172,7 +174,9 @@ func TestClosedFormAgreesWithNumerics(t *testing.T) {
 			}{
 				{MethodTreeCRR, map[string]float64{"steps": treeSteps}, func(Result) float64 { return treeTol * cf.Price }},
 				{MethodFDCrank, map[string]float64{"nodes": pdeNodes, "steps": pdeSteps}, func(Result) float64 { return pdeTol * cf.Price }},
-				{MethodMCEuro, map[string]float64{"paths": mcPaths, "seed": float64(i + 1)}, func(r Result) float64 { return 4 * r.PriceCI }},
+				{MethodMCEuro, mc(3*i + 1), mcTol},
+				{MethodMCEuro, mc(3*i + 2), mcTol},
+				{MethodMCEuro, mc(3*i + 3), mcTol},
 			} {
 				p := c.problem(v.option, num.method)
 				for k, x := range num.set {

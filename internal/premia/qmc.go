@@ -38,8 +38,8 @@ func qmcBasket(p *Problem) (Result, error) {
 		return Result{}, fmt.Errorf("premia: QMC_Basket supports dim <= %d, got %d", mathutil.MaxHaltonDim, m.Dim)
 	}
 	d := m.Dim
-	chol := make([]float64, d*d)
-	if err := mathutil.Cholesky(mathutil.CorrelationMatrix(d, m.Rho), d, chol); err != nil {
+	chol, err := mathutil.NewEquiFactor(d, m.Rho)
+	if err != nil {
 		return Result{}, fmt.Errorf("premia: QMC basket correlation: %w", err)
 	}
 	drift := (m.R - m.Div - 0.5*m.Sigma*m.Sigma) * o.T
@@ -85,7 +85,7 @@ func qmcBasket(p *Problem) (Result, error) {
 		for i := 0; i < count; i++ {
 			h.Next(u)
 			mathutil.InvNormCDFBatch(z, u)
-			mathutil.MatVecLower(chol, d, z, cz)
+			chol.Mul(z, cz)
 			for k := 0; k < d; k++ {
 				st[k] = m.S0 * math.Exp(drift+vol*cz[k])
 			}
