@@ -74,15 +74,17 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRecords$$' -fuzztime 10s ./internal/farm
 	$(GO) test -run '^$$' -fuzz 'FuzzServeBodies$$' -fuzztime 10s ./internal/serve
 
-# loc prints non-test and test Go lines per package directory, so
-# ROADMAP's size targets are read off a command.
+# loc prints non-test and test Go lines per package directory, then the
+# module-root façade and the internal/* + cmd/* total, so ROADMAP's size
+# targets are read off a command.
+LOC_ROW = printf '%-24s %8d %8d\n' $(1) \
+	$$(find $(2) $(3) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l) \
+	$$(find $(2) $(3) -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l)
 loc:
 	@printf '%-24s %8s %8s\n' directory non-test test
-	@for d in internal/* cmd/* benchmark; do \
-		printf '%-24s %8d %8d\n' $$d \
-			$$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l) \
-			$$(find $$d -name '*_test.go' ! -path '*/testdata/*' -exec cat {} + | wc -l); \
-	done
+	@for d in internal/* cmd/* benchmark; do $(call LOC_ROW,$$d,$$d); done
+	@$(call LOC_ROW,"facade (root *.go)",.,-maxdepth 1)
+	@$(call LOC_ROW,"internal/* + cmd/*",internal cmd)
 
 # smoke boots riskserver, prices one request, and asserts /healthz,
 # /metrics, /metrics.json, /debug/traces and /debug/pprof all respond.

@@ -110,7 +110,7 @@ func main() {
 		fmt.Printf("delta:    %.6f\n", res.Delta)
 	}
 	if *greeks {
-		g, err := premia.ComputeGreeks(p, premia.GreekBumps{})
+		g, err := premia.ComputeGreeks(p)
 		if err != nil {
 			fatalf("greeks: %v", err)
 		}

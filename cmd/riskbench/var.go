@@ -8,6 +8,7 @@ import (
 
 	"riskbench/internal/bench"
 	"riskbench/internal/portfolio"
+	"riskbench/internal/premia"
 	"riskbench/internal/risk"
 	"riskbench/internal/serve"
 	"riskbench/internal/telemetry"
@@ -42,7 +43,7 @@ func runVar(ctx context.Context, presetName, method string, workers int, verify 
 	cfg := preset.Config()
 	// The content-addressed cache answers the base-scenario column on
 	// repeat runs (the verification pass hits it wholesale).
-	eng := risk.Engine{Workers: workers, KernelThreads: 1, Telemetry: reg, Cache: serve.NewCache(4*pf.Size(), reg)}
+	eng := risk.Engine{Workers: workers, Telemetry: reg, Cache: serve.NewCache(4*pf.Size(), reg)}
 
 	var fullRep, dgRep *varisk.Report
 	if doFull {
@@ -62,13 +63,15 @@ func runVar(ctx context.Context, presetName, method string, workers int, verify 
 		fmt.Print(fullRep.Format())
 		if verify {
 			verifyVar(ctx, "full revaluation", fullRep, func(vctx context.Context) (*varisk.Report, error) {
-				eng2 := eng
-				eng2.KernelThreads = 2
+				// The passes run one after another, so the rerun can widen
+				// the process's kernel and put it back after.
+				premia.SetKernelThreads(2)
+				defer premia.SetKernelThreads(0)
 				scens2, err := model.GenerateParallel(vctx, preset.FullScenarios, preset.Seed, 1)
 				if err != nil {
 					return nil, err
 				}
-				return varisk.FullReval(vctx, eng2, pf, scens2, cfg)
+				return varisk.FullReval(vctx, eng, pf, scens2, cfg)
 			})
 		}
 	}

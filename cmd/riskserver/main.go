@@ -93,17 +93,13 @@ func withPprof(h http.Handler) http.Handler {
 	return mux
 }
 
-// kernelThreads is the Monte Carlo kernel width of every pricing task
-// without its own "threads" parameter: -kernelthreads when set, else the
-// cores the farm workers leave — procs shared evenly among them, at least
-// one each — so workers all pricing Monte Carlo at once run no more kernel
-// goroutines than procs. A worker busy outside the kernel keeps its share
-// idle. -workers below 1 leaves the count to the engine, and the kernel
-// serial.
-func kernelThreads(flagThreads, procs, workers int) int {
-	if flagThreads > 0 {
-		return flagThreads
-	}
+// kernelWidth is the Monte Carlo kernel width of every pricing task
+// without its own "threads" parameter: the cores the farm workers leave —
+// procs shared evenly among them, at least one each — so workers all
+// pricing Monte Carlo at once run no more kernel goroutines than procs. A
+// worker busy outside the kernel keeps its share idle. -workers below 1
+// leaves the count to the engine, and the kernel serial.
+func kernelWidth(procs, workers int) int {
 	if workers < 1 {
 		return 1
 	}
@@ -119,7 +115,6 @@ func main() {
 		cacheSize   = flag.Int("cache", serve.DefaultCacheSize, "result cache capacity in entries (negative disables)")
 		maxInflight = flag.Int("maxinflight", 256, "admitted concurrent requests before shedding with 429")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request pricing deadline")
-		kernel      = flag.Int("kernelthreads", 0, "multicore kernel threads per pricing task (0 = the cores the workers leave: GOMAXPROCS/workers, at least 1)")
 		transport   = flag.String("transport", "local", "farm worker transport: local (in-process goroutines) or a framed mpi transport (tcp | unix | inproc)")
 		drainWait   = flag.Duration("drain", 30*time.Second, "max time to drain in-flight work on shutdown")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -135,7 +130,8 @@ func main() {
 	reg := telemetry.Default
 	premia.SetTelemetry(reg)
 	mpi.SetTelemetry(reg)
-	premia.SetKernelThreads(kernelThreads(*kernel, runtime.GOMAXPROCS(0), *workers))
+	kernel := kernelWidth(runtime.GOMAXPROCS(0), *workers)
+	premia.SetKernelThreads(kernel)
 
 	// The transport decides where farm workers live: "local" is the
 	// in-process goroutine world; anything else is a framed hub world
@@ -171,8 +167,8 @@ func main() {
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "riskserver: serving on %s (workers=%d batch=%d cache=%d maxinflight=%d transport=%s)\n",
-		*addr, *workers, *batch, *cacheSize, *maxInflight, *transport)
+	fmt.Fprintf(os.Stderr, "riskserver: serving on %s (workers=%d kernel=%d batch=%d cache=%d maxinflight=%d transport=%s)\n",
+		*addr, *workers, kernel, *batch, *cacheSize, *maxInflight, *transport)
 
 	select {
 	case err := <-errc:

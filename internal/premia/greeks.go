@@ -74,35 +74,15 @@ func vegaParam(model string) (string, error) {
 	}
 }
 
-// GreekBumps controls the relative bump sizes of ComputeGreeks. The zero
-// value selects the defaults.
-type GreekBumps struct {
-	// Spot is the relative S0 bump for delta/gamma (default 1%).
-	Spot float64
-	// Vol is the relative volatility bump for vega (default 1%).
-	Vol float64
-	// Rate is the absolute r bump for rho (default 10 bp).
-	Rate float64
-	// Time is the absolute maturity bump in years for theta (default
-	// 1/365, one calendar day).
-	Time float64
-}
-
-func (b GreekBumps) withDefaults() GreekBumps {
-	if b.Spot == 0 {
-		b.Spot = 0.01
-	}
-	if b.Vol == 0 {
-		b.Vol = 0.01
-	}
-	if b.Rate == 0 {
-		b.Rate = 0.001
-	}
-	if b.Time == 0 {
-		b.Time = 1.0 / 365
-	}
-	return b
-}
+// The bumps ComputeGreeks reprices at: relative spot and volatility
+// bumps for delta/gamma and vega, an absolute rate bump for rho, and one
+// calendar day of maturity for theta.
+const (
+	spotBump = 0.01
+	volBump  = 0.01
+	rateBump = 0.001
+	timeBump = 1.0 / 365
+)
 
 // ComputeGreeks returns the full sensitivity set of any registered
 // problem. Closed-form Black–Scholes vanillas use the analytic formulas;
@@ -110,7 +90,7 @@ func (b GreekBumps) withDefaults() GreekBumps {
 // problems share the seed parameter, so Monte Carlo noise largely cancels
 // in the differences — the standard practice the paper's risk-evaluation
 // context assumes).
-func ComputeGreeks(p *Problem, bumps GreekBumps) (Greeks, error) {
+func ComputeGreeks(p *Problem) (Greeks, error) {
 	if err := p.Validate(); err != nil {
 		return Greeks{}, err
 	}
@@ -126,7 +106,6 @@ func ComputeGreeks(p *Problem, bumps GreekBumps) (Greeks, error) {
 		}
 		return bsGreeks(m, o.K, o.T, p.Method == MethodCFCall), nil
 	}
-	b := bumps.withDefaults()
 	price := func(q *Problem) (float64, error) {
 		res, err := q.Compute()
 		if err != nil {
@@ -144,7 +123,7 @@ func ComputeGreeks(p *Problem, bumps GreekBumps) (Greeks, error) {
 	if err != nil {
 		return Greeks{}, err
 	}
-	hs := b.Spot * s0
+	hs := spotBump * s0
 	up, err := price(p.Clone().Set("S0", s0+hs))
 	if err != nil {
 		return Greeks{}, err
@@ -164,7 +143,7 @@ func ComputeGreeks(p *Problem, bumps GreekBumps) (Greeks, error) {
 	if err != nil {
 		return Greeks{}, err
 	}
-	hv := b.Vol * vol
+	hv := volBump * vol
 	vUp, err := price(p.Clone().Set(vp, vol+hv))
 	if err != nil {
 		return Greeks{}, err
@@ -183,21 +162,21 @@ func ComputeGreeks(p *Problem, bumps GreekBumps) (Greeks, error) {
 	}
 
 	r := p.Params.Get("r", 0)
-	rUp, err := price(p.Clone().Set("r", r+b.Rate))
+	rUp, err := price(p.Clone().Set("r", r+rateBump))
 	if err != nil {
 		return Greeks{}, err
 	}
-	rDn, err := price(p.Clone().Set("r", r-b.Rate))
+	rDn, err := price(p.Clone().Set("r", r-rateBump))
 	if err != nil {
 		return Greeks{}, err
 	}
-	g.Rho = (rUp - rDn) / (2 * b.Rate)
+	g.Rho = (rUp - rDn) / (2 * rateBump)
 
 	t, err := p.Params.NeedPositive("T")
 	if err != nil {
 		return Greeks{}, err
 	}
-	ht := b.Time
+	ht := timeBump
 	if ht >= t {
 		ht = t / 2
 	}

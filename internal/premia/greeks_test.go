@@ -7,7 +7,7 @@ import (
 
 func TestAnalyticGreeksCall(t *testing.T) {
 	p := bsProblem(OptCallEuro, MethodCFCall, 100, 1)
-	g, err := ComputeGreeks(p, GreekBumps{})
+	g, err := ComputeGreeks(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +35,12 @@ func TestAnalyticGreeksCall(t *testing.T) {
 func TestAnalyticGreeksVsBumped(t *testing.T) {
 	// The generic bump engine (forced by using the tree method) must match
 	// the analytic formulas to finite-difference accuracy.
-	an, err := ComputeGreeks(bsProblem(OptCallEuro, MethodCFCall, 100, 1), GreekBumps{})
+	an, err := ComputeGreeks(bsProblem(OptCallEuro, MethodCFCall, 100, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tree := bsProblem(OptCallEuro, MethodTreeCRR, 100, 1).Set("steps", 4000)
-	bu, err := ComputeGreeks(tree, GreekBumps{})
+	bu, err := ComputeGreeks(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,11 @@ func TestAnalyticGreeksVsBumped(t *testing.T) {
 func TestAnalyticGreeksParity(t *testing.T) {
 	// Gamma and vega are identical for calls and puts; delta differs by
 	// e^{-qT}; rho differs by -K T e^{-rT}.
-	call, err := ComputeGreeks(bsProblem(OptCallEuro, MethodCFCall, 110, 2), GreekBumps{})
+	call, err := ComputeGreeks(bsProblem(OptCallEuro, MethodCFCall, 110, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	put, err := ComputeGreeks(bsProblem(OptPutEuro, MethodCFPut, 110, 2), GreekBumps{})
+	put, err := ComputeGreeks(bsProblem(OptPutEuro, MethodCFPut, 110, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +91,12 @@ func TestAnalyticGreeksParity(t *testing.T) {
 func TestMCGreeksWithCommonRandomNumbers(t *testing.T) {
 	// Bump-and-reprice on a Monte Carlo method: common random numbers make
 	// the finite differences usable at moderate path counts.
-	an, err := ComputeGreeks(bsProblem(OptCallEuro, MethodCFCall, 100, 1), GreekBumps{})
+	an, err := ComputeGreeks(bsProblem(OptCallEuro, MethodCFCall, 100, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mc := bsProblem(OptCallEuro, MethodMCEuro, 100, 1).Set("paths", 100000)
-	bu, err := ComputeGreeks(mc, GreekBumps{})
+	bu, err := ComputeGreeks(mc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMCGreeksWithCommonRandomNumbers(t *testing.T) {
 
 func TestAmericanPutGreeks(t *testing.T) {
 	p := bsProblem(OptPutAmer, MethodFDBS, 120, 1).Set("nodes", 400).Set("steps", 200)
-	g, err := ComputeGreeks(p, GreekBumps{})
+	g, err := ComputeGreeks(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAmericanPutGreeks(t *testing.T) {
 }
 
 func TestHestonGreeks(t *testing.T) {
-	g, err := ComputeGreeks(hestonProblem(OptCallEuro, MethodCFHeston), GreekBumps{})
+	g, err := ComputeGreeks(hestonProblem(OptCallEuro, MethodCFHeston))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,15 +146,15 @@ func TestHestonGreeks(t *testing.T) {
 
 func TestGreeksInvalidProblem(t *testing.T) {
 	p := New().SetModel("NoSuchModel").SetOption(OptCallEuro).SetMethod(MethodCFCall)
-	if _, err := ComputeGreeks(p, GreekBumps{}); err == nil {
+	if _, err := ComputeGreeks(p); err == nil {
 		t.Fatal("invalid problem accepted")
 	}
 }
 
 func TestGreeksThetaShortMaturity(t *testing.T) {
-	// Maturity shorter than the default time bump must not go negative.
+	// Maturity shorter than the one-day time bump must not go negative.
 	p := bsProblem(OptCallEuro, MethodTreeCRR, 100, 0.001).Set("steps", 50)
-	g, err := ComputeGreeks(p, GreekBumps{})
+	g, err := ComputeGreeks(p)
 	if err != nil {
 		t.Fatal(err)
 	}

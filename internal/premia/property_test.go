@@ -197,7 +197,7 @@ func TestPropertyTreesAgree(t *testing.T) {
 func TestPropertyGreeksSigns(t *testing.T) {
 	// Closed-form call: gamma, vega > 0; rho > 0; delta in (0,1).
 	f := func(c bsCase) bool {
-		g, err := ComputeGreeks(c.problem(OptCallEuro, MethodCFCall), GreekBumps{})
+		g, err := ComputeGreeks(c.problem(OptCallEuro, MethodCFCall))
 		if err != nil {
 			return false
 		}

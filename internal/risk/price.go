@@ -34,19 +34,6 @@ type PriceOutcome struct {
 	Err error
 }
 
-// stampThreads applies the engine's kernel thread count to a problem,
-// cloning first so the caller's problem is never mutated; an explicit
-// per-problem "threads" parameter wins.
-func (e Engine) stampThreads(p *premia.Problem) *premia.Problem {
-	if e.KernelThreads <= 0 {
-		return p
-	}
-	if _, ok := p.Params["threads"]; ok {
-		return p
-	}
-	return p.Clone().Set("threads", float64(e.KernelThreads))
-}
-
 // farmOptions are the settings of the workers the engine opens when it
 // stands, and — with batch tasks to a message — of a round it farms.
 func (e Engine) farmOptions(batch int) farm.Options {
@@ -163,7 +150,7 @@ func (e Engine) PriceBatch(ctx context.Context, problems []*premia.Problem) ([]P
 
 	tasks := make([]farm.Task, len(misses))
 	for k, p := range misses {
-		tasks[k] = farm.Task{Name: keys[k], Obj: e.stampThreads(p)}
+		tasks[k] = farm.Task{Name: keys[k], Obj: p}
 	}
 	fresh, err := e.priceRound(ctx, tasks, e.batch())
 	if err != nil {

@@ -26,12 +26,6 @@ type Engine struct {
 	// sweep form, whose sub-microsecond cells are bunched into about eight
 	// messages a worker (RevalueContext).
 	BatchSize int
-	// KernelThreads, when > 0, is stamped as the "threads" parameter onto
-	// every task whose problem does not already carry one, so each worker
-	// shards its Monte Carlo path loops over that many cores via the
-	// premia multicore pricing kernel. Prices are unchanged: the kernel's
-	// shard decomposition is thread-invariant.
-	KernelThreads int
 	// Telemetry, when non-nil, receives the revaluation's metrics: the
 	// farm's task histograms and spans, phase spans
 	// (risk.build/risk.farm/risk.scatter under risk.revalue), task and
@@ -95,8 +89,8 @@ func (e Engine) batch() int {
 // "s%03d/<item>" (s000 = the base scenario, s001 = Scenarios[0]) is
 // generated for the error message of a cell that fails and never
 // parsed. Claims outside a scenario's risk-factor universe hold their
-// base value in that row. Callers should use the Item* accessors rather
-// than recomputing these offsets by hand.
+// base value in that row. Callers should use ItemPnL rather than
+// recomputing these offsets by hand.
 type Valuation struct {
 	// Items are the claim names, in portfolio order.
 	Items []string
@@ -116,32 +110,10 @@ type Valuation struct {
 	BaseHasDelta []bool
 }
 
-// ItemIndex returns the surface column of the named claim (the i of
-// Values[s][i] and Base[i]), or -1 when the valuation has no such claim.
-func (v *Valuation) ItemIndex(name string) int {
-	for i, it := range v.Items {
-		if it == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // ItemPnL returns claim i's profit-and-loss under scenario s relative
 // to its base value: Values[s][i] - Base[i].
 func (v *Valuation) ItemPnL(s, i int) float64 {
 	return v.Values[s][i] - v.Base[i]
-}
-
-// ItemPnLs returns claim i's P&L across every scenario, in scenario
-// order — the per-position column the component-VaR attribution in
-// internal/var consumes.
-func (v *Valuation) ItemPnLs(i int) []float64 {
-	out := make([]float64, len(v.Scenarios))
-	for s := range v.Scenarios {
-		out[s] = v.ItemPnL(s, i)
-	}
-	return out
 }
 
 // TotalBase returns the base portfolio value.
@@ -357,9 +329,8 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 		if count == 0 {
 			continue
 		}
-		base := e.stampThreads(it.Problem)
-		if bunch = bunch && premia.HasSweepForm(base.Method); bunch {
-			weight = max(weight, cellWireBytes(base))
+		if bunch = bunch && premia.HasSweepForm(it.Problem.Method); bunch {
+			weight = max(weight, cellWireBytes(it.Problem))
 		}
 		for part, parts := 0, (count+limit-1)/limit; part < parts; part++ {
 			lo, hi := first+part*count/parts, first+(part+1)*count/parts
@@ -367,7 +338,7 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 			if parts > 1 {
 				name = fmt.Sprintf("%s[%d:%d]", it.Name, lo-first, hi-first)
 			}
-			tasks = append(tasks, farm.Task{Name: name, Obj: &premia.Sweep{Base: base, Cells: cells[lo:hi]}})
+			tasks = append(tasks, farm.Task{Name: name, Obj: &premia.Sweep{Base: it.Problem, Cells: cells[lo:hi]}})
 			slots = append(slots, sweepSlot{i: i, scen: scen[lo:hi]})
 		}
 	}
@@ -450,7 +421,7 @@ type PortfolioGreeks struct {
 func Greeks(pf *portfolio.Portfolio) (PortfolioGreeks, error) {
 	var out PortfolioGreeks
 	for _, it := range pf.Items {
-		g, err := premia.ComputeGreeks(it.Problem, premia.GreekBumps{})
+		g, err := premia.ComputeGreeks(it.Problem)
 		if err != nil {
 			return out, fmt.Errorf("risk: greeks of %s: %w", it.Name, err)
 		}

@@ -45,11 +45,10 @@ func sweepBook(t *testing.T) *portfolio.Portfolio {
 // Compute, every field to the bit — over seeded random scenario sets on a
 // book where a scenario shifts one parameter twice, @vol lands on a Heston
 // variance and @rate on a Vasicek r0, a spot scenario skips the credit and
-// rate claims, half the base column comes from the cache, claims are cut
-// across sweeps and KernelThreads is stamped. The claims' own problems
-// come out untouched. A cell the kernel refuses in the middle of a sweep
-// leaves the cells behind it right and fails the revaluation under its
-// own (scenario, claim) name.
+// rate claims, half the base column comes from the cache and claims are
+// cut across sweeps. The claims' own problems come out untouched. A cell
+// the kernel refuses in the middle of a sweep leaves the cells behind it
+// right and fails the revaluation under its own (scenario, claim) name.
 func TestSweepEqualsApply(t *testing.T) {
 	pf := sweepBook(t)
 	rng := rand.New(rand.NewSource(23))
@@ -80,7 +79,7 @@ func TestSweepEqualsApply(t *testing.T) {
 		}
 	}
 	rec := &recordingBackend{}
-	e := Engine{Workers: 2, BatchSize: 3, KernelThreads: 2, Cache: cache, Backend: rec}
+	e := Engine{Workers: 2, BatchSize: 3, Cache: cache, Backend: rec}
 	val, err := e.Revalue(pf, scenarios)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +100,7 @@ func TestSweepEqualsApply(t *testing.T) {
 		}
 		var want []cell
 		if i%2 != 0 {
-			want = append(want, cell{-1, e.stampThreads(it.Problem)})
+			want = append(want, cell{-1, it.Problem})
 		}
 		for s, sc := range scenarios {
 			if !sc.AppliesTo(it.Problem) {
@@ -110,7 +109,7 @@ func TestSweepEqualsApply(t *testing.T) {
 				}
 				continue
 			}
-			ref, err := sc.Apply(e.stampThreads(it.Problem))
+			ref, err := sc.Apply(it.Problem)
 			if err != nil {
 				t.Fatal(err)
 			}

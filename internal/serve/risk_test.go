@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -188,6 +189,8 @@ func TestRiskReportZeroVolIsFactorOff(t *testing.T) {
 func TestRiskReportExtremeMarketsNeverNaN(t *testing.T) {
 	s := riskServer()
 	defer s.Close()
+	var wg sync.WaitGroup
+	defer wg.Wait()
 	real := portfolio.Realistic()
 	if err := real.ScaleEffort(1e-3); err != nil {
 		t.Fatal(err)
@@ -213,29 +216,42 @@ func TestRiskReportExtremeMarketsNeverNaN(t *testing.T) {
 	}
 	for book, pf := range map[string]riskBookJSON{"toy": {Name: "toy", N: 32}, "realistic sample": sample} {
 		for name, m := range markets {
-			// With the vol factor alone, seed 4's sixth draw multiplies every
-			// volatility 410-fold: each of the sample's barrier claims had its
-			// PDE grid overflow into a NaN there.
-			m.Mode, m.N, m.Seed, m.HorizonDays = "mc", 32, 4, varisk.MaxHorizonYears*252
-			body, err := json.Marshal(riskReportRequest{Portfolio: pf, Scenarios: m, Method: "full", Alphas: []float64{0.99}})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if err := m.model().Validate(); err != nil {
 				t.Fatalf("%s: the corner is not admitted: %v", name, err)
 			}
-			// A NaN or an infinity has no JSON form: the server answers a
-			// report holding one with a 500, so a 200 is a finite report.
-			w := postJSON(s, "/risk/report", string(body))
-			switch {
-			case w.Code == 200:
-				var rep riskReportJSON
-				if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil || len(rep.Estimates) != 1 {
-					t.Errorf("%s, %s: %v, a 200 without its estimate: %s", book, name, err, w.Body)
+			// With the vol factor alone, seed 4's sixth draw multiplies every
+			// volatility 410-fold: each of the sample's barrier claims had its
+			// PDE grid overflow into a NaN there. The two corners whose draws
+			// shift every volatility and still pass Validate sweep seeds 1–8.
+			seeds := []uint64{4}
+			if name == "vol alone" || name == "every factor" {
+				seeds = []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+			}
+			for _, seed := range seeds {
+				m.Mode, m.N, m.Seed, m.HorizonDays = "mc", 32, seed, varisk.MaxHorizonYears*252
+				body, err := json.Marshal(riskReportRequest{Portfolio: pf, Scenarios: m, Method: "full", Alphas: []float64{0.99}})
+				if err != nil {
+					t.Fatal(err)
 				}
-			case w.Code == 400 && (strings.Contains(w.Body.String(), "correlations are not positive definite") || strings.Contains(w.Body.String(), "premia: ")):
-			default:
-				t.Errorf("%s, %s: status %d, want a 200 or a 400 naming the cause: %s", book, name, w.Code, w.Body)
+				// The reports run side by side: each waits on its slowest
+				// claim's sweep and leaves the other cores idle.
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					// A NaN or an infinity has no JSON form: the server answers a
+					// report holding one with a 500, so a 200 is a finite report.
+					w := postJSON(s, "/risk/report", string(body))
+					switch {
+					case w.Code == 200:
+						var rep riskReportJSON
+						if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil || len(rep.Estimates) != 1 {
+							t.Errorf("%s, %s, seed %d: %v, a 200 without its estimate: %s", book, name, seed, err, w.Body)
+						}
+					case w.Code == 400 && (strings.Contains(w.Body.String(), "correlations are not positive definite") || strings.Contains(w.Body.String(), "premia: ")):
+					default:
+						t.Errorf("%s, %s, seed %d: status %d, want a 200 or a 400 naming the cause: %s", book, name, seed, w.Code, w.Body)
+					}
+				}()
 			}
 		}
 	}

@@ -168,9 +168,10 @@ func TestFullRevalBitIdenticalAcrossKernelThreads(t *testing.T) {
 	}
 	cfg := Config{Alphas: []float64{0.9}, HorizonDays: 10}
 	var want *Report
+	defer premia.SetKernelThreads(0)
 	for _, threads := range []int{1, 2, 4} {
-		eng := risk.Engine{Workers: 2, KernelThreads: threads}
-		rep, err := FullReval(context.Background(), eng, pf, scens, cfg)
+		premia.SetKernelThreads(threads)
+		rep, err := FullReval(context.Background(), risk.Engine{Workers: 2}, pf, scens, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

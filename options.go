@@ -73,17 +73,16 @@ func SetKernelThreads(n int) { premia.SetKernelThreads(n) }
 // config collects the knobs the functional options set; each consumer
 // reads the subset that applies to it.
 type config struct {
-	workers       int
-	batchSize     int
-	maxCPUs       int
-	kernelThreads int
-	strategy      Strategy
-	hasStrat      bool
-	telemetry     *Telemetry
-	cacheSize     int
-	hasCache      bool
-	maxInflight   int
-	transport     string
+	workers     int
+	batchSize   int
+	maxCPUs     int
+	strategy    Strategy
+	hasStrat    bool
+	telemetry   *Telemetry
+	cacheSize   int
+	hasCache    bool
+	maxInflight int
+	transport   string
 }
 
 // Option configures RunTableWith and NewEngine. Options not meaningful
@@ -100,17 +99,6 @@ func WithWorkers(n int) Option {
 // WithBatchSize sets how many tasks travel per farm message.
 func WithBatchSize(n int) Option {
 	return func(c *config) { c.batchSize = n }
-}
-
-// WithKernelThreads sets the multicore pricing kernel's goroutine count
-// for the claims an engine prices: the live risk engine stamps the value
-// onto every task whose problem does not already carry a "threads"
-// parameter, so each worker rank shards its Monte Carlo path loops over
-// n cores. Prices are unaffected — the kernel's shard decomposition is
-// thread-invariant. See also SetKernelThreads for the process-wide
-// default.
-func WithKernelThreads(n int) Option {
-	return func(c *config) { c.kernelThreads = n }
 }
 
 // WithMaxCPUs truncates a table sweep's CPU counts, so quick benchmarks
@@ -186,8 +174,8 @@ func RunTableWith(ctx context.Context, spec TableSpec, opts ...Option) (*Table, 
 }
 
 // NewEngine returns a live-farm risk engine configured by the options
-// (worker count, batch size, kernel threads, result cache, telemetry
-// sink).
+// (worker count, batch size, result cache, telemetry sink). Its kernel
+// width is the process default (SetKernelThreads).
 func NewEngine(opts ...Option) *RiskEngine {
 	var c config
 	for _, o := range opts {
@@ -203,7 +191,7 @@ func NewEngine(opts ...Option) *RiskEngine {
 // engine builds the risk engine the options describe, including the
 // farm backend the transport selects.
 func (c config) engine() *risk.Engine {
-	e := &risk.Engine{Workers: c.workers, BatchSize: c.batchSize, KernelThreads: c.kernelThreads, Telemetry: c.telemetry}
+	e := &risk.Engine{Workers: c.workers, BatchSize: c.batchSize, Telemetry: c.telemetry}
 	if c.transport != "" && c.transport != "local" {
 		// Goroutine workers over the real wire, each with its own
 		// registry so spans travel by frame, not by shared memory.
@@ -231,7 +219,7 @@ type PricingServer = serve.Server
 
 // NewPricingServer builds and starts a pricing service over an engine
 // configured by the options: worker count, farm batch size (also the
-// micro-batcher's flush size), kernel threads, cache capacity
+// micro-batcher's flush size), cache capacity
 // (WithCache), admission bound (WithMaxInflight), worker transport
 // (WithTransport) and telemetry sink.
 // Serve its Handler with any http.Server; see cmd/riskserver for the

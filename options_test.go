@@ -170,10 +170,10 @@ func TestSentinelsExported(t *testing.T) {
 	}
 }
 
-// TestNewEngineKernelThreads checks the WithKernelThreads plumbing end to
-// end: the engine stamps the thread count onto its tasks, the workers
-// price on the multicore kernel, and the estimate matches a serial run
-// bit for bit (the kernel's determinism contract).
+// TestNewEngineKernelThreads checks the SetKernelThreads plumbing end to
+// end: the engine's workers price on the multicore kernel at the process
+// default width, and the estimate matches a serial run bit for bit (the
+// kernel's determinism contract).
 func TestNewEngineKernelThreads(t *testing.T) {
 	mc := riskbench.NewProblem().
 		SetModel(riskbench.ModelBS1D).SetOption(riskbench.OptCallEuro).
@@ -188,9 +188,10 @@ func TestNewEngineKernelThreads(t *testing.T) {
 	riskbench.SetTelemetry(reg)
 	defer riskbench.SetTelemetry(nil)
 
+	defer riskbench.SetKernelThreads(0)
 	run := func(threads int) *riskbench.Valuation {
-		eng := riskbench.NewEngine(riskbench.WithWorkers(2), riskbench.WithKernelThreads(threads))
-		val, err := eng.Revalue(pf, nil)
+		riskbench.SetKernelThreads(threads)
+		val, err := riskbench.NewEngine(riskbench.WithWorkers(2)).Revalue(pf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
