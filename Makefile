@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race check smoke compat fuzz loc wireshape profile
+.PHONY: build test vet lint race check smoke compat fuzz loc wireshape prices profile
 
 build:
 	$(GO) build ./...
@@ -21,7 +21,8 @@ vet:
 # lint runs riskvet, the project's own static analysis suite
 # (internal/lint): detrand, maporder, wallclock, ctxflow, wireshape and
 # metricnames machine-check the determinism, clock, context and
-# wire-format invariants. Exceptions live in the source as checked
+# wire-format invariants, and testonly fails on any declaration or field
+# under internal/ that only tests use. Exceptions live in the source as checked
 # //lint:allow directives; a violation is a positioned diagnostic and a
 # non-zero exit.
 lint:
@@ -32,6 +33,13 @@ lint:
 # the protocol version constant was bumped first.
 wireshape:
 	$(GO) run ./cmd/riskvet -write-wireshape
+
+# prices rewrites internal/portfolio/prices.lock, the bits of every price
+# in Table I's regression suite, after a change that moves a price on
+# purpose (TestPriceLock fails on any other move). The commit names the
+# methods that moved.
+prices:
+	$(GO) test -run '^TestPriceLock$$' -count=1 ./internal/portfolio -args -write-prices
 
 # race covers the packages with real concurrency, including the
 # telemetry span-reassembly and trace-table tests, the farm's

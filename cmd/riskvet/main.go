@@ -1,8 +1,8 @@
-// Command riskvet runs the project's static analysis suite: the six
+// Command riskvet runs the project's static analysis suite: the seven
 // analyzers in internal/lint that machine-check the invariants the
 // benchmark's verifiability rests on (deterministic randomness, map
 // iteration order, the virtual clock, context plumbing, wire struct
-// shapes, metric name grammar).
+// shapes, metric name grammar) and delete what only tests keep alive.
 //
 // Usage:
 //

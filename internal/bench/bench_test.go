@@ -263,7 +263,10 @@ func TestCompressionAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rawB, compB := CompressionSavings(tasks, ctasks)
+	var rawB, compB int
+	for i := range tasks {
+		rawB, compB = rawB+len(tasks[i].Data), compB+len(ctasks[i].Data)
+	}
 	if compB >= rawB {
 		t.Fatalf("compression did not shrink payloads: %d -> %d", rawB, compB)
 	}

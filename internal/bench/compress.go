@@ -10,6 +10,8 @@ import (
 // compressed offline "when preparing a set of problems", so the master
 // pays no compression cost at run time while every wire transfer and NFS
 // read shrinks. Costs and names are preserved.
+//
+//lint:allow testonly the compression ablation's entry point: the root bench_test.go benchmark and the ablation test call it, no table does
 func CompressTasks(tasks []farm.Task) ([]farm.Task, error) {
 	out := make([]farm.Task, len(tasks))
 	for i, t := range tasks {
@@ -21,16 +23,4 @@ func CompressTasks(tasks []farm.Task) ([]farm.Task, error) {
 		out[i] = farm.Task{Name: t.Name, Data: c.Data, Cost: t.Cost}
 	}
 	return out, nil
-}
-
-// CompressionSavings reports the aggregate payload bytes before and after
-// CompressTasks, for the ablation report.
-func CompressionSavings(raw, compressed []farm.Task) (rawBytes, compressedBytes int) {
-	for _, t := range raw {
-		rawBytes += len(t.Data)
-	}
-	for _, t := range compressed {
-		compressedBytes += len(t.Data)
-	}
-	return rawBytes, compressedBytes
 }

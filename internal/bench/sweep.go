@@ -63,9 +63,11 @@ type RunConfig struct {
 	// SlowFraction marks that fraction of the workers (the highest ranks)
 	// as slow nodes running at SlowFactor speed, modelling cluster
 	// heterogeneity/background load.
+	//lint:allow testonly the slow-node ablation and the pinned simulated runs set it; no paper table does
 	SlowFraction float64
 	// SlowFactor is the slow nodes' relative speed (default 0.5 when
 	// SlowFraction > 0).
+	//lint:allow testonly set beside SlowFraction by the slow-node ablation and the pinned runs
 	SlowFactor float64
 	// Telemetry, when non-nil, receives the farm's per-task metrics for
 	// this run. The registry's clock is bound to the simulation's

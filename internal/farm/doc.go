@@ -24,7 +24,9 @@
 // Extensions beyond the paper's experiments, both proposed in its
 // conclusion, are included: task batching (send bunches of problems in one
 // message to amortise latency) via Options.BatchSize, and a two-level
-// hierarchy of sub-masters via RunRootMaster/RunSubMaster.
+// hierarchy of sub-masters via RunRootMaster/RunSubMaster. The hierarchy
+// runs on the simulator (the nested sweep and the ablations): no engine
+// runs it live, and a sub-master receives payload bytes, never objects.
 //
 // Problems and results cross the farm as themselves in process and as
 // their hashes on the wire. A task may carry its problem as an object
@@ -62,8 +64,8 @@
 // is per round and whose per-rank slot remembers which round the batch
 // it holds belongs to; an idle rank draws from the open rounds in
 // rotation. A Session drives it: ranks spawned once (Open over any
-// communicator, Local.Open for an in-process world, flat or hierarchical
-// by Layout), any number of concurrent Run calls, and one stop message in
+// communicator, Local.Open for a flat in-process world), any number of
+// concurrent Run calls, and one stop message in
 // Close. The session owns no goroutine: each Run seeds the idle ranks
 // under the session lock, and whichever caller finds the master's mailbox
 // free receives — book the reply, feed the rank that answered — until its

@@ -338,10 +338,38 @@ func TestLayoutRoles(t *testing.T) {
 	}
 }
 
+// runHierarchy runs one round of the simulated sweep's hierarchy —
+// Layout's roles, Role.Serve and RunRootMaster — over an in-process
+// world: groups sub-masters, workers workers, chunk tasks a hand-off.
+// Every rank is joined before it returns.
+func runHierarchy(ctx context.Context, t *testing.T, tasks []Task, opts Options, store Store, groups, workers, chunk int) ([]Result, error) {
+	t.Helper()
+	roles, err := Layout(1+groups+workers, groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := mpi.NewLocalWorld(len(roles))
+	defer world.Close()
+	opts.LocalSpans = true
+	var wg sync.WaitGroup
+	for _, role := range roles[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := role.Serve(world.Comm(role.Rank), LiveExecutor{}, store, opts); err != nil {
+				t.Errorf("rank %d: %v", role.Rank, err)
+			}
+		}()
+	}
+	results, err := RunRootMaster(ctx, world.Comm(0), tasks, LiveLoader{}, opts, groups, chunk)
+	wg.Wait()
+	return results, err
+}
+
 func TestFarmHierarchical(t *testing.T) {
 	tasks, want := makePortfolio(t, 40)
 	// root + 2 sub-masters + 6 workers
-	results, err := Local{Groups: 2, Chunk: 5}.Run(context.Background(), tasks, Options{Strategy: SerializedLoad}, 6)
+	results, err := runHierarchy(context.Background(), t, tasks, Options{Strategy: SerializedLoad}, nil, 2, 6, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +382,7 @@ func TestFarmHierarchicalNFS(t *testing.T) {
 	for _, task := range tasks {
 		store[task.Name] = task.Data
 	}
-	results, err := Local{Store: store, Groups: 2, Chunk: 4}.Run(context.Background(), tasks, Options{Strategy: NFSLoad}, 4)
+	results, err := runHierarchy(context.Background(), t, tasks, Options{Strategy: NFSLoad}, store, 2, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +555,7 @@ func TestFarmNFSOverRealFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pf = append(pf, Task{Name: path, Data: make([]byte, info.Len())})
+		pf = append(pf, Task{Name: path, Data: make([]byte, len(info.Data))})
 	}
 	const size = 3
 	hub, err := mpi.ListenHubWith("127.0.0.1:0", size, mpi.WorldOptions{})

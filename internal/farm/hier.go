@@ -60,9 +60,7 @@ func RunRootMaster(ctx context.Context, c mpi.Comm, tasks []Task, loader Loader,
 
 // passLoader forwards already-prepared payload bytes unchanged whatever
 // the strategy — the sub-master never redoes the root's object
-// construction — which is LiveLoader's serialized-load path, its
-// serialize-on-demand of a by-reference object (received over an
-// in-process link, resent over a wire one) included.
+// construction — which is LiveLoader's serialized-load path.
 type passLoader struct{}
 
 func (passLoader) Load(t Task, _ Strategy) ([]byte, error) {
@@ -93,18 +91,12 @@ func RunSubMaster(c mpi.Comm, workers []int, opts Options) error {
 			tasks[i] = Task{Name: name, Cost: desc.Costs[i]}
 		}
 		if opts.Strategy.NeedsPayload() {
-			// A by-reference chunk item keeps its object: the re-dispatch
-			// to this group's workers ships it by reference again (or
-			// serializes it via the loader on wire transports).
-			data, objs, err := recvPayload(c, 0, len(tasks))
+			data, _, err := recvPayload(c, 0, len(tasks))
 			if err != nil {
 				return err
 			}
 			for i := range tasks {
 				tasks[i].Data = data[i]
-				if objs != nil {
-					tasks[i].Obj = objs[i]
-				}
 			}
 		} else {
 			// NFS: workers read by name; preserve declared sizes through

@@ -65,27 +65,22 @@ func (r Role) Serve(c mpi.Comm, exec Executor, store Store, opts Options) error 
 	return RunWorker(c, exec, store, opts)
 }
 
-// Local runs farm rounds in process: every rank of the Layout is a
-// goroutine on one mpi.LocalWorld, sharing the caller's telemetry
-// registry. It is the one place the in-process rank choreography lives;
-// the risk engine's backends, the CLIs and the examples all run their
-// goroutine farms through it — standing (Open) or one round at a time
-// (Run).
+// Local runs flat farm rounds in process: every rank is a goroutine on
+// one mpi.LocalWorld, sharing the caller's telemetry registry. It is the
+// one place the in-process rank choreography lives; the risk engine's
+// backends, the CLIs and the examples all run their goroutine farms
+// through it — standing (Open) or one round at a time (Run).
 type Local struct {
 	// Exec prices tasks on the worker ranks (nil = LiveExecutor).
+	//lint:allow testonly the seam the farm's failure tests plug fake executors into
 	Exec Executor
 	// Store is the shared store workers read under NFSLoad.
 	Store Store
-	// Groups is the number of sub-masters; 0 runs the flat farm.
-	Groups int
-	// Chunk is the root→sub-master hand-off size when Groups > 0.
-	Chunk int
 }
 
-// Open builds a world of `workers` worker ranks (plus l.Groups
-// sub-masters, each of which gets at least one worker), starts every
-// rank but the root as a goroutine serving under opts — strategy and
-// registry are fixed here — and returns the session mastering them.
+// Open builds a world of `workers` worker ranks, starts every rank but
+// the root as a goroutine serving under opts — strategy and registry are
+// fixed here — and returns the session mastering them.
 //
 // A rank that fails ends the session with its error and its rank: the
 // world is closed under the others, and every open round reports that
@@ -93,7 +88,7 @@ type Local struct {
 //
 //lint:allow ctxflow the ranks live until Session.Close; each round's context arrives with Session.Run
 func (l Local) Open(opts Options, workers int) (*Session, error) {
-	roles, err := Layout(1+l.Groups+max(workers, l.Groups), l.Groups)
+	roles, err := Layout(1+workers, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -105,9 +100,6 @@ func (l Local) Open(opts Options, workers int) (*Session, error) {
 	opts.LocalSpans = true // every rank shares the caller's registry
 	s := newSession(world.Comm(0), roles[0].Workers, LiveLoader{}, sharedQueue, opts.Strategy)
 	s.publishTo(opts.Telemetry)
-	if l.Groups > 0 {
-		s.chunk = max(l.Chunk, 1)
-	}
 	var wg sync.WaitGroup
 	s.abort = world.Close
 	s.join = func() error { wg.Wait(); return nil }

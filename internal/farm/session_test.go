@@ -62,52 +62,50 @@ func waitGauge(t *testing.T, reg *telemetry.Registry, name string, want float64)
 }
 
 // TestSessionConcurrentRounds: rounds of different sizes run at once
-// over one session, flat and hierarchical, each get exactly their own
-// results, bit-equal to the one-shot round — though every round names
-// its tasks alike.
+// over one session, each get exactly their own results, bit-equal to the
+// one-shot round — though every round names its tasks alike.
 func TestSessionConcurrentRounds(t *testing.T) {
 	sizes := []int{1, 5, 16, 40, 100, 333}
 	opts := Options{Strategy: SerializedLoad, BatchSize: 4}
-	for _, layout := range []Local{{}, {Groups: 2, Chunk: 3}} {
-		t.Run(fmt.Sprintf("groups=%d", layout.Groups), func(t *testing.T) {
-			s, err := layout.Open(opts, 4)
+	// groups=0: a standing session is flat; the hierarchy runs one-shot only.
+	t.Run("groups=0", func(t *testing.T) {
+		s, err := Local{}.Open(opts, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]Result, len(sizes))
+		errs := make([]error, len(sizes))
+		var wg sync.WaitGroup
+		for round, n := range sizes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[round], errs[round] = s.Run(context.Background(), sessionTasks(round, n), opts)
+			}()
+		}
+		wg.Wait()
+		if err := s.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		for round, n := range sizes {
+			if errs[round] != nil {
+				t.Fatalf("round %d: %v", round, errs[round])
+			}
+			once, err := Local{}.Run(context.Background(), sessionTasks(round, n), opts, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := make([][]Result, len(sizes))
-			errs := make([]error, len(sizes))
-			var wg sync.WaitGroup
-			for round, n := range sizes {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					got[round], errs[round] = s.Run(context.Background(), sessionTasks(round, n), opts)
-				}()
+			want, have := priceBits(t, once), priceBits(t, got[round])
+			if len(have) != n || len(want) != n {
+				t.Fatalf("round %d: %d results on the session, %d one-shot, want %d", round, len(have), len(want), n)
 			}
-			wg.Wait()
-			if err := s.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-			for round, n := range sizes {
-				if errs[round] != nil {
-					t.Fatalf("round %d: %v", round, errs[round])
-				}
-				once, err := Local{}.Run(context.Background(), sessionTasks(round, n), opts, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, have := priceBits(t, once), priceBits(t, got[round])
-				if len(have) != n || len(want) != n {
-					t.Fatalf("round %d: %d results on the session, %d one-shot, want %d", round, len(have), len(want), n)
-				}
-				for name, bits := range want {
-					if have[name] != bits {
-						t.Errorf("round %d %s: session price bits %x, one-shot %x", round, name, have[name], bits)
-					}
+			for name, bits := range want {
+				if have[name] != bits {
+					t.Errorf("round %d %s: session price bits %x, one-shot %x", round, name, have[name], bits)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // gatedExec prices a task only after taking a token from its gate (a
@@ -324,25 +322,23 @@ func settledGoroutines() int {
 	return n
 }
 
-// TestSessionCloseLeavesNoGoroutine: every rank is joined by Close, flat and hierarchical, used or not.
+// TestSessionCloseLeavesNoGoroutine: every rank is joined by Close, used or not.
 func TestSessionCloseLeavesNoGoroutine(t *testing.T) {
 	opts := Options{Strategy: SerializedLoad, BatchSize: 2}
 	tasks, _ := makePortfolio(t, 9)
 	before := settledGoroutines()
-	for _, layout := range []Local{{}, {Groups: 2, Chunk: 2}} {
-		for _, rounds := range []int{0, 3} {
-			s, err := layout.Open(opts, 4)
-			if err != nil {
+	for _, rounds := range []int{0, 3} {
+		s, err := Local{}.Open(opts, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rounds; i++ {
+			if _, err := s.Run(context.Background(), tasks, opts); err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < rounds; i++ {
-				if _, err := s.Run(context.Background(), tasks, opts); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if after := settledGoroutines(); after > before {
@@ -357,7 +353,7 @@ func TestSessionOwnsNoGoroutine(t *testing.T) {
 	opts := Options{Strategy: SerializedLoad, BatchSize: 2}
 	world := mpi.NewLocalWorld(3)
 	var wg sync.WaitGroup
-	for rank := 1; rank < world.Size(); rank++ {
+	for rank := 1; rank < 3; rank++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

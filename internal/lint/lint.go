@@ -47,7 +47,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All is the full suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detrand, Maporder, Wallclock, Ctxflow, Wireshape, Metricnames}
+	return []*Analyzer{Detrand, Maporder, Wallclock, Ctxflow, Wireshape, Metricnames, Testonly}
 }
 
 // Run applies each analyzer whose Match accepts the package, then

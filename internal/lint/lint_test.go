@@ -33,11 +33,9 @@ func moduleLoader(t *testing.T) *lint.Loader {
 }
 
 // golden runs one analyzer over a testdata package and matches its
-// diagnostics against the package's `// want `regexp`` comments: every
-// want must be satisfied by a diagnostic on its line, and every
-// surviving diagnostic must be expected. //lint:allow directives are
-// applied first, so an exemption that fails to suppress shows up as an
-// unexpected diagnostic.
+// diagnostics against the package's want comments (see expectWants).
+// //lint:allow directives are applied first, so an exemption that fails
+// to suppress shows up as an unexpected diagnostic.
 func golden(t *testing.T, loader *lint.Loader, analyzer *lint.Analyzer, dir string) {
 	t.Helper()
 	pkg, err := loader.LoadDir(filepath.Join("testdata", "src", dir), "fixture/"+dir)
@@ -46,28 +44,37 @@ func golden(t *testing.T, loader *lint.Loader, analyzer *lint.Analyzer, dir stri
 	}
 	unscoped := *analyzer
 	unscoped.Match = nil // fixtures live outside the production package scope
-	diags := lint.Run(pkg, []*lint.Analyzer{&unscoped})
+	expectWants(t, []*lint.Package{pkg}, lint.Run(pkg, []*lint.Analyzer{&unscoped}))
+}
 
+// expectWants matches diags against the `// want `regexp“ comments of
+// pkgs' files: every want must be satisfied by a diagnostic on its line,
+// and every diagnostic must be expected. A want may end another comment,
+// so a directive can carry the expectation of its own diagnostic.
+func expectWants(t *testing.T, pkgs []*lint.Package, diags []lint.Diagnostic) {
+	t.Helper()
 	wants := map[string][]*regexp.Regexp{} // "file:line" -> patterns
 	matched := map[string]int{}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text, ok := strings.CutPrefix(c.Text, "// want `")
-				if !ok {
-					continue
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					i := strings.Index(c.Text, "// want `")
+					if i < 0 {
+						continue
+					}
+					text, ok := strings.CutSuffix(c.Text[i+len("// want `"):], "`")
+					if !ok {
+						t.Fatalf("%s: unterminated want comment %q", pkg.Fset.Position(c.Pos()), c.Text)
+					}
+					re, err := regexp.Compile(text)
+					if err != nil {
+						t.Fatalf("%s: bad want pattern: %v", pkg.Fset.Position(c.Pos()), err)
+					}
+					pos := pkg.Fset.Position(c.Pos())
+					key := lineKey(pos.Filename, pos.Line)
+					wants[key] = append(wants[key], re)
 				}
-				text, ok = strings.CutSuffix(text, "`")
-				if !ok {
-					t.Fatalf("%s: unterminated want comment %q", pkg.Fset.Position(c.Pos()), c.Text)
-				}
-				re, err := regexp.Compile(text)
-				if err != nil {
-					t.Fatalf("%s: bad want pattern: %v", pkg.Fset.Position(c.Pos()), err)
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				key := lineKey(pos.Filename, pos.Line)
-				wants[key] = append(wants[key], re)
 			}
 		}
 	}
@@ -114,6 +121,34 @@ func TestAnalyzersGolden(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestTestonlyGolden runs testonly over a fixture module of its own: the
+// rule reads a whole module's production uses, so its cases need a
+// package under internal/, a test file whose uses do not count, and a
+// command outside internal/ whose uses do.
+func TestTestonlyGolden(t *testing.T) {
+	loader, err := lint.NewLoader(filepath.Join("testdata", "src", "testonly"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := lint.RunAll(loader, []*lint.Analyzer{lint.Testonly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := loader.ModulePackages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkgs []*lint.Package
+	for _, path := range paths {
+		pkg, err := loader.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	expectWants(t, pkgs, diags)
 }
 
 // TestRepoClean is the self-hosting gate: the production tree must

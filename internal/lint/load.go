@@ -24,6 +24,8 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+
+	loader *Loader // the module the package was loaded from
 }
 
 // Loader parses and type-checks packages of the enclosing module. It
@@ -39,6 +41,7 @@ type Loader struct {
 	std     types.Importer
 	pkgs    map[string]*Package // by import path, fully loaded
 	loading map[string]bool     // cycle guard
+	index   *useIndex           // what the module's non-test files use, built on demand
 }
 
 // NewLoader roots a loader at dir, which must contain go.mod.
@@ -72,9 +75,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset exposes the loader's shared file set for position rendering.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // inModule reports whether path belongs to the loader's module.
 func (l *Loader) inModule(path string) bool {
 	return path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/")
@@ -104,6 +104,8 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 // LoadDir loads the package in dir under an explicit import path,
 // used by the golden-file test harness for testdata packages that live
 // outside the module's import space.
+//
+//lint:allow testonly the golden-file harness loads its fixtures through it
 func (l *Loader) LoadDir(dir, asPath string) (*Package, error) {
 	return l.load(asPath, dir)
 }
@@ -152,7 +154,7 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-check %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info, loader: l}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }

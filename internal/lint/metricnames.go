@@ -20,8 +20,8 @@ import (
 // either breaks rank folding (per-worker series explode into distinct
 // metrics) or produces an invalid Prometheus exposition line. The rule
 // checks the string literals reaching Registry.Counter / Gauge /
-// Histogram / Observe / ObserveExemplar, the span constructors and the
-// event emitters (Emit, EmitCtx); names assembled by
+// Histogram / Observe, the span constructors and the event emitter
+// (Emit); names assembled by
 // concatenation are checked piecewise (each literal fragment must be
 // made of valid segment characters), and fmt.Sprintf formats may use
 // %d/%s as a whole dynamic segment.
@@ -38,17 +38,15 @@ var Metricnames = &Analyzer{
 // prefix filter and the exporter's subsystem folding both parse the
 // same dotted shape.
 var metricNameMethods = map[string]int{
-	"Counter":         0,
-	"Gauge":           0,
-	"Histogram":       0,
-	"Observe":         0,
-	"ObserveExemplar": 0,
-	"StartSpan":       0,
-	"StartTrace":      0,
-	"StartChild":      0,
-	"StartSpanIn":     1,
-	"Emit":            1,
-	"EmitCtx":         2,
+	"Counter":     0,
+	"Gauge":       0,
+	"Histogram":   0,
+	"Observe":     0,
+	"StartSpan":   0,
+	"StartTrace":  0,
+	"StartChild":  0,
+	"StartSpanIn": 1,
+	"Emit":        1,
 }
 
 const telemetryPkgSuffix = "internal/telemetry"

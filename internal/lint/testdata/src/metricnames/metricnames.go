@@ -18,8 +18,6 @@ func good() {
 	reg.Counter(fmt.Sprintf("mpi.rank%d.bytes_sent", 3)).Add(1)
 	reg.StartSpan("risk.price_batch").End()
 	reg.Emit(telemetry.LevelWarn, "farm.task.fail", telemetry.TraceContext{})
-	reg.EmitCtx(nil, telemetry.LevelInfo, "serve.drain.begin")
-	reg.ObserveExemplar("serve.request_seconds", 0.1, telemetry.TraceContext{})
 }
 
 func bad() {
@@ -29,8 +27,6 @@ func bad() {
 	reg.Counter("serve." + rankString() + " total").Add(1)    // want `fragment " total"`
 	reg.Observe(fmt.Sprintf("farm worker %d", 2), 1.0)        // want `does not match the dotted grammar`
 	reg.Emit(telemetry.LevelError, "WorkerDied", telemetry.TraceContext{})           // want `does not match the dotted grammar`
-	reg.EmitCtx(nil, telemetry.LevelWarn, "retry happened")                          // want `does not match the dotted grammar`
-	reg.ObserveExemplar("latency", 0.1, telemetry.TraceContext{})                    // want `does not match the dotted grammar`
 	//lint:allow metricnames fixture: legacy dashboard name kept for continuity
 	reg.Counter("Legacy-Series").Add(1)
 }

@@ -47,33 +47,6 @@ var (
 // invNormRefine instead.
 const minNormalFloat = 2.2250738585072014e-308
 
-// InvNormCDF returns the inverse of the standard normal CDF using Acklam's
-// algorithm refined by one step of Halley's method, accurate to full double
-// precision over the refinable range. It returns -Inf for p<=0 and +Inf
-// for p>=1.
-//
-// Tail-domain guarantee: the result is finite and non-NaN for every
-// p in (0, 1), down to the smallest subnormal (p ≈ 5e-324) and up to
-// 1 - 2⁻⁵³. For subnormal p (below ~2.2e-308) the Acklam estimate is
-// extrapolated outside its fitted range and the standard Halley form
-// would overflow in Exp(x*x/2); the quantile is instead reseeded from
-// the tail asymptotic and polished with density-quotient Halley steps,
-// so NormCDF(InvNormCDF(p)) recovers p to within the subnormal
-// quantization of p itself. Near 1 the accuracy floor is the 2⁻⁵³
-// spacing of doubles at 1: the survival probability 1-p is recovered
-// to ~1e-7 relative at p = 1-1e-16.
-func InvNormCDF(p float64) float64 {
-	switch {
-	case math.IsNaN(p):
-		return math.NaN()
-	case p <= 0:
-		return math.Inf(-1)
-	case p >= 1:
-		return math.Inf(1)
-	}
-	return invNormRefine(invNormAcklam(p), p)
-}
-
 // invNormAcklam is the raw Acklam rational approximation over (0,1),
 // before refinement.
 func invNormAcklam(p float64) float64 {
@@ -134,12 +107,23 @@ func invNormRefine(x, p float64) float64 {
 	return x - u/(1+x*u/2)
 }
 
-// InvNormCDFBatch fills dst[i] = InvNormCDF(p[i]) for every i, in one
-// pass. It is the batched form the struct-of-arrays Monte Carlo kernels
-// use to turn uniform draws into normal draws: the Acklam branch
-// selection and the Halley refinement constants are amortised over the
-// slice, and the results are bit-identical to scalar InvNormCDF calls.
+// InvNormCDFBatch fills dst[i] with the inverse of the standard normal
+// CDF at p[i], for every i, in one pass: Acklam's algorithm refined by one
+// step of Halley's method, accurate to full double precision over the
+// refinable range. It is how the struct-of-arrays Monte Carlo kernels turn
+// uniform draws into normal draws. p <= 0 gives -Inf and p >= 1 gives +Inf.
 // It panics if len(dst) < len(p).
+//
+// Tail-domain guarantee: the result is finite and non-NaN for every
+// p in (0, 1), down to the smallest subnormal (p ≈ 5e-324) and up to
+// 1 - 2⁻⁵³. For subnormal p (below ~2.2e-308) the Acklam estimate is
+// extrapolated outside its fitted range and the standard Halley form
+// would overflow in Exp(x*x/2); the quantile is instead reseeded from
+// the tail asymptotic and polished with density-quotient Halley steps,
+// so NormCDF recovers p from the quantile to within the subnormal
+// quantization of p itself. Near 1 the accuracy floor is the 2⁻⁵³
+// spacing of doubles at 1: the survival probability 1-p is recovered
+// to ~1e-7 relative at p = 1-1e-16.
 func InvNormCDFBatch(dst, p []float64) {
 	dst = dst[:len(p)]
 	for i, pi := range p {

@@ -60,11 +60,8 @@ func NewHaltonLeap(dim int, seed uint64, start, stride uint64) *Halton {
 	return h
 }
 
-// Dim returns the point dimension.
-func (h *Halton) Dim() int { return h.dim }
-
 // Next writes the next point into dst (length >= dim). Coordinates lie in
-// (0,1) after the rotation, so they can feed InvNormCDF directly.
+// (0,1) after the rotation, so they can feed InvNormCDFBatch directly.
 func (h *Halton) Next(dst []float64) {
 	if len(dst) < h.dim {
 		panic("mathutil: Halton destination too short")

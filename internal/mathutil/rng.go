@@ -84,28 +84,12 @@ func (r *RNG) Float64() float64 {
 }
 
 // Float64Open returns a uniform variate in the open interval (0,1),
-// suitable as an argument to InvNormCDF.
+// suitable as an argument to InvNormCDFBatch.
 func (r *RNG) Float64Open() float64 {
 	for {
 		u := (float64(r.Uint64()>>11) + 0.5) / (1 << 53)
 		if u > 0 && u < 1 {
 			return u
-		}
-	}
-}
-
-// Intn returns a uniform variate in [0,n). It panics if n <= 0.
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("mathutil: Intn with non-positive n")
-	}
-	// Lemire's multiply-shift rejection method.
-	bound := uint64(n)
-	for {
-		v := r.Uint64()
-		hi, lo := bits.Mul64(v, bound)
-		if lo >= bound || lo >= -bound%bound {
-			return int(hi)
 		}
 	}
 }
@@ -134,19 +118,12 @@ func (r *RNG) Norm() float64 {
 	}
 }
 
-// Split returns a new generator whose stream is decorrelated from r's,
-// derived deterministically from r's state and the index i. It is the tool
-// for giving each Monte Carlo worker its own reproducible stream. Split
-// only reads r, so concurrent Split calls on a shared base generator are
-// safe as long as no goroutine advances it.
-func (r *RNG) Split(i uint64) *RNG {
-	dst := &RNG{}
-	r.SplitInto(dst, i)
-	return dst
-}
-
-// SplitInto reseeds dst to the stream Split(i) would return, without
-// allocating. dst must not be in concurrent use.
+// SplitInto reseeds dst to a stream decorrelated from r's, derived
+// deterministically from r's state and the index i, without allocating.
+// It is the tool for giving each Monte Carlo shard its own reproducible
+// stream. It only reads r, so concurrent calls on a shared base generator
+// are safe as long as no goroutine advances it; dst must not be in
+// concurrent use.
 func (r *RNG) SplitInto(dst *RNG, i uint64) {
 	dst.Reseed(splitmix64(r.stateLo^splitmix64(i)) + splitmix64(r.stateHi+i))
 }

@@ -87,36 +87,11 @@ func TestRNGNormMoments(t *testing.T) {
 	}
 }
 
-func TestRNGIntnBounds(t *testing.T) {
-	r := NewRNG(5)
-	counts := make([]int, 7)
-	for i := 0; i < 70000; i++ {
-		v := r.Intn(7)
-		if v < 0 || v >= 7 {
-			t.Fatalf("Intn(7) = %d out of range", v)
-		}
-		counts[v]++
-	}
-	for i, c := range counts {
-		if c < 9000 || c > 11000 {
-			t.Errorf("Intn(7) bucket %d has %d hits, want ~10000", i, c)
-		}
-	}
-}
-
-func TestRNGIntnPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Intn(0) did not panic")
-		}
-	}()
-	NewRNG(1).Intn(0)
-}
-
 func TestRNGSplitIndependence(t *testing.T) {
 	r := NewRNG(77)
-	a := r.Split(0)
-	b := r.Split(1)
+	var a, b RNG
+	r.SplitInto(&a, 0)
+	r.SplitInto(&b, 1)
 	same := 0
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() == b.Uint64() {
@@ -129,11 +104,12 @@ func TestRNGSplitIndependence(t *testing.T) {
 }
 
 func TestRNGSplitDeterministic(t *testing.T) {
-	a := NewRNG(10).Split(3)
-	b := NewRNG(10).Split(3)
+	var a, b RNG
+	NewRNG(10).SplitInto(&a, 3)
+	NewRNG(10).SplitInto(&b, 3)
 	for i := 0; i < 100; i++ {
 		if a.Uint64() != b.Uint64() {
-			t.Fatal("Split is not deterministic")
+			t.Fatal("SplitInto is not deterministic")
 		}
 	}
 }

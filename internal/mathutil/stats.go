@@ -18,9 +18,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// N returns the number of observations seen.
-func (w *Welford) N() int64 { return w.n }
-
 // Mean returns the sample mean (0 for an empty accumulator).
 func (w *Welford) Mean() float64 { return w.mean }
 

@@ -11,8 +11,8 @@ func TestWelfordBasics(t *testing.T) {
 	for _, x := range []float64{1, 2, 3, 4, 5} {
 		w.Add(x)
 	}
-	if w.N() != 5 {
-		t.Fatalf("N = %d", w.N())
+	if w.n != 5 {
+		t.Fatalf("N = %d", w.n)
 	}
 	if math.Abs(w.Mean()-3) > 1e-15 {
 		t.Fatalf("Mean = %v", w.Mean())
@@ -58,7 +58,7 @@ func TestWelfordMergeEqualsSequential(t *testing.T) {
 		}
 		a.Merge(b)
 		scale := math.Max(1, math.Abs(whole.Mean()))
-		return a.N() == whole.N() &&
+		return a.n == whole.n &&
 			math.Abs(a.Mean()-whole.Mean()) < 1e-9*scale &&
 			math.Abs(a.Variance()-whole.Variance()) < 1e-6*math.Max(1, whole.Variance())
 	}
@@ -72,12 +72,12 @@ func TestWelfordMergeEmpty(t *testing.T) {
 	a.Add(1)
 	a.Add(3)
 	a.Merge(b) // merging empty is a no-op
-	if a.N() != 2 || a.Mean() != 2 {
+	if a.n != 2 || a.Mean() != 2 {
 		t.Fatal("merge with empty changed state")
 	}
 	var c Welford
 	c.Merge(a)
-	if c.N() != 2 || c.Mean() != 2 {
+	if c.n != 2 || c.Mean() != 2 {
 		t.Fatal("merge into empty lost state")
 	}
 }

@@ -51,7 +51,8 @@ func TestNormVecShardStreams(t *testing.T) {
 	for shard := uint64(0); shard < 4; shard++ {
 		t.Run(fmt.Sprint("shard", shard), func(t *testing.T) {
 			t.Parallel()
-			r := base.Split(shard)
+			r := &RNG{}
+			base.SplitInto(r, shard)
 			ks := make([]float64, nKS)
 			r.NormVec(ks)
 			var m [5]float64 // Σx^k

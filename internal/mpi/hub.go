@@ -43,9 +43,11 @@ type WorldOptions struct {
 	// >= ProtoV2) announces AllCaps. ProtoV1 endpoints announce nothing
 	// — v1 had no way to — and are assumed AllCaps by other v1 peers,
 	// which is exactly the implicit contract versioning replaces.
+	//lint:allow testonly the compatibility matrix announces reduced capability sets with it
 	Caps CapSet
 	// HelloWait bounds the hub's wait for a worker hello during
 	// classification (default 500ms). Workers ignore it.
+	//lint:allow testonly the protocol tests shorten the wait for their silent legacy peers
 	HelloWait time.Duration
 }
 

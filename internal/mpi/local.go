@@ -34,9 +34,6 @@ func (w *LocalWorld) Comm(rank int) *LocalComm {
 	return w.comms[rank]
 }
 
-// Size returns the number of ranks in the world.
-func (w *LocalWorld) Size() int { return len(w.comms) }
-
 // Close shuts down every rank's mailbox.
 func (w *LocalWorld) Close() {
 	w.once.Do(func() {

@@ -215,12 +215,3 @@ func PeerCaps(c Comm, rank int) CapSet {
 	}
 	return AllCaps
 }
-
-// PeerProto reports the protocol version negotiated between c and rank,
-// ProtoLatest for communicators without a handshake.
-func PeerProto(c Comm, rank int) int {
-	if n, ok := c.(Negotiator); ok {
-		return n.PeerProto(rank)
-	}
-	return ProtoLatest
-}

@@ -188,9 +188,6 @@ func TestCommWithoutNegotiator(t *testing.T) {
 	if got := PeerCaps(c, 1); got != AllCaps {
 		t.Errorf("PeerCaps on local world = %v, want AllCaps", got)
 	}
-	if got := PeerProto(c, 1); got != ProtoLatest {
-		t.Errorf("PeerProto on local world = %v, want latest", got)
-	}
 }
 
 func TestOversizedFrameIsProtocolError(t *testing.T) {

@@ -106,12 +106,6 @@ func RowVec(vs ...float64) *Mat {
 // Kind implements Object.
 func (m *Mat) Kind() Kind { return KindMat }
 
-// At returns the element at row i, column j.
-func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at row i, column j.
-func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // ScalarValue returns the single element of a 1×1 matrix and panics
 // otherwise.
 func (m *Mat) ScalarValue() float64 {
@@ -141,14 +135,6 @@ func (m *Mat) String() string {
 type BMat struct {
 	Rows, Cols int
 	Data       []bool
-}
-
-// NewBMat returns a false-filled rows×cols boolean matrix.
-func NewBMat(rows, cols int) *BMat {
-	if rows < 0 || cols < 0 {
-		panic("nsp: negative matrix dimension")
-	}
-	return &BMat{Rows: rows, Cols: cols, Data: make([]bool, rows*cols)}
 }
 
 // Bool returns a 1×1 boolean matrix holding v.

@@ -21,9 +21,6 @@ type Serial struct {
 // Kind implements Object.
 func (s *Serial) Kind() Kind { return KindSerial }
 
-// Len returns the byte length of the buffer.
-func (s *Serial) Len() int { return len(s.Data) }
-
 // String mimics Nsp's "<302-bytes> serial" display.
 func (s *Serial) String() string {
 	if s.Compressed {
@@ -103,17 +100,4 @@ func (s *Serial) Compress() (*Serial, error) {
 		return nil, err
 	}
 	return &Serial{Compressed: true, Data: buf.Bytes()}, nil
-}
-
-// Uncompress returns an uncompressed copy of the serial (no-op if already
-// raw).
-func (s *Serial) Uncompress() (*Serial, error) {
-	if !s.Compressed {
-		return s, nil
-	}
-	raw, err := s.inflated()
-	if err != nil {
-		return nil, err
-	}
-	return &Serial{Data: raw}, nil
 }

@@ -78,6 +78,8 @@ func (pf *Portfolio) Tasks() ([]farm.Task, error) {
 // SaveDir writes every claim to dir as an nsp save file named after the
 // claim, the on-disk portfolio representation the paper uses ("a
 // portfolio will be a collection of files"). It returns the file paths.
+//
+//lint:allow testonly the NFS integration test builds its on-disk book with it
 func (pf *Portfolio) SaveDir(dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("portfolio: %w", err)

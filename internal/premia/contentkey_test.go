@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -88,7 +90,7 @@ func contentKeyReference(p *Problem) string {
 	writeStr(p.Model)
 	writeStr(p.Option)
 	writeStr(p.Method)
-	for _, k := range p.Params.Keys() {
+	for _, k := range slices.Sorted(maps.Keys(p.Params)) {
 		if k == kernelThreadsKey {
 			continue
 		}

@@ -2,8 +2,10 @@ package premia
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -102,7 +104,7 @@ func TestVanillaRecordMatchesMapReader(t *testing.T) {
 		}
 		sw := &Sweep{Base: base, Cells: make([][]Override, n)}
 		for i, set := range sets {
-			for _, name := range set.Keys() {
+			for _, name := range slices.Sorted(maps.Keys(set)) {
 				sw.Cells[i] = append(sw.Cells[i], Override{name, set[name]})
 			}
 		}

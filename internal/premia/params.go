@@ -3,7 +3,6 @@ package premia
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 )
 
@@ -118,15 +117,4 @@ func (p Params) size(key string, fallback int) (int, error) {
 		return 0, fmt.Errorf("premia: parameter %q = %s exceeds %d", key, strconv.FormatFloat(v, 'f', -1, 64), max)
 	}
 	return int(math.Round(math.Max(v, math.MinInt32))), nil
-}
-
-// Keys returns the parameter names in sorted order for deterministic
-// encoding.
-func (p Params) Keys() []string {
-	ks := make([]string, 0, len(p))
-	for k := range p {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

@@ -25,8 +25,7 @@ type FarmBackend interface {
 // LocalBackend, the engine default, prices on an in-process goroutine
 // world, workers sharing the engine's telemetry registry: one farm.Local
 // session, opened per round by Run or once by an engine that stands
-// (Engine.Stand). The zero value is the flat farm; Groups and Chunk
-// select the hierarchical one.
+// (Engine.Stand).
 type LocalBackend = farm.Local
 
 // NetBackend prices over a framed mpi transport: it listens on Addr via
@@ -52,6 +51,7 @@ type NetBackend struct {
 	// Proto pins the hub's wire-protocol version (mpi.ProtoV1 or
 	// mpi.ProtoV2); 0 speaks the latest. Compatibility tests pin
 	// adjacent versions; deployments leave it alone.
+	//lint:allow testonly the compatibility matrix pins a v1 or v2 master with it
 	Proto int
 	// Spawn must cause `workers` workers to mpi.DialHubWith the given
 	// transport and address and run farm.RunWorker until the stop

@@ -47,7 +47,7 @@ func TestPriceBatchTCPBackend(t *testing.T) {
 		}
 	}
 
-	traces := reg.Traces()
+	traces := reg.SlowestTraces(0)
 	if len(traces) != 1 {
 		t.Fatalf("master retains %d traces, want 1", len(traces))
 	}
@@ -71,7 +71,7 @@ func TestPriceBatchTCPBackend(t *testing.T) {
 		}
 	}
 	chain := []string{"farm.run", "risk.price_batch", "test.request"}
-	span, _ := tr.Find("farm.run")
+	span, _ := findSpan(tr, "farm.run")
 	for _, wantParent := range chain[1:] {
 		parent, ok := byID[span.ParentID]
 		if !ok || parent.Name != wantParent {
@@ -144,4 +144,14 @@ func TestNetWorkerDeathFailsFast(t *testing.T) {
 			}
 		})
 	}
+}
+
+// findSpan returns the first span of tr with the given name.
+func findSpan(tr telemetry.Trace, name string) (telemetry.SpanRecord, bool) {
+	for _, s := range tr.Spans {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return telemetry.SpanRecord{}, false
 }

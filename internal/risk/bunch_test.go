@@ -67,7 +67,7 @@ func TestRevalueMessageSizing(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := reg.SpanCount("farm.dispatch"); got > int64(messagesPerWorker*w) {
+				if got := reg.Snapshot().Spans["farm.dispatch"].Count; got > int64(messagesPerWorker*w) {
 					t.Errorf("the round shipped %d messages, want at most %d", got, messagesPerWorker*w)
 				}
 				if per := (pf.Size() + messagesPerWorker*w - 1) / (messagesPerWorker * w); len(rec.batches) != 1 || rec.batches[0] != per {
@@ -257,9 +257,9 @@ func TestBunchedMessageFitsFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s: %d sweeps, %d cells, %d bytes a message", book.Name, per, payload.Len(), ser.Len())
-		if ser.Len() > bunchedMessageBytes || ser.Len() > maxFrame {
-			t.Errorf("%s: the largest message's payload is %d bytes, past %d", book.Name, ser.Len(), bunchedMessageBytes)
+		t.Logf("%s: %d sweeps, %d cells, %d bytes a message", book.Name, per, payload.Len(), len(ser.Data))
+		if len(ser.Data) > bunchedMessageBytes || len(ser.Data) > maxFrame {
+			t.Errorf("%s: the largest message's payload is %d bytes, past %d", book.Name, len(ser.Data), bunchedMessageBytes)
 		}
 	}
 }

@@ -81,7 +81,7 @@ func TestCompatMatrix(t *testing.T) {
 					// (v1 by the implicit legacy contract, v2 by explicit
 					// handshake), mixed pairs silently unship them.
 					shipped := 0
-					for _, tr := range reg.Traces() {
+					for _, tr := range reg.SlowestTraces(0) {
 						for _, s := range tr.Spans {
 							if s.Name == "farm.compute" {
 								shipped++
@@ -269,7 +269,7 @@ func TestCompatNetBackendDefaults(t *testing.T) {
 		}
 	}
 	shipped := 0
-	for _, tr := range reg.Traces() {
+	for _, tr := range reg.SlowestTraces(0) {
 		for _, s := range tr.Spans {
 			if s.Name == "farm.compute" {
 				shipped++

@@ -3,31 +3,20 @@ package risk
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"riskbench/internal/farm"
 	"riskbench/internal/premia"
 	"riskbench/internal/telemetry"
 )
 
-// PriceCache is a read-through store of pricing results keyed by
-// premia.Problem.ContentKey. Implementations must be safe for concurrent
-// use; the serving layer's sharded LRU cache is the canonical one. A nil
-// cache (the Engine default) disables reuse.
-type PriceCache interface {
-	// Get returns the cached result for a content key, if present.
-	Get(key string) (premia.Result, bool)
-	// Put stores a freshly computed result under its content key.
-	Put(key string, res premia.Result)
-}
-
 // PriceOutcome is one problem's slot in a PriceBatch answer.
 type PriceOutcome struct {
 	// Result is the pricing result; valid only when Err is nil.
 	Result premia.Result
-	// Cached reports that the result came from the engine's cache rather
-	// than a fresh kernel evaluation in this call. Duplicates of a
-	// problem priced within the same batch share the fresh evaluation
-	// and report Cached=false.
+	// Cached reports that the result came from a cache rather than a
+	// fresh kernel evaluation. PriceBatch always prices fresh; the serving
+	// layer sets it on the answers its cache gives.
 	Cached bool
 	// Err is the per-problem failure (validation or pricing); batch-level
 	// failures are returned by PriceBatch itself.
@@ -85,17 +74,14 @@ func (e Engine) priceRound(ctx context.Context, tasks []farm.Task, batch int) ([
 
 // PriceBatch prices a slice of problems on the engine's live farm in one
 // round: the entry point the serving layer's micro-batcher calls, so
-// point lookups ride the same Robin-Hood path as portfolio sweeps.
-//
-// Per problem it (1) answers from the engine's Cache when a result with
-// the same content key is already stored, (2) dedupes identical problems
-// within the batch so each distinct content key is evaluated exactly
-// once, and (3) farms the remaining unique problems over the engine's
-// workers. Fresh results are written back to the cache. The outcome
-// slice is index-aligned with the input; per-problem validation and
-// pricing failures land in PriceOutcome.Err while transport-level
-// failures (including context cancellation) are returned as the second
-// value.
+// point lookups ride the same Robin-Hood path as portfolio sweeps. It
+// prices what it is given — every valid problem, duplicates included —
+// and neither reads nor writes the engine's Cache: the serving layer
+// looks a problem up, and collapses identical requests, before it gets
+// here. The outcome slice is index-aligned with the input; per-problem
+// validation and pricing failures land in PriceOutcome.Err while
+// transport-level failures (including context cancellation) are returned
+// as the second value.
 func (e Engine) PriceBatch(ctx context.Context, problems []*premia.Problem) ([]PriceOutcome, error) {
 	reg := e.Telemetry
 	// Adopt a distributed trace threaded through ctx (the serving layer
@@ -112,13 +98,11 @@ func (e Engine) PriceBatch(ctx context.Context, problems []*premia.Problem) ([]P
 	reg.Counter("risk.price.requests").Add(int64(len(problems)))
 
 	out := make([]PriceOutcome, len(problems))
-	// indices of every problem (leader and duplicates) wanting each
-	// still-unpriced content key, in input order; keys and misses list
-	// the leaders, which is what the farm prices.
-	wanting := make(map[string][]int, len(problems))
+	// slots[k] is the input index of the k-th farmed problem, whose task
+	// is named by k: names only pair results with slots.
 	var (
-		keys   []string
-		misses []*premia.Problem
+		slots []int
+		tasks []farm.Task
 	)
 	for i, p := range problems {
 		if p == nil {
@@ -129,48 +113,25 @@ func (e Engine) PriceBatch(ctx context.Context, problems []*premia.Problem) ([]P
 			out[i].Err = err
 			continue
 		}
-		key := p.ContentKey()
-		if e.Cache != nil {
-			if res, ok := e.Cache.Get(key); ok {
-				out[i] = PriceOutcome{Result: res, Cached: true}
-				reg.Counter("risk.price.cache_hits").Add(1)
-				continue
-			}
-		}
-		if _, dup := wanting[key]; dup {
-			wanting[key] = append(wanting[key], i)
-			reg.Counter("risk.price.deduped").Add(1)
-			continue
-		}
-		wanting[key] = []int{i}
-		keys = append(keys, key)
-		misses = append(misses, p)
+		tasks = append(tasks, farm.Task{Name: strconv.Itoa(len(slots)), Obj: p})
+		slots = append(slots, i)
 	}
-	reg.Counter("risk.price.farmed").Add(int64(len(misses)))
+	reg.Counter("risk.price.farmed").Add(int64(len(tasks)))
 
-	tasks := make([]farm.Task, len(misses))
-	for k, p := range misses {
-		tasks[k] = farm.Task{Name: keys[k], Obj: p}
-	}
 	fresh, err := e.priceRound(ctx, tasks, e.batch())
 	if err != nil {
 		return nil, err
 	}
 	for k, r := range fresh {
-		var res premia.Result
-		if r.Err == nil {
-			p, err := farm.AsPriced(r)
-			if err != nil {
-				return nil, fmt.Errorf("risk: pricing round: %w", err)
-			}
-			res = p.Result
-			if e.Cache != nil {
-				e.Cache.Put(keys[k], res)
-			}
+		o := &out[slots[k]]
+		if o.Err = r.Err; r.Err != nil {
+			continue
 		}
-		for _, i := range wanting[keys[k]] {
-			out[i].Result, out[i].Err = res, r.Err
+		p, err := farm.AsPriced(r)
+		if err != nil {
+			return nil, fmt.Errorf("risk: pricing round: %w", err)
 		}
+		o.Result = p.Result
 	}
 	return out, nil
 }

@@ -86,49 +86,34 @@ func TestPriceBatchPerProblemErrors(t *testing.T) {
 	}
 }
 
-func TestPriceBatchDedupesWithinBatch(t *testing.T) {
+// TestPriceBatchPricesWhatItIsGiven: PriceBatch is no cache. Duplicates
+// are each farmed — a seeded problem prices to the same bits every time —
+// and a result already in the engine's Cache is neither read nor
+// rewritten: the serving layer owns lookup, dedupe and write-back.
+func TestPriceBatchPricesWhatItIsGiven(t *testing.T) {
 	reg := telemetry.New()
-	e := Engine{Workers: 2, Telemetry: reg}
+	cache := newMapCache()
 	p := mcProblem(7)
+	cache.Put(p.ContentKey(), premia.Result{Price: -1})
+	e := Engine{Workers: 2, Telemetry: reg, Cache: cache}
 	out, err := e.PriceBatch(context.Background(), []*premia.Problem{p, p.Clone(), p.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(out); i++ {
-		if out[i].Result != out[0].Result {
-			t.Fatalf("duplicate %d got a different result", i)
-		}
-	}
-	snap := reg.Snapshot()
-	if snap.Counters["risk.price.farmed"] != 1 {
-		t.Fatalf("farmed %d tasks for 3 identical problems, want 1", snap.Counters["risk.price.farmed"])
-	}
-	if snap.Counters["risk.price.deduped"] != 2 {
-		t.Fatalf("deduped = %d, want 2", snap.Counters["risk.price.deduped"])
-	}
-}
-
-func TestPriceBatchCacheBitIdentical(t *testing.T) {
-	cache := newMapCache()
-	e := Engine{Workers: 2, Cache: cache}
-	probs := []*premia.Problem{mcProblem(1), mcProblem(2)}
-	cold, err := e.PriceBatch(context.Background(), probs)
+	want, err := p.Compute()
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := e.PriceBatch(context.Background(), probs)
-	if err != nil {
-		t.Fatal(err)
+	for i, o := range out {
+		if o.Err != nil || o.Cached || o.Result != want {
+			t.Fatalf("duplicate %d = %+v, want a fresh %+v", i, o, want)
+		}
 	}
-	for i := range probs {
-		if !warm[i].Cached {
-			t.Fatalf("problem %d missed the cache on the second call", i)
-		}
-		// Bit-identical, not approximately equal: the cache must never
-		// change a price.
-		if warm[i].Result != cold[i].Result {
-			t.Fatalf("problem %d: cached result %+v != fresh %+v", i, warm[i].Result, cold[i].Result)
-		}
+	if farmed := reg.Snapshot().Counters["risk.price.farmed"]; farmed != 3 {
+		t.Fatalf("farmed %d tasks for 3 problems, want 3", farmed)
+	}
+	if res, _ := cache.Get(p.ContentKey()); res.Price != -1 || len(cache.m) != 1 {
+		t.Fatalf("PriceBatch wrote to the engine's cache: %+v, %d entries", res, len(cache.m))
 	}
 }
 

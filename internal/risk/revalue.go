@@ -11,6 +11,17 @@ import (
 	"riskbench/internal/telemetry"
 )
 
+// PriceCache is a store of pricing results keyed by
+// premia.Problem.ContentKey. Implementations must be safe for concurrent
+// use; the serving layer's sharded LRU cache is the canonical one. A nil
+// cache (the Engine default) disables reuse.
+type PriceCache interface {
+	// Get returns the cached result for a content key, if present.
+	Get(key string) (premia.Result, bool)
+	// Put stores a freshly computed result under its content key.
+	Put(key string, res premia.Result)
+}
+
 // Engine revalues portfolios under scenarios on a live farm.
 type Engine struct {
 	// Workers is the number of pricing goroutines (default 4).
@@ -36,17 +47,16 @@ type Engine struct {
 	// being a sweep.
 	Telemetry *telemetry.Registry
 	// Cache, when non-nil, is a content-addressed store of pricing
-	// results. PriceBatch reads through it and writes fresh results back;
-	// RevalueContext reuses cached base-scenario prices (the unshifted
-	// problems that repeat verbatim across revaluation runs) and stores
-	// the ones it computes. Scenario-shifted problems have distinct
-	// content keys and always price fresh.
+	// results for the base column: RevalueContext reuses cached
+	// base-scenario prices (the unshifted problems that repeat verbatim
+	// across revaluation runs) and stores the ones it computes.
+	// Scenario-shifted problems have distinct content keys and always
+	// price fresh, and PriceBatch never consults it.
 	Cache PriceCache
 	// Backend selects where the farm's workers live: nil (the default)
-	// means farm.Local{}, a flat in-process goroutine world;
-	// farm.Local{Groups, Chunk} runs the same round under a root master
-	// and sub-masters; a NetBackend farms over a framed mpi transport
-	// (tcp, unix, inproc) with per-connection protocol negotiation.
+	// means farm.Local{}, a flat in-process goroutine world; a NetBackend
+	// farms over a framed mpi transport (tcp, unix, inproc) with
+	// per-connection protocol negotiation.
 	// Distributed traces thread through any of them. Each round opens
 	// and closes its own world unless the engine stands (Stand), after
 	// which every round shares one session.

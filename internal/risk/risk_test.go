@@ -288,15 +288,22 @@ func TestScenarioAppliesTo(t *testing.T) {
 	credit := premia.New().SetAsset(premia.AssetCredit).
 		SetModel(premia.ModelConstHazard).SetOption(premia.OptCDS).SetMethod(premia.MethodCFCredit).
 		Set("lambda", 0.02).Set("recovery", 0.4).Set("r", 0.03).Set("T", 5)
-	if !spot.AppliesTo(callProblem(100)) {
+	if !applies(spot, callProblem(100)) {
 		t.Error("spot ladder should apply to equity")
 	}
-	if spot.AppliesTo(credit) {
+	if applies(spot, credit) {
 		t.Error("spot ladder should not apply to credit")
 	}
-	if vol.AppliesTo(credit) {
+	if applies(vol, credit) {
 		t.Error("vol ladder should not apply to credit")
 	}
+}
+
+// applies reports whether every shift of sc names a parameter p carries:
+// Apply refuses the others.
+func applies(sc Scenario, p *premia.Problem) bool {
+	_, err := sc.Apply(p)
+	return err == nil
 }
 
 func TestRevalueMixedBookSelective(t *testing.T) {

@@ -61,8 +61,8 @@ func TestOneRoundShipsObjects(t *testing.T) {
 	if _, err := e.PriceBatch(context.Background(), []*premia.Problem{callProblem(90), callProblem(100), callProblem(90)}); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(rec.tasks) - revalued; got != 2 {
-		t.Fatalf("PriceBatch farmed %d tasks, want the 2 distinct problems", got)
+	if got := len(rec.tasks) - revalued; got != 3 {
+		t.Fatalf("PriceBatch farmed %d tasks, want all 3 it was given", got)
 	}
 	seen := map[string]bool{}
 	for k, task := range rec.tasks {
@@ -230,12 +230,11 @@ func mixedSample(t *testing.T) *portfolio.Portfolio {
 // revaluation surface is, bit for bit, what PriceBatch returns for the
 // same shifted problems, on every backend — so there is one pricing
 // path to reason about, and topology or transport never reaches a price.
-// It is also the by-reference-versus-wire oracle: the flat local farm
-// hands problems and results across as themselves, the hierarchy
-// forwards them through sub-masters, the inproc backend turns both into
-// bytes and back, and every field of every result — and the text of a
-// pricing failure — must come out the same from all three, and from the
-// unix backend, a real socket. Each walks a 3-scenario set, whose sweeps
+// It is also the by-reference-versus-wire oracle: the local farm hands
+// problems and results across as themselves, the inproc backend turns
+// both into bytes and back, and every field of every result — and the
+// text of a pricing failure — must come out the same from both, and from
+// the unix backend, a real socket. Each walks a 3-scenario set, whose sweeps
 // share messages, and a 40-scenario one, whose claims are each cut into
 // several: over the wire backends every cell of either crosses as the
 // problem Apply builds and comes back folded into its block.
@@ -254,7 +253,7 @@ func TestRevalueEqualsPriceBatch(t *testing.T) {
 	}
 	skips := 0
 	for _, it := range pf.Items {
-		if !scenarios[0].AppliesTo(it.Problem) {
+		if !applies(scenarios[0], it.Problem) {
 			skips++
 		}
 	}
@@ -273,7 +272,6 @@ func TestRevalueEqualsPriceBatch(t *testing.T) {
 		backend FarmBackend
 	}{
 		{"local", LocalBackend{}},
-		{"hierarchical", farm.Local{Groups: 2, Chunk: 2}},
 		{"inproc", &NetBackend{Transport: "inproc", Spawn: GoNetWorkers(nil, 0)}},
 		{"unix", &NetBackend{Transport: "unix", Spawn: GoNetWorkers(nil, 0)}},
 	} {
@@ -325,7 +323,7 @@ func TestRevalueEqualsPriceBatch(t *testing.T) {
 					shifted := make([]*premia.Problem, pf.Size())
 					for i, it := range pf.Items {
 						shifted[i] = it.Problem // a skipped claim holds its base value
-						if sc.AppliesTo(it.Problem) {
+						if applies(sc, it.Problem) {
 							if shifted[i], err = sc.Apply(it.Problem); err != nil {
 								t.Fatal(err)
 							}
@@ -346,20 +344,6 @@ func TestRevalueEqualsPriceBatch(t *testing.T) {
 				}
 			}
 		})
-	}
-
-	// One problem on a two-group hierarchy: the round is sized to the
-	// work, and farm.Local still gives every sub-master a worker.
-	out, err := Engine{Workers: 4, Backend: farm.Local{Groups: 2}}.PriceBatch(ctx, []*premia.Problem{callProblem(100)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := callProblem(100).Compute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0].Err != nil || out[0].Result.Price != direct.Price {
-		t.Fatalf("one problem over two groups = %+v, want price %v", out[0], direct.Price)
 	}
 }
 

@@ -42,9 +42,6 @@ type Scenario struct {
 	Shifts []Shift
 }
 
-// Base is the identity scenario.
-var Base = Scenario{Name: "base"}
-
 // resolveParam turns a shift's parameter (possibly a token) into the
 // problem's concrete parameter name; ok is false when the problem has no
 // such parameter (e.g. a vol shift on a credit claim).
@@ -64,23 +61,8 @@ func resolveParam(sh Shift, p *premia.Problem) (string, bool) {
 	return name, ok
 }
 
-// AppliesTo reports whether every shift of the scenario resolves to a
-// parameter the problem actually carries. Claims outside the scenario's
-// risk-factor universe (e.g. a credit claim under an equity spot ladder)
-// keep their base value instead of failing the revaluation.
-func (sc Scenario) AppliesTo(p *premia.Problem) bool {
-	for _, sh := range sc.Shifts {
-		if _, ok := resolveParam(sh, p); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // Apply returns a copy of the problem with every shift applied. A shift
-// whose parameter the problem does not carry is an error: callers decide
-// between failing (single-asset books) and skipping via AppliesTo
-// (mixed books).
+// whose parameter the problem does not carry is an error.
 func (sc Scenario) Apply(p *premia.Problem) (*premia.Problem, error) {
 	q := p.Clone()
 	for _, sh := range sc.Shifts {
@@ -136,7 +118,8 @@ func (c *claimShifts) resolve(sh Shift) *resolvedShift {
 // overrides appends to dst what Apply would set on a copy of the claim c
 // resolves against, as (parameter, value) pairs in shift order: a second
 // shift of one parameter starts from the first one's value, as it does in
-// Apply. ok is false, and dst comes back as it was, when AppliesTo is.
+// Apply. ok is false, and dst comes back as it was, when some shift names
+// a parameter the claim does not carry (a vol shift on a credit claim).
 func (sc Scenario) overrides(c *claimShifts, dst []premia.Override) (_ []premia.Override, ok bool) {
 	mark := len(dst)
 	for _, sh := range sc.Shifts {

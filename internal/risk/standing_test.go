@@ -22,10 +22,9 @@ import (
 // standingBackends are the backends an engine can stand on.
 func standingBackends() map[string]FarmBackend {
 	return map[string]FarmBackend{
-		"default":      nil,
-		"hierarchical": farm.Local{Groups: 2, Chunk: 3},
-		"inproc":       &NetBackend{Transport: "inproc", Spawn: GoNetWorkers(nil, 0)},
-		"unix":         &NetBackend{Transport: "unix", Spawn: GoNetWorkers(nil, 0)},
+		"default": nil,
+		"inproc":  &NetBackend{Transport: "inproc", Spawn: GoNetWorkers(nil, 0)},
+		"unix":    &NetBackend{Transport: "unix", Spawn: GoNetWorkers(nil, 0)},
 	}
 }
 

@@ -103,7 +103,7 @@ func TestSweepEqualsApply(t *testing.T) {
 			want = append(want, cell{-1, it.Problem})
 		}
 		for s, sc := range scenarios {
-			if !sc.AppliesTo(it.Problem) {
+			if !applies(sc, it.Problem) {
 				if val.Values[s][i] != val.Base[i] {
 					t.Errorf("%s skips %s but holds %v, base %v", it.Name, sc.Name, val.Values[s][i], val.Base[i])
 				}

@@ -119,14 +119,3 @@ func (c *Cache) Put(key string, res premia.Result) {
 		c.reg.Counter("serve.cache.evictions").Add(int64(evicted))
 	}
 }
-
-// Len returns the current number of cached entries across all shards.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.Lock()
-		n += c.shards[i].lru.Len()
-		c.shards[i].mu.Unlock()
-	}
-	return n
-}

@@ -24,8 +24,8 @@ func TestCacheGetPut(t *testing.T) {
 	if res, _ := c.Get("a"); res.Price != 2.5 {
 		t.Fatalf("overwrite lost: %+v", res)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if cached(c) != 1 {
+		t.Fatalf("%d entries, want 1", cached(c))
 	}
 }
 
@@ -35,15 +35,15 @@ func TestCacheEviction(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		c.Put(fmt.Sprintf("key-%d", i), premia.Result{Price: float64(i)})
 	}
-	if c.Len() > 32 {
-		t.Fatalf("cache grew to %d entries, capacity 32", c.Len())
+	if cached(c) > 32 {
+		t.Fatalf("cache grew to %d entries, capacity 32", cached(c))
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["serve.cache.evictions"] == 0 {
 		t.Fatal("no evictions recorded")
 	}
-	if got := snap.Gauges["serve.cache.entries"]; got != float64(c.Len()) {
-		t.Fatalf("entries gauge %v, want %v", got, c.Len())
+	if got := snap.Gauges["serve.cache.entries"]; got != float64(cached(c)) {
+		t.Fatalf("entries gauge %v, want %v", got, cached(c))
 	}
 }
 
@@ -65,7 +65,7 @@ func TestCacheCapacityInvariant(t *testing.T) {
 		for i := 0; i < 3*capacity+17; i++ {
 			c.Put(fmt.Sprintf("cap%d-key-%d", capacity, i), premia.Result{Price: float64(i)})
 		}
-		if got := c.Len(); got > capacity {
+		if got := cached(c); got > capacity {
 			t.Errorf("capacity %d: cache holds %d entries after overfill", capacity, got)
 		}
 	}
@@ -90,7 +90,7 @@ func TestCacheSmallCapacityKeepsWhatItStores(t *testing.T) {
 			if _, ok := filled.Get(key); !ok {
 				t.Errorf("capacity %d: the Put of %s evicted itself", capacity, key)
 			}
-			if n := filled.Len(); n > capacity {
+			if n := cached(filled); n > capacity {
 				t.Errorf("capacity %d: cache holds %d entries", capacity, n)
 			}
 		}
@@ -137,7 +137,18 @@ func TestCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 128 {
-		t.Fatalf("cache over capacity: %d", c.Len())
+	if cached(c) > 128 {
+		t.Fatalf("cache over capacity: %d", cached(c))
 	}
+}
+
+// cached counts c's entries across its shards.
+func cached(c *Cache) int {
+	n := 0
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+		n += c.shards[i].lru.Len()
+		c.shards[i].mu.Unlock()
+	}
+	return n
 }

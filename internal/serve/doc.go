@@ -14,7 +14,9 @@
 //     round and Drain closes;
 //   - a sharded, content-addressed result cache keyed by
 //     premia.Problem.ContentKey, with singleflight suppression of
-//     duplicate in-flight prices and LRU eviction per shard;
+//     duplicate in-flight prices and LRU eviction per shard. It is the
+//     only cache a price goes through: the engine behind the batcher
+//     prices what it is handed, so a problem is hashed once;
 //   - admission control and lifecycle: a bounded request queue that
 //     answers 429 + Retry-After on overload instead of collapsing,
 //     per-request deadlines via context, /healthz and /metrics

@@ -145,8 +145,7 @@ func TestServeSLOBreachThroughServer(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		// Every request blows the 50ms objective; in production these
 		// observations come from the serve.request span recorder.
-		reg.ObserveExemplar("span.serve.request", 0.5,
-			telemetry.TraceContext{TraceID: uint64(0xf00d + i), SpanID: 1})
+		reg.Histogram("span.serve.request").ObserveExemplar(0.5, uint64(0xf00d+i), clk)
 	}
 	s.slo.Tick()
 	if g := reg.Gauge("slo.price_latency.breached").Value(); g != 1 {

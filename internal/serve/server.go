@@ -152,12 +152,6 @@ func New(cfg Config) *Server {
 	// (both engines below are this one), closed by Drain. A backend that
 	// cannot be opened stays one world per round.
 	s.stopFarm = eng.Stand()
-	// The batcher prices through a copy of the engine taken before the
-	// cache default below: priceGroup has already looked the problem up
-	// in s.cache and settle stores the answer, so reading through the same
-	// cache again inside PriceBatch would only count each miss and store
-	// each result twice. A caller-supplied Engine.Cache rides the copy.
-	pricer := *eng
 	if eng.Cache == nil && s.cache != nil {
 		// The /risk revaluations read base-scenario prices through the
 		// serving cache (and warm it), so a report over a book the /price
@@ -165,9 +159,13 @@ func New(cfg Config) *Server {
 		eng.Cache = s.cache
 	}
 	s.engine = eng
+	// The batcher prices on the same engine. PriceBatch prices what it
+	// is given: priceGroup has already looked each problem up in s.cache
+	// and settle stores the answer, so a problem is hashed, looked up and
+	// stored once.
 	price := cfg.Price
 	if price == nil {
-		price = pricer.PriceBatch
+		price = eng.PriceBatch
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel

@@ -32,7 +32,7 @@ func TestServeTraceOverTCPFarm(t *testing.T) {
 		t.Fatalf("price: status %d body %s", w.Code, w.Body.String())
 	}
 
-	traces := reg.Traces()
+	traces := reg.SlowestTraces(0)
 	if len(traces) != 1 {
 		t.Fatalf("server retains %d traces, want 1", len(traces))
 	}
@@ -44,24 +44,24 @@ func TestServeTraceOverTCPFarm(t *testing.T) {
 	// The request tree must run serve.request → serve.queue and
 	// serve.request → … → farm.run → farm.task → farm.compute.
 	parentName := func(sp telemetry.SpanRecord) string { return byID[sp.ParentID].Name }
-	root, ok := tr.Find("serve.request")
+	root, ok := findSpan(tr, "serve.request")
 	if !ok {
 		t.Fatalf("no serve.request root in trace: %+v", tr.Spans)
 	}
 	if root.ParentID != 0 {
 		t.Fatalf("serve.request has parent %d, want root", root.ParentID)
 	}
-	if q, ok := tr.Find("serve.queue"); !ok || q.ParentID != root.ID {
+	if q, ok := findSpan(tr, "serve.queue"); !ok || q.ParentID != root.ID {
 		t.Fatalf("serve.queue missing or mis-parented: %+v", q)
 	}
-	task, ok := tr.Find("farm.task")
+	task, ok := findSpan(tr, "farm.task")
 	if !ok {
 		t.Fatal("no master-side farm.task span in trace")
 	}
 	if parentName(task) != "farm.run" {
 		t.Fatalf("farm.task parent is %q, want farm.run", parentName(task))
 	}
-	compute, ok := tr.Find("farm.compute")
+	compute, ok := findSpan(tr, "farm.compute")
 	if !ok {
 		t.Fatal("no worker-side farm.compute span in trace (spans did not cross the wire)")
 	}
@@ -70,7 +70,7 @@ func TestServeTraceOverTCPFarm(t *testing.T) {
 	}
 	// farm.run must chain up to the serve.request root through the risk
 	// layer.
-	run, _ := tr.Find("farm.run")
+	run, _ := findSpan(tr, "farm.run")
 	for sp := run; ; {
 		if sp.ParentID == 0 {
 			if sp.ID != root.ID {
@@ -107,10 +107,10 @@ func TestServeTracingDisabled(t *testing.T) {
 	if w := postJSON(s, "/price", cfBody(100)); w.Code != http.StatusOK {
 		t.Fatalf("price: status %d body %s", w.Code, w.Body.String())
 	}
-	if traces := reg.Traces(); len(traces) != 0 {
+	if traces := reg.SlowestTraces(0); len(traces) != 0 {
 		t.Fatalf("tracing disabled but %d traces retained", len(traces))
 	}
-	if reg.SpanCount("farm.compute") == 0 {
+	if reg.Snapshot().Spans["farm.compute"].Count == 0 {
 		t.Fatal("metrics-side spans should still record with tracing off")
 	}
 }
@@ -138,10 +138,10 @@ func TestBatchRootsOneTrace(t *testing.T) {
 		t.Fatalf("batch: status %d body %s", w.Code, w.Body.String())
 	}
 
-	if got, want := reg.SpanCount("serve.request"), reg.Counter("serve.requests").Value(); got != 2 || want != 2 {
+	if got, want := reg.Snapshot().Spans["serve.request"].Count, reg.Counter("serve.requests").Value(); got != 2 || want != 2 {
 		t.Errorf("span.serve.request counts %d for %d requests, want 2 and 2", got, want)
 	}
-	traces := reg.Traces()
+	traces := reg.SlowestTraces(0)
 	if len(traces) != 2 {
 		t.Fatalf("server retains %d traces after one /price and one /batch, want 2", len(traces))
 	}
@@ -195,7 +195,7 @@ func TestToyReportTraceIsWhole(t *testing.T) {
 	if cells := reg.Counter("risk.tasks").Value(); cells != claims*25 {
 		t.Errorf("risk.tasks counts %d cells, want %d", cells, claims*25)
 	}
-	traces := reg.Traces()
+	traces := reg.SlowestTraces(0)
 	if len(traces) != 1 || traces[0].Dropped != 0 {
 		t.Fatalf("server retains %d traces after one report, want 1 with nothing dropped", len(traces))
 	}
@@ -213,4 +213,14 @@ func TestToyReportTraceIsWhole(t *testing.T) {
 	if count["serve.risk.report"] != 1 || count["risk.revalue"] != 1 || count["farm.run"] != 1 || count["farm.task"] != claims || count["farm.compute"] != claims {
 		t.Errorf("the report's trace holds %v, want one serve.risk.report, risk.revalue and farm.run over %d farm.task and farm.compute", count, claims)
 	}
+}
+
+// findSpan returns the first span of tr with the given name.
+func findSpan(tr telemetry.Trace, name string) (telemetry.SpanRecord, bool) {
+	for _, s := range tr.Spans {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return telemetry.SpanRecord{}, false
 }

@@ -46,13 +46,13 @@ func TestSimMessageTiming(t *testing.T) {
 		if err := c.Send(make([]byte, 1000), 1, 0); err != nil { // 1 s of transfer
 			t.Error(err)
 		}
-		sendDone = c.Proc().Now()
+		sendDone = c.Proc().eng.now
 	})
 	w.Go(1, "receiver", func(c *Comm) {
 		if _, _, err := c.Recv(0, 0); err != nil {
 			t.Error(err)
 		}
-		recvDone = c.Proc().Now()
+		recvDone = c.Proc().eng.now
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestSimRecvBeforeSendBlocks(t *testing.T) {
 		if _, _, err := c.Recv(mpi.AnySource, mpi.AnyTag); err != nil {
 			t.Error(err)
 		}
-		recvAt = c.Proc().Now()
+		recvAt = c.Proc().eng.now
 	})
 	w.Go(0, "sender", func(c *Comm) {
 		c.Proc().Sleep(3)
@@ -196,15 +196,15 @@ func TestNFSCacheSemantics(t *testing.T) {
 	fs := NewNFS(cfg)
 	var times []float64
 	e.spawn("client", func(p *Proc) {
-		start := p.Now()
+		start := p.eng.now
 		fs.Read(p, 1, "a.bin", 1000) // miss: 0.5 + (1 + 1) = 2.5
-		times = append(times, p.Now()-start)
-		start = p.Now()
+		times = append(times, p.eng.now-start)
+		start = p.eng.now
 		fs.Read(p, 1, "a.bin", 1000) // hit: 0.001
-		times = append(times, p.Now()-start)
-		start = p.Now()
+		times = append(times, p.eng.now-start)
+		start = p.eng.now
 		fs.Read(p, 2, "a.bin", 1000) // different node: miss again
-		times = append(times, p.Now()-start)
+		times = append(times, p.eng.now-start)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -218,10 +218,6 @@ func TestNFSCacheSemantics(t *testing.T) {
 	if math.Abs(times[2]-2.5) > 1e-12 {
 		t.Errorf("other-node read %v, want 2.5", times[2])
 	}
-	hits, misses := fs.Stats()
-	if hits != 1 || misses != 2 {
-		t.Errorf("stats %d/%d", hits, misses)
-	}
 }
 
 func TestNFSServerContention(t *testing.T) {
@@ -234,7 +230,7 @@ func TestNFSServerContention(t *testing.T) {
 		node := i + 1
 		e.spawn("client", func(p *Proc) {
 			fs.Read(p, node, "file", 0)
-			finish = append(finish, p.Now())
+			finish = append(finish, p.eng.now)
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -245,23 +241,35 @@ func TestNFSServerContention(t *testing.T) {
 	}
 }
 
+// TestNFSWarm: one NFS model reused across runs, as a sweep's rows share
+// it, keeps every node's cache — a file a node read in one run is a hit
+// in the next — while ResetClock starts the server's queue over.
 func TestNFSWarm(t *testing.T) {
 	cfg := NFSConfig{ServerTime: 10, CacheHitTime: 0.01}
-	e := NewEngine()
 	fs := NewNFS(cfg)
-	fs.Warm([]int{1, 2}, []string{"x", "y"})
-	e.spawn("c", func(p *Proc) {
+	cold := NewEngine()
+	cold.spawn("c", func(p *Proc) {
 		fs.Read(p, 1, "x", 100)
 		fs.Read(p, 2, "y", 100)
 	})
-	if err := e.Run(); err != nil {
+	if err := cold.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Now() > 0.05 {
-		t.Fatalf("warm reads took %v", e.Now())
+	if cold.Now() != 20 {
+		t.Fatalf("cold reads took %v, want 20", cold.Now())
 	}
-	if hits, misses := fs.Stats(); hits != 2 || misses != 0 {
-		t.Fatalf("stats %d/%d", hits, misses)
+	fs.ResetClock()
+	warm := NewEngine()
+	warm.spawn("c", func(p *Proc) {
+		fs.Read(p, 1, "x", 100)
+		fs.Read(p, 2, "y", 100)
+		fs.Read(p, 1, "y", 100) // node 1 never read y: a miss, served at once
+	})
+	if err := warm.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(warm.Now()-10.02) > 1e-12 {
+		t.Fatalf("warm run took %v, want two hits and one miss (10.02)", warm.Now())
 	}
 }
 
@@ -272,11 +280,11 @@ func TestNodeSpeedStretchesCompute(t *testing.T) {
 	var fast, slow float64
 	w.Go(0, "fast", func(c *Comm) {
 		c.Compute(10)
-		fast = c.Proc().Now()
+		fast = c.Proc().eng.now
 	})
 	w.Go(1, "slow", func(c *Comm) {
 		c.Compute(10)
-		slow = c.Proc().Now()
+		slow = c.Proc().eng.now
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

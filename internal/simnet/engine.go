@@ -72,12 +72,6 @@ type Proc struct {
 	recv *Comm
 }
 
-// Name returns the process name given to World.Go.
-func (p *Proc) Name() string { return p.name }
-
-// Now returns the engine's virtual time.
-func (p *Proc) Now() float64 { return p.eng.now }
-
 // spawn registers a process whose body starts at the current virtual time.
 func (e *Engine) spawn(name string, body func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name}

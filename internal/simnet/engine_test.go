@@ -14,9 +14,9 @@ func TestSleepAdvancesClock(t *testing.T) {
 	var at []float64
 	e.spawn("p", func(p *Proc) {
 		p.Sleep(1.5)
-		at = append(at, p.Now())
+		at = append(at, p.eng.now)
 		p.Sleep(0.5)
-		at = append(at, p.Now())
+		at = append(at, p.eng.now)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -156,8 +156,8 @@ func TestSleepUntil(t *testing.T) {
 	e.spawn("p", func(p *Proc) {
 		p.SleepUntil(5)
 		p.SleepUntil(3) // already past: no-op
-		if p.Now() != 5 {
-			t.Errorf("now = %v", p.Now())
+		if p.eng.now != 5 {
+			t.Errorf("now = %v", p.eng.now)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -174,7 +174,7 @@ func TestResourceFIFOQueue(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.spawn("client", func(p *Proc) {
 			r.Use(p, 1)
-			finish = append(finish, p.Now())
+			finish = append(finish, p.eng.now)
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -198,7 +198,7 @@ func TestResourceIdleThenBusy(t *testing.T) {
 	e.spawn("b", func(p *Proc) {
 		p.Sleep(5) // arrives when the resource is idle again
 		r.Use(p, 1)
-		second = p.Now()
+		second = p.eng.now
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -34,8 +34,6 @@ type NFS struct {
 	server Resource
 	// cache[node][path] records client-cached files.
 	cache map[int]map[string]bool
-	// stats
-	hits, misses int
 }
 
 // NewNFS creates a cold-cache file system model.
@@ -52,22 +50,6 @@ func (n *NFS) ResetClock() {
 	n.server = Resource{}
 }
 
-// Warm pre-populates every listed node's cache with the given paths,
-// modelling the paper's re-run scenario where a previous execution already
-// pulled the whole portfolio through NFS.
-func (n *NFS) Warm(nodes []int, paths []string) {
-	for _, node := range nodes {
-		m := n.cache[node]
-		if m == nil {
-			m = make(map[string]bool, len(paths))
-			n.cache[node] = m
-		}
-		for _, p := range paths {
-			m[p] = true
-		}
-	}
-}
-
 // Read charges process p (running on the given node) the virtual cost of
 // reading size bytes from path, then returns. A cache hit costs
 // CacheHitTime; a miss queues at the server for ServerTime + size/Bandwidth
@@ -75,11 +57,9 @@ func (n *NFS) Warm(nodes []int, paths []string) {
 func (n *NFS) Read(p *Proc, node int, path string, size int) {
 	m := n.cache[node]
 	if m != nil && m[path] {
-		n.hits++
 		p.Sleep(n.cfg.CacheHitTime)
 		return
 	}
-	n.misses++
 	p.Sleep(n.cfg.Latency)
 	service := n.cfg.ServerTime
 	if n.cfg.Bandwidth > 0 {
@@ -92,6 +72,3 @@ func (n *NFS) Read(p *Proc, node int, path string, size int) {
 	}
 	m[path] = true
 }
-
-// Stats returns the cache hit/miss counters.
-func (n *NFS) Stats() (hits, misses int) { return n.hits, n.misses }

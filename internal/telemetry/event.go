@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -193,13 +192,6 @@ func (r *Registry) Emit(level Level, name string, tc TraceContext, fields ...Fie
 		return
 	}
 	r.eventLog().emit(Event{When: r.Now(), Level: level, Name: name, TraceID: tc.TraceID, Rank: RankLocal, Fields: fields})
-}
-
-// EmitCtx is Emit with the trace context extracted from ctx — the form
-// for call sites that already thread a request context.
-func (r *Registry) EmitCtx(ctx context.Context, level Level, name string, fields ...Field) {
-	tc, _ := TraceFromContext(ctx)
-	r.Emit(level, name, tc, fields...)
 }
 
 // EventCursor returns the sequence number of the most recent emission

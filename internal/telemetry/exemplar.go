@@ -178,13 +178,3 @@ func (h *Histogram) quantileExemplars(st Stats) []QuantileExemplar {
 	}
 	return out
 }
-
-// ObserveExemplar records v into the named histogram with tc's trace
-// attached as the bucket exemplar, stamped with the registry clock.
-// An invalid tc degrades to a plain Observe.
-func (r *Registry) ObserveExemplar(name string, v float64, tc TraceContext) {
-	if r == nil {
-		return
-	}
-	r.Histogram(name).ObserveExemplar(v, tc.TraceID, r.Now())
-}

@@ -16,7 +16,7 @@ func TestExemplarDeterministic(t *testing.T) {
 		r.SetClock(func() float64 { return clk })
 		for i := 1; i <= 200; i++ {
 			clk = float64(i)
-			r.ObserveExemplar("lat.req", float64(i%37+1)/100, TraceContext{TraceID: uint64(i), SpanID: 1})
+			r.Histogram("lat.req").ObserveExemplar(float64(i%37+1)/100, uint64(i), clk)
 		}
 		return r.Snapshot().Histograms["lat.req"].Exemplars
 	}

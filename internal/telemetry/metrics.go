@@ -76,10 +76,7 @@ const (
 	histBuckets = 376
 )
 
-var (
-	histLogGrowth = math.Ln2 / 8 // log of 2^(1/8)
-	histGrowth    = math.Exp(histLogGrowth)
-)
+var histLogGrowth = math.Ln2 / 8 // log of 2^(1/8)
 
 func bucketIndex(v float64) int {
 	if !(v > histLo) { // also catches NaN and non-positives

@@ -199,7 +199,7 @@ func TestPrometheusExemplarLine(t *testing.T) {
 	r.SetClock(func() float64 { return clk })
 	for i := 1; i <= 100; i++ {
 		clk = float64(i)
-		r.ObserveExemplar("lat.req", float64(i)/100, TraceContext{TraceID: uint64(i), SpanID: 1})
+		r.Histogram("lat.req").ObserveExemplar(float64(i)/100, uint64(i), clk)
 	}
 	out := renderProm(t, r)
 	found := false

@@ -113,11 +113,6 @@ func (r *Registry) Observe(name string, v float64) {
 	r.Histogram(name).Observe(v)
 }
 
-// Add increments the named counter.
-func (r *Registry) Add(name string, n int64) {
-	r.Counter(name).Add(n)
-}
-
 // recordSpan files a finished span in its two homes: the duration
 // histogram "span.<name>", which is also the span's count and total, and
 // — when the span is traced — its trace.
@@ -149,18 +144,6 @@ func (r *Registry) Ingest(spans []SpanRecord, events []Event) {
 			l.emit(ev)
 		}
 	}
-}
-
-// SpanCount returns how many spans with the given name have finished.
-func (r *Registry) SpanCount(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	h, ok := r.hists.Load(spanPrefix + name)
-	if !ok {
-		return 0
-	}
-	return h.(*Histogram).Count()
 }
 
 // SpanStats summarizes one span name in a snapshot.

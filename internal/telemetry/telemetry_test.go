@@ -32,7 +32,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	sp := r.StartSpan("s")
 	sp.StartChild("t").End()
 	sp.End()
-	if n := r.SpanCount("s"); n != 0 {
+	if n := r.Snapshot().Spans["s"].Count; n != 0 {
 		t.Errorf("nil registry counted %d spans", n)
 	}
 	snap := r.Snapshot()
@@ -208,7 +208,7 @@ func TestSpanNesting(t *testing.T) {
 			t.Errorf("span %s has End %v <= Start %v", rec.Name, rec.End, rec.Start)
 		}
 	}
-	if n := r.SpanCount("task"); n != 1 {
+	if n := r.Snapshot().Spans["task"].Count; n != 1 {
 		t.Errorf("task span count = %d, want 1", n)
 	}
 	// Durations land in the span histogram too.
@@ -217,7 +217,7 @@ func TestSpanNesting(t *testing.T) {
 	}
 	// Double End is a no-op.
 	root.End()
-	if n := r.SpanCount("sweep"); n != 1 {
+	if n := r.Snapshot().Spans["sweep"].Count; n != 1 {
 		t.Errorf("sweep counted %d after double End", n)
 	}
 }
@@ -242,7 +242,7 @@ func TestRegistryMerge(t *testing.T) {
 	if got := sink.Gauge("s1.util").Value(); got != 0.9 {
 		t.Errorf("merged gauge = %v", got)
 	}
-	if got := sink.SpanCount("s1.run"); got != 1 {
+	if got := sink.Snapshot().Spans["s1.run"].Count; got != 1 {
 		t.Errorf("merged span count = %d", got)
 	}
 	// The span count is the span histogram's, and a merge invents no

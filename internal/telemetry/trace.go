@@ -241,16 +241,6 @@ func (tr Trace) Roots() []SpanRecord {
 	return roots
 }
 
-// Find returns the first retained span with the given name.
-func (tr Trace) Find(name string) (SpanRecord, bool) {
-	for _, s := range tr.Spans {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return SpanRecord{}, false
-}
-
 // snapshot copies the traces pick names out of the table, in pick's
 // order, and start-orders their spans (ties by span ID). pick runs under
 // the table lock every Span.End takes and only the traces it names are
@@ -284,16 +274,6 @@ func (r *Registry) Trace(id uint64) (Trace, bool) {
 		return Trace{}, false
 	}
 	return out[0], true
-}
-
-// Traces returns every retained trace, reassembled, ordered by trace
-// ID so repeated snapshots of the same table render identically.
-func (r *Registry) Traces() []Trace {
-	return r.snapshot(func(t *traceTable) []uint64 {
-		ids := slices.Clone(t.order)
-		slices.Sort(ids)
-		return ids
-	})
 }
 
 // SlowestTraces returns up to n retained traces (all of them when n is

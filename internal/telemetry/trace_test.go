@@ -40,7 +40,7 @@ func TestStartTraceBuildsTree(t *testing.T) {
 	c2.End()
 	root.End()
 
-	traces := r.Traces()
+	traces := r.SlowestTraces(0)
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1", len(traces))
 	}
@@ -61,7 +61,7 @@ func TestStartTraceBuildsTree(t *testing.T) {
 	if kids != 2 {
 		t.Fatalf("root has %d children, want 2", kids)
 	}
-	if _, ok := tr.Find("farm.task"); !ok {
+	if _, ok := findSpan(tr, "farm.task"); !ok {
 		t.Fatal("Find(farm.task) missed")
 	}
 }
@@ -88,7 +88,7 @@ func TestStartSpanInRemoteParenting(t *testing.T) {
 	// Ship the worker's spans back and ingest.
 	master.Ingest([]SpanRecord{compute.Record(), kernel.Record()}, nil)
 
-	traces := master.Traces()
+	traces := master.SlowestTraces(0)
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1", len(traces))
 	}
@@ -96,14 +96,14 @@ func TestStartSpanInRemoteParenting(t *testing.T) {
 	if len(tr.Spans) != 4 {
 		t.Fatalf("got %d spans, want 4 (run, task, compute, kernel)", len(tr.Spans))
 	}
-	comp, ok := tr.Find("farm.compute")
+	comp, ok := findSpan(tr, "farm.compute")
 	if !ok {
 		t.Fatal("worker span missing from master trace")
 	}
 	if comp.ParentID != task.ID() {
 		t.Fatalf("farm.compute parent = %d, want farm.task %d", comp.ParentID, task.ID())
 	}
-	kern, _ := tr.Find("kernel")
+	kern, _ := findSpan(tr, "kernel")
 	if kern.ParentID != comp.ID {
 		t.Fatalf("kernel parent = %d, want farm.compute %d", kern.ParentID, comp.ID)
 	}
@@ -112,7 +112,7 @@ func TestStartSpanInRemoteParenting(t *testing.T) {
 	}
 	// Worker metrics stayed on the worker: ingestion must not create
 	// span aggregates on the master.
-	if n := master.SpanCount("farm.compute"); n != 0 {
+	if n := master.Snapshot().Spans["farm.compute"].Count; n != 0 {
 		t.Fatalf("Ingest leaked into span aggregates: count=%d", n)
 	}
 }
@@ -130,7 +130,7 @@ func TestIngestSpansDedupe(t *testing.T) {
 	r.Ingest([]SpanRecord{child.Record()}, nil)
 	r.Ingest([]SpanRecord{child.Record()}, nil)
 
-	traces := r.Traces()
+	traces := r.SlowestTraces(0)
 	if len(traces) != 1 || len(traces[0].Spans) != 2 {
 		t.Fatalf("after re-ingestion: %d traces, %d spans; want 1 trace, 2 spans",
 			len(traces), len(traces[0].Spans))
@@ -168,9 +168,9 @@ func TestIngestClockShift(t *testing.T) {
 	rec.End += shift
 	master.Ingest([]SpanRecord{rec}, nil)
 
-	tr := master.Traces()[0]
-	comp, _ := tr.Find("farm.compute")
-	tk, _ := tr.Find("farm.task")
+	tr := master.SlowestTraces(0)[0]
+	comp, _ := findSpan(tr, "farm.compute")
+	tk, _ := findSpan(tr, "farm.task")
 	if comp.Start < tk.Start || comp.End > tk.End {
 		t.Fatalf("shifted compute [%v,%v] not nested in task [%v,%v]",
 			comp.Start, comp.End, tk.Start, tk.End)
@@ -215,7 +215,7 @@ func TestTraceTableEviction(t *testing.T) {
 		}
 		sp.End()
 	}
-	traces := r.Traces()
+	traces := r.SlowestTraces(0)
 	if len(traces) != maxTraces {
 		t.Fatalf("table holds %d traces, want cap %d", len(traces), maxTraces)
 	}
@@ -232,7 +232,7 @@ func TestUntracedSpansStayOut(t *testing.T) {
 	sp := r.StartSpan("background")
 	sp.StartChild("sub").End()
 	sp.End()
-	if traces := r.Traces(); len(traces) != 0 {
+	if traces := r.SlowestTraces(0); len(traces) != 0 {
 		t.Fatalf("untraced spans leaked into the trace table: %+v", traces)
 	}
 }
@@ -373,4 +373,14 @@ func TestSmallTraceAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(1000, request); got > spans {
 		t.Errorf("a %d-span trace allocates %v, want one per span", spans, got)
 	}
+}
+
+// findSpan returns the first span of tr with the given name.
+func findSpan(tr Trace, name string) (SpanRecord, bool) {
+	for _, s := range tr.Spans {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return SpanRecord{}, false
 }

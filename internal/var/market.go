@@ -33,16 +33,17 @@ type MarketModel struct {
 	// RateVol is the annualized volatility of the absolute short-rate
 	// move, in rate units (0.009 = 90 bp a year).
 	RateVol float64
-	// RhoSV, RhoSR, RhoVR are the pairwise factor correlations
-	// (spot–vol, spot–rate, vol–rate). The classic equity skew is a
-	// negative RhoSV: spot down, vol up.
-	RhoSV, RhoSR, RhoVR float64
+	// RhoSV and RhoSR are the spot–vol and spot–rate correlations; vol
+	// and rate move independently. The classic equity skew is a negative
+	// RhoSV: spot down, vol up.
+	RhoSV, RhoSR float64
 	// HorizonDays is the move horizon in trading days (10 when zero):
-	// factor volatilities scale by sqrt(HorizonDays/TradingDays).
+	// factor volatilities scale by sqrt(HorizonDays/tradingDays).
 	HorizonDays float64
-	// TradingDays is the day-count base (252 when zero).
-	TradingDays float64
 }
+
+// tradingDays is the day-count base of a year.
+const tradingDays = 252
 
 // DefaultMarket is the standard scenario-generator calibration: 20%
 // spot vol, 50% vol-of-vol, 90 bp rate vol, -60% spot–vol correlation,
@@ -62,9 +63,10 @@ func DefaultMarket() MarketModel {
 // parameter-maxima table).
 const (
 	// MaxHorizonYears is the longest move horizon, HorizonDays over
-	// TradingDays. A VaR horizon is days to a year (the regulatory ones
-	// are 1 and 10 days); past a decade the square-root-of-time scaling
-	// the model rests on has stopped meaning anything.
+	// the 252-day trading year. A VaR horizon is days to a year (the
+	// regulatory ones are 1 and 10 days); past a decade the
+	// square-root-of-time scaling the model rests on has stopped meaning
+	// anything.
 	MaxHorizonYears = 10.0
 	// MaxHorizonVol is the largest factor volatility over the horizon,
 	// s = vol × sqrt(horizon in years). A lognormal factor moves by
@@ -79,20 +81,18 @@ const (
 // Validate rejects a model the generator would turn into a silently
 // different distribution or into shocks no kernel can price: a negative
 // or non-finite factor volatility (zero is the documented "off"; a
-// negative one is not), a horizon or day-count base that is negative or
-// not finite (zero means the default), a horizon past MaxHorizonYears, a
-// factor volatility past MaxHorizonVol over the horizon, and a
-// correlation outside [−1, 1]. Whether the three correlations together
-// are positive definite is the Cholesky factor's to say.
+// negative one is not), a horizon that is negative or not finite (zero
+// means the default), a horizon past MaxHorizonYears, a factor
+// volatility past MaxHorizonVol over the horizon, and a correlation
+// outside [−1, 1]. Whether the correlations together are positive
+// definite is the Cholesky factor's to say.
 func (m MarketModel) Validate() error {
 	type field struct {
 		name string
 		v    float64
 	}
-	for _, f := range []field{{"HorizonDays", m.HorizonDays}, {"TradingDays", m.TradingDays}} {
-		if !(f.v >= 0) || math.IsInf(f.v, 1) {
-			return fmt.Errorf("varisk: %s %g must be finite and not negative (zero means the default)", f.name, f.v)
-		}
+	if !(m.HorizonDays >= 0) || math.IsInf(m.HorizonDays, 1) {
+		return fmt.Errorf("varisk: HorizonDays %g must be finite and not negative (zero means the default)", m.HorizonDays)
 	}
 	h := m.horizon()
 	if !(h > 0 && h <= MaxHorizonYears) {
@@ -106,7 +106,7 @@ func (m MarketModel) Validate() error {
 			return fmt.Errorf("varisk: %s %g is a volatility of %.3g over the %.3g-year horizon, exceeds %g", f.name, f.v, s, h, MaxHorizonVol)
 		}
 	}
-	for _, f := range []field{{"RhoSV", m.RhoSV}, {"RhoSR", m.RhoSR}, {"RhoVR", m.RhoVR}} {
+	for _, f := range []field{{"RhoSV", m.RhoSV}, {"RhoSR", m.RhoSR}} {
 		if !(f.v >= -1 && f.v <= 1) {
 			return fmt.Errorf("varisk: correlation %s %g outside [-1, 1]", f.name, f.v)
 		}
@@ -120,11 +120,7 @@ func (m MarketModel) horizon() float64 {
 	if days <= 0 {
 		days = 10
 	}
-	base := m.TradingDays
-	if base <= 0 {
-		base = 252
-	}
-	return days / base
+	return days / tradingDays
 }
 
 // chol returns the lower Cholesky factor of the 3×3 factor correlation
@@ -132,8 +128,8 @@ func (m MarketModel) horizon() float64 {
 func (m MarketModel) chol() ([]float64, error) {
 	c := []float64{
 		1, m.RhoSV, m.RhoSR,
-		m.RhoSV, 1, m.RhoVR,
-		m.RhoSR, m.RhoVR, 1,
+		m.RhoSV, 1, 0,
+		m.RhoSR, 0, 1,
 	}
 	l := make([]float64, 9)
 	if err := mathutil.Cholesky(c, 3, l); err != nil {

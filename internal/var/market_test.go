@@ -101,7 +101,7 @@ func TestGenerateOmitsSwitchedOffFactors(t *testing.T) {
 }
 
 func TestGenerateRejectsBadCorrelations(t *testing.T) {
-	m := MarketModel{SpotVol: 0.2, VolVol: 0.5, RateVol: 0.01, RhoSV: 0.9, RhoSR: 0.9, RhoVR: -0.9}
+	m := MarketModel{SpotVol: 0.2, VolVol: 0.5, RateVol: 0.01, RhoSV: 0.9, RhoSR: 0.9}
 	if _, err := m.Generate(10, 1); err == nil {
 		t.Fatal("non-positive-definite correlations accepted")
 	}
@@ -115,7 +115,7 @@ func TestGenerateRejectsBadCorrelations(t *testing.T) {
 // before a draw is made, and every refusal names its field; the zero
 // model, the default one and one at each maximum pass.
 func TestMarketModelValidate(t *testing.T) {
-	atMax := MarketModel{SpotVol: MaxHorizonVol / math.Sqrt(MaxHorizonYears), HorizonDays: MaxHorizonYears * 252, RhoSV: -1, RhoVR: 1}
+	atMax := MarketModel{SpotVol: MaxHorizonVol / math.Sqrt(MaxHorizonYears), HorizonDays: MaxHorizonYears * 252, RhoSV: -1}
 	for _, m := range []MarketModel{{}, DefaultMarket(), atMax} {
 		if err := m.Validate(); err != nil {
 			t.Errorf("%+v: %v", m, err)
@@ -127,9 +127,7 @@ func TestMarketModelValidate(t *testing.T) {
 		"RateVol":     {{RateVol: -0.01}, {RateVol: 1e308}},
 		"RhoSV":       {{RhoSV: 7}, {RhoSV: math.NaN()}},
 		"RhoSR":       {{RhoSR: -1.01}},
-		"RhoVR":       {{RhoVR: math.Inf(1)}},
-		"HorizonDays": {{HorizonDays: -10}, {HorizonDays: 1e300}, {HorizonDays: math.NaN()}, {HorizonDays: math.Inf(1)}, {HorizonDays: 1e-320, TradingDays: 1e300}},
-		"TradingDays": {{TradingDays: -252}, {TradingDays: math.NaN()}},
+		"HorizonDays": {{HorizonDays: -10}, {HorizonDays: 1e300}, {HorizonDays: math.NaN()}, {HorizonDays: math.Inf(1)}},
 	} {
 		for _, m := range models {
 			err := m.Validate()

@@ -39,64 +39,6 @@ func TestSimTasksShape(t *testing.T) {
 	}
 }
 
-// TestHierBackendMatchesLocal runs the same revaluation through the
-// default local backend and through the hierarchical root-master
-// topology; the per-claim surfaces must match bit for bit — scheduling
-// topology must never leak into prices.
-func TestHierBackendMatchesLocal(t *testing.T) {
-	pf := smallBook()
-	scens := risk.SpotLadder()
-	want, err := risk.Engine{Workers: 4}.Revalue(pf, scens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := risk.Engine{Workers: 4, Backend: farm.Local{Groups: 2, Chunk: 4}}
-	got, err := eng.Revalue(pf, scens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range want.Values {
-		for i := range want.Values[s] {
-			if got.Values[s][i] != want.Values[s][i] {
-				t.Fatalf("value[%d][%d] = %.17g over hierarchy, %.17g locally", s, i, got.Values[s][i], want.Values[s][i])
-			}
-		}
-	}
-	for i := range want.Base {
-		if got.Base[i] != want.Base[i] {
-			t.Fatalf("base[%d] differs across backends", i)
-		}
-	}
-}
-
-// TestFullRevalOverHierBackend is the nested simulation live: the
-// outer×inner batch scheduled by farm.RunRootMaster through sub-master
-// groups, with the estimates matching the flat local run exactly.
-func TestFullRevalOverHierBackend(t *testing.T) {
-	pf := smallBook()
-	scens, err := DefaultMarket().Generate(24, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Alphas: []float64{0.9}, HorizonDays: 10}
-	flat, err := FullReval(context.Background(), risk.Engine{Workers: 4}, pf, scens, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hier, err := FullReval(context.Background(), risk.Engine{Workers: 4, Backend: farm.Local{Groups: 2, Chunk: 2}}, pf, scens, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range flat.PnLs {
-		if flat.PnLs[i] != hier.PnLs[i] {
-			t.Fatalf("P&L[%d] = %.17g over hierarchy, %.17g flat", i, hier.PnLs[i], flat.PnLs[i])
-		}
-	}
-	if flat.Estimates[0] != hier.Estimates[0] {
-		t.Fatalf("estimates differ: %+v vs %+v", hier.Estimates[0], flat.Estimates[0])
-	}
-}
-
 // TestFullRevalOverNetBackend prices the VaR batch over the framed
 // in-process transport — the same wire path as a real worker fleet.
 func TestFullRevalOverNetBackend(t *testing.T) {
@@ -128,19 +70,8 @@ func TestFullRevalOverNetBackend(t *testing.T) {
 	}
 }
 
-func TestHierBackendCancellation(t *testing.T) {
-	pf := smallBook()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	eng := risk.Engine{Workers: 4, Backend: farm.Local{Groups: 2, Chunk: 2}}
-	if _, err := eng.RevalueContext(ctx, pf, risk.SpotLadder()); err == nil {
-		t.Fatal("cancelled hierarchical revaluation succeeded")
-	}
-}
-
 // TestBackendRunEndsOnRankFailure covers the two ways an in-process
-// round used to outlive its cause, on the flat and the hierarchical
-// backend alike. A rank that dies of its own error (workers under
+// round used to outlive its cause. A rank that dies of its own error (workers under
 // NFSLoad with no store) must end Run promptly with that rank's error —
 // not hang the master in its receive, and not surface as the bare
 // mpi.ErrClosed the shutdown causes elsewhere. And a master that fails
@@ -171,7 +102,6 @@ func TestBackendRunEndsOnRankFailure(t *testing.T) {
 		backend risk.FarmBackend
 	}{
 		{"flat", risk.LocalBackend{}},
-		{"hierarchical", farm.Local{Groups: 2, Chunk: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()

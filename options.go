@@ -122,11 +122,12 @@ func WithTelemetry(reg *Telemetry) Option {
 
 // WithCache installs a sharded, content-addressed result cache holding
 // at most entries pricing results (entries <= 0 selects the default
-// size). On an engine, PriceBatch reads through it and RevalueContext
-// reuses cached base-scenario prices; on a pricing server it is the
-// serving-layer cache behind the singleflight group. Identical problems
-// — same (model, option, method, params incl. seed) content key —
-// return bit-identical cached results.
+// size). On an engine, RevalueContext reuses cached base-scenario
+// prices and stores the ones it computes (PriceBatch always prices
+// fresh); on a pricing server it is the serving-layer cache behind the
+// singleflight group, which the server's revaluations share. Identical
+// problems — same (model, option, method, params incl. seed) content key
+// — return bit-identical cached results.
 func WithCache(entries int) Option {
 	return func(c *config) { c.cacheSize = entries; c.hasCache = true }
 }

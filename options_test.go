@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -208,33 +209,26 @@ func TestNewEngineKernelThreads(t *testing.T) {
 }
 
 // TestEngineWithCache exercises the façade's cache option: a second
-// PriceBatch over the same problems answers from the cache with
-// bit-identical results.
+// revaluation of the same book reads every base-scenario price from the
+// cache, with a bit-identical valuation.
 func TestEngineWithCache(t *testing.T) {
-	eng := riskbench.NewEngine(riskbench.WithWorkers(2), riskbench.WithCache(128))
-	probs := []*riskbench.Problem{
-		riskbench.NewProblem().
-			SetModel(riskbench.ModelBS1D).SetOption(riskbench.OptCallEuro).
-			SetMethod(riskbench.MethodMCEuro).
-			Set("S0", 100).Set("r", 0.05).Set("sigma", 0.2).
-			Set("K", 100).Set("T", 1).Set("paths", 2000).SetSeed(99),
-	}
-	cold, err := eng.PriceBatch(context.Background(), probs)
+	reg := riskbench.NewTelemetry()
+	eng := riskbench.NewEngine(riskbench.WithWorkers(2), riskbench.WithCache(128), riskbench.WithTelemetry(reg))
+	pf := riskbench.ToyPortfolio(8)
+	scens := riskbench.SpotLadder()[:2]
+	cold, err := eng.RevalueContext(context.Background(), pf, scens)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := eng.PriceBatch(context.Background(), probs)
+	warm, err := eng.RevalueContext(context.Background(), pf, scens)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold[0].Err != nil || warm[0].Err != nil {
-		t.Fatalf("pricing errors: %v / %v", cold[0].Err, warm[0].Err)
+	if hits := reg.Snapshot().Counters["risk.base_cache_hits"]; hits != int64(pf.Size()) {
+		t.Fatalf("second revaluation read %d base prices from the cache, want %d", hits, pf.Size())
 	}
-	if !warm[0].Cached {
-		t.Fatal("second PriceBatch missed the cache")
-	}
-	if warm[0].Result != cold[0].Result {
-		t.Fatalf("cached result %+v differs from fresh %+v", warm[0].Result, cold[0].Result)
+	if !reflect.DeepEqual(warm.Base, cold.Base) || !reflect.DeepEqual(warm.Values, cold.Values) {
+		t.Fatal("the cached revaluation differs from the fresh one")
 	}
 }
 
