@@ -71,9 +71,12 @@ compat:
 # nsp.Unserialize as a frame's bytes arrive, and the JSON bodies of the
 # four POST endpoints. No input may panic or allocate past its bounds,
 # whatever decodes must survive its own codec, and every request body gets
-# a JSON answer that is no 5xx. The seeds (golden wire bytes plus every
-# known corruption) also run under plain `go test`. A failing input lands
-# in the package's testdata/fuzz/; commit it with the fix.
+# a JSON answer that is no 5xx. Then it fuzzes the table-driven
+# mathutil.Exp the Monte Carlo kernels price with: within 2 ulp of
+# math.Exp on any argument, and ExpVec equal to it bit for bit. The seeds
+# (golden wire bytes plus every known corruption) also run under plain
+# `go test`. A failing input lands in the package's testdata/fuzz/;
+# commit it with the fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzUnserialize$$' -fuzztime 10s ./internal/nsp
 	$(GO) test -run '^$$' -fuzz 'FuzzReadFrame$$' -fuzztime 10s ./internal/mpi
@@ -81,6 +84,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime 10s ./internal/farm
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRecords$$' -fuzztime 10s ./internal/farm
 	$(GO) test -run '^$$' -fuzz 'FuzzServeBodies$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz 'FuzzExp$$' -fuzztime 10s ./internal/mathutil
 
 # loc prints non-test and test Go lines per package directory, then the
 # module-root façade and the internal/* + cmd/* total, so ROADMAP's size
@@ -109,16 +113,22 @@ smoke:
 # caller's and the mailbox's wake-ups show), registry, fleet book and the
 # premia sink live (so premia's per-sweep instruments show), the base
 # column read from a price cache, and every report's spans filed in a
-# trace. It then does the same for BenchmarkFullRevalBook (100 claims ×
-# 1000 scenarios, each claim cut across sweeps; 100 reports, ~5 s). The
-# binary and the profiles (cpu.prof, book.prof) stay in $(PROFILE_DIR) for
-# `go tool pprof -list`.
+# trace. It then does the same for the var_real operation
+# (BenchmarkFullRevalReal: the 33-claim realistic sample × 5 scenarios,
+# Monte Carlo kernels GOMAXPROCS wide; 100 reports, ~5 s), where the
+# kernels' exps and normals show, and for BenchmarkFullRevalBook (100
+# claims × 1000 scenarios, each claim cut across sweeps; 100 reports,
+# ~5 s). The binary and the profiles (cpu.prof, real.prof, book.prof) stay
+# in $(PROFILE_DIR) for `go tool pprof -list`.
 PROFILE_DIR ?= .profile
 profile:
 	mkdir -p $(PROFILE_DIR)
 	$(GO) test -run '^$$' -bench 'BenchmarkFullRevalToy$$' -benchtime 1000x -cpuprofile $(PROFILE_DIR)/cpu.prof -o $(PROFILE_DIR)/var.test ./internal/var
 	$(GO) tool pprof -top -cum -nodecount 45 $(PROFILE_DIR)/var.test $(PROFILE_DIR)/cpu.prof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/var.test $(PROFILE_DIR)/cpu.prof
+	$(GO) test -run '^$$' -bench 'BenchmarkFullRevalReal$$' -benchtime 100x -cpuprofile $(PROFILE_DIR)/real.prof -o $(PROFILE_DIR)/var.test ./internal/var
+	$(GO) tool pprof -top -cum -nodecount 45 $(PROFILE_DIR)/var.test $(PROFILE_DIR)/real.prof
+	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/var.test $(PROFILE_DIR)/real.prof
 	$(GO) test -run '^$$' -bench 'BenchmarkFullRevalBook$$' -benchtime 100x -cpuprofile $(PROFILE_DIR)/book.prof -o $(PROFILE_DIR)/var.test ./internal/var
 	$(GO) tool pprof -top -cum -nodecount 45 $(PROFILE_DIR)/var.test $(PROFILE_DIR)/book.prof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/var.test $(PROFILE_DIR)/book.prof

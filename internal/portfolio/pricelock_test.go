@@ -11,6 +11,8 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+
+	"riskbench/internal/premia"
 )
 
 // writePrices is `make prices`: rewrite prices.lock from this tree.
@@ -36,10 +38,10 @@ func lockTarget() string {
 
 // priceLock prices Table I's suite serially and renders one line per
 // problem: its name, then the bits of Price, Delta and PriceCI, or the
-// pricing error.
+// pricing error. A sweep section follows (lockSweeps).
 func priceLock() []byte {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "# math.Float64bits of Price, Delta and PriceCI for portfolio.Regression(), priced serially.\n")
+	fmt.Fprintf(&b, "# math.Float64bits of Price, Delta and PriceCI for portfolio.Regression(), priced serially, then for lockSweeps' scenario cells.\n")
 	fmt.Fprintf(&b, "# A change that moves a price rewrites this file with `make prices` and names the methods that moved.\n")
 	fmt.Fprintf(&b, "go %s\ntarget %s\n", runtime.Version(), lockTarget())
 	for _, it := range Regression().Items {
@@ -48,10 +50,60 @@ func priceLock() []byte {
 			fmt.Fprintf(&b, "%s %s error: %v\n", it.Name, it.Problem.Method, err)
 			continue
 		}
-		fmt.Fprintf(&b, "%s %s %016x %016x %016x\n", it.Name, it.Problem.Method,
-			math.Float64bits(res.Price), math.Float64bits(res.Delta), math.Float64bits(res.PriceCI))
+		lockLine(&b, it.Name+" "+it.Problem.Method, res)
 	}
+	lockSweeps(&b)
 	return b.Bytes()
+}
+
+// lockLine renders one priced line: its label, then the bits of Price,
+// Delta and PriceCI.
+func lockLine(b *bytes.Buffer, label string, res premia.Result) {
+	fmt.Fprintf(b, "%s %016x %016x %016x\n", label,
+		math.Float64bits(res.Price), math.Float64bits(res.Delta), math.Float64bits(res.PriceCI))
+}
+
+// lockSweeps renders the path a full revaluation prices by: the first
+// claim of each product class in the var_real sample (every 244th claim
+// of the realistic book at effort 1e-3), priced serially as one
+// premia.Sweep at its base and under five scenario cells — spot ±10 %,
+// volatility ×0.8 and ×1.25, rate +1 pt — one line per cell.
+func lockSweeps(b *bytes.Buffer) {
+	book := Realistic()
+	if err := book.ScaleEffort(1e-3); err != nil {
+		panic(err)
+	}
+	seen := map[string]bool{}
+	for i := 0; i < len(book.Items); i += 244 {
+		it := book.Items[i]
+		class, _, _ := strings.Cut(it.Name, "-")
+		if seen[class] {
+			continue
+		}
+		seen[class] = true
+		p := it.Problem
+		vol, err := premia.VolParam(p.Model)
+		if err != nil {
+			panic(err)
+		}
+		cells := [][]premia.Override{
+			nil,
+			{{Param: "S0", Value: 0.9 * p.Params["S0"]}},
+			{{Param: "S0", Value: 1.1 * p.Params["S0"]}},
+			{{Param: vol, Value: 0.8 * p.Params[vol]}},
+			{{Param: vol, Value: 1.25 * p.Params[vol]}},
+			{{Param: "r", Value: p.Params["r"] + 0.01}},
+		}
+		results, errs := (&premia.Sweep{Base: p, Cells: cells}).Compute()
+		for k := range cells {
+			label := fmt.Sprintf("sweep %s %s cell %d", it.Name, p.Method, k)
+			if errs != nil && errs[k] != nil {
+				fmt.Fprintf(b, "%s error: %v\n", label, errs[k])
+				continue
+			}
+			lockLine(b, label, results[k])
+		}
+	}
 }
 
 // TestPriceLock pins every price of the regression suite to its bits, so

@@ -86,16 +86,24 @@ func (c *vanilla) price(formula bsFormula) (Result, error) {
 
 // vanillaSweep is the sweep form of a vanilla closed form: the base is
 // read once, each cell prices a copy of the record with its overrides set.
-func vanillaSweep(formula bsFormula) func(Params) func([]Override) (Result, error) {
-	return func(base Params) func([]Override) (Result, error) {
-		rec := vanillaOf(base)
-		return func(cell []Override) (Result, error) {
+func vanillaSweep(formula bsFormula) func(*Problem, [][]Override) ([]Result, []error) {
+	return func(base *Problem, cells [][]Override) ([]Result, []error) {
+		rec := vanillaOf(base.Params)
+		results := make([]Result, len(cells))
+		var errs []error
+		for k, cell := range cells {
 			c := rec
 			for _, o := range cell {
 				c.set(o.Param, o.Value)
 			}
-			return c.price(formula)
+			res, err := c.price(formula)
+			if err != nil {
+				errs = cellFailed(errs, len(cells), k, err)
+				continue
+			}
+			results[k] = res
 		}
+		return results, errs
 	}
 }
 

@@ -29,123 +29,213 @@ func lsmFits(paths, exDates, stored int) error {
 	return nil
 }
 
+// lsmStored is how many float64s an LSM run pricing the given number of
+// cells together keeps: per cell a basket matrix and each shard's
+// log-spots and spots for one date, beside one induction workspace (the
+// regression's design row, cash, ys and idx per path) and each shard's
+// normals for one path. For one cell it is what lsmFits admits plus the
+// shards' log-spots and spots.
+func lsmStored(cells, paths, exDates, dim, degree int) int {
+	return cells*(paths*exDates+2*kernelShards*dim) + paths*(degree+4) + kernelShards*exDates*dim
+}
+
+// lsmCellsPerRun is how many cells of a group one LSM run prices: as many
+// as lsmStored keeps within lsmMaxStored, and at least one — a cell alone
+// has passed lsmFits.
+func lsmCellsPerRun(paths, exDates, dim, degree int) int {
+	fixed := lsmStored(0, paths, exDates, dim, degree)
+	return max(1, (lsmMaxStored-fixed)/(lsmStored(1, paths, exDates, dim, degree)-fixed))
+}
+
 // mcAmerLSM implements MC_AM_LongstaffSchwartz for American puts under
 // one-dimensional Black–Scholes and for American basket puts under the
 // n-dimensional model. The continuation value is regressed on monomials of
 // the (basket) spot over in-the-money paths, per the original algorithm.
-// Parameters: "paths", "exdates", "degree".
-func mcAmerLSM(p *Problem) (Result, error) {
+// Parameters: "paths", "exdates", "degree". It is lsmPrices on one cell.
+func mcAmerLSM(p *Problem) (Result, error) { return priceAlone(p, lsmOf, lsmPrices) }
+
+// lsmCell is one MC_AM_LongstaffSchwartz pricing, parsed and validated.
+type lsmCell struct {
+	k                      mcKernel
+	paths, exDates, degree int
+	dim                    int
+	rho, s0, strike        float64
+	chol                   mathutil.EquiFactor
+	drift, vol, logS0      float64
+	discStep               float64
+}
+
+func lsmOf(p *Problem) (lsmCell, error) {
+	var c lsmCell
 	o, err := vanillaFrom(p)
 	if err != nil {
-		return Result{}, err
+		return c, err
 	}
-	paths, err := p.Params.size("paths", lsmDefaultPaths)
-	if err != nil {
-		return Result{}, err
+	if c.paths, err = p.Params.size("paths", lsmDefaultPaths); err != nil {
+		return c, err
 	}
-	exDates, err := p.Params.size("exdates", lsmDefaultExDates)
-	if err != nil {
-		return Result{}, err
+	if c.exDates, err = p.Params.size("exdates", lsmDefaultExDates); err != nil {
+		return c, err
 	}
-	degree, err := p.Params.size("degree", lsmDefaultDegree)
-	if err != nil {
-		return Result{}, err
+	if c.degree, err = p.Params.size("degree", lsmDefaultDegree); err != nil {
+		return c, err
 	}
-	if paths < 10 || exDates < 2 || degree < 1 {
-		return Result{}, fmt.Errorf("premia: LSM needs paths >= 10, exdates >= 2, degree >= 1")
+	if c.paths < 10 || c.exDates < 2 || c.degree < 1 {
+		return c, fmt.Errorf("premia: LSM needs paths >= 10, exdates >= 2, degree >= 1")
 	}
 
-	var dim int
-	var s0, r, div, sigma, rho float64
+	var r, div, sigma float64
 	switch p.Model {
 	case ModelBS1D:
 		m, err := bsFrom(p)
 		if err != nil {
-			return Result{}, err
+			return c, err
 		}
-		dim, s0, r, div, sigma, rho = 1, m.S0, m.R, m.Div, m.Sigma, 0
+		c.dim, c.s0, r, div, sigma, c.rho = 1, m.S0, m.R, m.Div, m.Sigma, 0
 	case ModelBSND:
 		m, err := mbsFrom(p)
 		if err != nil {
-			return Result{}, err
+			return c, err
 		}
-		dim, s0, r, div, sigma, rho = m.Dim, m.S0, m.R, m.Div, m.Sigma, m.Rho
+		c.dim, c.s0, r, div, sigma, c.rho = m.Dim, m.S0, m.R, m.Div, m.Sigma, m.Rho
 	default:
-		return Result{}, fmt.Errorf("premia: LSM does not support model %q", p.Model)
+		return c, fmt.Errorf("premia: LSM does not support model %q", p.Model)
 	}
 
 	// The basket, the regression's design row, cash, ys and idx per path,
 	// and each shard's normals for one path.
-	if err := lsmFits(paths, exDates, paths*(exDates+degree+4)+kernelShards*exDates*dim); err != nil {
-		return Result{}, err
+	if err := lsmFits(c.paths, c.exDates, c.paths*(c.exDates+c.degree+4)+kernelShards*c.exDates*c.dim); err != nil {
+		return c, err
 	}
-	chol, err := mathutil.NewEquiFactor(dim, rho)
-	if err != nil {
-		return Result{}, fmt.Errorf("premia: LSM correlation: %w", err)
+	if c.chol, err = mathutil.NewEquiFactor(c.dim, c.rho); err != nil {
+		return c, fmt.Errorf("premia: LSM correlation: %w", err)
 	}
+	c.strike = o.K
+	dt := o.T / float64(c.exDates)
+	c.drift = (r - div - 0.5*sigma*sigma) * dt
+	c.vol = sigma * math.Sqrt(dt)
+	c.logS0 = math.Log(c.s0)
+	c.discStep = math.Exp(-r * dt)
+	c.k, err = kernelOf(p)
+	return c, err
+}
 
-	// Simulate the basket value at each exercise date for each path. Only
-	// the basket average is needed by the payoff and the regression, so
-	// paths×dates floats suffice even in dimension 40. Path generation is
-	// the method's hot phase and runs sharded on the multicore pricing
-	// kernel, each shard writing its disjoint block of the basket matrix;
-	// the backward induction below stays serial (it regresses across
-	// paths).
-	dt := o.T / float64(exDates)
-	drift := (r - div - 0.5*sigma*sigma) * dt
-	vol := sigma * math.Sqrt(dt)
-	basket := make([]float64, paths*exDates) // basket[i*exDates+k] at date k+1
-	logS0 := math.Log(s0)
-	err = runIndexedKernel(p, paths, func(_, start, count int, rng *mathutil.RNG, sc *kernelScratch) {
-		logS := sc.floats(dim)
-		cz := sc.floats(dim)
-		// All of a path's normals (exDates·dim) are drawn in one batched
-		// pass; the date loop then consumes them row by row, date-major
-		// and asset-minor.
-		z := sc.floats(exDates * dim)
-		for i := start; i < start+count; i++ {
-			for j := range logS {
-				logS[j] = logS0
-			}
-			rng.NormVec(z)
-			for k := 0; k < exDates; k++ {
-				chol.Mul(z[k*dim:(k+1)*dim], cz)
-				sum := 0.0
-				for j := 0; j < dim; j++ {
-					logS[j] += drift + vol*cz[j]
-					sum += math.Exp(logS[j])
+func (c lsmCell) draws() drawKey {
+	return drawKey{seed: c.k.seed, paths: c.paths, dim: c.dim, dates: c.exDates, rho: math.Float64bits(c.rho)}
+}
+
+// lsmPrices prices LSM cells that share their draws, lsmCellsPerRun of
+// them a kernel run. Only the basket average is needed by the payoff and
+// the regression, so each cell keeps paths×dates floats even in dimension
+// 40. Path generation is the method's hot phase and runs sharded on the
+// multicore pricing kernel: each path's normals are drawn and correlated
+// once a date, then every cell evolves its own log-spots and writes its
+// disjoint block of its basket matrix. The backward induction stays
+// serial (it regresses across paths), one cell after another on one
+// workspace.
+func lsmPrices(cells []lsmCell) ([]Result, []error) {
+	c0 := cells[0]
+	paths, exDates, dim := c0.paths, c0.exDates, c0.dim
+	degree := 0
+	for _, c := range cells {
+		degree = max(degree, c.degree)
+	}
+	per := lsmCellsPerRun(paths, exDates, dim, degree)
+	results := make([]Result, len(cells))
+	var errs []error
+	baskets := make([]float64, min(per, len(cells))*paths*exDates)
+	w := newLSMWorkspace(paths, degree+1)
+	for lo := 0; lo < len(cells); lo += per {
+		run := cells[lo:min(lo+per, len(cells))]
+		c0.k.indexed(paths, func(_, start, count int, rng *mathutil.RNG, sc *kernelScratch) {
+			logS := sc.floats(len(run) * dim)
+			cz := sc.floats(dim)
+			spots := sc.floats(len(run) * dim)
+			// All of a path's normals (exDates·dim) are drawn in one
+			// batched pass; the date loop then consumes them row by row,
+			// date-major and asset-minor, and takes the exp of every
+			// cell's log-spots in one pass.
+			z := sc.floats(exDates * dim)
+			for i := start; i < start+count; i++ {
+				for j := range run {
+					for a := j * dim; a < (j+1)*dim; a++ {
+						logS[a] = run[j].logS0
+					}
 				}
-				basket[i*exDates+k] = sum / float64(dim)
+				rng.NormVec(z)
+				for k := 0; k < exDates; k++ {
+					c0.chol.Mul(z[k*dim:(k+1)*dim], cz)
+					for j := range run {
+						drift, vol := run[j].drift, run[j].vol
+						ls := logS[j*dim : (j+1)*dim]
+						for a := range ls {
+							ls[a] += drift + vol*cz[a]
+						}
+					}
+					mathutil.ExpVec(spots, logS)
+					for j := range run {
+						sum := 0.0
+						for _, s := range spots[j*dim : (j+1)*dim] {
+							sum += s
+						}
+						baskets[(j*paths+i)*exDates+k] = sum / float64(dim)
+					}
+				}
 			}
+		})
+		for j, c := range run {
+			res, err := c.induct(baskets[j*paths*exDates:(j+1)*paths*exDates], w)
+			if err != nil {
+				errs = cellFailed(errs, len(cells), lo+j, err)
+				continue
+			}
+			results[lo+j] = res
 		}
-	})
-	if err != nil {
-		return Result{}, err
 	}
+	return results, errs
+}
 
-	// Backward induction with regression over in-the-money paths.
-	discStep := math.Exp(-r * dt)
-	cash := make([]float64, paths) // value along each path, discounted to the current date
-	for i := 0; i < paths; i++ {
-		cash[i] = payoffPut(basket[i*exDates+exDates-1], o.K)
+// lsmWorkspace is the backward induction's scratch, shared by the cells
+// of one lsmPrices call: sized for paths and nb basis functions, every
+// slot a cell reads is written by that cell first.
+type lsmWorkspace struct {
+	cash, design, ys, beta, basis []float64
+	idx                           []int
+}
+
+func newLSMWorkspace(paths, nb int) *lsmWorkspace {
+	return &lsmWorkspace{
+		cash:   make([]float64, paths),
+		design: make([]float64, paths*nb),
+		ys:     make([]float64, paths),
+		beta:   make([]float64, nb),
+		basis:  make([]float64, nb),
+		idx:    make([]int, paths),
 	}
-	nb := degree + 1
-	design := make([]float64, paths*nb)
-	ys := make([]float64, paths)
-	idx := make([]int, paths)
-	beta := make([]float64, nb)
-	basis := make([]float64, nb)
-	work := float64(paths) * float64(exDates) * float64(dim)
+}
+
+// induct runs the backward induction with regression over in-the-money
+// paths on the cell's basket matrix (basket[i*exDates+k] at date k+1).
+func (c lsmCell) induct(basket []float64, w *lsmWorkspace) (Result, error) {
+	paths, exDates := c.paths, c.exDates
+	cash := w.cash // value along each path, discounted to the current date
+	for i := 0; i < paths; i++ {
+		cash[i] = payoffPut(basket[i*exDates+exDates-1], c.strike)
+	}
+	nb := c.degree + 1
+	design, ys, idx := w.design, w.ys, w.idx
+	beta, basis := w.beta[:nb], w.basis[:nb]
+	work := float64(paths) * float64(exDates) * float64(c.dim)
 	for k := exDates - 2; k >= 0; k-- {
 		for i := range cash {
-			cash[i] *= discStep
+			cash[i] *= c.discStep
 		}
 		// Gather in-the-money paths.
 		n := 0
 		for i := 0; i < paths; i++ {
 			b := basket[i*exDates+k]
-			if payoffPut(b, o.K) > 0 {
-				mathutil.PolyBasis(b/o.K, design[n*nb:(n+1)*nb]) // normalise for conditioning
+			if payoffPut(b, c.strike) > 0 {
+				mathutil.PolyBasis(b/c.strike, design[n*nb:(n+1)*nb]) // normalise for conditioning
 				ys[n] = cash[i]
 				idx[n] = i
 				n++
@@ -160,8 +250,8 @@ func mcAmerLSM(p *Problem) (Result, error) {
 		for j := 0; j < n; j++ {
 			i := idx[j]
 			b := basket[i*exDates+k]
-			exercise := payoffPut(b, o.K)
-			mathutil.PolyBasis(b/o.K, basis)
+			exercise := payoffPut(b, c.strike)
+			mathutil.PolyBasis(b/c.strike, basis)
 			cont := 0.0
 			for q := 0; q < nb; q++ {
 				cont += beta[q] * basis[q]
@@ -172,16 +262,16 @@ func mcAmerLSM(p *Problem) (Result, error) {
 		}
 		work += float64(n) * float64(nb) * float64(nb)
 	}
-	var w mathutil.Welford
+	var wf mathutil.Welford
 	for i := 0; i < paths; i++ {
-		w.Add(discStep * cash[i])
+		wf.Add(c.discStep * cash[i])
 	}
-	price := w.Mean()
+	price := wf.Mean()
 	// The American value dominates immediate exercise at t=0.
-	if ex := payoffPut(s0, o.K); ex > price {
+	if ex := payoffPut(c.s0, c.strike); ex > price {
 		price = ex
 	}
-	return Result{Price: price, PriceCI: w.HalfWidth95(), Work: work}, nil
+	return Result{Price: price, PriceCI: wf.HalfWidth95(), Work: work}, nil
 }
 
 // mcAmerAlfonsi implements MC_AM_Alfonsi_LongstaffSchwartz, the method
@@ -225,7 +315,11 @@ func mcAmerAlfonsi(p *Problem) (Result, error) {
 	// regression phase below stays serial.
 	spots := make([]float64, paths*exDates)
 	vars := make([]float64, paths*exDates)
-	err = runIndexedKernel(p, paths, func(_, start, count int, rng *mathutil.RNG, sc *kernelScratch) {
+	k, err := kernelOf(p)
+	if err != nil {
+		return Result{}, err
+	}
+	k.indexed(paths, func(_, start, count int, rng *mathutil.RNG, sc *kernelScratch) {
 		// Each path's 2·exDates normals are drawn in one batched pass and
 		// consumed as interleaved (z1, z2) pairs, one pair a date.
 		zz := sc.floats(2 * exDates)
@@ -239,14 +333,11 @@ func mcAmerAlfonsi(p *Problem) (Result, error) {
 				vNew := hestonVarStep(m, v, dt, sqdt*z1, useAlfonsi)
 				x += hestonLogSpotIncrement(m, v, vNew, dt, rho2, z2)
 				v = vNew
-				spots[i*exDates+k] = math.Exp(x)
+				spots[i*exDates+k] = mathutil.Exp(x)
 				vars[i*exDates+k] = v
 			}
 		}
 	})
-	if err != nil {
-		return Result{}, err
-	}
 
 	// LSM on the 2-d state (S, V): basis {1, s, s², s³, v, s·v} with
 	// s = S/K normalised.

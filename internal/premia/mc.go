@@ -113,8 +113,8 @@ func mcEuro(p *Problem) (Result, error) {
 					bn := min(soaBlock, n-done)
 					rng.NormVec(g[:bn])
 					for i := 0; i < bn; i++ {
-						st1[i] = m.S0 * math.Exp(drift+vol*g[i])
-						st2[i] = m.S0 * math.Exp(drift+vol*-g[i])
+						st1[i] = m.S0 * mathutil.Exp(drift+vol*g[i])
+						st2[i] = m.S0 * mathutil.Exp(drift+vol*-g[i])
 					}
 					for i := 0; i < bn; i++ {
 						p12, d12 := pairPay(st1[i], st2[i])
@@ -131,7 +131,7 @@ func mcEuro(p *Problem) (Result, error) {
 					bn := min(soaBlock, n-done)
 					rng.NormVec(g[:bn])
 					for i := 0; i < bn; i++ {
-						st[i] = m.S0 * math.Exp(drift+vol*g[i])
+						st[i] = m.S0 * mathutil.Exp(drift+vol*g[i])
 					}
 					payoffPass(st[:bn], accs, df)
 				}
@@ -218,30 +218,57 @@ func mcEuro(p *Problem) (Result, error) {
 // Paths run on the multicore pricing kernel: the optional "threads"
 // parameter sizes the goroutine pool, while the shard decomposition (and
 // therefore the estimate) depends only on (seed, paths) — see
-// parallel.go.
-func mcBasket(p *Problem) (Result, error) {
-	m, err := mbsFrom(p)
-	if err != nil {
-		return Result{}, err
+// parallel.go. It is basketPrices on one cell.
+func mcBasket(p *Problem) (Result, error) { return priceAlone(p, basketOf, basketPrices) }
+
+// basketCell is one MC_Basket pricing, parsed and validated.
+type basketCell struct {
+	k              mcKernel
+	paths          int
+	m              mbsParams
+	chol           mathutil.EquiFactor
+	strike         float64
+	drift, vol, df float64
+	isCall         bool
+}
+
+func basketOf(p *Problem) (basketCell, error) {
+	var c basketCell
+	var err error
+	if c.m, err = mbsFrom(p); err != nil {
+		return c, err
 	}
 	o, err := vanillaFrom(p)
 	if err != nil {
-		return Result{}, err
+		return c, err
 	}
-	paths := p.Params.Int("paths", mcDefaultPaths)
-	if paths < 2 {
-		return Result{}, fmt.Errorf("premia: MC_Basket needs paths >= 2, got %d", paths)
+	c.paths = p.Params.Int("paths", mcDefaultPaths)
+	if c.paths < 2 {
+		return c, fmt.Errorf("premia: MC_Basket needs paths >= 2, got %d", c.paths)
 	}
-	d := m.Dim
-	chol, err := mathutil.NewEquiFactor(d, m.Rho)
-	if err != nil {
-		return Result{}, fmt.Errorf("premia: basket correlation: %w", err)
+	if c.chol, err = mathutil.NewEquiFactor(c.m.Dim, c.m.Rho); err != nil {
+		return c, fmt.Errorf("premia: basket correlation: %w", err)
 	}
-	drift := (m.R - m.Div - 0.5*m.Sigma*m.Sigma) * o.T
-	vol := m.Sigma * math.Sqrt(o.T)
-	df := math.Exp(-m.R * o.T)
+	m := c.m
+	c.strike = o.K
+	c.drift = (m.R - m.Div - 0.5*m.Sigma*m.Sigma) * o.T
+	c.vol = m.Sigma * math.Sqrt(o.T)
+	c.df = math.Exp(-m.R * o.T)
+	c.isCall = p.Option == OptCallBasketEuro
+	c.k, err = kernelOf(p)
+	return c, err
+}
 
-	isCall := p.Option == OptCallBasketEuro
+func (c basketCell) draws() drawKey {
+	return drawKey{seed: c.k.seed, paths: c.paths, dim: c.m.Dim, rho: math.Float64bits(c.m.Rho)}
+}
+
+// basketPrices prices basket cells that share their draws in one kernel
+// run: each path's normals are drawn and correlated once, then every
+// cell evolves the path and pays off into its own accumulator.
+func basketPrices(cells []basketCell) ([]Result, []error) {
+	c0 := cells[0]
+	d := c0.m.Dim
 	// Struct-of-arrays: draw a whole block of path normals in one batched
 	// pass, then correlate / evolve / accumulate path by path, path i of
 	// a block taking normals i·d … i·d+d−1.
@@ -249,7 +276,7 @@ func mcBasket(p *Problem) (Result, error) {
 	if block < 1 {
 		block = 1
 	}
-	accs, err := runPathKernel(p, paths, 1, func(rng *mathutil.RNG, n int, accs []mathutil.Welford, sc *kernelScratch) {
+	accs := c0.k.paths(c0.paths, len(cells), func(rng *mathutil.RNG, n int, accs []mathutil.Welford, sc *kernelScratch) {
 		g := sc.floats(block * d)
 		cz := sc.floats(d)
 		st := sc.floats(d)
@@ -257,51 +284,87 @@ func mcBasket(p *Problem) (Result, error) {
 			bn := min(block, n-done)
 			rng.NormVec(g[:bn*d])
 			for i := 0; i < bn; i++ {
-				chol.Mul(g[i*d:(i+1)*d], cz)
-				for j := 0; j < d; j++ {
-					st[j] = m.S0 * math.Exp(drift+vol*cz[j])
-				}
-				if isCall {
-					accs[0].Add(df * payoffCall(basketValue(st), o.K))
-				} else {
-					accs[0].Add(df * payoffPut(basketValue(st), o.K))
+				c0.chol.Mul(g[i*d:(i+1)*d], cz)
+				for j := range cells {
+					c := &cells[j]
+					for a := 0; a < d; a++ {
+						st[a] = c.drift + c.vol*cz[a]
+					}
+					mathutil.ExpVec(st, st)
+					for a := 0; a < d; a++ {
+						st[a] = c.m.S0 * st[a]
+					}
+					if c.isCall {
+						accs[j].Add(c.df * payoffCall(basketValue(st), c.strike))
+					} else {
+						accs[j].Add(c.df * payoffPut(basketValue(st), c.strike))
+					}
 				}
 			}
 		}
 	})
-	if err != nil {
-		return Result{}, err
+	results := make([]Result, len(cells))
+	for j := range cells {
+		results[j] = Result{
+			Price: accs[j].Mean(), PriceCI: accs[j].HalfWidth95(),
+			Work: float64(c0.paths) * float64(d),
+		}
 	}
-	return Result{
-		Price: accs[0].Mean(), PriceCI: accs[0].HalfWidth95(),
-		Work: float64(paths) * float64(d),
-	}, nil
+	return results, nil
 }
 
 // mcLocalVol implements MC_LocalVol: log-Euler simulation under the
 // parametric local-volatility surface, sharded over the multicore pricing
-// kernel. Parameters: "paths", "mcsteps", "threads".
-func mcLocalVol(p *Problem) (Result, error) {
-	m, err := lvFrom(p)
-	if err != nil {
-		return Result{}, err
+// kernel. Parameters: "paths", "mcsteps", "threads". It is localVolPrices
+// on one cell.
+func mcLocalVol(p *Problem) (Result, error) { return priceAlone(p, localVolOf, localVolPrices) }
+
+// localVolCell is one MC_LocalVol pricing, parsed and validated.
+type localVolCell struct {
+	k            mcKernel
+	paths, steps int
+	m            lvParams
+	strike       float64
+	dt, sqdt, df float64
+	isCall       bool
+}
+
+func localVolOf(p *Problem) (localVolCell, error) {
+	var c localVolCell
+	var err error
+	if c.m, err = lvFrom(p); err != nil {
+		return c, err
 	}
 	o, err := vanillaFrom(p)
 	if err != nil {
-		return Result{}, err
+		return c, err
 	}
-	paths := p.Params.Int("paths", mcDefaultPaths)
-	steps, err := p.Params.size("mcsteps", mcDefaultSteps)
-	if err != nil {
-		return Result{}, err
+	c.paths = p.Params.Int("paths", mcDefaultPaths)
+	if c.steps, err = p.Params.size("mcsteps", mcDefaultSteps); err != nil {
+		return c, err
 	}
-	if paths < 2 || steps < 1 {
-		return Result{}, fmt.Errorf("premia: MC_LocalVol needs paths >= 2 and mcsteps >= 1")
+	if c.paths < 2 || c.steps < 1 {
+		return c, fmt.Errorf("premia: MC_LocalVol needs paths >= 2 and mcsteps >= 1")
 	}
-	isCall := p.Option == OptCallEuro
-	dt := o.T / float64(steps)
-	sqdt := math.Sqrt(dt)
-	df := math.Exp(-m.R * o.T)
+	c.isCall = p.Option == OptCallEuro
+	c.strike = o.K
+	c.dt = o.T / float64(c.steps)
+	c.sqdt = math.Sqrt(c.dt)
+	c.df = math.Exp(-c.m.R * o.T)
+	c.k, err = kernelOf(p)
+	return c, err
+}
+
+func (c localVolCell) draws() drawKey {
+	return drawKey{seed: c.k.seed, paths: c.paths, dates: c.steps}
+}
+
+// localVolPrices prices local-vol cells that share their draws in one
+// kernel run: each block of paths' normals is drawn once, then every cell
+// evolves the block's paths into its own accumulator.
+func localVolPrices(cells []localVolCell) ([]Result, []error) {
+	c0 := cells[0]
+	steps := c0.steps
 	// Struct-of-arrays: each block's normals (steps per path) are drawn in
 	// one batched pass; the sequential-in-time evolution then consumes its
 	// path's row.
@@ -309,35 +372,40 @@ func mcLocalVol(p *Problem) (Result, error) {
 	if block < 1 {
 		block = 1
 	}
-	accs, err := runPathKernel(p, paths, 1, func(rng *mathutil.RNG, n int, accs []mathutil.Welford, sc *kernelScratch) {
+	accs := c0.k.paths(c0.paths, len(cells), func(rng *mathutil.RNG, n int, accs []mathutil.Welford, sc *kernelScratch) {
 		g := sc.floats(block * steps)
 		for done := 0; done < n; done += block {
 			bn := min(block, n-done)
 			rng.NormVec(g[:bn*steps])
-			for i := 0; i < bn; i++ {
-				row := g[i*steps : (i+1)*steps]
-				s := m.S0
-				t := 0.0
-				for k := 0; k < steps; k++ {
-					sig := m.Vol(t, s)
-					s *= math.Exp((m.R-m.Div-0.5*sig*sig)*dt + sig*sqdt*row[k])
-					t += dt
+			for j := range cells {
+				c := &cells[j]
+				m := c.m
+				for i := 0; i < bn; i++ {
+					row := g[i*steps : (i+1)*steps]
+					s := m.S0
+					t := 0.0
+					for k := 0; k < steps; k++ {
+						sig := m.Vol(t, s)
+						s *= mathutil.Exp((m.R-m.Div-0.5*sig*sig)*c.dt + sig*c.sqdt*row[k])
+						t += c.dt
+					}
+					var pay float64
+					if c.isCall {
+						pay = payoffCall(s, c.strike)
+					} else {
+						pay = payoffPut(s, c.strike)
+					}
+					accs[j].Add(c.df * pay)
 				}
-				var pay float64
-				if isCall {
-					pay = payoffCall(s, o.K)
-				} else {
-					pay = payoffPut(s, o.K)
-				}
-				accs[0].Add(df * pay)
 			}
 		}
 	})
-	if err != nil {
-		return Result{}, err
+	results := make([]Result, len(cells))
+	for j := range cells {
+		results[j] = Result{
+			Price: accs[j].Mean(), PriceCI: accs[j].HalfWidth95(),
+			Work: float64(c0.paths) * float64(steps),
+		}
 	}
-	return Result{
-		Price: accs[0].Mean(), PriceCI: accs[0].HalfWidth95(),
-		Work: float64(paths) * float64(steps),
-	}, nil
+	return results, nil
 }

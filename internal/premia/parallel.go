@@ -222,22 +222,45 @@ func getArena(shards int) *kernelArena {
 
 func putArena(a *kernelArena) { arenaPool.Put(a) }
 
-// runPathKernel simulates n independent units (paths, antithetic pairs,
-// …) through the kernel: body runs once per shard with the shard's own
+// mcKernel is what a Monte Carlo run needs from its problem besides the
+// method's own parameters: the seed its shard streams split from and the
+// pool width it runs at. Only the seed reaches a result.
+type mcKernel struct {
+	seed    uint64
+	threads int
+}
+
+// kernelOf reads a problem's kernel settings, failing as kernelThreads
+// does.
+func kernelOf(p *Problem) (mcKernel, error) {
+	threads, err := kernelThreads(p)
+	if err != nil {
+		return mcKernel{}, err
+	}
+	return mcKernel{seed: mcSeed(p), threads: threads}, nil
+}
+
+// runPathKernel is k.paths on the problem's kernel settings.
+func runPathKernel(p *Problem, n, naccs int, body func(rng *mathutil.RNG, n int, accs []mathutil.Welford, scratch *kernelScratch)) ([]mathutil.Welford, error) {
+	k, err := kernelOf(p)
+	if err != nil {
+		return nil, err
+	}
+	return k.paths(n, naccs, body), nil
+}
+
+// paths simulates n independent units (paths, antithetic pairs, …)
+// through the kernel: body runs once per shard with the shard's own
 // decorrelated RNG stream, its unit count, naccs fresh accumulators, and
 // the shard's scratch arena for struct-of-arrays buffers. The per-shard
 // accumulators are merged in shard order, so the returned statistics
 // depend only on (seed, n), never on the thread count.
-func runPathKernel(p *Problem, n, naccs int, body func(rng *mathutil.RNG, n int, accs []mathutil.Welford, scratch *kernelScratch)) ([]mathutil.Welford, error) {
-	threads, err := kernelThreads(p)
-	if err != nil {
-		return nil, err
-	}
+func (k mcKernel) paths(n, naccs int, body func(rng *mathutil.RNG, n int, accs []mathutil.Welford, scratch *kernelScratch)) []mathutil.Welford {
 	counts := shardCounts(n)
-	base := mathutil.NewRNG(mcSeed(p))
+	base := mathutil.NewRNG(k.seed)
 	a := getArena(len(counts))
 	defer putArena(a)
-	kernelRun(threads, len(counts), func(s int) {
+	kernelRun(k.threads, len(counts), func(s int) {
 		sc := &a.shards[s]
 		base.SplitInto(&sc.rng, uint64(s))
 		body(&sc.rng, counts[s], sc.welford(naccs), sc)
@@ -248,31 +271,25 @@ func runPathKernel(p *Problem, n, naccs int, body func(rng *mathutil.RNG, n int,
 			merged[j].Merge(a.shards[s].accs[j])
 		}
 	}
-	return merged, nil
+	return merged
 }
 
-// runIndexedKernel is the lower-level shape for methods that write
-// per-path results into pre-allocated disjoint slices (the LSM
-// path-generation phase): body receives the shard index, the shard's
-// global unit offset and count, the shard's RNG stream, and the shard's
-// scratch arena.
-func runIndexedKernel(p *Problem, n int, body func(shard, start, count int, rng *mathutil.RNG, scratch *kernelScratch)) error {
-	threads, err := kernelThreads(p)
-	if err != nil {
-		return err
-	}
+// indexed is the lower-level shape for methods that write per-path
+// results into pre-allocated disjoint slices (the LSM path-generation
+// phase): body receives the shard index, the shard's global unit offset
+// and count, the shard's RNG stream, and the shard's scratch arena.
+func (k mcKernel) indexed(n int, body func(shard, start, count int, rng *mathutil.RNG, scratch *kernelScratch)) {
 	counts := shardCounts(n)
 	starts := make([]int, len(counts))
 	for i := 1; i < len(counts); i++ {
 		starts[i] = starts[i-1] + counts[i-1]
 	}
-	base := mathutil.NewRNG(mcSeed(p))
+	base := mathutil.NewRNG(k.seed)
 	a := getArena(len(counts))
 	defer putArena(a)
-	kernelRun(threads, len(counts), func(s int) {
+	kernelRun(k.threads, len(counts), func(s int) {
 		sc := &a.shards[s]
 		base.SplitInto(&sc.rng, uint64(s))
 		body(s, starts[s], counts[s], &sc.rng, sc)
 	})
-	return nil
 }

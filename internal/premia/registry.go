@@ -27,11 +27,15 @@ type methodSpec struct {
 	models  map[string]bool
 	options map[string]bool
 	fn      func(*Problem) (Result, error)
-	// sweep, when set, is the method's sweep form: given a sweep's base
-	// parameters it returns the pricer of its cells, whose results are
-	// fn's on the base with the cell's overrides set, to the bit.
-	// Sweep.Compute runs fn on a scratch copy of the base without one.
-	sweep func(Params) func([]Override) (Result, error)
+	// sweep is the method's sweep form: it prices every cell of a sweep
+	// over base in one call, results[k] and errs[k] being fn's on base
+	// with cells[k] set, to the bit (errs nil when every cell priced).
+	// It is onScratch(fn) unless the method registers one of its own.
+	sweep func(base *Problem, cells [][]Override) ([]Result, []error)
+	// instant marks a method whose cells each cost well under a
+	// microsecond (the closed-form vanillas), so a revaluation of nothing
+	// else is bunched (Instantaneous).
+	instant bool
 }
 
 // methods is the global registry, populated by init in this file so the
@@ -53,7 +57,7 @@ func registerAsset(asset, name string, models, options []string, fn func(*Proble
 	for _, o := range options {
 		os[o] = true
 	}
-	methods[name] = methodSpec{asset: asset, models: ms, options: os, fn: fn}
+	methods[name] = methodSpec{asset: asset, models: ms, options: os, fn: fn, sweep: onScratch(fn)}
 }
 
 func init() {
@@ -167,22 +171,29 @@ func init() {
 		mcCredit)
 
 	// The methods a revaluation sweeps in volume: every vanilla of the toy
-	// and realistic books is a CF_Call.
-	registerSweep(MethodCFCall, vanillaSweep(bsCallPrice))
-	registerSweep(MethodCFPut, vanillaSweep(bsPutPrice))
+	// and realistic books is a CF_Call, priced in well under a
+	// microsecond. The Monte Carlo methods of the realistic book draw a
+	// sweep's paths once for all its cells.
+	registerSweep(MethodCFCall, true, vanillaSweep(bsCallPrice))
+	registerSweep(MethodCFPut, true, vanillaSweep(bsPutPrice))
+	registerSweep(MethodMCBasket, false, blockSweep(basketOf, basketPrices))
+	registerSweep(MethodMCLocalVol, false, blockSweep(localVolOf, localVolPrices))
+	registerSweep(MethodMCAmerLSM, false, blockSweep(lsmOf, lsmPrices))
 }
 
-// registerSweep gives a registered method its sweep form.
-func registerSweep(name string, sweep func(Params) func([]Override) (Result, error)) {
+// registerSweep gives a registered method a sweep form of its own, and
+// says whether its cells are instantaneous.
+func registerSweep(name string, instant bool, sweep func(*Problem, [][]Override) ([]Result, []error)) {
 	spec := methods[name]
-	spec.sweep = sweep
+	spec.sweep, spec.instant = sweep, instant
 	methods[name] = spec
 }
 
-// HasSweepForm reports whether the named method prices a sweep's cells
-// by a sweep form (the closed-form vanillas), each cell costing well
-// under a microsecond.
-func HasSweepForm(method string) bool { return methods[method].sweep != nil }
+// Instantaneous reports whether the named method prices a cell in well
+// under a microsecond — the closed-form vanillas, the paper's "almost
+// instantaneous" pricing — so that a message of its cells costs the farm
+// more than the kernel.
+func Instantaneous(method string) bool { return methods[method].instant }
 
 // Methods returns the names of all registered methods, sorted.
 func Methods() []string {

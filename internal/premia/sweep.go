@@ -17,11 +17,14 @@ type Override struct {
 // parameter wins. It is the unit a revaluation farms — one claim under
 // its scenarios — and exists to do once per claim what pricing each cell
 // as a problem of its own does once per cell: the copy (for a method with
-// a sweep form, the reading) of the parameter table, the method lookup,
-// the telemetry instruments. Every cell is still its own kernel call, in
-// cell order, on exactly the parameters Cell(k) carries; nothing is
-// batched or re-ordered, so the results are those of Cell(k).Compute()
-// to the bit.
+// a sweep form of its own, the reading) of the parameter table, the
+// method lookup, the telemetry instruments — and, for the Monte Carlo
+// methods with a block form (MC_Basket, MC_LocalVol, the LSM basket),
+// the paths: cells that draw the same normals are priced by one kernel
+// run that draws each path once and evolves it under every cell. Each
+// cell still sees exactly the operations, in the same order, that its
+// own kernel call on the parameters Cell(k) carries would, so the
+// results are those of Cell(k).Compute() to the bit.
 //
 // A sweep is an nsp object so that it can be a farm task's payload, but
 // it has no wire form: it crosses by reference or not at all, and a farm
@@ -55,58 +58,57 @@ func (s *Sweep) Cell(k int) *Problem {
 // is nil when every cell priced; otherwise errs[k] is cell k's failure
 // and results[k] is zero. A failed cell fails alone — the cells after it
 // are priced as if it had not — and counts once in "premia.errors", as
-// Problem.Compute would have counted it. The triple is validated once.
-// A method with a sweep form reads Base once and prices each cell from
-// that reading; any other prices the cells on one scratch copy of Base
-// that is put back to Base's values after each. The sink's per-method
-// metrics are booked once per sweep from two clock readings: every cell
-// counts as a compute observed at the sweep's mean time per cell.
+// Problem.Compute would have counted it. The triple is validated once,
+// and the method's sweep form (methodSpec.sweep) prices the cells in one
+// call. The sink's per-method metrics are booked once per sweep from two
+// clock readings: every cell counts as a compute observed at the sweep's
+// mean time per cell.
 func (s *Sweep) Compute() (results []Result, errs []error) {
-	results = make([]Result, len(s.Cells))
-	fail := func(k int, err error) {
-		if errs == nil {
-			errs = make([]error, len(s.Cells))
-		}
-		errs[k] = err
-		countError()
-	}
 	if err := s.Base.Validate(); err != nil {
+		errs = make([]error, len(s.Cells))
 		for k := range s.Cells {
-			fail(k, err)
+			errs[k] = err
+			countError()
 		}
-		return results, errs
+		return make([]Result, len(s.Cells)), errs
 	}
 	in := instrumentsOf(s.Base.Method)
-	start, work := in.reg.Now(), 0.0
-	var cell func([]Override) (Result, error)
-	if spec := methods[s.Base.Method]; spec.sweep != nil {
-		cell = spec.sweep(s.Base.Params)
-	} else {
-		cell = onScratch(spec.fn, s.Base)
-	}
-	for k, overrides := range s.Cells {
-		res, err := cell(overrides)
-		if err != nil {
-			fail(k, err)
+	start := in.reg.Now()
+	results, errs = methods[s.Base.Method].sweep(s.Base, s.Cells)
+	work := 0.0
+	for k, res := range results {
+		if errs != nil && errs[k] != nil {
+			countError()
 			continue
 		}
-		results[k] = res
 		work += res.Work
 	}
 	in.record(start, len(s.Cells), work)
 	return results, errs
 }
 
-// onScratch is the sweep form of a method without one: fn on a scratch
-// copy of base, each cell's overrides set before the call and put back to
-// base's values after it.
-func onScratch(fn func(*Problem) (Result, error), base *Problem) func([]Override) (Result, error) {
+// cellFailed records cell k's failure in errs, a slice of n errors
+// allocated on the first failure, and returns it.
+func cellFailed(errs []error, n, k int, err error) []error {
+	if errs == nil {
+		errs = make([]error, n)
+	}
+	errs[k] = err
+	return errs
+}
+
+// eachCell calls f on every cell in order, on one scratch copy of base
+// with the cell's overrides set before the call and put back to base's
+// values after it, and returns f's failures by cell (nil if none).
+func eachCell(base *Problem, cells [][]Override, f func(k int, p *Problem) error) (errs []error) {
 	scratch := base.Clone()
-	return func(cell []Override) (Result, error) {
+	for k, cell := range cells {
 		for _, o := range cell {
 			scratch.Params[o.Param] = o.Value
 		}
-		res, err := fn(scratch)
+		if err := f(k, scratch); err != nil {
+			errs = cellFailed(errs, len(cells), k, err)
+		}
 		for _, o := range cell {
 			if v, ok := base.Params[o.Param]; ok {
 				scratch.Params[o.Param] = v
@@ -114,6 +116,95 @@ func onScratch(fn func(*Problem) (Result, error), base *Problem) func([]Override
 				delete(scratch.Params, o.Param)
 			}
 		}
-		return res, err
 	}
+	return errs
+}
+
+// onScratch is the sweep form of a method without one of its own: fn on
+// each cell in turn (eachCell).
+func onScratch(fn func(*Problem) (Result, error)) func(*Problem, [][]Override) ([]Result, []error) {
+	return func(base *Problem, cells [][]Override) ([]Result, []error) {
+		results := make([]Result, len(cells))
+		errs := eachCell(base, cells, func(k int, p *Problem) error {
+			res, err := fn(p)
+			if err == nil {
+				results[k] = res
+			}
+			return err
+		})
+		return results, errs
+	}
+}
+
+// drawKey is everything that shapes a Monte Carlo run's draws: the seed
+// its shard streams split from, the path count that sizes the shards, and
+// how many normals a path takes and how they are correlated (assets,
+// dates or steps, correlation bits). Two cells with equal keys draw the
+// same normals in the same order.
+type drawKey struct {
+	seed              uint64
+	paths, dim, dates int
+	rho               uint64
+}
+
+// mcCell is one cell of a Monte Carlo method with a block form, parsed
+// and validated.
+type mcCell interface {
+	draws() drawKey
+}
+
+// blockSweep is the sweep form of a Monte Carlo method priced a block at
+// a time. Every cell is parsed by parse — the code the lone method runs
+// first, so a cell fails alone with the lone error — and the cells that
+// parsed are grouped by their draws, in order of first appearance: each
+// group is one call of price, which draws the group's paths once and
+// returns each cell's result (or failure) as the lone method would.
+// The lone method is price on a group of one (priceAlone).
+func blockSweep[C mcCell](parse func(*Problem) (C, error), price func([]C) ([]Result, []error)) func(*Problem, [][]Override) ([]Result, []error) {
+	return func(base *Problem, cells [][]Override) ([]Result, []error) {
+		results := make([]Result, len(cells))
+		parsed := make([]C, len(cells))
+		pending := make([]int, 0, len(cells))
+		errs := eachCell(base, cells, func(k int, p *Problem) (err error) {
+			if parsed[k], err = parse(p); err == nil {
+				pending = append(pending, k)
+			}
+			return err
+		})
+		group, at := make([]C, 0, len(pending)), make([]int, 0, len(pending))
+		for len(pending) > 0 {
+			key, rest := parsed[pending[0]].draws(), pending[:0]
+			group, at = group[:0], at[:0]
+			for _, k := range pending {
+				if parsed[k].draws() == key {
+					group, at = append(group, parsed[k]), append(at, k)
+				} else {
+					rest = append(rest, k)
+				}
+			}
+			res, failed := price(group)
+			for j, k := range at {
+				if failed != nil && failed[j] != nil {
+					errs = cellFailed(errs, len(cells), k, failed[j])
+					continue
+				}
+				results[k] = res[j]
+			}
+			pending = rest
+		}
+		return results, errs
+	}
+}
+
+// priceAlone is a block-form method on one problem.
+func priceAlone[C mcCell](p *Problem, parse func(*Problem) (C, error), price func([]C) ([]Result, []error)) (Result, error) {
+	c, err := parse(p)
+	if err != nil {
+		return Result{}, err
+	}
+	res, errs := price([]C{c})
+	if errs != nil && errs[0] != nil {
+		return Result{}, errs[0]
+	}
+	return res[0], nil
 }

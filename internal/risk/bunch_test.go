@@ -32,7 +32,7 @@ func (refusingBackend) Run(context.Context, []farm.Task, farm.Options, int) ([]f
 // ships in at most messagesPerWorker messages a worker on the default,
 // inproc and unix backends, and every cell of its surface is still, to
 // the bit, Scenario.Apply + Compute. A book with one claim of a method
-// without a sweep form — the toy book plus a Monte Carlo call, the
+// that is not instantaneous — the toy book plus a Monte Carlo call, the
 // var_real sample of the realistic book — keeps today's 2 × BatchSize
 // cells a message. A round with nothing to farm still answers.
 func TestRevalueMessageSizing(t *testing.T) {
@@ -136,6 +136,36 @@ func TestRevalueMessageSizing(t *testing.T) {
 	}
 	if len(rec.batches) != 0 {
 		t.Errorf("rounds %v farmed for books with nothing to farm", rec.batches)
+	}
+}
+
+// TestMonteCarloRoundNotBunched: a round of nothing but Monte Carlo
+// claims whose methods price a sweep by a block form of their own — the
+// realistic book's 2 075 basket, local vol and LSM claims, sized without
+// being priced — is not bunched. Its sweeps cost milliseconds a cell, so
+// they keep 2 × BatchSize cells a message, which bounds what a
+// cancellation waits for; bunched, the round would deal ~130 sweeps a
+// message.
+func TestMonteCarloRoundNotBunched(t *testing.T) {
+	pf := &portfolio.Portfolio{Name: "monte-carlo"}
+	for _, it := range portfolio.Realistic().Items {
+		switch it.Problem.Method {
+		case premia.MethodMCBasket, premia.MethodMCLocalVol, premia.MethodMCAmerLSM:
+			pf.Items = append(pf.Items, it)
+		}
+	}
+	scenarios := SpotLadder()[:5]
+	rec := &recordingBackend{inner: refusingBackend{}}
+	e := Engine{Workers: 2, Backend: rec}
+	if _, err := e.Revalue(pf, scenarios); !errors.Is(err, errNotFarmed) {
+		t.Fatalf("%v, want the refusing backend's error", err)
+	}
+	per := max(1, 2*e.batch()/(len(scenarios)+1))
+	if bunched := e.sweepsPerMessage(pf.Size(), len(scenarios), true, cellWireBytes(pf.Items[0].Problem)); bunched <= per {
+		t.Fatalf("%d claims would deal %d sweeps a message bunched, %d not: too few to tell", pf.Size(), bunched, per)
+	}
+	if len(rec.batches) != 1 || rec.batches[0] != per {
+		t.Errorf("dealt %v sweeps a message, want the unbunched %d", rec.batches, per)
 	}
 }
 

@@ -16,11 +16,13 @@
 // (the values Scenario.Apply would set), at most 2 × BatchSize cells to a
 // sweep, each sweep answered by a block of results it scatters onto the
 // surface by cell. Sweeps share a message up to 2 × BatchSize cells, or,
-// when every claim prices by a sweep form (premia.HasSweepForm: cells
-// well under a microsecond), about eight messages a worker carry the
-// whole round. Every cell is priced by its method's own kernel on
-// exactly the parameters Apply gives it, so the surface is bit for bit
-// what Apply + Compute returns; what the sweep saves is everything around
-// the kernel that used to be paid once per cell, and bunching what used
-// to be paid once per claim.
+// when every claim's method is instantaneous (premia.Instantaneous: the
+// closed-form vanillas, cells well under a microsecond), about eight
+// messages a worker carry the whole round. Every cell is priced as its
+// method's own kernel prices it on exactly the parameters Apply gives it,
+// so the surface is bit for bit what Apply + Compute returns; what the
+// sweep saves is everything around the kernel that used to be paid once
+// per cell — for the Monte Carlo methods with a block form, the paths
+// themselves, drawn once for all the sweep's cells — and bunching what
+// used to be paid once per claim.
 package risk

@@ -33,9 +33,9 @@ type Engine struct {
 	// claim under its scenarios — and sizes them from it: a sweep never
 	// holds more than 2 × BatchSize cells (a claim with more is cut evenly
 	// into sweeps of at most that many), and claims with fewer share a
-	// message up to 2 × BatchSize cells — unless every claim prices by a
-	// sweep form, whose sub-microsecond cells are bunched into about eight
-	// messages a worker (RevalueContext).
+	// message up to 2 × BatchSize cells — unless every claim's method is
+	// instantaneous, whose sub-microsecond cells are bunched into about
+	// eight messages a worker (RevalueContext).
 	BatchSize int
 	// Telemetry, when non-nil, receives the revaluation's metrics: the
 	// farm's task histograms and spans, phase spans
@@ -217,7 +217,7 @@ func cellWireBytes(base *premia.Problem) int {
 
 // sweepsPerMessage is the batch size of a revaluation round of tasks
 // sweeps over scenarios: as many sweeps as fit 2 × BatchSize cells, or,
-// when bunch says every claim prices by a sweep form, enough to deal the
+// when bunch says every claim's method is instantaneous, enough to deal the
 // round in messagesPerWorker messages a worker — capped so that a message
 // of sweeps of at most 2 × BatchSize cells, each weighing at most weight
 // bytes on a wire, stays within bunchedMessageBytes.
@@ -250,8 +250,8 @@ func (e Engine) Revalue(pf *portfolio.Portfolio, scenarios []Scenario) (*Valuati
 // once per cell. A sweep holds at most 2 × BatchSize cells: a claim with
 // more is cut evenly into sweeps of at most that many. Claims with fewer
 // share a message up to 2 × BatchSize cells, which bounds what a
-// cancellation waits for — unless every claim prices by a sweep form
-// (premia.HasSweepForm). Such a round is bunched ("bunch problems", the
+// cancellation waits for — unless every claim's method is instantaneous
+// (premia.Instantaneous). Such a round is bunched ("bunch problems", the
 // paper's conclusion): its sweeps are dealt in about messagesPerWorker
 // messages a worker, since a message of sub-microsecond cells costs the
 // farm more than its cells cost the kernel. A bunched message is still
@@ -259,8 +259,8 @@ func (e Engine) Revalue(pf *portfolio.Portfolio, scenarios []Scenario) (*Valuati
 // of 2²⁰ cells tens of milliseconds of work — and, over a framed
 // transport where its sweeps are dealt as their cells, no more than
 // bunchedMessageBytes.
-// Grouping changes nothing else: every cell is still its own kernel call
-// on the same parameters.
+// Grouping changes nothing else: every cell is priced as its own kernel
+// call on the same parameters would price it.
 func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, scenarios []Scenario) (*Valuation, error) {
 	reg := e.Telemetry
 	// A revaluation is a natural trace root (one bench run / report): mint
@@ -305,7 +305,7 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 	// move the credit book).
 	var skipped []cell
 	var claim claimShifts
-	// bunch holds while every farmed claim prices by a sweep form; weight
+	// bunch holds while every farmed claim's method is instantaneous; weight
 	// is then the heaviest of their cells on a wire.
 	bunch, weight := true, 0
 	for i, it := range pf.Items {
@@ -339,7 +339,7 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 		if count == 0 {
 			continue
 		}
-		if bunch = bunch && premia.HasSweepForm(it.Problem.Method); bunch {
+		if bunch = bunch && premia.Instantaneous(it.Problem.Method); bunch {
 			weight = max(weight, cellWireBytes(it.Problem))
 		}
 		for part, parts := 0, (count+limit-1)/limit; part < parts; part++ {
