@@ -1,5 +1,5 @@
 # Developer entry points. `make check` is the recommended pre-commit
-# gate: tier-1 build+test, vet, and a race pass over the packages with
+# gate: tier-1 build+test, gofmt, vet, and a race pass over the packages with
 # real concurrency (the farm's goroutine ranks, the message transports,
 # the lock-free telemetry primitives, the multicore pricing kernel, the
 # risk engine's batch pricer, and the serving layer's batcher, cache,
@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race check smoke compat fuzz loc wireshape prices profile
+.PHONY: build fmt test vet lint race check smoke compat fuzz loc wireshape prices profile
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, naming the files, when gofmt would reformat any Go file in
+# the module (testdata fixtures included), or when gofmt cannot parse one.
+fmt:
+	@out=$$(gofmt -l .) || exit 1; if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 # lint runs riskvet, the project's own static analysis suite
 # (internal/lint): detrand, maporder, wallclock, ctxflow, wireshape and
@@ -53,7 +58,7 @@ race:
 	$(GO) test -race ./internal/nsp ./internal/farm ./internal/mpi ./internal/telemetry ./internal/premia ./internal/risk ./internal/serve ./internal/simnet ./internal/portfolio ./internal/var
 	$(GO) test -race -run 'TestPinned|TestRunCancelled' ./internal/bench
 
-check: build vet lint test race
+check: build fmt vet lint test race
 
 # compat runs the wire-protocol version matrix: every pairing of v1/v2
 # masters and workers over the tcp and unix transports must negotiate

@@ -21,12 +21,12 @@ func good() {
 }
 
 func bad() {
-	reg.Counter("Requests").Add(1)                            // want `does not match the dotted grammar`
-	reg.Gauge("serve").Set(1)                                 // want `does not match the dotted grammar`
-	reg.Histogram("serve.Batch.Size").Observe(1)              // want `does not match the dotted grammar`
-	reg.Counter("serve." + rankString() + " total").Add(1)    // want `fragment " total"`
-	reg.Observe(fmt.Sprintf("farm worker %d", 2), 1.0)        // want `does not match the dotted grammar`
-	reg.Emit(telemetry.LevelError, "WorkerDied", telemetry.TraceContext{})           // want `does not match the dotted grammar`
+	reg.Counter("Requests").Add(1)                                         // want `does not match the dotted grammar`
+	reg.Gauge("serve").Set(1)                                              // want `does not match the dotted grammar`
+	reg.Histogram("serve.Batch.Size").Observe(1)                           // want `does not match the dotted grammar`
+	reg.Counter("serve." + rankString() + " total").Add(1)                 // want `fragment " total"`
+	reg.Observe(fmt.Sprintf("farm worker %d", 2), 1.0)                     // want `does not match the dotted grammar`
+	reg.Emit(telemetry.LevelError, "WorkerDied", telemetry.TraceContext{}) // want `does not match the dotted grammar`
 	//lint:allow metricnames fixture: legacy dashboard name kept for continuity
 	reg.Counter("Legacy-Series").Add(1)
 }

@@ -204,9 +204,23 @@ func TestLeastSquaresExactFit(t *testing.T) {
 		PolyBasis(xi, x[i*deg:(i+1)*deg])
 		y[i] = 1 + 2*xi + 3*xi*xi
 	}
+	x0 := append([]float64(nil), x...)
+	y0 := append([]float64(nil), y...)
 	beta := make([]float64, deg)
 	if err := LeastSquares(x, n, deg, y, beta); err != nil {
 		t.Fatal(err)
+	}
+	// The LSM induction reads continuation values from the design rows
+	// after the fit, so the inputs must come back untouched.
+	for i := range x0 {
+		if x[i] != x0[i] {
+			t.Fatalf("LeastSquares modified x[%d]: %v -> %v", i, x0[i], x[i])
+		}
+	}
+	for i := range y0 {
+		if y[i] != y0[i] {
+			t.Fatalf("LeastSquares modified y[%d]: %v -> %v", i, y0[i], y[i])
+		}
 	}
 	want := []float64{1, 2, 3}
 	for i := range want {

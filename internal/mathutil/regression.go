@@ -14,7 +14,9 @@ func PolyBasis(x float64, dst []float64) {
 // the design matrix with rows basis(x_i). rows is the number of samples,
 // cols the number of basis functions; x is row-major rows×cols. The normal
 // equations are solved by Cholesky with a tiny ridge term for numerical
-// safety on degenerate designs. beta must have length cols.
+// safety on degenerate designs. beta must have length cols. Only beta is
+// written: x and y are read, never modified, so a caller may reuse the
+// design rows after the fit.
 func LeastSquares(x []float64, rows, cols int, y, beta []float64) error {
 	if len(x) < rows*cols || len(y) < rows || len(beta) < cols {
 		panic("mathutil: LeastSquares length mismatch")

@@ -1,7 +1,6 @@
 package premia
 
 import (
-	"fmt"
 	"math"
 
 	"riskbench/internal/mathutil"
@@ -15,20 +14,6 @@ const OptCallUpOut = "CallUpOut"
 // MethodCFCallUpOut prices it by the Reiner–Rubinstein closed formula.
 const MethodCFCallUpOut = "CF_CallUpOut"
 
-// upBarrierFrom reads the up-barrier option's parameters.
-func upBarrierFrom(p *Problem) (barrierParams, error) {
-	var o barrierParams
-	var err error
-	if o.vanillaParams, err = vanillaFrom(p); err != nil {
-		return o, err
-	}
-	if o.L, err = p.Params.NeedPositive("U"); err != nil {
-		return o, err
-	}
-	o.Rebate = p.Params.Get("rebate", 0)
-	return o, nil
-}
-
 // cfCallUpOut prices the up-and-out call in closed form
 // (Reiner–Rubinstein). With U <= K the payoff region is entirely beyond
 // the barrier, so the option is worth only its rebate.
@@ -37,11 +22,11 @@ func cfCallUpOut(p *Problem) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	o, err := upBarrierFrom(p)
+	o, err := barrierFrom(p, "U")
 	if err != nil {
 		return Result{}, err
 	}
-	u := o.L // barrier level
+	u := o.B
 	if m.S0 >= u {
 		return Result{Price: o.Rebate * math.Exp(-m.R*o.T), HasDelta: true, Work: 1}, nil
 	}
@@ -96,63 +81,4 @@ func upInProbability(m bsParams, t, u float64) float64 {
 	st := m.Sigma * math.Sqrt(t)
 	b := math.Log(u / m.S0) // positive
 	return mathutil.NormCDF((-b+mu*t)/st) + math.Exp(2*mu*b/(m.Sigma*m.Sigma))*mathutil.NormCDF((-b-mu*t)/st)
-}
-
-// mcCallUpOut prices the up-and-out call by Monte Carlo with the
-// Brownian-bridge correction for the upper barrier. Parameters: "paths",
-// "mcsteps".
-func mcCallUpOut(p *Problem) (Result, error) {
-	m, err := bsFrom(p)
-	if err != nil {
-		return Result{}, err
-	}
-	o, err := upBarrierFrom(p)
-	if err != nil {
-		return Result{}, err
-	}
-	u := o.L
-	if m.S0 >= u {
-		return Result{Price: o.Rebate * math.Exp(-m.R*o.T), Work: 1}, nil
-	}
-	paths := p.Params.Int("paths", mcDefaultPaths)
-	steps, err := p.Params.size("mcsteps", mcDefaultSteps)
-	if err != nil {
-		return Result{}, err
-	}
-	if paths < 2 || steps < 1 {
-		return Result{}, fmt.Errorf("premia: MC up-and-out needs paths >= 2 and mcsteps >= 1")
-	}
-	rng := mathutil.NewRNG(mcSeed(p))
-	dt := o.T / float64(steps)
-	drift := (m.R - m.Div - 0.5*m.Sigma*m.Sigma) * dt
-	vol := m.Sigma * math.Sqrt(dt)
-	sig2dt := m.Sigma * m.Sigma * dt
-	df := math.Exp(-m.R * o.T)
-	lnU := math.Log(u)
-	var w mathutil.Welford
-	for i := 0; i < paths; i++ {
-		x := math.Log(m.S0)
-		alive := true
-		survival := 1.0
-		for k := 0; k < steps && alive; k++ {
-			xNext := x + drift + vol*rng.Norm()
-			if xNext >= lnU {
-				alive = false
-				break
-			}
-			pHit := math.Exp(-2 * (lnU - x) * (lnU - xNext) / sig2dt)
-			survival *= 1 - pHit
-			x = xNext
-		}
-		pay := o.Rebate
-		if alive {
-			st := math.Exp(x)
-			pay = survival*payoffCall(st, o.K) + (1-survival)*o.Rebate
-		}
-		w.Add(df * pay)
-	}
-	return Result{
-		Price: w.Mean(), PriceCI: w.HalfWidth95(),
-		Work: float64(paths) * float64(steps),
-	}, nil
 }

@@ -128,17 +128,17 @@ func cfCallDownOut(p *Problem) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	o, err := barrierFrom(p)
+	o, err := barrierFrom(p, "L")
 	if err != nil {
 		return Result{}, err
 	}
-	if m.S0 <= o.L {
+	if m.S0 <= o.B {
 		// Spot already at or below the barrier: knocked out immediately.
 		return Result{Price: o.Rebate * math.Exp(-m.R*o.T), Delta: 0, HasDelta: true, Work: 1}, nil
 	}
-	price := downOutCall(m, o.K, o.T, o.L)
+	price := downOutCall(m, o.K, o.T, o.B)
 	if o.Rebate != 0 {
-		price += o.Rebate * math.Exp(-m.R*o.T) * downInProbability(m, o.T, o.L)
+		price += o.Rebate * math.Exp(-m.R*o.T) * downInProbability(m, o.T, o.B)
 	}
 	// Delta by central difference of the closed formula: still effectively
 	// free and robust across both branches.
@@ -146,8 +146,8 @@ func cfCallDownOut(p *Problem) (Result, error) {
 	up, dn := m, m
 	up.S0 = m.S0 * (1 + h)
 	dn.S0 = m.S0 * (1 - h)
-	pu := downOutCall(up, o.K, o.T, o.L)
-	pd := downOutCall(dn, o.K, o.T, o.L)
+	pu := downOutCall(up, o.K, o.T, o.B)
+	pd := downOutCall(dn, o.K, o.T, o.B)
 	delta := (pu - pd) / (2 * h * m.S0)
 	return Result{Price: price, Delta: delta, HasDelta: true, Work: 2}, nil
 }

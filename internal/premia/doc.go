@@ -16,16 +16,19 @@
 // with single-factor correlation, a parametric local-volatility model and
 // the Heston stochastic-volatility model.
 //
-// Options: European calls and puts, down-and-out barrier calls, American
-// puts, European basket puts and American basket puts.
+// Options: European calls and puts, down-and-out and up-and-out barrier
+// calls, American puts, European basket puts and American basket puts.
 //
 // Methods: closed formulas (Black–Scholes, Reiner–Rubinstein barrier,
 // semi-analytic Heston by Fourier inversion), Cox–Ross–Rubinstein trees,
-// Crank–Nicolson finite differences (with Brennan–Schwartz and PSOR
-// treatments of the American obstacle), Monte Carlo (exact Black–Scholes
-// sampling, Euler for local volatility, Alfonsi's drift-implicit
-// square-root scheme for Heston) and Longstaff–Schwartz American Monte
-// Carlo.
+// Crank–Nicolson finite differences (one time-step loop whose step ends
+// in a tridiagonal solve, or in the Brennan–Schwartz or projected SOR
+// treatment of the American obstacle), Monte Carlo (exact Black–Scholes
+// sampling, a bridge-corrected barrier path in either direction, Euler
+// for local volatility, Alfonsi's drift-implicit square-root scheme for
+// Heston) and Longstaff–Schwartz American Monte Carlo (one backward
+// induction for Black–Scholes spots, baskets and Heston's spot and
+// variance).
 //
 // Problems serialize to the nsp object model, whose big-endian stream is
 // both the wire format and the save format, so they can be saved to

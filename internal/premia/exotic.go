@@ -122,6 +122,7 @@ func mcAsianCV(p *Problem) (Result, error) {
 	// coefficient; a fixed pilot fraction keeps it single-pass in effect.
 	var wArith, wGeom, wAdj mathutil.Welford
 	cov, varG := 0.0, 0.0
+	// pilot <= paths, so beta is always set inside the path loop.
 	pilot := paths / 10
 	if pilot < 100 {
 		pilot = paths
@@ -176,12 +177,6 @@ func mcAsianCV(p *Problem) (Result, error) {
 			continue
 		}
 		wAdj.Add(pa - beta*(pg-geomPrice))
-	}
-	if !betaSet {
-		// Degenerate (paths < pilot threshold unreachable, but be safe).
-		for _, s := range pilotSamples {
-			wAdj.Add(s.a - (s.g - geomPrice))
-		}
 	}
 	return Result{
 		Price: wAdj.Mean(), PriceCI: wAdj.HalfWidth95(),

@@ -184,11 +184,12 @@ func lsmPrices(cells []lsmCell) ([]Result, []error) {
 			}
 		})
 		for j, c := range run {
-			res, err := c.induct(baskets[j*paths*exDates:(j+1)*paths*exDates], w)
+			res, err := lsmInduct(c, baskets[j*paths*exDates:(j+1)*paths*exDates], nil, w)
 			if err != nil {
 				errs = cellFailed(errs, len(cells), lo+j, err)
 				continue
 			}
+			res.Work += float64(paths) * float64(exDates) * float64(dim)
 			results[lo+j] = res
 		}
 	}
@@ -199,8 +200,8 @@ func lsmPrices(cells []lsmCell) ([]Result, []error) {
 // of one lsmPrices call: sized for paths and nb basis functions, every
 // slot a cell reads is written by that cell first.
 type lsmWorkspace struct {
-	cash, design, ys, beta, basis []float64
-	idx                           []int
+	cash, design, ys, beta []float64
+	idx                    []int
 }
 
 func newLSMWorkspace(paths, nb int) *lsmWorkspace {
@@ -209,33 +210,45 @@ func newLSMWorkspace(paths, nb int) *lsmWorkspace {
 		design: make([]float64, paths*nb),
 		ys:     make([]float64, paths),
 		beta:   make([]float64, nb),
-		basis:  make([]float64, nb),
 		idx:    make([]int, paths),
 	}
 }
 
-// induct runs the backward induction with regression over in-the-money
-// paths on the cell's basket matrix (basket[i*exDates+k] at date k+1).
-func (c lsmCell) induct(basket []float64, w *lsmWorkspace) (Result, error) {
+// lsmInduct runs the backward induction of the cell's put with regression
+// over in-the-money paths on its spot matrix (spots[i*exDates+k] is path
+// i at date k+1) and, when vars is not nil, the variance matrix of the
+// same shape. The basis is PolyBasis(s/K) of the cell's degree, then v
+// and s·v when variances are given. Its Work counts the regressions only.
+func lsmInduct(c lsmCell, spots, vars []float64, w *lsmWorkspace) (Result, error) {
 	paths, exDates := c.paths, c.exDates
 	cash := w.cash // value along each path, discounted to the current date
 	for i := 0; i < paths; i++ {
-		cash[i] = payoffPut(basket[i*exDates+exDates-1], c.strike)
+		cash[i] = payoffPut(spots[i*exDates+exDates-1], c.strike)
 	}
-	nb := c.degree + 1
+	np := c.degree + 1 // polynomial terms
+	nb := np
+	if vars != nil {
+		nb += 2
+	}
 	design, ys, idx := w.design, w.ys, w.idx
-	beta, basis := w.beta[:nb], w.basis[:nb]
-	work := float64(paths) * float64(exDates) * float64(c.dim)
+	beta := w.beta[:nb]
+	work := 0.0
 	for k := exDates - 2; k >= 0; k-- {
 		for i := range cash {
 			cash[i] *= c.discStep
 		}
-		// Gather in-the-money paths.
+		// Gather in-the-money paths and their basis rows.
 		n := 0
 		for i := 0; i < paths; i++ {
-			b := basket[i*exDates+k]
-			if payoffPut(b, c.strike) > 0 {
-				mathutil.PolyBasis(b/c.strike, design[n*nb:(n+1)*nb]) // normalise for conditioning
+			at := i*exDates + k
+			if payoffPut(spots[at], c.strike) > 0 {
+				row := design[n*nb : (n+1)*nb]
+				s := spots[at] / c.strike // normalise for conditioning
+				mathutil.PolyBasis(s, row[:np])
+				if vars != nil {
+					row[np] = vars[at]
+					row[np+1] = s * vars[at]
+				}
 				ys[n] = cash[i]
 				idx[n] = i
 				n++
@@ -249,12 +262,10 @@ func (c lsmCell) induct(basket []float64, w *lsmWorkspace) (Result, error) {
 		}
 		for j := 0; j < n; j++ {
 			i := idx[j]
-			b := basket[i*exDates+k]
-			exercise := payoffPut(b, c.strike)
-			mathutil.PolyBasis(b/c.strike, basis)
+			exercise := payoffPut(spots[i*exDates+k], c.strike)
 			cont := 0.0
-			for q := 0; q < nb; q++ {
-				cont += beta[q] * basis[q]
+			for q, x := range design[j*nb : (j+1)*nb] {
+				cont += beta[q] * x // the fit leaves the design rows as gathered
 			}
 			if exercise > cont {
 				cash[i] = exercise
@@ -279,7 +290,8 @@ func (c lsmCell) induct(basket []float64, w *lsmWorkspace) (Result, error) {
 // variance simulated by Alfonsi's drift-implicit square-root scheme (exact
 // positivity when 4κθ ≥ σᵥ²; full-truncation Euler fallback otherwise)
 // and exercise decided by a Longstaff–Schwartz regression on (S, V).
-// Parameters: "paths", "exdates", "degree".
+// Parameters: "paths", "exdates". The regression basis is fixed at six
+// terms, so the method reads no "degree".
 func mcAmerAlfonsi(p *Problem) (Result, error) {
 	m, err := hestonFrom(p)
 	if err != nil {
@@ -341,71 +353,14 @@ func mcAmerAlfonsi(p *Problem) (Result, error) {
 
 	// LSM on the 2-d state (S, V): basis {1, s, s², s³, v, s·v} with
 	// s = S/K normalised.
-	const nb = 6
-	discStep := math.Exp(-m.R * dt)
-	cash := make([]float64, paths)
-	for i := 0; i < paths; i++ {
-		cash[i] = payoffPut(spots[i*exDates+exDates-1], o.K)
+	c := lsmCell{paths: paths, exDates: exDates, degree: 3, s0: m.S0, strike: o.K,
+		discStep: math.Exp(-m.R * dt)}
+	res, err := lsmInduct(c, spots, vars, newLSMWorkspace(paths, c.degree+3))
+	if err != nil {
+		return Result{}, err
 	}
-	design := make([]float64, paths*nb)
-	ys := make([]float64, paths)
-	idx := make([]int, paths)
-	beta := make([]float64, nb)
-	fill := func(dst []float64, s, v float64) {
-		sn := s / o.K
-		dst[0] = 1
-		dst[1] = sn
-		dst[2] = sn * sn
-		dst[3] = sn * sn * sn
-		dst[4] = v
-		dst[5] = sn * v
-	}
-	var basis [nb]float64
-	work := float64(paths) * float64(exDates) * 4
-	for k := exDates - 2; k >= 0; k-- {
-		for i := range cash {
-			cash[i] *= discStep
-		}
-		n := 0
-		for i := 0; i < paths; i++ {
-			s := spots[i*exDates+k]
-			if payoffPut(s, o.K) > 0 {
-				fill(design[n*nb:(n+1)*nb], s, vars[i*exDates+k])
-				ys[n] = cash[i]
-				idx[n] = i
-				n++
-			}
-		}
-		if n <= nb {
-			continue
-		}
-		if err := mathutil.LeastSquares(design[:n*nb], n, nb, ys[:n], beta); err != nil {
-			return Result{}, fmt.Errorf("premia: Alfonsi LSM regression at date %d: %w", k, err)
-		}
-		for j := 0; j < n; j++ {
-			i := idx[j]
-			s := spots[i*exDates+k]
-			exercise := payoffPut(s, o.K)
-			fill(basis[:], s, vars[i*exDates+k])
-			cont := 0.0
-			for q := 0; q < nb; q++ {
-				cont += beta[q] * basis[q]
-			}
-			if exercise > cont {
-				cash[i] = exercise
-			}
-		}
-		work += float64(n) * nb * nb
-	}
-	var w mathutil.Welford
-	for i := 0; i < paths; i++ {
-		w.Add(discStep * cash[i])
-	}
-	price := w.Mean()
-	if ex := payoffPut(m.S0, o.K); ex > price {
-		price = ex
-	}
-	return Result{Price: price, PriceCI: w.HalfWidth95(), Work: work}, nil
+	res.Work += float64(paths) * float64(exDates) * 4
+	return res, nil
 }
 
 // alfonsiStep advances the CIR variance by one step of Alfonsi's (2005)

@@ -31,8 +31,8 @@ func mcSeed(p *Problem) uint64 {
 // mcEuro implements MC_Euro: Monte Carlo under one-dimensional
 // Black–Scholes with exact lognormal terminal sampling for vanilla
 // payoffs, and a Brownian-bridge-corrected Euler path for the
-// down-and-out barrier call. Paths run on the multicore pricing kernel
-// (see parallel.go). Parameters: "paths", "threads",
+// down-and-out and up-and-out barrier calls. Paths run on the multicore
+// pricing kernel (see parallel.go). Parameters: "paths", "threads",
 // "mcsteps" (barrier only).
 func mcEuro(p *Problem) (Result, error) {
 	m, err := bsFrom(p)
@@ -146,15 +146,17 @@ func mcEuro(p *Problem) (Result, error) {
 			Work: float64(paths),
 		}, nil
 
-	case OptCallUpOut:
-		return mcCallUpOut(p)
-
-	case OptCallDownOut:
-		o, err := barrierFrom(p)
+	case OptCallDownOut, OptCallUpOut:
+		up := p.Option == OptCallUpOut
+		key := "L"
+		if up {
+			key = "U"
+		}
+		o, err := barrierFrom(p, key)
 		if err != nil {
 			return Result{}, err
 		}
-		if m.S0 <= o.L {
+		if up && m.S0 >= o.B || !up && m.S0 <= o.B {
 			return Result{Price: o.Rebate * math.Exp(-m.R*o.T), HasDelta: false, Work: 1}, nil
 		}
 		steps, err := p.Params.size("mcsteps", mcDefaultSteps)
@@ -168,7 +170,7 @@ func mcEuro(p *Problem) (Result, error) {
 		drift := (m.R - m.Div - 0.5*m.Sigma*m.Sigma) * dt
 		vol := m.Sigma * math.Sqrt(dt)
 		df := math.Exp(-m.R * o.T)
-		lnL := math.Log(o.L)
+		lnB := math.Log(o.B)
 		sig2dt := m.Sigma * m.Sigma * dt
 		// The barrier path stays path-at-a-time: early knock-out ends the
 		// path's draws, so the per-path draw count is data-dependent and
@@ -182,12 +184,13 @@ func mcEuro(p *Problem) (Result, error) {
 				survival := 1.0
 				for k := 0; k < steps && alive; k++ {
 					xNext := x + drift + vol*rng.Norm()
-					if xNext <= lnL {
+					if up && xNext >= lnB || !up && xNext <= lnB {
 						alive = false
 						break
 					}
-					// P(bridge from x to xNext dips below lnL).
-					pHit := math.Exp(-2 * (x - lnL) * (xNext - lnL) / sig2dt)
+					// P(bridge from x to xNext crosses lnB): the same
+					// from either side of the barrier.
+					pHit := math.Exp(-2 * (x - lnB) * (xNext - lnB) / sig2dt)
 					survival *= 1 - pHit
 					x = xNext
 				}

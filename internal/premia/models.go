@@ -176,19 +176,21 @@ func vanillaFrom(p *Problem) (vanillaParams, error) {
 	return o, nil
 }
 
-// barrierParams extend vanillaParams with a down barrier and rebate.
+// barrierParams extend vanillaParams with a barrier level and rebate.
 type barrierParams struct {
 	vanillaParams
-	L, Rebate float64
+	B, Rebate float64
 }
 
-func barrierFrom(p *Problem) (barrierParams, error) {
+// barrierFrom reads a barrier option's parameters, its level under key:
+// "L" for a down barrier, "U" for an up barrier.
+func barrierFrom(p *Problem, key string) (barrierParams, error) {
 	var o barrierParams
 	var err error
 	if o.vanillaParams, err = vanillaFrom(p); err != nil {
 		return o, err
 	}
-	if o.L, err = p.Params.NeedPositive("L"); err != nil {
+	if o.B, err = p.Params.NeedPositive(key); err != nil {
 		return o, err
 	}
 	o.Rebate = p.Params.Get("rebate", 0)

@@ -17,6 +17,8 @@ func kernelProblems() map[string]*Problem {
 			Set("paths", 20000).Set("antithetic", 1),
 		"MC_Euro_barrier": barrierProblem(MethodMCEuro, 100, 1, 90).
 			Set("paths", 5000).Set("mcsteps", 16),
+		"MC_Euro_barrier_up": upBarrierProblem(MethodMCEuro, 100, 1, 130).
+			Set("paths", 5000).Set("mcsteps", 16),
 		"MC_Basket": basketProblem(4).Set("paths", 10000),
 		"QMC_Basket": basketProblem(4).SetMethod(MethodQMCBasket).
 			Set("paths", 8192).Set("rotations", 8),

@@ -27,13 +27,16 @@ const (
 	pdeWidthStds    = 5.0
 )
 
-// newVanillaGrid centres the grid on ln S0 with a ±5σ√T (+drift) width and
+// pdeHalfWidth is how far the grid reaches from ln S0: ±5σ√T plus the
+// drift over T, and at least 0.5.
+func pdeHalfWidth(m bsParams, t float64) float64 {
+	return max(pdeWidthStds*m.Sigma*math.Sqrt(t)+math.Abs(m.R-m.Div-0.5*m.Sigma*m.Sigma)*t, 0.5)
+}
+
+// newVanillaGrid centres the grid on ln S0 with a pdeHalfWidth reach and
 // makes ln S0 an exact node so no interpolation error enters the price.
 func newVanillaGrid(m bsParams, t float64, nodes, steps int) pdeGrid {
-	width := pdeWidthStds*m.Sigma*math.Sqrt(t) + math.Abs(m.R-m.Div-0.5*m.Sigma*m.Sigma)*t
-	if width < 0.5 {
-		width = 0.5
-	}
+	width := pdeHalfWidth(m, t)
 	mi := nodes
 	if mi%2 != 0 {
 		mi++
@@ -43,29 +46,15 @@ func newVanillaGrid(m bsParams, t float64, nodes, steps int) pdeGrid {
 	return pdeGrid{xmin: x0 - width, dx: dx, mi: mi, n: steps, dt: t / float64(steps)}
 }
 
-// newBarrierGrid anchors the lower edge exactly at the barrier ln L (where
-// the Dirichlet knock-out condition holds) and extends upward.
-func newBarrierGrid(m bsParams, t, l float64, nodes, steps int) pdeGrid {
-	width := pdeWidthStds*m.Sigma*math.Sqrt(t) + math.Abs(m.R-m.Div-0.5*m.Sigma*m.Sigma)*t
-	if width < 0.5 {
-		width = 0.5
+// newBarrierGrid anchors one edge exactly at the barrier ln B, where the
+// Dirichlet knock-out condition holds: the lower edge for a down barrier,
+// extending upward, and the upper edge for an up barrier, extending
+// downward.
+func newBarrierGrid(m bsParams, t, b float64, up bool, nodes, steps int) pdeGrid {
+	xmin, xmax := math.Log(b), math.Log(m.S0)+pdeHalfWidth(m, t)
+	if up {
+		xmin, xmax = math.Log(m.S0)-pdeHalfWidth(m, t), math.Log(b)
 	}
-	xmin := math.Log(l)
-	xmax := math.Log(m.S0) + width
-	mi := nodes
-	dx := (xmax - xmin) / float64(mi)
-	return pdeGrid{xmin: xmin, dx: dx, mi: mi, n: steps, dt: t / float64(steps)}
-}
-
-// newBarrierUpGrid anchors the upper edge exactly at the barrier ln U and
-// extends downward.
-func newBarrierUpGrid(m bsParams, t, u float64, nodes, steps int) pdeGrid {
-	width := pdeWidthStds*m.Sigma*math.Sqrt(t) + math.Abs(m.R-m.Div-0.5*m.Sigma*m.Sigma)*t
-	if width < 0.5 {
-		width = 0.5
-	}
-	xmax := math.Log(u)
-	xmin := math.Log(m.S0) - width
 	mi := nodes
 	dx := (xmax - xmin) / float64(mi)
 	return pdeGrid{xmin: xmin, dx: dx, mi: mi, n: steps, dt: t / float64(steps)}
@@ -99,18 +88,24 @@ func pdeCoeffs(m bsParams, g pdeGrid) (alpha, beta, gamma float64) {
 // backward induction over the interior nodes 1..mi-1.
 type pdeSolver struct {
 	g                   pdeGrid
-	m                   bsParams
 	alpha, beta, gamma  float64
 	v                   []float64 // current layer, nodes 0..mi
 	sub, diag, sup, rhs []float64 // interior tridiagonal system
 	scratch             []float64
-	psi                 []float64 // interior obstacle (American), nil otherwise
+	psi                 []float64   // interior obstacle (American), nil otherwise
+	psor                *psorParams // solves the obstacle by projected SOR, nil for Brennan–Schwartz
 	// boundary returns the Dirichlet values at remaining time tau.
 	boundary func(tau float64) (lo, hi float64)
 }
 
+// psorParams are FD_PSOR's relaxation factor, tolerance and sweep cap.
+type psorParams struct {
+	omega, tol float64
+	maxIter    int
+}
+
 func newPDESolver(m bsParams, g pdeGrid, terminal func(s float64) float64, boundary func(tau float64) (lo, hi float64)) *pdeSolver {
-	ps := &pdeSolver{g: g, m: m, boundary: boundary}
+	ps := &pdeSolver{g: g, boundary: boundary}
 	ps.alpha, ps.beta, ps.gamma = pdeCoeffs(m, g)
 	ps.v = make([]float64, g.mi+1)
 	for i := range ps.v {
@@ -127,11 +122,15 @@ func newPDESolver(m bsParams, g pdeGrid, terminal func(s float64) float64, bound
 
 // run performs the backward induction. theta=1 steps (implicit Euler) are
 // used for the first rannacher steps to damp the payoff kink, then
-// Crank–Nicolson (theta=½).
-func (ps *pdeSolver) run(t float64) error {
+// Crank–Nicolson (theta=½). Each step ends in one of three solves: the
+// Thomas algorithm, Brennan–Schwartz's projection onto the obstacle psi,
+// or projected SOR. It returns the run's work: the nodes of every step's
+// direct solve, or the interior nodes of every SOR sweep.
+func (ps *pdeSolver) run() (float64, error) {
 	g := ps.g
 	ni := g.mi - 1
 	const rannacher = 2
+	sweeps := 0
 	for step := 0; step < g.n; step++ {
 		theta := 0.5
 		if step < rannacher {
@@ -161,17 +160,35 @@ func (ps *pdeSolver) run(t float64) error {
 		ps.rhs[ni-1] += theta * g.dt * c * hiNew
 		interior := ps.v[1:g.mi]
 		var err error
-		if ps.psi != nil {
+		switch {
+		case ps.psor != nil:
+			var iters int
+			iters, err = mathutil.PSOR(ps.sub, ps.diag, ps.sup, ps.rhs, ps.psi, interior, ps.psor.omega, ps.psor.tol, ps.psor.maxIter)
+			sweeps += iters
+		case ps.psi != nil:
 			err = mathutil.SolveTridiagBS(ps.sub, ps.diag, ps.sup, ps.rhs, ps.psi, interior, ps.scratch)
-		} else {
+		default:
 			err = mathutil.SolveTridiag(ps.sub, ps.diag, ps.sup, ps.rhs, interior, ps.scratch)
 		}
 		if err != nil {
-			return fmt.Errorf("premia: PDE step %d: %w", step, err)
+			return 0, fmt.Errorf("premia: PDE step %d: %w", step, err)
 		}
 		ps.v[0], ps.v[g.mi] = loNew, hiNew
 	}
-	return nil
+	if ps.psor != nil {
+		return float64(sweeps) * float64(ni), nil
+	}
+	return float64(g.n) * float64(g.mi), nil
+}
+
+// price runs the induction and reads the price and delta off at s0.
+func (ps *pdeSolver) price(s0 float64) (Result, error) {
+	work, err := ps.run()
+	if err != nil {
+		return Result{}, err
+	}
+	price, delta := ps.readout(s0)
+	return Result{Price: price, Delta: delta, HasDelta: true, Work: work}, nil
 }
 
 // readout fits a quadratic through the three grid nodes bracketing S0 and
@@ -201,23 +218,31 @@ func (ps *pdeSolver) readout(s0 float64) (price, delta float64) {
 	return price, delta
 }
 
+// pdeSize reads the grid's "nodes" and "steps".
+func pdeSize(p *Problem) (nodes, steps int, err error) {
+	if nodes, err = p.Params.size("nodes", pdeDefaultNodes); err != nil {
+		return 0, 0, err
+	}
+	if steps, err = p.Params.size("steps", pdeDefaultSteps); err != nil {
+		return 0, 0, err
+	}
+	if nodes < 8 || steps < 1 {
+		return 0, 0, fmt.Errorf("premia: FD grid too small (%d nodes, %d steps)", nodes, steps)
+	}
+	return nodes, steps, nil
+}
+
 // fdCrankNicolson implements FD_CrankNicolson for European calls, puts and
-// down-and-out barrier calls. Method parameters: "nodes", "steps".
+// down-and-out and up-and-out barrier calls. Method parameters: "nodes",
+// "steps".
 func fdCrankNicolson(p *Problem) (Result, error) {
 	m, err := bsFrom(p)
 	if err != nil {
 		return Result{}, err
 	}
-	nodes, err := p.Params.size("nodes", pdeDefaultNodes)
+	nodes, steps, err := pdeSize(p)
 	if err != nil {
 		return Result{}, err
-	}
-	steps, err := p.Params.size("steps", pdeDefaultSteps)
-	if err != nil {
-		return Result{}, err
-	}
-	if nodes < 8 || steps < 1 {
-		return Result{}, fmt.Errorf("premia: FD grid too small (%d nodes, %d steps)", nodes, steps)
 	}
 	switch p.Option {
 	case OptCallEuro, OptPutEuro:
@@ -243,22 +268,17 @@ func fdCrankNicolson(p *Problem) (Result, error) {
 			}
 			return o.K*math.Exp(-m.R*tau) - smin*math.Exp(-m.Div*tau), 0
 		}
-		ps := newPDESolver(m, g, terminal, boundary)
-		if err := ps.run(o.T); err != nil {
-			return Result{}, err
-		}
-		price, delta := ps.readout(m.S0)
-		return Result{Price: price, Delta: delta, HasDelta: true, Work: float64(g.n) * float64(g.mi)}, nil
+		return newPDESolver(m, g, terminal, boundary).price(m.S0)
 
 	case OptCallDownOut:
-		o, err := barrierFrom(p)
+		o, err := barrierFrom(p, "L")
 		if err != nil {
 			return Result{}, err
 		}
-		if m.S0 <= o.L {
+		if m.S0 <= o.B {
 			return Result{Price: o.Rebate * math.Exp(-m.R*o.T), HasDelta: true, Work: 1}, nil
 		}
-		g := newBarrierGrid(m, o.T, o.L, nodes, steps)
+		g := newBarrierGrid(m, o.T, o.B, false, nodes, steps)
 		if err := g.topFinite(); err != nil {
 			return Result{}, err
 		}
@@ -267,23 +287,18 @@ func fdCrankNicolson(p *Problem) (Result, error) {
 		boundary := func(tau float64) (lo, hi float64) {
 			return o.Rebate * math.Exp(-m.R*tau), smax*math.Exp(-m.Div*tau) - o.K*math.Exp(-m.R*tau)
 		}
-		ps := newPDESolver(m, g, terminal, boundary)
-		if err := ps.run(o.T); err != nil {
-			return Result{}, err
-		}
-		price, delta := ps.readout(m.S0)
-		return Result{Price: price, Delta: delta, HasDelta: true, Work: float64(g.n) * float64(g.mi)}, nil
+		return newPDESolver(m, g, terminal, boundary).price(m.S0)
 
 	case OptCallUpOut:
-		o, err := upBarrierFrom(p)
+		o, err := barrierFrom(p, "U")
 		if err != nil {
 			return Result{}, err
 		}
-		u := o.L
+		u := o.B
 		if m.S0 >= u {
 			return Result{Price: o.Rebate * math.Exp(-m.R*o.T), HasDelta: true, Work: 1}, nil
 		}
-		g := newBarrierUpGrid(m, o.T, u, nodes, steps)
+		g := newBarrierGrid(m, o.T, u, true, nodes, steps)
 		terminal := func(s float64) float64 {
 			// Terminal payoff capped by the knock-out region above U.
 			if s >= u {
@@ -295,37 +310,26 @@ func fdCrankNicolson(p *Problem) (Result, error) {
 			// Deep OTM at the bottom; knocked out (rebate at expiry) at U.
 			return 0, o.Rebate * math.Exp(-m.R*tau)
 		}
-		ps := newPDESolver(m, g, terminal, boundary)
-		if err := ps.run(o.T); err != nil {
-			return Result{}, err
-		}
-		price, delta := ps.readout(m.S0)
-		return Result{Price: price, Delta: delta, HasDelta: true, Work: float64(g.n) * float64(g.mi)}, nil
+		return newPDESolver(m, g, terminal, boundary).price(m.S0)
 	}
 	return Result{}, fmt.Errorf("premia: FD_CrankNicolson does not price %q", p.Option)
 }
 
-// fdAmericanCommon builds the grid/obstacle shared by the two American
-// finite-difference methods.
-func fdAmericanCommon(p *Problem) (*pdeSolver, bsParams, vanillaParams, error) {
+// fdAmerican prices the American put by Crank–Nicolson with the exercise
+// obstacle, projected by Brennan–Schwartz when psor is nil and by
+// projected SOR otherwise.
+func fdAmerican(p *Problem, psor *psorParams) (Result, error) {
 	m, err := bsFrom(p)
 	if err != nil {
-		return nil, m, vanillaParams{}, err
+		return Result{}, err
 	}
 	o, err := vanillaFrom(p)
 	if err != nil {
-		return nil, m, o, err
+		return Result{}, err
 	}
-	nodes, err := p.Params.size("nodes", pdeDefaultNodes)
+	nodes, steps, err := pdeSize(p)
 	if err != nil {
-		return nil, m, o, err
-	}
-	steps, err := p.Params.size("steps", pdeDefaultSteps)
-	if err != nil {
-		return nil, m, o, err
-	}
-	if nodes < 8 || steps < 1 {
-		return nil, m, o, fmt.Errorf("premia: FD grid too small (%d nodes, %d steps)", nodes, steps)
+		return Result{}, err
 	}
 	g := newVanillaGrid(m, o.T, nodes, steps)
 	terminal := func(s float64) float64 { return payoffPut(s, o.K) }
@@ -339,68 +343,21 @@ func fdAmericanCommon(p *Problem) (*pdeSolver, bsParams, vanillaParams, error) {
 	for i := range ps.psi {
 		ps.psi[i] = payoffPut(g.s(i+1), o.K)
 	}
-	return ps, m, o, nil
+	ps.psor = psor
+	return ps.price(m.S0)
 }
 
 // fdBrennanSchwartz implements FD_BrennanSchwartz: Crank–Nicolson with the
 // Brennan–Schwartz direct solver projecting onto the exercise obstacle.
-func fdBrennanSchwartz(p *Problem) (Result, error) {
-	ps, m, o, err := fdAmericanCommon(p)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := ps.run(o.T); err != nil {
-		return Result{}, err
-	}
-	price, delta := ps.readout(m.S0)
-	return Result{Price: price, Delta: delta, HasDelta: true, Work: float64(ps.g.n) * float64(ps.g.mi)}, nil
-}
+func fdBrennanSchwartz(p *Problem) (Result, error) { return fdAmerican(p, nil) }
 
 // fdPSOR implements FD_PSOR: the same discretisation solved as a linear
 // complementarity problem by projected SOR at every step. Method
 // parameters: "omega" (default 1.4), "tol" (1e-9), "maxiter" (2000).
 func fdPSOR(p *Problem) (Result, error) {
-	ps, m, _, err := fdAmericanCommon(p)
-	if err != nil {
-		return Result{}, err
-	}
-	omega := p.Params.Get("omega", 1.4)
-	tol := p.Params.Get("tol", 1e-9)
-	maxIter := p.Params.Int("maxiter", 2000)
-	g := ps.g
-	ni := g.mi - 1
-	totalIters := 0
-	const rannacher = 2
-	for step := 0; step < g.n; step++ {
-		theta := 0.5
-		if step < rannacher {
-			theta = 1.0
-		}
-		tauNew := float64(step+1) * g.dt
-		loNew, hiNew := ps.boundary(tauNew)
-		a, b, c := ps.alpha, ps.beta, ps.gamma
-		for i := 0; i < ni; i++ {
-			ps.sub[i] = -theta * g.dt * a
-			ps.diag[i] = 1 - theta*g.dt*b
-			ps.sup[i] = -theta * g.dt * c
-			vi := ps.v[i+1]
-			rhs := vi
-			if theta < 1 {
-				om := (1 - theta) * g.dt
-				rhs += om * (a*ps.v[i] + b*vi + c*ps.v[i+2])
-			}
-			ps.rhs[i] = rhs
-		}
-		ps.rhs[0] += theta * g.dt * a * loNew
-		ps.rhs[ni-1] += theta * g.dt * c * hiNew
-		interior := ps.v[1:g.mi]
-		iters, err := mathutil.PSOR(ps.sub, ps.diag, ps.sup, ps.rhs, ps.psi, interior, omega, tol, maxIter)
-		if err != nil {
-			return Result{}, fmt.Errorf("premia: FD_PSOR step %d: %w", step, err)
-		}
-		totalIters += iters
-		ps.v[0], ps.v[g.mi] = loNew, hiNew
-	}
-	price, delta := ps.readout(m.S0)
-	return Result{Price: price, Delta: delta, HasDelta: true, Work: float64(totalIters) * float64(ni)}, nil
+	return fdAmerican(p, &psorParams{
+		omega:   p.Params.Get("omega", 1.4),
+		tol:     p.Params.Get("tol", 1e-9),
+		maxIter: p.Params.Int("maxiter", 2000),
+	})
 }
