@@ -30,6 +30,14 @@
 // induction for Black–Scholes spots, baskets and Heston's spot and
 // variance).
 //
+// The multicore pricing kernel (parallel.go) spends a problem's
+// "threads", else the SetKernelThreads default, on one loop, dispatch:
+// the shards of a Monte Carlo path budget, the cells of a PDE sweep and
+// the backward inductions of a Longstaff–Schwartz sweep run side by side
+// on it, each self-contained, so every price is the same at any width.
+// Other sweep forms keep their cells serial: a closed-form cell costs
+// less than the hand-off, and Alfonsi's Heston LSM may hold 1 GiB a cell.
+//
 // Problems serialize to the nsp object model, whose big-endian stream is
 // both the wire format and the save format, so they can be saved to
 // architecture-independent files, reloaded, and shipped to remote workers

@@ -30,21 +30,29 @@ func lsmFits(paths, exDates, stored int) error {
 }
 
 // lsmStored is how many float64s an LSM run pricing the given number of
-// cells together keeps: per cell a basket matrix and each shard's
-// log-spots and spots for one date, beside one induction workspace (the
-// regression's design row, cash, ys and idx per path) and each shard's
-// normals for one path. For one cell it is what lsmFits admits plus the
-// shards' log-spots and spots.
-func lsmStored(cells, paths, exDates, dim, degree int) int {
-	return cells*(paths*exDates+2*kernelShards*dim) + paths*(degree+4) + kernelShards*exDates*dim
+// cells together at the given kernel width keeps: per cell a basket
+// matrix and each shard's log-spots and spots for one date, one induction
+// workspace (the regression's design row, cash, ys and idx per path) for
+// every induction that runs at once — one a goroutine, so min(cells,
+// threads) — and each shard's normals for one path. For one cell it is
+// what lsmFits admits plus the shards' log-spots and spots.
+func lsmStored(cells, threads, paths, exDates, dim, degree int) int {
+	return cells*(paths*exDates+2*kernelShards*dim) + min(cells, threads)*paths*(degree+4) + kernelShards*exDates*dim
 }
 
-// lsmCellsPerRun is how many cells of a group one LSM run prices: as many
-// as lsmStored keeps within lsmMaxStored, and at least one — a cell alone
-// has passed lsmFits.
-func lsmCellsPerRun(paths, exDates, dim, degree int) int {
-	fixed := lsmStored(0, paths, exDates, dim, degree)
-	return max(1, (lsmMaxStored-fixed)/(lsmStored(1, paths, exDates, dim, degree)-fixed))
+// lsmCellsPerRun is how many cells of a group one LSM run at the given
+// kernel width prices: as many as lsmStored keeps within lsmMaxStored,
+// and at least one — a cell alone has passed lsmFits. Up to threads
+// cells each bring a workspace; the cells past them bring their basket
+// only.
+func lsmCellsPerRun(threads, paths, exDates, dim, degree int) int {
+	fixed := lsmStored(0, threads, paths, exDates, dim, degree)
+	basket := lsmStored(1, 0, paths, exDates, dim, degree) - fixed
+	both := lsmStored(1, 1, paths, exDates, dim, degree) - fixed
+	if n := (lsmMaxStored - fixed) / both; n < threads {
+		return max(1, n)
+	}
+	return threads + (lsmMaxStored-fixed-threads*both)/basket
 }
 
 // mcAmerLSM implements MC_AM_LongstaffSchwartz for American puts under
@@ -130,9 +138,10 @@ func (c lsmCell) draws() drawKey {
 // 40. Path generation is the method's hot phase and runs sharded on the
 // multicore pricing kernel: each path's normals are drawn and correlated
 // once a date, then every cell evolves its own log-spots and writes its
-// disjoint block of its basket matrix. The backward induction stays
-// serial (it regresses across paths), one cell after another on one
-// workspace.
+// disjoint block of its basket matrix. A backward induction regresses
+// across paths, so it runs serially, but the run's cells are induced side
+// by side at the kernel's width (dispatch), each goroutine on a workspace
+// of its own. A cell's result is the same whichever workspace it gets.
 func lsmPrices(cells []lsmCell) ([]Result, []error) {
 	c0 := cells[0]
 	paths, exDates, dim := c0.paths, c0.exDates, c0.dim
@@ -140,11 +149,14 @@ func lsmPrices(cells []lsmCell) ([]Result, []error) {
 	for _, c := range cells {
 		degree = max(degree, c.degree)
 	}
-	per := lsmCellsPerRun(paths, exDates, dim, degree)
-	results := make([]Result, len(cells))
-	var errs []error
+	threads := c0.k.threads
+	per := lsmCellsPerRun(threads, paths, exDates, dim, degree)
+	results, errs := make([]Result, len(cells)), make([]error, len(cells))
 	baskets := make([]float64, min(per, len(cells))*paths*exDates)
-	w := newLSMWorkspace(paths, degree+1)
+	ws := make([]*lsmWorkspace, min(threads, per, len(cells)))
+	for w := range ws {
+		ws[w] = newLSMWorkspace(paths, degree+1)
+	}
 	for lo := 0; lo < len(cells); lo += per {
 		run := cells[lo:min(lo+per, len(cells))]
 		c0.k.indexed(paths, func(_, start, count int, rng *mathutil.RNG, sc *kernelScratch) {
@@ -183,22 +195,22 @@ func lsmPrices(cells []lsmCell) ([]Result, []error) {
 				}
 			}
 		})
-		for j, c := range run {
-			res, err := lsmInduct(c, baskets[j*paths*exDates:(j+1)*paths*exDates], nil, w)
+		dispatch(threads, len(run), func(w, j int) {
+			res, err := lsmInduct(run[j], baskets[j*paths*exDates:(j+1)*paths*exDates], nil, ws[w])
 			if err != nil {
-				errs = cellFailed(errs, len(cells), lo+j, err)
-				continue
+				errs[lo+j] = err
+				return
 			}
 			res.Work += float64(paths) * float64(exDates) * float64(dim)
 			results[lo+j] = res
-		}
+		})
 	}
-	return results, errs
+	return results, anyFailed(errs)
 }
 
 // lsmWorkspace is the backward induction's scratch, shared by the cells
-// of one lsmPrices call: sized for paths and nb basis functions, every
-// slot a cell reads is written by that cell first.
+// one goroutine of an lsmPrices call induces: sized for paths and nb
+// basis functions, every slot a cell reads is written by that cell first.
 type lsmWorkspace struct {
 	cash, design, ys, beta []float64
 	idx                    []int

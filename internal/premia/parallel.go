@@ -78,70 +78,79 @@ func shardCounts(n int) []int {
 	return counts
 }
 
-// kernelRun executes body(0), …, body(shards-1) on the calling goroutine
-// and threads−1 helpers (never more goroutines than shards), handing
-// shards out through an atomic cursor. Which goroutine runs which shard
-// is scheduling-dependent, but every shard's work must be self-contained
-// (own RNG, own output slots), so the assignment cannot influence results.
-// Per-shard compute times go to the "premia.kernel.shard_seconds"
-// histogram, and each run sets the "premia.kernel.threads" gauge to its
+// dispatch runs body(w, 0), …, body(w, n-1) on the calling goroutine and
+// helpers, handing items out through an atomic cursor, and returns how
+// many goroutines ran them: threads, but never more than n items nor
+// kernelShards, however wide a problem asks to run. w is the index of the
+// goroutine running the item, below that count, so a caller can keep one
+// scratch per goroutine. Which goroutine runs which item is
+// scheduling-dependent, so every item's work must be self-contained (own
+// RNG, own output slots) for the assignment not to influence results. It
+// is the package's one goroutine fan-out: path shards (kernelRun), the
+// cells of a PDE sweep (cellParallel) and the backward inductions of an
+// LSM run all go through it.
+func dispatch(threads, n int, body func(w, item int)) int {
+	threads = max(min(threads, n, kernelShards), 1)
+	if threads == 1 {
+		for i := 0; i < n; i++ {
+			body(0, i)
+		}
+		return 1
+	}
+	var next atomic.Int64
+	work := func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			body(w, i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(threads - 1)
+	for w := 1; w < threads; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	return threads
+}
+
+// kernelRun is dispatch over a path kernel's shards, booked in the
+// package sink: per-shard compute times go to the
+// "premia.kernel.shard_seconds" histogram, and each run counts in
+// "premia.kernel.runs", sets the "premia.kernel.threads" gauge to its
 // goroutine count and "premia.kernel.efficiency" to busy time over
-// goroutines×wall (1.0 meaning perfect scaling) in the package sink.
+// goroutines×wall (1.0 meaning perfect scaling).
 func kernelRun(threads, shards int, body func(shard int)) {
+	reg := sink.Load()
+	if reg == nil {
+		dispatch(threads, shards, func(_, s int) { body(s) })
+		return
+	}
 	if shards < 1 {
 		return
 	}
-	threads = max(min(threads, shards), 1)
-	reg := sink.Load()
-	var durs []float64
-	var t0 float64
-	run := body
-	if reg != nil {
-		durs = make([]float64, shards)
-		t0 = reg.Now()
-		run = func(s int) {
-			start := reg.Now()
-			body(s)
-			durs[s] = reg.Now() - start
-		}
+	durs := make([]float64, shards)
+	t0 := reg.Now()
+	used := dispatch(threads, shards, func(_, s int) {
+		start := reg.Now()
+		body(s)
+		durs[s] = reg.Now() - start
+	})
+	busy := 0.0
+	for _, d := range durs {
+		reg.Observe("premia.kernel.shard_seconds", d)
+		busy += d
 	}
-	if threads == 1 {
-		for s := 0; s < shards; s++ {
-			run(s)
-		}
-	} else {
-		var next atomic.Int64
-		work := func() {
-			for {
-				s := int(next.Add(1)) - 1
-				if s >= shards {
-					return
-				}
-				run(s)
-			}
-		}
-		var wg sync.WaitGroup
-		wg.Add(threads - 1)
-		for t := 1; t < threads; t++ {
-			go func() {
-				defer wg.Done()
-				work()
-			}()
-		}
-		work()
-		wg.Wait()
-	}
-	if reg != nil {
-		busy := 0.0
-		for _, d := range durs {
-			reg.Observe("premia.kernel.shard_seconds", d)
-			busy += d
-		}
-		reg.Counter("premia.kernel.runs").Add(1)
-		reg.Gauge("premia.kernel.threads").Set(float64(threads))
-		if wall := reg.Now() - t0; wall > 0 {
-			reg.Gauge("premia.kernel.efficiency").Set(busy / (float64(threads) * wall))
-		}
+	reg.Counter("premia.kernel.runs").Add(1)
+	reg.Gauge("premia.kernel.threads").Set(float64(used))
+	if wall := reg.Now() - t0; wall > 0 {
+		reg.Gauge("premia.kernel.efficiency").Set(busy / (float64(used) * wall))
 	}
 }
 

@@ -2,6 +2,7 @@ package premia
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"riskbench/internal/telemetry"
@@ -151,6 +152,38 @@ func TestKernelTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(10)
+}
+
+// TestDispatch: the one goroutine loop runs every item exactly once, on
+// as many goroutines as it reports — the width asked for, but never more
+// than the items nor kernelShards — and never hands one goroutine index
+// to two goroutines at once, so a scratch kept per index is never shared.
+func TestDispatch(t *testing.T) {
+	for _, c := range []struct{ threads, n, want int }{
+		{1, 5, 1}, {0, 5, 1}, {2, 6, 2}, {4, 3, 3}, {3, 0, 1}, {1000, 200, kernelShards},
+	} {
+		runs := make([]atomic.Int64, c.n)
+		busy := make([]atomic.Int64, kernelShards)
+		used := dispatch(c.threads, c.n, func(w, item int) {
+			if w < 0 || w >= c.want {
+				t.Errorf("threads %d n %d: goroutine index %d", c.threads, c.n, w)
+				return
+			}
+			if busy[w].Add(1) != 1 {
+				t.Errorf("threads %d n %d: goroutine index %d held by two goroutines", c.threads, c.n, w)
+			}
+			runs[item].Add(1)
+			busy[w].Add(-1)
+		})
+		if used != c.want {
+			t.Errorf("threads %d n %d: %d goroutines, want %d", c.threads, c.n, used, c.want)
+		}
+		for item := range runs {
+			if r := runs[item].Load(); r != 1 {
+				t.Errorf("threads %d n %d: item %d ran %d times", c.threads, c.n, item, r)
+			}
+		}
+	}
 }
 
 // benchKernel prices p repeatedly, reporting paths/op via b.N.

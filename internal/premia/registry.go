@@ -179,6 +179,11 @@ func init() {
 	registerSweep(MethodMCBasket, false, blockSweep(basketOf, basketPrices))
 	registerSweep(MethodMCLocalVol, false, blockSweep(localVolOf, localVolPrices))
 	registerSweep(MethodMCAmerLSM, false, blockSweep(lsmOf, lsmPrices))
+	// The PDE methods price a sweep's cells side by side at the kernel's
+	// width.
+	registerSweep(MethodFDCrank, false, cellParallel(fdCrankNicolson))
+	registerSweep(MethodFDBS, false, cellParallel(fdBrennanSchwartz))
+	registerSweep(MethodFDPSOR, false, cellParallel(fdPSOR))
 }
 
 // registerSweep gives a registered method a sweep form of its own, and

@@ -26,6 +26,14 @@ type Override struct {
 // own kernel call on the parameters Cell(k) carries would, so the
 // results are those of Cell(k).Compute() to the bit.
 //
+// Work that is serial per cell runs cells side by side at the kernel's
+// width (a problem's "threads", else SetKernelThreads): the cells of a
+// PDE sweep (cellParallel) and the backward inductions of an LSM run.
+// Other methods price their cells in turn on one scratch copy
+// (onScratch): a closed-form cell costs less than a goroutine hand-off,
+// and the Heston LSM may hold 1 GiB a cell, so two at once would double
+// a worker's peak.
+//
 // A sweep is an nsp object so that it can be a farm task's payload, but
 // it has no wire form: it crosses by reference or not at all, and a farm
 // whose communicator carries bytes ships the cells as problems. Neither
@@ -46,9 +54,12 @@ func (s *Sweep) Equal(o nsp.Object) bool {
 }
 
 // Cell returns cell k as a standalone problem, a copy the caller owns.
-func (s *Sweep) Cell(k int) *Problem {
-	p := s.Base.Clone()
-	for _, o := range s.Cells[k] {
+func (s *Sweep) Cell(k int) *Problem { return withCell(s.Base, s.Cells[k]) }
+
+// withCell is a copy of base with cell's overrides set on it, in order.
+func withCell(base *Problem, cell []Override) *Problem {
+	p := base.Clone()
+	for _, o := range cell {
 		p.Params[o.Param] = o.Value
 	}
 	return p
@@ -134,6 +145,40 @@ func onScratch(fn func(*Problem) (Result, error)) func(*Problem, [][]Override) (
 		})
 		return results, errs
 	}
+}
+
+// cellParallel is the sweep form of a method whose cell costs far more
+// than a goroutine hand-off and keeps little memory (the PDE methods): fn
+// on each cell, on its own copy of base with the cell set (withCell), the
+// cells side by side on the kernel's width for base (dispatch). Results
+// and failures are gathered by cell index, so each is onScratch's to the
+// bit. fn reads no "threads", so a base whose width the kernel refuses
+// prices its cells one after another, as they would price alone.
+func cellParallel(fn func(*Problem) (Result, error)) func(*Problem, [][]Override) ([]Result, []error) {
+	return func(base *Problem, cells [][]Override) ([]Result, []error) {
+		threads, err := kernelThreads(base)
+		if err != nil {
+			threads = 1
+		}
+		results, errs := make([]Result, len(cells)), make([]error, len(cells))
+		dispatch(threads, len(cells), func(_, k int) {
+			res, err := fn(withCell(base, cells[k]))
+			if err != nil {
+				errs[k] = err
+				return
+			}
+			results[k] = res
+		})
+		return results, anyFailed(errs)
+	}
+}
+
+// anyFailed is errs, or nil when no cell failed.
+func anyFailed(errs []error) []error {
+	if slices.ContainsFunc(errs, func(err error) bool { return err != nil }) {
+		return errs
+	}
+	return nil
 }
 
 // drawKey is everything that shapes a Monte Carlo run's draws: the seed

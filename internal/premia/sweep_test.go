@@ -1,6 +1,7 @@
 package premia
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
@@ -25,9 +26,13 @@ func sameResult(a, b Result) bool {
 // TestSweepComputeEqualsCells: a sweep's results are Cell(k).Compute()'s
 // to the bit, cell for cell — the closed-form call and put (which price
 // through their sweep form), the Monte Carlo basket, local vol and the
-// 1-d and basket LSM (which draw their paths once per group of cells, at
-// kernel widths 1, 2 and 4), seeded MC_Euro, a PDE, the paper's Heston
-// LSM (which price on a scratch copy) — whatever the cells override: one
+// 1-d and basket LSM (which draw their paths once per group of cells and
+// induce the cells side by side, at kernel widths 1, 2 and 4), the
+// Crank–Nicolson down-and-out call, Brennan–Schwartz and PSOR American
+// puts (which price the cells side by side, at widths 1, 2 and 4, and at
+// width 0, which the kernel refuses but a PDE never reads, serially and
+// without an error), seeded MC_Euro and the paper's Heston LSM (which
+// price on a scratch copy) — whatever the cells override: one
 // parameter twice, a parameter Base does not carry (it must be gone again
 // for the next cell), all six the closed form reads, the volatility of
 // either model, the seed or the path count (a block form prices such a
@@ -48,15 +53,22 @@ func TestSweepComputeEqualsCells(t *testing.T) {
 	delete(noK.Params, "K")
 	mc := call.Clone().SetMethod(MethodMCEuro).Set("paths", 2000).SetSeed(7)
 	fd := call.Clone().SetOption(OptPutAmer).SetMethod(MethodFDBS).Set("nodes", 100).Set("steps", 20)
+	fdPSOR := fd.Clone().SetMethod(MethodFDPSOR)
+	fdBarrier := fd.Clone().SetOption(OptCallDownOut).SetMethod(MethodFDCrank).Set("L", 85)
 	basket := call.Clone().SetModel(ModelBSND).SetOption(OptPutBasketEuro).SetMethod(MethodMCBasket).
 		Set("dim", 5).Set("rho", 0.3).Set("paths", 1500).SetSeed(3)
 	lsm := call.Clone().SetOption(OptPutAmer).SetMethod(MethodMCAmerLSM).Set("paths", 600).Set("exdates", 8)
 	lsmBasket := basket.Clone().SetOption(OptPutBasketAmer).SetMethod(MethodMCAmerLSM).Set("paths", 600).Set("exdates", 8)
 	locVol := call.Clone().SetModel(ModelLocVol).SetMethod(MethodMCLocalVol).
 		Set("sigma0", 0.22).Set("skew", -0.15).Set("termslope", 0.02).Set("paths", 1500).Set("mcsteps", 12)
-	bases := []*Problem{call, put, noK, mc, fd, sampleProblem()}
+	bases := []*Problem{call, put, noK, mc, sampleProblem()}
 	for _, b := range []*Problem{basket, lsm, lsmBasket, locVol} {
 		for _, width := range []float64{1, 2, 4} {
+			bases = append(bases, b.Clone().Set("threads", width))
+		}
+	}
+	for _, b := range []*Problem{fd, fdPSOR, fdBarrier} {
+		for _, width := range []float64{0, 1, 2, 4} {
 			bases = append(bases, b.Clone().Set("threads", width))
 		}
 	}
@@ -171,31 +183,58 @@ func TestSweepComputeEqualsCells(t *testing.T) {
 }
 
 // TestLSMCellsPerRunFits: the cells one LSM run prices together fit
-// lsmMaxStored — however many a sweep has, and however large each cell
-// may be on its own — and no fewer are cut off than must be. The count is
-// pure arithmetic, so nothing here allocates a basket.
+// lsmMaxStored — however many a sweep has, however large each cell may be
+// on its own, and however many of their inductions run at once (one
+// workspace each, up to the kernel's width) — and no fewer are cut off
+// than must be. The count is pure arithmetic, so nothing here allocates a
+// basket.
 func TestLSMCellsPerRunFits(t *testing.T) {
-	for _, paths := range []int{10, 512, 1e5, 1 << 20, 1 << 23} {
-		for _, exDates := range []int{2, 50, 365, 4096} {
-			for _, dim := range []int{1, 7, 40, 1024} {
-				for _, degree := range []int{1, 3, 12} {
-					if lsmFits(paths, exDates, paths*(exDates+degree+4)+kernelShards*exDates*dim) != nil {
-						continue // refused alone: never grouped
-					}
-					per := lsmCellsPerRun(paths, exDates, dim, degree)
-					if per < 1 {
-						t.Fatalf("paths %d exdates %d dim %d degree %d: %d cells a run", paths, exDates, dim, degree, per)
-					}
-					if per > 1 && lsmStored(per, paths, exDates, dim, degree) > lsmMaxStored {
-						t.Errorf("paths %d exdates %d dim %d degree %d: %d cells store %d values, over %d",
-							paths, exDates, dim, degree, per, lsmStored(per, paths, exDates, dim, degree), lsmMaxStored)
-					}
-					if lsmStored(per+1, paths, exDates, dim, degree) <= lsmMaxStored {
-						t.Errorf("paths %d exdates %d dim %d degree %d: %d cells a run, but %d fit",
-							paths, exDates, dim, degree, per, per+1)
+	for _, threads := range []int{1, 2, 64} {
+		for _, paths := range []int{10, 512, 1e5, 1 << 20, 1 << 23} {
+			for _, exDates := range []int{2, 50, 365, 4096} {
+				for _, dim := range []int{1, 7, 40, 1024} {
+					for _, degree := range []int{1, 3, 12} {
+						if lsmFits(paths, exDates, paths*(exDates+degree+4)+kernelShards*exDates*dim) != nil {
+							continue // refused alone: never grouped
+						}
+						per := lsmCellsPerRun(threads, paths, exDates, dim, degree)
+						if per < 1 {
+							t.Fatalf("threads %d paths %d exdates %d dim %d degree %d: %d cells a run", threads, paths, exDates, dim, degree, per)
+						}
+						if stored := lsmStored(per, threads, paths, exDates, dim, degree); per > 1 && stored > lsmMaxStored {
+							t.Errorf("threads %d paths %d exdates %d dim %d degree %d: %d cells store %d values, over %d",
+								threads, paths, exDates, dim, degree, per, stored, lsmMaxStored)
+						}
+						if lsmStored(per+1, threads, paths, exDates, dim, degree) <= lsmMaxStored {
+							t.Errorf("threads %d paths %d exdates %d dim %d degree %d: %d cells a run, but %d fit",
+								threads, paths, exDates, dim, degree, per, per+1)
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkSweepPDE is one claim of the realistic book's American PDE
+// class under the base and five market scenarios: a six-cell
+// FD_BrennanSchwartz sweep on the book's grid (400 nodes, a time step
+// every two days over 4⅓ years), cells priced one after another at
+// threads=1 and side by side at threads=2.
+func BenchmarkSweepPDE(b *testing.B) {
+	t := 1.0/3 + 0.25*16
+	base := New().SetModel(ModelBS1D).SetOption(OptPutAmer).SetMethod(MethodFDBS).
+		Set("S0", 100).Set("r", 0.045).Set("divid", 0.01).Set("sigma", 0.22).
+		Set("K", 100).Set("T", t).Set("steps", float64(int(t*182)+1)).Set("nodes", 400)
+	cells := [][]Override{nil, {{"S0", 90}}, {{"S0", 110}}, {{"sigma", 0.18}}, {{"sigma", 0.26}}, {{"r", 0.055}}}
+	for _, threads := range []int{1, 2} {
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			sw := &Sweep{Base: base.Clone().Set("threads", float64(threads)), Cells: cells}
+			for i := 0; i < b.N; i++ {
+				if _, errs := sw.Compute(); errs != nil {
+					b.Fatal(errs)
+				}
+			}
+		})
 	}
 }
