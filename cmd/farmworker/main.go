@@ -17,6 +17,9 @@
 // new farmworker binaries negotiates each link down to the common
 // protocol subset — rolling upgrades never stop the farm. -proto pins
 // an older wire protocol for staging such upgrades.
+//
+// -telemetry ADDR serves the process's registry at /metrics.json,
+// /metrics, /debug/traces and /debug/events.
 package main
 
 import (
@@ -32,7 +35,6 @@ import (
 	"riskbench/internal/farm"
 	"riskbench/internal/mpi"
 	"riskbench/internal/portfolio"
-	"riskbench/internal/premia"
 	"riskbench/internal/telemetry"
 )
 
@@ -64,15 +66,14 @@ func main() {
 
 	var reg *telemetry.Registry
 	if *telAddr != "" {
-		reg = telemetry.Default
-		premia.SetTelemetry(reg)
-		mpi.SetTelemetry(reg)
+		reg = telemetry.New()
+		telemetry.SetProcess(reg)
 		go func() {
 			if err := http.ListenAndServe(*telAddr, telemetry.Mux(reg)); err != nil {
 				fmt.Fprintf(os.Stderr, "farmworker: telemetry server: %v\n", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "telemetry on http://%s/ (/metrics, /metrics.json, /debug/traces)\n", *telAddr)
+		fmt.Fprintf(os.Stderr, "telemetry on http://%s/metrics.json (/metrics, /debug/traces, /debug/events)\n", *telAddr)
 	}
 
 	switch {
@@ -115,13 +116,8 @@ func runWorker(addr string, wopts mpi.WorldOptions, reg *telemetry.Registry) {
 }
 
 func runMaster(ctx context.Context, addr string, size int, pfName string, n int, stratName string, batch int, wopts mpi.WorldOptions, reg *telemetry.Registry) {
-	var strat farm.Strategy
-	switch stratName {
-	case "full":
-		strat = farm.FullLoad
-	case "serialized":
-		strat = farm.SerializedLoad
-	default:
+	strat, err := farm.ParseStrategy(stratName)
+	if err != nil || strat == farm.NFSLoad {
 		fatalf("unsupported strategy %q for hub mode", stratName)
 	}
 	var pf *portfolio.Portfolio

@@ -23,10 +23,8 @@ import (
 	"strings"
 	"time"
 
-	"riskbench/internal/mpi"
 	"riskbench/internal/premia"
 	"riskbench/internal/risk"
-	"riskbench/internal/telemetry"
 )
 
 // paramFlags collects repeated -p key=value flags.
@@ -57,7 +55,7 @@ func main() {
 		load      = flag.String("load", "", "load a problem from this file")
 		greeks    = flag.Bool("greeks", false, "also report gamma, vega, theta and rho")
 		implied   = flag.Float64("implied", 0, "invert this market price to an implied volatility instead of pricing")
-		transport = flag.String("transport", "local", "price in-process (local) or through a one-worker farm on a framed mpi transport (tcp | unix | inproc)")
+		transport = flag.String("transport", "local", "price in-process (local or \"\") or through a one-worker farm on a framed mpi transport (tcp | unix | inproc)")
 	)
 	flag.Var(params, "p", "problem parameter key=value (repeatable)")
 	flag.Parse()
@@ -127,16 +125,14 @@ func main() {
 // handshake, negotiation and codec path the deployed fleet uses. Prices
 // are identical either way; the farm path is a smoke test of the wire.
 func compute(transport string, p *premia.Problem) (premia.Result, error) {
-	if transport == "" || transport == "local" {
+	if err := risk.CheckTransport(transport); err != nil {
+		return premia.Result{}, err
+	}
+	backend := risk.BackendFor(transport)
+	if backend == nil {
 		return p.Compute()
 	}
-	if _, err := mpi.LookupTransport(transport); err != nil {
-		return premia.Result{}, fmt.Errorf("%w (or \"local\")", err)
-	}
-	eng := risk.Engine{Workers: 1, Backend: &risk.NetBackend{
-		Transport: transport,
-		Spawn:     risk.GoNetWorkers(func(int) *telemetry.Registry { return telemetry.New() }, 0),
-	}}
+	eng := risk.Engine{Workers: 1, Backend: backend}
 	out, err := eng.PriceBatch(context.Background(), []*premia.Problem{p})
 	if err != nil {
 		return premia.Result{}, err

@@ -30,6 +30,11 @@
 // List the registered pricing methods:
 //
 //	riskbench -methods
+//
+// -transport places the -live workers: "local" (the default) or "" in
+// process, "tcp", "unix" or "inproc" over a framed hub. -telemetry ADDR
+// serves the process's registry at /metrics.json, /metrics,
+// /debug/traces and /debug/events; -pprof adds /debug/pprof/.
 package main
 
 import (
@@ -37,7 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -46,7 +50,6 @@ import (
 
 	"riskbench/internal/bench"
 	"riskbench/internal/farm"
-	"riskbench/internal/mpi"
 	"riskbench/internal/portfolio"
 	"riskbench/internal/premia"
 	"riskbench/internal/risk"
@@ -86,19 +89,18 @@ func main() {
 	// reg is nil (a no-op sink) unless -telemetry is given.
 	var reg *telemetry.Registry
 	if *telAddr != "" {
-		reg = telemetry.Default
-		premia.SetTelemetry(reg)
-		mpi.SetTelemetry(reg)
+		reg = telemetry.New()
+		telemetry.SetProcess(reg)
 		handler := http.Handler(telemetry.Mux(reg))
 		if *pprofOn {
-			handler = withPprof(handler)
+			handler = telemetry.WithPprof(handler)
 		}
 		go func() {
 			if err := http.ListenAndServe(*telAddr, handler); err != nil {
 				fmt.Fprintf(os.Stderr, "riskbench: telemetry server: %v\n", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "telemetry on http://%s/ (/metrics, /metrics.json, /debug/traces)\n", *telAddr)
+		fmt.Fprintf(os.Stderr, "telemetry on http://%s/metrics.json (/metrics, /debug/traces, /debug/events)\n", *telAddr)
 	} else if *pprofOn {
 		fatalf("-pprof needs -telemetry <addr> to serve on")
 	}
@@ -153,20 +155,6 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// withPprof mounts the net/http/pprof handlers in front of h; the
-// handlers are reachable only through this explicit mount, never via
-// http.DefaultServeMux.
-func withPprof(h http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/", h)
-	return mux
-}
-
 func runTable(ctx context.Context, spec bench.TableSpec, calibrate bool, reg *telemetry.Registry) {
 	if calibrate {
 		fmt.Fprintln(os.Stderr, "calibrating per-class costs on this machine...")
@@ -182,20 +170,6 @@ func runTable(ctx context.Context, spec bench.TableSpec, calibrate bool, reg *te
 	}
 	fmt.Print(tbl.Format())
 	fmt.Printf("(simulated on %d claims in %v wall time)\n\n", spec.Portfolio.Size(), time.Since(start).Round(time.Millisecond))
-}
-
-func parseStrategy(name string) farm.Strategy {
-	switch name {
-	case "full":
-		return farm.FullLoad
-	case "nfs":
-		return farm.NFSLoad
-	case "serialized":
-		return farm.SerializedLoad
-	default:
-		fatalf("unknown strategy %q (want full, nfs or serialized)", name)
-		panic("unreachable")
-	}
 }
 
 func buildPortfolio(name string, n int) *portfolio.Portfolio {
@@ -272,7 +246,10 @@ func runSelfTest(ctx context.Context, workers int, reg *telemetry.Registry) {
 }
 
 func runUtilization(ctx context.Context, pfName string, n int, stratName string, batch int) {
-	strat := parseStrategy(stratName)
+	strat, err := farm.ParseStrategy(stratName)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	pf := buildPortfolio(pfName, n)
 	tasks, err := pf.Tasks()
 	if err != nil {
@@ -296,7 +273,10 @@ func runUtilization(ctx context.Context, pfName string, n int, stratName string,
 }
 
 func runLive(ctx context.Context, pfName string, n, workers int, stratName, transport string, batch int, reg *telemetry.Registry) {
-	strat := parseStrategy(stratName)
+	strat, err := farm.ParseStrategy(stratName)
+	if err != nil {
+		fatalf("%v", err)
+	}
 	pf := buildPortfolio(pfName, n)
 	tasks, err := pf.Tasks()
 	if err != nil {
@@ -311,24 +291,16 @@ func runLive(ctx context.Context, pfName string, n, workers int, stratName, tran
 		store = ms
 	}
 	opts := farm.Options{Strategy: strat, BatchSize: batch, Telemetry: reg}
-	var backend risk.FarmBackend
-	if transport == "" || transport == "local" {
-		// The default shape: a goroutine world with shared mailboxes, no
-		// framing, workers writing spans into the process registry.
-		backend = farm.Local{Store: store}
-	} else {
-		// A framed hub world on the chosen transport: goroutine workers
-		// dial through the real wire, negotiate the protocol per
-		// connection, and ship spans back by frame from their own
-		// registries.
-		if _, err := mpi.LookupTransport(transport); err != nil {
-			fatalf("%v (or \"local\")", err)
-		}
-		if strat == farm.NFSLoad {
-			fatalf("the nfs strategy needs -transport local: framed workers carry no store")
-		}
-		fresh := func(int) *telemetry.Registry { return telemetry.New() }
-		backend = &risk.NetBackend{Transport: transport, Spawn: risk.GoNetWorkers(fresh, 0)}
+	// A framed transport's goroutine workers dial through the real wire;
+	// "local" shares mailboxes and, for nfs, the store.
+	if err := risk.CheckTransport(transport); err != nil {
+		fatalf("%v", err)
+	}
+	backend, shape := risk.BackendFor(transport), transport
+	if backend == nil {
+		backend, shape = farm.Local{Store: store}, "local"
+	} else if strat == farm.NFSLoad {
+		fatalf("the nfs strategy needs -transport local: framed workers carry no store")
 	}
 	root := reg.StartTrace("bench.run")
 	start := time.Now()
@@ -343,10 +315,6 @@ func runLive(ctx context.Context, pfName string, n, workers int, stratName, tran
 		if p, err := farm.AsPriced(r); err == nil {
 			sum += p.Result.Price
 		}
-	}
-	shape := transport
-	if shape == "" {
-		shape = "local"
 	}
 	fmt.Printf("portfolio %s: priced %d claims in %v with %d %s workers (%s strategy, batch %d)\n",
 		pf.Name, len(results), elapsed.Round(time.Millisecond), workers, shape, strat, batch)

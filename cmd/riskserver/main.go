@@ -44,9 +44,13 @@
 // With -pprof, the standard net/http/pprof profiling handlers are
 // additionally mounted under /debug/pprof/.
 //
-// -transport selects where the farm workers live: "local" (default)
-// prices on in-process goroutine ranks; "tcp", "unix" or "inproc" run a
-// framed hub world on that mpi transport with the versioned wire
+// -batch is the paper's one bunching parameter: the micro-batcher
+// flushes once that many problems wait (a /batch book is never split),
+// and the farm ships that many tasks to a message.
+//
+// -transport selects where the farm workers live: "local" (the default)
+// or "" prices on in-process goroutine ranks; "tcp", "unix" or "inproc"
+// run a framed hub world on that mpi transport with the versioned wire
 // handshake — "unix" is the recommended same-host worker-pool shape.
 // Either way the workers are started once and every flush and every
 // risk report is a round on the same session; a worker lost mid-round
@@ -64,34 +68,17 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
 	"syscall"
 	"time"
 
-	"riskbench/internal/mpi"
 	"riskbench/internal/premia"
 	"riskbench/internal/risk"
 	"riskbench/internal/serve"
 	"riskbench/internal/telemetry"
 )
-
-// withPprof mounts the net/http/pprof handlers in front of h. The
-// pprof package's side-effect registration targets http.DefaultServeMux,
-// which this server never serves, so the handlers are reachable only
-// through this explicit mount.
-func withPprof(h http.Handler) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/", h)
-	return mux
-}
 
 // kernelWidth is the Monte Carlo kernel width of every pricing task
 // without its own "threads" parameter: the cores the farm workers leave —
@@ -106,16 +93,26 @@ func kernelWidth(procs, workers int) int {
 	return max(1, procs/workers)
 }
 
+// newEngine is the engine the server prices on, its farm workers where
+// the transport puts them (risk.BackendFor); serve.New gives it the
+// server's registry.
+func newEngine(workers, batch int, transport string) (*risk.Engine, error) {
+	if err := risk.CheckTransport(transport); err != nil {
+		return nil, err
+	}
+	return &risk.Engine{Workers: workers, BatchSize: batch, Backend: risk.BackendFor(transport)}, nil
+}
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "address to serve HTTP on")
 		workers     = flag.Int("workers", runtime.NumCPU(), "farm workers of the standing session, started once and shared by every round")
-		batch       = flag.Int("batch", 16, "problems waiting that flush a micro-batch (a /batch book is never split) and tasks per farm message")
-		maxDelay    = flag.Duration("maxdelay", 2*time.Millisecond, "max wait for a micro-batch to fill before flushing")
+		batch       = flag.Int("batch", risk.DefaultBatchSize, "the batch size: problems waiting that flush a micro-batch, which is also tasks per farm message")
+		maxDelay    = flag.Duration("maxdelay", serve.DefaultMaxDelay, "max wait for a micro-batch to fill before flushing")
 		cacheSize   = flag.Int("cache", serve.DefaultCacheSize, "result cache capacity in entries (negative disables)")
-		maxInflight = flag.Int("maxinflight", 256, "admitted concurrent requests before shedding with 429")
-		timeout     = flag.Duration("timeout", 30*time.Second, "per-request pricing deadline")
-		transport   = flag.String("transport", "local", "farm worker transport: local (in-process goroutines) or a framed mpi transport (tcp | unix | inproc)")
+		maxInflight = flag.Int("maxinflight", serve.DefaultMaxInflight, "admitted concurrent requests before shedding with 429")
+		timeout     = flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request pricing deadline")
+		transport   = flag.String("transport", "local", "farm worker transport: local or \"\" (in-process goroutines) or a framed mpi transport (tcp | unix | inproc)")
 		drainWait   = flag.Duration("drain", 30*time.Second, "max time to drain in-flight work on shutdown")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		noTrace     = flag.Bool("notrace", false, "disable per-request distributed tracing")
@@ -127,31 +124,18 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	reg := telemetry.Default
-	premia.SetTelemetry(reg)
-	mpi.SetTelemetry(reg)
+	reg := telemetry.New()
+	telemetry.SetProcess(reg)
 	kernel := kernelWidth(runtime.GOMAXPROCS(0), *workers)
 	premia.SetKernelThreads(kernel)
 
-	// The transport decides where farm workers live: "local" is the
-	// in-process goroutine world; anything else is a framed hub world
-	// with per-connection protocol negotiation, so mixed-version fleets
-	// keep serving through rolling upgrades.
-	var backend risk.FarmBackend
-	if *transport != "local" {
-		if _, err := mpi.LookupTransport(*transport); err != nil {
-			fmt.Fprintf(os.Stderr, "riskserver: %v (or \"local\")\n", err)
-			os.Exit(2)
-		}
-		backend = &risk.NetBackend{
-			Transport: *transport,
-			Spawn:     risk.GoNetWorkers(func(int) *telemetry.Registry { return telemetry.New() }, 0),
-		}
+	eng, err := newEngine(*workers, *batch, *transport)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "riskserver: %v\n", err)
+		os.Exit(2)
 	}
-
 	srv := serve.New(serve.Config{
-		Engine:         &risk.Engine{Workers: *workers, BatchSize: *batch, Telemetry: reg, Backend: backend},
-		MaxBatch:       *batch,
+		Engine:         eng,
 		MaxDelay:       *maxDelay,
 		CacheSize:      *cacheSize,
 		MaxInflight:    *maxInflight,
@@ -162,7 +146,7 @@ func main() {
 
 	handler := srv.Handler()
 	if *pprofOn {
-		handler = withPprof(handler)
+		handler = telemetry.WithPprof(handler)
 	}
 	httpSrv := &http.Server{Addr: *addr, Handler: handler}
 	errc := make(chan error, 1)

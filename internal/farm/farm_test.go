@@ -438,6 +438,19 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
+// TestParseStrategy pins the command-line names riskbench and
+// farmworker read -strategy with.
+func TestParseStrategy(t *testing.T) {
+	for name, want := range map[string]Strategy{"full": FullLoad, "nfs": NFSLoad, "serialized": SerializedLoad} {
+		if got, err := ParseStrategy(name); err != nil || got != want {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseStrategy("NFS"); err == nil {
+		t.Error("ParseStrategy took the label NFS for a name")
+	}
+}
+
 func goodBatch() *nsp.Hash {
 	return encodeBatch([]Task{{Name: "x", Data: []byte{1}}, {Name: "y"}}, batchTrace{traceID: 7, parents: []uint64{1, 2}})
 }

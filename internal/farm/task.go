@@ -35,6 +35,15 @@ func (s Strategy) String() string {
 	}
 }
 
+// ParseStrategy reads a strategy's command-line name: "full", "nfs" or
+// "serialized".
+func ParseStrategy(name string) (Strategy, error) {
+	if s, ok := map[string]Strategy{"full": FullLoad, "nfs": NFSLoad, "serialized": SerializedLoad}[name]; ok {
+		return s, nil
+	}
+	return 0, fmt.Errorf("unknown strategy %q (want full, nfs or serialized)", name)
+}
+
 // NeedsPayload reports whether the master ships problem bytes itself
 // (true) or lets the worker fetch them from the shared store (false).
 func (s Strategy) NeedsPayload() bool { return s != NFSLoad }

@@ -226,6 +226,67 @@ func TestOnePricingRound(t *testing.T) {
 	}
 }
 
+// moduleSources returns the module's non-test Go files outside benchmark/
+// (the harness builds its own backends) and testdata, keyed by their
+// slash-separated path from the module root.
+func moduleSources(t *testing.T) map[string]string {
+	t.Helper()
+	root := filepath.Join("..", "..")
+	srcs := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel == "benchmark" || d.Name() == "testdata" || (rel != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		srcs[rel] = string(src)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srcs
+}
+
+// TestOneTransportMapping keeps the transport-name decision from forking
+// again: risk.BackendFor is the one place a name becomes goroutine
+// workers over a framed wire, so outside internal/risk no non-test code
+// writes a risk.NetBackend literal, and internal/risk writes one.
+func TestOneTransportMapping(t *testing.T) {
+	literals := 0
+	for file, src := range moduleSources(t) {
+		if strings.HasPrefix(file, "internal/risk/") {
+			literals += strings.Count(src, "NetBackend{")
+		} else if strings.Contains(src, "risk.NetBackend{") {
+			t.Errorf("%s builds a risk.NetBackend; use risk.BackendFor", file)
+		}
+	}
+	if literals != 1 {
+		t.Errorf("internal/risk writes %d NetBackend literals, want one (in BackendFor)", literals)
+	}
+}
+
+// TestOneProcessSink keeps process-wide telemetry one sink: only
+// internal/telemetry holds a registry pointer for layers that take no
+// registry parameter (telemetry.SetProcess / telemetry.Process).
+func TestOneProcessSink(t *testing.T) {
+	for file, src := range moduleSources(t) {
+		if strings.Contains(src, "atomic.Pointer[telemetry.Registry]") {
+			t.Errorf("%s declares its own registry sink; read telemetry.Process()", file)
+		}
+	}
+}
+
 // TestOneFarmDriver keeps the farm's second master loop from coming back:
 // a Session's callers drive the dispatcher, so the non-test sources of
 // internal/farm receive results in exactly one place, and the session and

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"riskbench/internal/nsp"
+	"riskbench/internal/telemetry"
 )
 
 // Buf is a packing buffer, the analogue of the mpibuf object created at
@@ -66,7 +67,7 @@ func SendObj(c Comm, o nsp.Object, dest, tag int) error {
 	if rc, ok := c.(ObjRefComm); ok {
 		return rc.SendObjRef(o, dest, tag)
 	}
-	reg := sink.Load()
+	reg := telemetry.Process()
 	if s, ok := o.(*nsp.Serial); ok && !s.Compressed {
 		// The serial already holds a full stream: ship it as-is.
 		countMsg(reg, c.Rank(), "sent", len(s.Data))
@@ -121,7 +122,7 @@ func RecvObj(c Comm, source, tag int) (nsp.Object, Status, error) {
 	if err != nil {
 		return nil, st, err
 	}
-	reg := sink.Load()
+	reg := telemetry.Process()
 	countMsg(reg, c.Rank(), "recv", len(data))
 	start := reg.Now()
 	o, err := decodeObjStream(data)

@@ -4,26 +4,14 @@ import (
 	"errors"
 	"io"
 	"strconv"
-	"sync/atomic"
 
 	"riskbench/internal/telemetry"
 )
 
-// sink is the package-level telemetry registry. SendObj and RecvObj are
-// free functions mirroring the MPI_Send_Obj/MPI_Recv_Obj primitives and
-// take no registry parameter, so instrumentation is wired through this
-// process-wide sink; nil (the default) disables it.
-var sink atomic.Pointer[telemetry.Registry]
-
-// SetTelemetry installs the registry receiving message-layer metrics:
-// "mpi.msgs_sent"/"mpi.bytes_sent"/"mpi.msgs_recv"/"mpi.bytes_recv"
-// counters (aggregate and per local rank as "mpi.rank<N>.*") and
-// "mpi.pack_seconds"/"mpi.unpack_seconds" serialization histograms. Pass
-// nil to disable. Typically wired through the riskbench façade's
-// SetTelemetry.
-func SetTelemetry(r *telemetry.Registry) {
-	sink.Store(r)
-}
+// SendObj and RecvObj take no registry, so the message layer books into
+// telemetry.Process(): "mpi.msgs_*"/"mpi.bytes_*" counters (also per
+// local rank as "mpi.rank<N>.*"), "mpi.pack_seconds"/"mpi.unpack_seconds"
+// and the peer-loss events.
 
 // emitPeerEvent files the loss of a peer connection into the flight
 // recorder, graded by how it died: a clean EOF is an orderly disconnect
@@ -31,7 +19,7 @@ func SetTelemetry(r *telemetry.Registry) {
 // timeouts, half-closed sockets — is a warning. Callers suppress the
 // events caused by their own Close.
 func emitPeerEvent(rank int, err error) {
-	reg := sink.Load()
+	reg := telemetry.Process()
 	if reg == nil {
 		return
 	}

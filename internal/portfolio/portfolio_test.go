@@ -304,8 +304,8 @@ func TestCalibrateCostsTimesOneCore(t *testing.T) {
 	premia.SetKernelThreads(2)
 	defer premia.SetKernelThreads(0)
 	reg := telemetry.New()
-	premia.SetTelemetry(reg)
-	defer premia.SetTelemetry(nil)
+	telemetry.SetProcess(reg)
+	defer telemetry.SetProcess(nil)
 	pf := &Portfolio{Name: "basket"}
 	for _, it := range Realistic().Items {
 		if strings.HasPrefix(it.Name, "basket-") {

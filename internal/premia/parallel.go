@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"riskbench/internal/mathutil"
+	"riskbench/internal/telemetry"
 )
 
 // The multicore pricing kernel: a sharded path-simulation runtime shared
@@ -121,13 +122,13 @@ func dispatch(threads, n int, body func(w, item int)) int {
 }
 
 // kernelRun is dispatch over a path kernel's shards, booked in the
-// package sink: per-shard compute times go to the
+// process sink: per-shard compute times go to the
 // "premia.kernel.shard_seconds" histogram, and each run counts in
 // "premia.kernel.runs", sets the "premia.kernel.threads" gauge to its
 // goroutine count and "premia.kernel.efficiency" to busy time over
 // goroutines×wall (1.0 meaning perfect scaling).
 func kernelRun(threads, shards int, body func(shard int)) {
-	reg := sink.Load()
+	reg := telemetry.Process()
 	if reg == nil {
 		dispatch(threads, shards, func(_, s int) { body(s) })
 		return

@@ -113,14 +113,14 @@ func TestKernelRejectsBadThreads(t *testing.T) {
 }
 
 // TestKernelTelemetry checks the per-shard histogram, the thread-count
-// gauge and the parallel-efficiency gauge reach the package sink, the
+// gauge and the parallel-efficiency gauge reach the process sink, the
 // last two for the goroutines a run actually used: a run never starts
 // more goroutines than it has shards, and busy time over goroutines×wall
 // cannot pass 1.
 func TestKernelTelemetry(t *testing.T) {
 	reg := telemetry.New()
-	SetTelemetry(reg)
-	defer SetTelemetry(nil)
+	telemetry.SetProcess(reg)
+	defer telemetry.SetProcess(nil)
 	check := func(threads int) {
 		t.Helper()
 		snap := reg.Snapshot()

@@ -44,8 +44,8 @@ func sameResult(a, b Result) bool {
 // every cell.
 func TestSweepComputeEqualsCells(t *testing.T) {
 	reg := telemetry.New()
-	SetTelemetry(reg)
-	defer SetTelemetry(nil)
+	telemetry.SetProcess(reg)
+	defer telemetry.SetProcess(nil)
 	call := New().SetModel(ModelBS1D).SetOption(OptCallEuro).SetMethod(MethodCFCall).
 		Set("S0", 100).Set("r", 0.04).Set("sigma", 0.2).Set("K", 95).Set("T", 1)
 	put := call.Clone().SetOption(OptPutEuro).SetMethod(MethodCFPut)

@@ -1,26 +1,13 @@
 package premia
 
-import (
-	"sync/atomic"
+import "riskbench/internal/telemetry"
 
-	"riskbench/internal/telemetry"
-)
-
-// sink is the package-level telemetry registry. Compute takes no registry
-// parameter (it mirrors Premia's P.compute[]), so instrumentation is wired
-// through this process-wide sink instead; nil (the default) disables it.
-var sink atomic.Pointer[telemetry.Registry]
-
-// SetTelemetry installs the registry receiving per-method compute timings
-// and throughput. Pass nil to disable. Typically wired through the
-// riskbench façade's SetTelemetry.
-func SetTelemetry(r *telemetry.Registry) {
-	sink.Store(r)
-}
+// Compute takes no registry (it mirrors Premia's P.compute[]), so the
+// package's instruments book into the process sink, telemetry.Process().
 
 // countError increments the pricing-error counter (no-op without a sink).
 func countError() {
-	sink.Load().Counter("premia.errors").Add(1)
+	telemetry.Process().Counter("premia.errors").Add(1)
 }
 
 // instruments are the sink's per-method metrics, resolved by name once:
@@ -37,7 +24,7 @@ type instruments struct {
 }
 
 func instrumentsOf(method string) instruments {
-	reg := sink.Load()
+	reg := telemetry.Process()
 	if reg == nil {
 		return instruments{}
 	}

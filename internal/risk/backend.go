@@ -186,7 +186,7 @@ func (e *Engine) Stand() (stop func() error) {
 	if !ok {
 		return func() error { return nil }
 	}
-	opts, workers := e.farmOptions(e.batch()), e.workers()
+	opts, workers := e.farmOptions(e.Batch()), e.workers()
 	b := &standing{open: func() (*farm.Session, error) { return opener.Open(opts, workers) }}
 	e.Backend = b
 	return b.Close
@@ -232,3 +232,32 @@ func GoNetWorkers(newRegistry func(worker int) *telemetry.Registry, proto int) f
 		}, nil
 	}
 }
+
+// BackendFor is the one reading of a transport name: "" and "local" give
+// nil, the engine's in-process default; any other name goroutine workers
+// over that framed mpi transport, each with its own registry so spans
+// travel by frame. An unknown name fails the first Open with mpi's error.
+func BackendFor(transport string) FarmBackend {
+	if isLocal(transport) {
+		return nil
+	}
+	return &NetBackend{
+		Transport: transport,
+		Spawn:     GoNetWorkers(func(int) *telemetry.Registry { return telemetry.New() }, 0),
+	}
+}
+
+// CheckTransport refuses, before anything is priced, a name whose
+// BackendFor cannot open.
+func CheckTransport(transport string) error {
+	if isLocal(transport) {
+		return nil
+	}
+	if _, err := mpi.LookupTransport(transport); err != nil {
+		return fmt.Errorf("%w (or \"local\")", err)
+	}
+	return nil
+}
+
+// isLocal reports whether a transport name selects the in-process farm.
+func isLocal(transport string) bool { return transport == "" || transport == "local" }

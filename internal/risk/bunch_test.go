@@ -108,7 +108,7 @@ func TestRevalueMessageSizing(t *testing.T) {
 		if _, err := e.Revalue(tc.pf, tc.scenarios); !errors.Is(err, errNotFarmed) {
 			t.Fatalf("%s: %v, want the refusing backend's error", tc.name, err)
 		}
-		if per := max(1, 2*e.batch()/(len(tc.scenarios)+1)); len(rec.batches) != 1 || rec.batches[0] != per {
+		if per := max(1, 2*e.Batch()/(len(tc.scenarios)+1)); len(rec.batches) != 1 || rec.batches[0] != per {
 			t.Errorf("%s: dealt %v sweeps a message, want today's %d", tc.name, rec.batches, per)
 		}
 	}
@@ -160,7 +160,7 @@ func TestMonteCarloRoundNotBunched(t *testing.T) {
 	if _, err := e.Revalue(pf, scenarios); !errors.Is(err, errNotFarmed) {
 		t.Fatalf("%v, want the refusing backend's error", err)
 	}
-	per := max(1, 2*e.batch()/(len(scenarios)+1))
+	per := max(1, 2*e.Batch()/(len(scenarios)+1))
 	if bunched := e.sweepsPerMessage(pf.Size(), len(scenarios), true, cellWireBytes(pf.Items[0].Problem)); bunched <= per {
 		t.Fatalf("%d claims would deal %d sweeps a message bunched, %d not: too few to tell", pf.Size(), bunched, per)
 	}
@@ -267,7 +267,7 @@ func TestBunchedMessageFitsFrame(t *testing.T) {
 			t.Fatalf("%s: %v, want the refusing backend's error", book.Name, err)
 		}
 		per := rec.batches[0]
-		if bunched := (len(rec.tasks) + messagesPerWorker - 1) / messagesPerWorker; per > bunched || per <= max(1, 2*e.batch()/(len(scenarios)+1)) {
+		if bunched := (len(rec.tasks) + messagesPerWorker - 1) / messagesPerWorker; per > bunched || per <= max(1, 2*e.Batch()/(len(scenarios)+1)) {
 			t.Fatalf("%s: %d sweeps a message, want bunched, at most %d", book.Name, per, bunched)
 		}
 		// Every message but the last holds per sweeps of equal length: the

@@ -118,7 +118,7 @@ func (e Engine) PriceBatch(ctx context.Context, problems []*premia.Problem) ([]P
 	}
 	reg.Counter("risk.price.farmed").Add(int64(len(tasks)))
 
-	fresh, err := e.priceRound(ctx, tasks, e.batch())
+	fresh, err := e.priceRound(ctx, tasks, e.Batch())
 	if err != nil {
 		return nil, err
 	}

@@ -26,16 +26,17 @@ type PriceCache interface {
 type Engine struct {
 	// Workers is the number of pricing goroutines (default 4).
 	Workers int
-	// BatchSize groups atomic computations per message (default 16: the
-	// bunching the paper's conclusion recommends, which matters here
-	// because scenario grids multiply the task count). PriceBatch sends
-	// that many problems to a message. A revaluation farms sweeps — one
-	// claim under its scenarios — and sizes them from it: a sweep never
-	// holds more than 2 × BatchSize cells (a claim with more is cut evenly
-	// into sweeps of at most that many), and claims with fewer share a
-	// message up to 2 × BatchSize cells — unless every claim's method is
-	// instantaneous, whose sub-microsecond cells are bunched into about
-	// eight messages a worker (RevalueContext).
+	// BatchSize groups atomic computations per message (default
+	// DefaultBatchSize, 16: the bunching the paper's conclusion
+	// recommends, which matters here because scenario grids multiply the
+	// task count). PriceBatch sends that many problems to a message, and a
+	// serve.Server's micro-batcher flushes at it. A revaluation farms
+	// sweeps — one claim under its scenarios — and sizes them from it: a
+	// sweep never holds more than 2 × BatchSize cells (a claim with more is
+	// cut evenly into sweeps of at most that many), and claims with fewer
+	// share a message up to 2 × BatchSize cells — unless every claim's
+	// method is instantaneous, whose sub-microsecond cells are bunched into
+	// about eight messages a worker (RevalueContext).
 	BatchSize int
 	// Telemetry, when non-nil, receives the revaluation's metrics: the
 	// farm's task histograms and spans, phase spans
@@ -81,9 +82,14 @@ func (e Engine) workers() int {
 	return e.Workers
 }
 
-func (e Engine) batch() int {
+// DefaultBatchSize is the batch of an engine whose BatchSize is unset.
+const DefaultBatchSize = 16
+
+// Batch is the engine's effective batch size, which a serve.Server's
+// micro-batcher also flushes at.
+func (e Engine) Batch() int {
 	if e.BatchSize < 1 {
-		return 16
+		return DefaultBatchSize
 	}
 	return e.BatchSize
 }
@@ -222,7 +228,7 @@ func cellWireBytes(base *premia.Problem) int {
 // of sweeps of at most 2 × BatchSize cells, each weighing at most weight
 // bytes on a wire, stays within bunchedMessageBytes.
 func (e Engine) sweepsPerMessage(tasks, scenarios int, bunch bool, weight int) int {
-	limit := 2 * e.batch()
+	limit := 2 * e.Batch()
 	per := max(1, limit/(scenarios+1))
 	if !bunch || tasks == 0 {
 		return per
@@ -288,7 +294,7 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 	// overrides, cut from one array) and of scen (its scenario, -1 = the
 	// base column); a sweep is a run of one claim's rows.
 	buildSpan := revSpan.StartChild("risk.build")
-	limit := 2 * e.batch()
+	limit := 2 * e.Batch()
 	shifts := 0
 	for _, sc := range scenarios {
 		shifts += len(sc.Shifts)

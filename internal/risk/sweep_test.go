@@ -120,8 +120,8 @@ func TestSweepEqualsApply(t *testing.T) {
 			task := rec.tasks[next]
 			next++
 			sw := task.Obj.(*premia.Sweep)
-			if !strings.HasPrefix(task.Name, it.Name) || len(sw.Cells) > 2*e.batch() || len(sw.Cells) > len(want) {
-				t.Fatalf("sweep %q of %d cells, want at most %d of the %d left of %s", task.Name, len(sw.Cells), 2*e.batch(), len(want), it.Name)
+			if !strings.HasPrefix(task.Name, it.Name) || len(sw.Cells) > 2*e.Batch() || len(sw.Cells) > len(want) {
+				t.Fatalf("sweep %q of %d cells, want at most %d of the %d left of %s", task.Name, len(sw.Cells), 2*e.Batch(), len(want), it.Name)
 			}
 			block := blocks[task.Name]
 			for k := range sw.Cells {

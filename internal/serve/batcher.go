@@ -43,12 +43,12 @@ type priceResponse struct {
 }
 
 // batcher coalesces requests into farm batches: it flushes whenever the
-// waiting requests hold maxBatch problems or more between them, or
-// maxDelay has passed since the first request of the current batch — the
-// dynamic version of the farm's BatchSize bunching, applied to request
-// traffic instead of a pre-built portfolio. A request is never split: a
-// 256-problem group flushes at once, with whatever lone requests were
-// waiting, as one batch.
+// waiting requests hold maxBatch problems (the engine's Batch) or more
+// between them, or maxDelay has passed since the first request of the
+// current batch — the dynamic version of the farm's BatchSize bunching,
+// applied to request traffic instead of a pre-built portfolio. A request
+// is never split: a 256-problem group flushes at once, with whatever lone
+// requests were waiting, as one batch.
 //
 // Flushes run synchronously on the batcher goroutine; while one batch
 // is pricing, later arrivals accumulate in the bounded input queue and

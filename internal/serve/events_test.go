@@ -90,7 +90,7 @@ func TestServeRejectEventEmitted(t *testing.T) {
 		return make([]risk.PriceOutcome, len(problems)), nil
 	}
 	reg := telemetry.New()
-	s := New(Config{Price: price, MaxInflight: 1, MaxBatch: 1, MaxDelay: time.Millisecond, Telemetry: reg})
+	s := New(Config{Price: price, MaxInflight: 1, Engine: &risk.Engine{BatchSize: 1}, MaxDelay: time.Millisecond, Telemetry: reg})
 	defer s.Close()
 	done := make(chan struct{})
 	go func() {

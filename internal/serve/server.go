@@ -27,32 +27,38 @@ var (
 	ErrDraining = errors.New("serve: draining")
 )
 
+// The defaults New gives a zero Config field, and riskserver's flags.
+const (
+	DefaultMaxDelay       = 2 * time.Millisecond
+	DefaultMaxInflight    = 256
+	DefaultRequestTimeout = 30 * time.Second
+)
+
 // Config assembles a Server. The zero value is usable: it prices on a
 // default risk.Engine with default batching, caching and admission
 // settings.
 type Config struct {
-	// Engine prices flushed batches via Engine.PriceBatch. Nil means a
-	// default engine (4 workers, batch 16, no cache of its own).
+	// Engine prices flushed batches via Engine.PriceBatch, and its Batch
+	// is the micro-batcher's flush size. Nil means a default engine (4
+	// workers, batch risk.DefaultBatchSize, no cache of its own).
 	Engine *risk.Engine
-	// Price overrides Engine when non-nil — the test seam that lets load
-	// tests count kernel evaluations.
+	// Price overrides Engine's PriceBatch when non-nil — the test seam
+	// that lets load tests count kernel evaluations.
 	Price PriceFunc
-	// MaxBatch is the micro-batcher's flush size (default 16, the same
-	// bunching the paper's conclusion recommends for the farm).
-	MaxBatch int
 	// MaxDelay is how long the first request of a batch may wait for
-	// company before the batch flushes anyway (default 2ms).
+	// company before the batch flushes anyway (default DefaultMaxDelay).
 	MaxDelay time.Duration
 	// CacheSize is the result cache's total entry capacity; 0 means
 	// DefaultCacheSize, negative disables caching.
 	CacheSize int
 	// MaxInflight bounds concurrently admitted HTTP requests; beyond it
-	// requests get 429 + Retry-After (default 256). The batcher's request
-	// queue holds 4×MaxBatch requests, or MaxInflight if that is more.
+	// requests get 429 + Retry-After (default DefaultMaxInflight). The
+	// batcher's request queue holds 4 × the engine's Batch requests, or
+	// MaxInflight if that is more.
 	MaxInflight int
 	// RequestTimeout caps each request's pricing deadline; the effective
-	// deadline is the tighter of this and the client's context
-	// (default 30s).
+	// deadline is the tighter of this and the client's context (default
+	// DefaultRequestTimeout).
 	RequestTimeout time.Duration
 	// Telemetry receives the serve.* metrics; it is also what /metrics
 	// serves. Nil creates a private registry so /metrics always works.
@@ -115,17 +121,14 @@ type Server struct {
 // engine's farm session stands once the first round has opened it, until
 // Drain or Close.
 func New(cfg Config) *Server {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 16
-	}
 	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 2 * time.Millisecond
+		cfg.MaxDelay = DefaultMaxDelay
 	}
 	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 256
+		cfg.MaxInflight = DefaultMaxInflight
 	}
 	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 30 * time.Second
+		cfg.RequestTimeout = DefaultRequestTimeout
 	}
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.New()
@@ -169,7 +172,8 @@ func New(cfg Config) *Server {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
-	s.batch = newBatcher(ctx, price, cfg.MaxBatch, cfg.MaxDelay, max(4*cfg.MaxBatch, cfg.MaxInflight), s.reg)
+	batch := eng.Batch()
+	s.batch = newBatcher(ctx, price, batch, cfg.MaxDelay, max(4*batch, cfg.MaxInflight), s.reg)
 	s.startSLO(ctx)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /price", s.admitted("serve.requests", "serve.request_seconds", s.handlePrice))

@@ -143,7 +143,7 @@ func TestAdmissionControlBurst(t *testing.T) {
 		return out, nil
 	}
 	reg := telemetry.New()
-	s := New(Config{Price: price, MaxInflight: 2, MaxBatch: 1, MaxDelay: time.Millisecond, Telemetry: reg})
+	s := New(Config{Price: price, MaxInflight: 2, Engine: &risk.Engine{BatchSize: 1}, MaxDelay: time.Millisecond, Telemetry: reg})
 	defer s.Close()
 
 	var wg sync.WaitGroup
@@ -203,7 +203,7 @@ func TestDrainZeroDroppedResponses(t *testing.T) {
 		}
 		return out, nil
 	}
-	s := New(Config{Price: price, MaxInflight: 64, MaxBatch: 4, MaxDelay: time.Millisecond})
+	s := New(Config{Price: price, MaxInflight: 64, Engine: &risk.Engine{BatchSize: 4}, MaxDelay: time.Millisecond})
 
 	const n = 16
 	codes := make([]int, n)
@@ -332,7 +332,7 @@ func TestColdPriceCountsOneMissPath(t *testing.T) {
 // harness's own 4 KiB bufio reader to the path under test.
 func TestColdPriceAllocs(t *testing.T) {
 	const batch = 16
-	s := New(Config{Engine: &risk.Engine{Workers: 4, BatchSize: batch}, MaxBatch: batch, MaxDelay: time.Minute})
+	s := New(Config{Engine: &risk.Engine{Workers: 4, BatchSize: batch}, MaxDelay: time.Minute})
 	defer s.Close()
 	var next atomic.Int64
 	flush := func() {
@@ -375,7 +375,7 @@ func TestColdPriceAllocs(t *testing.T) {
 // goroutines regrouped into 16 flushes over 16 worlds, took 47.2).
 func TestColdBatchAllocs(t *testing.T) {
 	const problems = 256
-	s := New(Config{Engine: &risk.Engine{Workers: 4, BatchSize: 16}, MaxBatch: 16})
+	s := New(Config{Engine: &risk.Engine{Workers: 4, BatchSize: 16}})
 	defer s.Close()
 	var next atomic.Int64
 	// The harness's own share — 256 Sprintf'd bodies, their join — is
@@ -429,8 +429,8 @@ func TestBatchIsOneGroup(t *testing.T) {
 		mu.Unlock()
 		return out, nil
 	}
-	// An hour's delay: only a group at least MaxBatch big can flush.
-	s := New(Config{Price: price, MaxBatch: 16, MaxDelay: time.Hour})
+	// An hour's delay: only a group at least the engine's Batch big can flush.
+	s := New(Config{Price: price, Engine: &risk.Engine{BatchSize: 16}, MaxDelay: time.Hour})
 	defer s.Close()
 	post := func(strikes []float64) []resultJSON {
 		t.Helper()
@@ -548,7 +548,7 @@ func TestRequestDeadline(t *testing.T) {
 		time.Sleep(200 * time.Millisecond)
 		return make([]risk.PriceOutcome, len(problems)), nil
 	}
-	s := New(Config{Price: price, RequestTimeout: 20 * time.Millisecond, MaxBatch: 1, MaxDelay: time.Millisecond})
+	s := New(Config{Price: price, RequestTimeout: 20 * time.Millisecond, Engine: &risk.Engine{BatchSize: 1}, MaxDelay: time.Millisecond})
 	defer s.Close()
 	if w := postJSON(s, "/price", cfBody(90)); w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", w.Code)
@@ -650,7 +650,7 @@ func TestClientHangUpIsNotARequestError(t *testing.T) {
 		return make([]risk.PriceOutcome, len(problems)), nil
 	}
 	reg := telemetry.New()
-	s := New(Config{Price: price, RequestTimeout: time.Second, MaxBatch: 1, MaxDelay: time.Millisecond, Telemetry: reg})
+	s := New(Config{Price: price, RequestTimeout: time.Second, Engine: &risk.Engine{BatchSize: 1}, MaxDelay: time.Millisecond, Telemetry: reg})
 	defer s.Close()
 	// serve runs one request; giveUp, when set, is called once it is
 	// being priced.

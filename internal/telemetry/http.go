@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -30,15 +31,27 @@ func Handler(r *Registry) http.Handler {
 //	/metrics.json  the JSON snapshot (the former /metrics payload)
 //	/debug/traces  slowest reassembled span trees with phase breakdown
 //	/debug/events  the flight-recorder event log as filterable NDJSON
-//	/              the JSON snapshot, for backward compatibility with
-//	               the original single-handler -telemetry endpoint
 func Mux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", PrometheusHandler(r))
 	mux.Handle("/metrics.json", Handler(r))
 	mux.Handle("/debug/traces", TraceHandler(r, DefaultTraceCount))
 	mux.Handle("/debug/events", EventsHandler(r))
-	mux.Handle("/", Handler(r))
+	return mux
+}
+
+// WithPprof mounts the net/http/pprof handlers under /debug/pprof/ in
+// front of h. The pprof package's side-effect registration targets
+// http.DefaultServeMux, which no command serves, so the handlers are
+// reachable only through this explicit mount.
+func WithPprof(h http.Handler) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/", h)
 	return mux
 }
 

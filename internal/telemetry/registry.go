@@ -49,9 +49,16 @@ func New() *Registry {
 	return r
 }
 
-// Default is a shared process-wide registry for callers that do not
-// need isolation (the CLI tools use it).
-var Default = New()
+// process is the process sink: the registry of the layers whose hot
+// functions take none (premia's Compute, mpi's SendObj/RecvObj).
+var process atomic.Pointer[Registry]
+
+// SetProcess installs r as the process sink; nil, the initial state,
+// switches it off.
+func SetProcess(r *Registry) { process.Store(r) }
+
+// Process returns the process sink (nil, a no-op sink, when unset).
+func Process() *Registry { return process.Load() }
 
 // SetClock replaces the registry clock with fn, a monotone
 // seconds-valued function. The cluster simulator installs its virtual

@@ -76,7 +76,7 @@ func (c *benchCache) Put(key string, res premia.Result) {
 // on the engine as riskserver configures it at -workers 1: one
 // full-revaluation report over the toy book, 250 claims × 24 scenarios,
 // one farm round on a standing session, with the registry, the fleet
-// book and the premia sink live (spans, histograms and the per-method
+// book and the process sink live (spans, histograms and the per-method
 // compute metrics are all paid for), the base column read from a price
 // cache the first, untimed report fills, and the report's spans filed in
 // a trace the caller roots, as serve.risk.report does. `make profile`
@@ -114,8 +114,8 @@ func benchFullReval(b *testing.B, pf *portfolio.Portfolio, scenarios int) {
 		b.Fatal(err)
 	}
 	reg := telemetry.New()
-	premia.SetTelemetry(reg)
-	defer premia.SetTelemetry(nil)
+	telemetry.SetProcess(reg)
+	defer telemetry.SetProcess(nil)
 	eng := risk.Engine{Workers: 1, BatchSize: 16, Telemetry: reg, Fleet: farm.NewFleet(), Cache: &benchCache{m: map[string]premia.Result{}}}
 	stop := eng.Stand()
 	report := func() {

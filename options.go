@@ -3,10 +3,8 @@ package riskbench
 import (
 	"context"
 	"net/http"
-	"sync/atomic"
 
 	"riskbench/internal/bench"
-	"riskbench/internal/mpi"
 	"riskbench/internal/premia"
 	"riskbench/internal/risk"
 	"riskbench/internal/serve"
@@ -27,30 +25,17 @@ func NewTelemetry() *Telemetry { return telemetry.New() }
 // CLI tools expose behind their -telemetry flag.
 func MetricsHandler(reg *Telemetry) http.Handler { return telemetry.Handler(reg) }
 
-// processSink is the registry last installed by SetTelemetry; Snapshot
-// falls back to the package default when none was installed.
-var processSink atomic.Pointer[telemetry.Registry]
-
 // SetTelemetry installs reg as the process-wide sink of the layers whose
 // hot functions take no registry parameter: the pricing library
 // (per-method compute time and work-unit throughput) and the message
 // layer (messages/bytes per rank, pack/unpack time). Farm- and
 // engine-level metrics are wired per call instead, through WithTelemetry
 // or RiskEngine.Telemetry. Pass nil to disable the process-wide layers.
-func SetTelemetry(reg *Telemetry) {
-	premia.SetTelemetry(reg)
-	mpi.SetTelemetry(reg)
-	processSink.Store(reg)
-}
+func SetTelemetry(reg *Telemetry) { telemetry.SetProcess(reg) }
 
 // Snapshot freezes the process-wide telemetry: the registry installed by
-// SetTelemetry, or the shared default registry when none was installed.
-func Snapshot() Metrics {
-	if reg := processSink.Load(); reg != nil {
-		return reg.Snapshot()
-	}
-	return telemetry.Default.Snapshot()
-}
+// SetTelemetry, or an empty snapshot when none is installed.
+func Snapshot() Metrics { return telemetry.Process().Snapshot() }
 
 // Sentinel errors of the pricing layer, for errors.Is classification
 // through wrapped chains (including errors surfaced by farm results and
@@ -190,18 +175,9 @@ func NewEngine(opts ...Option) *RiskEngine {
 }
 
 // engine builds the risk engine the options describe, including the
-// farm backend the transport selects.
+// farm backend the transport selects (risk.BackendFor).
 func (c config) engine() *risk.Engine {
-	e := &risk.Engine{Workers: c.workers, BatchSize: c.batchSize, Telemetry: c.telemetry}
-	if c.transport != "" && c.transport != "local" {
-		// Goroutine workers over the real wire, each with its own
-		// registry so spans travel by frame, not by shared memory.
-		e.Backend = &risk.NetBackend{
-			Transport: c.transport,
-			Spawn:     risk.GoNetWorkers(func(int) *telemetry.Registry { return telemetry.New() }, 0),
-		}
-	}
-	return e
+	return &risk.Engine{Workers: c.workers, BatchSize: c.batchSize, Telemetry: c.telemetry, Backend: risk.BackendFor(c.transport)}
 }
 
 // PriceOutcome is one problem's slot in an Engine.PriceBatch answer:
@@ -230,7 +206,7 @@ func NewPricingServer(opts ...Option) *PricingServer {
 	for _, o := range opts {
 		o(&c)
 	}
-	cfg := serve.Config{Engine: c.engine(), MaxBatch: c.batchSize, MaxInflight: c.maxInflight, Telemetry: c.telemetry}
+	cfg := serve.Config{Engine: c.engine(), MaxInflight: c.maxInflight, Telemetry: c.telemetry}
 	if c.hasCache {
 		cfg.CacheSize = c.cacheSize
 		if cfg.CacheSize < 0 {

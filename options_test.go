@@ -7,12 +7,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 
 	"riskbench"
+	"riskbench/internal/mpi"
 	"riskbench/internal/portfolio"
 )
 
@@ -229,6 +231,30 @@ func TestEngineWithCache(t *testing.T) {
 	}
 	if !reflect.DeepEqual(warm.Base, cold.Base) || !reflect.DeepEqual(warm.Values, cold.Values) {
 		t.Fatal("the cached revaluation differs from the fresh one")
+	}
+}
+
+// TestEngineWithTransport revalues a toy book on goroutine workers that
+// dial a hub over unix sockets, bit-identically to the in-process
+// engine, and checks that a transport mpi does not know fails the first
+// round with mpi's error, which lists the transports it has.
+func TestEngineWithTransport(t *testing.T) {
+	pf := riskbench.ToyPortfolio(12)
+	scens := riskbench.SpotLadder()[:2]
+	local, err := riskbench.NewEngine(riskbench.WithWorkers(2)).Revalue(pf, scens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := riskbench.NewEngine(riskbench.WithWorkers(2), riskbench.WithTransport("unix")).Revalue(pf, scens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wire.Base, local.Base) || !reflect.DeepEqual(wire.Values, local.Values) {
+		t.Fatalf("unix revaluation differs from the in-process one:\nbase %v\nwant %v", wire.Base, local.Base)
+	}
+	_, err = riskbench.NewEngine(riskbench.WithTransport("carrier-pigeon")).Revalue(pf, scens)
+	if err == nil || !strings.Contains(err.Error(), "unknown transport") || !strings.Contains(err.Error(), fmt.Sprint(mpi.Transports())) {
+		t.Fatalf("unknown transport: err = %v, want mpi's unknown transport naming %v", err, mpi.Transports())
 	}
 }
 
