@@ -7,6 +7,10 @@
 //
 //	farmworker -listen :7777 -size 5 -portfolio toy -n 2000
 //
+// -portfolio names the book: toy or mixed of -n claims, regression
+// (§4.1) or realistic (§4.3) at their own sizes. Workers price whatever
+// registered problem arrives, so the master farms any of the four.
+//
 // Start each worker (possibly on other machines):
 //
 //	farmworker -connect master:7777
@@ -43,8 +47,8 @@ func main() {
 		listen    = flag.String("listen", "", "master mode: address to listen on")
 		size      = flag.Int("size", 2, "master mode: world size (master + workers)")
 		connect   = flag.String("connect", "", "worker mode: master address to dial")
-		pfName    = flag.String("portfolio", "toy", "master mode: toy | regression")
-		n         = flag.Int("n", 1000, "master mode: toy portfolio size")
+		pfName    = flag.String("portfolio", "toy", "master mode: toy | mixed | regression | realistic")
+		n         = flag.Int("n", 1000, "master mode: size of the toy and mixed books")
 		stratName = flag.String("strategy", "serialized", "full | serialized (NFS needs a real shared mount)")
 		batch     = flag.Int("batch", 1, "tasks per message batch")
 		transport = flag.String("transport", "tcp", "mpi transport the world runs on (tcp | unix | inproc)")
@@ -68,8 +72,10 @@ func main() {
 	if *telAddr != "" {
 		reg = telemetry.New()
 		telemetry.SetProcess(reg)
+		mux := http.NewServeMux()
+		telemetry.Mount(mux, reg)
 		go func() {
-			if err := http.ListenAndServe(*telAddr, telemetry.Mux(reg)); err != nil {
+			if err := http.ListenAndServe(*telAddr, mux); err != nil {
 				fmt.Fprintf(os.Stderr, "farmworker: telemetry server: %v\n", err)
 			}
 		}()
@@ -120,14 +126,9 @@ func runMaster(ctx context.Context, addr string, size int, pfName string, n int,
 	if err != nil || strat == farm.NFSLoad {
 		fatalf("unsupported strategy %q for hub mode", stratName)
 	}
-	var pf *portfolio.Portfolio
-	switch pfName {
-	case "toy":
-		pf = portfolio.Toy(n)
-	case "regression":
-		pf = portfolio.Regression()
-	default:
-		fatalf("unknown portfolio %q", pfName)
+	pf, err := portfolio.ByName(pfName, n)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	tasks, err := pf.Tasks()
 	if err != nil {

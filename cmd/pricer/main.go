@@ -12,10 +12,13 @@
 //	       -p S0=100 -p V0=0.04 -p kappa=2 -p theta=0.04 -p sigmaV=0.3 \
 //	       -p rhoSV=-0.7 -p K=100 -p T=1 -save fic
 //	pricer -load fic
+//
+// pricer prices in process, on the calling goroutine and the multicore
+// kernel (-p threads=N); the farm and its wire are riskserver's and
+// farmworker's.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -24,7 +27,6 @@ import (
 	"time"
 
 	"riskbench/internal/premia"
-	"riskbench/internal/risk"
 )
 
 // paramFlags collects repeated -p key=value flags.
@@ -48,14 +50,13 @@ func (p paramFlags) Set(s string) error {
 func main() {
 	params := paramFlags{}
 	var (
-		model     = flag.String("model", "", "model name (see riskbench -methods)")
-		option    = flag.String("option", "", "option name")
-		method    = flag.String("method", "", "method name")
-		save      = flag.String("save", "", "save the problem to this file instead of pricing")
-		load      = flag.String("load", "", "load a problem from this file")
-		greeks    = flag.Bool("greeks", false, "also report gamma, vega, theta and rho")
-		implied   = flag.Float64("implied", 0, "invert this market price to an implied volatility instead of pricing")
-		transport = flag.String("transport", "local", "price in-process (local or \"\") or through a one-worker farm on a framed mpi transport (tcp | unix | inproc)")
+		model   = flag.String("model", "", "model name (see riskbench -methods)")
+		option  = flag.String("option", "", "option name")
+		method  = flag.String("method", "", "method name")
+		save    = flag.String("save", "", "save the problem to this file instead of pricing")
+		load    = flag.String("load", "", "load a problem from this file")
+		greeks  = flag.Bool("greeks", false, "also report gamma, vega, theta and rho")
+		implied = flag.Float64("implied", 0, "invert this market price to an implied volatility instead of pricing")
 	)
 	flag.Var(params, "p", "problem parameter key=value (repeatable)")
 	flag.Parse()
@@ -94,7 +95,7 @@ func main() {
 		return
 	}
 	start := time.Now()
-	res, err := compute(*transport, p)
+	res, err := p.Compute()
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -118,29 +119,6 @@ func main() {
 		fmt.Printf("rho:      %.6f\n", g.Rho)
 	}
 	fmt.Printf("elapsed:  %v\n", time.Since(start).Round(time.Microsecond))
-}
-
-// compute prices p in-process, or — with a non-local transport — through
-// a one-worker farm round over the framed wire, exercising the same
-// handshake, negotiation and codec path the deployed fleet uses. Prices
-// are identical either way; the farm path is a smoke test of the wire.
-func compute(transport string, p *premia.Problem) (premia.Result, error) {
-	if err := risk.CheckTransport(transport); err != nil {
-		return premia.Result{}, err
-	}
-	backend := risk.BackendFor(transport)
-	if backend == nil {
-		return p.Compute()
-	}
-	eng := risk.Engine{Workers: 1, Backend: backend}
-	out, err := eng.PriceBatch(context.Background(), []*premia.Problem{p})
-	if err != nil {
-		return premia.Result{}, err
-	}
-	if out[0].Err != nil {
-		return premia.Result{}, out[0].Err
-	}
-	return out[0].Result, nil
 }
 
 func fatalf(format string, args ...any) {

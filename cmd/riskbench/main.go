@@ -15,6 +15,9 @@
 //
 //	riskbench -live -portfolio toy -n 2000 -workers 8 -strategy serialized
 //
+// -portfolio names the book of -live and -utilization: toy or mixed of
+// -n claims, regression (§4.1) or realistic (§4.3) at their own sizes.
+//
 // Run a VaR preset end to end over the (effort-scaled) 7931-claim
 // realistic book — full revaluation and delta–gamma, with a
 // cross-thread bit-identity verification pass:
@@ -62,8 +65,8 @@ func main() {
 		all       = flag.Bool("all", false, "reproduce all three tables")
 		maxCPUs   = flag.Int("maxcpus", 0, "truncate the table's CPU counts (0 = full sweep)")
 		live      = flag.Bool("live", false, "run a live farm with real pricing instead of the simulator")
-		pfName    = flag.String("portfolio", "toy", "live portfolio: toy | regression | realistic | mixed")
-		n         = flag.Int("n", 1000, "toy portfolio size (live mode)")
+		pfName    = flag.String("portfolio", "toy", "book of -live and -utilization: toy | mixed | regression | realistic")
+		n         = flag.Int("n", 1000, "size of the toy and mixed books")
 		workers   = flag.Int("workers", runtime.NumCPU(), "live worker count")
 		stratName = flag.String("strategy", "serialized", "communication strategy: full | nfs | serialized")
 		batch     = flag.Int("batch", 1, "tasks per message batch")
@@ -91,7 +94,9 @@ func main() {
 	if *telAddr != "" {
 		reg = telemetry.New()
 		telemetry.SetProcess(reg)
-		handler := http.Handler(telemetry.Mux(reg))
+		mux := http.NewServeMux()
+		telemetry.Mount(mux, reg)
+		handler := http.Handler(mux)
 		if *pprofOn {
 			handler = telemetry.WithPprof(handler)
 		}
@@ -172,21 +177,13 @@ func runTable(ctx context.Context, spec bench.TableSpec, calibrate bool, reg *te
 	fmt.Printf("(simulated on %d claims in %v wall time)\n\n", spec.Portfolio.Size(), time.Since(start).Round(time.Millisecond))
 }
 
+// buildPortfolio builds the named book (portfolio.ByName) or exits.
 func buildPortfolio(name string, n int) *portfolio.Portfolio {
-	switch name {
-	case "toy":
-		return portfolio.Toy(n)
-	case "regression":
-		return portfolio.Regression()
-	case "mixed":
-		return portfolio.Mixed(n)
-	case "realistic":
-		fmt.Fprintln(os.Stderr, "note: live realistic portfolio uses the paper's full Monte Carlo sizes; this takes hours")
-		return portfolio.Realistic()
-	default:
-		fatalf("unknown portfolio %q", name)
-		panic("unreachable")
+	pf, err := portfolio.ByName(name, n)
+	if err != nil {
+		fatalf("%v", err)
 	}
+	return pf
 }
 
 // runSelfTest is the live counterpart of the paper's §4.1 non-regression
@@ -250,6 +247,9 @@ func runUtilization(ctx context.Context, pfName string, n int, stratName string,
 	if err != nil {
 		fatalf("%v", err)
 	}
+	if strat == farm.NFSLoad {
+		fatalf("utilization mode does not support the NFS strategy")
+	}
 	pf := buildPortfolio(pfName, n)
 	tasks, err := pf.Tasks()
 	if err != nil {
@@ -260,9 +260,6 @@ func runUtilization(ctx context.Context, pfName string, n int, stratName string,
 	fmt.Printf("%8s %12s %14s %14s\n", "CPUs", "Time (s)", "mean util", "master busy")
 	for _, cpus := range []int{2, 4, 8, 16, 32, 64, 128} {
 		rc := bench.RunConfig{Tasks: tasks, CPUs: cpus, Strategy: strat, BatchSize: batch}
-		if strat == farm.NFSLoad {
-			fatalf("utilization mode does not support the NFS strategy")
-		}
 		stats, err := bench.RunWithStats(ctx, rc)
 		if err != nil {
 			fatalf("%v", err)
@@ -277,31 +274,35 @@ func runLive(ctx context.Context, pfName string, n, workers int, stratName, tran
 	if err != nil {
 		fatalf("%v", err)
 	}
-	pf := buildPortfolio(pfName, n)
-	tasks, err := pf.Tasks()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	var store farm.Store
-	if strat == farm.NFSLoad {
-		ms := farm.MemStore{}
-		for _, t := range tasks {
-			ms[t.Name] = t.Data
-		}
-		store = ms
-	}
-	opts := farm.Options{Strategy: strat, BatchSize: batch, Telemetry: reg}
 	// A framed transport's goroutine workers dial through the real wire;
 	// "local" shares mailboxes and, for nfs, the store.
 	if err := risk.CheckTransport(transport); err != nil {
 		fatalf("%v", err)
 	}
 	backend, shape := risk.BackendFor(transport), transport
-	if backend == nil {
-		backend, shape = farm.Local{Store: store}, "local"
-	} else if strat == farm.NFSLoad {
+	if backend != nil && strat == farm.NFSLoad {
 		fatalf("the nfs strategy needs -transport local: framed workers carry no store")
 	}
+	if pfName == "realistic" {
+		fmt.Fprintln(os.Stderr, "note: live realistic portfolio uses the paper's full Monte Carlo sizes; this takes hours")
+	}
+	pf := buildPortfolio(pfName, n)
+	tasks, err := pf.Tasks()
+	if err != nil {
+		fatalf("%v", err)
+	}
+	if backend == nil {
+		var store farm.Store
+		if strat == farm.NFSLoad {
+			ms := farm.MemStore{}
+			for _, t := range tasks {
+				ms[t.Name] = t.Data
+			}
+			store = ms
+		}
+		backend, shape = farm.Local{Store: store}, "local"
+	}
+	opts := farm.Options{Strategy: strat, BatchSize: batch, Telemetry: reg}
 	root := reg.StartTrace("bench.run")
 	start := time.Now()
 	results, err := backend.Run(telemetry.ContextWithTrace(ctx, root.Context()), tasks, opts, workers)

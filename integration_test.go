@@ -40,7 +40,7 @@ func TestEndToEndPaperPipeline(t *testing.T) {
 	// 3. A real TCP world: master hub + 3 worker processes (goroutines
 	// here, but speaking the wire protocol).
 	const size = 4
-	hub, err := mpi.ListenHubWith("127.0.0.1:0", size, mpi.WorldOptions{})
+	hub, err := mpi.ListenHubWith("127.0.0.1:0", size, mpi.WorldOptions{Transport: "tcp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestEndToEndPaperPipeline(t *testing.T) {
 	opts := farm.Options{Strategy: farm.SerializedLoad, BatchSize: 4}
 	var wg sync.WaitGroup
 	for i := 1; i < size; i++ {
-		wc, err := mpi.DialHubWith(hub.Addr(), mpi.WorldOptions{})
+		wc, err := mpi.DialHubWith(hub.Addr(), mpi.WorldOptions{Transport: "tcp"})
 		if err != nil {
 			t.Fatal(err)
 		}

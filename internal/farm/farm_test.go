@@ -392,7 +392,7 @@ func TestFarmHierarchicalNFS(t *testing.T) {
 func TestFarmOverTCP(t *testing.T) {
 	tasks, want := makePortfolio(t, 20)
 	const size = 4
-	hub, err := mpi.ListenHubWith("127.0.0.1:0", size, mpi.WorldOptions{})
+	hub, err := mpi.ListenHubWith("127.0.0.1:0", size, mpi.WorldOptions{Transport: "tcp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestFarmOverTCP(t *testing.T) {
 	opts := Options{Strategy: SerializedLoad}
 	var wg sync.WaitGroup
 	for i := 1; i < size; i++ {
-		wc, err := mpi.DialHubWith(hub.Addr(), mpi.WorldOptions{})
+		wc, err := mpi.DialHubWith(hub.Addr(), mpi.WorldOptions{Transport: "tcp"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -571,7 +571,7 @@ func TestFarmNFSOverRealFiles(t *testing.T) {
 		pf = append(pf, Task{Name: path, Data: make([]byte, len(info.Data))})
 	}
 	const size = 3
-	hub, err := mpi.ListenHubWith("127.0.0.1:0", size, mpi.WorldOptions{})
+	hub, err := mpi.ListenHubWith("127.0.0.1:0", size, mpi.WorldOptions{Transport: "tcp"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func TestFarmNFSOverRealFiles(t *testing.T) {
 	opts := Options{Strategy: NFSLoad}
 	var wg sync.WaitGroup
 	for i := 1; i < size; i++ {
-		wc, err := mpi.DialHubWith(hub.Addr(), mpi.WorldOptions{})
+		wc, err := mpi.DialHubWith(hub.Addr(), mpi.WorldOptions{Transport: "tcp"})
 		if err != nil {
 			t.Fatal(err)
 		}

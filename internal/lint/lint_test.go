@@ -276,6 +276,34 @@ func TestOneTransportMapping(t *testing.T) {
 	}
 }
 
+// TestOneBookParser keeps a book's name with one reader,
+// portfolio.ByName: outside internal/portfolio no non-test code switches
+// on "toy", "mixed", "regression" or "realistic". A front end that
+// serves fewer books refuses the others before calling ByName.
+func TestOneBookParser(t *testing.T) {
+	books := map[string]bool{`"toy"`: true, `"mixed"`: true, `"regression"`: true, `"realistic"`: true}
+	fset := token.NewFileSet()
+	for file, src := range moduleSources(t) {
+		if strings.HasPrefix(file, "internal/portfolio/") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if cc, ok := n.(*ast.CaseClause); ok {
+				for _, e := range cc.List {
+					if lit, ok := e.(*ast.BasicLit); ok && books[lit.Value] {
+						t.Errorf("%s: case %s parses a book name; use portfolio.ByName", fset.Position(lit.Pos()), lit.Value)
+					}
+				}
+			}
+			return true
+		})
+	}
+}
+
 // TestOneProcessSink keeps process-wide telemetry one sink: only
 // internal/telemetry holds a registry pointer for layers that take no
 // registry parameter (telemetry.SetProcess / telemetry.Process).

@@ -29,10 +29,9 @@ const defaultHelloWait = 500 * time.Millisecond
 
 // WorldOptions configures a hub or worker endpoint: which transport
 // carries the frames and which protocol version this endpoint speaks.
-// The zero value is a current-version TCP endpoint.
 type WorldOptions struct {
-	// Transport names the transport ("tcp", "unix" or "inproc"); empty
-	// selects tcp.
+	// Transport names the transport: "tcp", "unix" or "inproc". It has
+	// no default; an empty name fails as an unknown transport.
 	Transport string
 	// Proto is the protocol version this endpoint speaks (ProtoV1 or
 	// ProtoV2); 0 selects ProtoLatest. A ProtoV1 endpoint reproduces the

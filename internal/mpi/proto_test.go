@@ -207,7 +207,7 @@ func TestOversizedFrameIsProtocolError(t *testing.T) {
 // stream is unsynchronized — while the hub keeps serving the healthy
 // ranks.
 func TestHubDropsOversizedPeer(t *testing.T) {
-	hub, err := ListenHubWith("127.0.0.1:0", 3, WorldOptions{HelloWait: fastHello})
+	hub, err := ListenHubWith("127.0.0.1:0", 3, WorldOptions{Transport: "tcp", HelloWait: fastHello})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestHubDropsOversizedPeer(t *testing.T) {
 	accepted := make(chan error, 1)
 	go func() { accepted <- hub.WaitWorkers() }()
 
-	good, err := DialHubWith(hub.Addr(), WorldOptions{})
+	good, err := DialHubWith(hub.Addr(), WorldOptions{Transport: "tcp"})
 	if err != nil {
 		t.Fatal(err)
 	}

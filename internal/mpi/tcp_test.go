@@ -11,7 +11,7 @@ import (
 // startTCPWorld builds a hub plus size-1 dialled workers on the loopback.
 func startTCPWorld(t *testing.T, size int) (*HubComm, []*WorkerComm) {
 	t.Helper()
-	hub, err := ListenHubWith("127.0.0.1:0", size, WorldOptions{})
+	hub, err := ListenHubWith("127.0.0.1:0", size, WorldOptions{Transport: "tcp"})
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
@@ -19,7 +19,7 @@ func startTCPWorld(t *testing.T, size int) (*HubComm, []*WorkerComm) {
 	go func() { accepted <- hub.WaitWorkers() }()
 	workers := make([]*WorkerComm, 0, size-1)
 	for i := 1; i < size; i++ {
-		w, err := DialHubWith(hub.Addr(), WorldOptions{})
+		w, err := DialHubWith(hub.Addr(), WorldOptions{Transport: "tcp"})
 		if err != nil {
 			t.Fatalf("dial %d: %v", i, err)
 		}
@@ -195,7 +195,7 @@ func TestTCPCloseUnblocksWorker(t *testing.T) {
 }
 
 func TestHubRejectsTooSmallWorld(t *testing.T) {
-	if _, err := ListenHubWith("127.0.0.1:0", 1, WorldOptions{}); err == nil {
+	if _, err := ListenHubWith("127.0.0.1:0", 1, WorldOptions{Transport: "tcp"}); err == nil {
 		t.Fatal("size-1 hub accepted")
 	}
 }

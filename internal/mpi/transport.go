@@ -24,11 +24,11 @@ type Transport interface {
 	Dial(addr string) (net.Conn, error)
 }
 
-// LookupTransport returns the named transport; "" selects tcp, the
-// historical default.
+// LookupTransport returns the named transport. Every caller names one:
+// "" is no transport.
 func LookupTransport(name string) (Transport, error) {
 	switch name {
-	case "", "tcp":
+	case "tcp":
 		return tcpTransport{}, nil
 	case "unix":
 		return unixTransport{}, nil

@@ -15,16 +15,12 @@ import (
 )
 
 func TestLookupTransport(t *testing.T) {
-	for _, name := range []string{"", "tcp", "unix", "inproc"} {
+	for _, name := range []string{"tcp", "unix", "inproc"} {
 		tr, err := LookupTransport(name)
 		if err != nil {
 			t.Fatalf("LookupTransport(%q): %v", name, err)
 		}
-		want := name
-		if want == "" {
-			want = "tcp"
-		}
-		if tr.Name() != want {
+		if tr.Name() != name {
 			t.Fatalf("LookupTransport(%q).Name() = %q", name, tr.Name())
 		}
 	}
@@ -41,6 +37,21 @@ func TestLookupTransport(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("Transports() = %v, missing %q", names, want)
+		}
+	}
+}
+
+// TestEmptyTransportIsUnknown checks that "" names no transport at any
+// entry point: a lookup, a hub and a worker each fail with the unknown
+// transport error before touching a socket.
+func TestEmptyTransportIsUnknown(t *testing.T) {
+	const want = `mpi: unknown transport ""`
+	_, lookupErr := LookupTransport("")
+	_, listenErr := ListenHubWith("127.0.0.1:0", 2, WorldOptions{})
+	_, dialErr := DialHubWith("127.0.0.1:1", WorldOptions{})
+	for call, err := range map[string]error{"LookupTransport": lookupErr, "ListenHubWith": listenErr, "DialHubWith": dialErr} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s with no transport: err = %v, want %s", call, err, want)
 		}
 	}
 }

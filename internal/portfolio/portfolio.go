@@ -26,10 +26,29 @@ type Item struct {
 
 // Portfolio is a named collection of claims.
 type Portfolio struct {
-	// Name labels the workload ("regression", "toy", "realistic").
+	// Name labels the workload ("toy", "mixed", "regression",
+	// "realistic": the name ByName builds it by).
 	Name string
 	// Items are the claims in generation order.
 	Items []Item
+}
+
+// ByName builds the named book: "toy" (§4.2) and "mixed" of n claims,
+// "regression" (§4.1) and "realistic" (§4.3) at their fixed sizes. Any
+// other name, "" included, fails with the one message that lists the
+// books; front ends refuse the books they do not serve themselves.
+func ByName(name string, n int) (*Portfolio, error) {
+	switch name {
+	case "toy":
+		return Toy(n), nil
+	case "mixed":
+		return Mixed(n), nil
+	case "regression":
+		return Regression(), nil
+	case "realistic":
+		return Realistic(), nil
+	}
+	return nil, fmt.Errorf("portfolio: unknown book %q (have toy, mixed, regression, realistic)", name)
 }
 
 // Size returns the number of claims.

@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -134,6 +135,33 @@ func TestToyPortfolio(t *testing.T) {
 	// is dominated by communication, not compute.
 	if total := pf.TotalCost(); total < 1 || total > 4 {
 		t.Errorf("toy total work %.2f s, want ≈2 s", total)
+	}
+}
+
+// TestByName checks the one reader of a book's name: each of the four
+// builds the book of that name, n sizes toy and mixed only, and any other
+// name, "" included, fails with the message that lists the four.
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		n, want int
+	}{
+		{"toy", 37, 37}, {"mixed", 40, 40}, {"regression", 5, Regression().Size()}, {"realistic", 5, 7931},
+	} {
+		pf, err := ByName(tc.name, tc.n)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", tc.name, err)
+		}
+		if pf.Name != tc.name || pf.Size() != tc.want {
+			t.Errorf("ByName(%q, %d) built %d claims of the %q book, want %d", tc.name, tc.n, pf.Size(), pf.Name, tc.want)
+		}
+	}
+	const want = `(have toy, mixed, regression, realistic)`
+	for _, name := range []string{"", "nope", "Toy"} {
+		pf, err := ByName(name, 10)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+			t.Errorf("ByName(%q) = %v, %v; want an error naming it and listing %s", name, pf, err, want)
+		}
 	}
 }
 

@@ -39,10 +39,10 @@ type LocalBackend = farm.Local
 // lives in whatever registries the spawned workers carry; their spans
 // travel back over the wire when the negotiation allows it.
 type NetBackend struct {
-	// Transport names the mpi transport: "tcp" (the default,
-	// cross-host), "unix" (same-host worker pools over unix-domain
-	// sockets) or "inproc" (net.Pipe worlds, the full wire path with no
-	// OS sockets).
+	// Transport names the mpi transport: "tcp" (cross-host), "unix"
+	// (same-host worker pools over unix-domain sockets) or "inproc"
+	// (net.Pipe worlds, the full wire path with no OS sockets). It has
+	// no default: Open fails on an empty name.
 	Transport string
 	// Addr is the listen address in the transport's own format; empty
 	// selects a transport-chosen ephemeral address (127.0.0.1:0 for

@@ -81,6 +81,23 @@ func TestPriceBatchTCPBackend(t *testing.T) {
 	}
 }
 
+// TestCheckTransport checks the risk layer's reading of a transport
+// name: "" and "local" are the in-process farm (mpi knows neither), each
+// mpi transport is a framed backend, and anything else is refused.
+func TestCheckTransport(t *testing.T) {
+	for _, name := range []string{"", "local", "tcp", "unix", "inproc"} {
+		if err := CheckTransport(name); err != nil {
+			t.Errorf("CheckTransport(%q): %v", name, err)
+		}
+		if local := BackendFor(name) == nil; local != (name == "" || name == "local") {
+			t.Errorf("BackendFor(%q) in process = %v", name, local)
+		}
+	}
+	if err := CheckTransport("carrier-pigeon"); err == nil {
+		t.Error("CheckTransport accepted an unknown transport")
+	}
+}
+
 // TestTCPBackendNeedsSpawn checks the configuration error.
 func TestTCPBackendNeedsSpawn(t *testing.T) {
 	e := Engine{Backend: &NetBackend{Transport: "tcp"}}

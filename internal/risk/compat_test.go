@@ -242,15 +242,15 @@ func TestCompatEventsCapability(t *testing.T) {
 	}
 }
 
-// TestCompatNetBackendDefaults checks the zero-config path: a NetBackend
-// with no transport or protocol pinned speaks the latest protocol over
-// TCP and keeps the full feature set.
+// TestCompatNetBackendDefaults checks the default protocol: a tcp
+// NetBackend with no protocol pinned speaks the latest one and keeps the
+// full feature set.
 func TestCompatNetBackendDefaults(t *testing.T) {
 	reg := telemetry.New()
 	e := Engine{
 		Workers:   2,
 		Telemetry: reg,
-		Backend:   &NetBackend{Spawn: GoNetWorkers(func(int) *telemetry.Registry { return telemetry.New() }, 0)},
+		Backend:   &NetBackend{Transport: "tcp", Spawn: GoNetWorkers(func(int) *telemetry.Registry { return telemetry.New() }, 0)},
 	}
 	probs := []*premia.Problem{callProblem(95), callProblem(105)}
 	root := reg.StartTrace("compat.request")

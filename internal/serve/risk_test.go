@@ -111,13 +111,16 @@ func TestRiskReportBadRequests(t *testing.T) {
 	s := riskServer()
 	defer s.Close()
 	for name, body := range map[string]string{
-		"bad json":       `{`,
-		"bad portfolio":  `{"portfolio":{"name":"nope"}}`,
-		"bad method":     `{"method":"quantum"}`,
-		"bad mode":       `{"scenarios":{"mode":"astrology"}}`,
-		"over task cap":  `{"portfolio":{"name":"toy","n":4096},"scenarios":{"n":4096},"method":"full"}`,
-		"over scen cap":  `{"scenarios":{"n":100000}}`,
-		"over claim cap": `{"portfolio":{"n":100000}}`,
+		"bad json":      `{`,
+		"bad portfolio": `{"portfolio":{"name":"nope"}}`,
+		// The realistic book is a book, but one revaluation of it at the
+		// paper's Monte Carlo sizes takes hours: /risk does not serve it.
+		"realistic portfolio": `{"portfolio":{"name":"realistic"}}`,
+		"bad method":          `{"method":"quantum"}`,
+		"bad mode":            `{"scenarios":{"mode":"astrology"}}`,
+		"over task cap":       `{"portfolio":{"name":"toy","n":4096},"scenarios":{"n":4096},"method":"full"}`,
+		"over scen cap":       `{"scenarios":{"n":100000}}`,
+		"over claim cap":      `{"portfolio":{"n":100000}}`,
 		// Confidence levels must be strictly in (0,1) — these used to panic
 		// the handler inside risk.VaR instead of 400ing.
 		"alpha above 1":  `{"alphas":[1.5]}`,
@@ -133,6 +136,13 @@ func TestRiskReportBadRequests(t *testing.T) {
 	} {
 		if w := postJSON(s, "/risk/report", body); w.Code != 400 {
 			t.Errorf("%s: status %d, want 400 (%s)", name, w.Code, w.Body)
+		}
+	}
+	// A book /risk does not serve is refused with the books it does.
+	for _, name := range []string{"nope", "realistic"} {
+		w := postJSON(s, "/risk/report", `{"portfolio":{"name":"`+name+`"}}`)
+		if !strings.Contains(w.Body.String(), "want toy, mixed, regression, or inline problems") {
+			t.Errorf("portfolio %q: body %s, want the books /risk serves", name, w.Body)
 		}
 	}
 	// A market override the generator cannot honour is a 400 naming the

@@ -182,10 +182,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /risk/report", s.admitted("serve.risk.reports", "serve.risk.report_seconds", s.handleRiskReport))
 	s.mux.HandleFunc("POST /risk/watch", s.admitted("serve.risk.watches", "", s.handleRiskWatch))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.Handle("GET /metrics", telemetry.PrometheusHandler(s.reg))
-	s.mux.Handle("GET /metrics.json", telemetry.Handler(s.reg))
-	s.mux.Handle("GET /debug/traces", telemetry.TraceHandler(s.reg, telemetry.DefaultTraceCount))
-	s.mux.Handle("GET /debug/events", telemetry.EventsHandler(s.reg))
+	telemetry.Mount(s.mux, s.reg)
 	s.mux.Handle("GET /debug/slo", telemetry.SLOHandler(s.slo))
 	s.mux.HandleFunc("GET /debug/farm", s.handleFarm)
 	return s

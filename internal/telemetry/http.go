@@ -25,19 +25,18 @@ func Handler(r *Registry) http.Handler {
 	})
 }
 
-// Mux bundles the standard observability surface of one registry:
+// Mount registers the standard observability surface of one registry
+// on mux, as GET routes:
 //
 //	/metrics       Prometheus text format (rank-labelled, deterministic)
 //	/metrics.json  the JSON snapshot (the former /metrics payload)
 //	/debug/traces  slowest reassembled span trees with phase breakdown
 //	/debug/events  the flight-recorder event log as filterable NDJSON
-func Mux(r *Registry) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", PrometheusHandler(r))
-	mux.Handle("/metrics.json", Handler(r))
-	mux.Handle("/debug/traces", TraceHandler(r, DefaultTraceCount))
-	mux.Handle("/debug/events", EventsHandler(r))
-	return mux
+func Mount(mux *http.ServeMux, r *Registry) {
+	mux.Handle("GET /metrics", PrometheusHandler(r))
+	mux.Handle("GET /metrics.json", Handler(r))
+	mux.Handle("GET /debug/traces", TraceHandler(r, DefaultTraceCount))
+	mux.Handle("GET /debug/events", EventsHandler(r))
 }
 
 // WithPprof mounts the net/http/pprof handlers under /debug/pprof/ in

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -87,5 +88,32 @@ func TestHandlerConcurrentWriters(t *testing.T) {
 	}
 	if snap.Spans["work.alpha"].Count == 0 {
 		t.Fatalf("final snapshot missing span activity: %+v", snap.Spans)
+	}
+}
+
+// TestMount GETs each of the four observability routes from a mux the
+// registry was mounted on: each answers 200 in its own format, and a
+// POST to one of them is not served.
+func TestMount(t *testing.T) {
+	reg := New()
+	reg.Counter("demo.count").Add(3)
+	mux := http.NewServeMux()
+	Mount(mux, reg)
+	for route, want := range map[string]string{
+		"/metrics":      "text/plain; version=0.0.4",
+		"/metrics.json": "application/json",
+		"/debug/traces": "text/plain",
+		"/debug/events": "application/x-ndjson",
+	} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, route, nil))
+		if got := rec.Header().Get("Content-Type"); rec.Code != http.StatusOK || !strings.HasPrefix(got, want) {
+			t.Errorf("GET %s: status %d, Content-Type %q; want 200, %s", route, rec.Code, got, want)
+		}
+	}
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/metrics", nil))
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("POST /metrics: status %d, want 405", rec.Code)
 	}
 }

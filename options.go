@@ -28,9 +28,9 @@ func MetricsHandler(reg *Telemetry) http.Handler { return telemetry.Handler(reg)
 // SetTelemetry installs reg as the process-wide sink of the layers whose
 // hot functions take no registry parameter: the pricing library
 // (per-method compute time and work-unit throughput) and the message
-// layer (messages/bytes per rank, pack/unpack time). Farm- and
-// engine-level metrics are wired per call instead, through WithTelemetry
-// or RiskEngine.Telemetry. Pass nil to disable the process-wide layers.
+// layer (messages/bytes per rank, pack/unpack time). Engine-level
+// metrics go to RiskEngine.Telemetry instead. Pass nil to disable the
+// process-wide layers.
 func SetTelemetry(reg *Telemetry) { telemetry.SetProcess(reg) }
 
 // Snapshot freezes the process-wide telemetry: the registry installed by
@@ -55,66 +55,22 @@ var (
 // thread count — so flipping this knob changes speed, not prices.
 func SetKernelThreads(n int) { premia.SetKernelThreads(n) }
 
-// config collects the knobs the functional options set; each consumer
-// reads the subset that applies to it.
+// config collects what the options set: where an engine's farm workers
+// live and how many there are.
 type config struct {
-	workers     int
-	batchSize   int
-	maxCPUs     int
-	strategy    Strategy
-	hasStrat    bool
-	telemetry   *Telemetry
-	cacheSize   int
-	hasCache    bool
-	maxInflight int
-	transport   string
+	workers   int
+	transport string
 }
 
-// Option configures RunTableWith and NewEngine. Options not meaningful
-// for a consumer are ignored: worker count and batch size configure the
-// live risk engine, CPU truncation and the strategy override configure
-// table sweeps, and the telemetry sink configures both.
+// Option configures NewEngine and NewPricingServer. Everything else an
+// engine reads is a RiskEngine field (BatchSize, Telemetry, Cache) and
+// everything a table sweep reads is a TableSpec field (MaxCPUs,
+// Strategies).
 type Option func(*config)
 
 // WithWorkers sets the live engine's pricing-goroutine count.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
-}
-
-// WithBatchSize sets how many tasks travel per farm message.
-func WithBatchSize(n int) Option {
-	return func(c *config) { c.batchSize = n }
-}
-
-// WithMaxCPUs truncates a table sweep's CPU counts, so quick benchmarks
-// run a prefix of the paper's row set.
-func WithMaxCPUs(n int) Option {
-	return func(c *config) { c.maxCPUs = n }
-}
-
-// WithStrategy restricts a table sweep to one communication strategy,
-// replacing the spec's strategy list.
-func WithStrategy(s Strategy) Option {
-	return func(c *config) { c.strategy = s; c.hasStrat = true }
-}
-
-// WithTelemetry directs metrics into reg: table sweeps collect the
-// per-row telemetry report rendered by Table.Format and merge per-run
-// metrics into reg; the engine records its farm and phase metrics there.
-func WithTelemetry(reg *Telemetry) Option {
-	return func(c *config) { c.telemetry = reg }
-}
-
-// WithCache installs a sharded, content-addressed result cache holding
-// at most entries pricing results (entries <= 0 selects the default
-// size). On an engine, RevalueContext reuses cached base-scenario
-// prices and stores the ones it computes (PriceBatch always prices
-// fresh); on a pricing server it is the serving-layer cache behind the
-// singleflight group, which the server's revaluations share. Identical
-// problems — same (model, option, method, params incl. seed) content key
-// — return bit-identical cached results.
-func WithCache(entries int) Option {
-	return func(c *config) { c.cacheSize = entries; c.hasCache = true }
 }
 
 // WithTransport selects where an engine's (or pricing server's) farm
@@ -135,49 +91,21 @@ func WithTransport(name string) Option {
 	return func(c *config) { c.transport = name }
 }
 
-// WithMaxInflight bounds how many requests a pricing server admits
-// concurrently; beyond the bound requests are shed with HTTP 429 +
-// Retry-After instead of queueing without limit. Engines ignore it.
-func WithMaxInflight(n int) Option {
-	return func(c *config) { c.maxInflight = n }
+// RunTableWith executes a table sweep under a context. RunTable(spec) is
+// shorthand for RunTableWith(context.Background(), spec).
+func RunTableWith(ctx context.Context, spec TableSpec) (*Table, error) {
+	return bench.RunTableContext(ctx, spec, nil)
 }
 
-// RunTableWith executes a table sweep under a context with options.
-// RunTable(spec) is shorthand for RunTableWith(context.Background(),
-// spec) with no options.
-func RunTableWith(ctx context.Context, spec TableSpec, opts ...Option) (*Table, error) {
-	var c config
-	for _, o := range opts {
-		o(&c)
-	}
-	if c.maxCPUs > 0 {
-		spec.MaxCPUs = c.maxCPUs
-	}
-	if c.hasStrat {
-		spec.Strategies = []Strategy{c.strategy}
-	}
-	return bench.RunTableContext(ctx, spec, c.telemetry)
-}
-
-// NewEngine returns a live-farm risk engine configured by the options
-// (worker count, batch size, result cache, telemetry sink). Its kernel
-// width is the process default (SetKernelThreads).
+// NewEngine returns a live-farm risk engine with the options' worker
+// count and transport. Its kernel width is the process default
+// (SetKernelThreads).
 func NewEngine(opts ...Option) *RiskEngine {
 	var c config
 	for _, o := range opts {
 		o(&c)
 	}
-	e := c.engine()
-	if c.hasCache {
-		e.Cache = serve.NewCache(c.cacheSize, c.telemetry)
-	}
-	return e
-}
-
-// engine builds the risk engine the options describe, including the
-// farm backend the transport selects (risk.BackendFor).
-func (c config) engine() *risk.Engine {
-	return &risk.Engine{Workers: c.workers, BatchSize: c.batchSize, Telemetry: c.telemetry, Backend: risk.BackendFor(c.transport)}
+	return &risk.Engine{Workers: c.workers, Backend: risk.BackendFor(c.transport)}
 }
 
 // PriceOutcome is one problem's slot in an Engine.PriceBatch answer:
@@ -194,24 +122,12 @@ type PriceOutcome = risk.PriceOutcome
 // shutdown that lets in-flight farm batches finish.
 type PricingServer = serve.Server
 
-// NewPricingServer builds and starts a pricing service over an engine
-// configured by the options: worker count, farm batch size (also the
-// micro-batcher's flush size), cache capacity
-// (WithCache), admission bound (WithMaxInflight), worker transport
-// (WithTransport) and telemetry sink.
-// Serve its Handler with any http.Server; see cmd/riskserver for the
-// deployable wrapper.
+// NewPricingServer builds and starts a pricing service over
+// NewEngine(opts...) with the service's defaults: its own telemetry
+// registry (served at /metrics and /metrics.json), the default cache
+// size and admission bound, and micro-batches of the engine's batch
+// size. Serve its Handler with any http.Server; cmd/riskserver is the
+// deployable wrapper that sets each of these by flag.
 func NewPricingServer(opts ...Option) *PricingServer {
-	var c config
-	for _, o := range opts {
-		o(&c)
-	}
-	cfg := serve.Config{Engine: c.engine(), MaxInflight: c.maxInflight, Telemetry: c.telemetry}
-	if c.hasCache {
-		cfg.CacheSize = c.cacheSize
-		if cfg.CacheSize < 0 {
-			cfg.CacheSize = 0 // <= 0 means default size, as WithCache documents
-		}
-	}
-	return serve.New(cfg)
+	return serve.New(serve.Config{Engine: NewEngine(opts...)})
 }

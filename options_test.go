@@ -1,7 +1,7 @@
 package riskbench_test
 
-// Tests of the functional-options façade: RunTableWith, NewEngine and the
-// telemetry wiring, through the public API only.
+// Tests of the façade's engine and table entry points — RunTableWith,
+// NewEngine, NewPricingServer — and the telemetry wiring.
 
 import (
 	"context"
@@ -16,50 +16,25 @@ import (
 	"riskbench"
 	"riskbench/internal/mpi"
 	"riskbench/internal/portfolio"
+	"riskbench/internal/serve"
 )
 
-// TestRunTableWithTelemetry is the headline contract: a sweep run with a
-// telemetry option formats per-strategy p50/p95 task latency and
-// per-worker utilization alongside the paper's time/speedup columns.
-func TestRunTableWithTelemetry(t *testing.T) {
-	spec := riskbench.TableII()
-	spec.Portfolio = riskbench.ToyPortfolio(300)
-	reg := riskbench.NewTelemetry()
-	tbl, err := riskbench.RunTableWith(context.Background(), spec,
-		riskbench.WithMaxCPUs(4), riskbench.WithTelemetry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tbl.Format()
-	for _, want := range []string{"p50", "p95", "mean util", "per-worker utilization"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Format() missing %q:\n%s", want, out)
-		}
-	}
-	// The caller's registry accumulated the per-run metrics.
-	snap := reg.Snapshot()
-	found := false
-	for name := range snap.Histograms {
-		if strings.HasSuffix(name, "farm.task_seconds") {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Error("telemetry registry has no merged farm.task_seconds histogram")
-	}
-}
-
+// TestRunTableWithStrategyOverride runs a sweep trimmed and restricted
+// to one strategy through the spec's own fields.
 func TestRunTableWithStrategyOverride(t *testing.T) {
 	spec := riskbench.TableII() // normally three strategies
 	spec.Portfolio = riskbench.ToyPortfolio(200)
-	tbl, err := riskbench.RunTableWith(context.Background(), spec,
-		riskbench.WithMaxCPUs(2), riskbench.WithStrategy(riskbench.FullLoad))
+	spec.MaxCPUs = 2
+	spec.Strategies = []riskbench.Strategy{riskbench.FullLoad}
+	tbl, err := riskbench.RunTableWith(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tbl.Spec.Strategies) != 1 || tbl.Spec.Strategies[0] != riskbench.FullLoad {
 		t.Errorf("strategies = %v, want [full load]", tbl.Spec.Strategies)
+	}
+	if len(tbl.Rows) != 1 || tbl.Rows[0].CPUs != 2 || len(tbl.Rows[0].Cells) != 1 {
+		t.Errorf("rows = %+v, want one 2-CPU row with one cell", tbl.Rows)
 	}
 }
 
@@ -73,12 +48,13 @@ func TestRunTableWithCancelled(t *testing.T) {
 	}
 }
 
-// TestNewEngineTelemetry checks that an engine built from options records
-// the revaluation's phases and farm metrics into the given registry.
+// TestNewEngineTelemetry checks that an engine built by NewEngine records
+// the revaluation's phases and farm metrics into its Telemetry registry.
 func TestNewEngineTelemetry(t *testing.T) {
 	reg := riskbench.NewTelemetry()
-	eng := riskbench.NewEngine(
-		riskbench.WithWorkers(2), riskbench.WithBatchSize(8), riskbench.WithTelemetry(reg))
+	eng := riskbench.NewEngine(riskbench.WithWorkers(2))
+	eng.BatchSize = 8
+	eng.Telemetry = reg
 	book := riskbench.ToyPortfolio(20)
 	val, err := eng.Revalue(book, riskbench.StressScenarios())
 	if err != nil {
@@ -210,12 +186,14 @@ func TestNewEngineKernelThreads(t *testing.T) {
 	}
 }
 
-// TestEngineWithCache exercises the façade's cache option: a second
+// TestEngineWithCache gives a NewEngine engine a result cache: a second
 // revaluation of the same book reads every base-scenario price from the
 // cache, with a bit-identical valuation.
 func TestEngineWithCache(t *testing.T) {
 	reg := riskbench.NewTelemetry()
-	eng := riskbench.NewEngine(riskbench.WithWorkers(2), riskbench.WithCache(128), riskbench.WithTelemetry(reg))
+	eng := riskbench.NewEngine(riskbench.WithWorkers(2))
+	eng.Telemetry = reg
+	eng.Cache = serve.NewCache(128, reg)
 	pf := riskbench.ToyPortfolio(8)
 	scens := riskbench.SpotLadder()[:2]
 	cold, err := eng.RevalueContext(context.Background(), pf, scens)
@@ -259,13 +237,9 @@ func TestEngineWithTransport(t *testing.T) {
 }
 
 // TestNewPricingServer drives the façade-built server end to end: a
-// price request, a cache hit, health and metrics.
+// price request, a cache hit, health, and the server's own metrics.
 func TestNewPricingServer(t *testing.T) {
-	reg := riskbench.NewTelemetry()
-	srv := riskbench.NewPricingServer(
-		riskbench.WithWorkers(2), riskbench.WithBatchSize(4),
-		riskbench.WithCache(1024), riskbench.WithMaxInflight(32),
-		riskbench.WithTelemetry(reg))
+	srv := riskbench.NewPricingServer(riskbench.WithWorkers(2))
 	defer srv.Close()
 
 	post := func(body string) *httptest.ResponseRecorder {
@@ -300,7 +274,14 @@ func TestNewPricingServer(t *testing.T) {
 	if w.Code != 200 {
 		t.Fatalf("healthz: %d", w.Code)
 	}
-	if reg.Snapshot().Counters["serve.requests"] != 2 {
-		t.Errorf("serve.requests = %d, want 2", reg.Snapshot().Counters["serve.requests"])
+	req = httptest.NewRequest("GET", "/metrics.json", nil)
+	w = httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, req)
+	var snap riskbench.Metrics
+	if err := json.Unmarshal(w.Body.Bytes(), &snap); err != nil {
+		t.Fatalf("metrics.json: %v (status %d)", err, w.Code)
+	}
+	if snap.Counters["serve.requests"] != 2 {
+		t.Errorf("serve.requests = %d, want 2", snap.Counters["serve.requests"])
 	}
 }
