@@ -76,7 +76,10 @@ compat:
 # nsp.Unserialize as a frame's bytes arrive, and the JSON bodies of the
 # four POST endpoints. No input may panic or allocate past its bounds,
 # whatever decodes must survive its own codec, and every request body gets
-# a JSON answer that is no 5xx. Then it fuzzes the table-driven
+# a JSON answer that is no 5xx. The /price and /batch bodies are fuzzed a
+# second time differentially: whatever the one-pass problem scanner takes,
+# encoding/json takes too and builds the same problems, to the bit. Then
+# it fuzzes the table-driven
 # mathutil.Exp the Monte Carlo kernels price with: within 2 ulp of
 # math.Exp on any argument, and ExpVec equal to it bit for bit. The seeds
 # (golden wire bytes plus every known corruption) also run under plain
@@ -89,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime 10s ./internal/farm
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRecords$$' -fuzztime 10s ./internal/farm
 	$(GO) test -run '^$$' -fuzz 'FuzzServeBodies$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeProblems$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzExp$$' -fuzztime 10s ./internal/mathutil
 
 # loc prints non-test and test Go lines per package directory, then the

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,4 +62,52 @@ func BenchmarkLonePriceClients(b *testing.B) {
 			})
 		}
 	}
+}
+
+// bookBody is a /batch body of n closed-form calls spelled as the
+// benchmark's book_batch spells them (encoding/json of a problem with its
+// params in sorted order), with strikes k, k+1e-6, k+2e-6, ….
+func bookBody(n int, k float64) []byte {
+	b := []byte(`{"problems":[`)
+	for i := range n {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"asset":"equity","model":"BlackScholes1dim","option":"CallEuro","method":"CF_Call","params":{"K":`...)
+		b = strconv.AppendFloat(b, k+float64(i)*1e-6, 'f', -1, 64)
+		b = append(b, `,"S0":100,"T":1.5,"divid":0.01,"r":0.045,"sigma":0.22}}`...)
+	}
+	return append(b, "]}"...)
+}
+
+// BenchmarkBatchHandler is book_batch's operation in process: a 256-problem
+// closed-form /batch, never a cache hit, through Server.Handler on one
+// farm worker, reported as priced/s — the serve layer's share of the
+// workload without the harness, its socket or its client.
+//
+//	go test -run '^$' -bench BenchmarkBatchHandler -benchmem ./internal/serve
+func BenchmarkBatchHandler(b *testing.B) {
+	const problems = 256
+	s := New(Config{Engine: &risk.Engine{Workers: 1}})
+	defer s.Close()
+	k := 60.0
+	post := func() {
+		b.StopTimer()
+		body := bookBody(problems, k)
+		k += problems * 1e-6
+		r := httptest.NewRequest(http.MethodPost, "/batch", bytes.NewReader(body))
+		w := httptest.NewRecorder()
+		b.StartTimer()
+		s.Handler().ServeHTTP(w, r)
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+	}
+	post() // the first round opens the session
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		post()
+	}
+	b.ReportMetric(float64(b.N*problems)/b.Elapsed().Seconds(), "priced/s")
 }

@@ -23,6 +23,17 @@
 //     endpoints, and a graceful drain that lets in-flight farm batches
 //     finish before the process exits.
 //
+// A /price or /batch body is read whole (at most maxBodyBytes; a longer
+// one is a 413) and scanned in one pass straight into premia.Problems,
+// the way the paper's "serialized load" skips the object a full load
+// builds first. The scanner takes the canonical shape — the six problem
+// keys spelled exactly, plain ASCII strings, numbers as JSON spells them —
+// and interns premia's registered names, so a common key costs no
+// allocation. Any body it does not take, it hands unchanged to
+// encoding/json and problemJSON.toProblem, so every body is accepted or
+// refused exactly as encoding/json alone would; FuzzDecodeProblems holds
+// the two to the same problems.
+//
 // All serving metrics live under the "serve." prefix in the telemetry
 // registry: serve.requests, serve.rejected, serve.request_seconds,
 // serve.inflight, serve.cache.{hits,misses,evictions,entries},

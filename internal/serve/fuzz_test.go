@@ -81,23 +81,16 @@ func (unitBackend) Run(ctx context.Context, tasks []farm.Task, _ farm.Options, _
 	return out, ctx.Err()
 }
 
-// FuzzServeBodies: whatever bytes arrive as the body of a pricing or risk
-// request, the server never panics, never answers a body that fails
-// decoding or validation with a 5xx, and always answers JSON (NDJSON for
-// a watch stream). Prices come from stubs — Config.Price for the
-// micro-batcher, a unit backend under the /risk engine — so an input that
-// happens to be a valid heavy problem costs nothing; everything in front
-// of the kernels, the production /risk caps included, is the real thing.
-func FuzzServeBodies(f *testing.F) {
+// serveBodySeeds are the request bodies the serve fuzz targets start
+// from: every body a test sends, and what no test had sent.
+func serveBodySeeds() [][]byte {
+	var seeds [][]byte
 	for _, body := range hostileParameterBodies {
-		f.Add([]byte(body))
-		f.Add([]byte(batchBody(body)))
-		f.Add([]byte(`{"portfolio":{"problems":[` + body + `]}}`))
+		seeds = append(seeds, []byte(body), []byte(batchBody(body)), []byte(`{"portfolio":{"problems":[`+body+`]}}`))
 	}
 	for _, bodies := range badMarketBodies {
 		for _, body := range bodies {
-			f.Add([]byte(body))
-			f.Add([]byte(onSmallBook(body, "full")))
+			seeds = append(seeds, []byte(body), []byte(onSmallBook(body, "full")))
 		}
 	}
 	for _, body := range []string{
@@ -132,7 +125,21 @@ func FuzzServeBodies(f *testing.F) {
 		`{"scenarios":{"horizon_days":0.1},"scale_days":1e308}`, // this target's first find
 		`null`, `[]`, `0`, `""`, ``,
 	} {
-		f.Add([]byte(body))
+		seeds = append(seeds, []byte(body))
+	}
+	return seeds
+}
+
+// FuzzServeBodies: whatever bytes arrive as the body of a pricing or risk
+// request, the server never panics, never answers a body that fails
+// decoding or validation with a 5xx, and always answers JSON (NDJSON for
+// a watch stream). Prices come from stubs — Config.Price for the
+// micro-batcher, a unit backend under the /risk engine — so an input that
+// happens to be a valid heavy problem costs nothing; everything in front
+// of the kernels, the production /risk caps included, is the real thing.
+func FuzzServeBodies(f *testing.F) {
+	for _, body := range serveBodySeeds() {
+		f.Add(body)
 	}
 
 	const timeout = 300 * time.Millisecond

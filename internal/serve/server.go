@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -582,11 +583,77 @@ const statusClientClosedRequest = 499
 // retryAfterSeconds is the Retry-After hint sent with 429 responses.
 const retryAfterSeconds = "1"
 
-// decodeBody parses a JSON request body into v, answering 400 itself —
-// and reporting false — when it does not parse.
+// maxBodyBytes bounds every POST body: 1 KiB for each problem of a /batch
+// at its cap, four times the longest problem of the realistic book (253
+// bytes of JSON). A longer body is a 413, read no further.
+const maxBodyBytes = maxBatchRequest << 10
+
+// readProblems reads the problems of a /price body (batch false) or of a
+// /batch body, answering 400 or 413 itself — and reporting false — when
+// it cannot. n counts the problems the body holds; those past
+// maxBatchRequest are not kept. The body is read whole, into one buffer
+// sized by its Content-Length, and scanned; only a body the scanner does
+// not take goes through encoding/json.
+func readProblems(w http.ResponseWriter, r *http.Request, batch bool) (problems []*premia.Problem, n int, ok bool) {
+	var body bytes.Buffer
+	if r.ContentLength > 0 && r.ContentLength <= maxBodyBytes {
+		body.Grow(int(r.ContentLength) + bytes.MinRead) // no regrowth before EOF
+	}
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		if problems, n, ok = scanProblems(body.Bytes(), batch); ok {
+			return problems, n, true
+		}
+		problems, n, err = decodeProblems(body.Bytes(), batch)
+	}
+	if err != nil {
+		refuseBody(w, err)
+		return nil, 0, false
+	}
+	return problems, n, true
+}
+
+// decodeProblems is readProblems through encoding/json, for every body
+// scanProblems does not take: into problemJSON, then toProblem.
+func decodeProblems(body []byte, batch bool) ([]*premia.Problem, int, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if !batch {
+		var pj problemJSON
+		if err := dec.Decode(&pj); err != nil {
+			return nil, 0, err
+		}
+		return []*premia.Problem{pj.toProblem()}, 1, nil
+	}
+	var book struct {
+		Problems []problemJSON `json:"problems"`
+	}
+	if err := dec.Decode(&book); err != nil {
+		return nil, 0, err
+	}
+	problems := make([]*premia.Problem, min(len(book.Problems), maxBatchRequest))
+	for i := range problems {
+		problems[i] = book.Problems[i].toProblem()
+	}
+	return problems, len(book.Problems), nil
+}
+
+// refuseBody answers a body that could not be read or decoded: 413 when
+// it is longer than maxBodyBytes, 400 with the reason otherwise.
+func refuseBody(w http.ResponseWriter, err error) {
+	var tooLong *http.MaxBytesError
+	if errors.As(err, &tooLong) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
+			"error": fmt.Sprintf("request body exceeds %d bytes", tooLong.Limit)})
+		return
+	}
+	badRequest(w, fmt.Errorf("bad request body: %v", err))
+}
+
+// decodeBody parses a JSON request body into v, answering 400 or 413
+// itself — and reporting false — when it does not parse.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		badRequest(w, fmt.Errorf("bad request body: %v", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
+		refuseBody(w, err)
 		return false
 	}
 	return true
@@ -632,13 +699,16 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 }
 
 func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
-	var pj problemJSON
-	if !decodeBody(w, r, &pj) {
-		return
+	if problems, _, ok := readProblems(w, r, false); ok {
+		s.answerPrice(w, r, problems[0])
 	}
+}
+
+// answerPrice prices the problem of a /price request and answers it.
+func (s *Server) answerPrice(w http.ResponseWriter, r *http.Request, p *premia.Problem) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	out, err := s.priceGroup(ctx, []*premia.Problem{pj.toProblem()}, false)
+	out, err := s.priceGroup(ctx, []*premia.Problem{p}, false)
 	if err != nil {
 		s.writeError(w, r, err)
 		return
@@ -655,14 +725,16 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 const maxBatchRequest = 65536
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		Problems []problemJSON `json:"problems"`
+	if problems, n, ok := readProblems(w, r, true); ok {
+		s.answerBatch(w, r, problems, n)
 	}
-	if !decodeBody(w, r, &body) {
-		return
-	}
-	if len(body.Problems) == 0 || len(body.Problems) > maxBatchRequest {
-		badRequest(w, fmt.Errorf("want 1..%d problems, got %d", maxBatchRequest, len(body.Problems)))
+}
+
+// answerBatch prices the problems of a /batch request that holds n of
+// them and answers it.
+func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, problems []*premia.Problem, n int) {
+	if n == 0 || n > maxBatchRequest {
+		badRequest(w, fmt.Errorf("want 1..%d problems, got %d", maxBatchRequest, n))
 		return
 	}
 	ctx, cancel := s.requestContext(r)
@@ -677,10 +749,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The book is one group: warm problems hit the cache, duplicates
 	// coalesce in the flight group, and the rest reach the batcher — and
 	// the farm — together.
-	problems := make([]*premia.Problem, len(body.Problems))
-	for i, pj := range body.Problems {
-		problems[i] = pj.toProblem()
-	}
 	outs, err := s.priceGroup(ctx, problems, true)
 	if err != nil {
 		s.writeError(w, r, err)
