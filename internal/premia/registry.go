@@ -1,9 +1,6 @@
 package premia
 
-import (
-	"sort"
-	"sync"
-)
+import "sort"
 
 // Registered method names.
 const (
@@ -212,46 +209,6 @@ func Methods() []string {
 	sort.Strings(names)
 	return names
 }
-
-// paramNames are the parameters the registered methods read, the union
-// of the lists each method's code documents.
-var paramNames = [...]string{
-	"K", "L", "S", "S0", "T", "U", "V0", "a", "antithetic", "b", "degree",
-	"dim", "divid", "exdates", "fixings", "kappa", "lambda", "maxiter",
-	"mcsteps", "muJ", "nodes", "omega", "paths", "r", "r0", "rebate",
-	"recovery", "rho", "rhoSV", "rotations", mcSeedKey, mcSeedHiKey, "sigma",
-	"sigma0", "sigmaJ", "sigmaR", "sigmaV", "skew", "steps", "termslope",
-	"theta", kernelThreadsKey, "tol",
-}
-
-// Intern returns the string b spells, allocating nothing when it is a
-// name the registry knows: an asset class, model, option or method, or a
-// parameter a method reads. Readers of problems use it for their names.
-func Intern(b []byte) string {
-	if s, ok := names()[string(b)]; ok {
-		return s
-	}
-	return string(b)
-}
-
-// names maps each name Intern knows to one copy of it, built once the
-// registry is complete.
-var names = sync.OnceValue(func() map[string]string {
-	m := map[string]string{}
-	for _, name := range paramNames {
-		m[name] = name
-	}
-	for method, spec := range methods {
-		m[method], m[spec.asset] = method, spec.asset
-		for model := range spec.models {
-			m[model] = model
-		}
-		for option := range spec.options {
-			m[option] = option
-		}
-	}
-	return m
-})
 
 // MethodAsset returns the asset class of a registered method ("" if
 // unknown).

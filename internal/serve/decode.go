@@ -8,40 +8,51 @@ import (
 
 // scanProblems is decodeProblems in one pass over the body, straight into
 // the problems toProblem builds, for the canonical shape only: JSON
-// whitespace; /batch's one key "problems" holding at least one problem; a
-// problem's keys (asset, model, option, method, params, seed) each at most
-// once and spelled exactly; strings with no escape, control or non-ASCII
-// byte; params an object of numbers; a seed of decimal digits. Bytes after
-// the top-level value are ignored, as by json.Decoder. Any other body it
-// refuses, keeping nothing.
-func scanProblems(body []byte, batch bool) (problems []*premia.Problem, n int, ok bool) {
-	s := scanner{b: body}
+// whitespace; /batch's one key "problems" holding 1..maxBatchRequest
+// problems; a problem's keys (asset, model, option, method, params, seed)
+// each at most once and spelled exactly; strings with no escape, control
+// or non-ASCII byte; params an object of numbers; a seed of decimal
+// digits. Bytes after the top-level value are ignored, as by
+// json.Decoder. Any other body it refuses, keeping nothing: a book past
+// the cap is encoding/json's to count, which costs no problem built.
+func scanProblems(body []byte, batch bool) (problems []*premia.Problem, ok bool) {
+	s := scanner{b: body, names: map[string]string{}}
 	one := func() bool {
 		p, ok := s.problem()
-		if n++; n <= maxBatchRequest {
-			problems = append(problems, p)
-		}
-		return ok
+		problems = append(problems, p)
+		return ok && len(problems) <= maxBatchRequest
 	}
 	if batch {
 		ok = s.object(func(key []byte) bool {
-			return n == 0 && string(key) == "problems" && s.list('[', ']', one)
+			return len(problems) == 0 && string(key) == "problems" && s.list('[', ']', one)
 		})
 	} else {
 		ok = one()
 	}
-	if !ok || n == 0 {
-		return nil, 0, false
+	if !ok || len(problems) == 0 {
+		return nil, false
 	}
-	return problems, n, true
+	return problems, true
 }
 
 // problemKeys are the keys a problem may hold, as bits of a set seen.
 var problemKeys = map[string]uint8{"asset": 1, "model": 2, "option": 4, "method": 8, "params": 16, "seed": 32}
 
 type scanner struct {
-	b []byte
-	i int // the next byte to read
+	b     []byte
+	i     int               // the next byte to read
+	names map[string]string // one copy of each name read
+}
+
+// name returns the string b spells, one copy a body: a book's problems
+// repeat their names, which so cost one allocation, not one a problem.
+func (s *scanner) name(b []byte) string {
+	name, ok := s.names[string(b)]
+	if !ok {
+		name = string(b)
+		s.names[name] = name
+	}
+	return name
 }
 
 // problem scans one problem as toProblem builds it: premia.New, the
@@ -62,7 +73,7 @@ func (s *scanner) problem() (*premia.Problem, bool) {
 				num, ok := s.number()
 				v, err := strconv.ParseFloat(string(num), 64)
 				if ok = ok && err == nil; ok {
-					p.Set(premia.Intern(name), v)
+					p.Set(s.name(name), v)
 				}
 				return ok
 			})
@@ -73,7 +84,7 @@ func (s *scanner) problem() (*premia.Problem, bool) {
 			return ok && err == nil
 		}
 		v, ok := s.str()
-		switch name := premia.Intern(v); string(key) {
+		switch name := s.name(v); string(key) {
 		case "asset":
 			if name != "" {
 				p.SetAsset(name)

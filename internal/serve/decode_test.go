@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,11 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
-	"riskbench/internal/portfolio"
 	"riskbench/internal/premia"
 	"riskbench/internal/risk"
 )
@@ -30,34 +32,45 @@ func keyPrice(_ context.Context, problems []*premia.Problem) ([]risk.PriceOutcom
 	return out, nil
 }
 
-// parentAnswer answers body as the server did before it had a scanner:
-// the body streamed through encoding/json into problemJSON, toProblem,
-// and then the same pricing and answer.
-func parentAnswer(s *Server, path, body string) *httptest.ResponseRecorder {
-	w := httptest.NewRecorder()
-	r := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
-	dec := json.NewDecoder(strings.NewReader(body))
-	if path == "/price" {
+// parentDecode decodes body as the server did before it had a scanner:
+// streamed through encoding/json into problemJSON, every problem of a
+// book built, then toProblem.
+func parentDecode(body []byte, batch bool) ([]*premia.Problem, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if !batch {
 		var pj problemJSON
 		if err := dec.Decode(&pj); err != nil {
-			badRequest(w, fmt.Errorf("bad request body: %v", err))
-			return w
+			return nil, err
 		}
-		s.answerPrice(w, r, pj.toProblem())
-		return w
+		return []*premia.Problem{pj.toProblem()}, nil
 	}
 	var book struct {
 		Problems []problemJSON `json:"problems"`
 	}
 	if err := dec.Decode(&book); err != nil {
-		badRequest(w, fmt.Errorf("bad request body: %v", err))
-		return w
+		return nil, err
 	}
 	problems := make([]*premia.Problem, len(book.Problems))
 	for i, pj := range book.Problems {
 		problems[i] = pj.toProblem()
 	}
-	s.answerBatch(w, r, problems, len(problems))
+	return problems, nil
+}
+
+// parentAnswer answers body as the server did before it had a scanner:
+// parentDecode, then the same pricing and answer.
+func parentAnswer(s *Server, path, body string) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	r := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+	problems, err := parentDecode([]byte(body), path == "/batch")
+	switch {
+	case err != nil:
+		badRequest(w, fmt.Errorf("bad request body: %v", err))
+	case path == "/price":
+		s.answerPrice(w, r, problems[0])
+	default:
+		s.answerBatch(w, r, problems, len(problems))
+	}
 	return w
 }
 
@@ -138,7 +151,7 @@ func TestDecodeMatchesEncodingJSON(t *testing.T) {
 
 // TestScannerTakesTheCanonicalShape: the bodies clients send — the
 // benchmark's book, the test helpers' — never reach encoding/json, and
-// every name the regression and realistic books use costs no allocation.
+// the problems of a book share one copy of each name they repeat.
 func TestScannerTakesTheCanonicalShape(t *testing.T) {
 	for name, body := range map[string]string{
 		"cfBody":            cfBody(100),
@@ -148,39 +161,95 @@ func TestScannerTakesTheCanonicalShape(t *testing.T) {
 		"seed":              problemCases["seed"],
 	} {
 		batch := strings.HasPrefix(body, `{"problems"`)
-		if _, _, ok := scanProblems([]byte(body), batch); !ok {
+		if _, ok := scanProblems([]byte(body), batch); !ok {
 			t.Errorf("%s: the scanner bails on %s", name, body)
 		}
 	}
-	used := map[string]bool{}
-	for _, pf := range []*portfolio.Portfolio{portfolio.Regression(), portfolio.Realistic()} {
-		for _, it := range pf.Items {
-			p := it.Problem
-			used[p.Asset], used[p.Model], used[p.Option], used[p.Method] = true, true, true, true
-			for k := range p.Params {
-				used[k] = true
-			}
+	book, _ := scanProblems(bookBody(3, 80), true)
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	for _, p := range book[1:] {
+		if !same(p.Model, book[0].Model) || !same(p.Option, book[0].Option) || !same(p.Method, book[0].Method) {
+			t.Errorf("%s/%s/%s is a copy of the first problem's names", p.Model, p.Option, p.Method)
 		}
-	}
-	for name := range used {
-		if b := []byte(name); testing.AllocsPerRun(1, func() { interned = premia.Intern(b) }) != 0 {
-			t.Errorf("interning %q allocates", name)
+		for k := range p.Params {
+			for k0 := range book[0].Params {
+				if k == k0 && !same(k, k0) {
+					t.Errorf("parameter %q is a copy of the first problem's", k)
+				}
+			}
 		}
 	}
 }
 
-// interned keeps what the allocation check interns alive.
-var interned string
+// allocated reports how many bytes f allocates, all goroutines counted.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLongBookIsCountedNotBuilt: a /batch book past the cap is refused
+// as encoding/json refused it, without a problem built past the cap. A
+// 4 MiB body of {} problems once cost 651 MB, 163 bytes a body byte.
+func TestLongBookIsCountedNotBuilt(t *testing.T) {
+	s := New(Config{Price: keyPrice})
+	defer s.Close()
+	// Just past the cap, each answer is the one encoding/json gave:
+	// clean, with a type error in the first problem, off the scanner's
+	// shape.
+	for _, first := range []string{`{}`, `{"model":1}`, `{"x":0}`} {
+		body := `{"problems":[` + first + strings.Repeat(",{}", maxBatchRequest) + `]}`
+		got, want := postJSON(s, "/batch", body), parentAnswer(s, "/batch", body)
+		if got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Errorf("%s and %d {}: answered %d %s, want %d %s", first, maxBatchRequest, got.Code, got.Body, want.Code, want.Body)
+		}
+	}
+	// 2 MiB of problems, starting on the scanner's shape and off it.
+	const long = 2 << 20 / 3
+	for _, first := range []string{`{}`, `{"x":0}`} {
+		body := `{"problems":[` + first + strings.Repeat(",{}", long) + `]}`
+		var w *httptest.ResponseRecorder
+		bytes := allocated(func() { w = postJSON(s, "/batch", body) })
+		if want := fmt.Sprintf("got %d", long+1); w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), want) {
+			t.Errorf("%s and %d {}: answered %d %s, want a 400 saying %s", first, long, w.Code, w.Body, want)
+		}
+		if per := float64(bytes) / float64(len(body)); per > 16 {
+			t.Errorf("%s and %d {}: refusing %d bytes allocated %d, %.1f a byte, budget is 16", first, long, len(body), bytes, per)
+		}
+	}
+}
+
+// TestContentLengthIsAClaim: a body that claims maxBodyBytes and sends a
+// problem is read without a buffer of the length it claims.
+func TestContentLengthIsAClaim(t *testing.T) {
+	s := New(Config{Price: keyPrice})
+	defer s.Close()
+	for path, body := range map[string]string{"/price": cfBody(100), "/batch": batchBody(cfBody(100))} {
+		var w *httptest.ResponseRecorder
+		bytes := allocated(func() {
+			r := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+			r.ContentLength = maxBodyBytes
+			w = httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, r)
+		})
+		if w.Code != http.StatusOK {
+			t.Errorf("%s: %d %s, want 200", path, w.Code, w.Body)
+		}
+		if bytes > maxBodyBytes/16 {
+			t.Errorf("%s claiming %d bytes, sending %d: allocated %d, budget is %d", path, maxBodyBytes, len(body), bytes, maxBodyBytes/16)
+		}
+	}
+}
 
 // spaces reads as an endless run of blanks.
 type spaces struct{}
 
-func (spaces) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = ' '
-	}
-	return len(p), nil
-}
+// blanks is what spaces copies out on each read.
+var blanks = []byte(strings.Repeat(" ", 64<<10))
+
+func (spaces) Read(p []byte) (int, error) { return copy(p, blanks), nil }
 
 // TestBodyLimit: a body one byte longer than maxBodyBytes is a 413 on
 // every POST endpoint, and one a byte shorter still prices.
@@ -232,9 +301,11 @@ func sameProblems(a, b []*premia.Problem) bool {
 	return true
 }
 
-// FuzzDecodeProblems holds the scanner to encoding/json: whatever body it
-// accepts, as /price's or /batch's, encoding/json and toProblem accept
-// too and build the same problems, to the bit.
+// FuzzDecodeProblems holds both readers of a /price or /batch body to
+// the decode they replace, parentDecode: whatever body the scanner
+// accepts, parentDecode accepts too and builds the same problems, to the
+// bit; on every body, decodeProblems — the scanner's fallback — builds
+// the same problems or fails with the same error.
 func FuzzDecodeProblems(f *testing.F) {
 	for _, body := range serveBodySeeds() {
 		f.Add(body)
@@ -250,16 +321,13 @@ func FuzzDecodeProblems(f *testing.F) {
 	f.Add([]byte("{\"problems\":[\n\t" + cfBody(100) + ",\n\t" + cfBody(101) + "\n]}\n"))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, batch := range []bool{false, true} {
-			got, n, ok := scanProblems(body, batch)
-			if !ok {
-				continue
+			want, werr := parentDecode(body, batch)
+			if got, ok := scanProblems(body, batch); ok && (werr != nil || !sameProblems(got, want)) {
+				t.Fatalf("batch %v: the scanner built %v, encoding/json %v (%v): %q", batch, got, want, werr, body)
 			}
-			want, wn, err := decodeProblems(body, batch)
-			if err != nil {
-				t.Fatalf("batch %v: the scanner accepts what encoding/json refuses (%v): %q", batch, err, body)
-			}
-			if n != wn || !sameProblems(got, want) {
-				t.Fatalf("batch %v: the scanner built %d %v, encoding/json %d %v: %q", batch, n, got, wn, want, body)
+			got, n, err := decodeProblems(body, batch)
+			if fmt.Sprint(err) != fmt.Sprint(werr) || err == nil && (n != len(want) || !sameProblems(got, want)) {
+				t.Fatalf("batch %v: the fallback built %d %v (%v), encoding/json %v (%v): %q", batch, n, got, err, want, werr, body)
 			}
 		}
 	})

@@ -28,11 +28,13 @@
 // the way the paper's "serialized load" skips the object a full load
 // builds first. The scanner takes the canonical shape — the six problem
 // keys spelled exactly, plain ASCII strings, numbers as JSON spells them —
-// and interns premia's registered names, so a common key costs no
-// allocation. Any body it does not take, it hands unchanged to
-// encoding/json and problemJSON.toProblem, so every body is accepted or
-// refused exactly as encoding/json alone would; FuzzDecodeProblems holds
-// the two to the same problems.
+// and keeps one copy of each name a body repeats, so a book's common keys
+// cost one allocation, not one a problem. Any body it does not take, it
+// hands unchanged to encoding/json and problemJSON.toProblem, so every
+// body is accepted or refused exactly as encoding/json alone would;
+// FuzzDecodeProblems holds the two to the same problems. encoding/json
+// counts a book into elements of no size before it builds one, so a book
+// past maxBatchRequest is refused without its problems built.
 //
 // All serving metrics live under the "serve." prefix in the telemetry
 // registry: serve.requests, serve.rejected, serve.request_seconds,

@@ -588,21 +588,25 @@ const retryAfterSeconds = "1"
 // bytes of JSON). A longer body is a 413, read no further.
 const maxBodyBytes = maxBatchRequest << 10
 
+// bodyPresizeBytes bounds how much of a body's declared Content-Length
+// is allocated before its bytes arrive: a length is only a claim. A
+// 256-problem book is about 50 KB.
+const bodyPresizeBytes = 1 << 20
+
 // readProblems reads the problems of a /price body (batch false) or of a
 // /batch body, answering 400 or 413 itself — and reporting false — when
-// it cannot. n counts the problems the body holds; those past
-// maxBatchRequest are not kept. The body is read whole, into one buffer
-// sized by its Content-Length, and scanned; only a body the scanner does
-// not take goes through encoding/json.
+// it cannot. n counts the problems the body holds; of a book longer than
+// maxBatchRequest none is built. The body is read whole and scanned; only
+// a body the scanner does not take goes through encoding/json.
 func readProblems(w http.ResponseWriter, r *http.Request, batch bool) (problems []*premia.Problem, n int, ok bool) {
 	var body bytes.Buffer
-	if r.ContentLength > 0 && r.ContentLength <= maxBodyBytes {
-		body.Grow(int(r.ContentLength) + bytes.MinRead) // no regrowth before EOF
+	if r.ContentLength > 0 {
+		body.Grow(int(min(r.ContentLength, bodyPresizeBytes)) + bytes.MinRead) // a short body reads with no regrowth
 	}
 	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err == nil {
-		if problems, n, ok = scanProblems(body.Bytes(), batch); ok {
-			return problems, n, true
+		if problems, ok = scanProblems(body.Bytes(), batch); ok {
+			return problems, len(problems), true
 		}
 		problems, n, err = decodeProblems(body.Bytes(), batch)
 	}
@@ -624,17 +628,36 @@ func decodeProblems(body []byte, batch bool) ([]*premia.Problem, int, error) {
 		}
 		return []*premia.Problem{pj.toProblem()}, 1, nil
 	}
+	// The book is counted first, into elements of no size, which cost
+	// nothing however many the body holds. Decode finds a syntax error
+	// before it stores anything, so any error but a type error is final;
+	// a type error is the decode below's to report.
+	var count struct {
+		Problems []struct{} `json:"problems"`
+	}
+	if err := dec.Decode(&count); err != nil && !errors.As(err, new(*json.UnmarshalTypeError)) {
+		return nil, 0, err
+	}
+	value, n := body[:dec.InputOffset()], len(count.Problems)
+	if n > maxBatchRequest {
+		// Too long a book: its first maxBatchRequest problems are still
+		// type-checked, the rest skipped, none built.
+		var head struct {
+			Problems *[maxBatchRequest]problemJSON `json:"problems"`
+		}
+		return nil, n, json.Unmarshal(value, &head)
+	}
 	var book struct {
 		Problems []problemJSON `json:"problems"`
 	}
-	if err := dec.Decode(&book); err != nil {
+	if err := json.Unmarshal(value, &book); err != nil {
 		return nil, 0, err
 	}
-	problems := make([]*premia.Problem, min(len(book.Problems), maxBatchRequest))
+	problems := make([]*premia.Problem, len(book.Problems))
 	for i := range problems {
 		problems[i] = book.Problems[i].toProblem()
 	}
-	return problems, len(book.Problems), nil
+	return problems, len(problems), nil
 }
 
 // refuseBody answers a body that could not be read or decoded: 413 when
