@@ -120,83 +120,6 @@ func cfPut(p *Problem) (Result, error) {
 	return c.price(bsPutPrice)
 }
 
-// cfCallDownOut implements the Reiner–Rubinstein closed formula for a
-// down-and-out call with barrier L, covering both the L <= K and L > K
-// branches. The rebate is assumed paid at expiry if the barrier is hit.
-func cfCallDownOut(p *Problem) (Result, error) {
-	m, err := bsFrom(p)
-	if err != nil {
-		return Result{}, err
-	}
-	o, err := barrierFrom(p, "L")
-	if err != nil {
-		return Result{}, err
-	}
-	if m.S0 <= o.B {
-		// Spot already at or below the barrier: knocked out immediately.
-		return Result{Price: o.Rebate * math.Exp(-m.R*o.T), Delta: 0, HasDelta: true, Work: 1}, nil
-	}
-	price := downOutCall(m, o.K, o.T, o.B)
-	if o.Rebate != 0 {
-		price += o.Rebate * math.Exp(-m.R*o.T) * downInProbability(m, o.T, o.B)
-	}
-	// Delta by central difference of the closed formula: still effectively
-	// free and robust across both branches.
-	const h = 1e-4
-	up, dn := m, m
-	up.S0 = m.S0 * (1 + h)
-	dn.S0 = m.S0 * (1 - h)
-	pu := downOutCall(up, o.K, o.T, o.B)
-	pd := downOutCall(dn, o.K, o.T, o.B)
-	delta := (pu - pd) / (2 * h * m.S0)
-	return Result{Price: price, Delta: delta, HasDelta: true, Work: 2}, nil
-}
-
-// downOutCall is the rebate-free Reiner–Rubinstein down-and-out call price
-// for S0 > L.
-func downOutCall(m bsParams, k, t, l float64) float64 {
-	sig2 := m.Sigma * m.Sigma
-	lambda := (m.R - m.Div + 0.5*sig2) / sig2
-	st := m.Sigma * math.Sqrt(t)
-	dq := math.Exp(-m.Div * t)
-	df := math.Exp(-m.R * t)
-	hs := l / m.S0
-	if k >= l {
-		// Down-and-in call for L <= K, subtracted from the vanilla.
-		c, _ := bsCallPrice(m, k, t)
-		y := math.Log(l*l/(m.S0*k))/st + lambda*st
-		cdi := m.S0*dq*math.Pow(hs, 2*lambda)*mathutil.NormCDF(y) -
-			k*df*math.Pow(hs, 2*lambda-2)*mathutil.NormCDF(y-st)
-		v := c - cdi
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
-	// L > K branch.
-	x1 := math.Log(m.S0/l)/st + lambda*st
-	y1 := math.Log(l/m.S0)/st + lambda*st
-	v := m.S0*dq*mathutil.NormCDF(x1) - k*df*mathutil.NormCDF(x1-st) -
-		m.S0*dq*math.Pow(hs, 2*lambda)*mathutil.NormCDF(y1) +
-		k*df*math.Pow(hs, 2*lambda-2)*mathutil.NormCDF(y1-st)
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// downInProbability returns the risk-neutral probability that the barrier
-// L is hit before t, used to value a rebate paid at expiry.
-func downInProbability(m bsParams, t, l float64) float64 {
-	if m.S0 <= l {
-		return 1
-	}
-	mu := m.R - m.Div - 0.5*m.Sigma*m.Sigma
-	st := m.Sigma * math.Sqrt(t)
-	b := math.Log(l / m.S0) // negative
-	return mathutil.NormCDF((b-mu*t)/st) + math.Exp(2*mu*b/(m.Sigma*m.Sigma))*mathutil.NormCDF((b+mu*t)/st)
-}
-
 // hestonQuadN is the number of Gauss–Legendre nodes of the Fourier
 // inversion; 200 nodes on [0, 200] is ample for the benchmark's parameter
 // ranges.

@@ -339,7 +339,7 @@ func TestUpOutPlusUpInEqualsVanilla(t *testing.T) {
 	m := bsParams{S0: 100, R: 0.03, Div: 0.01, Sigma: 0.25}
 	prev := 0.0
 	for _, tt := range []float64{0.1, 0.5, 1, 2, 5} {
-		pr := upInProbability(m, tt, 130)
+		pr := hitProbability(m, tt, 130, true)
 		if pr < prev-1e-12 || pr < 0 || pr > 1 {
 			t.Fatalf("hit prob %v at T=%v (prev %v)", pr, tt, prev)
 		}

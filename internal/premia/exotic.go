@@ -120,7 +120,7 @@ func mcAsianCV(p *Problem) (Result, error) {
 
 	// First pass accumulates both payoffs to estimate the optimal control
 	// coefficient; a fixed pilot fraction keeps it single-pass in effect.
-	var wArith, wGeom, wAdj mathutil.Welford
+	var wAdj mathutil.Welford
 	cov, varG := 0.0, 0.0
 	// pilot <= paths, so beta is always set inside the path loop.
 	pilot := paths / 10
@@ -150,8 +150,6 @@ func mcAsianCV(p *Problem) (Result, error) {
 		}
 		pa *= df
 		pg *= df
-		wArith.Add(pa)
-		wGeom.Add(pg)
 		if !betaSet {
 			pilotSamples = append(pilotSamples, sample{pa, pg})
 			if len(pilotSamples) >= pilot {

@@ -1,6 +1,7 @@
 package premia
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -26,9 +27,9 @@ type Greeks struct {
 }
 
 // bsGreeks returns the full analytic sensitivity set of a European option
-// under one-dimensional Black–Scholes; used both as the fast path for the
-// closed-form methods and as the oracle the bump engine is tested
-// against.
+// under one-dimensional Black–Scholes, its price and delta those of the
+// closed forms; used both as the fast path for the closed-form methods
+// and as the oracle the bump engine is tested against.
 func bsGreeks(m bsParams, k, t float64, call bool) Greeks {
 	d1, d2 := bsD1D2(m, k, t)
 	df := math.Exp(-m.R * t)
@@ -37,14 +38,12 @@ func bsGreeks(m bsParams, k, t float64, call bool) Greeks {
 	pdf := mathutil.NormPDF(d1)
 	var g Greeks
 	if call {
-		g.Price = m.S0*dq*mathutil.NormCDF(d1) - k*df*mathutil.NormCDF(d2)
-		g.Delta = dq * mathutil.NormCDF(d1)
+		g.Price, g.Delta = bsCallPrice(m, k, t)
 		g.Rho = k * t * df * mathutil.NormCDF(d2)
 		g.Theta = -m.S0*dq*pdf*m.Sigma/(2*st) -
 			m.R*k*df*mathutil.NormCDF(d2) + m.Div*m.S0*dq*mathutil.NormCDF(d1)
 	} else {
-		g.Price = k*df*mathutil.NormCDF(-d2) - m.S0*dq*mathutil.NormCDF(-d1)
-		g.Delta = -dq * mathutil.NormCDF(-d1)
+		g.Price, g.Delta = bsPutPrice(m, k, t)
 		g.Rho = -k * t * df * mathutil.NormCDF(-d2)
 		g.Theta = -m.S0*dq*pdf*m.Sigma/(2*st) +
 			m.R*k*df*mathutil.NormCDF(-d2) - m.Div*m.S0*dq*mathutil.NormCDF(-d1)
@@ -55,13 +54,9 @@ func bsGreeks(m bsParams, k, t float64, call bool) Greeks {
 }
 
 // VolParam returns the name of the volatility-like parameter of the given
-// model ("sigma", "sigma0" or "V0"), so generic risk scenarios can bump
-// volatility across heterogeneous books.
-func VolParam(model string) (string, error) { return vegaParam(model) }
-
-// vegaParam returns the volatility-like parameter the bump engine shifts
-// for the problem's model.
-func vegaParam(model string) (string, error) {
+// model ("sigma", "sigma0" or "V0"): the one ComputeGreeks bumps for vega,
+// and the one generic risk scenarios bump across heterogeneous books.
+func VolParam(model string) (string, error) {
 	switch model {
 	case ModelBS1D, ModelBSND:
 		return "sigma", nil
@@ -86,10 +81,12 @@ const (
 
 // ComputeGreeks returns the full sensitivity set of any registered
 // problem. Closed-form Black–Scholes vanillas use the analytic formulas;
-// everything else is bumped and repriced with common random numbers (the
-// problems share the seed parameter, so Monte Carlo noise largely cancels
-// in the differences — the standard practice the paper's risk-evaluation
-// context assumes).
+// any other problem is priced as one eight-cell Sweep: the base, S0 ± hs,
+// the model's volatility parameter ± hv, r ± rateBump and T − ht, each
+// cell to the bit as the bumped problem's own Compute. The cells share
+// the seed parameter, so Monte Carlo noise largely cancels in the
+// differences (common random numbers, the standard practice the paper's
+// risk-evaluation context assumes).
 func ComputeGreeks(p *Problem) (Greeks, error) {
 	if err := p.Validate(); err != nil {
 		return Greeks{}, err
@@ -106,84 +103,53 @@ func ComputeGreeks(p *Problem) (Greeks, error) {
 		}
 		return bsGreeks(m, o.K, o.T, p.Method == MethodCFCall), nil
 	}
-	price := func(q *Problem) (float64, error) {
-		res, err := q.Compute()
-		if err != nil {
-			return 0, err
-		}
-		return res.Price, nil
+	s0, errS0 := p.Params.NeedPositive("S0")
+	vp, errVol := VolParam(p.Model)
+	vol := 0.0
+	if errVol == nil {
+		vol, errVol = p.Params.NeedPositive(vp)
 	}
-	base, err := price(p)
-	if err != nil {
+	t, errT := p.Params.NeedPositive("T")
+	hs, hv, ht := spotBump*s0, volBump*vol, timeBump
+	if ht >= t {
+		ht = t / 2
+	}
+	r := p.Params.Get("r", 0)
+	at := func(param string, v float64) []Override { return []Override{{Param: param, Value: v}} }
+	cells := [][]Override{nil,
+		at("S0", s0+hs), at("S0", s0-hs),
+		at(vp, vol+hv), at(vp, vol-hv),
+		at("r", r+rateBump), at("r", r-rateBump),
+		at("T", t-ht), // shorter maturity
+	}
+	// The first failure in cell order is reported, a parameter that does
+	// not read after the cells before it: as pricing one bump at a time.
+	var unread error
+	switch {
+	case errS0 != nil:
+		cells, unread = cells[:1], errS0
+	case errVol != nil:
+		cells, unread = cells[:3], errVol
+	case errT != nil:
+		cells, unread = cells[:7], errT
+	}
+	results, errs := (&Sweep{Base: p, Cells: cells}).Compute()
+	if err := cmp.Or(append(errs, unread)...); err != nil {
 		return Greeks{}, err
 	}
-	g := Greeks{Price: base}
-
-	s0, err := p.Params.NeedPositive("S0")
-	if err != nil {
-		return Greeks{}, err
-	}
-	hs := spotBump * s0
-	up, err := price(p.Clone().Set("S0", s0+hs))
-	if err != nil {
-		return Greeks{}, err
-	}
-	dn, err := price(p.Clone().Set("S0", s0-hs))
-	if err != nil {
-		return Greeks{}, err
-	}
-	g.Delta = (up - dn) / (2 * hs)
-	g.Gamma = (up - 2*base + dn) / (hs * hs)
-
-	vp, err := vegaParam(p.Model)
-	if err != nil {
-		return Greeks{}, err
-	}
-	vol, err := p.Params.NeedPositive(vp)
-	if err != nil {
-		return Greeks{}, err
-	}
-	hv := volBump * vol
-	vUp, err := price(p.Clone().Set(vp, vol+hv))
-	if err != nil {
-		return Greeks{}, err
-	}
-	vDn, err := price(p.Clone().Set(vp, vol-hv))
-	if err != nil {
-		return Greeks{}, err
+	v := func(k int) float64 { return results[k].Price }
+	g := Greeks{
+		Price: v(0),
+		Delta: (v(1) - v(2)) / (2 * hs),
+		Gamma: (v(1) - 2*v(0) + v(2)) / (hs * hs),
+		Vega:  (v(3) - v(4)) / (2 * hv),
+		Rho:   (v(5) - v(6)) / (2 * rateBump),
+		Theta: (v(7) - v(0)) / ht,
 	}
 	if p.Model == ModelHeston {
 		// Report Heston vega per unit of initial *volatility* √V0, which
 		// makes magnitudes comparable to Black–Scholes vega.
-		dPdV := (vUp - vDn) / (2 * hv)
-		g.Vega = dPdV * 2 * math.Sqrt(vol)
-	} else {
-		g.Vega = (vUp - vDn) / (2 * hv)
+		g.Vega = g.Vega * 2 * math.Sqrt(vol)
 	}
-
-	r := p.Params.Get("r", 0)
-	rUp, err := price(p.Clone().Set("r", r+rateBump))
-	if err != nil {
-		return Greeks{}, err
-	}
-	rDn, err := price(p.Clone().Set("r", r-rateBump))
-	if err != nil {
-		return Greeks{}, err
-	}
-	g.Rho = (rUp - rDn) / (2 * rateBump)
-
-	t, err := p.Params.NeedPositive("T")
-	if err != nil {
-		return Greeks{}, err
-	}
-	ht := timeBump
-	if ht >= t {
-		ht = t / 2
-	}
-	tDn, err := price(p.Clone().Set("T", t-ht)) // shorter maturity
-	if err != nil {
-		return Greeks{}, err
-	}
-	g.Theta = (tDn - base) / ht
 	return g, nil
 }

@@ -168,12 +168,12 @@ func TestVegaParamPerModel(t *testing.T) {
 		ModelBS1D: "sigma", ModelBSND: "sigma", ModelLocVol: "sigma0", ModelHeston: "V0",
 	}
 	for model, want := range cases {
-		got, err := vegaParam(model)
+		got, err := VolParam(model)
 		if err != nil || got != want {
-			t.Errorf("vegaParam(%s) = %q, %v", model, got, err)
+			t.Errorf("VolParam(%s) = %q, %v", model, got, err)
 		}
 	}
-	if _, err := vegaParam("nope"); err == nil {
+	if _, err := VolParam("nope"); err == nil {
 		t.Error("unknown model accepted")
 	}
 }

@@ -72,11 +72,11 @@ func init() {
 	register(MethodCFCallDownOut,
 		[]string{ModelBS1D},
 		[]string{OptCallDownOut},
-		cfCallDownOut)
+		barrierCall("L", false, downOutCall))
 	register(MethodCFCallUpOut,
 		[]string{ModelBS1D},
 		[]string{OptCallUpOut},
-		cfCallUpOut)
+		barrierCall("U", true, upOutCall))
 	register(MethodCFHeston,
 		[]string{ModelHeston},
 		[]string{OptCallEuro, OptPutEuro},

@@ -243,43 +243,136 @@ func TestContentLengthIsAClaim(t *testing.T) {
 	}
 }
 
-// spaces reads as an endless run of blanks.
-type spaces struct{}
+// spaces reads as an endless run of blanks and counts what is read.
+type spaces struct{ n int }
 
 // blanks is what spaces copies out on each read.
 var blanks = []byte(strings.Repeat(" ", 64<<10))
 
-func (spaces) Read(p []byte) (int, error) { return copy(p, blanks), nil }
+func (r *spaces) Read(p []byte) (int, error) {
+	n := copy(p, blanks)
+	r.n += n
+	return n, nil
+}
 
-// TestBodyLimit: a body one byte longer than maxBodyBytes is a 413 on
-// every POST endpoint, and one a byte shorter still prices.
+// TestBodyLimit: a body one byte longer than maxBodyBytes is a JSON 413,
+// whether its Content-Length declares the length or not, and one a byte
+// shorter still prices.
 func TestBodyLimit(t *testing.T) {
 	s := New(Config{Price: keyPrice})
 	defer s.Close()
-	post := func(path, value string, size int64, lead bool) *httptest.ResponseRecorder {
-		pad := io.LimitReader(spaces{}, size-int64(len(value)))
-		body := io.MultiReader(strings.NewReader(value), pad)
-		if lead {
-			body = io.MultiReader(pad, strings.NewReader(value))
-		}
+	post := func(path, value string, size int64, declared bool) *httptest.ResponseRecorder {
+		body := io.MultiReader(strings.NewReader(value), io.LimitReader(&spaces{}, size-int64(len(value))))
 		r := httptest.NewRequest(http.MethodPost, path, body)
-		r.ContentLength = size
+		r.ContentLength = -1
+		if declared {
+			r.ContentLength = size
+		}
 		w := httptest.NewRecorder()
 		s.Handler().ServeHTTP(w, r)
 		return w
 	}
 	for path, value := range map[string]string{"/price": cfBody(100), "/batch": batchBody(cfBody(100))} {
-		if w := post(path, value, maxBodyBytes-1, false); w.Code != http.StatusOK {
+		if w := post(path, value, maxBodyBytes-1, true); w.Code != http.StatusOK {
 			t.Errorf("%s of %d bytes: %d %s, want 200", path, maxBodyBytes-1, w.Code, w.Body)
 		}
-		if w := post(path, value, maxBodyBytes+1, false); w.Code != http.StatusRequestEntityTooLarge || !json.Valid(w.Body.Bytes()) {
+		if w := post(path, value, maxBodyBytes+1, true); w.Code != http.StatusRequestEntityTooLarge || !json.Valid(w.Body.Bytes()) {
 			t.Errorf("%s of %d bytes: %d %s, want a JSON 413", path, maxBodyBytes+1, w.Code, w.Body)
 		}
 	}
-	// The risk endpoints stream their body through encoding/json, which
-	// buffers the blanks before a value.
-	if w := post("/risk/report", `{}`, maxBodyBytes+1, true); w.Code != http.StatusRequestEntityTooLarge || !json.Valid(w.Body.Bytes()) {
-		t.Errorf("/risk/report of %d bytes: %d %s, want a JSON 413", maxBodyBytes+1, w.Code, w.Body)
+	// A body that does not declare its length is cut off by reading it.
+	if w := post("/risk/report", `{}`, maxBodyBytes+1, false); w.Code != http.StatusRequestEntityTooLarge || !json.Valid(w.Body.Bytes()) {
+		t.Errorf("/risk/report of %d undeclared bytes: %d %s, want a JSON 413", maxBodyBytes+1, w.Code, w.Body)
+	}
+}
+
+// TestDeclaredLengthIsRefusedUnread: a body whose Content-Length is past
+// maxBodyBytes is a JSON 413 on every POST endpoint, answered before a
+// byte of it is read.
+func TestDeclaredLengthIsRefusedUnread(t *testing.T) {
+	s := New(Config{Price: keyPrice})
+	defer s.Close()
+	for _, path := range []string{"/price", "/batch", "/risk/report", "/risk/watch"} {
+		body := &spaces{}
+		r := httptest.NewRequest(http.MethodPost, path, body)
+		r.ContentLength = maxBodyBytes + 1
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, r)
+		if w.Code != http.StatusRequestEntityTooLarge || !json.Valid(w.Body.Bytes()) || body.n != 0 {
+			t.Errorf("%s declaring %d bytes: %d %s after reading %d bytes, want a JSON 413 before reading any", path, maxBodyBytes+1, w.Code, w.Body, body.n)
+		}
+	}
+}
+
+// riskBodies are /risk request bodies within the inline-book cap, at the
+// edges of counting the book before decoding it.
+var riskBodies = map[string]string{
+	"inline":             `{"portfolio":{"problems":[` + cfBody(100) + `,` + cfBody(101) + `]},"method":"full"}`,
+	"type error":         `{"portfolio":{"problems":[{"model":1}]}}`,
+	"problems a number":  `{"portfolio":{"problems":5}}`,
+	"numbers":            `{"portfolio":{"problems":[1,2]}}`,
+	"null portfolio":     `{"portfolio":null}`,
+	"folded keys":        `{"Portfolio":{"PROBLEMS":[{}]}}`,
+	"repeated portfolio": `{"portfolio":{"problems":[{},{}]},"portfolio":{"name":"toy"}}`,
+	"name and problems":  `{"portfolio":{"name":"toy","problems":[{}]}}`,
+	"other type error":   `{"portfolio":{"problems":[{}]},"alphas":"x"}`,
+	"watch type error":   `{"portfolio":{"problems":[{}]},"limits":{"var":"x"},"rounds":2}`,
+	"trailing garbage":   `{"method":"full"} }{`,
+	"truncated":          `{"portfolio":{"problems":[{}`,
+	"empty":              ``,
+	"at the cap":         `{"portfolio":{"problems":[{}` + strings.Repeat(`,{}`, maxRiskClaims-1) + `]}}`,
+	"type error at cap":  `{"portfolio":{"problems":[{}` + strings.Repeat(`,{}`, maxRiskClaims-2) + `,{"seed":"x"}]}}`,
+}
+
+// riskDecodeParity checks that decodeRiskRequest reads body into a Q as
+// the streaming encoding/json decode the /risk endpoints once used did:
+// the same request, or the same refusal.
+func riskDecodeParity[Q any](t *testing.T, name, body string) {
+	var got, want Q
+	w := httptest.NewRecorder()
+	ok := decodeRiskRequest(w, httptest.NewRequest(http.MethodPost, "/risk/report", strings.NewReader(body)), &got)
+	if err := json.NewDecoder(strings.NewReader(body)).Decode(&want); err != nil {
+		refused := httptest.NewRecorder()
+		badRequest(refused, fmt.Errorf("bad request body: %v", err))
+		if ok || w.Code != refused.Code || w.Body.String() != refused.Body.String() {
+			t.Errorf("%s into %T: answered %v %d %s, want %d %s", name, got, ok, w.Code, w.Body, refused.Code, refused.Body)
+		}
+		return
+	}
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Errorf("%s into %T: decoded %v %+v (%d %s), want %+v", name, got, ok, got, w.Code, w.Body, want)
+	}
+}
+
+// TestRiskDecodeMatchesEncodingJSON: within the inline-book cap, counting
+// the book first changes nothing a /risk body decodes into or is refused
+// with.
+func TestRiskDecodeMatchesEncodingJSON(t *testing.T) {
+	for name, body := range riskBodies {
+		riskDecodeParity[riskReportRequest](t, name, body)
+		riskDecodeParity[riskWatchRequest](t, name, body)
+	}
+}
+
+// TestLongInlineBookIsCountedNotBuilt: a /risk inline book past
+// maxRiskClaims is refused with the cap's 400, without its problems
+// decoded. A 2 MiB body of {} problems once cost 342 MB, 163 bytes a body
+// byte.
+func TestLongInlineBookIsCountedNotBuilt(t *testing.T) {
+	s := New(Config{Price: keyPrice})
+	defer s.Close()
+	for _, long := range []int{maxRiskClaims + 1, 2 << 20 / 3} {
+		body := `{"portfolio":{"problems":[{}` + strings.Repeat(",{}", long-1) + `]}}`
+		for _, path := range []string{"/risk/report", "/risk/watch"} {
+			var w *httptest.ResponseRecorder
+			bytes := allocated(func() { w = postJSON(s, path, body) })
+			if want := fmt.Sprintf(`{"error":"want at most %d inline problems, got %d"}`, maxRiskClaims, long); w.Code != http.StatusBadRequest || strings.TrimSpace(w.Body.String()) != want {
+				t.Errorf("%s, %d {}: answered %d %s, want 400 %s", path, long, w.Code, w.Body, want)
+			}
+			if per := float64(bytes) / float64(len(body)); per > 16 {
+				t.Errorf("%s, %d {}: refusing %d bytes allocated %d, %.1f a byte, budget is 16", path, long, len(body), bytes, per)
+			}
+		}
 	}
 }
 

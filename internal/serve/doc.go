@@ -23,8 +23,10 @@
 //     endpoints, and a graceful drain that lets in-flight farm batches
 //     finish before the process exits.
 //
-// A /price or /batch body is read whole (at most maxBodyBytes; a longer
-// one is a 413) and scanned in one pass straight into premia.Problems,
+// Every POST body is read whole, at most maxBodyBytes of it: a longer
+// one is a 413, refused before a byte is read when its Content-Length
+// says so. A /price or /batch body is scanned in one pass straight into
+// premia.Problems,
 // the way the paper's "serialized load" skips the object a full load
 // builds first. The scanner takes the canonical shape — the six problem
 // keys spelled exactly, plain ASCII strings, numbers as JSON spells them —
@@ -34,7 +36,8 @@
 // body is accepted or refused exactly as encoding/json alone would;
 // FuzzDecodeProblems holds the two to the same problems. encoding/json
 // counts a book into elements of no size before it builds one, so a book
-// past maxBatchRequest is refused without its problems built.
+// past maxBatchRequest is refused without its problems built; a /risk
+// body's inline book is counted the same way against maxRiskClaims.
 //
 // All serving metrics live under the "serve." prefix in the telemetry
 // registry: serve.requests, serve.rejected, serve.request_seconds,

@@ -49,13 +49,40 @@ type riskBookJSON struct {
 	Problems []problemJSON `json:"problems,omitempty"`
 }
 
+// decodeRiskRequest parses a /risk request body into q, a
+// *riskReportRequest or a *riskWatchRequest, answering 400 or 413 itself
+// — and reporting false — when it cannot. The inline problems are counted
+// before any is decoded, so a book past maxRiskClaims is refused without
+// one built.
+func decodeRiskRequest(w http.ResponseWriter, r *http.Request, q any) bool {
+	body, err := readBody(w, r)
+	if err == nil {
+		var count struct {
+			Portfolio struct {
+				Problems []struct{} `json:"problems"`
+			} `json:"portfolio"`
+		}
+		if body, err = countValue(body, &count); err == nil {
+			if n := len(count.Portfolio.Problems); n > maxRiskClaims {
+				badRequest(w, fmt.Errorf("want at most %d inline problems, got %d", maxRiskClaims, n))
+				return false
+			}
+			err = json.Unmarshal(body, q)
+		}
+	}
+	if err != nil {
+		refuseBody(w, err)
+		return false
+	}
+	return true
+}
+
+// build is the book the request selects; decodeRiskRequest has already
+// refused an inline book past maxRiskClaims.
 func (j riskBookJSON) build() (*portfolio.Portfolio, error) {
 	if len(j.Problems) > 0 {
 		if j.Name != "" {
 			return nil, fmt.Errorf("give a portfolio name or inline problems, not both")
-		}
-		if len(j.Problems) > maxRiskClaims {
-			return nil, fmt.Errorf("want at most %d inline problems, got %d", maxRiskClaims, len(j.Problems))
 		}
 		pf := &portfolio.Portfolio{Name: "inline"}
 		for i, pj := range j.Problems {
@@ -285,7 +312,7 @@ func (s *Server) handleRiskIndex(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRiskReport(w http.ResponseWriter, r *http.Request) {
 	start := s.reg.Now()
 	var q riskReportRequest
-	if !decodeBody(w, r, &q) {
+	if !decodeRiskRequest(w, r, &q) {
 		return
 	}
 	cfg, err := q.config()
@@ -397,7 +424,7 @@ func levelRank(level string) int {
 
 func (s *Server) handleRiskWatch(w http.ResponseWriter, r *http.Request) {
 	var q riskWatchRequest
-	if !decodeBody(w, r, &q) {
+	if !decodeRiskRequest(w, r, &q) {
 		return
 	}
 	rounds := q.Rounds

@@ -599,16 +599,12 @@ const bodyPresizeBytes = 1 << 20
 // maxBatchRequest none is built. The body is read whole and scanned; only
 // a body the scanner does not take goes through encoding/json.
 func readProblems(w http.ResponseWriter, r *http.Request, batch bool) (problems []*premia.Problem, n int, ok bool) {
-	var body bytes.Buffer
-	if r.ContentLength > 0 {
-		body.Grow(int(min(r.ContentLength, bodyPresizeBytes)) + bytes.MinRead) // a short body reads with no regrowth
-	}
-	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(w, r)
 	if err == nil {
-		if problems, ok = scanProblems(body.Bytes(), batch); ok {
+		if problems, ok = scanProblems(body, batch); ok {
 			return problems, len(problems), true
 		}
-		problems, n, err = decodeProblems(body.Bytes(), batch)
+		problems, n, err = decodeProblems(body, batch)
 	}
 	if err != nil {
 		refuseBody(w, err)
@@ -620,25 +616,21 @@ func readProblems(w http.ResponseWriter, r *http.Request, batch bool) (problems 
 // decodeProblems is readProblems through encoding/json, for every body
 // scanProblems does not take: into problemJSON, then toProblem.
 func decodeProblems(body []byte, batch bool) ([]*premia.Problem, int, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
 	if !batch {
 		var pj problemJSON
-		if err := dec.Decode(&pj); err != nil {
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&pj); err != nil {
 			return nil, 0, err
 		}
 		return []*premia.Problem{pj.toProblem()}, 1, nil
 	}
-	// The book is counted first, into elements of no size, which cost
-	// nothing however many the body holds. Decode finds a syntax error
-	// before it stores anything, so any error but a type error is final;
-	// a type error is the decode below's to report.
 	var count struct {
 		Problems []struct{} `json:"problems"`
 	}
-	if err := dec.Decode(&count); err != nil && !errors.As(err, new(*json.UnmarshalTypeError)) {
+	value, err := countValue(body, &count)
+	if err != nil {
 		return nil, 0, err
 	}
-	value, n := body[:dec.InputOffset()], len(count.Problems)
+	n := len(count.Problems)
 	if n > maxBatchRequest {
 		// Too long a book: its first maxBatchRequest problems are still
 		// type-checked, the rest skipped, none built.
@@ -672,14 +664,34 @@ func refuseBody(w http.ResponseWriter, err error) {
 	badRequest(w, fmt.Errorf("bad request body: %v", err))
 }
 
-// decodeBody parses a JSON request body into v, answering 400 or 413
-// itself — and reporting false — when it does not parse.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v); err != nil {
-		refuseBody(w, err)
-		return false
+// readBody reads a POST body whole, at most maxBodyBytes of it. A body
+// that declares a longer Content-Length is refused before a byte is read;
+// a declared length is otherwise only a claim, so no more than
+// bodyPresizeBytes is allocated ahead of the bytes.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxBodyBytes {
+		return nil, &http.MaxBytesError{Limit: maxBodyBytes}
 	}
-	return true
+	var body bytes.Buffer
+	if r.ContentLength > 0 {
+		body.Grow(int(min(r.ContentLength, bodyPresizeBytes)) + bytes.MinRead) // a short body reads with no regrowth
+	}
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return body.Bytes(), err
+}
+
+// countValue decodes the first JSON value of body into count, a shape
+// whose lists hold elements of no size, which cost nothing however many
+// the body holds, and returns the value's bytes; what follows the value is
+// ignored, as a streaming decode ignores it. Decode finds a syntax error
+// before it stores anything, so any error but a type error is final; a
+// type error is the typed decode's to report.
+func countValue(body []byte, count any) ([]byte, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if err := dec.Decode(count); err != nil && !errors.As(err, new(*json.UnmarshalTypeError)) {
+		return nil, err
+	}
+	return body[:dec.InputOffset()], nil
 }
 
 // badRequest answers a client mistake: 400 with the reason, and no
