@@ -55,17 +55,19 @@ func cdsLegs(m creditParams, t float64) (protection, annuity float64) {
 	u := m.R + m.Lambda
 	protection = (1 - m.Recovery) * m.Lambda / u * (1 - math.Exp(-u*t))
 	// Premium: quarterly accrual paid at each t_i if no default by t_i.
-	const freq = 4.0
-	n := int(t*freq + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	dt := t / float64(n)
+	n, dt := cdsDates(t)
 	for i := 1; i <= n; i++ {
 		ti := float64(i) * dt
 		annuity += dt * math.Exp(-u*ti)
 	}
 	return protection, annuity
+}
+
+// cdsDates are the quarterly premium dates of a CDS of maturity t: n of
+// them, dt apart.
+func cdsDates(t float64) (n int, dt float64) {
+	n = max(int(t*4+0.5), 1)
+	return n, t / float64(n)
 }
 
 // cfCredit implements CF_Credit.
@@ -90,8 +92,8 @@ func cfCredit(p *Problem) (Result, error) {
 	return Result{}, fmt.Errorf("premia: CF_Credit does not price %q", p.Option)
 }
 
-// mcCredit implements MC_Credit by drawing exponential default times.
-// Parameters: "paths".
+// mcCredit implements MC_Credit by drawing exponential default times on
+// the multicore pricing kernel. Parameters: "paths", "threads".
 func mcCredit(p *Problem) (Result, error) {
 	m, err := creditFrom(p)
 	if err != nil {
@@ -105,58 +107,57 @@ func mcCredit(p *Problem) (Result, error) {
 	if paths < 2 {
 		return Result{}, fmt.Errorf("premia: MC_Credit needs paths >= 2")
 	}
-	rng := mathutil.NewRNG(mcSeed(p))
-	drawDefault := func() float64 {
-		return -math.Log(rng.Float64Open()) / m.Lambda
-	}
+	// legs maps a default time to what one path pays: the bond's value,
+	// or the CDS's protection and premium-annuity legs.
+	var legs func(tau float64) (float64, float64)
 	switch p.Option {
 	case OptDefaultableBond:
 		df := math.Exp(-m.R * t)
-		var w mathutil.Welford
-		for i := 0; i < paths; i++ {
-			if drawDefault() > t {
-				w.Add(df)
-			} else {
-				w.Add(df * m.Recovery)
+		legs = func(tau float64) (float64, float64) {
+			if tau > t {
+				return df, 0
 			}
+			return df * m.Recovery, 0
 		}
-		return Result{Price: w.Mean(), PriceCI: w.HalfWidth95(), Work: float64(paths)}, nil
 	case OptCDS:
-		// Estimate both legs, then form the par spread; the CI follows
-		// from the delta method on the ratio (reported approximately via
-		// the protection leg's relative error).
-		const freq = 4.0
-		n := int(t*freq + 0.5)
-		if n < 1 {
-			n = 1
-		}
-		dt := t / float64(n)
-		var prot, annu mathutil.Welford
-		for i := 0; i < paths; i++ {
-			tau := drawDefault()
+		n, dt := cdsDates(t)
+		legs = func(tau float64) (prot, annu float64) {
 			if tau <= t {
-				prot.Add((1 - m.Recovery) * math.Exp(-m.R*tau))
-			} else {
-				prot.Add(0)
+				prot = (1 - m.Recovery) * math.Exp(-m.R*tau)
 			}
-			a := 0.0
 			for k := 1; k <= n; k++ {
-				ti := float64(k) * dt
-				if tau > ti {
-					a += dt * math.Exp(-m.R*ti)
+				if ti := float64(k) * dt; tau > ti {
+					annu += dt * math.Exp(-m.R*ti)
 				}
 			}
-			annu.Add(a)
+			return prot, annu
 		}
-		if annu.Mean() <= 0 {
-			return Result{}, fmt.Errorf("premia: MC_Credit degenerate annuity")
-		}
-		spread := prot.Mean() / annu.Mean()
-		relErr := 0.0
-		if prot.Mean() > 0 {
-			relErr = prot.HalfWidth95() / prot.Mean()
-		}
-		return Result{Price: spread, PriceCI: spread * relErr, Work: float64(paths)}, nil
+	default:
+		return Result{}, fmt.Errorf("premia: MC_Credit does not price %q", p.Option)
 	}
-	return Result{}, fmt.Errorf("premia: MC_Credit does not price %q", p.Option)
+	accs, err := runPathKernel(p, paths, 2, func(rng *mathutil.RNG, n int, accs []mathutil.Welford, _ *kernelScratch) {
+		for i := 0; i < n; i++ {
+			a, b := legs(-math.Log(rng.Float64Open()) / m.Lambda)
+			accs[0].Add(a)
+			accs[1].Add(b)
+		}
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	prot, annu := accs[0], accs[1]
+	if p.Option == OptDefaultableBond {
+		return Result{Price: prot.Mean(), PriceCI: prot.HalfWidth95(), Work: float64(paths)}, nil
+	}
+	// The par spread is the ratio of the legs; its CI is reported
+	// approximately through the protection leg's relative error.
+	if annu.Mean() <= 0 {
+		return Result{}, fmt.Errorf("premia: MC_Credit degenerate annuity")
+	}
+	spread := prot.Mean() / annu.Mean()
+	relErr := 0.0
+	if prot.Mean() > 0 {
+		relErr = prot.HalfWidth95() / prot.Mean()
+	}
+	return Result{Price: spread, PriceCI: spread * relErr, Work: float64(paths)}, nil
 }

@@ -30,7 +30,9 @@
 // induction for Black–Scholes spots, baskets and Heston's spot and
 // variance).
 //
-// The multicore pricing kernel (parallel.go) spends a problem's
+// The multicore pricing kernel (parallel.go) is the one Monte Carlo
+// runtime: every Monte Carlo method draws its paths from the kernel's
+// shard streams, and no other file seeds an RNG. It spends a problem's
 // "threads", else the SetKernelThreads default, on one loop, dispatch:
 // the shards of a Monte Carlo path budget, the cells of a PDE sweep and
 // the backward inductions of a Longstaff–Schwartz sweep run side by side

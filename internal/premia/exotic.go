@@ -88,8 +88,10 @@ func geomAsianCF(m bsParams, k, t float64, n int, call bool) float64 {
 // mcAsianCV implements MC_Asian_ControlVariate: arithmetic-average Asian
 // options under Black–Scholes via Monte Carlo over discrete fixings, with
 // the geometric-average payoff (whose expectation is known in closed
-// form) as control variate — the Kemna–Vorst construction. Parameters:
-// "paths", "fixings" (default 12).
+// form) as control variate — the Kemna–Vorst construction. Paths run on
+// the multicore pricing kernel and are streamed: the control coefficient
+// is fitted on every path from three running variances. Parameters:
+// "paths", "fixings" (default 12), "threads".
 func mcAsianCV(p *Problem) (Result, error) {
 	m, err := bsFrom(p)
 	if err != nil {
@@ -99,10 +101,7 @@ func mcAsianCV(p *Problem) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	paths, err := p.Params.size("paths", mcDefaultPaths) // a pilot tenth of them is stored
-	if err != nil {
-		return Result{}, err
-	}
+	paths := p.Params.Int("paths", mcDefaultPaths)
 	fixings, err := p.Params.size("fixings", 12)
 	if err != nil {
 		return Result{}, err
@@ -111,74 +110,42 @@ func mcAsianCV(p *Problem) (Result, error) {
 		return Result{}, fmt.Errorf("premia: MC_Asian needs paths >= 2 and fixings >= 1")
 	}
 	isCall := p.Option == OptAsianCallFix
-	rng := mathutil.NewRNG(mcSeed(p))
 	dt := o.T / float64(fixings)
 	drift := (m.R - m.Div - 0.5*m.Sigma*m.Sigma) * dt
 	vol := m.Sigma * math.Sqrt(dt)
 	df := math.Exp(-m.R * o.T)
-	geomPrice := geomAsianCF(m, o.K, o.T, fixings, isCall)
-
-	// First pass accumulates both payoffs to estimate the optimal control
-	// coefficient; a fixed pilot fraction keeps it single-pass in effect.
-	var wAdj mathutil.Welford
-	cov, varG := 0.0, 0.0
-	// pilot <= paths, so beta is always set inside the path loop.
-	pilot := paths / 10
-	if pilot < 100 {
-		pilot = paths
-	}
-	type sample struct{ a, g float64 }
-	pilotSamples := make([]sample, 0, pilot)
-	beta := 1.0
-	betaSet := false
-	for i := 0; i < paths; i++ {
-		x := math.Log(m.S0)
-		sum := 0.0
-		logSum := 0.0
-		for k := 0; k < fixings; k++ {
-			x += drift + vol*rng.Norm()
-			sum += math.Exp(x)
-			logSum += x
-		}
-		arith := sum / float64(fixings)
-		geom := math.Exp(logSum / float64(fixings))
-		var pa, pg float64
-		if isCall {
-			pa, pg = payoffCall(arith, o.K), payoffCall(geom, o.K)
-		} else {
-			pa, pg = payoffPut(arith, o.K), payoffPut(geom, o.K)
-		}
-		pa *= df
-		pg *= df
-		if !betaSet {
-			pilotSamples = append(pilotSamples, sample{pa, pg})
-			if len(pilotSamples) >= pilot {
-				ma, mg := 0.0, 0.0
-				for _, s := range pilotSamples {
-					ma += s.a
-					mg += s.g
-				}
-				ma /= float64(len(pilotSamples))
-				mg /= float64(len(pilotSamples))
-				for _, s := range pilotSamples {
-					cov += (s.a - ma) * (s.g - mg)
-					varG += (s.g - mg) * (s.g - mg)
-				}
-				if varG > 0 {
-					beta = cov / varG
-				}
-				betaSet = true
-				for _, s := range pilotSamples {
-					wAdj.Add(s.a - beta*(s.g-geomPrice))
-				}
+	// Each path adds its arithmetic payoff a, its geometric payoff g and
+	// a−g, whose variances give Cov(a, g) without storing a path.
+	accs, err := runPathKernel(p, paths, 3, func(rng *mathutil.RNG, n int, accs []mathutil.Welford, _ *kernelScratch) {
+		for i := 0; i < n; i++ {
+			x, sum, logSum := math.Log(m.S0), 0.0, 0.0
+			for k := 0; k < fixings; k++ {
+				x += drift + vol*rng.Norm()
+				sum += math.Exp(x)
+				logSum += x
 			}
-			continue
+			pa := df * vanillaPayoff(isCall, sum/float64(fixings), o.K)
+			pg := df * vanillaPayoff(isCall, math.Exp(logSum/float64(fixings)), o.K)
+			accs[0].Add(pa)
+			accs[1].Add(pg)
+			accs[2].Add(pa - pg)
 		}
-		wAdj.Add(pa - beta*(pg-geomPrice))
+	})
+	if err != nil {
+		return Result{}, err
 	}
+	varA, varG := accs[0].Variance(), accs[1].Variance()
+	cov := (varA + varG - accs[2].Variance()) / 2
+	beta := 1.0
+	if varG > 0 {
+		beta = cov / varG
+	}
+	geomPrice := geomAsianCF(m, o.K, o.T, fixings, isCall)
+	varAdj := max(varA+beta*beta*varG-2*beta*cov, 0)
 	return Result{
-		Price: wAdj.Mean(), PriceCI: wAdj.HalfWidth95(),
-		Work: float64(paths) * float64(fixings),
+		Price:   accs[0].Mean() - beta*(accs[1].Mean()-geomPrice),
+		PriceCI: 1.959963984540054 * math.Sqrt(varAdj/float64(paths)), // as Welford.HalfWidth95
+		Work:    float64(paths) * float64(fixings),
 	}, nil
 }
 
@@ -217,7 +184,8 @@ func cfLookback(p *Problem) (Result, error) {
 // mcLookback implements MC_Lookback: Monte Carlo for the floating-strike
 // lookback call with the running minimum sampled *exactly* between grid
 // points through the Brownian-bridge minimum law, removing the
-// discrete-monitoring bias. Parameters: "paths", "mcsteps".
+// discrete-monitoring bias. Paths run on the multicore pricing kernel.
+// Parameters: "paths", "mcsteps", "threads".
 func mcLookback(p *Problem) (Result, error) {
 	m, err := bsFrom(p)
 	if err != nil {
@@ -235,32 +203,32 @@ func mcLookback(p *Problem) (Result, error) {
 	if paths < 2 || steps < 1 {
 		return Result{}, fmt.Errorf("premia: MC_Lookback needs paths >= 2 and mcsteps >= 1")
 	}
-	rng := mathutil.NewRNG(mcSeed(p))
 	dt := t / float64(steps)
 	drift := (m.R - m.Div - 0.5*m.Sigma*m.Sigma) * dt
 	vol := m.Sigma * math.Sqrt(dt)
 	sig2dt := m.Sigma * m.Sigma * dt
 	df := math.Exp(-m.R * t)
-	var w mathutil.Welford
-	for i := 0; i < paths; i++ {
-		x := math.Log(m.S0)
-		minX := x
-		for k := 0; k < steps; k++ {
-			xNext := x + drift + vol*rng.Norm()
-			// Exact minimum of the bridge between x and xNext:
-			// m = (x + x' − sqrt((x'−x)² − 2σ²dt·lnU)) / 2.
-			u := rng.Float64Open()
-			diff := xNext - x
-			bridgeMin := 0.5 * (x + xNext - math.Sqrt(diff*diff-2*sig2dt*math.Log(u)))
-			if bridgeMin < minX {
-				minX = bridgeMin
+	accs, err := runPathKernel(p, paths, 1, func(rng *mathutil.RNG, n int, accs []mathutil.Welford, _ *kernelScratch) {
+		for i := 0; i < n; i++ {
+			x := math.Log(m.S0)
+			minX := x
+			for k := 0; k < steps; k++ {
+				xNext := x + drift + vol*rng.Norm()
+				// Exact minimum of the bridge between x and xNext:
+				// m = (x + x' − sqrt((x'−x)² − 2σ²dt·lnU)) / 2.
+				u := rng.Float64Open()
+				diff := xNext - x
+				minX = min(minX, 0.5*(x+xNext-math.Sqrt(diff*diff-2*sig2dt*math.Log(u))))
+				x = xNext
 			}
-			x = xNext
+			accs[0].Add(df * (math.Exp(x) - math.Exp(minX)))
 		}
-		w.Add(df * (math.Exp(x) - math.Exp(minX)))
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	return Result{
-		Price: w.Mean(), PriceCI: w.HalfWidth95(),
+		Price: accs[0].Mean(), PriceCI: accs[0].HalfWidth95(),
 		Work: float64(paths) * float64(steps),
 	}, nil
 }

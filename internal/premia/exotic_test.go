@@ -207,6 +207,70 @@ func TestAsianControlVariateReducesVariance(t *testing.T) {
 	}
 }
 
+// asianPayoffs simulates n paths of asianProblem's call on a stream of
+// its own and returns each path's discounted arithmetic and geometric
+// payoffs.
+func asianPayoffs(n int, seed uint64) (arith, geom []float64) {
+	const s0, r, sigma, k, fixings = 100.0, 0.05, 0.25, 100.0, 12
+	rng := mathutil.NewRNG(seed)
+	dt := 1.0 / fixings
+	df := math.Exp(-r)
+	for i := 0; i < n; i++ {
+		x, sum, logSum := math.Log(s0), 0.0, 0.0
+		for j := 0; j < fixings; j++ {
+			x += (r-0.5*sigma*sigma)*dt + sigma*math.Sqrt(dt)*rng.Norm()
+			sum += math.Exp(x)
+			logSum += x
+		}
+		arith = append(arith, df*payoffCall(sum/fixings, k))
+		geom = append(geom, df*payoffCall(math.Exp(logSum/fixings), k))
+	}
+	return arith, geom
+}
+
+// TestAsianControlVariatePinned pins the one-pass control variate
+// against estimators built here from stored paths: its half-width is a
+// small fraction of the plain arithmetic one and within a quarter of the
+// two-pass control variate's, and its price agrees with a high-path plain
+// arithmetic estimate within their combined interval.
+func TestAsianControlVariatePinned(t *testing.T) {
+	const paths = 20000
+	cv, err := asianProblem(OptAsianCallFix).Set("paths", paths).Compute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arith, geom := asianPayoffs(paths, 7)
+	geomPrice := geomAsianCF(bsParams{S0: 100, R: 0.05, Sigma: 0.25}, 100, 1, 12, true)
+	var plain, plainG mathutil.Welford
+	for i := range arith {
+		plain.Add(arith[i])
+		plainG.Add(geom[i])
+	}
+	cov := 0.0
+	for i := range arith {
+		cov += (arith[i] - plain.Mean()) * (geom[i] - plainG.Mean())
+	}
+	beta := cov / float64(paths-1) / plainG.Variance()
+	var controlled mathutil.Welford
+	for i := range arith {
+		controlled.Add(arith[i] - beta*(geom[i]-geomPrice))
+	}
+	if cv.PriceCI <= 0 || cv.PriceCI > plain.HalfWidth95()/5 {
+		t.Errorf("control-variate half-width %v, plain arithmetic %v", cv.PriceCI, plain.HalfWidth95())
+	}
+	if ratio := cv.PriceCI / controlled.HalfWidth95(); ratio < 0.8 || ratio > 1.25 {
+		t.Errorf("control-variate half-width %v, two-pass %v (β %v)", cv.PriceCI, controlled.HalfWidth95(), beta)
+	}
+	high, _ := asianPayoffs(400000, 11)
+	var ref mathutil.Welford
+	for _, a := range high {
+		ref.Add(a)
+	}
+	if diff := math.Abs(cv.Price - ref.Mean()); diff > cv.PriceCI+ref.HalfWidth95() {
+		t.Errorf("control variate %v ± %v vs plain %v ± %v", cv.Price, cv.PriceCI, ref.Mean(), ref.HalfWidth95())
+	}
+}
+
 func TestAsianPut(t *testing.T) {
 	res, err := asianProblem(OptAsianPutFix).Set("paths", 50000).Compute()
 	if err != nil {

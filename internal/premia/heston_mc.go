@@ -59,12 +59,7 @@ func mcHestonEuro(p *Problem) (Result, error) {
 					x += hestonLogSpotIncrement(m, v, vNew, dt, rho2, z2)
 					v = vNew
 				}
-				st := math.Exp(x)
-				if isCall {
-					accs[0].Add(df * payoffCall(st, o.K))
-				} else {
-					accs[0].Add(df * payoffPut(st, o.K))
-				}
+				accs[0].Add(df * vanillaPayoff(isCall, math.Exp(x), o.K))
 			}
 		}
 	})

@@ -97,15 +97,6 @@ func treeMethod(p *Problem, name string, defaultSteps int, build func(p *Problem
 	return res, nil
 }
 
-// vanillaPayoff is the payoff at spot s of a call struck at k, else of a
-// put.
-func vanillaPayoff(call bool, s, k float64) float64 {
-	if call {
-		return payoffCall(s, k)
-	}
-	return payoffPut(s, k)
-}
-
 // treeCRR is the Cox–Ross–Rubinstein binomial tree, 512 steps by default.
 func treeCRR(p *Problem) (Result, error) { return treeMethod(p, MethodTreeCRR, 512, crrLattice) }
 

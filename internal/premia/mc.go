@@ -58,53 +58,12 @@ func mcEuro(p *Problem) (Result, error) {
 		// Struct-of-arrays inner loops: normals are drawn, terminal spots
 		// evolved, and payoffs accumulated in three batched passes over
 		// contiguous scratch buffers, path i of a block taking normal i.
-		payoffPass := func(st []float64, accs []mathutil.Welford, scale float64) {
-			if isCall {
-				for _, s := range st {
-					var dpay float64
-					if s > o.K {
-						dpay = s / m.S0 // pathwise delta of a call
-					}
-					accs[0].Add(scale * payoffCall(s, o.K))
-					accs[1].Add(scale * dpay)
-				}
-			} else {
-				for _, s := range st {
-					var dpay float64
-					if s < o.K {
-						dpay = -s / m.S0
-					}
-					accs[0].Add(scale * payoffPut(s, o.K))
-					accs[1].Add(scale * dpay)
-				}
-			}
-		}
 		var accs []mathutil.Welford
 		if antithetic {
 			// Pair each draw with its mirror: the averaged pair is one
 			// sample with strictly smaller variance for monotone payoffs.
 			// The kernel shards over pairs, so each pair stays on one
 			// stream.
-			pairPay := func(s1, s2 float64) (pay, dpay float64) {
-				if isCall {
-					pay = payoffCall(s1, o.K) + payoffCall(s2, o.K)
-					if s1 > o.K {
-						dpay = s1 / m.S0
-					}
-					if s2 > o.K {
-						dpay += s2 / m.S0
-					}
-				} else {
-					pay = payoffPut(s1, o.K) + payoffPut(s2, o.K)
-					if s1 < o.K {
-						dpay = -s1 / m.S0
-					}
-					if s2 < o.K {
-						dpay += -s2 / m.S0
-					}
-				}
-				return pay, dpay
-			}
 			accs, err = runPathKernel(p, paths/2, 2, func(rng *mathutil.RNG, n int, accs []mathutil.Welford, sc *kernelScratch) {
 				g := sc.floats(soaBlock)
 				st1 := sc.floats(soaBlock)
@@ -117,9 +76,10 @@ func mcEuro(p *Problem) (Result, error) {
 						st2[i] = m.S0 * mathutil.Exp(drift+vol*-g[i])
 					}
 					for i := 0; i < bn; i++ {
-						p12, d12 := pairPay(st1[i], st2[i])
-						accs[0].Add(df * p12 / 2)
-						accs[1].Add(df * d12 / 2)
+						pay := vanillaPayoff(isCall, st1[i], o.K) + vanillaPayoff(isCall, st2[i], o.K)
+						dpay := pathwiseDelta(isCall, st1[i], o.K, m.S0) + pathwiseDelta(isCall, st2[i], o.K, m.S0)
+						accs[0].Add(df * pay / 2)
+						accs[1].Add(df * dpay / 2)
 					}
 				}
 			})
@@ -133,7 +93,10 @@ func mcEuro(p *Problem) (Result, error) {
 					for i := 0; i < bn; i++ {
 						st[i] = m.S0 * mathutil.Exp(drift+vol*g[i])
 					}
-					payoffPass(st[:bn], accs, df)
+					for _, s := range st[:bn] {
+						accs[0].Add(df * vanillaPayoff(isCall, s, o.K))
+						accs[1].Add(df * pathwiseDelta(isCall, s, o.K, m.S0))
+					}
 				}
 			})
 		}
@@ -297,11 +260,7 @@ func basketPrices(cells []basketCell) ([]Result, []error) {
 					for a := 0; a < d; a++ {
 						st[a] = c.m.S0 * st[a]
 					}
-					if c.isCall {
-						accs[j].Add(c.df * payoffCall(basketValue(st), c.strike))
-					} else {
-						accs[j].Add(c.df * payoffPut(basketValue(st), c.strike))
-					}
+					accs[j].Add(c.df * vanillaPayoff(c.isCall, basketValue(st), c.strike))
 				}
 			}
 		}
@@ -392,13 +351,7 @@ func localVolPrices(cells []localVolCell) ([]Result, []error) {
 						s *= mathutil.Exp((m.R-m.Div-0.5*sig*sig)*c.dt + sig*c.sqdt*row[k])
 						t += c.dt
 					}
-					var pay float64
-					if c.isCall {
-						pay = payoffCall(s, c.strike)
-					} else {
-						pay = payoffPut(s, c.strike)
-					}
-					accs[j].Add(c.df * pay)
+					accs[j].Add(c.df * vanillaPayoff(c.isCall, s, c.strike))
 				}
 			}
 		}

@@ -98,8 +98,8 @@ func cfMerton(p *Problem) (Result, error) {
 }
 
 // mcMerton implements MC_Merton: exact terminal sampling of the jump
-// diffusion (Gaussian diffusion + Poisson number of lognormal jumps).
-// Parameters: "paths".
+// diffusion (Gaussian diffusion + Poisson number of lognormal jumps) on
+// the multicore pricing kernel. Parameters: "paths", "threads".
 func mcMerton(p *Problem) (Result, error) {
 	m, err := mertonFrom(p)
 	if err != nil {
@@ -114,30 +114,25 @@ func mcMerton(p *Problem) (Result, error) {
 		return Result{}, fmt.Errorf("premia: MC_Merton needs paths >= 2")
 	}
 	isCall := p.Option == OptCallEuro
-	rng := mathutil.NewRNG(mcSeed(p))
 	kb := m.kbar()
 	drift := (m.R - m.Div - m.Lambda*kb - 0.5*m.Sigma*m.Sigma) * o.T
 	vol := m.Sigma * math.Sqrt(o.T)
 	df := math.Exp(-m.R * o.T)
 	meanJumps := m.Lambda * o.T
-	var w mathutil.Welford
-	for i := 0; i < paths; i++ {
-		x := drift + vol*rng.Norm()
-		n := poisson(rng, meanJumps)
-		if n > 0 {
-			x += float64(n)*m.MuJ + m.SigmaJ*math.Sqrt(float64(n))*rng.Norm()
+	accs, err := runPathKernel(p, paths, 1, func(rng *mathutil.RNG, n int, accs []mathutil.Welford, _ *kernelScratch) {
+		for i := 0; i < n; i++ {
+			x := drift + vol*rng.Norm()
+			if jumps := poisson(rng, meanJumps); jumps > 0 {
+				x += float64(jumps)*m.MuJ + m.SigmaJ*math.Sqrt(float64(jumps))*rng.Norm()
+			}
+			accs[0].Add(df * vanillaPayoff(isCall, m.S0*math.Exp(x), o.K))
 		}
-		st := m.S0 * math.Exp(x)
-		var pay float64
-		if isCall {
-			pay = payoffCall(st, o.K)
-		} else {
-			pay = payoffPut(st, o.K)
-		}
-		w.Add(df * pay)
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	return Result{
-		Price: w.Mean(), PriceCI: w.HalfWidth95(),
+		Price: accs[0].Mean(), PriceCI: accs[0].HalfWidth95(),
 		Work: float64(paths),
 	}, nil
 }

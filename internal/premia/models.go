@@ -212,6 +212,27 @@ func payoffPut(s, k float64) float64 {
 	return 0
 }
 
+// vanillaPayoff is the payoff at spot s of a call struck at k, else of a
+// put.
+func vanillaPayoff(call bool, s, k float64) float64 {
+	if call {
+		return payoffCall(s, k)
+	}
+	return payoffPut(s, k)
+}
+
+// pathwiseDelta is the pathwise delta of a call (else a put) struck at k
+// on a path ending at s from s0: ±s/s0 in the money, 0 out of it.
+func pathwiseDelta(call bool, s, k, s0 float64) float64 {
+	switch {
+	case call && s > k:
+		return s / s0
+	case !call && s < k:
+		return -s / s0
+	}
+	return 0
+}
+
 // basketValue returns the equally-weighted average of the components.
 func basketValue(s []float64) float64 {
 	return mathutil.Mean(s)

@@ -2,6 +2,9 @@ package premia
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -34,14 +37,22 @@ func kernelProblems() map[string]*Problem {
 			Set("paths", 5000).Set("exdates", 20),
 		"LSM_Alfonsi": hestonProblem(OptPutAmer, MethodMCAmerAlfonsi).
 			Set("paths", 4000).Set("exdates", 20),
+		"MC_Merton":      mertonProblem(OptCallEuro, MethodMCMerton).Set("paths", 20000),
+		"MC_Credit_bond": creditProblem(OptDefaultableBond, MethodMCCredit).Set("paths", 20000),
+		"MC_Credit_CDS":  creditProblem(OptCDS, MethodMCCredit).Set("paths", 20000),
+		"MC_Vasicek": vasicekProblem(OptZCCall, MethodMCVasicek).
+			Set("S", 4).Set("K", 0.85).Set("paths", 5000).Set("mcsteps", 16),
+		"MC_Lookback": bsProblem(OptLookbackCallFloat, MethodMCLookback, 100, 1).
+			Set("paths", 5000).Set("mcsteps", 16),
+		"MC_Asian": asianProblem(OptAsianCallFix).Set("paths", 20000),
 	}
 }
 
 // TestKernelBitIdenticalAcrossThreads is the kernel's determinism
 // contract: the shard decomposition depends only on (seed, paths), so a
-// serial run and an 8-thread run must agree bit for bit — price,
-// confidence interval and delta. Run under -race via `make check`, this
-// also exercises the pool for data races.
+// serial run and runs 2 and 8 threads wide must agree bit for bit —
+// price, confidence interval and delta. Run under -race via `make check`,
+// this also exercises the pool for data races.
 func TestKernelBitIdenticalAcrossThreads(t *testing.T) {
 	for name, base := range kernelProblems() {
 		base := base
@@ -51,14 +62,16 @@ func TestKernelBitIdenticalAcrossThreads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := base.Clone().Set("threads", 8).Compute()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial.Price != parallel.Price || serial.PriceCI != parallel.PriceCI || serial.Delta != parallel.Delta {
-				t.Errorf("threads=1 %v ± %v (delta %v) != threads=8 %v ± %v (delta %v)",
-					serial.Price, serial.PriceCI, serial.Delta,
-					parallel.Price, parallel.PriceCI, parallel.Delta)
+			for _, threads := range []int{2, 8} {
+				parallel, err := base.Clone().Set("threads", float64(threads)).Compute()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if serial.Price != parallel.Price || serial.PriceCI != parallel.PriceCI || serial.Delta != parallel.Delta {
+					t.Errorf("threads=1 %v ± %v (delta %v) != threads=%d %v ± %v (delta %v)",
+						serial.Price, serial.PriceCI, serial.Delta,
+						threads, parallel.Price, parallel.PriceCI, parallel.Delta)
+				}
 			}
 			// No "threads" parameter means the process default (serial
 			// here), which must sit on the same decomposition.
@@ -70,6 +83,25 @@ func TestKernelBitIdenticalAcrossThreads(t *testing.T) {
 				t.Errorf("default threads price %v != threads=1 price %v", def.Price, serial.Price)
 			}
 		})
+	}
+}
+
+// TestOneMonteCarloRuntime: the kernel owns every Monte Carlo method's
+// seed, shards and merge, so no file but parallel.go seeds an RNG of its
+// own.
+func TestOneMonteCarloRuntime(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if file != "parallel.go" && !strings.HasSuffix(file, "_test.go") && strings.Contains(string(src), "mathutil.NewRNG(") {
+			t.Errorf("%s seeds its own RNG: draw paths through runPathKernel", file)
+		}
 	}
 }
 
@@ -101,14 +133,35 @@ func TestKernelProcessDefaultThreads(t *testing.T) {
 	}
 }
 
+// TestKernelRejectsBadThreads: every Monte Carlo method — each has a
+// row in kernelProblems — prices on the kernel, so each refuses a pool
+// narrower than one goroutine and books one "premia.kernel.runs" a
+// pricing.
 func TestKernelRejectsBadThreads(t *testing.T) {
-	if _, err := bsProblem(OptCallEuro, MethodMCEuro, 100, 1).
-		Set("paths", 1000).Set("threads", -1).Compute(); err == nil {
-		t.Fatal("negative threads accepted")
+	reg := telemetry.New()
+	telemetry.SetProcess(reg)
+	defer telemetry.SetProcess(nil)
+	covered := map[string]bool{}
+	for name, p := range kernelProblems() {
+		covered[p.Method] = true
+		for _, threads := range []float64{0, -1} {
+			want := fmt.Sprintf("premia: %s needs threads >= 1, got %v", p.Method, threads)
+			if _, err := p.Clone().Set("threads", threads).Compute(); err == nil || err.Error() != want {
+				t.Errorf("%s at threads %v: err = %v, want %s", name, threads, err, want)
+			}
+		}
+		before := reg.Snapshot().Counters["premia.kernel.runs"]
+		if _, err := p.Clone().Set("threads", 1).Compute(); err != nil {
+			t.Fatal(err)
+		}
+		if runs := reg.Snapshot().Counters["premia.kernel.runs"] - before; runs != 1 {
+			t.Errorf("%s booked %v kernel runs, want 1", name, runs)
+		}
 	}
-	if _, err := bsProblem(OptCallEuro, MethodMCEuro, 100, 1).
-		Set("paths", 1000).Set("threads", 0).Compute(); err == nil {
-		t.Fatal("zero threads accepted")
+	for _, method := range Methods() {
+		if (strings.HasPrefix(method, "MC_") || strings.HasPrefix(method, "QMC_")) && !covered[method] {
+			t.Errorf("%s has no row in kernelProblems", method)
+		}
 	}
 }
 

@@ -88,9 +88,9 @@ func (p Params) Uint64(key string, fallback uint64) uint64 {
 // the portfolio generators build at full effort (dim 40 at 10^6 streamed
 // paths, 1472 PDE steps on 400 nodes, 100 mcsteps) with orders of
 // magnitude to spare and keep any one problem's memory under about
-// 1 GiB. "paths" is bounded only where it is stored, not streamed:
-// MC_Asian's pilot tenth and Longstaff–Schwartz, whose memory is a product
-// of several of these (see lsmFits); "fixings" so that it stays
+// 1 GiB. "paths" is bounded only where it is stored, not streamed: in
+// Longstaff–Schwartz, the one method that stores paths, whose memory is a
+// product of several of these (see lsmFits); "fixings" so that it stays
 // interchangeable with "mcsteps".
 var sizeMax = map[string]int{
 	"dim":       1 << 10,

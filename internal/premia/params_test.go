@@ -156,7 +156,7 @@ func TestSizedParametersBounded(t *testing.T) {
 		"exdates":   {bsProblem(OptPutAmer, MethodMCAmerLSM, 100, 1)},
 		"degree":    {bsProblem(OptPutAmer, MethodMCAmerLSM, 100, 1)},
 		"rotations": {basket(MethodQMCBasket)},
-		"paths":     {bsProblem(OptAsianCallFix, MethodMCAsianCV, 100, 1), bsProblem(OptPutAmer, MethodMCAmerLSM, 100, 1)},
+		"paths":     {bsProblem(OptPutAmer, MethodMCAmerLSM, 100, 1)},
 	}
 	for key, max := range sizeMax {
 		if got, err := (Params{key: float64(max)}).size(key, 0); got != max || err != nil {
@@ -183,7 +183,7 @@ func TestSizedParametersBounded(t *testing.T) {
 
 // TestSizedParametersReadThroughSize: no method reads a parameter of
 // sizeMax through the unbounded Int — except "paths", which most methods
-// stream and only MC_Asian and Longstaff–Schwartz store.
+// stream and only Longstaff–Schwartz stores.
 func TestSizedParametersReadThroughSize(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {

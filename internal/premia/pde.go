@@ -255,12 +255,7 @@ func fdCrankNicolson(p *Problem) (Result, error) {
 		if err := g.topFinite(); isCall && err != nil {
 			return Result{}, err
 		}
-		terminal := func(s float64) float64 {
-			if isCall {
-				return payoffCall(s, o.K)
-			}
-			return payoffPut(s, o.K)
-		}
+		terminal := func(s float64) float64 { return vanillaPayoff(isCall, s, o.K) }
 		smin, smax := g.s(0), g.s(g.mi)
 		boundary := func(tau float64) (lo, hi float64) {
 			if isCall {

@@ -49,9 +49,8 @@ func qmcBasket(p *Problem) (Result, error) {
 	if perRot < 1 {
 		perRot = 1
 	}
-	seed := mcSeed(p)
 	isCall := p.Option == OptCallBasketEuro
-	threads, err := kernelThreads(p)
+	kern, err := kernelOf(p)
 	if err != nil {
 		return Result{}, err
 	}
@@ -71,10 +70,10 @@ func qmcBasket(p *Problem) (Result, error) {
 	sums := make([]float64, rotations*streams)
 	a := getArena(rotations * streams)
 	defer putArena(a)
-	kernelRun(threads, rotations*streams, func(shard int) {
+	kernelRun(kern.threads, rotations*streams, func(shard int) {
 		rot := shard / streams
 		j := shard % streams
-		h := mathutil.NewHaltonLeap(d, seed+uint64(rot)*0x9e3779b9, uint64(1+j), uint64(streams))
+		h := mathutil.NewHaltonLeap(d, kern.seed+uint64(rot)*0x9e3779b9, uint64(1+j), uint64(streams))
 		count := (perRot - j + streams - 1) / streams
 		sc := &a.shards[shard]
 		u := sc.floats(d)
@@ -89,11 +88,7 @@ func qmcBasket(p *Problem) (Result, error) {
 			for k := 0; k < d; k++ {
 				st[k] = m.S0 * math.Exp(drift+vol*cz[k])
 			}
-			if isCall {
-				sum += df * payoffCall(basketValue(st), o.K)
-			} else {
-				sum += df * payoffPut(basketValue(st), o.K)
-			}
+			sum += df * vanillaPayoff(isCall, basketValue(st), o.K)
 		}
 		sums[shard] = sum
 	})

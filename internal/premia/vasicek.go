@@ -97,7 +97,8 @@ func cfVasicek(p *Problem) (Result, error) {
 
 // mcVasicek implements MC_Vasicek: the short rate follows the exact OU
 // transition on a fine grid; the money-market discount uses trapezoidal
-// integration of the rate path. Parameters: "paths", "mcsteps".
+// integration of the rate path, on the multicore pricing kernel.
+// Parameters: "paths", "mcsteps", "threads".
 func mcVasicek(p *Problem) (Result, error) {
 	m, err := vasicekFrom(p)
 	if err != nil {
@@ -131,36 +132,35 @@ func mcVasicek(p *Problem) (Result, error) {
 		return Result{}, fmt.Errorf("premia: MC_Vasicek does not price %q", p.Option)
 	}
 
-	rng := mathutil.NewRNG(mcSeed(p))
 	dt := t / float64(steps)
 	ea := math.Exp(-m.A * dt)
 	sd := m.SigmaR * math.Sqrt((1-ea*ea)/(2*m.A)) // exact OU step stdev
-	var w mathutil.Welford
-	for i := 0; i < paths; i++ {
-		r := m.R0
-		integral := 0.0
-		for kk := 0; kk < steps; kk++ {
-			rNext := m.B + (r-m.B)*ea + sd*rng.Norm()
-			integral += 0.5 * (r + rNext) * dt
-			r = rNext
-		}
-		disc := math.Exp(-integral)
-		if isCall {
-			// Bond price at T for the remaining maturity S−T, conditional
-			// on r_T, is the Vasicek affine formula with r0 = r_T.
-			mT := m
-			mT.R0 = r
-			payoff := vasicekBond(mT, s-t) - k
-			if payoff < 0 {
-				payoff = 0
+	accs, err := runPathKernel(p, paths, 1, func(rng *mathutil.RNG, n int, accs []mathutil.Welford, _ *kernelScratch) {
+		for i := 0; i < n; i++ {
+			r := m.R0
+			integral := 0.0
+			for kk := 0; kk < steps; kk++ {
+				rNext := m.B + (r-m.B)*ea + sd*rng.Norm()
+				integral += 0.5 * (r + rNext) * dt
+				r = rNext
 			}
-			w.Add(disc * payoff)
-		} else {
-			w.Add(disc)
+			pay := 1.0
+			if isCall {
+				// Bond price at T for the remaining maturity S−T,
+				// conditional on r_T, is the Vasicek affine formula with
+				// r0 = r_T.
+				mT := m
+				mT.R0 = r
+				pay = payoffCall(vasicekBond(mT, s-t), k)
+			}
+			accs[0].Add(math.Exp(-integral) * pay)
 		}
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	return Result{
-		Price: w.Mean(), PriceCI: w.HalfWidth95(),
+		Price: accs[0].Mean(), PriceCI: accs[0].HalfWidth95(),
 		Work: float64(paths) * float64(steps),
 	}, nil
 }

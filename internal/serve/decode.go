@@ -14,7 +14,8 @@ import (
 // or non-ASCII byte; params an object of numbers; a seed of decimal
 // digits. Bytes after the top-level value are ignored, as by
 // json.Decoder. Any other body it refuses, keeping nothing: a book past
-// the cap is encoding/json's to count, which costs no problem built.
+// the cap, or a problem past maxProblemParams, is encoding/json's to
+// count, which costs no problem built.
 func scanProblems(body []byte, batch bool) (problems []*premia.Problem, ok bool) {
 	s := scanner{b: body, names: map[string]string{}}
 	one := func() bool {
@@ -69,10 +70,12 @@ func (s *scanner) problem() (*premia.Problem, bool) {
 		seen |= bit
 		switch string(key) {
 		case "params":
+			count := 0
 			return s.object(func(name []byte) bool {
+				count++
 				num, ok := s.number()
 				v, err := strconv.ParseFloat(string(num), 64)
-				if ok = ok && err == nil; ok {
+				if ok = ok && err == nil && count <= maxProblemParams; ok {
 					p.Set(s.name(name), v)
 				}
 				return ok

@@ -34,8 +34,12 @@ func keyPrice(_ context.Context, problems []*premia.Problem) ([]risk.PriceOutcom
 
 // parentDecode decodes body as the server did before it had a scanner:
 // streamed through encoding/json into problemJSON, every problem of a
-// book built, then toProblem.
+// book built, then toProblem — once parentParams has found no problem
+// past maxProblemParams.
 func parentDecode(body []byte, batch bool) ([]*premia.Problem, error) {
+	if err := parentParams(body, batch); err != nil {
+		return nil, err
+	}
 	dec := json.NewDecoder(bytes.NewReader(body))
 	if !batch {
 		var pj problemJSON
@@ -55,6 +59,47 @@ func parentDecode(body []byte, batch bool) ([]*premia.Problem, error) {
 		problems[i] = pj.toProblem()
 	}
 	return problems, nil
+}
+
+// tokenCount counts the members of the objects decoded into it, the way
+// keyCount does, but through json.Decoder's tokens.
+type tokenCount int
+
+func (c *tokenCount) UnmarshalJSON(b []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	if tok, _ := dec.Token(); tok != json.Delim('{') {
+		return nil
+	}
+	for ; dec.More(); *c++ {
+		var value json.RawMessage
+		_, _ = dec.Token()
+		_ = dec.Decode(&value)
+	}
+	return nil
+}
+
+// parentParams refuses the first problem of body, of a book's first
+// maxBatchRequest, whose parameters tokenCount counts past
+// maxProblemParams. Any error of the count is parentDecode's to report.
+func parentParams(body []byte, batch bool) error {
+	type counted struct {
+		Params tokenCount `json:"params"`
+	}
+	var book struct {
+		Problems []counted `json:"problems"`
+	}
+	if batch {
+		_ = json.NewDecoder(bytes.NewReader(body)).Decode(&book)
+	} else {
+		book.Problems = make([]counted, 1)
+		_ = json.NewDecoder(bytes.NewReader(body)).Decode(&book.Problems[0])
+	}
+	for i, p := range book.Problems[:min(len(book.Problems), maxBatchRequest)] {
+		if p.Params > maxProblemParams {
+			return fmt.Errorf("problem %d has %d parameters, more than %d", i, p.Params, maxProblemParams)
+		}
+	}
+	return nil
 }
 
 // parentAnswer answers body as the server did before it had a scanner:
@@ -217,6 +262,78 @@ func TestLongBookIsCountedNotBuilt(t *testing.T) {
 		}
 		if per := float64(bytes) / float64(len(body)); per > 16 {
 			t.Errorf("%s and %d {}: refusing %d bytes allocated %d, %.1f a byte, budget is 16", first, long, len(body), bytes, per)
+		}
+	}
+}
+
+// manyParams is a CF_Call problem spelling n parameters: the five it
+// prices on, then p5, p6, … at 0. extra, a member such as `"book":"x",`,
+// takes it off the scanner's shape.
+func manyParams(n int, extra string) string {
+	var b strings.Builder
+	b.WriteString(`{"model":"BlackScholes1dim","option":"CallEuro","method":"CF_Call",` + extra + `"params":{"S0":100,"r":0.04,"sigma":0.2,"K":100,"T":1`)
+	for i := 5; i < n; i++ {
+		fmt.Fprintf(&b, `,"p%d":0`, i)
+	}
+	b.WriteString("}}")
+	return b.String()
+}
+
+// TestProblemParamsCap: a problem of maxProblemParams parameters prices,
+// one more is a 400 naming the problem and its count, on each reader:
+// the scanner, encoding/json's fallback, a book and a /risk inline book.
+func TestProblemParamsCap(t *testing.T) {
+	s := New(Config{Price: keyPrice})
+	defer s.Close()
+	for _, extra := range []string{"", `"book":"x",`} {
+		for _, path := range []string{"/price", "/batch"} {
+			body, at := func(p string) string { return p }, 0
+			if path == "/batch" {
+				body, at = func(p string) string { return batchBody(cfBody(100), p) }, 1
+			}
+			if w := postJSON(s, path, body(manyParams(maxProblemParams, extra))); w.Code != http.StatusOK {
+				t.Errorf("%s %q, %d parameters: %d %s, want 200", path, extra, maxProblemParams, w.Code, w.Body)
+			}
+			want := fmt.Sprintf("problem %d has %d parameters, more than %d", at, maxProblemParams+1, maxProblemParams)
+			if w := postJSON(s, path, body(manyParams(maxProblemParams+1, extra))); w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), want) {
+				t.Errorf("%s %q, %d parameters: %d %s, want 400 saying %s", path, extra, maxProblemParams+1, w.Code, w.Body, want)
+			}
+		}
+	}
+	rs := riskServer()
+	defer rs.Close()
+	inline := func(n int) string {
+		return `{"portfolio":{"problems":[` + cfBody(100) + `,` + manyParams(n, "") + `]},"scenarios":{"n":8}}`
+	}
+	if w := postJSON(rs, "/risk/report", inline(maxProblemParams)); w.Code != http.StatusOK {
+		t.Errorf("/risk/report, %d parameters: %d %s, want 200", maxProblemParams, w.Code, w.Body)
+	}
+	want := fmt.Sprintf(`{"error":"problem 1 has %d parameters, more than %d"}`, maxProblemParams+1, maxProblemParams)
+	if w := postJSON(rs, "/risk/report", inline(maxProblemParams+1)); w.Code != http.StatusBadRequest || strings.TrimSpace(w.Body.String()) != want {
+		t.Errorf("/risk/report, %d parameters: %d %s, want 400 %s", maxProblemParams+1, w.Code, w.Body, want)
+	}
+}
+
+// TestManyParamsAreCountedNotBuilt: a 2 MiB body of one problem with
+// some 170 000 parameter names is refused without their map built — on
+// the scanner's shape, off it, and as a /risk inline book. Such a /price
+// body once cost 110 MB, 52 bytes a body byte, and was answered 200.
+func TestManyParamsAreCountedNotBuilt(t *testing.T) {
+	s := New(Config{Price: keyPrice})
+	defer s.Close()
+	const n = 2 << 20 / 12 // `,"p123456":0` is 12 bytes
+	for _, tc := range []struct{ path, body string }{
+		{"/price", manyParams(n, "")},
+		{"/price", manyParams(n, `"book":"x",`)},
+		{"/risk/report", `{"portfolio":{"problems":[` + manyParams(n, "") + `]}}`},
+	} {
+		var w *httptest.ResponseRecorder
+		bytes := allocated(func() { w = postJSON(s, tc.path, tc.body) })
+		if want := fmt.Sprintf("problem 0 has %d parameters", n); w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), want) {
+			t.Errorf("%s of %d bytes: answered %d %s, want a 400 saying %s", tc.path, len(tc.body), w.Code, w.Body, want)
+		}
+		if per := float64(bytes) / float64(len(tc.body)); per > 16 {
+			t.Errorf("%s: refusing %d bytes allocated %d, %.1f a byte, budget is 16", tc.path, len(tc.body), bytes, per)
 		}
 	}
 }
@@ -411,6 +528,7 @@ func FuzzDecodeProblems(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Add(bookBody(3, 80))
+	f.Add([]byte(manyParams(maxProblemParams+1, "")))
 	f.Add([]byte("{\"problems\":[\n\t" + cfBody(100) + ",\n\t" + cfBody(101) + "\n]}\n"))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, batch := range []bool{false, true} {

@@ -36,8 +36,9 @@
 // body is accepted or refused exactly as encoding/json alone would;
 // FuzzDecodeProblems holds the two to the same problems. encoding/json
 // counts a book into elements of no size before it builds one, so a book
-// past maxBatchRequest is refused without its problems built; a /risk
-// body's inline book is counted the same way against maxRiskClaims.
+// past maxBatchRequest (a /risk inline book past maxRiskClaims) is refused
+// without its problems built, and a problem's parameters before their
+// map, so one past maxProblemParams is refused without it built.
 //
 // All serving metrics live under the "serve." prefix in the telemetry
 // registry: serve.requests, serve.rejected, serve.request_seconds,

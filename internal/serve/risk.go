@@ -51,9 +51,9 @@ type riskBookJSON struct {
 
 // decodeRiskRequest parses a /risk request body into q, a
 // *riskReportRequest or a *riskWatchRequest, answering 400 or 413 itself
-// — and reporting false — when it cannot. The inline problems are counted
-// before any is decoded, so a book past maxRiskClaims is refused without
-// one built.
+// — and reporting false — when it cannot. The inline problems, then their
+// parameters, are counted before any is decoded, so a book past
+// maxRiskClaims or a problem past maxProblemParams is refused unbuilt.
 func decodeRiskRequest(w http.ResponseWriter, r *http.Request, q any) bool {
 	body, err := readBody(w, r)
 	if err == nil {
@@ -65,6 +65,16 @@ func decodeRiskRequest(w http.ResponseWriter, r *http.Request, q any) bool {
 		if body, err = countValue(body, &count); err == nil {
 			if n := len(count.Portfolio.Problems); n > maxRiskClaims {
 				badRequest(w, fmt.Errorf("want at most %d inline problems, got %d", maxRiskClaims, n))
+				return false
+			}
+			var params struct {
+				Portfolio struct {
+					Problems []problemParams `json:"problems"`
+				} `json:"portfolio"`
+			}
+			_ = json.Unmarshal(body, &params) // a type error is the typed decode's to report
+			if err := checkParams(params.Portfolio.Problems); err != nil {
+				badRequest(w, err)
 				return false
 			}
 			err = json.Unmarshal(body, q)

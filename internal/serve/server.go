@@ -616,28 +616,49 @@ func readProblems(w http.ResponseWriter, r *http.Request, batch bool) (problems 
 // decodeProblems is readProblems through encoding/json, for every body
 // scanProblems does not take: into problemJSON, then toProblem.
 func decodeProblems(body []byte, batch bool) ([]*premia.Problem, int, error) {
-	if !batch {
-		var pj problemJSON
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&pj); err != nil {
-			return nil, 0, err
-		}
-		return []*premia.Problem{pj.toProblem()}, 1, nil
-	}
+	// Each problem's parameters are counted into problemParams before
+	// any is built. The value is valid JSON, so the counts' only errors
+	// are type errors, the typed decode's to report.
 	var count struct {
+		problemParams
 		Problems []struct{} `json:"problems"`
 	}
 	value, err := countValue(body, &count)
 	if err != nil {
 		return nil, 0, err
 	}
+	if !batch {
+		if err := checkParams([]problemParams{count.problemParams}); err != nil {
+			return nil, 0, err
+		}
+		var pj problemJSON
+		if err := json.Unmarshal(value, &pj); err != nil {
+			return nil, 0, err
+		}
+		return []*premia.Problem{pj.toProblem()}, 1, nil
+	}
 	n := len(count.Problems)
 	if n > maxBatchRequest {
 		// Too long a book: its first maxBatchRequest problems are still
-		// type-checked, the rest skipped, none built.
+		// counted and type-checked, the rest skipped, none built.
+		var params struct {
+			Problems [maxBatchRequest]problemParams `json:"problems"`
+		}
+		_ = json.Unmarshal(value, &params)
+		if err := checkParams(params.Problems[:]); err != nil {
+			return nil, 0, err
+		}
 		var head struct {
 			Problems *[maxBatchRequest]problemJSON `json:"problems"`
 		}
 		return nil, n, json.Unmarshal(value, &head)
+	}
+	var params struct {
+		Problems []problemParams `json:"problems"`
+	}
+	_ = json.Unmarshal(value, &params)
+	if err := checkParams(params.Problems); err != nil {
+		return nil, 0, err
 	}
 	var book struct {
 		Problems []problemJSON `json:"problems"`
@@ -692,6 +713,54 @@ func countValue(body []byte, count any) ([]byte, error) {
 		return nil, err
 	}
 	return body[:dec.InputOffset()], nil
+}
+
+// maxProblemParams bounds the parameters one problem may spell; the
+// books' largest carry 12. Each reader counts them into problemParams
+// before it builds a problem's map.
+const maxProblemParams = 64
+
+// problemParams is a problem counted, not built.
+type problemParams struct {
+	Params keyCount `json:"params"`
+}
+
+// keyCount counts the members of the objects decoded into it, allocating
+// nothing a member: a problem's repeated "params" add up, as encoding/json
+// merges them into one map. Any other value counts nothing.
+type keyCount int
+
+func (c *keyCount) UnmarshalJSON(b []byte) error {
+	depth := 0 // b is valid JSON: a colon at depth 1, outside strings, ends a key
+	for i := 0; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			for i++; b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			depth--
+		case ':':
+			if depth == 1 {
+				*c++
+			}
+		}
+	}
+	return nil
+}
+
+// checkParams refuses the first problem counted past maxProblemParams.
+func checkParams(problems []problemParams) error {
+	for i, p := range problems {
+		if p.Params > maxProblemParams {
+			return fmt.Errorf("problem %d has %d parameters, more than %d", i, p.Params, maxProblemParams)
+		}
+	}
+	return nil
 }
 
 // badRequest answers a client mistake: 400 with the reason, and no
