@@ -143,9 +143,9 @@ func runMaster(ctx context.Context, addr string, size int, pfName string, n int,
 	if err := hub.WaitWorkers(); err != nil {
 		fatalf("%v", err)
 	}
-	root := reg.StartTrace("bench.run")
+	ctx, root := reg.Start(ctx, "bench.run", true)
 	start := time.Now()
-	results, err := farm.RunMaster(telemetry.ContextWithTrace(ctx, root.Context()), hub, tasks, farm.LiveLoader{}, farm.Options{Strategy: strat, BatchSize: batch, Telemetry: reg})
+	results, err := farm.RunMaster(ctx, hub, tasks, farm.LiveLoader{}, farm.Options{Strategy: strat, BatchSize: batch, Telemetry: reg})
 	if err != nil {
 		fatalf("master: %v", err)
 	}

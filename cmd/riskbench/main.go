@@ -196,9 +196,9 @@ func runSelfTest(ctx context.Context, workers int, reg *telemetry.Registry) {
 		fatalf("%v", err)
 	}
 	opts := farm.Options{Strategy: farm.SerializedLoad, Telemetry: reg}
-	root := reg.StartTrace("bench.run")
+	ctx, root := reg.Start(ctx, "bench.run", true)
 	start := time.Now()
-	results, err := farm.Local{}.Run(telemetry.ContextWithTrace(ctx, root.Context()), tasks, opts, workers)
+	results, err := farm.Local{}.Run(ctx, tasks, opts, workers)
 	if err != nil {
 		fatalf("master: %v", err)
 	}
@@ -303,9 +303,9 @@ func runLive(ctx context.Context, pfName string, n, workers int, stratName, tran
 		backend, shape = farm.Local{Store: store}, "local"
 	}
 	opts := farm.Options{Strategy: strat, BatchSize: batch, Telemetry: reg}
-	root := reg.StartTrace("bench.run")
+	ctx, root := reg.Start(ctx, "bench.run", true)
 	start := time.Now()
-	results, err := backend.Run(telemetry.ContextWithTrace(ctx, root.Context()), tasks, opts, workers)
+	results, err := backend.Run(ctx, tasks, opts, workers)
 	if err != nil {
 		fatalf("master: %v", err)
 	}

@@ -186,11 +186,7 @@ func (d *dispatcher) submit(ctx context.Context, batches [][]Task, policy assign
 			return nil, err
 		}
 	}
-	if tc, ok := telemetry.TraceFromContext(ctx); ok {
-		r.span = reg.StartSpanIn(tc, "farm.run")
-	} else {
-		r.span = reg.StartSpan("farm.run")
-	}
+	_, r.span = reg.Start(ctx, "farm.run", false)
 	r.queues = make([][]queuedBatch, 1)
 	if policy == perRankQueues {
 		r.perRank = make(map[int]int, len(d.workers))

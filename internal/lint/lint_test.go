@@ -304,6 +304,41 @@ func TestOneBookParser(t *testing.T) {
 	}
 }
 
+// TestOneSpanRule keeps the choice between adopting the caller's trace,
+// rooting a new one and running untraced in one function: a layer opens
+// its span through (*telemetry.Registry).Start, so outside
+// internal/telemetry no non-test code calls TraceFromContext or
+// StartTrace. serve's priceLeaders is the exception: a lone /price
+// problem roots its request there, while a /batch problem only queues
+// under its request's root and opens no span of its own.
+func TestOneSpanRule(t *testing.T) {
+	fset := token.NewFileSet()
+	for file, src := range moduleSources(t) {
+		if strings.HasPrefix(file, "internal/telemetry/") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && file == "internal/serve/server.go" && fn.Name.Name == "priceLeaders" {
+				continue
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && (sel.Sel.Name == "TraceFromContext" || sel.Sel.Name == "StartTrace") {
+					t.Errorf("%s: %s picks a span rule by hand; open the span with (*telemetry.Registry).Start", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+				return true
+			})
+		}
+	}
+}
+
 // TestOneProcessSink keeps process-wide telemetry one sink: only
 // internal/telemetry holds a registry pointer for layers that take no
 // registry parameter (telemetry.SetProcess / telemetry.Process).

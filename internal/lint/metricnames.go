@@ -46,6 +46,7 @@ var metricNameMethods = map[string]int{
 	"StartTrace":  0,
 	"StartChild":  0,
 	"StartSpanIn": 1,
+	"Start":       1,
 	"Emit":        1,
 }
 

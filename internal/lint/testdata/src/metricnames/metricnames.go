@@ -3,6 +3,7 @@
 package metrictest
 
 import (
+	"context"
 	"fmt"
 
 	"riskbench/internal/telemetry"
@@ -17,6 +18,8 @@ func good() {
 	reg.Counter("farm.worker." + rankString() + ".tasks").Add(1)
 	reg.Counter(fmt.Sprintf("mpi.rank%d.bytes_sent", 3)).Add(1)
 	reg.StartSpan("risk.price_batch").End()
+	_, span := reg.Start(context.Background(), "var.full", true)
+	span.End()
 	reg.Emit(telemetry.LevelWarn, "farm.task.fail", telemetry.TraceContext{})
 }
 
@@ -27,6 +30,8 @@ func bad() {
 	reg.Counter("serve." + rankString() + " total").Add(1)                 // want `fragment " total"`
 	reg.Observe(fmt.Sprintf("farm worker %d", 2), 1.0)                     // want `does not match the dotted grammar`
 	reg.Emit(telemetry.LevelError, "WorkerDied", telemetry.TraceContext{}) // want `does not match the dotted grammar`
+	_, span := reg.Start(context.Background(), "Risk Revalue", false)      // want `does not match the dotted grammar`
+	span.End()
 	//lint:allow metricnames fixture: legacy dashboard name kept for continuity
 	reg.Counter("Legacy-Series").Add(1)
 }

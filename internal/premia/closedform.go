@@ -70,6 +70,14 @@ func (c *vanilla) set(name string, v float64) {
 // bsFormula is bsCallPrice or bsPutPrice.
 type bsFormula func(m bsParams, k, t float64) (price, delta float64)
 
+// bsVanilla is the closed form of a call, else of a put.
+func bsVanilla(call bool) bsFormula {
+	if call {
+		return bsCallPrice
+	}
+	return bsPutPrice
+}
+
 // price validates the record as bsFrom and vanillaFrom validate a table
 // — S0, sigma, K, T positive, in that order, r and divid defaulting to
 // zero — and prices it by formula.

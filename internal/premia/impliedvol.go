@@ -30,17 +30,13 @@ func ImpliedVol(price float64, m bsParams, k, t float64, call bool) (float64, er
 		return 0, fmt.Errorf("premia: price %v outside arbitrage bounds [%v, %v]", price, lower, upper)
 	}
 
+	formula := bsVanilla(call)
 	value := func(sigma float64) (float64, float64) {
 		mm := m
 		mm.Sigma = sigma
 		d1, _ := bsD1D2(mm, k, t)
 		vega := m.S0 * dq * mathutil.NormPDF(d1) * math.Sqrt(t)
-		var pv float64
-		if call {
-			pv, _ = bsCallPrice(mm, k, t)
-		} else {
-			pv, _ = bsPutPrice(mm, k, t)
-		}
+		pv, _ := formula(mm, k, t)
 		return pv, vega
 	}
 

@@ -71,7 +71,7 @@ func cfMerton(p *Problem) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	isCall := p.Option == OptCallEuro
+	formula := bsVanilla(p.Option == OptCallEuro)
 	kb := m.kbar()
 	lambdaP := m.Lambda * (1 + kb) // intensity under the jump-size tilt
 	price, delta := 0.0, 0.0
@@ -83,12 +83,7 @@ func cfMerton(p *Problem) (Result, error) {
 		sigmaN := math.Sqrt(m.Sigma*m.Sigma + float64(n)*m.SigmaJ*m.SigmaJ/o.T)
 		rN := m.R - m.Lambda*kb + float64(n)*math.Log(1+kb)/o.T
 		bs := bsParams{S0: m.S0, R: rN, Div: m.Div, Sigma: sigmaN}
-		var pn, dn float64
-		if isCall {
-			pn, dn = bsCallPrice(bs, o.K, o.T)
-		} else {
-			pn, dn = bsPutPrice(bs, o.K, o.T)
-		}
+		pn, dn := formula(bs, o.K, o.T)
 		// Each term is a complete Black–Scholes price at rate rN (drift
 		// and discounting both), per Merton's original series.
 		price += weight * pn

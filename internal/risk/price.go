@@ -7,7 +7,6 @@ import (
 
 	"riskbench/internal/farm"
 	"riskbench/internal/premia"
-	"riskbench/internal/telemetry"
 )
 
 // PriceOutcome is one problem's slot in a PriceBatch answer.
@@ -87,13 +86,7 @@ func (e Engine) PriceBatch(ctx context.Context, problems []*premia.Problem) ([]P
 	// Adopt a distributed trace threaded through ctx (the serving layer
 	// mints one per request); PriceBatch never mints its own, so untraced
 	// callers stay metrics-only and the farm wire stays trace-free.
-	var span *telemetry.Span
-	if tc, ok := telemetry.TraceFromContext(ctx); ok {
-		span = reg.StartSpanIn(tc, "risk.price_batch")
-		ctx = telemetry.ContextWithTrace(ctx, span.Context())
-	} else {
-		span = reg.StartSpan("risk.price_batch")
-	}
+	ctx, span := reg.Start(ctx, "risk.price_batch", false)
 	defer span.End()
 	reg.Counter("risk.price.requests").Add(int64(len(problems)))
 

@@ -269,14 +269,9 @@ func (e Engine) Revalue(pf *portfolio.Portfolio, scenarios []Scenario) (*Valuati
 // call on the same parameters would price it.
 func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, scenarios []Scenario) (*Valuation, error) {
 	reg := e.Telemetry
-	// A revaluation is a natural trace root (one bench run / report): mint
-	// a trace unless the caller already threads one through ctx.
-	var revSpan *telemetry.Span
-	if tc, ok := telemetry.TraceFromContext(ctx); ok {
-		revSpan = reg.StartSpanIn(tc, "risk.revalue")
-	} else {
-		revSpan = reg.StartTrace("risk.revalue")
-	}
+	// A revaluation is a natural trace root (one bench run / report): it
+	// roots a trace unless the caller already threads one through ctx.
+	ctx, revSpan := reg.Start(ctx, "risk.revalue", true)
 	defer revSpan.End()
 	val := &Valuation{
 		Scenarios:    scenarios,
@@ -364,11 +359,7 @@ func (e Engine) RevalueContext(ctx context.Context, pf *portfolio.Portfolio, sce
 
 	// Farm them, threading the trace so the farm.run span (and the
 	// workers' spans beyond it) parent onto risk.farm.
-	farmSpan := revSpan.StartChild("risk.farm")
-	farmCtx := ctx
-	if tc := farmSpan.Context(); tc.Valid() {
-		farmCtx = telemetry.ContextWithTrace(ctx, tc)
-	}
+	farmCtx, farmSpan := reg.Start(ctx, "risk.farm", false)
 	round, err := e.priceRound(farmCtx, tasks, e.sweepsPerMessage(len(tasks), len(scenarios), bunch, weight))
 	farmSpan.End()
 	if err != nil {

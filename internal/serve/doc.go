@@ -40,6 +40,10 @@
 // without its problems built, and a problem's parameters before their
 // map, so one past maxProblemParams is refused without it built.
 //
+// A request roots one trace: /batch, /risk/report and each /risk/watch
+// round through Server.trace (telemetry's Start, or no span under
+// DisableTracing), a lone /price problem in priceLeaders.
+//
 // All serving metrics live under the "serve." prefix in the telemetry
 // registry: serve.requests, serve.rejected, serve.request_seconds,
 // serve.inflight, serve.cache.{hits,misses,evictions,entries},

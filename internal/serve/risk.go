@@ -233,50 +233,10 @@ func (q riskReportRequest) config() (varisk.Config, error) {
 	return cfg, cfg.Validate()
 }
 
-type riskEstimateJSON struct {
-	Alpha float64 `json:"alpha"`
-	VaR   float64 `json:"var"`
-	CVaR  float64 `json:"cvar"`
-}
-
-type riskComponentJSON struct {
-	Name         string  `json:"name"`
-	Contribution float64 `json:"contribution"`
-}
-
+// riskReportJSON is the /risk/report answer: the report, then its time.
 type riskReportJSON struct {
-	Method         string              `json:"method"`
-	BaseValue      float64             `json:"base_value"`
-	Scenarios      int                 `json:"scenarios"`
-	HorizonDays    float64             `json:"horizon_days,omitempty"`
-	ScaleDays      float64             `json:"scale_days,omitempty"`
-	Estimates      []riskEstimateJSON  `json:"estimates"`
-	Alpha          float64             `json:"attribution_alpha"`
-	Components     []riskComponentJSON `json:"components,omitempty"`
-	ComponentTotal float64             `json:"component_total"`
-	WireDeltas     int                 `json:"wire_deltas,omitempty"`
-	ElapsedSeconds float64             `json:"elapsed_seconds"`
-}
-
-func toRiskReportJSON(rep *varisk.Report, elapsed float64) riskReportJSON {
-	out := riskReportJSON{
-		Method:         rep.Method,
-		BaseValue:      rep.BaseValue,
-		Scenarios:      rep.Scenarios,
-		HorizonDays:    rep.HorizonDays,
-		ScaleDays:      rep.ScaleDays,
-		Alpha:          rep.AttributionAlpha,
-		ComponentTotal: rep.ComponentTotal,
-		WireDeltas:     rep.WireDeltas,
-		ElapsedSeconds: elapsed,
-	}
-	for _, e := range rep.Estimates {
-		out.Estimates = append(out.Estimates, riskEstimateJSON{Alpha: e.Alpha, VaR: e.VaR, CVaR: e.CVaR})
-	}
-	for _, c := range rep.Components {
-		out.Components = append(out.Components, riskComponentJSON{Name: c.Name, Contribution: c.Contribution})
-	}
-	return out
+	*varisk.Report
+	ElapsedSeconds float64 `json:"elapsed_seconds"`
 }
 
 // estimate runs one estimation round. For the delta–gamma method the
@@ -332,15 +292,11 @@ func (s *Server) handleRiskReport(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	var span *telemetry.Span
-	if !s.cfg.DisableTracing {
-		// The report roots one trace; the estimator's var.* spans and the
-		// farm tree below them parent onto it, so /debug/traces shows the
-		// outer estimation over the inner revaluation.
-		span = s.reg.StartTrace("serve.risk.report")
-		defer span.End()
-		ctx = telemetry.ContextWithTrace(ctx, span.Context())
-	}
+	// The report roots one trace; the estimator's var.* spans and the
+	// farm tree below them parent onto it, so /debug/traces shows the
+	// outer estimation over the inner revaluation.
+	ctx, span := s.trace(ctx, "serve.risk.report")
+	defer span.End()
 	pf, err := q.Portfolio.build()
 	if err != nil {
 		badRequest(w, err)
@@ -361,7 +317,7 @@ func (s *Server) handleRiskReport(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toRiskReportJSON(rep, s.reg.Now()-start))
+	writeJSON(w, http.StatusOK, riskReportJSON{rep, s.reg.Now() - start})
 }
 
 // riskWatchRequest is the wire form of POST /risk/watch.
@@ -510,12 +466,8 @@ func (s *Server) handleRiskWatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) watchRound(streamCtx context.Context, q *riskWatchRequest, pf *portfolio.Portfolio, cfg varisk.Config, round int, sens **varisk.Sensitivities) riskWatchEventJSON {
 	ctx, cancel := context.WithTimeout(streamCtx, s.cfg.RequestTimeout)
 	defer cancel()
-	var span *telemetry.Span
-	if !s.cfg.DisableTracing {
-		span = s.reg.StartTrace("serve.risk.watch_round")
-		defer span.End()
-		ctx = telemetry.ContextWithTrace(ctx, span.Context())
-	}
+	ctx, span := s.trace(ctx, "serve.risk.watch_round")
+	defer span.End()
 	// Each round draws a fresh deterministic scenario set: seed+round,
 	// so the stream is reproducible end to end.
 	scens, err := q.Scenarios.generate(ctx, uint64(round))

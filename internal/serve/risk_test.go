@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -376,5 +378,125 @@ func TestRiskMetrics(t *testing.T) {
 	}
 	if snap.Counters["serve.risk.scenarios"] != 16 {
 		t.Errorf("serve.risk.scenarios = %d, want 16", snap.Counters["serve.risk.scenarios"])
+	}
+}
+
+// parentReportJSON, its element types and toParentReportJSON are the
+// /risk/report answer as serve wrote it before it answered in varisk's
+// own Report: a copy of Report, Estimate and Component field for field.
+// TestRiskReportBytes holds the answer to them.
+type parentReportJSON struct {
+	Method         string                `json:"method"`
+	BaseValue      float64               `json:"base_value"`
+	Scenarios      int                   `json:"scenarios"`
+	HorizonDays    float64               `json:"horizon_days,omitempty"`
+	ScaleDays      float64               `json:"scale_days,omitempty"`
+	Estimates      []parentEstimateJSON  `json:"estimates"`
+	Alpha          float64               `json:"attribution_alpha"`
+	Components     []parentComponentJSON `json:"components,omitempty"`
+	ComponentTotal float64               `json:"component_total"`
+	WireDeltas     int                   `json:"wire_deltas,omitempty"`
+	ElapsedSeconds float64               `json:"elapsed_seconds"`
+}
+
+type parentEstimateJSON struct {
+	Alpha float64 `json:"alpha"`
+	VaR   float64 `json:"var"`
+	CVaR  float64 `json:"cvar"`
+}
+
+type parentComponentJSON struct {
+	Name         string  `json:"name"`
+	Contribution float64 `json:"contribution"`
+}
+
+func toParentReportJSON(rep *varisk.Report, elapsed float64) parentReportJSON {
+	out := parentReportJSON{
+		Method:         rep.Method,
+		BaseValue:      rep.BaseValue,
+		Scenarios:      rep.Scenarios,
+		HorizonDays:    rep.HorizonDays,
+		ScaleDays:      rep.ScaleDays,
+		Alpha:          rep.AttributionAlpha,
+		ComponentTotal: rep.ComponentTotal,
+		WireDeltas:     rep.WireDeltas,
+		ElapsedSeconds: elapsed,
+	}
+	for _, e := range rep.Estimates {
+		out.Estimates = append(out.Estimates, parentEstimateJSON{Alpha: e.Alpha, VaR: e.VaR, CVaR: e.CVaR})
+	}
+	for _, c := range rep.Components {
+		out.Components = append(out.Components, parentComponentJSON{Name: c.Name, Contribution: c.Contribution})
+	}
+	return out
+}
+
+// TestRiskReportBytes: /risk/report answers real reports of both methods
+// in the bytes it answered them in before — with and without components,
+// at horizon zero and not, rescaled by scale_days or not, with wire
+// deltas and without. The one report the two shapes spell differently is
+// one whose Estimates is empty but not nil ([] here, null before); no
+// estimator returns one, since Config.withDefaults gives every estimation
+// at least one confidence level.
+func TestRiskReportBytes(t *testing.T) {
+	eng := risk.Engine{Workers: 2}
+	pf := portfolio.Toy(12)
+	mc, err := riskScenariosJSON{N: 64, Seed: 7}.generate(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every toy claim is a long call: a book-wide rally makes the tail a
+	// profit, and the report has no components to attribute.
+	rally := risk.Grid([]float64{0.02, 0.05}, []float64{0.1})
+	sens, err := varisk.CollectSensitivities(context.Background(), eng, pf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := varisk.DefaultMarket().HorizonDays
+	cases := []struct {
+		name  string
+		scens []risk.Scenario
+		cfg   varisk.Config
+	}{
+		{"mc", mc, varisk.Config{Alphas: []float64{0.95, 0.99}, HorizonDays: horizon}},
+		{"mc scaled", mc, varisk.Config{HorizonDays: horizon, ScaleDays: 1, TopComponents: 3}},
+		{"grid at horizon zero", varisk.HistoricalGrid(), varisk.Config{}},
+		{"rally", rally, varisk.Config{HorizonDays: horizon}},
+	}
+	var components, none, wire int
+	for _, c := range cases {
+		full, err := varisk.FullReval(context.Background(), eng, pf, c.scens, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dg, err := varisk.DeltaGamma(sens, c.scens, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range []*varisk.Report{full, dg} {
+			if len(rep.Components) > 0 {
+				components++
+			} else {
+				none++
+			}
+			if rep.WireDeltas > 0 {
+				wire++
+			}
+			const elapsed = 0.125
+			want, err := json.Marshal(toParentReportJSON(rep, elapsed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(riskReportJSON{rep, elapsed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s, %s: answer\n%s\nwant\n%s", c.name, rep.Method, got, want)
+			}
+		}
+	}
+	if components == 0 || none == 0 || wire == 0 {
+		t.Fatalf("%d reports with components, %d without, %d with wire deltas: want each", components, none, wire)
 	}
 }

@@ -802,6 +802,14 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	return context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 }
 
+// trace roots a request's trace, or opens no span when tracing is off.
+func (s *Server) trace(ctx context.Context, name string) (context.Context, *telemetry.Span) {
+	if s.cfg.DisableTracing {
+		return ctx, nil
+	}
+	return s.reg.Start(ctx, name, true)
+}
+
 func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 	if problems, _, ok := readProblems(w, r, false); ok {
 		s.answerPrice(w, r, problems[0])
@@ -843,13 +851,9 @@ func (s *Server) answerBatch(w http.ResponseWriter, r *http.Request, problems []
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	if !s.cfg.DisableTracing {
-		// One request, one trace: the book queues and prices under this
-		// root.
-		root := s.reg.StartTrace("serve.request")
-		defer root.End()
-		ctx = telemetry.ContextWithTrace(ctx, root.Context())
-	}
+	// One request, one trace: the book queues and prices under this root.
+	ctx, root := s.trace(ctx, "serve.request")
+	defer root.End()
 	// The book is one group: warm problems hit the cache, duplicates
 	// coalesce in the flight group, and the rest reach the batcher — and
 	// the farm — together.

@@ -8,6 +8,9 @@
 //
 //	reg.Counter("farm.tasks").Add(1)   // safe even when reg == nil
 //
+// A layer opens its span with Start, the one rule of trace propagation:
+// adopt the trace its context carries, else root one or run untraced.
+//
 // Registries default to a wall clock but accept any monotone
 // seconds-valued clock via SetClock, which is how the discrete-event
 // cluster simulator records virtual durations instead of wall time.

@@ -145,10 +145,11 @@ func RenderTraces(r *Registry, n int) string {
 // TraceHandler serves the slowest-n reassembled trace trees as plain
 // text — the /debug/traces endpoint. `?trace=<16-hex-digit ID>` renders
 // just that trace (the ID format /debug/events links with), and `?n=`
-// overrides the tree count.
-func TraceHandler(r *Registry, n int) http.Handler {
+// overrides the tree count for that request.
+func TraceHandler(r *Registry, defaultN int) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		q := req.URL.Query()
+		n := defaultN
 		if s := q.Get("n"); s != "" {
 			v, err := strconv.Atoi(s)
 			if err != nil || v < 0 {

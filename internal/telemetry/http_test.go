@@ -117,3 +117,47 @@ func TestMount(t *testing.T) {
 		t.Errorf("POST /metrics: status %d, want 405", rec.Code)
 	}
 }
+
+// TestTraceCountIsPerRequest: ?n= sets the tree count of its own request
+// only. The handler once stored it into the count it was built with, so
+// every later plain request rendered that many trees, and concurrent
+// requests wrote the count unsynchronized (run under -race).
+func TestTraceCountIsPerRequest(t *testing.T) {
+	r := New()
+	for i := 0; i < 5; i++ {
+		r.StartTrace("serve.request").End()
+	}
+	t.Run("sequence", func(t *testing.T) {
+		h := TraceHandler(r, DefaultTraceCount)
+		for _, url := range []string{"/debug/traces", "/debug/traces?n=1", "/debug/traces"} {
+			want := "5 trace(s)"
+			if strings.HasSuffix(url, "?n=1") {
+				want = "1 trace(s)"
+			}
+			if got := get(h, url); !strings.HasPrefix(got, want) {
+				t.Fatalf("GET %s: %q, want %s", url, strings.SplitN(got, "\n", 2)[0], want)
+			}
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		h := TraceHandler(r, DefaultTraceCount)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			url, want := "/debug/traces", "5 trace(s)"
+			if g%2 == 1 {
+				url, want = "/debug/traces?n=2", "2 trace(s)"
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					if got := get(h, url); !strings.HasPrefix(got, want) {
+						t.Errorf("GET %s: %q, want %s", url, strings.SplitN(got, "\n", 2)[0], want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
+}

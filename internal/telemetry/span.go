@@ -1,14 +1,16 @@
 package telemetry
 
+import "context"
+
 // Span is one timed region of work. Spans form trees via StartChild;
 // finishing a span records its duration under "span.<name>" and files a
 // SpanRecord carrying the parent link. A nil *Span is a valid no-op, so
 // instrumented code can start spans unconditionally.
 //
-// Spans started under a trace (StartTrace, StartSpanIn, or children of
-// such spans) additionally enter the registry's trace table, keyed by
-// their TraceID, from which whole request trees are reassembled even
-// when parts of the tree finished in another process.
+// Spans started under a trace (Start, StartTrace, StartSpanIn, or
+// children of such spans) additionally enter the registry's trace table,
+// keyed by their TraceID, from which whole request trees are reassembled
+// even when parts of the tree finished in another process.
 type Span struct {
 	reg   *Registry
 	rec   SpanRecord // End is set by End
@@ -42,8 +44,8 @@ func (r *Registry) start(parentID, traceID uint64, name string) *Span {
 // StartSpan opens a root span outside any trace.
 func (r *Registry) StartSpan(name string) *Span { return r.start(0, 0, name) }
 
-// StartTrace opens a root span under a freshly minted trace ID — the
-// entry point for one serve request or bench run.
+// StartTrace opens a root span under a freshly minted trace ID. Layers
+// open theirs with Start; serve's priceLeaders roots a lone /price here.
 func (r *Registry) StartTrace(name string) *Span { return r.start(0, NewTraceID(), name) }
 
 // StartSpanIn opens a span parented on tc — typically a context that
@@ -51,6 +53,24 @@ func (r *Registry) StartTrace(name string) *Span { return r.start(0, NewTraceID(
 // goroutine (a context.Context). An invalid tc degrades to StartSpan.
 func (r *Registry) StartSpanIn(tc TraceContext, name string) *Span {
 	return r.start(tc.SpanID, tc.TraceID, name)
+}
+
+// Start opens a layer's span: a child of the trace ctx carries, else a
+// new trace's root when root is set, else untraced. The returned context
+// carries the span when traced; a nil registry returns ctx and a nil span.
+func (r *Registry) Start(ctx context.Context, name string, root bool) (context.Context, *Span) {
+	if r == nil {
+		return ctx, nil
+	}
+	var s *Span
+	if tc, ok := TraceFromContext(ctx); ok {
+		s = r.StartSpanIn(tc, name)
+	} else if root {
+		s = r.StartTrace(name)
+	} else {
+		return ctx, r.StartSpan(name)
+	}
+	return context.WithValue(ctx, traceCtxKey{}, s.Context()), s
 }
 
 // StartChild opens a child span under s, inheriting its trace.

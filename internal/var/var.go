@@ -9,7 +9,6 @@ import (
 
 	"riskbench/internal/portfolio"
 	"riskbench/internal/risk"
-	"riskbench/internal/telemetry"
 )
 
 // Config tunes a VaR/CVaR estimation.
@@ -76,9 +75,9 @@ func (cfg Config) scale() float64 {
 // Estimate is one confidence level's VaR/CVaR pair (losses as positive
 // numbers, horizon-scaled per the config).
 type Estimate struct {
-	Alpha float64
-	VaR   float64
-	CVaR  float64
+	Alpha float64 `json:"alpha"`
+	VaR   float64 `json:"var"`
+	CVaR  float64 `json:"cvar"`
 }
 
 // Component is one claim's share of the tail loss: the average of its
@@ -89,36 +88,38 @@ type Estimate struct {
 // to zero and attribution mirrors the clamp: no components, zero total,
 // so the identity holds there too.
 type Component struct {
-	Name         string
-	Contribution float64
+	Name         string  `json:"name"`
+	Contribution float64 `json:"contribution"`
 }
 
-// Report is the outcome of one VaR estimation.
+// Report is the outcome of one VaR estimation; its JSON form, the P&L
+// sample left out, is the body /risk/report answers with.
 type Report struct {
 	// Method is "full" or "deltagamma".
-	Method string
+	Method string `json:"method"`
 	// BaseValue is the unshocked book value.
-	BaseValue float64
+	BaseValue float64 `json:"base_value"`
 	// Scenarios is the P&L sample size.
-	Scenarios int
+	Scenarios int `json:"scenarios"`
 	// HorizonDays/ScaleDays echo the config.
-	HorizonDays, ScaleDays float64
+	HorizonDays float64 `json:"horizon_days,omitempty"`
+	ScaleDays   float64 `json:"scale_days,omitempty"`
 	// Estimates holds one row per configured confidence level.
-	Estimates []Estimate
+	Estimates []Estimate `json:"estimates"`
 	// AttributionAlpha is the level the Components tail was taken at.
-	AttributionAlpha float64
+	AttributionAlpha float64 `json:"attribution_alpha"`
 	// Components are the largest per-claim tail-loss contributions,
 	// descending; ComponentTotal is the sum over ALL claims (= the book
 	// CVaR at AttributionAlpha, both clamped to zero when the tail is
 	// profit-making).
-	Components     []Component
-	ComponentTotal float64
+	Components     []Component `json:"components,omitempty"`
+	ComponentTotal float64     `json:"component_total"`
 	// PnLs is the raw scenario P&L sample, in scenario order, unscaled.
-	PnLs []float64
+	PnLs []float64 `json:"-"`
 	// WireDeltas counts the claims whose first-order spot term came from
 	// the delta already shipped over the farm wire rather than a bump
 	// (delta–gamma method only).
-	WireDeltas int
+	WireDeltas int `json:"wire_deltas,omitempty"`
 }
 
 // estimates evaluates VaR/CVaR at every configured level.
@@ -204,16 +205,8 @@ func FullReval(ctx context.Context, eng risk.Engine, pf *portfolio.Portfolio, sc
 		return nil, err
 	}
 	reg := eng.Telemetry
-	var span *telemetry.Span
-	if tc, ok := telemetry.TraceFromContext(ctx); ok {
-		span = reg.StartSpanIn(tc, "var.full")
-	} else {
-		span = reg.StartTrace("var.full")
-	}
+	ctx, span := reg.Start(ctx, "var.full", true)
 	defer span.End()
-	if tc := span.Context(); tc.Valid() {
-		ctx = telemetry.ContextWithTrace(ctx, tc)
-	}
 	val, err := eng.RevalueContext(ctx, pf, scens)
 	if err != nil {
 		return nil, fmt.Errorf("varisk: full revaluation: %w", err)
@@ -277,16 +270,8 @@ const (
 // against, collected once and reused across rounds.
 func CollectSensitivities(ctx context.Context, eng risk.Engine, pf *portfolio.Portfolio) (*Sensitivities, error) {
 	reg := eng.Telemetry
-	var span *telemetry.Span
-	if tc, ok := telemetry.TraceFromContext(ctx); ok {
-		span = reg.StartSpanIn(tc, "var.sensitivities")
-	} else {
-		span = reg.StartTrace("var.sensitivities")
-	}
+	ctx, span := reg.Start(ctx, "var.sensitivities", true)
 	defer span.End()
-	if tc := span.Context(); tc.Valid() {
-		ctx = telemetry.ContextWithTrace(ctx, tc)
-	}
 	hs, hv, hr := defaultSpotBump, defaultVolBump, defaultRateBump
 	scens := []risk.Scenario{
 		{Name: "dg-spot-up", Shifts: []risk.Shift{{Param: "S0", Rel: hs}}},
