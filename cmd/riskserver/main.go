@@ -83,8 +83,10 @@ import (
 // kernelWidth is the Monte Carlo kernel width of every pricing task
 // without its own "threads" parameter: the cores the farm workers leave —
 // procs shared evenly among them, at least one each — so workers all
-// pricing Monte Carlo at once run no more kernel goroutines than procs. A
-// worker busy outside the kernel keeps its share idle. -workers below 1
+// pricing Monte Carlo at once run no more kernel goroutines than procs. It
+// is also how many tasks of one message a worker prices side by side, so
+// a worker busy outside the kernel (a PDE sweep, an LSM induction) keeps
+// its share busy with the message's other claims. -workers below 1
 // leaves the count to the engine, and the kernel serial.
 func kernelWidth(procs, workers int) int {
 	if workers < 1 {

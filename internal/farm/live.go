@@ -45,7 +45,9 @@ func (LiveLoader) Load(t Task, s Strategy) ([]byte, error) {
 	}
 }
 
-// LiveExecutor prices tasks for real with the premia library.
+// LiveExecutor prices tasks for real with the premia library. It is the
+// one WideExecutor: a message of several tasks, not all instantaneous,
+// prices side by side at premia's process kernel width.
 type LiveExecutor struct{}
 
 // Execute implements Executor: unserialize → rebuild the problem →
@@ -55,9 +57,9 @@ type LiveExecutor struct{}
 // timing to task groups (the risk engine's per-scenario report reads
 // it) and simulated runs attribute virtual seconds.
 func (e LiveExecutor) Execute(name string, payload []byte, cost float64, size int) (nsp.Object, error) {
-	obj, err := nsp.SLoadBytes(payload).Unserialize()
+	obj, _, err := e.Prepare(name, payload, nil)
 	if err != nil {
-		return nil, fmt.Errorf("farm: decode problem %q: %w", name, err)
+		return nil, err
 	}
 	return e.ExecuteObj(name, obj, cost, size)
 }
@@ -69,22 +71,57 @@ func (e LiveExecutor) Execute(name string, payload []byte, cost float64, size in
 // priced cell by cell into a *PricedBlock, a failed cell reported in the
 // block rather than as the task's failure.
 func (LiveExecutor) ExecuteObj(name string, obj nsp.Object, cost float64, size int) (nsp.Object, error) {
+	obj, err := rebuildProblem(name, obj)
+	if err != nil {
+		return nil, err
+	}
 	if sw, ok := obj.(*premia.Sweep); ok {
 		results, errs := sw.Compute()
 		return &PricedBlock{Name: name, Results: results, Errs: errs}, nil
 	}
-	p, ok := obj.(*premia.Problem)
-	if !ok {
-		var err error
-		if p, err = premia.FromNsp(obj); err != nil {
-			return nil, fmt.Errorf("farm: rebuild problem %q: %w", name, err)
-		}
-	}
-	res, err := p.Compute()
+	res, err := obj.(*premia.Problem).Compute()
 	if err != nil {
 		return nil, fmt.Errorf("farm: compute %q: %w", name, err)
 	}
 	return &Priced{Name: name, Result: res}, nil
+}
+
+// Prepare implements WideExecutor: a payload is decoded and a hash
+// rebuilt, so what it returns is the *premia.Problem or *premia.Sweep
+// ExecuteObj computes as it stands, and instant is premia.Instantaneous
+// of its method — the test the risk engine bunches on.
+func (LiveExecutor) Prepare(name string, payload []byte, obj nsp.Object) (ready nsp.Object, instant bool, err error) {
+	if obj == nil {
+		if obj, err = nsp.SLoadBytes(payload).Unserialize(); err != nil {
+			return nil, false, fmt.Errorf("farm: decode problem %q: %w", name, err)
+		}
+	}
+	if obj, err = rebuildProblem(name, obj); err != nil {
+		return nil, false, err
+	}
+	if sw, ok := obj.(*premia.Sweep); ok {
+		return sw, premia.Instantaneous(sw.Base.Method), nil
+	}
+	return obj, premia.Instantaneous(obj.(*premia.Problem).Method), nil
+}
+
+// SideBySide implements WideExecutor at premia's process kernel width
+// (SetKernelThreads), the cores riskserver gives each worker.
+func (LiveExecutor) SideBySide(n int, price func(i int)) { premia.SideBySide(n, price) }
+
+// rebuildProblem returns a *premia.Problem or *premia.Sweep as it stands
+// and rebuilds the problem any other object — the hash a problem travels
+// as — carries.
+func rebuildProblem(name string, obj nsp.Object) (nsp.Object, error) {
+	switch obj.(type) {
+	case *premia.Problem, *premia.Sweep:
+		return obj, nil
+	}
+	p, err := premia.FromNsp(obj)
+	if err != nil {
+		return nil, fmt.Errorf("farm: rebuild problem %q: %w", name, err)
+	}
+	return p, nil
 }
 
 // FileStore reads problem files from the real file system (the live

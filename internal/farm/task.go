@@ -164,6 +164,11 @@ type batchTrace struct {
 
 func (bt batchTrace) valid() bool { return bt.traceID != 0 && len(bt.parents) > 0 }
 
+// task is the trace context task i's worker spans parent onto.
+func (bt batchTrace) task(i int) telemetry.TraceContext {
+	return telemetry.TraceContext{TraceID: bt.traceID, SpanID: bt.parents[i]}
+}
+
 // batchDesc is a decoded batch descriptor: task stubs (Data is not
 // carried by the descriptor; sizes preserve the payload byte counts)
 // plus the batch's trace context — zero, or valid with one parent per

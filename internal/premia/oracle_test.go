@@ -195,3 +195,71 @@ func TestClosedFormAgreesWithNumerics(t *testing.T) {
 		}
 	}
 }
+
+// TestBarrierPDEAgreesWithClosedForm is the barrier-PDE half of the
+// realistic book's oracle: FD_CrankNicolson down-and-out calls on the
+// realistic book's grid (400 nodes, one time step every two days) match
+// the Reiner–Rubinstein CF_CallDownOut on seeded random admitted
+// parameters — barrier 5–40 % below the spot, strike either side of it,
+// rates, dividends, volatilities and maturities across the book's ranges.
+// Each set is priced as a sweep of five cells (the base, spot ±5 %, a
+// volatility and a rate shift), a revaluation's shape, and every cell is
+// held against the closed form of Cell(k).
+func TestBarrierPDEAgreesWithClosedForm(t *testing.T) {
+	const (
+		nodes = 400
+		// The grid's error, relative to the spot: seen up to 5.7e-6 over
+		// these 200 cells (relative to a price above 1 % of spot, up to
+		// 7.1e-5), so the bound leaves about nine times that.
+		tol = 5e-5
+	)
+	cells := [][]Override{nil, {{Param: "S0", Value: 0.95}}, {{Param: "S0", Value: 1.05}}, {{Param: "sigma", Value: 0.02}}, {{Param: "r", Value: 0.01}}}
+	rng := rand.New(rand.NewSource(46))
+	worst, worstRel := 0.0, 0.0
+	for i := 0; i < 40; i++ {
+		s0 := 50 + 100*rng.Float64()
+		c := bsCase{
+			S0: s0, R: -0.01 + 0.08*rng.Float64(), Q: 0.04 * rng.Float64(), Sigma: 0.15 + 0.35*rng.Float64(),
+			K: s0 * (0.7 + 0.6*rng.Float64()), T: 1.0/3 + 2.75*rng.Float64(),
+		}
+		l := s0 * (0.6 + 0.35*rng.Float64())
+		// The cells' shifts, from the base's values: spot scaled, the
+		// volatility and rate moved.
+		sw := &Sweep{Base: c.problem(OptCallDownOut, MethodFDCrank).Set("L", l).Set("nodes", nodes).Set("steps", float64(int(c.T*182)+1))}
+		for _, cell := range cells {
+			var set []Override
+			for _, o := range cell {
+				v := c.S0 * o.Value
+				switch o.Param {
+				case "sigma":
+					v = c.Sigma + o.Value
+				case "r":
+					v = c.R + o.Value
+				}
+				set = append(set, Override{Param: o.Param, Value: v})
+			}
+			sw.Cells = append(sw.Cells, set)
+		}
+		results, errs := sw.Compute()
+		if errs != nil {
+			t.Fatalf("%+v L=%v: %v", c, l, errs)
+		}
+		for k, pde := range results {
+			p := sw.Cell(k)
+			cf, err := p.SetMethod(MethodCFCallDownOut).Compute()
+			if err != nil {
+				t.Fatalf("%+v L=%v cell %d: %v", c, l, k, err)
+			}
+			spot := p.Params["S0"]
+			d := math.Abs(pde.Price - cf.Price)
+			worst = max(worst, d/spot)
+			if cf.Price > 0.01*spot {
+				worstRel = max(worstRel, d/cf.Price)
+			}
+			if !(d <= tol*spot) {
+				t.Errorf("%+v L=%v cell %d: FD_CrankNicolson %v, CF_CallDownOut %v (off by %.3g of spot, allowed %.3g)", c, l, k, pde.Price, cf.Price, d/spot, tol)
+			}
+		}
+	}
+	t.Logf("worst error %.3g of spot, %.3g of a price above 1 %% of spot", worst, worstRel)
+}

@@ -44,14 +44,13 @@ func SetKernelThreads(n int) {
 	kernelDefaultThreads.Store(int64(n))
 }
 
+// processThreads is the process-wide default pool size, at least 1.
+func processThreads() int { return max(1, int(kernelDefaultThreads.Load())) }
+
 // kernelThreads resolves the pool size for one problem: its "threads"
 // parameter if present, else the process default.
 func kernelThreads(p *Problem) (int, error) {
-	def := int(kernelDefaultThreads.Load())
-	if def < 1 {
-		def = 1
-	}
-	threads := p.Params.Int(kernelThreadsKey, def)
+	threads := p.Params.Int(kernelThreadsKey, processThreads())
 	if threads < 1 {
 		return 0, fmt.Errorf("premia: %s needs threads >= 1, got %d", p.Method, threads)
 	}
@@ -88,8 +87,8 @@ func shardCounts(n int) []int {
 // scheduling-dependent, so every item's work must be self-contained (own
 // RNG, own output slots) for the assignment not to influence results. It
 // is the package's one goroutine fan-out: path shards (kernelRun), the
-// cells of a PDE sweep (cellParallel) and the backward inductions of an
-// LSM run all go through it.
+// cells of a PDE sweep (cellParallel), the backward inductions of an LSM
+// run and a farm worker's tasks (SideBySide) all go through it.
 func dispatch(threads, n int, body func(w, item int)) int {
 	threads = max(min(threads, n, kernelShards), 1)
 	if threads == 1 {
@@ -119,6 +118,15 @@ func dispatch(threads, n int, body func(w, item int)) int {
 	work(0)
 	wg.Wait()
 	return threads
+}
+
+// SideBySide calls body(0), …, body(n-1) on up to the process default
+// width (SetKernelThreads) of goroutines at once, the calling one among
+// them, and returns when every call has: dispatch for work priced outside
+// the package, such as the tasks of one farm message, each of which still
+// runs its own kernel at its own width. Serial when the width is 1.
+func SideBySide(n int, body func(i int)) {
+	dispatch(processThreads(), n, func(_, i int) { body(i) })
 }
 
 // kernelRun is dispatch over a path kernel's shards, booked in the

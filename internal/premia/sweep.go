@@ -31,8 +31,12 @@ type Override struct {
 // PDE sweep (cellParallel) and the backward inductions of an LSM run.
 // Other methods price their cells in turn on one scratch copy
 // (onScratch): a closed-form cell costs less than a goroutine hand-off,
-// and the Heston LSM may hold 1 GiB a cell, so two at once would double
-// a worker's peak.
+// and the Heston LSM may hold 1 GiB a cell, so two cells at once would
+// double a sweep's peak. Two LSM tasks may still run at once on one
+// worker, which prices a message's tasks side by side at the same width
+// (farm.RunWorker); riskserver's width is GOMAXPROCS / -workers, so the
+// server's peak is GOMAXPROCS such tasks at once, the same as at the
+// default -workers of one worker per core.
 //
 // A sweep is an nsp object so that it can be a farm task's payload, but
 // it has no wire form: it crosses by reference or not at all, and a farm

@@ -89,26 +89,32 @@ func BenchmarkFullRevalToy(b *testing.B) { benchFullReval(b, portfolio.Toy(250),
 func BenchmarkFullRevalBook(b *testing.B) { benchFullReval(b, portfolio.Toy(100), 1000) }
 
 // BenchmarkFullRevalReal is the benchmark's var_real operation in
-// process: every 244th claim of the realistic book at numerical effort
-// ×10⁻³ (33 claims, all six product classes, the two LSM baskets
-// included), 5 scenarios, one worker. Its Monte Carlo kernels are as wide
-// as riskserver -workers 1 makes them, GOMAXPROCS, so `-cpu 1,2` shows
-// what a second core buys without the harness.
-func BenchmarkFullRevalReal(b *testing.B) {
-	premia.SetKernelThreads(runtime.GOMAXPROCS(0))
-	defer premia.SetKernelThreads(0)
+// process: realSample's 33 claims, 5 scenarios, one worker. `-cpu 1,2`
+// shows what a second core buys without the harness.
+func BenchmarkFullRevalReal(b *testing.B) { benchFullReval(b, realSample(b), 5) }
+
+// realSample is var_real's book: every 244th claim of the realistic book
+// at numerical effort ×10⁻³ (33 claims, all six product classes, the two
+// LSM baskets included).
+func realSample(tb testing.TB) *portfolio.Portfolio {
+	tb.Helper()
 	full := portfolio.Realistic()
 	if err := full.ScaleEffort(1e-3); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pf := &portfolio.Portfolio{Name: "realistic-sample"}
 	for i := 0; i < len(full.Items); i += 244 {
 		pf.Items = append(pf.Items, full.Items[i])
 	}
-	benchFullReval(b, pf, 5)
+	return pf
 }
 
+// benchFullReval times full-revaluation reports of pf over `scenarios`
+// scenarios on the engine as riskserver -workers 1 configures it, kernels
+// as wide as it makes them: GOMAXPROCS.
 func benchFullReval(b *testing.B, pf *portfolio.Portfolio, scenarios int) {
+	premia.SetKernelThreads(runtime.GOMAXPROCS(0))
+	defer premia.SetKernelThreads(0)
 	scens, err := DefaultMarket().Generate(scenarios, 1)
 	if err != nil {
 		b.Fatal(err)

@@ -3,6 +3,7 @@ package varisk
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"riskbench/internal/portfolio"
@@ -186,6 +187,32 @@ func TestFullRevalBitIdenticalAcrossKernelThreads(t *testing.T) {
 		}
 		if rep.Estimates[0].VaR != want.Estimates[0].VaR || rep.Estimates[0].CVaR != want.Estimates[0].CVaR {
 			t.Fatalf("kernel threads %d: estimates differ", threads)
+		}
+	}
+}
+
+// TestFullRevalRealSampleAcrossKernelWidths: the var_real report — a
+// book of PDE, Monte Carlo, LSM and closed-form claims whose messages a
+// worker prices side by side at the kernel width — is the same report,
+// every P&L to the bit, at widths 1, 2 and 4.
+func TestFullRevalRealSampleAcrossKernelWidths(t *testing.T) {
+	pf := realSample(t)
+	scens, err := DefaultMarket().Generate(5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *Report
+	defer premia.SetKernelThreads(0)
+	for _, width := range []int{1, 2, 4} {
+		premia.SetKernelThreads(width)
+		rep, err := FullReval(context.Background(), risk.Engine{Workers: 1, BatchSize: 16}, pf, scens, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = rep
+		} else if !reflect.DeepEqual(rep, want) {
+			t.Fatalf("width %d: %+v\nwidth 1: %+v", width, rep, want)
 		}
 	}
 }

@@ -8,8 +8,11 @@
 # require a clean drain — the standing farm session's stop messages
 # delivered, no rank stranded. The pricing and the drain run once on the
 # default transport and once over unix sockets, and the full-revaluation
-# report — sweeps by reference on the first, their cells over a real
-# socket on the second — must print the same digits on both. Before the
+# reports — sweeps by reference on the first, their cells over a real
+# socket on the second — must print the same digits on both. A third boot
+# at -workers 1 gives its one worker every core, so a message of the
+# mixed book's PDE, Monte Carlo and closed-form sweeps is priced side by
+# side; its reports must print those digits too. Before the
 # server, examples/mpidemo must pass each of its checks and `pricer -load`
 # of a saved problem must print the price pricing it directly does. CI
 # runs this after `make check`.
@@ -62,9 +65,10 @@ boot() {
 }
 
 # price sends one /price, one that fails in the kernel, one 20-problem
-# /batch and one full-revaluation /risk/report on a fixed seed, whose var
-# and base_value it leaves in the file named by $1: four farm rounds over
-# the session. Bodies are captured before grepping: grep -q would close
+# /batch and two full-revaluation /risk/reports on a fixed seed — the toy
+# book, and an inline book of PDE, Monte Carlo and closed-form claims —
+# whose var and base_value it leaves in the file named by $1: five farm
+# rounds over the session. Bodies are captured before grepping: grep -q would close
 # the pipe early and make curl report a spurious write error.
 price() {
 	curl -fsS "http://$ADDR/price" -d '{"model":"BlackScholes1dim","option":"CallEuro","method":"CF_Call","params":{"S0":100,"r":0.05,"sigma":0.2,"K":100,"T":1}}' >"$tmp/price"
@@ -87,6 +91,14 @@ price() {
 	grep -q '"cvar"' "$tmp/riskreport" || { echo "smoke: /risk/report gave no VaR/CVaR estimates" >&2; exit 1; }
 	grep -oE '"(var|base_value)":[^,}]*' "$tmp/riskreport" >"$1"
 	[ "$(wc -l <"$1")" -eq 2 ] || { echo "smoke: /risk/report gave no var and base_value to compare" >&2; cat "$tmp/riskreport" >&2; exit 1; }
+	mixed='{"model":"BlackScholes1dim","option":"CallDownOut","method":"FD_CrankNicolson","params":{"S0":100,"r":0.045,"divid":0.01,"sigma":0.22,"K":100,"T":1,"L":75,"steps":90,"nodes":200}},
+{"model":"BlackScholes1dim","option":"PutAmer","method":"FD_BrennanSchwartz","params":{"S0":100,"r":0.045,"divid":0.01,"sigma":0.22,"K":100,"T":1,"steps":90,"nodes":200}},
+{"model":"BlackScholesNdim","option":"PutBasketEuro","method":"MC_Basket","params":{"S0":100,"r":0.045,"divid":0.01,"sigma":0.22,"dim":5,"rho":0.3,"K":100,"T":1,"paths":20000}},
+{"model":"BlackScholesNdim","option":"PutBasketAmer","method":"MC_AM_LongstaffSchwartz","params":{"S0":100,"r":0.045,"divid":0.01,"sigma":0.22,"dim":3,"rho":0.3,"K":100,"T":1,"paths":4000,"exdates":10}},
+{"model":"BlackScholes1dim","option":"CallEuro","method":"CF_Call","params":{"S0":100,"r":0.045,"sigma":0.22,"K":95,"T":1}}'
+	curl -fsS "http://$ADDR/risk/report" -d "{\"portfolio\":{\"problems\":[$mixed]},\"scenarios\":{\"mode\":\"mc\",\"n\":4,\"seed\":5},\"alphas\":[0.99],\"method\":\"full\"}" >"$tmp/mixedreport"
+	grep -oE '"(var|base_value)":[^,}]*' "$tmp/mixedreport" >>"$1"
+	[ "$(wc -l <"$1")" -eq 4 ] || { echo "smoke: the mixed book's /risk/report gave no var and base_value to compare" >&2; cat "$tmp/mixedreport" >&2; exit 1; }
 }
 
 # drain SIGTERMs the server and requires "drained, bye" and exit status
@@ -142,8 +154,18 @@ boot -transport unix
 price "$tmp/report.unix"
 drain -transport unix
 cmp -s "$tmp/report.local" "$tmp/report.unix" || {
-	echo "smoke: the full-revaluation report differs between the local and unix transports:" >&2
+	echo "smoke: the full-revaluation reports differ between the local and unix transports:" >&2
 	cat "$tmp/report.local" "$tmp/report.unix" >&2; exit 1
 }
 
-echo "smoke: examples/mpidemo and pricer -save/-load OK; /price (a kernel failure a 400, booked once), /batch, /risk, /risk/report, /metrics, /metrics.json, /debug/traces, /debug/events, /debug/slo, /debug/farm, /debug/pprof, /healthz all OK; clean SIGTERM drain and the same full-revaluation digits on the local and unix transports"
+# One worker owning every core: a message of several sweeps is priced
+# side by side (at -batch 16 a mixed-book message holds all five claims).
+boot -workers 1 -batch 16
+price "$tmp/report.wide"
+drain -workers 1 -batch 16
+cmp -s "$tmp/report.local" "$tmp/report.wide" || {
+	echo "smoke: the full-revaluation reports differ between -workers 2 and -workers 1:" >&2
+	cat "$tmp/report.local" "$tmp/report.wide" >&2; exit 1
+}
+
+echo "smoke: examples/mpidemo and pricer -save/-load OK; /price (a kernel failure a 400, booked once), /batch, /risk, /risk/report, /metrics, /metrics.json, /debug/traces, /debug/events, /debug/slo, /debug/farm, /debug/pprof, /healthz all OK; clean SIGTERM drain and the same full-revaluation digits on the local and unix transports and at -workers 1"
