@@ -5,88 +5,122 @@ import "errors"
 // ErrSingular is returned by the linear solvers when a pivot vanishes.
 var ErrSingular = errors.New("mathutil: singular system")
 
-// SolveTridiag solves the tridiagonal system with sub-diagonal a[1..n-1],
-// diagonal b[0..n-1], super-diagonal c[0..n-2] and right-hand side d,
-// writing the solution into x (which may alias d). a[0] and c[n-1] are
-// ignored. scratch must have length >= n; it is overwritten.
-//
-// This is the Thomas algorithm, O(n), stable for the diagonally dominant
-// systems produced by the Crank–Nicolson pricers.
-func SolveTridiag(a, b, c, d, x, scratch []float64) error {
+// Tridiag is a tridiagonal matrix tridiag(a, b, c) eliminated by the
+// Thomas algorithm once, so that each right-hand side costs one forward
+// and one backward sweep: O(n), stable for the diagonally dominant
+// systems of the Crank–Nicolson pricers. The sub-diagonal a[1..n-1],
+// diagonal b[0..n-1] and super-diagonal c[0..n-2] each have length n; a[0]
+// and c[n-1] are ignored. The pivots are stored, not their reciprocals, so
+// a solve divides exactly as an unfactored Thomas sweep would.
+type Tridiag struct {
+	a, mul, pivot []float64 // mul[i] = c[i]/pivot[i]
+}
+
+// Factor eliminates tridiag(a, b, c) in place: b becomes the pivots and c
+// the multipliers, and t keeps all three, which must not change while t
+// is in use. It returns ErrSingular when a pivot vanishes; b and c then
+// hold part of an elimination, and t solves nothing until a later Factor
+// succeeds.
+func (t *Tridiag) Factor(a, b, c []float64) error {
 	n := len(b)
-	if len(a) != n || len(c) != n || len(d) != n || len(x) < n || len(scratch) < n {
-		panic("mathutil: SolveTridiag length mismatch")
+	if len(a) != n || len(c) != n {
+		panic("mathutil: Tridiag.Factor length mismatch")
 	}
-	if n == 0 {
-		return nil
-	}
-	cp := scratch
-	beta := b[0]
-	if beta == 0 {
+	*t = Tridiag{}
+	if n > 0 && b[0] == 0 {
 		return ErrSingular
 	}
-	x[0] = d[0] / beta
 	for i := 1; i < n; i++ {
-		cp[i] = c[i-1] / beta
-		beta = b[i] - a[i]*cp[i]
-		if beta == 0 {
+		c[i-1] /= b[i-1]
+		b[i] -= a[i] * c[i-1]
+		if b[i] == 0 {
 			return ErrSingular
 		}
-		x[i] = (d[i] - a[i]*x[i-1]) / beta
 	}
-	for i := n - 2; i >= 0; i-- {
-		x[i] -= cp[i+1] * x[i+1]
-	}
+	*t = Tridiag{a: a, mul: c, pivot: b}
 	return nil
 }
 
-// SolveTridiagBS solves the same tridiagonal system as SolveTridiag but
-// applies the Brennan–Schwartz projection against the obstacle psi during
-// the backward substitution: the result satisfies x[i] >= psi[i] for all i.
-// This is the standard direct method for American option PDEs when the
-// exercise region is connected (true for vanilla puts). The sweep runs
-// upward so that the projection propagates from the deep-in-the-money end
-// (low asset prices for a put).
-func SolveTridiagBS(a, b, c, d, psi, x, scratch []float64) error {
-	n := len(b)
-	if len(a) != n || len(c) != n || len(d) != n || len(psi) != n || len(x) < n || len(scratch) < n {
-		panic("mathutil: SolveTridiagBS length mismatch")
+// Solve writes into x (which may alias d) the solution of t's matrix
+// times x = d.
+func (t *Tridiag) Solve(d, x []float64) {
+	n := len(t.pivot)
+	if len(d) != n || len(x) < n {
+		panic("mathutil: Tridiag.Solve length mismatch")
 	}
 	if n == 0 {
-		return nil
+		return
 	}
-	// Eliminate the super-diagonal from the top (i = n-1 downward) so the
-	// back substitution proceeds from i = 0 upward, where the put obstacle
-	// binds first.
-	bp := scratch
-	dp := x // reuse x as the transformed rhs
-	bp[n-1] = b[n-1]
-	dp[n-1] = d[n-1]
+	a, mul, pivot := t.a, t.mul, t.pivot
+	x[0] = d[0] / pivot[0]
+	for i := 1; i < n; i++ {
+		x[i] = (d[i] - a[i]*x[i-1]) / pivot[i]
+	}
 	for i := n - 2; i >= 0; i-- {
-		if bp[i+1] == 0 {
+		x[i] -= mul[i] * x[i+1]
+	}
+}
+
+// TridiagBS is tridiag(a, b, c), laid out as for Tridiag, eliminated for
+// the Brennan–Schwartz solve of an obstacle problem: the result satisfies
+// x[i] >= psi[i] for all i. This is the standard direct method for
+// American option PDEs when the exercise region is connected (true for
+// vanilla puts). The super-diagonal is eliminated from the top (i = n-1
+// downward) so the projecting substitution runs upward from i = 0, the
+// deep-in-the-money end of a put, where the obstacle binds first. Pivots
+// are stored, not their reciprocals.
+type TridiagBS struct {
+	a, mul, pivot []float64 // mul[i] = c[i]/pivot[i+1]
+}
+
+// Factor eliminates tridiag(a, b, c) in place, as Tridiag.Factor does,
+// from the bottom row up.
+func (t *TridiagBS) Factor(a, b, c []float64) error {
+	n := len(b)
+	if len(a) != n || len(c) != n {
+		panic("mathutil: TridiagBS.Factor length mismatch")
+	}
+	*t = TridiagBS{}
+	for i := n - 2; i >= 0; i-- {
+		if b[i+1] == 0 {
 			return ErrSingular
 		}
-		m := c[i] / bp[i+1]
-		bp[i] = b[i] - m*a[i+1]
-		dp[i] = d[i] - m*dp[i+1]
+		c[i] /= b[i+1]
+		b[i] -= c[i] * a[i+1]
 	}
-	if bp[0] == 0 {
+	if n > 0 && b[0] == 0 {
 		return ErrSingular
+	}
+	*t = TridiagBS{a: a, mul: c, pivot: b}
+	return nil
+}
+
+// Solve writes into x (which may alias d) the solution of the obstacle
+// problem of t's matrix, right-hand side d and obstacle psi.
+func (t *TridiagBS) Solve(d, psi, x []float64) {
+	n := len(t.pivot)
+	if len(d) != n || len(psi) != n || len(x) < n {
+		panic("mathutil: TridiagBS.Solve length mismatch")
+	}
+	if n == 0 {
+		return
+	}
+	a, mul, bp := t.a, t.mul, t.pivot
+	dp := x // x holds the transformed right-hand side until overwritten
+	dp[n-1] = d[n-1]
+	for i := n - 2; i >= 0; i-- {
+		dp[i] = d[i] - mul[i]*dp[i+1]
 	}
 	x[0] = dp[0] / bp[0]
 	if x[0] < psi[0] {
 		x[0] = psi[0]
 	}
 	for i := 1; i < n; i++ {
-		if bp[i] == 0 {
-			return ErrSingular
-		}
 		x[i] = (dp[i] - a[i]*x[i-1]) / bp[i]
 		if x[i] < psi[i] {
 			x[i] = psi[i]
 		}
 	}
-	return nil
 }
 
 // PSOR solves the linear complementarity problem

@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -128,6 +130,7 @@ func TestPriceLock(t *testing.T) {
 	// moves no bit passes.
 	wantLines, gotLines := pricedLines(want), pricedLines(got)
 	moved := 0
+	byMethod := map[string]int{}
 	for i := range max(len(wantLines), len(gotLines)) {
 		var w, g string
 		if i < len(wantLines) {
@@ -140,12 +143,37 @@ func TestPriceLock(t *testing.T) {
 			if moved++; moved <= 10 {
 				t.Errorf("%s line %d:\n  lock: %s\n  tree: %s", priceLockFile, i+1, w, g)
 			}
+			byMethod[lockMethod(w, g)]++
 		}
 	}
 	if moved > 0 {
-		t.Errorf("%d line(s) of %s (written by %s) differ from this tree's prices under %s; if the move is deliberate, run `make prices` and name the methods that moved",
-			moved, priceLockFile, lockHeader(want, "go"), runtime.Version())
+		var per []string
+		for _, m := range slices.Sorted(maps.Keys(byMethod)) {
+			per = append(per, fmt.Sprintf("%s %d", m, byMethod[m]))
+		}
+		t.Errorf("%d line(s) of %s (written by %s) differ from this tree's prices under %s, by method: %s; if the move is deliberate, run `make prices` and name the methods that moved",
+			moved, priceLockFile, lockHeader(want, "go"), runtime.Version(), strings.Join(per, ", "))
 	}
+}
+
+// lockMethod names the method of a lock line that moved, read from the
+// tree's line, or from the lock's when the tree has none: the second
+// field of a regression line ("regr-00228 MC_LocalVol …"), the third of a
+// sweep line ("sweep locvol-04636 MC_LocalVol cell 0 …"), or "header"
+// for the other lines.
+func lockMethod(lock, tree string) string {
+	line := tree
+	if line == "" {
+		line = lock
+	}
+	f := strings.Fields(line)
+	switch {
+	case len(f) > 2 && f[0] == "sweep":
+		return f[2]
+	case len(f) > 1 && strings.HasPrefix(f[0], "regr-"):
+		return f[1]
+	}
+	return "header"
 }
 
 // pricedLines splits a lock into lines, the toolchain line blanked.

@@ -275,10 +275,10 @@ func basketPrices(cells []basketCell) ([]Result, []error) {
 	return results, nil
 }
 
-// mcLocalVol implements MC_LocalVol: log-Euler simulation under the
-// parametric local-volatility surface, sharded over the multicore pricing
-// kernel. Parameters: "paths", "mcsteps", "threads". It is localVolPrices
-// on one cell.
+// mcLocalVol implements MC_LocalVol: log-Euler simulation of
+// x = ln(S/S0) under the parametric local-volatility surface, one exp a
+// path, sharded over the multicore pricing kernel. Parameters: "paths",
+// "mcsteps", "threads". It is localVolPrices on one cell.
 func mcLocalVol(p *Problem) (Result, error) { return priceAlone(p, localVolOf, localVolPrices) }
 
 // localVolCell is one MC_LocalVol pricing, parsed and validated.
@@ -327,31 +327,47 @@ func (c localVolCell) draws() drawKey {
 func localVolPrices(cells []localVolCell) ([]Result, []error) {
 	c0 := cells[0]
 	steps := c0.steps
-	// Struct-of-arrays: each block's normals (steps per path) are drawn in
-	// one batched pass; the sequential-in-time evolution then consumes its
-	// path's row.
+	// Struct-of-arrays: each block's normals are drawn path by path, in
+	// the stream's order, and laid out time-major, every path's step-k
+	// normal side by side. A cell advances all the block's paths one time
+	// step at a time, so independent paths' updates overlap instead of
+	// each waiting on its own last step, while each path's x = ln(S/S0)
+	// sees the same operations on the same normals in the same order as it
+	// would alone.
 	block := soaBlock / steps
 	if block < 1 {
 		block = 1
 	}
 	accs := c0.k.paths(c0.paths, len(cells), func(rng *mathutil.RNG, n int, accs []mathutil.Welford, sc *kernelScratch) {
-		g := sc.floats(block * steps)
+		gt := sc.floats(block * steps)
+		row := sc.floats(steps)
+		xs := sc.floats(block)
 		for done := 0; done < n; done += block {
 			bn := min(block, n-done)
-			rng.NormVec(g[:bn*steps])
+			for i := 0; i < bn; i++ {
+				rng.NormVec(row)
+				for k, z := range row {
+					gt[k*bn+i] = z
+				}
+			}
+			x := xs[:bn]
 			for j := range cells {
 				c := &cells[j]
 				m := c.m
-				for i := 0; i < bn; i++ {
-					row := g[i*steps : (i+1)*steps]
-					s := m.S0
-					t := 0.0
-					for k := 0; k < steps; k++ {
-						sig := m.Vol(t, s)
-						s *= mathutil.Exp((m.R-m.Div-0.5*sig*sig)*c.dt + sig*c.sqdt*row[k])
-						t += c.dt
+				clear(x)
+				t := 0.0
+				for k := 0; k < steps; k++ {
+					z := gt[k*bn : (k+1)*bn]
+					z = z[:len(x)] // lets the compiler drop z[i]'s bounds check
+					for i := range x {
+						sig := m.Vol(t, x[i])
+						x[i] += (m.R-m.Div-0.5*sig*sig)*c.dt + sig*c.sqdt*z[i]
 					}
-					accs[j].Add(c.df * vanillaPayoff(c.isCall, s, c.strike))
+					t += c.dt
+				}
+				mathutil.ExpVec(x, x)
+				for i := range x {
+					accs[j].Add(c.df * vanillaPayoff(c.isCall, m.S0*x[i], c.strike))
 				}
 			}
 		}

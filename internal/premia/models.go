@@ -2,7 +2,6 @@ package premia
 
 import (
 	"fmt"
-	"math"
 
 	"riskbench/internal/mathutil"
 )
@@ -77,7 +76,7 @@ func mbsFrom(p *Problem) (mbsParams, error) {
 
 // lvParams are the parameters of the parametric local-volatility model
 //
-//	σ(t, S) = σ0 · (1 + skew·ln(S/S0)) · (1 + term·t)
+//	σ(t, S) = σ0 · (1 + skew·x) · (1 + term·t),  x = ln(S/S0),
 //
 // clamped to [lvMinVol, lvMaxVol]; a smooth, skewed, term-dependent
 // surface in the spirit of Dupire-calibrated models, rich enough to make
@@ -108,12 +107,10 @@ func lvFrom(p *Problem) (lvParams, error) {
 	return m, nil
 }
 
-// Vol returns the local volatility at time t and spot s.
-func (m lvParams) Vol(t, s float64) float64 {
-	if s <= 0 {
-		return lvMinVol
-	}
-	v := m.Sigma0 * (1 + m.Skew*math.Log(s/m.S0)) * (1 + m.Term*t)
+// Vol returns the local volatility at time t and log-moneyness
+// x = ln(S/S0), the state the log-Euler scheme steps.
+func (m lvParams) Vol(t, x float64) float64 {
+	v := m.Sigma0 * (1 + m.Skew*x) * (1 + m.Term*t)
 	if v < lvMinVol {
 		return lvMinVol
 	}

@@ -89,11 +89,14 @@ func pdeCoeffs(m bsParams, g pdeGrid) (alpha, beta, gamma float64) {
 type pdeSolver struct {
 	g                   pdeGrid
 	alpha, beta, gamma  float64
-	v                   []float64 // current layer, nodes 0..mi
-	sub, diag, sup, rhs []float64 // interior tridiagonal system
-	scratch             []float64
+	v                   []float64   // current layer, nodes 0..mi
+	sub, diag, sup, rhs []float64   // interior tridiagonal system
 	psi                 []float64   // interior obstacle (American), nil otherwise
 	psor                *psorParams // solves the obstacle by projected SOR, nil for Brennan–Schwartz
+	// thomas or bs holds the direct solve's factors, which overwrite diag
+	// and sup.
+	thomas mathutil.Tridiag
+	bs     mathutil.TridiagBS
 	// boundary returns the Dirichlet values at remaining time tau.
 	boundary func(tau float64) (lo, hi float64)
 }
@@ -116,33 +119,36 @@ func newPDESolver(m bsParams, g pdeGrid, terminal func(s float64) float64, bound
 	ps.diag = make([]float64, ni)
 	ps.sup = make([]float64, ni)
 	ps.rhs = make([]float64, ni)
-	ps.scratch = make([]float64, ni)
 	return ps
 }
 
 // run performs the backward induction. theta=1 steps (implicit Euler) are
 // used for the first rannacher steps to damp the payoff kink, then
-// Crank–Nicolson (theta=½). Each step ends in one of three solves: the
-// Thomas algorithm, Brennan–Schwartz's projection onto the obstacle psi,
-// or projected SOR. It returns the run's work: the nodes of every step's
-// direct solve, or the interior nodes of every SOR sweep.
+// Crank–Nicolson (theta=½). The step matrix depends on theta alone, so it
+// is built, and for a direct solve eliminated, at the first step of each
+// theta. Each step ends in one of three solves: the Thomas algorithm,
+// Brennan–Schwartz's projection onto the obstacle psi, or projected SOR.
+// It returns the run's work: the nodes of every step's direct solve, or
+// the interior nodes of every SOR sweep.
 func (ps *pdeSolver) run() (float64, error) {
 	g := ps.g
 	ni := g.mi - 1
 	const rannacher = 2
 	sweeps := 0
+	a, b, c := ps.alpha, ps.beta, ps.gamma
 	for step := 0; step < g.n; step++ {
 		theta := 0.5
 		if step < rannacher {
 			theta = 1.0
 		}
+		if step == 0 || step == rannacher {
+			if err := ps.setMatrix(theta); err != nil {
+				return 0, fmt.Errorf("premia: PDE step %d: %w", step, err)
+			}
+		}
 		tauNew := float64(step+1) * g.dt // remaining time after this step
 		loNew, hiNew := ps.boundary(tauNew)
-		a, b, c := ps.alpha, ps.beta, ps.gamma
 		for i := 0; i < ni; i++ {
-			ps.sub[i] = -theta * g.dt * a
-			ps.diag[i] = 1 - theta*g.dt*b
-			ps.sup[i] = -theta * g.dt * c
 			vi := ps.v[i+1]
 			rhs := vi
 			if theta < 1 {
@@ -159,19 +165,17 @@ func (ps *pdeSolver) run() (float64, error) {
 		ps.rhs[0] += theta * g.dt * a * loNew
 		ps.rhs[ni-1] += theta * g.dt * c * hiNew
 		interior := ps.v[1:g.mi]
-		var err error
 		switch {
 		case ps.psor != nil:
-			var iters int
-			iters, err = mathutil.PSOR(ps.sub, ps.diag, ps.sup, ps.rhs, ps.psi, interior, ps.psor.omega, ps.psor.tol, ps.psor.maxIter)
+			iters, err := mathutil.PSOR(ps.sub, ps.diag, ps.sup, ps.rhs, ps.psi, interior, ps.psor.omega, ps.psor.tol, ps.psor.maxIter)
 			sweeps += iters
+			if err != nil {
+				return 0, fmt.Errorf("premia: PDE step %d: %w", step, err)
+			}
 		case ps.psi != nil:
-			err = mathutil.SolveTridiagBS(ps.sub, ps.diag, ps.sup, ps.rhs, ps.psi, interior, ps.scratch)
+			ps.bs.Solve(ps.rhs, ps.psi, interior)
 		default:
-			err = mathutil.SolveTridiag(ps.sub, ps.diag, ps.sup, ps.rhs, interior, ps.scratch)
-		}
-		if err != nil {
-			return 0, fmt.Errorf("premia: PDE step %d: %w", step, err)
+			ps.thomas.Solve(ps.rhs, interior)
 		}
 		ps.v[0], ps.v[g.mi] = loNew, hiNew
 	}
@@ -179,6 +183,24 @@ func (ps *pdeSolver) run() (float64, error) {
 		return float64(sweeps) * float64(ni), nil
 	}
 	return float64(g.n) * float64(g.mi), nil
+}
+
+// setMatrix fills the interior system's matrix for theta, and eliminates
+// it in place for the direct solve the run ends its steps in.
+func (ps *pdeSolver) setMatrix(theta float64) error {
+	dt := ps.g.dt
+	for i := range ps.diag {
+		ps.sub[i] = -theta * dt * ps.alpha
+		ps.diag[i] = 1 - theta*dt*ps.beta
+		ps.sup[i] = -theta * dt * ps.gamma
+	}
+	switch {
+	case ps.psor != nil:
+		return nil
+	case ps.psi != nil:
+		return ps.bs.Factor(ps.sub, ps.diag, ps.sup)
+	}
+	return ps.thomas.Factor(ps.sub, ps.diag, ps.sup)
 }
 
 // price runs the induction and reads the price and delta off at s0.

@@ -223,10 +223,38 @@ func TestLSMCellsPerRunFits(t *testing.T) {
 // threads=1 and side by side at threads=2.
 func BenchmarkSweepPDE(b *testing.B) {
 	t := 1.0/3 + 0.25*16
-	base := New().SetModel(ModelBS1D).SetOption(OptPutAmer).SetMethod(MethodFDBS).
+	benchSweep(b, New().SetModel(ModelBS1D).SetOption(OptPutAmer).SetMethod(MethodFDBS).
 		Set("S0", 100).Set("r", 0.045).Set("divid", 0.01).Set("sigma", 0.22).
-		Set("K", 100).Set("T", t).Set("steps", float64(int(t*182)+1)).Set("nodes", 400)
-	cells := [][]Override{nil, {{"S0", 90}}, {{"S0", 110}}, {{"sigma", 0.18}}, {{"sigma", 0.26}}, {{"r", 0.055}}}
+		Set("K", 100).Set("T", t).Set("steps", float64(int(t*182)+1)).Set("nodes", 400), "sigma")
+}
+
+// BenchmarkSweepBarrierPDE is the same sweep of one claim of the realistic
+// book's barrier class: an FD_CrankNicolson down-and-out call, barrier at
+// 75 % of the spot, on the book's grid.
+func BenchmarkSweepBarrierPDE(b *testing.B) {
+	t := 1.0/3 + 0.25*16
+	benchSweep(b, New().SetModel(ModelBS1D).SetOption(OptCallDownOut).SetMethod(MethodFDCrank).
+		Set("S0", 100).Set("r", 0.045).Set("divid", 0.01).Set("sigma", 0.22).
+		Set("K", 100).Set("T", t).Set("L", 75).Set("steps", float64(int(t*182)+1)).Set("nodes", 400), "sigma")
+}
+
+// BenchmarkSweepLocalVol is the same sweep of one claim of the realistic
+// book's local-volatility class: an MC_LocalVol call on the book's
+// 100-step paths, 10⁵ of its 10⁶ so that an op takes a fraction of a
+// second, its six cells evolving each block of shared draws, on one
+// kernel goroutine at threads=1 and two at threads=2.
+func BenchmarkSweepLocalVol(b *testing.B) {
+	benchSweep(b, New().SetModel(ModelLocVol).SetOption(OptCallEuro).SetMethod(MethodMCLocalVol).
+		Set("S0", 100).Set("r", 0.045).Set("divid", 0.01).
+		Set("sigma0", 0.22).Set("skew", -0.15).Set("termslope", 0.02).
+		Set("K", 100).Set("T", 2.6).Set("paths", 1e5).Set("mcsteps", 100), "sigma0")
+}
+
+// benchSweep times base under the base and five market scenarios — spot
+// ±10 %, the volatility parameter vol at 0.18 and 0.26, the rate +1 pt —
+// at threads 1 and 2.
+func benchSweep(b *testing.B, base *Problem, vol string) {
+	cells := [][]Override{nil, {{"S0", 90}}, {{"S0", 110}}, {{vol, 0.18}}, {{vol, 0.26}}, {{"r", 0.055}}}
 	for _, threads := range []int{1, 2} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			sw := &Sweep{Base: base.Clone().Set("threads", float64(threads)), Cells: cells}
