@@ -73,8 +73,10 @@ compat:
 # (go test takes one -fuzz target per invocation): the nsp stream decoder
 # under every message, the mpi frame reader and hello parser, the
 # farm's batch descriptor and span/event payloads fed through
-# nsp.Unserialize as a frame's bytes arrive, and the JSON bodies of the
-# four POST endpoints. No input may panic or allocate past its bounds,
+# nsp.Unserialize as a frame's bytes arrive, a worker's whole result frame
+# through the master's reply path (an accepted reply places one result
+# per task, at its task's index), and the JSON bodies of the four POST
+# endpoints. No input may panic or allocate past its bounds,
 # whatever decodes must survive its own codec, and every request body gets
 # a JSON answer that is no 5xx. The /price and /batch bodies are fuzzed a
 # second time differentially: whatever the one-pass problem scanner takes,
@@ -91,6 +93,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeHello$$' -fuzztime 10s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch$$' -fuzztime 10s ./internal/farm
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRecords$$' -fuzztime 10s ./internal/farm
+	$(GO) test -run '^$$' -fuzz 'FuzzWorkerReply$$' -fuzztime 10s ./internal/farm
 	$(GO) test -run '^$$' -fuzz 'FuzzServeBodies$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeProblems$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz 'FuzzExp$$' -fuzztime 10s ./internal/mathutil

@@ -205,14 +205,10 @@ func runSelfTest(ctx context.Context, workers int, reg *telemetry.Registry) {
 	root.End()
 	elapsed := time.Since(start)
 
-	methodOf := map[string]string{}
-	for _, it := range pf.Items {
-		methodOf[it.Name] = it.Problem.Method
-	}
 	type stat struct{ n, bad int }
 	perMethod := map[string]*stat{}
-	for _, r := range results {
-		m := methodOf[r.Name]
+	for i, r := range results {
+		m := pf.Items[i].Problem.Method
 		s := perMethod[m]
 		if s == nil {
 			s = &stat{}

@@ -9,20 +9,23 @@ import (
 	"riskbench/internal/telemetry"
 )
 
-// queuedBatch is one batch awaiting dispatch plus its enqueue time on
-// the telemetry clock (0 when telemetry is off).
+// queuedBatch is one batch awaiting dispatch: its tasks, the round
+// index of the first of them, and its enqueue time on the telemetry
+// clock (0 when telemetry is off).
 type queuedBatch struct {
 	tasks    []Task
+	first    int
 	enqueued float64
 }
 
 // pendingBatch is one batch in flight on a worker: the round it belongs
-// to (nil = the worker is idle), the tasks, the clock just before and
-// just after its sends, and the per-task spans to close on arrival of
-// the results.
+// to (nil = the worker is idle), the tasks and the round index of the
+// first, the clock just before and just after its sends, and the
+// per-task spans to close on arrival of the results.
 type pendingBatch struct {
 	round *round
 	tasks []Task
+	first int
 	// sendingAt is read before the descriptor goes out, so it is no later
 	// than the instant the worker receives it: the anchor for shifting
 	// worker clocks. sentAt is read after the sends: the start of the
@@ -33,8 +36,8 @@ type pendingBatch struct {
 
 // round is the dispatch state of one submitted task list. Everything the
 // dispatcher keeps about a task list lives here and nowhere else, so
-// rounds open at the same time share the workers and nothing more — two
-// of them may both name a task "s001/…" and keep separate results.
+// rounds open at the same time share the workers and nothing more. A
+// result is placed at its task's index in results; names only label.
 //
 // When opts.Telemetry is set, every task gets a "farm.task" span
 // (dispatch → results) under the round's "farm.run" span, and the
@@ -56,7 +59,8 @@ type round struct {
 	// queued and inflight count the round's batches waiting in queues and
 	// out on workers; the round is over when both reach zero.
 	queued, inflight int
-	results          []Result
+	// results[i] is the answer to the round's task i.
+	results []Result
 	// cells is set on a round whose sweeps were dealt as cells (the
 	// communicator carries bytes): finish folds them back into blocks.
 	cells *sweepCells
@@ -175,16 +179,12 @@ func (d *dispatcher) publish() {
 // submit opens a round over the batches under the assignment policy.
 // Nothing is sent: the driver feeds the idle ranks next. A round of no
 // batches finishes here. On a communicator that carries bytes the
-// round's sweeps are dealt as their cells; the only error is a clash of
-// their names.
-func (d *dispatcher) submit(ctx context.Context, batches [][]Task, policy assignment, opts Options) (*round, error) {
+// round's sweeps are dealt as their cells.
+func (d *dispatcher) submit(ctx context.Context, batches [][]Task, policy assignment, opts Options) *round {
 	reg := opts.Telemetry
 	r := &round{ctx: ctx, opts: opts}
 	if !byReference(d.c) {
-		var err error
-		if batches, r.cells, err = expandSweeps(batches); err != nil {
-			return nil, err
-		}
+		batches, r.cells = expandSweeps(batches)
 	}
 	_, r.span = reg.Start(ctx, "farm.run", false)
 	r.queues = make([][]queuedBatch, 1)
@@ -202,17 +202,17 @@ func (d *dispatcher) submit(ctx context.Context, batches [][]Task, policy assign
 	tasks := 0
 	for i, b := range batches {
 		q := i % len(r.queues)
-		r.queues[q] = append(r.queues[q], queuedBatch{tasks: b, enqueued: now})
+		r.queues[q] = append(r.queues[q], queuedBatch{tasks: b, first: tasks, enqueued: now})
 		tasks += len(b)
 	}
 	r.queued = len(batches)
 	if tasks > 0 {
-		r.results = make([]Result, 0, tasks)
+		r.results = make([]Result, tasks)
 	}
 	d.rounds = append(d.rounds, r)
 	d.settle(r)
 	d.publish()
-	return r, nil
+	return r
 }
 
 // feed hands idle rank w its next batch: the head of its queue in the
@@ -241,7 +241,7 @@ func (d *dispatcher) send(r *round, q, w int) error {
 	// The per-task spans open before the send so their IDs can ride
 	// the descriptor: the worker parents its farm.compute spans on
 	// them.
-	pb := pendingBatch{round: r, tasks: qb.tasks}
+	pb := pendingBatch{round: r, tasks: qb.tasks, first: qb.first}
 	var bt batchTrace
 	if reg != nil {
 		pb.spans = make([]*telemetry.Span, len(qb.tasks))
@@ -282,16 +282,26 @@ func (d *dispatcher) send(r *round, q, w int) error {
 }
 
 // onReply books one worker's answer to the round its batch belongs to:
-// results collected — a failed task's with its Err, once, for every rank
-// prices alike and a second attempt would fail the same way — and the
-// rank idle again: the driver feeds it next. An answer from a rank that
-// holds no batch is a protocol violation.
+// result j placed at the round index of the batch's task j — a failed
+// task's with its Err, once, for every rank prices alike and a second
+// attempt would fail the same way — and the rank idle again: the driver
+// feeds it next. An answer from a rank that holds no batch, or one that
+// is not one result per task of the batch, each echoing its task's name,
+// is a protocol violation.
 func (d *dispatcher) onReply(rep workerReply) error {
 	from := rep.source
 	if from < 0 || from >= len(d.slots) || d.slots[from].round == nil {
 		return fmt.Errorf("farm: results from rank %d, which holds no batch", from)
 	}
 	was := d.slots[from]
+	if len(rep.results) != len(was.tasks) {
+		return fmt.Errorf("farm: rank %d answered %d results for a batch of %d tasks", from, len(rep.results), len(was.tasks))
+	}
+	for j, res := range rep.results {
+		if res.Name != was.tasks[j].Name {
+			return fmt.Errorf("farm: rank %d answered %q for task %q", from, res.Name, was.tasks[j].Name)
+		}
+	}
 	d.slots[from] = pendingBatch{}
 	r := was.round
 	r.inflight--
@@ -322,8 +332,8 @@ func (d *dispatcher) onReply(rep workerReply) error {
 		reg.Ingest(rep.records.spans, rep.records.events)
 	}
 	completed := int64(0)
+	copy(r.results[was.first:], rep.results)
 	for _, res := range rep.results {
-		r.results = append(r.results, res)
 		if res.Err == nil {
 			completed++
 			continue

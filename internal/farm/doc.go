@@ -49,7 +49,7 @@
 // same seam (byReference) the dispatcher deals its cells as ordinary
 // problem tasks in the message the sweep was in — so a wire carries what
 // it always carried — and folds their results back into the block as the
-// round ends (sweep.go).
+// round ends, each block at its sweep's index (sweep.go).
 //
 // A pricing failure is final. Every rank prices a task alike, so the
 // master books a failed task once — its Result.Err names the rank, it
@@ -62,8 +62,13 @@
 // round, feed an idle rank, book a reply, cancel a round — whose
 // bookkeeping (queue, results, in-flight count, farm.run span, context)
 // is per round and whose per-rank slot remembers which round the batch
-// it holds belongs to; an idle rank draws from the open rounds in
-// rotation. A Session drives it: ranks spawned once (Open over any
+// it holds belongs to, and the round index of its first task; an idle
+// rank draws from the open rounds in rotation. Like the paper's master,
+// it collects answers as they arrive, but it places each at its task's
+// index: every entry point returns results[i] for tasks[i], and a task's
+// name only labels it. A reply that is not one result per task of its
+// batch, each echoing its task's name, fails the session with the rank
+// named. A Session drives it: ranks spawned once (Open over any
 // communicator, Local.Open for a flat in-process world), any number of
 // concurrent Run calls, and one stop message in
 // Close. The session owns no goroutine: each Run seeds the idle ranks

@@ -8,7 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"riskbench/internal/mpi"
 	"riskbench/internal/nsp"
 	"riskbench/internal/telemetry"
 )
@@ -212,5 +214,118 @@ func TestFarmFailureIsFinal(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// misanswers are the replies of a broken worker to a batch of two
+// tasks: a result short, a result too many, and results that name each
+// other's task.
+var misanswers = []struct {
+	name   string
+	answer func(names []string) []string
+	want   string
+}{
+	{"short", func(n []string) []string { return n[:1] }, "rank 1 answered 1 results for a batch of 2 tasks"},
+	{"long", func(n []string) []string { return append(n, n[0]) }, "rank 1 answered 3 results for a batch of 2 tasks"},
+	{"misnamed", func(n []string) []string { return []string{n[1], n[0]} }, `rank 1 answered "pb-0001" for task "pb-0000"`},
+}
+
+// misanswer is a hand-written rank that prices nothing: it answers every
+// batch it is sent with a result per name answer lists, until its
+// communicator fails.
+func misanswer(c mpi.Comm, answer func([]string) []string) {
+	for {
+		obj, _, err := mpi.RecvObj(c, 0, TagTask)
+		if err != nil {
+			return
+		}
+		desc, err := decodeBatch(obj)
+		if err != nil || len(desc.Names) == 0 {
+			return
+		}
+		if _, _, err := recvPayload(c, 0, len(desc.Names)); err != nil {
+			return
+		}
+		out := nsp.NewList()
+		for _, name := range answer(desc.Names) {
+			out.Add(testResult(name, 42))
+		}
+		if mpi.SendObj(c, out, 0, TagResult) != nil {
+			return
+		}
+	}
+}
+
+// TestMisansweringWorkerFailsTheSession: a reply that does not answer its
+// batch task for task — one result short, one too many, or a result
+// naming another task — fails the session at once with the rank named,
+// by reference and over the wire, and Close leaves no goroutine behind.
+func TestMisansweringWorkerFailsTheSession(t *testing.T) {
+	opts := Options{Strategy: SerializedLoad, BatchSize: 2}
+	tasks, _ := makePortfolio(t, 4)
+	worlds := []struct {
+		name string
+		open func(t *testing.T, answer func([]string) []string) *Session
+	}{
+		{"local", func(t *testing.T, answer func([]string) []string) *Session {
+			w := mpi.NewLocalWorld(2)
+			done := make(chan struct{})
+			go func() { defer close(done); misanswer(w.Comm(1), answer) }()
+			s := newSession(w.Comm(0), []int{1}, LiveLoader{}, sharedQueue, opts.Strategy)
+			s.abort, s.join = w.Close, func() error { <-done; return nil }
+			return s
+		}},
+		{"inproc", func(t *testing.T, answer func([]string) []string) *Session {
+			hub, err := mpi.ListenHubWith("", 2, mpi.WorldOptions{Transport: "inproc"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			accepted := make(chan error, 1)
+			go func() { accepted <- hub.WaitWorkers() }()
+			wc, err := mpi.DialHubWith(hub.Addr(), mpi.WorldOptions{Transport: "inproc"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := <-accepted; err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() { defer close(done); defer wc.Close(); misanswer(wc, answer) }()
+			s, err := Open(hub, opts, func() error { <-done; return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+	}
+	for _, w := range worlds {
+		for _, m := range misanswers {
+			t.Run(w.name+"/"+m.name, func(t *testing.T) {
+				before := settledGoroutines()
+				s := w.open(t, m.answer)
+				done := make(chan error, 1)
+				go func() {
+					results, err := s.Run(context.Background(), tasks, opts)
+					if err == nil {
+						err = fmt.Errorf("%d results for %d tasks, no error", len(results), len(tasks))
+					}
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if !strings.Contains(err.Error(), m.want) {
+						t.Errorf("Run returned %v, want %q", err, m.want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("Run still waits on a worker that mis-answered")
+				}
+				if err := s.Close(); err == nil || !strings.Contains(err.Error(), "rank 1") {
+					t.Errorf("Close returned %v, want the session's failure", err)
+				}
+				if after := settledGoroutines(); after > before {
+					t.Errorf("%d goroutines before the session, %d after Close", before, after)
+				}
+			})
+		}
 	}
 }

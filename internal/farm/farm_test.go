@@ -613,36 +613,6 @@ func TestFarmNFSOverRealFiles(t *testing.T) {
 	}
 }
 
-func TestFarmRejectsDuplicateNames(t *testing.T) {
-	w := mpi.NewLocalWorld(2)
-	defer w.Close()
-	tasks := []Task{{Name: "same", Data: []byte("a")}, {Name: "same", Data: []byte("b")}}
-	if _, err := RunMaster(context.Background(), w.Comm(0), tasks, LiveLoader{}, Options{Strategy: SerializedLoad}); err == nil {
-		t.Fatal("duplicate task names accepted")
-	}
-}
-
-// The static and hierarchical masters share RunMaster's duplicate-name
-// validation (names key retry bookkeeping and results), so both must
-// reject conflating task lists before dispatching anything.
-func TestStaticFarmRejectsDuplicateNames(t *testing.T) {
-	w := mpi.NewLocalWorld(2)
-	defer w.Close()
-	tasks := []Task{{Name: "same", Data: []byte("a")}, {Name: "same", Data: []byte("b")}}
-	if _, err := RunStaticMaster(context.Background(), w.Comm(0), tasks, LiveLoader{}, Options{Strategy: SerializedLoad}); err == nil {
-		t.Fatal("duplicate task names accepted by static master")
-	}
-}
-
-func TestRootMasterRejectsDuplicateNames(t *testing.T) {
-	w := mpi.NewLocalWorld(2)
-	defer w.Close()
-	tasks := []Task{{Name: "same", Data: []byte("a")}, {Name: "same", Data: []byte("b")}}
-	if _, err := RunRootMaster(context.Background(), w.Comm(0), tasks, LiveLoader{}, Options{Strategy: SerializedLoad}, 1, 1); err == nil {
-		t.Fatal("duplicate task names accepted by root master")
-	}
-}
-
 // TestExecuteObjProblemOrHash: the live executor prices a problem that
 // arrived as itself, as the hash it travels as (what the benchmark's
 // by-reference tasks carry), or as that hash's bytes, to the same typed

@@ -37,12 +37,15 @@ const (
 // paper's Fig. 4 master part): seed every worker with one batch, then feed
 // whichever worker answers first, and finally send each worker the empty
 // stop message: one round of a Session over ranks 1..size-1, which
-// leaves c to the caller. Results come back in completion order.
+// leaves c to the caller. Results come back in task order, whichever
+// worker answered first.
 //
 // Cancelling ctx is cooperative: the master stops dispatching new
 // batches, drains the batches already in flight, stops the workers, and
-// returns ctx.Err(). A refused task list stops them too. Transport
-// errors remain fatal and leave the workers unstopped.
+// returns ctx.Err(), also when ctx is done before anything is
+// dispatched. Transport errors, and a worker's reply that does not
+// answer its batch task for task, remain fatal and leave the workers
+// unstopped.
 func RunMaster(ctx context.Context, c mpi.Comm, tasks []Task, loader Loader, opts Options) ([]Result, error) {
 	return runRound(ctx, c, c.Size()-1, tasks, opts.batchSize(), sharedQueue, loader, opts)
 }
@@ -78,20 +81,6 @@ func workerRanks(c mpi.Comm, n int) ([]int, error) {
 		ranks[i] = i + 1
 	}
 	return ranks, nil
-}
-
-// validateTasks rejects duplicate task names. Names key the results, so
-// duplicates would silently conflate distinct claims; Session.Run, which
-// every master entry point runs on, calls it before dispatching anything.
-func validateTasks(tasks []Task) error {
-	seen := make(map[string]bool, len(tasks))
-	for _, t := range tasks {
-		if seen[t.Name] {
-			return fmt.Errorf("farm: duplicate task name %q", t.Name)
-		}
-		seen[t.Name] = true
-	}
-	return nil
 }
 
 // splitBatches groups tasks into batches of at most bs.

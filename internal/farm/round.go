@@ -116,7 +116,7 @@ func (l Local) Open(opts Options, workers int) (*Session, error) {
 }
 
 // Run farms one round of tasks over a session opened for it and closed
-// behind it, and returns the results in completion order. Every rank is
+// behind it, and returns the results in task order. Every rank is
 // joined before it returns, on every path. A cancelled round reports
 // ctx.Err(); otherwise the first failure is reported with its rank.
 func (l Local) Run(ctx context.Context, tasks []Task, opts Options, workers int) ([]Result, error) {

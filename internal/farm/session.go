@@ -85,10 +85,12 @@ func (s *Session) publishTo(reg *telemetry.Registry) {
 }
 
 // Run farms one round of tasks over the session's workers and returns
-// the results in completion order. It is safe for concurrent callers;
-// each gets exactly its own results, a failed task's with its Err. opts
-// are the round's master-side settings — BatchSize, Telemetry, Fleet;
-// the strategy is the workers' and must match the session's.
+// the results in task order: results[i] answers tasks[i], whatever order
+// the workers answered in, and names only label. It is safe for
+// concurrent callers; each gets exactly its own results, a failed task's
+// with its Err. opts are the round's master-side settings — BatchSize,
+// Telemetry, Fleet; the strategy is the workers' and must match the
+// session's.
 //
 // Cancelling ctx is cooperative and costs only this round: nothing more
 // of it is dispatched, its batches in flight drain, and ctx.Err() is
@@ -97,9 +99,6 @@ func (s *Session) publishTo(reg *telemetry.Registry) {
 func (s *Session) Run(ctx context.Context, tasks []Task, opts Options) ([]Result, error) {
 	if opts.Strategy != s.strategy {
 		return nil, fmt.Errorf("farm: round under %v on a session whose workers serve %v", opts.Strategy, s.strategy)
-	}
-	if err := validateTasks(tasks); err != nil {
-		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -115,10 +114,7 @@ func (s *Session) Run(ctx context.Context, tasks []Task, opts Options) ([]Result
 	if err := s.err; err != nil {
 		return nil, err
 	}
-	r, err := s.d.submit(ctx, batches, s.policy, opts)
-	if err != nil {
-		return nil, err
-	}
+	r := s.d.submit(ctx, batches, s.policy, opts)
 	for _, w := range s.d.workers {
 		if s.d.slots[w].round != nil {
 			continue

@@ -250,7 +250,8 @@ func TestSessionRotation(t *testing.T) {
 
 // TestSessionRefusesWhatItCannotRun: a round under another strategy
 // than the workers serve is an error at once, not a worker waiting for a
-// payload that never comes; and a closed session says so.
+// payload that never comes; a round holding one task twice is no such
+// round, and answers both, in order; and a closed session says so.
 func TestSessionRefusesWhatItCannotRun(t *testing.T) {
 	opts := Options{Strategy: SerializedLoad}
 	s, err := Local{}.Open(opts, 2)
@@ -261,11 +262,18 @@ func TestSessionRefusesWhatItCannotRun(t *testing.T) {
 	if _, err := s.Run(context.Background(), tasks, Options{Strategy: NFSLoad}); err == nil || !strings.Contains(err.Error(), "NFS") {
 		t.Fatalf("an NFS round on a serialized-load session returned %v, want a strategy error", err)
 	}
-	if _, err := s.Run(context.Background(), append(tasks, tasks[0]), opts); err == nil || !strings.Contains(err.Error(), "duplicate") {
-		t.Fatalf("a round with a duplicate name returned %v", err)
+	twice := append(tasks[:len(tasks):len(tasks)], tasks[0])
+	results, err := s.Run(context.Background(), twice, opts)
+	if err != nil || len(results) != len(twice) {
+		t.Fatalf("a round holding one task twice returned %d results, %v", len(results), err)
 	}
-	// Neither refusal cost the session anything.
-	results, err := s.Run(context.Background(), tasks, opts)
+	for i, r := range results {
+		if price, ok := priceOf(r); r.Name != twice[i].Name || !ok || price != want[twice[i].Name] {
+			t.Errorf("result %d: %s priced %v, want task %s at %v", i, r.Name, price, twice[i].Name, want[twice[i].Name])
+		}
+	}
+	// The refusal cost the session nothing.
+	results, err = s.Run(context.Background(), tasks, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

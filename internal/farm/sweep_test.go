@@ -109,10 +109,7 @@ func TestSweepCrossesEverySeam(t *testing.T) {
 	}
 
 	// What the bytes side ships.
-	batches, cells, err := expandSweeps(splitBatches(sweepTasks(), 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	batches, cells := expandSweeps(splitBatches(sweepTasks(), 2))
 	var names []string
 	for _, b := range batches {
 		for _, task := range b {
@@ -120,8 +117,8 @@ func TestSweepCrossesEverySeam(t *testing.T) {
 		}
 		names = append(names, "|")
 	}
-	if got := strings.Join(names, " "); got != "plain a#0 a#1 a#2 a#3 a#4 | b#0 b#1 b#2 |" || len(cells.blocks) != 3 {
-		t.Fatalf("dealt %q into %d blocks", got, len(cells.blocks))
+	if got := strings.Join(names, " "); got != "plain a#0 a#1 a#2 a#3 a#4 | b#0 b#1 b#2 |" || len(cells.refs) != 9 || len(cells.results) != 4 {
+		t.Fatalf("dealt %q as %d cells of %d tasks", got, len(cells.refs), len(cells.results))
 	}
 	a := sweepTasks()[1].Obj.(*premia.Sweep)
 	for k := range a.Cells {
@@ -139,8 +136,8 @@ func TestSweepCrossesEverySeam(t *testing.T) {
 			t.Errorf("cell task %s: payload is not nsp.Serialize(Cell(%d).ToNsp())", task.Name, k)
 		}
 	}
-	if plain, _, err := expandSweeps(splitBatches(sweepTasks()[:1], 2)); err != nil || len(plain) != 1 || plain[0][0].Name != "plain" {
-		t.Errorf("a round without sweeps was rewritten: %v, %v", plain, err)
+	if plain, cells := expandSweeps(splitBatches(sweepTasks()[:1], 2)); cells != nil || len(plain) != 1 || plain[0][0].Name != "plain" {
+		t.Errorf("a round without sweeps was rewritten: %v", plain)
 	}
 
 	// The same round over a hub: the same blocks, a refused cell's error
@@ -171,12 +168,21 @@ func TestSweepCrossesEverySeam(t *testing.T) {
 		}
 	})
 
-	// A cell's name must not be another task's.
+	// A task named like a sweep's cell is just another task: results
+	// find their tasks by index, on both sides of the seam.
 	clash := append(sweepTasks(), Task{Name: "a#3", Obj: sweepTasks()[0].Obj})
-	if _, err := runHubFarm(t, LiveExecutor{}, clash, 1, opts); err == nil || !strings.Contains(err.Error(), "share names") {
-		t.Errorf("a task named like a sweep's cell: %v, want the round refused", err)
+	wire, err := runHubFarm(t, LiveExecutor{}, clash, 1, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if results := runLocalFarm(t, clash, 1, opts, nil); len(results) != 5 {
-		t.Errorf("by reference nothing is renamed, yet the same round gave %d results", len(results))
+	local := runLocalFarm(t, clash, 1, opts, nil)
+	for i, task := range clash {
+		if wire[i].Name != task.Name || local[i].Name != task.Name {
+			t.Errorf("result %d: %s over the hub, %s by reference, for task %s", i, wire[i].Name, local[i].Name, task.Name)
+		}
+	}
+	p, _ := priceOf(local[4])
+	if q, ok := priceOf(wire[4]); !ok || p != q || !wire[1].Value.Equal(local[1].Value) {
+		t.Errorf("task a#3: %v over the hub, %v by reference; sweep a: %+v, %+v", q, p, wire[1].Value, local[1].Value)
 	}
 }

@@ -62,8 +62,10 @@ const (
 
 // Task is one pricing job of the portfolio.
 type Task struct {
-	// Name identifies the task; under NFSLoad it is the path the worker
-	// reads from the shared store.
+	// Name labels the task in spans, events and errors, and every result
+	// echoes it; a result is placed by its task's index, so two tasks may
+	// share a name. Under NFSLoad it is the path the worker reads from
+	// the shared store.
 	Name string
 	// Data is the problem's save-file content (nsp-serialized stream).
 	Data []byte

@@ -13,11 +13,11 @@ import (
 
 // FarmBackend is the seam between the engine and its worker pool: Run
 // farms one round of tasks over `workers` workers and returns the
-// results. The engine threads its context (including any distributed
-// trace riding it) straight through, so worker-side spans reassemble on
-// the master regardless of where the workers live. Run must honour ctx
-// cancellation; it returns the transport's raw error and lets the
-// caller wrap it.
+// results index-aligned with the tasks. The engine threads its context
+// (including any distributed trace riding it) straight through, so
+// worker-side spans reassemble on the master regardless of where the
+// workers live. Run must honour ctx cancellation; it returns the
+// transport's raw error and lets the caller wrap it.
 type FarmBackend interface {
 	Run(ctx context.Context, tasks []farm.Task, opts farm.Options, workers int) ([]farm.Result, error)
 }

@@ -38,17 +38,14 @@ func (e Engine) farmOptions(batch int) farm.Options {
 // either direction; wire backends let the farm serialize problems on
 // demand and deal sweeps as their cells, and answer with result hashes
 // (farm.AsPriced) and the same blocks. The objects must therefore stay
-// unmutated until the round returns. Task names must be unique; they pair
-// each result with its slot and label spans and errors, and are never
-// parsed. A result's Err is its task's pricing failure. The round is
-// sized to the work: two tasks do not spin up the full worker complement.
+// unmutated until the round returns. The farm answers in task order, so
+// names only label spans and errors, and are never parsed; the length
+// check guards against a backend that does not. A result's Err is its
+// task's pricing failure. The round is sized to the work: two tasks do
+// not spin up the full worker complement.
 func (e Engine) priceRound(ctx context.Context, tasks []farm.Task, batch int) ([]farm.Result, error) {
 	if len(tasks) == 0 {
 		return nil, nil
-	}
-	slot := make(map[string]int, len(tasks))
-	for i, t := range tasks {
-		slot[t.Name] = i
 	}
 	results, err := e.backend().Run(ctx, tasks, e.farmOptions(batch), min(e.workers(), len(tasks)))
 	if err != nil {
@@ -60,15 +57,7 @@ func (e Engine) priceRound(ctx context.Context, tasks []farm.Task, batch int) ([
 	if len(results) != len(tasks) {
 		return nil, fmt.Errorf("risk: farm returned %d results for %d tasks", len(results), len(tasks))
 	}
-	out := make([]farm.Result, len(tasks))
-	for _, r := range results {
-		i, ok := slot[r.Name]
-		if !ok {
-			return nil, fmt.Errorf("risk: result for unknown task %q", r.Name)
-		}
-		out[i] = r
-	}
-	return out, nil
+	return results, nil
 }
 
 // PriceBatch prices a slice of problems on the engine's live farm in one
@@ -91,8 +80,8 @@ func (e Engine) PriceBatch(ctx context.Context, problems []*premia.Problem) ([]P
 	reg.Counter("risk.price.requests").Add(int64(len(problems)))
 
 	out := make([]PriceOutcome, len(problems))
-	// slots[k] is the input index of the k-th farmed problem, whose task
-	// is named by k: names only pair results with slots.
+	// slots[k] is the input index of the k-th farmed problem: its task,
+	// named k, is answered by fresh[k].
 	var (
 		slots []int
 		tasks []farm.Task

@@ -75,18 +75,18 @@ func TestFullRevalOverNetBackend(t *testing.T) {
 // NFSLoad with no store) must end Run promptly with that rank's error —
 // not hang the master in its receive, and not surface as the bare
 // mpi.ErrClosed the shutdown causes elsewhere. And a master that fails
-// before dispatching (duplicate task names) must still join every rank:
-// no goroutine may outlive Run.
+// before dispatching (its context already cancelled) must still join
+// every rank: no goroutine may outlive Run.
 func TestBackendRunEndsOnRankFailure(t *testing.T) {
 	tasks, err := smallBook().Tasks()
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(t *testing.T, b risk.FarmBackend, tasks []farm.Task, opts farm.Options) error {
+	run := func(t *testing.T, ctx context.Context, b risk.FarmBackend, tasks []farm.Task, opts farm.Options) error {
 		t.Helper()
 		done := make(chan error, 1)
 		go func() {
-			_, err := b.Run(context.Background(), tasks, opts, 4)
+			_, err := b.Run(ctx, tasks, opts, 4)
 			done <- err
 		}()
 		select {
@@ -105,14 +105,15 @@ func TestBackendRunEndsOnRankFailure(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			err := run(t, tc.backend, tasks, farm.Options{Strategy: farm.NFSLoad})
+			err := run(t, context.Background(), tc.backend, tasks, farm.Options{Strategy: farm.NFSLoad})
 			if err == nil || !strings.Contains(err.Error(), "NFS strategy without a store") || errors.Is(err, mpi.ErrClosed) {
 				t.Errorf("storeless NFS round returned %v, want the failing worker's own error", err)
 			}
-			dup := []farm.Task{tasks[0], tasks[0]}
-			err = run(t, tc.backend, dup, farm.Options{Strategy: farm.SerializedLoad})
-			if err == nil || !strings.Contains(err.Error(), "duplicate task name") {
-				t.Errorf("duplicate names returned %v, want the master's validation error", err)
+			cancelled, cancel := context.WithCancel(context.Background())
+			cancel()
+			err = run(t, cancelled, tc.backend, tasks, farm.Options{Strategy: farm.SerializedLoad})
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("a round on a cancelled context returned %v, want context.Canceled", err)
 			}
 			// Run has returned, so every rank must already be gone; the
 			// short poll only covers the helper goroutine's own exit.
